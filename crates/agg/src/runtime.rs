@@ -16,6 +16,24 @@
 //! admission, gradient summing — touches at most one shard lock. A full queue
 //! rejects with [`AggError::Busy`] carrying a retry hint instead of letting
 //! connection handlers pile up.
+//!
+//! A durable runtime (one given a `Store`) group-commits its write-ahead log:
+//!
+//! ```text
+//! stage ─► apply ─► park ack        under the core lock: memory only
+//!            commit ─► publish ─► ack    outside it: one write + fsync per group
+//! ```
+//!
+//! Under the core lock a worker only *stages* — it encodes the epoch's WAL
+//! frame into an in-memory batch, applies the epoch, and parks the ack. After
+//! releasing the core lock, whichever worker finds something staged and nobody
+//! committing becomes the committer: it swaps the batch out and makes it
+//! durable with one write and one `fsync`, then publishes the batch's newest
+//! parameter snapshot, records the dedup outcomes and sends the acks. The
+//! other workers keep staging meanwhile, so a group is as large as the load
+//! made it — one frame with one device, tens with sixty-four — with nothing to
+//! tune. What survives a crash is a prefix of the applied epochs that contains
+//! every acknowledged one; a failed commit halts the runtime (see `halt`).
 
 use crate::dedup::{Admission, DedupTable};
 use crate::queue::{BoundedQueue, Pop, PushError};
@@ -29,7 +47,7 @@ use crowd_core::server::{
 };
 use crowd_learning::model::Model;
 use crowd_linalg::Vector;
-use crowd_store::Store;
+use crowd_store::{Store, WalStage};
 use crowd_telemetry::{CounterId, GaugeId, HistogramId, MetricsSnapshot, Registry, Stage, Tick};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashSet;
@@ -84,12 +102,12 @@ struct Inner<M: Model> {
     /// the checkin path lands in. Shared so servers can scrape it live and
     /// deterministic harnesses can inject a logical-clock registry.
     metrics: Arc<Registry>,
-    /// The durability hook: when present, every epoch is WAL-appended (with
-    /// its ε charges) *before* it is applied and its checkins acked, so the
-    /// append group-commits with the epoch batching. Locked strictly after
-    /// `core` (never the other way) to keep the lock order acyclic.
-    // audit:lock(agg.store, 30)
-    store: Option<Mutex<Store>>,
+    /// The durability hook: when present, every epoch's WAL frame (with its ε
+    /// charges) is staged before the epoch is applied, and group-committed
+    /// before any of its checkins is acked, replayed from the dedup table, or
+    /// visible to a checkout. `None` is the volatile runtime: apply, publish
+    /// and ack back to back, touching neither of the two locks.
+    store: Option<Durable>,
     /// Devices that have spent their entire privacy budget. Read lock-free-ish
     /// on the submit path; updated under the core lock whenever an applied
     /// epoch pushes a device over its ceiling.
@@ -105,9 +123,69 @@ struct Inner<M: Model> {
     /// being applied (and ε-charged) twice.
     // audit:lock(agg.dedup, 60)
     dedup: Mutex<DedupTable>,
-    /// Set by [`AggRuntime::kill`]: skip the final flush and the shutdown
-    /// checkpoint, leaving the disk exactly as a SIGKILL would.
+    /// Set by [`AggRuntime::kill`] and by a failed WAL commit: nothing more is
+    /// committed or acknowledged, and the final flush and the shutdown
+    /// checkpoint are skipped, leaving the disk exactly as a SIGKILL would.
     crashed: AtomicBool,
+}
+
+/// The two halves of a durable runtime's write path. Lock order is
+/// `core → stage → wal_commit`. [`commit`] holds neither `core` nor (while it
+/// writes) `stage`, so the `fsync` behind `wal_commit` never stalls an apply;
+/// only a snapshot takes `wal_commit` under the other two — it must see the
+/// log quiescent.
+struct Durable {
+    /// Applied-but-uncommitted work, appended to under the core lock.
+    // audit:lock(agg.store, 30)
+    stage: Mutex<Staged>,
+    /// The WAL writer. Holding this lock is being *the* committer.
+    // audit:lock(agg.wal_commit, 35)
+    wal_commit: Mutex<Committer>,
+}
+
+#[derive(Default)]
+struct Staged {
+    batch: Batch,
+    /// Epochs applied since the last successful snapshot.
+    since_snapshot: u64,
+}
+
+/// One commit group in the making: the frames of the epochs applied since the
+/// previous group was swapped out, and everything that has to wait for them
+/// to be durable.
+#[derive(Default)]
+struct Batch {
+    frames: WalStage,
+    acks: Vec<Ack>,
+    /// The parameters after the batch's last epoch — what checkouts may see
+    /// once the batch is durable.
+    newest: Option<Arc<ParamSnapshot>>,
+    /// Checkins the batch's epochs folded in (`checkins_applied` at commit).
+    applied: u64,
+}
+
+impl Batch {
+    fn is_empty(&self) -> bool {
+        // `newest` only ever accompanies a frame.
+        self.frames.is_empty() && self.acks.is_empty()
+    }
+}
+
+struct Committer {
+    store: Store,
+    /// The batch being committed, and between commits the empty one whose
+    /// buffers the next swap hands back to the stage.
+    batch: Batch,
+}
+
+/// What answering one checkin takes once its epoch is settled.
+struct Ack {
+    reply: mpsc::Sender<CheckinOutcome>,
+    outcome: CheckinOutcome,
+    /// When the checkin was admitted (see [`Job::submitted`]).
+    submitted: Tick,
+    device_id: u64,
+    nonce: u64,
 }
 
 /// Why [`AggRuntime::submit_or_return`] refused a checkin.
@@ -181,9 +259,10 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
 
     /// Wraps `server` in a runtime backed by `store` (opened — and already
     /// recovered from — by the caller, typically via `crowd_store::Store::open`
-    /// with this same server). Every applied epoch is WAL-logged before its
-    /// checkins are acknowledged; periodic snapshots and the clean-shutdown
-    /// checkpoint come from the store's configured cadence.
+    /// with this same server). Every applied epoch is WAL-logged, and the log
+    /// group-committed, before its checkins are acknowledged; periodic
+    /// snapshots and the clean-shutdown checkpoint come from the configured
+    /// cadence (`persist.snapshot_every_epochs`).
     pub fn with_store(server: Server<M>, store: Option<Store>) -> Result<Self> {
         Self::with_instrumentation(server, store, Arc::new(Registry::new()))
     }
@@ -214,9 +293,15 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             .collect();
         // The store shares the runtime's registry so WAL append bytes, fsync
         // latency, and snapshot durations land in the same scrape.
-        let store = store.map(|mut s| {
-            s.set_metrics(Arc::clone(&metrics));
-            s
+        let store = store.map(|mut store| {
+            store.set_metrics(Arc::clone(&metrics));
+            Durable {
+                stage: Mutex::new(Staged::default()),
+                wal_commit: Mutex::new(Committer {
+                    store,
+                    batch: Batch::default(),
+                }),
+            }
         });
         let round_info = server.round_info();
         let inner = Arc::new(Inner {
@@ -234,7 +319,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             param_dim,
             num_classes,
             metrics,
-            store: store.map(Mutex::new),
+            store,
             exhausted: RwLock::new(exhausted),
             rounds: RwLock::new(round_info),
             dedup: Mutex::new(DedupTable::new(DEDUP_CAPACITY)),
@@ -243,7 +328,11 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         // A recovered round may already be past its deadline (the crash could
         // land between the expiring apply and its finalization); settle it
         // before serving.
-        finalize_due_rounds(&inner);
+        {
+            let (mut core, mut stage) = lock_core(&inner);
+            settle_due_rounds(&inner, &mut core, stage.as_deref_mut());
+            release(&inner, core, stage, true);
+        }
         let workers = (0..settings.worker_threads)
             .map(|_| {
                 let worker_inner = Arc::clone(&inner);
@@ -430,23 +519,14 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         let device_id = submission.device_id;
         let checkout_iteration = submission.checkout_iteration;
         let logged = inner.store.is_some().then(|| submission.clone());
-        let mut core = inner.core.lock();
+        let (mut core, mut stage) = lock_core(inner);
         match core
             .round_submit(round_id, submission)
             .map_err(AggError::Core)?
         {
             RoundAdmission::Accepted { cohort_complete } => {
-                if let (Some(store), Some(sub)) = (&inner.store, &logged) {
-                    if let Err(e) = store.lock().log_round_submit(round_id, sub) {
-                        // The pending entry stays (there is no un-submit), but
-                        // no ack is sent: a crash loses exactly what the device
-                        // believes unacknowledged, and a live retry resolves as
-                        // a duplicate of a contribution that did stand.
-                        drop(core);
-                        inner.metrics.incr(CounterId::WalErrors);
-                        eprintln!("crowd-agg: WAL append failed, refusing round submission: {e}");
-                        return Err(AggError::ShuttingDown);
-                    }
+                if let (Some(stage), Some(sub)) = (stage.as_deref_mut(), &logged) {
+                    stage.batch.frames.stage_round_submit(round_id, sub);
                 }
                 let outcome = CheckinOutcome {
                     accepted: true,
@@ -458,10 +538,15 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 inner.metrics.incr(CounterId::RoundSubmissions);
                 inner.metrics.span(Stage::ShardIngest, device_id);
                 if cohort_complete {
-                    finalize_round_locked(inner, core);
-                    finalize_due_rounds(inner);
-                } else {
-                    drop(core);
+                    finalize_round(inner, &mut core, stage.as_deref_mut());
+                    settle_due_rounds(inner, &mut core, stage.as_deref_mut());
+                }
+                // The reply is the ack, so the commit is inline. When it
+                // fails the pending entry stays (there is no un-submit) but no
+                // ack is sent: a crash loses exactly what the device believes
+                // unacknowledged.
+                if !release(inner, core, stage, true) {
+                    return Err(AggError::ShuttingDown);
                 }
                 Ok(RoundSubmitOutcome::Acked(outcome))
             }
@@ -473,16 +558,19 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                     staleness: 0,
                     deduped: true,
                 };
+                drop(stage);
                 drop(core);
                 inner.metrics.incr(CounterId::DedupReplays);
                 Ok(RoundSubmitOutcome::Acked(outcome))
             }
             RoundAdmission::Outdated { current_round } => {
+                drop(stage);
                 drop(core);
                 inner.metrics.incr(CounterId::RoundOutdatedRejections);
                 Ok(RoundSubmitOutcome::Outdated { current_round })
             }
             RoundAdmission::NotSelected => {
+                drop(stage);
                 drop(core);
                 Err(AggError::Invalid(format!(
                     "device {device_id} is not in round {round_id}'s cohort"
@@ -576,11 +664,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     /// this before reading the ledger of a still-running server, so
     /// acknowledged round submissions are never observed uncharged.
     pub fn settle_rounds(&self) {
-        let core = self.inner.core.lock();
-        if core.round_pending() > 0 {
-            finalize_round_locked(&self.inner, core);
-            finalize_due_rounds(&self.inner);
-        }
+        settle_open_round(&self.inner);
     }
 
     /// Stops accepting checkins, applies everything already admitted, joins
@@ -609,26 +693,23 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         for worker in workers {
             let _ = worker.join();
         }
-        // Checkpoint once, on the call that actually tore the runtime down,
-        // and never after a crash-stop.
-        if joined_any && !self.inner.crashed.load(Ordering::SeqCst) {
-            // A graceful shutdown settles the open round first: its pending
-            // submissions were acknowledged, so their ε must be charged (via
-            // the finalization epoch) before the checkpoint freezes the
-            // ledger.
-            let core = self.inner.core.lock();
-            if core.round_pending() > 0 {
-                finalize_round_locked(&self.inner, core);
-                finalize_due_rounds(&self.inner);
-            } else {
-                drop(core);
-            }
-            if let Some(store) = &self.inner.store {
-                let core = self.inner.core.lock();
-                let mut store = store.lock();
-                if store.snapshot(&core.export_state()).is_err() {
-                    self.inner.metrics.incr(CounterId::SnapshotErrors);
-                }
+        // Once, on the call that actually tore the runtime down.
+        if !joined_any {
+            return;
+        }
+        if self.inner.crashed.load(Ordering::SeqCst) {
+            // Crash-stopped: drop what is still staged, waiters included.
+            commit(&self.inner, true);
+            return;
+        }
+        // A graceful shutdown settles the open round first: its pending
+        // submissions were acknowledged, so their ε must be charged (via the
+        // finalization epoch) before the checkpoint freezes the ledger.
+        settle_open_round(&self.inner);
+        if let Some(durable) = &self.inner.store {
+            let (core, stage) = lock_core(&self.inner);
+            if let Some(mut stage) = stage {
+                checkpoint(&self.inner, durable, &core, &mut stage);
             }
         }
     }
@@ -640,40 +721,81 @@ impl<M: Model + Send + 'static> Drop for AggRuntime<M> {
     }
 }
 
-/// Finalizes the open round while holding the core lock: logs the round
+/// Takes the core lock and, on a durable runtime, the stage behind it.
+/// Everything staged while both are held is one unit to the committer: it
+/// swaps out all of it or none of it.
+fn lock_core<M: Model>(
+    inner: &Inner<M>,
+) -> (MutexGuard<'_, Server<M>>, Option<MutexGuard<'_, Staged>>) {
+    let core = inner.core.lock();
+    let stage = lock_stage(inner, &core);
+    (core, stage)
+}
+
+/// Takes a durable runtime's stage. The core guard is the caller's proof of
+/// the lock order: the stage is only ever taken with the core lock held.
+fn lock_stage<'a, M: Model>(
+    inner: &'a Inner<M>,
+    _core: &MutexGuard<'_, Server<M>>,
+) -> Option<MutexGuard<'a, Staged>> {
+    inner.store.as_ref().map(|durable| durable.stage.lock())
+}
+
+/// Ends a unit of work begun with [`lock_core`]: snapshots if one is due,
+/// releases both locks, and commits what the unit staged — see [`commit`] for
+/// `wait` and the result.
+fn release<M: Model>(
+    inner: &Inner<M>,
+    core: MutexGuard<'_, Server<M>>,
+    stage: Option<MutexGuard<'_, Staged>>,
+    wait: bool,
+) -> bool {
+    if let (Some(durable), Some(mut stage)) = (&inner.store, stage) {
+        // 0 = snapshot only at clean shutdown.
+        let every = core.config().persist.snapshot_every_epochs;
+        if every > 0 && stage.since_snapshot >= every {
+            checkpoint(inner, durable, &core, &mut stage);
+        }
+    }
+    drop(core);
+    commit(inner, wait)
+}
+
+/// Finalizes the open round under the held core lock: stages the round
 /// boundary, publishes the successor round's parameters, and — when the
 /// cohort contributed — pushes the unmasked finalization epoch through the
-/// standard durable apply path. Consumes the lock.
-fn finalize_round_locked<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
+/// standard apply path.
+fn finalize_round<M: Model>(
+    inner: &Inner<M>,
+    core: &mut Server<M>,
+    mut stage: Option<&mut Staged>,
+) {
     let start = inner.metrics.start();
     let (closed, epoch) = match core.finalize_round() {
         Ok(parts) => parts,
         Err(_) => {
-            drop(core);
             inner.metrics.incr(CounterId::ApplyErrors);
             return;
         }
     };
-    if let Some(store) = &inner.store {
-        if let Err(e) = store.lock().log_round_advance(closed) {
-            inner.metrics.incr(CounterId::WalErrors);
-            eprintln!("crowd-agg: WAL append failed on round-{closed} advance: {e}");
-        }
+    if let Some(stage) = stage.as_deref_mut() {
+        stage.batch.frames.stage_round_advance(closed);
     }
     *inner.rounds.write() = core.round_info();
     match epoch {
         Some(epoch) => {
-            let count = epoch.checkin_count;
-            let (_, applied) = durable_apply(inner, core, &epoch);
+            let (_, applied) = apply_epoch(inner, core, stage.as_deref_mut(), &epoch);
             if applied {
                 inner.metrics.incr(CounterId::RoundsFinalized);
-                inner.metrics.add(CounterId::CheckinsApplied, count);
+                match stage {
+                    Some(stage) => stage.batch.applied += epoch.checkin_count,
+                    None => inner
+                        .metrics
+                        .add(CounterId::CheckinsApplied, epoch.checkin_count),
+                }
             }
         }
-        None => {
-            drop(core);
-            inner.metrics.incr(CounterId::RoundsExpired);
-        }
+        None => inner.metrics.incr(CounterId::RoundsExpired),
     }
     inner
         .metrics
@@ -684,22 +806,26 @@ fn finalize_round_locked<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Se
 /// because a finalization epoch itself advances the clock (possibly expiring
 /// its freshly opened successor); an expiry with no submissions re-opens at
 /// the current iteration, so the loop always terminates.
-fn finalize_due_rounds<M: Model>(inner: &Inner<M>) {
-    // Scoped so the `agg.rounds` read guard drops before the loop takes
-    // `agg.core` (core → rounds is the documented acquisition order).
-    {
-        let rounds = inner.rounds.read();
-        if rounds.is_none() {
-            return;
-        }
+fn settle_due_rounds<M: Model>(
+    inner: &Inner<M>,
+    core: &mut Server<M>,
+    mut stage: Option<&mut Staged>,
+) {
+    let rounds_enabled = inner.rounds.read().is_some();
+    while rounds_enabled && core.round_expired() {
+        finalize_round(inner, core, stage.as_deref_mut());
     }
-    loop {
-        let core = inner.core.lock();
-        if !core.round_expired() {
-            return;
-        }
-        finalize_round_locked(inner, core);
+}
+
+/// Finalizes the open round now if it holds submissions (and whatever that
+/// makes due), durably: the graceful-shutdown and harness entry point.
+fn settle_open_round<M: Model>(inner: &Inner<M>) {
+    let (mut core, mut stage) = lock_core(inner);
+    if core.round_pending() > 0 {
+        finalize_round(inner, &mut core, stage.as_deref_mut());
+        settle_due_rounds(inner, &mut core, stage.as_deref_mut());
     }
+    release(inner, core, stage, true);
 }
 
 fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
@@ -789,44 +915,36 @@ fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
     }
 }
 
-/// WAL-logs (when durable) and applies one epoch, consuming the held core
-/// lock. Returns the outcome to fan out and whether the epoch was applied.
+/// Stages (when durable) and applies one epoch under the held core lock.
+/// Returns the outcome to fan out and whether the epoch was applied.
 ///
-/// The order is the durability contract: append (group-committing the whole
-/// epoch in one frame) → apply → update the exhausted set → snapshot if due →
-/// publish. A failed append fails the epoch *without* applying it — no checkin
-/// is ever acknowledged that recovery could not reproduce.
-fn durable_apply<M: Model>(
+/// The order is the durability contract: stage the WAL frame → apply → update
+/// the exhausted set → hand the new parameters on. A
+/// volatile runtime publishes them at once; a durable one leaves them with
+/// the batch, and neither they nor any ack of the epoch gets out before the
+/// commit that covers the frame — no checkin is ever acknowledged, and no
+/// checkout ever served, from state that recovery could not reproduce.
+fn apply_epoch<M: Model>(
     inner: &Inner<M>,
-    mut core: MutexGuard<'_, Server<M>>,
+    core: &mut Server<M>,
+    mut stage: Option<&mut Staged>,
     epoch: &EpochAggregate,
 ) -> (CheckinOutcome, bool) {
     let merge_start = inner.metrics.start();
     // The ε charges feed both the WAL record (durable runtimes) and the
     // ε-spend distribution (whenever budget accounting is on); skip the
     // recompute when neither applies.
-    let charges = if inner.store.is_some() || !core.config().budget.is_disabled() {
+    let charges = if stage.is_some() || !core.config().budget.is_disabled() {
         Some(core.epoch_charges(epoch))
     } else {
         None
     };
-    if let Some(store) = &inner.store {
-        let mut store = store.lock();
-        if let Err(e) = store.log_epoch(core.iteration(), epoch, charges.as_deref().unwrap_or(&[]))
-        {
-            let outcome = CheckinOutcome {
-                accepted: false,
-                iteration: core.iteration(),
-                stopped: core.stopped(),
-                staleness: 0,
-                deduped: false,
-            };
-            drop(store);
-            drop(core);
-            inner.metrics.incr(CounterId::WalErrors);
-            eprintln!("crowd-agg: WAL append failed, refusing epoch: {e}");
-            return (outcome, false);
-        }
+    if let Some(stage) = stage.as_deref_mut() {
+        let charges = charges.as_deref().unwrap_or(&[]);
+        stage
+            .batch
+            .frames
+            .stage_epoch(core.iteration(), epoch, charges);
     }
     match core.apply_aggregate(epoch) {
         Ok(outcome) => {
@@ -843,17 +961,10 @@ fn durable_apply<M: Model>(
                     }
                 }
             }
-            if let Some(store) = &inner.store {
-                let mut store = store.lock();
-                if store.note_applied() {
-                    match store.snapshot(&core.export_state()) {
-                        Ok(()) => inner.metrics.incr(CounterId::Snapshots),
-                        Err(_) => inner.metrics.incr(CounterId::SnapshotErrors),
-                    }
-                }
+            match stage.as_deref_mut() {
+                Some(stage) => stage.batch.newest = Some(snapshot),
+                None => *inner.snapshot.write() = snapshot,
             }
-            *inner.snapshot.write() = snapshot;
-            drop(core);
             inner.metrics.incr(CounterId::EpochMerges);
             inner
                 .metrics
@@ -866,11 +977,15 @@ fn durable_apply<M: Model>(
                         .observe(HistogramId::EpsSpendMicroeps, microeps(eps));
                 }
             }
+            if let Some(stage) = stage {
+                stage.since_snapshot += 1;
+            }
             (outcome, true)
         }
         Err(_) => {
             // Unreachable for payloads that passed submit-time validation; fail
-            // the epoch's checkins without taking a step.
+            // the epoch's checkins without taking a step. (A durable runtime has
+            // staged the frame already; replay refuses it identically.)
             let outcome = CheckinOutcome {
                 accepted: false,
                 iteration: core.iteration(),
@@ -878,7 +993,6 @@ fn durable_apply<M: Model>(
                 staleness: 0,
                 deduped: false,
             };
-            drop(core);
             inner.metrics.incr(CounterId::ApplyErrors);
             (outcome, false)
         }
@@ -895,96 +1009,250 @@ fn microeps(eps: f64) -> u64 {
     }
 }
 
+/// Settles the checkins of one epoch, consuming the locks it was applied
+/// under. Applied and volatile: count and answer them now. Applied and
+/// durable: park the acks with the batch and try to commit it. Not applied:
+/// refuse them.
+fn finish_epoch<M: Model>(
+    inner: &Inner<M>,
+    core: MutexGuard<'_, Server<M>>,
+    stage: Option<MutexGuard<'_, Staged>>,
+    applied: bool,
+    count: u64,
+    acks: impl Iterator<Item = Ack>,
+) {
+    match stage {
+        Some(mut stage) if applied => {
+            stage.batch.applied += count;
+            stage.batch.acks.extend(acks);
+            release(inner, core, Some(stage), false);
+        }
+        stage => {
+            drop(stage);
+            drop(core);
+            if applied {
+                inner.metrics.add(CounterId::CheckinsApplied, count);
+                acks.for_each(|ack| deliver(inner, ack));
+            } else {
+                acks.for_each(|ack| refuse(inner, ack));
+            }
+        }
+    }
+}
+
+/// Answers a checkin whose epoch was applied (and, when durable, committed).
+fn deliver<M: Model>(inner: &Inner<M>, ack: Ack) {
+    // Record the outcome BEFORE acking, so a duplicate that races the ack can
+    // never slip past the table and be applied a second time.
+    if ack.nonce != 0 {
+        inner
+            .dedup
+            .lock()
+            .complete((ack.device_id, ack.nonce), ack.outcome);
+    }
+    send(inner, ack);
+}
+
+/// Releases the nonce of a checkin that will not stand — its epoch was not
+/// applied, or will never be committed — so a retry is admitted fresh.
+fn release_nonce<M: Model>(inner: &Inner<M>, ack: &Ack) {
+    if ack.nonce != 0 {
+        inner.dedup.lock().abandon((ack.device_id, ack.nonce));
+    }
+}
+
+/// Answers a checkin whose epoch was not applied.
+fn refuse<M: Model>(inner: &Inner<M>, ack: Ack) {
+    release_nonce(inner, &ack);
+    send(inner, ack);
+}
+
+fn send<M: Model>(inner: &Inner<M>, ack: Ack) {
+    inner
+        .metrics
+        .observe_since(HistogramId::CheckinLatencyUs, ack.submitted);
+    inner.metrics.span(Stage::Ack, ack.device_id);
+    let _ = ack.reply.send(ack.outcome);
+}
+
+/// Group commit: makes everything staged durable, then lets it out.
+///
+/// Whoever gets `wal_commit` is the committer; a worker that finds it taken
+/// leaves its frames to that committer and goes back to the queue. The loop is
+/// the hand-off: whoever has held `wal_commit`, however briefly, looks at the
+/// stage again after releasing it, so a unit staged meanwhile — whose worker
+/// found the lock taken — is never stranded until the next checkin.
+///
+/// With `wait` (round submissions, settling, shutdown) the call returns only
+/// once everything staged before it has been committed or dropped, and says
+/// which: `false` means the runtime is halted, staged work is dropped rather
+/// than committed, and its waiters see [`AggError::ShuttingDown`].
+fn commit<M: Model>(inner: &Inner<M>, wait: bool) -> bool {
+    let Some(durable) = &inner.store else {
+        return true;
+    };
+    // Whether this call has held `wal_commit` since it last saw the stage
+    // occupied: every commit begun before that moment is finished.
+    let mut quiesced = false;
+    loop {
+        let mut stage = durable.stage.lock();
+        let staged = !stage.batch.is_empty();
+        if staged {
+            if let Some(mut committer) = durable.wal_commit.try_lock() {
+                std::mem::swap(&mut stage.batch, &mut committer.batch);
+                drop(stage);
+                commit_batch(inner, &mut committer);
+                quiesced = true;
+                continue;
+            }
+        }
+        drop(stage);
+        if !wait {
+            return true;
+        }
+        if !staged && quiesced {
+            return !inner.crashed.load(Ordering::SeqCst);
+        }
+        // What the caller staged is with the committer now at work, or still
+        // on the stage behind it: wait that commit out (without holding the
+        // stage, so the workers keep staging) and look again.
+        drop(durable.wal_commit.lock());
+        quiesced = !staged;
+    }
+}
+
+/// Writes the committer's batch as one WAL commit group and then, in this
+/// order, publishes its newest parameter snapshot, counts its checkins, and —
+/// dedup outcome first — sends its acks. On a halted runtime (or when the
+/// write fails, which halts it) the batch is dropped instead, waiters
+/// included. Leaves the batch empty.
+fn commit_batch<M: Model>(inner: &Inner<M>, committer: &mut Committer) {
+    let Committer { store, batch } = committer;
+    let committed = !inner.crashed.load(Ordering::SeqCst)
+        && store
+            .commit(&mut batch.frames)
+            .map_err(|e| halt(inner, &e))
+            .is_ok();
+    if !committed {
+        batch.frames.clear();
+        batch.newest = None;
+        batch.applied = 0;
+        for ack in batch.acks.drain(..) {
+            release_nonce(inner, &ack);
+        }
+        return;
+    }
+    if let Some(snapshot) = batch.newest.take() {
+        *inner.snapshot.write() = snapshot;
+    }
+    inner.metrics.add(
+        CounterId::CheckinsApplied,
+        std::mem::take(&mut batch.applied),
+    );
+    for ack in batch.acks.drain(..) {
+        deliver(inner, ack);
+    }
+}
+
+/// A WAL commit failed. The batch's epochs are already applied in memory, so
+/// this is not one epoch's failure: the runtime stops — nothing staged is
+/// acknowledged, nothing more is committed or checkpointed, new checkins are
+/// refused — and a restart recovers the durable prefix.
+fn halt<M: Model>(inner: &Inner<M>, cause: &crowd_store::StoreError) {
+    inner.crashed.store(true, Ordering::SeqCst);
+    inner.queue.close();
+    inner.metrics.incr(CounterId::WalErrors);
+    eprintln!("crowd-agg: WAL commit failed, halting the durable runtime: {cause}");
+}
+
+/// Snapshots the server under the held core lock: commits what is staged to
+/// the old segment first (the snapshot rotates the log, and a frame the
+/// snapshot already reflects must never land in the successor) — releasing
+/// that batch's acks — then snapshots and rotates.
+fn checkpoint<M: Model>(inner: &Inner<M>, durable: &Durable, core: &Server<M>, stage: &mut Staged) {
+    let mut committer = durable.wal_commit.lock();
+    std::mem::swap(&mut stage.batch, &mut committer.batch);
+    commit_batch(inner, &mut committer);
+    if inner.crashed.load(Ordering::SeqCst) {
+        return;
+    }
+    match committer.store.snapshot(&core.export_state()) {
+        Ok(()) => {
+            stage.since_snapshot = 0;
+            inner.metrics.incr(CounterId::Snapshots);
+        }
+        Err(_) => inner.metrics.incr(CounterId::SnapshotErrors),
+    }
+}
+
 /// Applies one checkin as its own epoch (the `epoch_size = 1` fast path): the
 /// classic Server Routine 2 update, bit for bit, one iteration per checkin
 /// (a singleton [`EpochAggregate`] is exactly `Server::checkin`).
 fn apply_singleton<M: Model>(inner: &Inner<M>, job: Job) {
     let epoch = EpochAggregate::from_payload(&job.payload);
-    let core = inner.core.lock();
-    let (outcome, applied) = durable_apply(inner, core, &epoch);
-    if applied {
-        inner.metrics.incr(CounterId::CheckinsApplied);
-        // Record the outcome BEFORE acking, so a duplicate that races the ack
-        // can never slip past the table and be applied a second time.
-        record_dedup(inner, job.payload.device_id, job.payload.nonce, outcome);
-    } else if job.payload.nonce != 0 {
-        // Nothing was applied; release the nonce so a retry is admitted fresh.
-        inner
-            .dedup
-            .lock()
-            .abandon((job.payload.device_id, job.payload.nonce));
-    }
+    let (mut core, mut stage) = lock_core(inner);
+    let (outcome, applied) = apply_epoch(inner, &mut core, stage.as_deref_mut(), &epoch);
     // The apply advanced the iteration clock; settle any now-due round before
     // acking, so a caller that has its ack also sees the finalized round.
     if applied {
-        finalize_due_rounds(inner);
+        settle_due_rounds(inner, &mut core, stage.as_deref_mut());
     }
-    inner
-        .metrics
-        .observe_since(HistogramId::CheckinLatencyUs, job.submitted);
-    inner.metrics.span(Stage::Ack, job.payload.device_id);
-    let _ = job.reply.send(outcome);
-}
-
-/// Marks a checkin's nonce as completed with its outcome (no-op for nonce 0).
-fn record_dedup<M: Model>(inner: &Inner<M>, device_id: u64, nonce: u64, outcome: CheckinOutcome) {
-    if nonce != 0 {
-        inner.dedup.lock().complete((device_id, nonce), outcome);
-    }
+    let ack = Ack {
+        reply: job.reply,
+        outcome,
+        submitted: job.submitted,
+        device_id: job.payload.device_id,
+        nonce: job.payload.nonce,
+    };
+    finish_epoch(inner, core, stage, applied, 1, std::iter::once(ack));
 }
 
 /// Applies one epoch: drain the shards (fixed merge order), take one projected
-/// SGD step on the core server, publish the new snapshot, wake the waiters.
+/// SGD step on the core server, hand on the new snapshot, settle the waiters.
 fn merge<M: Model>(inner: &Inner<M>) {
-    let core = inner.core.lock();
+    let mut core = inner.core.lock();
     let drained = inner.shards.drain();
     let Some(epoch) = drained.epoch else {
         return;
     };
+    let mut stage = lock_stage(inner, &core);
     inner
         .pending
         .fetch_sub(drained.count as i64, Ordering::SeqCst);
-    let (outcome, applied) = durable_apply(inner, core, &epoch);
-    // The epoch has been applied (or refused); either way its merged gradient
-    // buffer goes back to the shard pool for the next merge.
-    inner.shards.recycle_epoch(epoch);
-    let waiters = drained.waiters;
+    let (outcome, applied) = apply_epoch(inner, &mut core, stage.as_deref_mut(), &epoch);
     if applied {
-        inner.metrics.add(CounterId::CheckinsApplied, drained.count);
         if drained.count > 1 {
             inner.metrics.incr(CounterId::BatchedEpochs);
         }
-    }
-    // The apply advanced the iteration clock; settle any now-due round before
-    // acking, so a caller that has its ack also sees the finalized round.
-    if applied {
-        finalize_due_rounds(inner);
+        // The apply advanced the iteration clock; settle any now-due round
+        // before acking, so a caller that has its ack also sees the finalized
+        // round.
+        settle_due_rounds(inner, &mut core, stage.as_deref_mut());
     }
     // Staleness is per-checkin: measured against the iteration the epoch was
     // applied at (the pre-update iteration, as in the classic checkin path).
     let pre_iteration = outcome.iteration - u64::from(outcome.accepted);
-    for waiter in waiters {
-        let per_checkin = CheckinOutcome {
+    let acks = drained.waiters.into_iter().map(|waiter| Ack {
+        reply: waiter.reply,
+        outcome: CheckinOutcome {
             accepted: outcome.accepted,
             iteration: outcome.iteration,
             stopped: outcome.stopped,
             staleness: pre_iteration.saturating_sub(waiter.checkout_iteration),
             deduped: false,
-        };
-        if applied {
-            // The epoch (and its ε charges) went through: remember the
-            // per-checkin ack so duplicates replay it instead of re-applying.
-            record_dedup(inner, waiter.device_id, waiter.nonce, per_checkin);
-        } else if waiter.nonce != 0 {
-            inner.dedup.lock().abandon((waiter.device_id, waiter.nonce));
-        }
-        inner
-            .metrics
-            .observe_since(HistogramId::CheckinLatencyUs, waiter.submitted);
-        inner.metrics.span(Stage::Ack, waiter.device_id);
-        let _ = waiter.reply.send(per_checkin);
-    }
+        },
+        submitted: waiter.submitted,
+        device_id: waiter.device_id,
+        nonce: waiter.nonce,
+    });
+    finish_epoch(inner, core, stage, applied, drained.count, acks);
+    // The epoch has been applied (or refused); either way its merged gradient
+    // buffer goes back to the shard pool for the next merge.
+    inner.shards.recycle_epoch(epoch);
 }
+
+#[cfg(test)]
+mod group_commit_tests;
 
 #[cfg(test)]
 mod tests {

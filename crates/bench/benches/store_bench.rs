@@ -1,11 +1,13 @@
-//! Persistence-subsystem benches: WAL append throughput and recovery time.
+//! Persistence-subsystem benches: WAL append throughput, group-commit
+//! amortisation, and recovery time.
 //!
-//! The WAL append sits on the checkin write path (one append per epoch,
-//! group-committed with the aggregation runtime's batching), so its cost
-//! bounds the durable server's update rate; recovery time bounds how long a
-//! restarted server is dark. Both are measured at several gradient
+//! The WAL commit sits on the checkin write path, so its cost bounds the
+//! durable server's update rate; recovery time bounds how long a restarted
+//! server is dark. Append and recovery are measured at several gradient
 //! dimensionalities and WAL lengths, without fsync (the CI box measures the
-//! code path, not its disk).
+//! code path, not its disk); `group_commit/fsync` turns fsync on, because the
+//! curve it guards — one `fsync` covering 1, 8 or 64 staged epochs — is the
+//! whole point of the group commit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_core::config::ServerConfig;
@@ -14,7 +16,7 @@ use crowd_core::server::EpochAggregate;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::Vector;
 use crowd_store::testutil::temp_dir;
-use crowd_store::Store;
+use crowd_store::{Store, WalStage};
 use std::hint::black_box;
 use std::path::Path;
 
@@ -58,6 +60,38 @@ fn bench_wal_append(c: &mut Criterion) {
                 store
                     .log_epoch(black_box(step), black_box(&e), &charges)
                     .unwrap();
+            })
+        });
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    group.finish();
+}
+
+fn bench_group_commit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("group_commit/fsync");
+    let dim = 50;
+    let param_dim = dim * CLASSES;
+    // One iteration stages `frames` epochs and commits them once; dividing by
+    // `frames` gives the per-epoch cost the runtime sees at that group size.
+    for &frames in &[1u64, 8, 64] {
+        let dir = temp_dir("bench");
+        let (mut store, server, _) = Store::open(
+            MulticlassLogistic::new(dim, CLASSES).unwrap(),
+            config(&dir).with_fsync(true),
+        )
+        .unwrap();
+        let epochs: Vec<EpochAggregate> = (0..frames).map(|step| epoch(param_dim, step)).collect();
+        let charges = server.epoch_charges(&epochs[0]);
+        let mut stage = WalStage::new();
+        let mut step = 0u64;
+        group.bench_function(format!("frames{frames}"), |b| {
+            b.iter(|| {
+                for e in &epochs {
+                    stage.stage_epoch(step, black_box(e), &charges);
+                    step += 1;
+                }
+                store.commit(&mut stage).unwrap();
             })
         });
         drop(store);
@@ -119,5 +153,11 @@ fn bench_snapshot(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_wal_append, bench_recovery, bench_snapshot);
+criterion_group!(
+    benches,
+    bench_wal_append,
+    bench_group_commit,
+    bench_recovery,
+    bench_snapshot
+);
 criterion_main!(benches);

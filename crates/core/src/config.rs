@@ -198,11 +198,15 @@ impl Default for AggSettings {
 /// Durability knobs of the persistence subsystem (`crowd-store`).
 ///
 /// A server with a `data_dir` keeps a CRC-framed write-ahead log of every
-/// applied epoch (appended and group-committed *before* the epoch's checkins
-/// are acknowledged) plus periodic atomic-rename full snapshots; on restart it
+/// applied epoch plus periodic atomic-rename full snapshots; on restart it
 /// loads the latest snapshot and replays the WAL tail to a state bitwise
-/// identical to an uninterrupted run. With `data_dir = None` (the default) the
-/// server is volatile, exactly as before.
+/// identical to an uninterrupted run. The log is group-committed: epochs are
+/// staged in memory as they are applied, one write (and one `fsync`) makes
+/// everything staged durable, and only then are those epochs acknowledged or
+/// visible to checkouts — so a crash loses at most a suffix of unacknowledged
+/// epochs, and a commit that fails halts the runtime rather than one epoch.
+/// Group size follows the load; there is nothing to tune. With
+/// `data_dir = None` (the default) the server is volatile, exactly as before.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistSettings {
     /// Directory holding the snapshot and WAL files. `None` disables
@@ -211,9 +215,10 @@ pub struct PersistSettings {
     /// Full snapshot (and WAL rotation/compaction) every this many applied
     /// epochs. 0 = snapshot only at clean shutdown.
     pub snapshot_every_epochs: u64,
-    /// `fsync` the WAL after every append and the snapshot after every write.
-    /// Required for durability across power loss; off by default because the
-    /// tests and benches only need durability across process crashes.
+    /// `fsync` the WAL once per commit group, the snapshot after every write,
+    /// and the data directory after every file creation or rename. Required
+    /// for durability across power loss; off by default because the tests and
+    /// benches only need durability across process crashes.
     pub fsync: bool,
 }
 

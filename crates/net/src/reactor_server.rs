@@ -261,6 +261,31 @@ mod tests {
     }
 
     #[test]
+    fn reactor_checkin_records_req_checkin_us() {
+        let (handle, _token) = start_test_server();
+        let histogram_count = |handle: &ReactorServerHandle| {
+            let stats = handle.runtime_stats();
+            stats.histogram("req_checkin_us").map_or(0, |h| h.count())
+        };
+        assert_eq!(histogram_count(&handle), 0);
+        // One acknowledged checkin (the reply is built on the pump) …
+        let reply = roundtrip(
+            handle.addr(),
+            &Message::CheckinRequest(checkin_item(1, 99, vec![0.1; 12])),
+        );
+        assert!(matches!(reply, Message::CheckinAck(ack) if ack.accepted));
+        assert_eq!(histogram_count(&handle), 1);
+        // … and one refused inline on the event loop.
+        let reply = roundtrip(
+            handle.addr(),
+            &Message::CheckinRequest(checkin_item(1, 12345, vec![0.1; 12])),
+        );
+        assert!(matches!(reply, Message::Error(_)));
+        assert_eq!(histogram_count(&handle), 2);
+        handle.shutdown();
+    }
+
+    #[test]
     fn replies_match_threaded_server_for_error_paths() {
         // The two servers share ServerCore, so the full refusal surface must
         // be identical: bad token, bad version, unexpected type, batch mix.

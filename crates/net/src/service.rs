@@ -23,7 +23,7 @@ use crowd_proto::message::{
 };
 use crowd_proto::{BufPool, PROTOCOL_VERSION};
 use crowd_reactor::Response;
-use crowd_telemetry::{CounterId, HistogramId, MetricsSnapshot, Registry};
+use crowd_telemetry::{CounterId, HistogramId, MetricsSnapshot, Registry, Tick};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -314,8 +314,12 @@ pub(crate) fn metrics_report(snap: &MetricsSnapshot) -> MetricsReport {
 pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response {
     match message {
         Message::CheckinRequest(req) => {
+            // `req_checkin_us` runs from here to the reply, wherever that is
+            // built: inline for a refusal, on the pump for an ack.
+            let start = core.metrics.start();
+            let refusal = |reply| Response::Now(checkin_reply(core, start, reply));
             if !core.tokens.verify(req.device_id, &req.token) {
-                return Response::Now(error_reply(
+                return refusal(error_reply(
                     ErrorCode::Unauthorized,
                     "unknown device or bad token",
                 ));
@@ -326,16 +330,19 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response
                 // (and may finalize an epoch when it completes the cohort), so
                 // it runs on the completion pump, never the event loop.
                 let core = Arc::clone(core);
-                return Response::Pending(Box::new(move || core.round_checkin(req)));
+                return Response::Pending(Box::new(move || {
+                    let reply = core.round_checkin(req);
+                    checkin_reply(&core, start, reply)
+                }));
             }
             if let Some(reply) = core.stale_round_reply(req.round_id) {
-                return Response::Now(reply);
+                return refusal(reply);
             }
             let payload = match payload_of(req) {
                 Ok(p) => p,
-                Err(reply) => return Response::Now(*reply),
+                Err(reply) => return refusal(*reply),
             };
-            submit_event(core, payload)
+            submit_event(core, payload, start)
         }
         Message::BatchCheckinRequest(_) => {
             let core = Arc::clone(core);
@@ -345,17 +352,30 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response
     }
 }
 
+/// Closes a reactor checkin's `req_checkin_us` measurement as its reply is
+/// built.
+fn checkin_reply(core: &ServerCore, start: Tick, reply: Message) -> Message {
+    core.metrics.observe_since(HistogramId::ReqCheckinUs, start);
+    reply
+}
+
 /// Turns a completion handle into a pump-side reply closure.
-fn pending_ack(handle: CompletionHandle) -> Response {
-    Response::Pending(Box::new(move || match wait_ack(handle) {
-        Ok(ack) => Message::CheckinAck(ack),
-        Err(reply) => *reply,
+fn pending_ack(core: &Arc<ServerCore>, handle: CompletionHandle, start: Tick) -> Response {
+    let core = Arc::clone(core);
+    Response::Pending(Box::new(move || {
+        let reply = match wait_ack(handle) {
+            Ok(ack) => Message::CheckinAck(ack),
+            Err(reply) => *reply,
+        };
+        checkin_reply(&core, start, reply)
     }))
 }
 
-fn submit_event(core: &Arc<ServerCore>, payload: CheckinPayload) -> Response {
+fn submit_event(core: &Arc<ServerCore>, payload: CheckinPayload, start: Tick) -> Response {
+    let refusal =
+        move |core: &ServerCore, e| Response::Now(checkin_reply(core, start, agg_error_reply(e)));
     match core.runtime.submit_or_return(payload) {
-        Ok(handle) => pending_ack(handle),
+        Ok(handle) => pending_ack(core, handle, start),
         Err(SubmitRejection::Busy {
             payload,
             retry_after_ms,
@@ -370,17 +390,17 @@ fn submit_event(core: &Arc<ServerCore>, payload: CheckinPayload) -> Response {
                 retry: Box::new(move || {
                     let payload = parked.take()?;
                     match core.runtime.submit_or_return(payload) {
-                        Ok(handle) => Some(pending_ack(handle)),
+                        Ok(handle) => Some(pending_ack(&core, handle, start)),
                         Err(SubmitRejection::Busy { payload, .. }) => {
                             parked = Some(payload);
                             None
                         }
-                        Err(SubmitRejection::Refused(e)) => Some(Response::Now(agg_error_reply(e))),
+                        Err(SubmitRejection::Refused(e)) => Some(refusal(&core, e)),
                     }
                 }),
             }
         }
-        Err(SubmitRejection::Refused(e)) => Response::Now(agg_error_reply(e)),
+        Err(SubmitRejection::Refused(e)) => refusal(core, e),
     }
 }
 

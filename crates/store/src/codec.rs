@@ -276,24 +276,36 @@ const RECORD_KIND_EPOCH: u8 = 1;
 const RECORD_KIND_ROUND_SUBMIT: u8 = 2;
 const RECORD_KIND_ROUND_ADVANCE: u8 = 3;
 
-/// Encodes an epoch record into a WAL payload. Takes the parts by reference —
-/// this runs on the durable write path under the core server lock, so it must
-/// not clone the gradient vector just to serialize it.
+/// Encodes an epoch record into a fresh WAL payload (see
+/// [`encode_epoch_record_into`], which the write path uses).
 pub fn encode_epoch_record(
     pre_iteration: u64,
     epoch: &EpochAggregate,
     charges: &[(u64, f64)],
 ) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + epoch_dim_hint(epoch));
-    put_u8(&mut buf, RECORD_KIND_EPOCH);
-    put_u64(&mut buf, pre_iteration);
-    put_epoch(&mut buf, epoch);
-    put_u32(&mut buf, charges.len() as u32);
-    for &(device_id, eps) in charges {
-        put_u64(&mut buf, device_id);
-        put_f64(&mut buf, eps);
-    }
+    encode_epoch_record_into(&mut buf, pre_iteration, epoch, charges);
     buf
+}
+
+/// Appends an epoch record's payload to `buf`. Takes the parts by reference
+/// and writes in place — this runs on the durable write path under the core
+/// server lock, so it must neither clone the gradient vector nor allocate a
+/// record buffer of its own.
+pub fn encode_epoch_record_into(
+    buf: &mut Vec<u8>,
+    pre_iteration: u64,
+    epoch: &EpochAggregate,
+    charges: &[(u64, f64)],
+) {
+    put_u8(buf, RECORD_KIND_EPOCH);
+    put_u64(buf, pre_iteration);
+    put_epoch(buf, epoch);
+    put_u32(buf, charges.len() as u32);
+    for &(device_id, eps) in charges {
+        put_u64(buf, device_id);
+        put_f64(buf, eps);
+    }
 }
 
 fn epoch_dim_hint(epoch: &EpochAggregate) -> usize {
@@ -322,21 +334,35 @@ fn get_submission(buf: &mut &[u8]) -> DecodeResult<PendingSubmission> {
     })
 }
 
-/// Encodes a round-submission record into a WAL payload.
+/// Encodes a round-submission record into a fresh WAL payload.
 pub fn encode_round_submit_record(round_id: u64, submission: &PendingSubmission) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + 8 * submission.words.len());
-    put_u8(&mut buf, RECORD_KIND_ROUND_SUBMIT);
-    put_u64(&mut buf, round_id);
-    put_submission(&mut buf, submission);
+    encode_round_submit_record_into(&mut buf, round_id, submission);
     buf
 }
 
-/// Encodes a round-advance record into a WAL payload.
+/// Appends a round-submission record's payload to `buf`.
+pub fn encode_round_submit_record_into(
+    buf: &mut Vec<u8>,
+    round_id: u64,
+    submission: &PendingSubmission,
+) {
+    put_u8(buf, RECORD_KIND_ROUND_SUBMIT);
+    put_u64(buf, round_id);
+    put_submission(buf, submission);
+}
+
+/// Encodes a round-advance record into a fresh WAL payload.
 pub fn encode_round_advance_record(closed_round_id: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(9);
-    put_u8(&mut buf, RECORD_KIND_ROUND_ADVANCE);
-    put_u64(&mut buf, closed_round_id);
+    encode_round_advance_record_into(&mut buf, closed_round_id);
     buf
+}
+
+/// Appends a round-advance record's payload to `buf`.
+pub fn encode_round_advance_record_into(buf: &mut Vec<u8>, closed_round_id: u64) {
+    put_u8(buf, RECORD_KIND_ROUND_ADVANCE);
+    put_u64(buf, closed_round_id);
 }
 
 /// Decodes any WAL payload produced by the `encode_*_record` functions.

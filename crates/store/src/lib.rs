@@ -7,10 +7,11 @@
 //! survive restarts:
 //!
 //! * **Write-ahead log** ([`wal`]) — every applied aggregation epoch (and the
-//!   per-device ε charges it incurs) is appended to a CRC-framed append-only
-//!   log *before* the epoch is applied and its checkins are acknowledged. One
-//!   append covers a whole epoch, so the WAL group-commits with the
-//!   aggregation runtime's existing batching.
+//!   per-device ε charges it incurs) is a CRC-framed record in an append-only
+//!   log, durable *before* its checkins are acknowledged. Records are staged
+//!   in memory ([`WalStage`]) in apply order and group-committed
+//!   ([`Store::commit`]): one write and one `fsync` cover every epoch staged
+//!   since the previous commit.
 //! * **Snapshots** ([`snapshot`]) — periodic full snapshots of the
 //!   [`ServerState`](crowd_core::ServerState) (params, iteration, schedule
 //!   position, monitoring counters, ε ledger), written to a temporary file and
@@ -39,7 +40,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use store::{RecoveryReport, Store};
+pub use store::{RecoveryReport, Store, WalStage};
 
 use std::fmt;
 
@@ -118,6 +119,14 @@ pub mod testutil {
         // audit:allow(panic-freedom, test scaffolding, never on the request path)
         std::fs::create_dir_all(&dir).expect("create temp dir");
         dir
+    }
+
+    /// Makes every later commit to `store` fail the way a dead disk would:
+    /// the active segment is reopened read-only, so the OS refuses the write
+    /// (nothing reaches the file). For commit-failure tests — an open WAL
+    /// cannot be made to fail from outside the process.
+    pub fn break_wal(store: &mut crate::Store) -> std::io::Result<()> {
+        store.wal_mut().break_writes()
     }
 }
 

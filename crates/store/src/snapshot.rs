@@ -33,8 +33,19 @@ pub struct Snapshot {
 }
 
 /// Writes a snapshot of `state` (followed by WAL segment `wal_seq`) atomically
-/// into `dir`.
+/// into `dir`; with `fsync`, the rename is durable on return.
 pub fn write(dir: &Path, wal_seq: u64, state: &ServerState, fsync: bool) -> Result<()> {
+    install(dir, wal_seq, state, fsync)?;
+    if fsync {
+        crate::wal::sync_dir(dir)?;
+    }
+    Ok(())
+}
+
+/// The first half of [`write`]: temporary file, then the atomic rename. On
+/// `Err` the live snapshot is untouched; on `Ok` the new one is visible but its
+/// directory entry is not yet synced.
+pub(crate) fn install(dir: &Path, wal_seq: u64, state: &ServerState, fsync: bool) -> Result<()> {
     let mut bytes = Vec::with_capacity(64 + 8 * state.params.len());
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
     bytes.extend_from_slice(&wal_seq.to_le_bytes());
@@ -52,12 +63,6 @@ pub fn write(dir: &Path, wal_seq: u64, state: &ServerState, fsync: bool) -> Resu
         }
     }
     std::fs::rename(&tmp, &live)?;
-    if fsync {
-        // Persist the rename itself (the directory entry).
-        if let Ok(dir_handle) = File::open(dir) {
-            let _ = dir_handle.sync_data();
-        }
-    }
     Ok(())
 }
 

@@ -8,10 +8,19 @@
 //!   wal-XXXXXXXX.log  the active WAL segment (sequence-numbered)
 //! ```
 //!
-//! The protocol between the aggregation runtime and the store, per epoch:
+//! The write path is a two-step group commit. Records are *staged* — encoded
+//! and CRC-framed into an in-memory [`WalStage`], in the order their epochs
+//! are applied, which costs no syscall — and a stage is *committed* by
+//! [`Store::commit`]: one `write_all` and (with `persist.fsync`) one
+//! `sync_data` for everything staged since the previous commit. Nothing a
+//! stage holds may be acknowledged before the commit that covers it returns,
+//! so a crash loses at most a suffix of unacknowledged records. The
+//! aggregation runtime stages under its core lock and commits outside it (see
+//! `crowd_agg::runtime`); a single caller can use the one-call form, per epoch:
 //!
-//! 1. [`Store::log_epoch`] — append the epoch (and its ε charges) to the WAL
-//!    *before* applying it or acknowledging its checkins (write-ahead).
+//! 1. [`Store::log_epoch`] — stage the epoch (and its ε charges) and commit
+//!    it; durable on return, *before* applying it or acknowledging its
+//!    checkins (write-ahead).
 //! 2. apply the epoch to the server.
 //! 3. [`Store::note_applied`] — when it reports a snapshot is due,
 //!    [`Store::snapshot`] the server's exported state, which also rotates to a
@@ -64,6 +73,82 @@ impl RecoveryReport {
     }
 }
 
+/// WAL records staged for the next commit: whole CRC frames, back to back, in
+/// the order they were staged. Staging only writes memory; [`Store::commit`]
+/// makes a stage durable and empties it (keeping its buffer), so a stage that
+/// is swapped with a spare and reused allocates nothing per record.
+#[derive(Debug, Default)]
+pub struct WalStage {
+    frames: Vec<u8>,
+    count: u64,
+    /// Pre-apply iteration of the newest staged epoch: the key of the commit's
+    /// `WalAppend` span.
+    last_epoch: Option<u64>,
+}
+
+impl WalStage {
+    /// An empty stage.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stages one epoch (and its ε charges). Must happen *before* the epoch is
+    /// applied, so that the log's order is the apply order.
+    pub fn stage_epoch(
+        &mut self,
+        pre_iteration: u64,
+        epoch: &EpochAggregate,
+        charges: &[(u64, f64)],
+    ) {
+        wal::frame_into(&mut self.frames, |buf| {
+            codec::encode_epoch_record_into(buf, pre_iteration, epoch, charges)
+        });
+        self.count += 1;
+        self.last_epoch = Some(pre_iteration);
+    }
+
+    /// Stages one accepted round submission.
+    pub fn stage_round_submit(&mut self, round_id: u64, submission: &PendingSubmission) {
+        wal::frame_into(&mut self.frames, |buf| {
+            codec::encode_round_submit_record_into(buf, round_id, submission)
+        });
+        self.count += 1;
+    }
+
+    /// Stages a round boundary (finalize or expiry). Staged *before* the
+    /// finalization epoch record, so replay advances the round (clearing its
+    /// pending cohort) and then applies the epoch the live run produced from
+    /// it.
+    pub fn stage_round_advance(&mut self, closed_round_id: u64) {
+        wal::frame_into(&mut self.frames, |buf| {
+            codec::encode_round_advance_record_into(buf, closed_round_id)
+        });
+        self.count += 1;
+    }
+
+    /// Records staged and not yet committed.
+    pub fn frames(&self) -> u64 {
+        self.count
+    }
+
+    /// `true` when nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The staged frames, exactly as a commit writes them.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.frames
+    }
+
+    /// Drops everything staged, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.frames.clear();
+        self.count = 0;
+        self.last_epoch = None;
+    }
+}
+
 /// A server's durable backing: one snapshot file plus the active WAL segment.
 #[derive(Debug)]
 pub struct Store {
@@ -71,6 +156,8 @@ pub struct Store {
     snapshot_every: u64,
     fsync: bool,
     wal: WalWriter,
+    /// The stage behind the one-call `log_*` methods.
+    stage: WalStage,
     epochs_since_snapshot: u64,
     /// When attached (by the aggregation runtime), WAL append bytes/latency
     /// and snapshot durations are recorded here alongside the runtime's own
@@ -144,6 +231,7 @@ impl Store {
                 snapshot_every: persist.snapshot_every_epochs,
                 fsync: persist.fsync,
                 wal,
+                stage: WalStage::new(),
                 epochs_since_snapshot: 0,
                 metrics: None,
             },
@@ -162,27 +250,47 @@ impl Store {
         self.wal.seq()
     }
 
-    /// Attaches a crowd-scope registry; subsequent appends and snapshots
-    /// record `wal_appends`, `wal_append_bytes`, `wal_append_us`, and
-    /// `snapshot_us` into it.
+    pub(crate) fn wal_mut(&mut self) -> &mut WalWriter {
+        &mut self.wal
+    }
+
+    /// Attaches a crowd-scope registry; subsequent commits and snapshots
+    /// record `wal_appends`, `wal_append_bytes`, `wal_append_us`, `wal_frames`,
+    /// `wal_group_frames`, and `snapshot_us` into it.
     pub fn set_metrics(&mut self, metrics: Arc<Registry>) {
         self.metrics = Some(metrics);
     }
 
-    /// Appends one epoch (and its ε charges) to the WAL. Must be called
-    /// *before* the epoch is applied and its checkins acknowledged; a failure
-    /// here means the epoch must not be applied (no ack without durability).
+    /// Commits a stage: everything in it reaches the active segment with one
+    /// `write_all` and (with `persist.fsync`) one `sync_data`, and is durable
+    /// on `Ok`. The stage comes back empty either way. An `Err` may have left
+    /// a torn frame at the segment's tail, so nothing may be committed to this
+    /// store afterwards (a restart truncates the tear); the caller must treat
+    /// it as fatal and acknowledge nothing the stage covered.
+    pub fn commit(&mut self, stage: &mut WalStage) -> Result<()> {
+        commit_stage(&mut self.wal, self.metrics.as_deref(), stage)
+    }
+
+    /// Commits the store's own stage (the one behind the `log_*` methods).
+    fn commit_own(&mut self) -> Result<()> {
+        commit_stage(&mut self.wal, self.metrics.as_deref(), &mut self.stage)
+    }
+
+    /// Stages and commits one epoch (and its ε charges); durable on return.
+    /// Must be called *before* the epoch is applied and its checkins
+    /// acknowledged; a failure here means the epoch must not be applied (no
+    /// ack without durability).
     pub fn log_epoch(
         &mut self,
         pre_iteration: u64,
         epoch: &EpochAggregate,
         charges: &[(u64, f64)],
     ) -> Result<()> {
-        let record = codec::encode_epoch_record(pre_iteration, epoch, charges);
-        self.append_record(&record, Some(pre_iteration))
+        self.stage.stage_epoch(pre_iteration, epoch, charges);
+        self.commit_own()
     }
 
-    /// Appends one accepted round submission to the WAL. Must be called
+    /// Stages and commits one accepted round submission. Must be called
     /// *before* the submission is acknowledged — a crash mid-round then
     /// recovers the pending cohort exactly, and the later finalization epoch
     /// charges each contribution once.
@@ -191,31 +299,15 @@ impl Store {
         round_id: u64,
         submission: &PendingSubmission,
     ) -> Result<()> {
-        let record = codec::encode_round_submit_record(round_id, submission);
-        self.append_record(&record, None)
+        self.stage.stage_round_submit(round_id, submission);
+        self.commit_own()
     }
 
-    /// Appends a round boundary (finalize or expiry) to the WAL. Logged
-    /// *before* the finalization epoch record, so replay advances the round
-    /// (clearing its pending cohort) and then applies the epoch the live run
-    /// produced from it.
+    /// Stages and commits a round boundary (finalize or expiry); see
+    /// [`WalStage::stage_round_advance`] for its place in the log.
     pub fn log_round_advance(&mut self, closed_round_id: u64) -> Result<()> {
-        let record = codec::encode_round_advance_record(closed_round_id);
-        self.append_record(&record, None)
-    }
-
-    fn append_record(&mut self, record: &[u8], span_iteration: Option<u64>) -> Result<()> {
-        let start = self.metrics.as_ref().map(|m| m.start());
-        self.wal.append(record)?;
-        if let (Some(metrics), Some(start)) = (&self.metrics, start) {
-            metrics.incr(CounterId::WalAppends);
-            metrics.add(CounterId::WalAppendBytes, record.len() as u64);
-            metrics.observe_since(HistogramId::WalAppendUs, start);
-            if let Some(iteration) = span_iteration {
-                metrics.span(Stage::WalAppend, iteration);
-            }
-        }
-        Ok(())
+        self.stage.stage_round_advance(closed_round_id);
+        self.commit_own()
     }
 
     /// Notes that a logged epoch has been applied; returns `true` when a
@@ -230,16 +322,26 @@ impl Store {
     ///
     /// Failure ordering matters: the successor segment is created *before*
     /// the snapshot that names it, and the store only switches its writer
-    /// once both durable steps succeeded. If either fails, the old segment
-    /// stays active and the old snapshot stays authoritative — recovery never
-    /// sees a snapshot whose `wal_seq` points past segments that still
-    /// receive acknowledged epochs (which it would delete as superseded).
+    /// once the snapshot naming it is in place. If either step fails, the old
+    /// segment stays active and the old snapshot stays authoritative —
+    /// recovery never sees a snapshot whose `wal_seq` points past segments
+    /// that still receive acknowledged epochs (which it would delete as
+    /// superseded). Everything `state` reflects must already be committed to
+    /// the old segment: nothing staged before the snapshot may be committed
+    /// after it, or it would land in the successor and replay twice.
     pub fn snapshot(&mut self, state: &ServerState) -> Result<()> {
         let start = self.metrics.as_ref().map(|m| m.start());
         let next_seq = self.wal.seq() + 1;
         let new_wal = WalWriter::create(&self.dir, next_seq, self.fsync)?;
-        snapshot::write(&self.dir, next_seq, state, self.fsync)?;
+        snapshot::install(&self.dir, next_seq, state, self.fsync)?;
+        // The renamed snapshot is visible from here on, so appends belong to
+        // the successor whatever happens next; but until the rename is known
+        // durable the superseded segments stay (a power loss that drops it
+        // replays them under the old snapshot), and the next snapshot retries.
         self.wal = new_wal;
+        if self.fsync {
+            wal::sync_dir(&self.dir)?;
+        }
         for seq in list_segments(&self.dir)? {
             if seq < next_seq {
                 let _ = std::fs::remove_file(self.dir.join(wal::segment_file_name(seq)));
@@ -251,6 +353,36 @@ impl Store {
         }
         Ok(())
     }
+}
+
+/// Writes a stage to `wal` as one commit group, records it, and empties it.
+fn commit_stage(
+    wal: &mut WalWriter,
+    metrics: Option<&Registry>,
+    stage: &mut WalStage,
+) -> Result<()> {
+    if stage.is_empty() {
+        return Ok(());
+    }
+    let start = metrics.map(|m| m.start());
+    let written = wal.append_batch(stage.as_bytes());
+    if let (Ok(()), Some(metrics), Some(start)) = (&written, metrics, start) {
+        metrics.incr(CounterId::WalAppends);
+        // Payload bytes, as before group commit: frame headers excluded.
+        let headers = wal::FRAME_HEADER as u64 * stage.frames();
+        metrics.add(
+            CounterId::WalAppendBytes,
+            stage.as_bytes().len() as u64 - headers,
+        );
+        metrics.add(CounterId::WalFrames, stage.frames());
+        metrics.observe(HistogramId::WalGroupFrames, stage.frames());
+        metrics.observe_since(HistogramId::WalAppendUs, start);
+        if let Some(iteration) = stage.last_epoch {
+            metrics.span(Stage::WalAppend, iteration);
+        }
+    }
+    stage.clear();
+    Ok(written?)
 }
 
 /// Replays one WAL payload into `server`, enforcing the log's invariants.
@@ -423,6 +555,123 @@ mod tests {
         assert_eq!(server.iteration(), 0);
         assert_eq!(store.wal_seq(), 0);
         assert_eq!(store.data_dir(), dir.as_path());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The framing the WAL used before records were encoded in place: the
+    /// allocating encoder's payload behind a freshly built header.
+    fn reference_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&codec::crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn staged_frames_are_byte_identical_to_the_allocating_encoders() {
+        let dir = temp_dir("store-stage-bytes");
+        let (_store, server, _) = Store::open(model(), round_config(&dir)).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let p = payload(2, 9, &mut rng);
+        let epoch = EpochAggregate::from_payload(&p);
+        let charges = server.epoch_charges(&epoch);
+        let submission = round_submission(&server, 1);
+
+        let mut stage = WalStage::new();
+        assert!(stage.is_empty());
+        stage.stage_round_submit(4, &submission);
+        stage.stage_round_advance(4);
+        stage.stage_epoch(17, &epoch, &charges);
+        assert_eq!(stage.frames(), 3);
+
+        let mut expected = reference_frame(&codec::encode_round_submit_record(4, &submission));
+        expected.extend(reference_frame(&codec::encode_round_advance_record(4)));
+        expected.extend(reference_frame(&codec::encode_epoch_record(
+            17, &epoch, &charges,
+        )));
+        assert_eq!(stage.as_bytes(), expected.as_slice());
+
+        stage.clear();
+        assert!(stage.is_empty() && stage.as_bytes().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_commit_covers_every_staged_epoch() {
+        let dir = temp_dir("store-group");
+        let metrics = Arc::new(Registry::new());
+        let (mut store, mut server, _) = Store::open(model(), config(&dir)).unwrap();
+        store.set_metrics(Arc::clone(&metrics));
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut stage = WalStage::new();
+        for step in 0..5u64 {
+            let epoch = EpochAggregate::from_payload(&payload(step % 5, step, &mut rng));
+            let charges = server.epoch_charges(&epoch);
+            stage.stage_epoch(server.iteration(), &epoch, &charges);
+            server.apply_aggregate(&epoch).unwrap();
+        }
+        // Staged is not durable: a crash here recovers nothing.
+        let (_, recovered, _) = Store::open(model(), config(&dir)).unwrap();
+        assert_eq!(recovered.iteration(), 0);
+
+        store.commit(&mut stage).unwrap();
+        assert!(stage.is_empty());
+        // An empty stage is not an append.
+        store.commit(&mut stage).unwrap();
+        let stats = metrics.snapshot();
+        assert_eq!(stats.get("wal_appends"), 1);
+        assert_eq!(stats.get("wal_frames"), 5);
+        let group = stats.histogram("wal_group_frames").unwrap();
+        assert_eq!((group.count(), group.sum()), (1, 5));
+        assert_eq!(stats.histogram("wal_append_us").unwrap().count(), 1);
+        drop(store);
+
+        let (_, recovered, report) = Store::open(model(), config(&dir)).unwrap();
+        assert_eq!(report.replayed_epochs, 5);
+        assert_eq!(recovered.export_state(), reference_state(5));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_commit_writes_nothing_and_empties_the_stage() {
+        let dir = temp_dir("store-broken");
+        let (mut store, mut server, _) = Store::open(model(), config(&dir)).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        durable_checkin(&mut store, &mut server, &payload(0, 0, &mut rng));
+        crate::testutil::break_wal(&mut store).unwrap();
+        let epoch = EpochAggregate::from_payload(&payload(1, 1, &mut rng));
+        let charges = server.epoch_charges(&epoch);
+        assert!(matches!(
+            store.log_epoch(server.iteration(), &epoch, &charges),
+            Err(StoreError::Io(_))
+        ));
+        drop(store);
+        let (_, recovered, report) = Store::open(model(), config(&dir)).unwrap();
+        assert_eq!(report.replayed_epochs, 1);
+        assert!(!report.torn_tail);
+        assert_eq!(recovered.export_state(), reference_state(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fsync_mode_creates_rotates_and_recovers() {
+        // With fsync on, segment creation and snapshot rotation also sync the
+        // directory entry; the observable contract is unchanged.
+        let dir = temp_dir("store-fsync");
+        let fsync_config = config(&dir).with_fsync(true);
+        let (mut store, mut server, _) = Store::open(model(), fsync_config.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        for step in 0..6 {
+            let p = payload(step as u64 % 5, step as u64, &mut rng);
+            durable_checkin(&mut store, &mut server, &p);
+        }
+        assert_eq!(store.wal_seq(), 1);
+        assert_eq!(list_segments(&dir).unwrap(), vec![1]);
+        drop(store);
+        let (_, recovered, report) = Store::open(model(), fsync_config).unwrap();
+        assert!(report.from_snapshot);
+        assert_eq!(report.replayed_epochs, 2);
+        assert_eq!(recovered.export_state(), reference_state(6));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,11 +1,14 @@
 //! CRC-framed append-only write-ahead log segments.
 //!
 //! A segment is `[8-byte magic]` followed by frames of
-//! `[len: u32][crc32(payload): u32][payload: len bytes]`. Appends happen
-//! strictly before the logged epoch is applied and acknowledged, so after a
-//! crash the log is a superset of nothing and a prefix of everything: every
-//! acked epoch is present, and at most the final frame is torn. Reading stops
-//! at the first frame whose length or CRC does not check out and reports the
+//! `[len: u32][crc32(payload): u32][payload: len bytes]`. Frames are built in
+//! memory ([`frame_into`]) in the order their epochs are applied and reach the
+//! file a commit group at a time ([`WalWriter::append_batch`]: one `write_all`,
+//! one `sync_data`); nothing a group covers is acknowledged before that call
+//! returns. After a crash the log is therefore a prefix of what was applied
+//! that contains every acknowledged epoch: the lost suffix was never
+//! acknowledged, and at most the last frame written is torn. Reading stops at
+//! the first frame whose length or CRC does not check out and reports the
 //! byte offset of the last valid frame so the writer can truncate the torn
 //! tail before appending again.
 
@@ -21,7 +24,26 @@ pub const WAL_MAGIC: &[u8; 8] = b"CMLWAL01";
 /// model is tens of megabytes; anything near this cap is corruption).
 pub const MAX_RECORD_LEN: usize = 1 << 30;
 
-const FRAME_HEADER: usize = 8; // len + crc
+pub(crate) const FRAME_HEADER: usize = 8; // len + crc
+
+/// Appends one frame to `buf`: reserves the `[len][crc]` header, lets `encode`
+/// write the payload straight behind it, then patches the header in place —
+/// no intermediate payload buffer.
+pub fn frame_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let header = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(buf);
+    let payload = header + FRAME_HEADER;
+    let len = (buf.len() - payload) as u32;
+    let crc = crc32(&buf[payload..]);
+    buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    buf[header + 4..payload].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Makes a directory entry (a created or renamed file) survive power loss.
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
 
 /// Everything read back from one segment.
 #[derive(Debug)]
@@ -108,6 +130,8 @@ pub fn parse_segment_seq(name: &str) -> Option<u64> {
 
 impl WalWriter {
     /// Creates (or truncates) segment `seq` in `dir` and writes the magic.
+    /// With `fsync`, the file and its directory entry are synced: a segment
+    /// whose name can vanish in a power loss takes every synced frame with it.
     pub fn create(dir: &Path, seq: u64, fsync: bool) -> std::io::Result<Self> {
         let path = dir.join(segment_file_name(seq));
         let mut file = OpenOptions::new()
@@ -118,6 +142,7 @@ impl WalWriter {
         file.write_all(WAL_MAGIC)?;
         if fsync {
             file.sync_data()?;
+            sync_dir(dir)?;
         }
         Ok(WalWriter {
             file,
@@ -156,6 +181,13 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Swaps the segment's handle for a read-only one, so the next append is
+    /// refused by the OS (see [`crate::testutil::break_wal`]).
+    pub(crate) fn break_writes(&mut self) -> std::io::Result<()> {
+        self.file = File::open(&self.path)?;
+        Ok(())
+    }
+
     /// This segment's sequence number.
     pub fn seq(&self) -> u64 {
         self.seq
@@ -166,15 +198,20 @@ impl WalWriter {
         &self.path
     }
 
-    /// Appends one framed record and (optionally) syncs it to disk. The frame
-    /// is assembled into one buffer and written with a single `write_all`, so
-    /// a crash mid-append tears at most the final frame.
+    /// Appends one record as a commit group of its own.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        frame_into(&mut frame, |buf| buf.extend_from_slice(payload));
+        self.append_batch(&frame)
+    }
+
+    /// Appends a commit group — whole frames built by [`frame_into`], back to
+    /// back — with a single `write_all` and (optionally) a single `sync_data`.
+    /// A crash mid-write loses a suffix of the group and tears at most one
+    /// frame. After an error the segment's tail is unknown, so the writer must
+    /// not be appended to again (recovery truncates the tear).
+    pub fn append_batch(&mut self, frames: &[u8]) -> std::io::Result<()> {
+        self.file.write_all(frames)?;
         if self.fsync {
             self.file.sync_data()?;
         }
@@ -197,6 +234,38 @@ mod tests {
         }
         drop(wal);
         let contents = read_segment(&dir.join(segment_file_name(0))).unwrap();
+        assert_eq!(contents.records, payloads);
+        assert!(!contents.torn);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn batched_frames_match_single_appends_byte_for_byte() {
+        let payloads: Vec<Vec<u8>> = (0u8..4).map(|i| vec![i ^ 0x5A; i as usize * 7]).collect();
+        let dir = temp_dir("wal-batch");
+        let mut one_by_one = WalWriter::create(&dir, 0, false).unwrap();
+        for p in &payloads {
+            one_by_one.append(p).unwrap();
+        }
+        let mut group = Vec::new();
+        for p in &payloads {
+            // The reference framing, assembled the long way round.
+            let mut frame = (p.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crc32(p).to_le_bytes());
+            frame.extend_from_slice(p);
+            let start = group.len();
+            frame_into(&mut group, |buf| buf.extend_from_slice(p));
+            assert_eq!(&group[start..], frame.as_slice());
+        }
+        let mut batched = WalWriter::create(&dir, 1, true).unwrap();
+        batched.append_batch(&group).unwrap();
+        drop((one_by_one, batched));
+        let single = std::fs::read(dir.join(segment_file_name(0))).unwrap();
+        assert_eq!(
+            single,
+            std::fs::read(dir.join(segment_file_name(1))).unwrap()
+        );
+        let contents = read_segment(&dir.join(segment_file_name(1))).unwrap();
         assert_eq!(contents.records, payloads);
         assert!(!contents.torn);
         std::fs::remove_dir_all(&dir).unwrap();

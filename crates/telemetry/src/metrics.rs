@@ -61,7 +61,7 @@ metric_ids! {
         BatchedEpochs => "batched_epochs",
         /// Malformed checkins dropped at ingest (agg).
         IngestErrors => "ingest_errors",
-        /// WAL appends that failed, voiding their epoch (agg/store).
+        /// WAL commits that failed, halting the durable runtime (agg/store).
         WalErrors => "wal_errors",
         /// Epoch applies the server refused (agg).
         ApplyErrors => "apply_errors",
@@ -83,8 +83,11 @@ metric_ids! {
         FrameResumes => "frame_resumes",
         /// Bytes appended to the WAL (store).
         WalAppendBytes => "wal_append_bytes",
-        /// WAL append operations (store).
+        /// WAL append operations: one per commit group (store).
         WalAppends => "wal_appends",
+        /// WAL records committed; `wal_frames / wal_appends` is the mean
+        /// commit-group size (store).
+        WalFrames => "wal_frames",
         /// Checkins that arrived with the quantized gradient encoding (net).
         QuantizedCheckins => "quantized_checkins",
         /// Wire bytes saved by quantized versus dense gradient encoding (net).
@@ -127,10 +130,13 @@ metric_ids! {
         ReqBatchCheckinUs => "req_batch_checkin_us",
         /// Service time of a MetricsRequest scrape (net, µs).
         ReqMetricsUs => "req_metrics_us",
-        /// Epoch merge (WAL + apply) latency (agg, µs).
+        /// Epoch merge (WAL frame staging + apply) latency; a due snapshot
+        /// has its own histogram (agg, µs).
         EpochMergeUs => "epoch_merge_us",
-        /// WAL append + fsync latency (store, µs).
+        /// WAL append + fsync latency, per commit group (store, µs).
         WalAppendUs => "wal_append_us",
+        /// Records per WAL commit group (store, frames).
+        WalGroupFrames => "wal_group_frames",
         /// Snapshot write duration (store, µs).
         SnapshotUs => "snapshot_us",
         /// ε charged per checkin, in micro-ε (dp).

@@ -9,6 +9,7 @@
 //! SIGKILL-style crashes a live TCP server mid-experiment and restarts it from
 //! its data directory.
 
+use crowd_ml::agg::AggRuntime;
 use crowd_ml::core::config::ServerConfig;
 use crowd_ml::core::device::CheckinPayload;
 use crowd_ml::core::server::{EpochAggregate, Server, ServerState};
@@ -187,6 +188,59 @@ proptest! {
         prop_assert!(report.torn_tail || iteration == n);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Durability before acknowledgement, seen from outside the runtime: at the
+/// instant a checkin's handle resolves, a copy of the data directory — what a
+/// crash at that instant would leave — already recovers the acknowledged
+/// epoch, however the group commit batched it with its neighbours.
+#[test]
+fn acknowledged_epochs_are_already_on_disk() {
+    const SUBMITTERS: usize = 4;
+    const PER_SUBMITTER: usize = 12;
+    let dir = temp_dir("ack-durable");
+    // No snapshot rotation: a file-by-file copy is only a faithful crash image
+    // while the directory holds one append-only segment.
+    let config = durable_config(&dir, 0).with_fsync(true);
+    let (store, server, _) = Store::open(model(), config).unwrap();
+    let rt = AggRuntime::with_store(server, Some(store)).unwrap();
+    let payloads = stream(5, SUBMITTERS * PER_SUBMITTER);
+
+    std::thread::scope(|scope| {
+        for (submitter, own) in payloads.chunks(PER_SUBMITTER).enumerate() {
+            let (rt, dir) = (&rt, &dir);
+            scope.spawn(move || {
+                for (step, p) in own.iter().enumerate() {
+                    let outcome = rt
+                        .submit(p.clone())
+                        .unwrap()
+                        .wait_timeout(Duration::from_secs(30))
+                        .unwrap();
+                    assert!(outcome.accepted);
+                    if step % 3 != submitter % 3 {
+                        continue;
+                    }
+                    let image = temp_dir("ack-image");
+                    for entry in std::fs::read_dir(dir).unwrap() {
+                        let entry = entry.unwrap();
+                        std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+                    }
+                    let (_store, recovered, _) =
+                        Store::open(model(), durable_config(&image, 0)).unwrap();
+                    assert!(
+                        recovered.iteration() >= outcome.iteration,
+                        "acked epoch {} but the disk image recovers only {}",
+                        outcome.iteration,
+                        recovered.iteration()
+                    );
+                    std::fs::remove_dir_all(&image).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(rt.iteration(), (SUBMITTERS * PER_SUBMITTER) as u64);
+    rt.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Runs `body` on a worker thread and fails the test if it has not finished
