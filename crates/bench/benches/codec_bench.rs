@@ -4,11 +4,15 @@
 //! checkin payload (the dominant message) at several gradient
 //! dimensionalities, and — since PR 4 — compare the dense encoding against the
 //! sparse one at 95% sparsity, plus the pooled encode path against the
-//! allocating one.
+//! allocating one. Decode is measured for every bulk path (dense, sparse,
+//! quantized, checkout parameters), and `checkout_reply_d5000` prices an
+//! epoch's worth of checkout replies encoded per request against one shared
+//! pre-encoded frame.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_proto::auth::AuthToken;
 use crowd_proto::codec::{decode, encode, encode_into};
+use crowd_proto::frame::SharedFrame;
 use crowd_proto::message::{CheckinRequest, CheckoutResponse, GradientPayload, Message};
 use std::hint::black_box;
 
@@ -50,6 +54,18 @@ fn quantized_gradient(dim: usize) -> GradientPayload {
     }
 }
 
+fn checkout_response(dim: usize) -> Message {
+    Message::CheckoutResponse(CheckoutResponse {
+        iteration: 5,
+        params: vec![0.5; dim],
+        stopped: false,
+        round: None,
+    })
+}
+
+/// Checkouts answered from one published snapshot in `checkout_reply_d5000`.
+const CHECKOUTS_PER_SNAPSHOT: usize = 16;
+
 fn bench_codec(c: &mut Criterion) {
     let mut encode_group = c.benchmark_group("encode_checkin");
     for &dim in &[50usize, 500, 5000] {
@@ -75,7 +91,60 @@ fn bench_codec(c: &mut Criterion) {
             bench.iter(|| black_box(decode(black_box(bytes)).unwrap()))
         });
     }
+    for &dim in &[500usize, 5000] {
+        let bytes = encode(&checkin_with(quantized_gradient(dim)));
+        decode_group.bench_with_input(
+            BenchmarkId::new("quantized", dim),
+            &bytes,
+            |bench, bytes| bench.iter(|| black_box(decode(black_box(bytes)).unwrap())),
+        );
+    }
     decode_group.finish();
+
+    // The device's side of a round: decoding the parameters it checked out.
+    let mut checkout_group = c.benchmark_group("decode_checkout_response");
+    for &dim in &[500usize, 5000] {
+        let bytes = encode(&checkout_response(dim));
+        checkout_group.bench_with_input(
+            BenchmarkId::from_parameter(dim),
+            &bytes,
+            |bench, bytes| bench.iter(|| black_box(decode(black_box(bytes)).unwrap())),
+        );
+    }
+    checkout_group.finish();
+
+    // One epoch's worth of checkouts (16, the wide-dense epoch size) served
+    // from one snapshot: copy the parameters into a message and encode it
+    // for every request, against one frame encoded once and shared.
+    let mut reply_group = c.benchmark_group("checkout_reply_d5000");
+    let params: Vec<f64> = (0..5000).map(|i| i as f64 * 1e-3).collect();
+    reply_group.bench_function("encode_per_request", |bench| {
+        let mut scratch: Vec<u8> = Vec::new();
+        bench.iter(|| {
+            for _ in 0..CHECKOUTS_PER_SNAPSHOT {
+                let reply = Message::CheckoutResponse(CheckoutResponse {
+                    iteration: 5,
+                    params: black_box(&params).to_vec(),
+                    stopped: false,
+                    round: None,
+                });
+                scratch.clear();
+                scratch.extend_from_slice(&[0u8; 4]);
+                encode_into(&reply, &mut scratch);
+                black_box(scratch.len());
+            }
+        })
+    });
+    reply_group.bench_function("shared_frame", |bench| {
+        bench.iter(|| {
+            let frame = SharedFrame::checkout_response(5, false, black_box(&params), None);
+            for _ in 1..CHECKOUTS_PER_SNAPSHOT {
+                black_box(frame.clone());
+            }
+            black_box(frame)
+        })
+    });
+    reply_group.finish();
 
     // The acceptance gate for the sparse transport: encode+decode of a
     // 95%-sparse checkin must beat the dense round trip.
@@ -122,12 +191,7 @@ fn bench_codec(c: &mut Criterion) {
     encode_path.finish();
 
     c.bench_function("roundtrip_checkout_response_d500", |bench| {
-        let msg = Message::CheckoutResponse(CheckoutResponse {
-            iteration: 5,
-            params: vec![0.5; 500],
-            stopped: false,
-            round: None,
-        });
+        let msg = checkout_response(500);
         bench.iter(|| {
             let bytes = encode(black_box(&msg));
             black_box(decode(&bytes).unwrap())

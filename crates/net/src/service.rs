@@ -10,20 +10,34 @@
 //! thread never blocks: checkouts answer immediately, checkin completions
 //! resolve on the completion pump, and a full ingest queue *parks* the
 //! connection (read throttling) instead of emitting a Busy reply.
+//!
+//! A checkout reply depends only on the published parameter snapshot and the
+//! open round, so the reactor path encodes it once per `(snapshot, round)` —
+//! straight from the snapshot, length prefix included — and hands every
+//! connection the same [`SharedFrame`] until a request sees another snapshot
+//! or round. Who may have the reply is decided per request, before the
+//! shared frame is looked at ([`ServerCore::checkout_refusal`], which the
+//! `Message`-returning path runs too). `checkout_frames_built` against
+//! `checkouts_served` tells a scrape how much sharing actually happens.
 
-use crowd_agg::{AggError, AggRuntime, CompletionHandle, RoundSubmitOutcome, SubmitRejection};
+use crowd_agg::{
+    AggError, AggRuntime, CompletionHandle, ParamSnapshot, RoundSubmitOutcome, SubmitRejection,
+};
 use crowd_core::device::CheckinPayload;
 use crowd_core::server::PendingSubmission;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::{GradientUpdate, QuantizedVector, SparseVector, Vector};
 use crowd_proto::auth::TokenRegistry;
+use crowd_proto::frame::SharedFrame;
 use crowd_proto::message::{
-    BatchAck, BatchCheckinAck, BusyReply, CheckinAck, CheckinRequest, CheckoutResponse, ErrorCode,
-    ErrorReply, GradientPayload, HistogramReport, Message, MetricsReport, RoundParams,
+    BatchAck, BatchCheckinAck, BusyReply, CheckinAck, CheckinRequest, CheckoutRequest,
+    CheckoutResponse, ErrorCode, ErrorReply, GradientPayload, HistogramReport, Message,
+    MetricsReport, RoundParams,
 };
 use crowd_proto::{BufPool, PROTOCOL_VERSION};
 use crowd_reactor::Response;
 use crowd_telemetry::{CounterId, HistogramId, MetricsSnapshot, Registry, Tick};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,6 +58,20 @@ pub(crate) struct ServerCore {
     /// layer's own counters and per-message-type latency land in the same
     /// scrape the `MetricsRequest` admin message answers from.
     pub(crate) metrics: Arc<Registry>,
+    /// The latest checkout reply frame. Taken holding no other lock, and
+    /// nothing is locked while it is held: the snapshot and the round are
+    /// read before it.
+    // audit:lock(net.checkout-frame, 75)
+    checkout_frame: Mutex<Option<CheckoutFrame>>,
+}
+
+/// A checkout reply frame and exactly what it was encoded from. Holding the
+/// snapshot keeps its address from being reused, so pointer equality
+/// identifies it.
+struct CheckoutFrame {
+    snapshot: Arc<ParamSnapshot>,
+    round: Option<RoundParams>,
+    frame: SharedFrame,
 }
 
 impl ServerCore {
@@ -54,6 +82,7 @@ impl ServerCore {
             tokens,
             pool: Arc::new(BufPool::default()),
             metrics,
+            checkout_frame: Mutex::new(None),
         }
     }
 
@@ -79,24 +108,8 @@ impl ServerCore {
     fn dispatch(&self, message: Message) -> Message {
         match message {
             Message::CheckoutRequest(req) => {
-                if req.version != PROTOCOL_VERSION {
-                    return error_reply(
-                        ErrorCode::BadRequest,
-                        format!("unsupported protocol version {}", req.version),
-                    );
-                }
-                if !self.tokens.verify(req.device_id, &req.token) {
-                    return error_reply(ErrorCode::Unauthorized, "unknown device or bad token");
-                }
-                // Refusing the *checkout* is where over-querying is actually
-                // prevented: a device that cannot read parameters computes no
-                // further gradients on its own ε.
-                if self.runtime.budget_exhausted(req.device_id) {
-                    self.metrics.incr(CounterId::ExhaustionRefusals);
-                    return error_reply(
-                        ErrorCode::BudgetExhausted,
-                        format!("device {} has exhausted its privacy budget", req.device_id),
-                    );
+                if let Some(refusal) = self.checkout_refusal(&req) {
+                    return refusal;
                 }
                 // Lock-free read path: clone the epoch snapshot, never touching
                 // the write path's locks.
@@ -201,6 +214,74 @@ impl ServerCore {
         }
     }
 
+    /// The gatekeepers of a checkout, in reply order — protocol version,
+    /// token, ε budget: the refusal a request gets, or `None` when it may
+    /// read the parameters.
+    fn checkout_refusal(&self, req: &CheckoutRequest) -> Option<Message> {
+        if req.version != PROTOCOL_VERSION {
+            return Some(error_reply(
+                ErrorCode::BadRequest,
+                format!("unsupported protocol version {}", req.version),
+            ));
+        }
+        if !self.tokens.verify(req.device_id, &req.token) {
+            return Some(error_reply(
+                ErrorCode::Unauthorized,
+                "unknown device or bad token",
+            ));
+        }
+        // Refusing the *checkout* is where over-querying is actually
+        // prevented: a device that cannot read parameters computes no
+        // further gradients on its own ε.
+        if self.runtime.budget_exhausted(req.device_id) {
+            self.metrics.incr(CounterId::ExhaustionRefusals);
+            return Some(error_reply(
+                ErrorCode::BudgetExhausted,
+                format!("device {} has exhausted its privacy budget", req.device_id),
+            ));
+        }
+        None
+    }
+
+    /// Answers a checkout for the reactor: the refusal the request earns, or
+    /// the pre-framed reply for the current snapshot and round —
+    /// byte-identical to framing [`ServerCore::handle_message`]'s reply.
+    fn checkout_event(&self, req: &CheckoutRequest) -> Response {
+        if let Some(refusal) = self.checkout_refusal(req) {
+            return Response::Now(refusal);
+        }
+        let snapshot = self.runtime.snapshot();
+        let round = self.round_params();
+        self.metrics.incr(CounterId::CheckoutsServed);
+        Response::Framed(self.frame_for(snapshot, round))
+    }
+
+    /// The frame for exactly this snapshot and round: the slot's if it was
+    /// encoded from them, otherwise a fresh one, which replaces it. Built
+    /// under the lock, so requests arriving together for a new snapshot
+    /// encode it once and the rest wait the few microseconds that takes.
+    fn frame_for(&self, snapshot: Arc<ParamSnapshot>, round: Option<RoundParams>) -> SharedFrame {
+        let mut slot = self.checkout_frame.lock();
+        if let Some(cached) = slot.as_ref() {
+            if Arc::ptr_eq(&cached.snapshot, &snapshot) && cached.round == round {
+                return cached.frame.clone();
+            }
+        }
+        let frame = SharedFrame::checkout_response(
+            snapshot.iteration,
+            snapshot.stopped,
+            snapshot.params.as_slice(),
+            round.as_ref(),
+        );
+        self.metrics.incr(CounterId::CheckoutFramesBuilt);
+        *slot = Some(CheckoutFrame {
+            snapshot,
+            round,
+            frame: frame.clone(),
+        });
+        frame
+    }
+
     /// The current round parameters, as published in every checkout when the
     /// server runs the round-based cohort protocol (wire v6).
     fn round_params(&self) -> Option<RoundParams> {
@@ -302,8 +383,8 @@ pub(crate) fn metrics_report(snap: &MetricsSnapshot) -> MetricsReport {
 
 /// Handles one request for the reactor without ever blocking the event loop.
 ///
-/// * Checkouts (and malformed traffic) answer inline — they only clone the
-///   epoch snapshot.
+/// * Checkouts answer inline with the shared pre-framed reply for the
+///   current snapshot; malformed traffic and scrapes answer inline too.
 /// * Checkins are admitted to the ingest queue here; the wait for the applied
 ///   epoch becomes a [`Response::Pending`] closure on the completion pump.
 /// * A full queue becomes [`Response::Throttle`]: the payload is parked (the
@@ -343,6 +424,13 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response
                 Err(reply) => return refusal(*reply),
             };
             submit_event(core, payload, start)
+        }
+        Message::CheckoutRequest(req) => {
+            let start = core.metrics.start();
+            let response = core.checkout_event(&req);
+            core.metrics
+                .observe_since(HistogramId::ReqCheckoutUs, start);
+            response
         }
         Message::BatchCheckinRequest(_) => {
             let core = Arc::clone(core);
@@ -539,4 +627,304 @@ pub(crate) fn round_outdated_reply(current_round: u64) -> Message {
         detail: format!("round closed; the current round is {current_round}"),
         round_id: current_round,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::build_runtime;
+    use crowd_core::config::{RoundSettings, ServerConfig};
+    use crowd_proto::auth::AuthToken;
+    use crowd_proto::codec::decode;
+    use crowd_proto::frame::write_message;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    const SECRET: u64 = 99;
+    const DEVICES: u64 = 4;
+    /// `MulticlassLogistic::new(4, 3)`: 12 parameters.
+    const DIM: usize = 12;
+
+    fn core_with(config: ServerConfig) -> ServerCore {
+        let model = MulticlassLogistic::new(4, 3).unwrap();
+        let (runtime, _) = build_runtime(model, config).unwrap();
+        ServerCore::new(runtime, TokenRegistry::with_derived_tokens(DEVICES, SECRET))
+    }
+
+    fn checkout(device_id: u64) -> CheckoutRequest {
+        CheckoutRequest {
+            version: PROTOCOL_VERSION,
+            device_id,
+            token: AuthToken::derive(device_id, SECRET),
+        }
+    }
+
+    /// One dense free-run checkin; epochs are one checkin each by default,
+    /// so the ack means a new snapshot is published.
+    fn checkin(core: &ServerCore, step: u64) -> Message {
+        let device_id = step % DEVICES;
+        core.handle_message(Message::CheckinRequest(CheckinRequest {
+            device_id,
+            token: AuthToken::derive(device_id, SECRET),
+            checkout_iteration: step,
+            nonce: step + 1,
+            round_id: 0,
+            gradient: GradientPayload::Dense(
+                (0..DIM)
+                    .map(|i| 0.01 * (step + 1) as f64 * (i as f64 - 5.5))
+                    .collect(),
+            ),
+            num_samples: 2,
+            error_count: 1,
+            label_counts: vec![1, 1, 0],
+        }))
+    }
+
+    fn built(core: &ServerCore) -> u64 {
+        core.metrics.counter(CounterId::CheckoutFramesBuilt)
+    }
+
+    /// The reactor path's reply to `req` as wire bytes.
+    fn event_bytes(core: &ServerCore, req: &CheckoutRequest) -> Vec<u8> {
+        match core.checkout_event(req) {
+            Response::Framed(frame) => frame.as_bytes().to_vec(),
+            Response::Now(reply) => framed(&reply),
+            other => panic!("a checkout never defers: {other:?}"),
+        }
+    }
+
+    fn framed(message: &Message) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_message(&mut bytes, message).unwrap();
+        bytes
+    }
+
+    /// Both paths answer `req` with the same bytes; returns the decoded reply.
+    fn assert_paths_agree(core: &ServerCore, req: &CheckoutRequest, stage: &str) -> Message {
+        let via_message = core.handle_message(Message::CheckoutRequest(req.clone()));
+        assert_eq!(
+            event_bytes(core, req),
+            framed(&via_message),
+            "{stage}: shared frame diverged from the message path"
+        );
+        via_message
+    }
+
+    fn expect_response(reply: Message) -> CheckoutResponse {
+        match reply {
+            Message::CheckoutResponse(r) => r,
+            other => panic!("expected a checkout response, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shared_frame_equals_the_message_path_across_a_server_life() {
+        let core = core_with(ServerConfig::new().with_max_iterations(2));
+        let fresh = expect_response(assert_paths_agree(&core, &checkout(0), "fresh"));
+        assert_eq!((fresh.iteration, fresh.stopped), (0, false));
+        assert_eq!(built(&core), 1);
+        // Same snapshot, another device: shared, not rebuilt.
+        assert_paths_agree(&core, &checkout(1), "fresh, second device");
+        assert_eq!(built(&core), 1);
+
+        checkin(&core, 0);
+        let after = expect_response(assert_paths_agree(&core, &checkout(0), "after an epoch"));
+        assert_eq!((after.iteration, after.stopped), (1, false));
+        assert_ne!(after.params, fresh.params);
+        assert_eq!(built(&core), 2);
+
+        checkin(&core, 1);
+        let stopped = expect_response(assert_paths_agree(&core, &checkout(2), "stopped"));
+        assert_eq!((stopped.iteration, stopped.stopped), (2, true));
+        assert_eq!(built(&core), 3);
+    }
+
+    #[test]
+    fn shared_frame_carries_the_open_round_and_follows_it() {
+        let rounds = RoundSettings::new(DEVICES).with_deadline_epochs(1);
+        let core = core_with(ServerConfig::new().with_rounds(rounds));
+        let first = expect_response(assert_paths_agree(&core, &checkout(0), "rounds on"));
+        let opened = first.round.expect("round parameters are published");
+        assert_eq!(opened.round_id, 1);
+
+        // A free-run epoch passes the deadline: round 1 expires with no
+        // submissions and round 2 opens.
+        checkin(&core, 0);
+        assert_eq!(core.metrics.counter(CounterId::RoundsExpired), 1);
+        let second = expect_response(assert_paths_agree(&core, &checkout(0), "round expired"));
+        let reopened = second.round.expect("the successor round is published");
+        assert_eq!(reopened.round_id, 2);
+        assert_ne!(reopened.seed, opened.seed);
+
+        // The round is part of the key on its own: the same snapshot under
+        // another round is a different reply, in both directions.
+        let snapshot = core.runtime.snapshot();
+        let before = built(&core);
+        let current = core.frame_for(Arc::clone(&snapshot), Some(reopened));
+        assert_eq!(built(&core), before, "current pair is cached");
+        let stale = core.frame_for(Arc::clone(&snapshot), Some(opened));
+        assert_eq!(built(&core), before + 1);
+        assert_ne!(stale.as_bytes(), current.as_bytes());
+        let again = core.frame_for(snapshot, Some(reopened));
+        assert_eq!(built(&core), before + 2);
+        assert_eq!(again.as_bytes(), current.as_bytes());
+    }
+
+    #[test]
+    fn shared_frame_equals_the_message_path_after_kill_and_recovery() {
+        let dir = crowd_store::testutil::temp_dir("checkout-frame-recovery");
+        let config = ServerConfig::new()
+            .with_data_dir(&dir)
+            .with_snapshot_every(2);
+        let core = core_with(config.clone());
+        for step in 0..3 {
+            checkin(&core, step);
+        }
+        let at_kill = framed(&assert_paths_agree(&core, &checkout(0), "before the kill"));
+        core.runtime.kill();
+        drop(core);
+
+        let core = core_with(config);
+        assert_eq!(
+            built(&core),
+            0,
+            "a recovered server starts with an empty slot"
+        );
+        let recovered = assert_paths_agree(&core, &checkout(0), "after recovery");
+        assert_eq!(framed(&recovered), at_kill, "recovery is bitwise");
+        drop(core);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cached_frame_never_answers_for_the_gatekeepers() {
+        // One ε per checkin against a ceiling of one: device 0's first
+        // checkin exhausts it.
+        let core = core_with(ServerConfig::new().with_budget(1.0, 1.0));
+        assert!(matches!(checkin(&core, 0), Message::CheckinAck(ack) if ack.accepted));
+        assert!(core.runtime.budget_exhausted(0));
+        // Device 1 fills the slot for the current snapshot.
+        assert_paths_agree(&core, &checkout(1), "admitted");
+        let cached = built(&core);
+        let served = core.metrics.counter(CounterId::CheckoutsServed);
+
+        let bad_token = CheckoutRequest {
+            token: AuthToken::derive(1, SECRET + 1),
+            ..checkout(1)
+        };
+        let wrong_version = CheckoutRequest {
+            version: PROTOCOL_VERSION + 1,
+            ..checkout(1)
+        };
+        let unknown_device = checkout(DEVICES + 7);
+        for (req, code) in [
+            (bad_token, ErrorCode::Unauthorized),
+            (wrong_version, ErrorCode::BadRequest),
+            (unknown_device, ErrorCode::Unauthorized),
+            (checkout(0), ErrorCode::BudgetExhausted),
+        ] {
+            let reply = assert_paths_agree(&core, &req, "refusal");
+            assert!(
+                matches!(&reply, Message::Error(e) if e.code == code),
+                "expected {code:?}, got {reply:?}"
+            );
+        }
+        assert_eq!(built(&core), cached, "a refusal never touches the slot");
+        assert_eq!(core.metrics.counter(CounterId::CheckoutsServed), served);
+        // The admitted device is still served from the slot.
+        assert!(matches!(
+            core.checkout_event(&checkout(1)),
+            Response::Framed(_)
+        ));
+        assert_eq!(built(&core), cached);
+    }
+
+    #[test]
+    fn concurrent_checkouts_share_frames_and_never_mix_snapshots() {
+        const EPOCHS: u64 = 40;
+        const CLIENTS: usize = 2;
+        /// Checkouts each client still makes once the publisher is done:
+        /// the snapshot is final by then, so all but the first are hits.
+        const QUIET_TAIL: usize = 500;
+
+        // The parameters of every iteration, from a single-threaded replay
+        // of the same checkins.
+        let replay = core_with(ServerConfig::new());
+        let mut params_at: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+        let record = |core: &ServerCore, params_at: &mut BTreeMap<u64, Vec<f64>>| {
+            let snap = core.runtime.snapshot();
+            params_at.insert(snap.iteration, snap.params.as_slice().to_vec());
+        };
+        record(&replay, &mut params_at);
+        for step in 0..EPOCHS {
+            checkin(&replay, step);
+            record(&replay, &mut params_at);
+        }
+        assert_eq!(params_at.len() as u64, EPOCHS + 1);
+
+        let core = core_with(ServerConfig::new());
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(CLIENTS + 1);
+        let served: usize = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    let (core, done, start, params_at) = (&core, &done, &start, &params_at);
+                    scope.spawn(move || {
+                        let req = checkout(client as u64);
+                        let mut served = 0usize;
+                        let mut tail = 0usize;
+                        let mut newest = 0u64;
+                        start.wait();
+                        while tail < QUIET_TAIL {
+                            if done.load(Ordering::Acquire) {
+                                tail += 1;
+                            }
+                            let Response::Framed(frame) = core.checkout_event(&req) else {
+                                panic!("an admitted checkout is answered with a frame");
+                            };
+                            let reply = decode(&frame.as_bytes()[4..]).unwrap();
+                            let reply = expect_response(reply);
+                            assert_eq!(
+                                Some(&reply.params),
+                                params_at.get(&reply.iteration),
+                                "reply names iteration {} but carries other parameters",
+                                reply.iteration
+                            );
+                            assert!(reply.iteration >= newest, "a client's view went back");
+                            newest = reply.iteration;
+                            served += 1;
+                        }
+                        assert_eq!(newest, EPOCHS);
+                        served
+                    })
+                })
+                .collect();
+            start.wait();
+            for step in 0..EPOCHS {
+                assert!(matches!(checkin(&core, step), Message::CheckinAck(ack) if ack.accepted));
+            }
+            done.store(true, Ordering::Release);
+            clients.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+
+        assert_eq!(
+            core.metrics.counter(CounterId::CheckoutsServed),
+            served as u64
+        );
+        // One build per distinct snapshot, plus what a publish can cost: a
+        // request that read the old snapshot but reaches the slot after
+        // another client installed the new one rebuilds the old frame, and
+        // the next request rebuilds the new one. Each client has at most
+        // one request in flight, so that is at most `CLIENTS - 1` such
+        // pairs per publish.
+        let bound = (EPOCHS + 1) + 2 * (CLIENTS as u64 - 1) * EPOCHS;
+        let built = built(&core);
+        assert!(built <= bound, "{built} frames built, bound {bound}");
+        assert!(served as u64 >= (CLIENTS * QUIET_TAIL) as u64);
+        assert!(
+            built * 5 < served as u64,
+            "{built} frames built for {served} checkouts: frames are not being shared"
+        );
+    }
 }

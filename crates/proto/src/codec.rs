@@ -4,6 +4,15 @@
 //! vectors prefixed by a `u32` element count; strings UTF-8 with a `u32` byte
 //! length; booleans a single byte. The message itself is `[tag: u8][body]`; the
 //! framing layer (`crate::frame`) adds the outer length prefix.
+//!
+//! Both directions touch a numeric vector's bytes once. Encode reserves once
+//! and appends in blocks (`BufMut::put_*_slice_le`). Decode reads the element
+//! count, checks `count × width` against what is left of the frame — so no
+//! length prefix, however large, allocates before the bytes are known to be
+//! there — splits that run off the cursor and converts it in one pass into an
+//! exactly sized `Vec`. That `Vec` is the only allocation a decoded vector
+//! costs. The per-element decoder this replaced survives as the test oracle
+//! in `codec_reference`.
 
 use crate::auth::{AuthToken, TOKEN_LEN};
 use crate::error::ProtoError;
@@ -22,6 +31,9 @@ pub const MAX_VEC_LEN: usize = 16 * 1024 * 1024;
 /// Maximum number of checkins accepted in one batch frame. Each item embeds a
 /// gradient, so the cap keeps a single frame's decode cost bounded.
 pub const MAX_BATCH_ITEMS: usize = 4096;
+
+/// Message tag of [`Message::CheckoutResponse`] ([`Message::tag`] is the table).
+const TAG_CHECKOUT_RESPONSE: u8 = 2;
 
 /// Wire tag for a dense gradient encoding inside a checkin.
 const GRADIENT_DENSE: u8 = 0;
@@ -54,20 +66,7 @@ pub fn encode_into<B: BufMut>(message: &Message, buf: &mut B) {
             buf.put_slice(m.token.as_bytes());
         }
         Message::CheckoutResponse(m) => {
-            buf.put_u64_le(m.iteration);
-            put_bool(buf, m.stopped);
-            put_f64_vec(buf, &m.params);
-            match &m.round {
-                None => buf.put_u8(0),
-                Some(r) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(r.round_id);
-                    buf.put_u64_le(r.seed);
-                    buf.put_f64_le(r.select_fraction);
-                    buf.put_u32_le(r.deadline_epochs);
-                    buf.put_u64_le(r.population);
-                }
-            }
+            put_checkout_response_body(buf, m.iteration, m.stopped, &m.params, m.round.as_ref());
         }
         Message::CheckinRequest(m) => {
             put_checkin(buf, m);
@@ -134,6 +133,45 @@ pub fn encode_into<B: BufMut>(message: &Message, buf: &mut B) {
     }
 }
 
+/// Encodes a [`Message::CheckoutResponse`] (tag and body, like
+/// [`encode_into`]) from borrowed parts, so a server can encode a reply
+/// straight out of its parameter snapshot without first copying the
+/// parameters into a [`CheckoutResponse`].
+pub(crate) fn encode_checkout_response_into<B: BufMut>(
+    buf: &mut B,
+    iteration: u64,
+    stopped: bool,
+    params: &[f64],
+    round: Option<&RoundParams>,
+) {
+    buf.put_u8(TAG_CHECKOUT_RESPONSE);
+    put_checkout_response_body(buf, iteration, stopped, params, round);
+}
+
+/// The one definition of the `CheckoutResponse` body layout.
+fn put_checkout_response_body<B: BufMut>(
+    buf: &mut B,
+    iteration: u64,
+    stopped: bool,
+    params: &[f64],
+    round: Option<&RoundParams>,
+) {
+    buf.put_u64_le(iteration);
+    put_bool(buf, stopped);
+    put_f64_vec(buf, params);
+    match round {
+        None => buf.put_u8(0),
+        Some(r) => {
+            buf.put_u8(1);
+            buf.put_u64_le(r.round_id);
+            buf.put_u64_le(r.seed);
+            buf.put_f64_le(r.select_fraction);
+            buf.put_u32_le(r.deadline_epochs);
+            buf.put_u64_le(r.population);
+        }
+    }
+}
+
 /// Decodes a message from a byte buffer produced by [`encode`].
 pub fn decode(mut buf: &[u8]) -> Result<Message> {
     let tag = get_u8(&mut buf, "message tag")?;
@@ -148,7 +186,7 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
                 token,
             })
         }
-        2 => {
+        TAG_CHECKOUT_RESPONSE => {
             let iteration = get_u64(&mut buf, "iteration")?;
             let stopped = get_bool(&mut buf, "stopped")?;
             let params = get_f64_vec(&mut buf, "params")?;
@@ -344,9 +382,7 @@ fn put_gradient<B: BufMut>(buf: &mut B, gradient: &GradientPayload) {
             buf.put_u8(GRADIENT_SPARSE);
             buf.put_u32_le(*dim);
             buf.put_u32_le(indices.len() as u32);
-            for &i in indices {
-                buf.put_u32_le(i);
-            }
+            buf.put_u32_slice_le(indices);
             buf.put_f64_slice_le(values);
         }
         GradientPayload::Quantized { scale, levels } => {
@@ -358,9 +394,7 @@ fn put_gradient<B: BufMut>(buf: &mut B, gradient: &GradientPayload) {
         GradientPayload::Masked { words } => {
             buf.put_u8(GRADIENT_MASKED);
             buf.put_u32_le(words.len() as u32);
-            for &w in words {
-                buf.put_u64_le(w);
-            }
+            buf.put_u64_slice_le(words);
         }
     }
 }
@@ -383,11 +417,11 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
                     reason: format!("{nnz} stored coordinates exceed dimension {dim}"),
                 });
             }
-            ensure(buf, nnz * 4, "gradient indices")?;
+            let raw_indices = take_le::<4>(buf, nnz, "gradient indices")?;
             let mut indices = Vec::with_capacity(nnz);
             let mut prev: Option<u32> = None;
-            for _ in 0..nnz {
-                let i = buf.get_u32_le();
+            for raw in raw_indices {
+                let i = u32::from_le_bytes(*raw);
                 if i as usize >= dim || prev.is_some_and(|p| i <= p) {
                     return Err(ProtoError::InvalidField {
                         field: "gradient indices",
@@ -397,8 +431,7 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
                 prev = Some(i);
                 indices.push(i);
             }
-            ensure(buf, nnz * 8, "gradient values")?;
-            let values = (0..nnz).map(|_| buf.get_f64_le()).collect();
+            let values = le_vec(take_le(buf, nnz, "gradient values")?, f64::from_le_bytes);
             Ok(GradientPayload::Sparse {
                 dim: dim as u32,
                 indices,
@@ -417,8 +450,7 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
                     reason: format!("scale {scale} is not finite and non-negative"),
                 });
             }
-            ensure(buf, dim * 2, "quantized levels")?;
-            let levels = (0..dim).map(|_| buf.get_i16_le()).collect();
+            let levels = le_vec(take_le(buf, dim, "quantized levels")?, i16::from_le_bytes);
             Ok(GradientPayload::Quantized { scale, levels })
         }
         GRADIENT_MASKED => {
@@ -477,9 +509,7 @@ fn put_f64_vec<B: BufMut>(buf: &mut B, values: &[f64]) {
 
 fn put_i64_vec<B: BufMut>(buf: &mut B, values: &[i64]) {
     buf.put_u32_le(values.len() as u32);
-    for &v in values {
-        buf.put_i64_le(v);
-    }
+    buf.put_i64_slice_le(values);
 }
 
 fn put_string<B: BufMut>(buf: &mut B, value: &str) {
@@ -542,22 +572,40 @@ fn get_vec_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
     Ok(len)
 }
 
+/// Splits `count` little-endian values of `N` bytes each off the cursor after
+/// one bounds check. `count` comes from [`get_vec_len`] (or is bounded by a
+/// value that does), so `count * N` cannot overflow.
+fn take_le<'a, const N: usize>(
+    buf: &mut &'a [u8],
+    count: usize,
+    context: &'static str,
+) -> Result<&'a [[u8; N]]> {
+    ensure(buf, count * N, context)?;
+    let (run, rest) = buf.split_at(count * N);
+    *buf = rest;
+    Ok(run.as_chunks().0)
+}
+
+/// Converts a run of little-endian values in one pass into an exactly sized
+/// `Vec` — bit patterns preserved (`from_le_bytes` is a reinterpretation, so
+/// NaN payloads and signed zeros survive).
+fn le_vec<T, const N: usize>(run: &[[u8; N]], from_le_bytes: impl Fn([u8; N]) -> T) -> Vec<T> {
+    run.iter().map(|raw| from_le_bytes(*raw)).collect()
+}
+
 fn get_f64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<f64>> {
     let len = get_vec_len(buf, context)?;
-    ensure(buf, len * 8, context)?;
-    Ok((0..len).map(|_| buf.get_f64_le()).collect())
+    Ok(le_vec(take_le(buf, len, context)?, f64::from_le_bytes))
 }
 
 fn get_i64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<i64>> {
     let len = get_vec_len(buf, context)?;
-    ensure(buf, len * 8, context)?;
-    Ok((0..len).map(|_| buf.get_i64_le()).collect())
+    Ok(le_vec(take_le(buf, len, context)?, i64::from_le_bytes))
 }
 
 fn get_u64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<u64>> {
     let len = get_vec_len(buf, context)?;
-    ensure(buf, len * 8, context)?;
-    Ok((0..len).map(|_| buf.get_u64_le()).collect())
+    Ok(le_vec(take_le(buf, len, context)?, u64::from_le_bytes))
 }
 
 fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String> {
@@ -577,6 +625,10 @@ fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec_reference;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_messages() -> Vec<Message> {
         vec![
@@ -968,15 +1020,7 @@ mod tests {
 
     #[test]
     fn oversized_quantized_dim_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(3); // checkin tag
-        buf.put_u64_le(1);
-        buf.put_slice(AuthToken::derive(1, 7).as_bytes());
-        buf.put_u64_le(0); // checkout_iteration
-        buf.put_u64_le(0); // nonce
-        buf.put_u64_le(0); // round_id
-        buf.put_u32_le(1);
-        buf.put_i64_le(0);
+        let mut buf = checkin_header();
         buf.put_u8(2); // quantized encoding
         buf.put_u32_le(u32::MAX); // dim beyond MAX_VEC_LEN
         assert!(matches!(
@@ -990,15 +1034,7 @@ mod tests {
 
     #[test]
     fn oversized_sparse_nnz_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(3); // checkin tag
-        buf.put_u64_le(1);
-        buf.put_slice(AuthToken::derive(1, 7).as_bytes());
-        buf.put_u64_le(0); // checkout_iteration
-        buf.put_u64_le(0); // nonce
-        buf.put_u64_le(0); // round_id
-        buf.put_u32_le(1);
-        buf.put_i64_le(0);
+        let mut buf = checkin_header();
         buf.put_u8(1); // sparse encoding
         buf.put_u32_le(8); // dim
         buf.put_u32_le(9); // nnz > dim
@@ -1036,6 +1072,376 @@ mod tests {
             assert_eq!(r.params[4], 1e300);
         } else {
             panic!("wrong variant");
+        }
+    }
+
+    #[test]
+    fn checkout_response_tag_matches_the_tag_table() {
+        let message = Message::CheckoutResponse(CheckoutResponse {
+            iteration: 0,
+            params: vec![],
+            stopped: false,
+            round: None,
+        });
+        assert_eq!(message.tag(), TAG_CHECKOUT_RESPONSE);
+    }
+
+    #[test]
+    fn borrowed_checkout_encode_matches_the_owned_message() {
+        for msg in sample_messages() {
+            let Message::CheckoutResponse(m) = &msg else {
+                continue;
+            };
+            let mut borrowed = Vec::new();
+            encode_checkout_response_into(
+                &mut borrowed,
+                m.iteration,
+                m.stopped,
+                &m.params,
+                m.round.as_ref(),
+            );
+            assert_eq!(&borrowed[..], &encode(&msg)[..]);
+        }
+    }
+
+    /// The fixed part of a checkin up to (not including) the gradient
+    /// encoding byte.
+    fn checkin_header() -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_u8(3); // checkin tag
+        buf.put_u64_le(1);
+        buf.put_slice(AuthToken::derive(1, 7).as_bytes());
+        buf.put_u64_le(0); // checkout_iteration
+        buf.put_u64_le(0); // nonce
+        buf.put_u64_le(0); // round_id
+        buf.put_u32_le(1);
+        buf.put_i64_le(0);
+        buf
+    }
+
+    /// A count at the cap is within `MAX_VEC_LEN`, so only the byte-length
+    /// check stands between a 20-byte tail and a 128 MiB reservation: every
+    /// vector position must answer `Truncated` (which is raised before the
+    /// vector is allocated), naming the field.
+    #[test]
+    fn a_count_at_the_cap_over_a_short_frame_is_truncated_not_allocated() {
+        let cap = MAX_VEC_LEN as u32;
+        let tail = [0u8; 20];
+        let mut cases: Vec<(&'static str, BytesMut)> = Vec::new();
+
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_CHECKOUT_RESPONSE);
+        buf.put_u64_le(0);
+        buf.put_u8(0);
+        buf.put_u32_le(cap);
+        cases.push(("params", buf));
+
+        let mut buf = checkin_header();
+        buf.put_u8(GRADIENT_DENSE);
+        buf.put_u32_le(cap);
+        cases.push(("gradient", buf));
+
+        let mut buf = checkin_header();
+        buf.put_u8(GRADIENT_SPARSE);
+        buf.put_u32_le(cap); // dim
+        buf.put_u32_le(cap); // nnz
+        cases.push(("gradient indices", buf));
+
+        // The values share the indices' count, so by the time they are
+        // reached the count is already backed by bytes; the position is
+        // covered with the largest count a 20-byte tail cannot back.
+        let mut buf = checkin_header();
+        buf.put_u8(GRADIENT_SPARSE);
+        buf.put_u32_le(cap); // dim
+        buf.put_u32_le(2); // nnz
+        buf.put_u32_le(0);
+        buf.put_u32_le(1);
+        cases.push(("gradient values", buf));
+
+        let mut buf = checkin_header();
+        buf.put_u8(GRADIENT_QUANTIZED);
+        buf.put_u32_le(cap);
+        buf.put_f64_le(1e-3);
+        cases.push(("quantized levels", buf));
+
+        let mut buf = checkin_header();
+        buf.put_u8(GRADIENT_MASKED);
+        buf.put_u32_le(cap);
+        cases.push(("masked gradient", buf));
+
+        let mut buf = checkin_header();
+        buf.put_u8(GRADIENT_DENSE);
+        buf.put_u32_le(0);
+        buf.put_u32_le(cap);
+        cases.push(("label_counts", buf));
+
+        for (field, mut buf) in cases {
+            if field == "gradient values" {
+                buf.put_slice(&tail[..8]);
+            } else {
+                buf.put_slice(&tail);
+            }
+            match decode(&buf) {
+                Err(ProtoError::Truncated { context }) => assert_eq!(context, field),
+                other => panic!("{field}: expected Truncated, got {other:?}"),
+            }
+        }
+    }
+
+    /// `f64` bit patterns a reinterpreting decoder must carry through
+    /// untouched and a converting one would not.
+    const F64_BITS: [u64; 10] = [
+        0x0000_0000_0000_0000, // +0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x800F_FFFF_FFFF_FFFF, // largest negative subnormal
+        0x7FF8_0000_0000_0000, // canonical quiet NaN
+        0x7FF8_0000_DEAD_BEEF, // quiet NaN with a payload
+        0xFFF0_0000_0000_0001, // negative signalling NaN
+        0x7FF0_0000_0000_0000, // +inf
+        0xFFF0_0000_0000_0000, // -inf
+        0x3FE0_0000_0000_0000, // 0.5
+    ];
+
+    fn arb_f64(rng: &mut StdRng) -> f64 {
+        if rng.gen_bool(0.5) {
+            f64::from_bits(F64_BITS[rng.gen_range(0..F64_BITS.len())])
+        } else {
+            f64::from_bits(rng.gen())
+        }
+    }
+
+    /// Lengths on both sides of the encoder's 256-element block.
+    fn arb_len(rng: &mut StdRng) -> usize {
+        match rng.gen_range(0..4u32) {
+            0 => rng.gen_range(0..4),
+            1 => rng.gen_range(250..262),
+            _ => rng.gen_range(0..600),
+        }
+    }
+
+    fn arb_f64_vec(rng: &mut StdRng) -> Vec<f64> {
+        (0..arb_len(rng)).map(|_| arb_f64(rng)).collect()
+    }
+
+    fn arb_gradient(rng: &mut StdRng) -> GradientPayload {
+        match rng.gen_range(0..4u32) {
+            0 => GradientPayload::Dense(arb_f64_vec(rng)),
+            1 => {
+                let dim = rng.gen_range(1..2000u32);
+                let mut indices: Vec<u32> = (0..dim).filter(|_| rng.gen_bool(0.2)).collect();
+                if rng.gen_bool(0.05) && indices.len() > 1 {
+                    indices.swap(0, 1); // out of order: both decoders refuse
+                }
+                let values = indices.iter().map(|_| arb_f64(rng)).collect();
+                GradientPayload::Sparse {
+                    dim,
+                    indices,
+                    values,
+                }
+            }
+            2 => GradientPayload::Quantized {
+                // Mostly valid scales; an arbitrary pattern now and then.
+                scale: if rng.gen_bool(0.9) {
+                    rng.gen::<f64>() * 1e-3
+                } else {
+                    arb_f64(rng)
+                },
+                levels: (0..arb_len(rng)).map(|_| rng.gen::<u32>() as i16).collect(),
+            },
+            _ => GradientPayload::Masked {
+                words: (0..arb_len(rng)).map(|_| rng.gen()).collect(),
+            },
+        }
+    }
+
+    fn arb_checkin(rng: &mut StdRng) -> CheckinRequest {
+        let device_id = rng.gen();
+        CheckinRequest {
+            device_id,
+            token: AuthToken::derive(device_id, rng.gen()),
+            checkout_iteration: rng.gen(),
+            nonce: rng.gen(),
+            round_id: rng.gen(),
+            gradient: arb_gradient(rng),
+            num_samples: rng.gen(),
+            error_count: rng.gen(),
+            label_counts: (0..rng.gen_range(0..300usize)).map(|_| rng.gen()).collect(),
+        }
+    }
+
+    fn arb_ack(rng: &mut StdRng) -> BatchAck {
+        BatchAck {
+            accepted: rng.gen(),
+            iteration: rng.gen(),
+            stopped: rng.gen(),
+            deduped: rng.gen(),
+            reject: rng.gen_bool(0.3).then_some(ErrorCode::Unauthorized),
+        }
+    }
+
+    fn arb_name(rng: &mut StdRng) -> String {
+        (0..rng.gen_range(0..12usize))
+            .map(|_| char::from(rng.gen_range(b'a'..=b'z')))
+            .collect()
+    }
+
+    fn arb_message(rng: &mut StdRng) -> Message {
+        let device_id = rng.gen();
+        let token = AuthToken::derive(device_id, rng.gen());
+        match rng.gen_range(1..=10u32) {
+            1 => Message::CheckoutRequest(CheckoutRequest {
+                version: rng.gen::<u32>() as u16,
+                device_id,
+                token,
+            }),
+            2 => Message::CheckoutResponse(CheckoutResponse {
+                iteration: rng.gen(),
+                params: arb_f64_vec(rng),
+                stopped: rng.gen(),
+                round: rng.gen_bool(0.5).then(|| RoundParams {
+                    round_id: rng.gen(),
+                    seed: rng.gen(),
+                    select_fraction: if rng.gen_bool(0.9) {
+                        1.0 - rng.gen::<f64>()
+                    } else {
+                        arb_f64(rng)
+                    },
+                    deadline_epochs: rng.gen(),
+                    population: rng.gen(),
+                }),
+            }),
+            3 => Message::CheckinRequest(arb_checkin(rng)),
+            4 => {
+                let ack = arb_ack(rng);
+                Message::CheckinAck(CheckinAck {
+                    accepted: ack.accepted,
+                    iteration: ack.iteration,
+                    stopped: ack.stopped,
+                    deduped: ack.deduped,
+                })
+            }
+            5 => Message::Error(ErrorReply {
+                code: ErrorCode::RoundOutdated,
+                detail: arb_name(rng),
+                round_id: rng.gen(),
+            }),
+            6 => Message::BatchCheckinRequest(BatchCheckinRequest {
+                items: (0..rng.gen_range(0..4usize))
+                    .map(|_| arb_checkin(rng))
+                    .collect(),
+            }),
+            7 => Message::BatchCheckinAck(BatchCheckinAck {
+                acks: (0..rng.gen_range(0..6usize))
+                    .map(|_| arb_ack(rng))
+                    .collect(),
+            }),
+            8 => Message::Busy(BusyReply {
+                retry_after_ms: rng.gen(),
+            }),
+            9 => Message::MetricsRequest(MetricsRequest {
+                version: rng.gen::<u32>() as u16,
+                device_id,
+                token,
+            }),
+            _ => Message::MetricsReport(MetricsReport {
+                counters: (0..rng.gen_range(0..4usize))
+                    .map(|_| (arb_name(rng), rng.gen()))
+                    .collect(),
+                gauges: (0..rng.gen_range(0..4usize))
+                    .map(|_| (arb_name(rng), rng.gen()))
+                    .collect(),
+                histograms: (0..rng.gen_range(0..3usize))
+                    .map(|_| HistogramReport {
+                        name: arb_name(rng),
+                        count: rng.gen(),
+                        sum: rng.gen(),
+                        max: rng.gen(),
+                        p50: rng.gen(),
+                        p90: rng.gen(),
+                        p99: rng.gen(),
+                        p999: rng.gen(),
+                    })
+                    .collect(),
+            }),
+        }
+    }
+
+    /// The bulk decoder and the per-element reference agree on `bytes`: the
+    /// same value to the bit (re-encoding compares NaN payloads and zero
+    /// signs, which `==` on `f64` cannot), or the same error — variant,
+    /// field and reason.
+    fn assert_decoders_agree(bytes: &[u8]) -> bool {
+        let bulk = decode(bytes);
+        let reference = codec_reference::decode(bytes);
+        match (&bulk, &reference) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                assert_eq!(&encode(a)[..], &encode(b)[..]);
+            }
+            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+            _ => panic!("decoders disagree: bulk {bulk:?}, reference {reference:?}"),
+        }
+        bulk.is_ok()
+    }
+
+    #[test]
+    fn decoders_agree_on_the_samples_and_all_their_prefixes() {
+        for msg in sample_messages() {
+            let encoded = encode(&msg);
+            assert!(assert_decoders_agree(&encoded));
+            for cut in 0..encoded.len() {
+                assert!(!assert_decoders_agree(&encoded[..cut]));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Differential contract of the bulk decode: on arbitrary messages
+        /// of every variant — and on those bytes flipped, truncated and
+        /// extended — `decode` returns exactly what the per-element decoder
+        /// returned.
+        #[test]
+        fn bulk_decode_matches_the_per_element_reference(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let message = arb_message(&mut rng);
+            let encoded = encode(&message).to_vec();
+            assert_decoders_agree(&encoded);
+            // A well-formed message decodes to its own bytes.
+            if let Ok(decoded) = decode(&encoded) {
+                prop_assert_eq!(&encode(&decoded)[..], &encoded[..]);
+            }
+
+            for _ in 0..8 {
+                let mut flipped = encoded.clone();
+                for _ in 0..rng.gen_range(1..4u32) {
+                    // Headers and length prefixes sit up front: aim half of
+                    // the flips there.
+                    let at = if rng.gen_bool(0.5) {
+                        rng.gen_range(0..flipped.len().min(96))
+                    } else {
+                        rng.gen_range(0..flipped.len())
+                    };
+                    flipped[at] ^= 1 << rng.gen_range(0..8u32);
+                }
+                assert_decoders_agree(&flipped);
+            }
+
+            for _ in 0..8 {
+                let cut = rng.gen_range(0..encoded.len());
+                let well_formed = decode(&encoded).is_ok();
+                let prefix_ok = assert_decoders_agree(&encoded[..cut]);
+                // Every strict prefix of a valid message still fails.
+                prop_assert!(!(well_formed && prefix_ok), "prefix {} decoded", cut);
+            }
+
+            let mut extended = encoded.clone();
+            for _ in 0..rng.gen_range(1..40usize) {
+                extended.push(rng.gen::<u32>() as u8);
+            }
+            assert_decoders_agree(&extended);
         }
     }
 }

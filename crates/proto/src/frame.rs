@@ -3,17 +3,57 @@
 //! Each frame is `[len: u32 little-endian][payload: len bytes]` where the payload
 //! is an encoded [`crate::Message`]. The reader enforces a maximum frame size so a
 //! corrupt or hostile peer cannot force an unbounded allocation.
+//!
+//! A reply that many connections receive byte for byte — the checkout reply
+//! for one published parameter snapshot — is framed once as a [`SharedFrame`]
+//! and written to every socket from that one allocation.
 
-use crate::codec::{decode, encode, encode_into};
+use crate::codec::{decode, encode, encode_checkout_response_into, encode_into};
 use crate::error::ProtoError;
-use crate::message::Message;
+use crate::message::{Message, RoundParams};
 use crate::pool::BufPool;
 use crate::Result;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// Default maximum frame size: large enough for a 1M-parameter gradient
 /// (8 MiB of floats) plus headers.
 pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
+
+/// One complete wire frame (length prefix and encoded message), immutable and
+/// shared by reference: cloning bumps a count, and the bytes live until the
+/// last holder — e.g. a connection parked mid-write — lets go.
+///
+/// The only way to make one is to encode a message, so whatever is queued on
+/// a socket through this type is a well-formed frame.
+#[derive(Debug, Clone)]
+pub struct SharedFrame(Arc<Vec<u8>>);
+
+impl SharedFrame {
+    /// Frames a `CheckoutResponse` from borrowed parts with one allocation
+    /// and one pass over `params`. Byte-identical to [`write_message`] of the
+    /// same parts as a [`Message::CheckoutResponse`].
+    pub fn checkout_response(
+        iteration: u64,
+        stopped: bool,
+        params: &[f64],
+        round: Option<&RoundParams>,
+    ) -> SharedFrame {
+        // Prefix, tag, iteration, stopped, count, round presence + fields.
+        const FIXED: usize = 4 + 1 + 8 + 1 + 4 + 1 + 36;
+        let mut buf = Vec::with_capacity(FIXED + 8 * params.len());
+        buf.extend_from_slice(&[0u8; 4]);
+        encode_checkout_response_into(&mut buf, iteration, stopped, params, round);
+        let len = (buf.len() - 4) as u32;
+        buf[..4].copy_from_slice(&len.to_le_bytes());
+        SharedFrame(Arc::new(buf))
+    }
+
+    /// The frame's bytes, length prefix included.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
 
 /// Writes one framed message to `writer`.
 pub fn write_message<W: Write>(writer: &mut W, message: &Message) -> Result<()> {
@@ -122,6 +162,37 @@ mod tests {
         }
         // Stream exhausted: the next read reports an I/O error.
         assert!(matches!(read_message(&mut cursor), Err(ProtoError::Io(_))));
+    }
+
+    #[test]
+    fn shared_checkout_frame_equals_the_message_path() {
+        let round = RoundParams {
+            round_id: 9,
+            seed: 0xFEED,
+            select_fraction: 0.25,
+            deadline_epochs: 3,
+            population: 1000,
+        };
+        let nan_payload = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        for params in [vec![], vec![-0.0, nan_payload, 1e-310], vec![0.5; 5000]] {
+            for stopped in [false, true] {
+                for round in [None, Some(round)] {
+                    let frame =
+                        SharedFrame::checkout_response(77, stopped, &params, round.as_ref());
+                    let mut expected = Vec::new();
+                    let message = Message::CheckoutResponse(CheckoutResponse {
+                        iteration: 77,
+                        params: params.clone(),
+                        stopped,
+                        round,
+                    });
+                    write_message(&mut expected, &message).unwrap();
+                    assert_eq!(frame.as_bytes(), &expected[..]);
+                    // One allocation: the reserve covered the whole frame.
+                    assert!(frame.0.capacity() <= expected.len() + 36);
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 
 pub mod auth;
 pub mod codec;
+#[cfg(test)]
+mod codec_reference;
 pub mod error;
 pub mod frame;
 pub mod message;

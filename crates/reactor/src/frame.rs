@@ -6,7 +6,11 @@
 //! readiness event. Frames are the wire format of `crowd-proto`:
 //! `[len: u32 little-endian][payload: len bytes]`, with the payload decoded
 //! into a [`Message`]. Payload storage comes from a shared [`BufPool`], so
-//! steady-state traffic does not touch the allocator.
+//! steady-state traffic does not touch the allocator for frame bytes; what a
+//! read still allocates is the decoded message's own vectors. A reply that is
+//! already framed ([`SharedFrame`]: the checkout reply every device of one
+//! snapshot receives) is queued by reference and written straight from the
+//! shared allocation — no per-connection copy.
 //!
 //! Both machines are transport-agnostic (`Read` / `Write` traits) which is
 //! what makes exhaustive fragmentation testing possible: the proptest suite
@@ -14,6 +18,7 @@
 //! boundaries.
 
 use crowd_proto::codec::{decode, encode_into};
+use crowd_proto::frame::SharedFrame;
 use crowd_proto::pool::{BufPool, OwnedPooledBuf};
 use crowd_proto::{Message, ProtoError};
 use std::collections::VecDeque;
@@ -204,11 +209,29 @@ pub enum WriteEvent {
     NeedMore,
 }
 
-/// Incremental writer: queues encoded frames and drains them as the socket
-/// accepts bytes.
+/// One queued frame: encoded for this connection into a pooled buffer, or a
+/// pre-framed reply shared with other connections.
+enum Segment {
+    Pooled(OwnedPooledBuf),
+    Shared(SharedFrame),
+}
+
+impl Segment {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Segment::Pooled(buf) => buf,
+            Segment::Shared(frame) => frame.as_bytes(),
+        }
+    }
+}
+
+/// Incremental writer: queues frames and drains them as the socket accepts
+/// bytes. A partial write resumes by offset into the front segment, pooled
+/// or shared alike; a shared frame stays alive for as long as any writer
+/// still holds it queued.
 pub struct FrameWriter {
     pool: Arc<BufPool>,
-    queue: VecDeque<OwnedPooledBuf>,
+    queue: VecDeque<Segment>,
     /// Bytes of `queue.front()` already written.
     offset: usize,
 }
@@ -240,7 +263,12 @@ impl FrameWriter {
         encode_into(message, &mut *buf);
         let len = (buf.len() - 4) as u32;
         buf[..4].copy_from_slice(&len.to_le_bytes());
-        self.queue.push_back(buf);
+        self.queue.push_back(Segment::Pooled(buf));
+    }
+
+    /// Appends an already framed reply to the outbound queue by reference.
+    pub fn enqueue_frame(&mut self, frame: SharedFrame) {
+        self.queue.push_back(Segment::Shared(frame));
     }
 
     /// Whether nothing is queued (all replies flushed).
@@ -255,7 +283,7 @@ impl FrameWriter {
 
     /// Writes as much as the socket will take without blocking.
     pub fn poll_write<W: Write>(&mut self, stream: &mut W) -> Result<WriteEvent, FrameError> {
-        while let Some(front) = self.queue.front() {
+        while let Some(front) = self.queue.front().map(Segment::bytes) {
             while self.offset < front.len() {
                 match stream.write(&front[self.offset..]) {
                     Ok(0) => {
@@ -486,15 +514,60 @@ mod tests {
         }
     }
 
+    /// Queues `messages`, sending each checkout response whose bit of
+    /// `shared_mask` is set through `enqueue_frame` as a pre-framed shared
+    /// reply instead of encoding it into a pooled buffer.
+    fn enqueue_mixed(writer: &mut FrameWriter, messages: &[Message], shared_mask: u64) {
+        for (i, m) in messages.iter().enumerate() {
+            match m {
+                Message::CheckoutResponse(r) if shared_mask >> (i % 64) & 1 == 1 => {
+                    writer.enqueue_frame(SharedFrame::checkout_response(
+                        r.iteration,
+                        r.stopped,
+                        &r.params,
+                        r.round.as_ref(),
+                    ));
+                }
+                _ => writer.enqueue(m),
+            }
+        }
+    }
+
+    #[test]
+    fn a_parked_writer_keeps_its_shared_frame_alive_and_shares_it() {
+        let frame = SharedFrame::checkout_response(3, false, &[0.25; 300], None);
+        let expected = frame.as_bytes().to_vec();
+        let mut writers: Vec<FrameWriter> = (0..3).map(|_| FrameWriter::new(pool())).collect();
+        let mut sinks = Vec::new();
+        for writer in &mut writers {
+            writer.enqueue_frame(frame.clone());
+            let mut sink = Throttled {
+                accepted: Vec::new(),
+                per_call: 100,
+                ready: true,
+            };
+            // One partial write, then the socket is full: parked mid-frame.
+            assert_eq!(writer.poll_write(&mut sink).unwrap(), WriteEvent::NeedMore);
+            assert_eq!(sink.accepted.len(), 100);
+            sinks.push(sink);
+        }
+        // The producer lets go (the server moved on to a newer snapshot);
+        // the parked writers still drain the same bytes.
+        drop(frame);
+        for (writer, sink) in writers.iter_mut().zip(&mut sinks) {
+            while writer.poll_write(sink).unwrap() != WriteEvent::Flushed {}
+            assert!(writer.is_idle());
+            assert_eq!(sink.accepted, expected);
+        }
+    }
+
     #[test]
     fn partial_writes_resume_and_produce_identical_bytes() {
         let messages = sample_messages();
         let expected = encode_frames(&messages);
         for per_call in [1usize, 3, 7, 64, 4096] {
             let mut writer = FrameWriter::new(pool());
-            for m in &messages {
-                writer.enqueue(m);
-            }
+            enqueue_mixed(&mut writer, &messages, per_call as u64);
             assert_eq!(writer.queued_frames(), messages.len());
             let mut sink = Throttled {
                 accepted: Vec::new(),
@@ -550,15 +623,27 @@ mod tests {
         }
 
         /// Any per-call write budget drains the queue to exactly the bytes a
-        /// blocking writer would have produced.
+        /// blocking writer would have produced — whichever of the checkout
+        /// replies in it are pooled encodes and whichever are shared frames.
         #[test]
-        fn random_write_throttling_is_lossless(per_call in 1usize..128) {
-            let messages = sample_messages();
+        fn random_write_throttling_is_lossless(
+            per_call in 1usize..128,
+            shared_mask in any::<u64>(),
+            reps in 1usize..4,
+        ) {
+            let mut messages = Vec::new();
+            for rep in 0..reps {
+                messages.extend(sample_messages());
+                messages.push(Message::CheckoutResponse(CheckoutResponse {
+                    iteration: rep as u64,
+                    params: vec![-1.5; 3 + 40 * rep],
+                    stopped: rep % 2 == 1,
+                    round: None,
+                }));
+            }
             let expected = encode_frames(&messages);
             let mut writer = FrameWriter::new(pool());
-            for m in &messages {
-                writer.enqueue(m);
-            }
+            enqueue_mixed(&mut writer, &messages, shared_mask);
             let mut sink = Throttled { accepted: Vec::new(), per_call, ready: true };
             loop {
                 match writer.poll_write(&mut sink).unwrap() {

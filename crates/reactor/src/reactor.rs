@@ -40,6 +40,7 @@
 //! lock-order cycle.
 
 use crate::frame::{FrameError, FrameReader, FrameWriter, ReadEvent, WriteEvent};
+use crowd_proto::frame::SharedFrame;
 use crowd_proto::pool::BufPool;
 use crowd_proto::Message;
 use crowd_telemetry::{CounterId, GaugeId, Registry, Stage};
@@ -64,6 +65,10 @@ pub type RetryFn = Box<dyn FnMut() -> Option<Response> + Send + 'static>;
 pub enum Response {
     /// Reply immediately.
     Now(Message),
+    /// Reply immediately with a frame the service already encoded — the same
+    /// bytes for every connection that gets them, written from one shared
+    /// allocation instead of being encoded per connection.
+    Framed(SharedFrame),
     /// Reply later; the closure blocks on the pump thread until the reply is
     /// known.
     Pending(PendingReply),
@@ -83,6 +88,7 @@ impl std::fmt::Debug for Response {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Response::Now(m) => f.debug_tuple("Now").field(m).finish(),
+            Response::Framed(frame) => write!(f, "Framed({} bytes)", frame.as_bytes().len()),
             Response::Pending(_) => f.write_str("Pending(..)"),
             Response::Throttle { retry_after_ms, .. } => f
                 .debug_struct("Throttle")
@@ -547,8 +553,7 @@ impl Shard {
             }
             self.adopt_new_connections();
             self.apply_completions();
-            let fired: Vec<Event> = events.iter().collect();
-            for event in fired {
+            for event in events.iter() {
                 if event.key == LISTENER_KEY {
                     self.accept_burst();
                 } else {
@@ -723,6 +728,9 @@ impl Shard {
         match response {
             Response::Now(reply) => {
                 conn.writer.enqueue(&reply);
+            }
+            Response::Framed(frame) => {
+                conn.writer.enqueue_frame(frame);
             }
             Response::Pending(wait) => {
                 conn.mode = Mode::Awaiting;

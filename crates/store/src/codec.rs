@@ -90,18 +90,30 @@ pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-pub(crate) fn put_f64_slice(buf: &mut Vec<u8>, values: &[f64]) {
+/// Appends a count-prefixed run of 8-byte little-endian values: one
+/// `reserve`, then whole blocks — the bytes of a `put_*` per element.
+fn put_le_slice<T: Copy>(buf: &mut Vec<u8>, values: &[T], to_le_bytes: impl Fn(T) -> [u8; 8]) {
     put_u32(buf, values.len() as u32);
-    for &v in values {
-        put_f64(buf, v);
+    buf.reserve(8 * values.len());
+    let mut block = [0u8; 8 * 256];
+    for chunk in values.chunks(256) {
+        for (slot, &v) in block.as_chunks_mut::<8>().0.iter_mut().zip(chunk) {
+            *slot = to_le_bytes(v);
+        }
+        buf.extend_from_slice(&block[..8 * chunk.len()]);
     }
 }
 
+pub(crate) fn put_f64_slice(buf: &mut Vec<u8>, values: &[f64]) {
+    put_le_slice(buf, values, f64::to_le_bytes);
+}
+
 pub(crate) fn put_i64_slice(buf: &mut Vec<u8>, values: &[i64]) {
-    put_u32(buf, values.len() as u32);
-    for &v in values {
-        put_i64(buf, v);
-    }
+    put_le_slice(buf, values, i64::to_le_bytes);
+}
+
+pub(crate) fn put_u64_slice(buf: &mut Vec<u8>, values: &[u64]) {
+    put_le_slice(buf, values, u64::to_le_bytes);
 }
 
 fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> DecodeResult<&'a [u8]> {
@@ -145,48 +157,60 @@ pub(crate) fn get_f64(buf: &mut &[u8], what: &str) -> DecodeResult<f64> {
     Ok(f64::from_bits(get_u64(buf, what)?))
 }
 
-fn get_len(buf: &mut &[u8], what: &str) -> DecodeResult<usize> {
+/// Reads an element count and checks it twice before anything is allocated
+/// for it: against [`MAX_VEC_LEN`], and — every element being at least
+/// `min_width` bytes — against what is left of the buffer. A corrupt prefix
+/// is an error, never a reservation.
+fn get_len(buf: &mut &[u8], min_width: usize, what: &str) -> DecodeResult<usize> {
     let len = get_u32(buf, what)? as usize;
     if len > MAX_VEC_LEN {
         return Err(DecodeError(format!(
             "{what} declares {len} elements, cap is {MAX_VEC_LEN}"
         )));
     }
+    // `len <= MAX_VEC_LEN` keeps the product far from overflow.
+    if buf.len() < len * min_width {
+        return Err(DecodeError::truncated(what));
+    }
     Ok(len)
 }
 
+/// Fewest bytes a per-device record can take (an epoch's `DeviceEpochStats`
+/// or a snapshot's `DeviceProgress`): four 8-byte scalars and an empty
+/// label-count vector's prefix.
+const DEVICE_STATS_MIN: usize = 4 * 8 + 4;
+
+/// Fewest bytes a `PendingSubmission` can take: its scalars and two empty
+/// vectors' prefixes.
+const SUBMISSION_MIN: usize = 3 * 8 + 4 + 4 + 8 + 4;
+
+/// Decodes a count-prefixed run of 8-byte little-endian values in one pass
+/// over the bytes, into an exactly sized `Vec`.
+fn get_le_vec<T>(
+    buf: &mut &[u8],
+    what: &str,
+    from_le_bytes: impl Fn([u8; 8]) -> T,
+) -> DecodeResult<Vec<T>> {
+    let len = get_len(buf, 8, what)?;
+    let run = take(buf, 8 * len, what)?;
+    Ok(run
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|raw| from_le_bytes(*raw))
+        .collect())
+}
+
 pub(crate) fn get_f64_vec(buf: &mut &[u8], what: &str) -> DecodeResult<Vec<f64>> {
-    let len = get_len(buf, what)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_f64(buf, what)?);
-    }
-    Ok(out)
+    get_le_vec(buf, what, f64::from_le_bytes)
 }
 
 pub(crate) fn get_i64_vec(buf: &mut &[u8], what: &str) -> DecodeResult<Vec<i64>> {
-    let len = get_len(buf, what)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_i64(buf, what)?);
-    }
-    Ok(out)
-}
-
-pub(crate) fn put_u64_slice(buf: &mut Vec<u8>, values: &[u64]) {
-    put_u32(buf, values.len() as u32);
-    for &v in values {
-        put_u64(buf, v);
-    }
+    get_le_vec(buf, what, i64::from_le_bytes)
 }
 
 pub(crate) fn get_u64_vec(buf: &mut &[u8], what: &str) -> DecodeResult<Vec<u64>> {
-    let len = get_len(buf, what)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_u64(buf, what)?);
-    }
-    Ok(out)
+    get_le_vec(buf, what, u64::from_le_bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +235,7 @@ pub(crate) fn get_epoch(buf: &mut &[u8]) -> DecodeResult<EpochAggregate> {
     let gradient_sum = Vector::from_vec(get_f64_vec(buf, "epoch gradient")?);
     let checkin_count = get_u64(buf, "epoch checkin_count")?;
     let min_checkout_iteration = get_u64(buf, "epoch min_checkout_iteration")?;
-    let devices = get_len(buf, "epoch device count")?;
+    let devices = get_len(buf, DEVICE_STATS_MIN, "epoch device count")?;
     let mut device_stats = Vec::with_capacity(devices);
     for _ in 0..devices {
         device_stats.push(DeviceEpochStats {
@@ -372,7 +396,7 @@ pub fn decode_record(mut buf: &[u8]) -> DecodeResult<WalRecord> {
         RECORD_KIND_EPOCH => {
             let pre_iteration = get_u64(&mut buf, "record pre_iteration")?;
             let epoch = get_epoch(&mut buf)?;
-            let count = get_len(&mut buf, "charge count")?;
+            let count = get_len(&mut buf, 16, "charge count")?;
             let mut charges = Vec::with_capacity(count);
             for _ in 0..count {
                 let device_id = get_u64(&mut buf, "charge device id")?;
@@ -518,7 +542,7 @@ pub fn decode_state(mut buf: &[u8]) -> DecodeResult<ServerState> {
     let iteration = get_u64(&mut buf, "state iteration")?;
     let total_samples = get_u64(&mut buf, "state total_samples")?;
     let total_errors = get_i64(&mut buf, "state total_errors")?;
-    let devices = get_len(&mut buf, "state device count")?;
+    let devices = get_len(&mut buf, DEVICE_STATS_MIN, "state device count")?;
     let mut progress = Vec::with_capacity(devices);
     for _ in 0..devices {
         let device_id = get_u64(&mut buf, "progress device id")?;
@@ -537,7 +561,7 @@ pub fn decode_state(mut buf: &[u8]) -> DecodeResult<ServerState> {
         ));
     }
     let schedule = get_schedule(&mut buf)?;
-    let entries = get_len(&mut buf, "ledger entry count")?;
+    let entries = get_len(&mut buf, 16, "ledger entry count")?;
     let mut budget_ledger = Vec::with_capacity(entries);
     for _ in 0..entries {
         let device_id = get_u64(&mut buf, "ledger device id")?;
@@ -549,7 +573,7 @@ pub fn decode_state(mut buf: &[u8]) -> DecodeResult<ServerState> {
         1 => {
             let round_id = get_u64(&mut buf, "round id")?;
             let opened_iteration = get_u64(&mut buf, "round opened iteration")?;
-            let count = get_len(&mut buf, "round pending count")?;
+            let count = get_len(&mut buf, SUBMISSION_MIN, "round pending count")?;
             let mut pending = Vec::with_capacity(count);
             for _ in 0..count {
                 pending.push(get_submission(&mut buf)?);
@@ -562,7 +586,7 @@ pub fn decode_state(mut buf: &[u8]) -> DecodeResult<ServerState> {
         }
         other => return Err(DecodeError(format!("invalid round presence byte {other}"))),
     };
-    let entries = get_len(&mut buf, "last-round entry count")?;
+    let entries = get_len(&mut buf, 24, "last-round entry count")?;
     let mut last_round = Vec::with_capacity(entries);
     for _ in 0..entries {
         let device_id = get_u64(&mut buf, "last-round device id")?;
@@ -770,10 +794,118 @@ mod tests {
         assert!(decode_epoch_record(&bad_kind).is_err());
     }
 
+    /// Replaces the count prefix at `offset` (which must currently read
+    /// `count`, pinning the offset to the layout) with `declared`.
+    fn redeclare(bytes: &[u8], offset: usize, count: u32, declared: u32) -> Vec<u8> {
+        let mut patched = bytes.to_vec();
+        assert_eq!(
+            patched[offset..offset + 4],
+            count.to_le_bytes(),
+            "no count of {count} at offset {offset}"
+        );
+        patched[offset..offset + 4].copy_from_slice(&declared.to_le_bytes());
+        patched
+    }
+
     #[test]
     fn absurd_length_prefixes_are_capped() {
         let mut buf = Vec::new();
         put_u32(&mut buf, u32::MAX);
         assert!(decode_state(&buf).is_err());
+
+        // Under the cap but over the buffer: 64 Mi elements would reserve
+        // 512 MiB (more for records) if the count were trusted before the
+        // bytes behind it were. Every count in an epoch record and in a
+        // snapshot must be refused as truncated, naming its field.
+        let under_cap = MAX_VEC_LEN as u32;
+        let sample = sample_record();
+        let record = encode_epoch_record(sample.pre_iteration, &sample.epoch, &sample.charges);
+        for (offset, count, what) in [
+            (9, 3, "epoch gradient"),
+            (53, 2, "epoch device count"),
+            (89, 2, "device label counts"),
+            (141, 2, "device label counts"),
+            (161, 2, "charge count"),
+        ] {
+            let err =
+                decode_epoch_record(&redeclare(&record, offset, count, under_cap)).expect_err(what);
+            assert_eq!(err, DecodeError::truncated(what));
+        }
+
+        let submission = PendingSubmission {
+            device_id: 12,
+            nonce: 777,
+            checkout_iteration: 55,
+            words: vec![1, 2, u64::MAX],
+            num_samples: 8,
+            error_count: -2,
+            label_counts: vec![3, 5],
+        };
+        let submit = encode_round_submit_record(6, &submission);
+        for (offset, count, what) in [
+            (33, 3, "submission words"),
+            (73, 2, "submission label counts"),
+        ] {
+            let err = decode_record(&redeclare(&submit, offset, count, under_cap)).expect_err(what);
+            assert_eq!(err, DecodeError::truncated(what));
+        }
+
+        let state = encode_state(&sample_state());
+        for (offset, count, what) in [
+            (0, 4, "state params"),
+            (60, 2, "state device count"),
+            (96, 3, "progress label counts"),
+            (156, 3, "progress label counts"),
+            (201, 4, "schedule accumulator"),
+            (237, 2, "ledger entry count"),
+            (290, 1, "round pending count"),
+            (318, 3, "submission words"),
+            (358, 2, "submission label counts"),
+            (378, 2, "last-round entry count"),
+        ] {
+            let err = decode_state(&redeclare(&state, offset, count, under_cap)).expect_err(what);
+            assert_eq!(err, DecodeError::truncated(what));
+        }
+    }
+
+    /// The block writers produce the bytes of one `put_*` per element, on
+    /// both sides of the 256-element block.
+    #[test]
+    fn bulk_slice_writes_match_per_element_writes() {
+        for len in [0usize, 1, 7, 255, 256, 257, 1000] {
+            let u64s: Vec<u64> = (0..len as u64)
+                .map(|i| i.wrapping_mul(0x0102_0304_0506_0709))
+                .collect();
+            let i64s: Vec<i64> = u64s.iter().map(|&w| (w as i64).wrapping_neg()).collect();
+            // Raw bit patterns: NaN payloads, subnormals and both zeros.
+            let f64s: Vec<f64> = u64s
+                .iter()
+                .map(|&w| f64::from_bits(w.rotate_left(7)))
+                .collect();
+
+            let mut per_element = vec![0xAA];
+            put_u32(&mut per_element, len as u32);
+            f64s.iter().for_each(|&v| put_f64(&mut per_element, v));
+            put_u32(&mut per_element, len as u32);
+            i64s.iter().for_each(|&v| put_i64(&mut per_element, v));
+            put_u32(&mut per_element, len as u32);
+            u64s.iter().for_each(|&v| put_u64(&mut per_element, v));
+
+            let mut bulk = vec![0xAA];
+            put_f64_slice(&mut bulk, &f64s);
+            put_i64_slice(&mut bulk, &i64s);
+            put_u64_slice(&mut bulk, &u64s);
+            assert_eq!(bulk, per_element, "bulk diverged at {len}");
+
+            let mut cursor = &bulk[1..];
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&get_f64_vec(&mut cursor, "f64s").unwrap()),
+                bits(&f64s)
+            );
+            assert_eq!(get_i64_vec(&mut cursor, "i64s").unwrap(), i64s);
+            assert_eq!(get_u64_vec(&mut cursor, "u64s").unwrap(), u64s);
+            assert!(cursor.is_empty());
+        }
     }
 }

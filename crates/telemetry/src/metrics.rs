@@ -71,6 +71,10 @@ metric_ids! {
         SnapshotErrors => "snapshot_errors",
         /// Checkouts answered with a parameter snapshot (net).
         CheckoutsServed => "checkouts_served",
+        /// Checkout reply frames encoded; every other served checkout shared
+        /// one already built for its snapshot and round, so the hit rate is
+        /// `1 − checkout_frames_built / checkouts_served` (net).
+        CheckoutFramesBuilt => "checkout_frames_built",
         /// Checkouts refused because the device's ε budget is spent (net/dp).
         ExhaustionRefusals => "exhaustion_refusals",
         /// Connections accepted by the reactor (reactor).
