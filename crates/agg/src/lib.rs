@@ -31,12 +31,14 @@
 
 mod dedup;
 pub mod queue;
+mod reply;
 pub mod runtime;
 pub mod shard;
 
 pub use queue::BoundedQueue;
+pub use reply::OutcomeSink;
 pub use runtime::{
-    AggRuntime, CompletionHandle, ParamSnapshot, RoundSubmitOutcome, SubmitRejection,
+    AggRuntime, CompletionHandle, ParamSnapshot, RoundSubmitOutcome, SubmitRejection, Submitted,
 };
 pub use shard::ShardSet;
 

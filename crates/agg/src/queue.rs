@@ -64,14 +64,23 @@ impl<T> BoundedQueue<T> {
 
     /// Attempts to enqueue without blocking.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+        self.try_push_with(item, |item| item)
+    }
+
+    /// Like [`BoundedQueue::try_push`], but the item is built from `seed`
+    /// only once the queue is known to admit it; a refusal hands `seed` back
+    /// untouched. For items that carry something which must not be created
+    /// and then thrown away (a one-shot reply handle, say). `make` runs under
+    /// the queue's lock, so it must be quick and must not touch the queue.
+    pub fn try_push_with<A>(&self, seed: A, make: impl FnOnce(A) -> T) -> Result<(), PushError<A>> {
         let mut state = self.lock();
         if state.closed {
-            return Err(PushError::Closed(item));
+            return Err(PushError::Closed(seed));
         }
         if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
+            return Err(PushError::Full(seed));
         }
-        state.items.push_back(item);
+        state.items.push_back(make(seed));
         drop(state);
         self.available.notify_one();
         Ok(())
@@ -141,6 +150,18 @@ mod tests {
             Err(PushError::Full(item)) => assert_eq!(item, 12),
             other => panic!("expected Full, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn try_push_with_builds_the_item_only_on_admission() {
+        let q = BoundedQueue::new(1);
+        q.try_push_with(20, |seed| seed + 1).unwrap();
+        let refused = q.try_push_with(30, |_| -> i32 { panic!("built for a full queue") });
+        assert_eq!(refused, Err(PushError::Full(30)));
+        q.close();
+        let refused = q.try_push_with(40, |_| -> i32 { panic!("built for a closed queue") });
+        assert_eq!(refused, Err(PushError::Closed(40)));
+        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Item(21));
     }
 
     #[test]

@@ -1,0 +1,65 @@
+//! Where a checkin's outcome goes once its epoch is settled.
+//!
+//! A caller blocked in [`crate::AggRuntime::checkin`] (or holding a
+//! [`crate::CompletionHandle`]) is answered over a channel. An event-driven
+//! caller has nobody waiting: it hands the runtime an [`OutcomeSink`], and
+//! the thread that settles the checkin — the worker (or submitter) that
+//! applied its epoch on a volatile runtime, the committer after `sync_data`
+//! on a durable one — runs it.
+
+use crate::{AggError, Result};
+use crowd_core::server::CheckinOutcome;
+use std::sync::mpsc;
+
+/// Receives one checkin's outcome on the thread that settled it.
+///
+/// Run exactly once: with the outcome, or with [`AggError::ShuttingDown`]
+/// when the runtime drops the checkin unanswered (a kill, a halted durable
+/// runtime) — the same thing a [`crate::CompletionHandle`] reports then. It
+/// may run while that thread holds aggregation locks, so it must be quick
+/// and must not call back into the runtime.
+pub type OutcomeSink = Box<dyn FnOnce(Result<CheckinOutcome>) + Send + 'static>;
+
+enum Route {
+    Caller(mpsc::Sender<CheckinOutcome>),
+    Sink(OutcomeSink),
+}
+
+/// One checkin's way back to whoever submitted it.
+pub(crate) struct Reply(Option<Route>);
+
+impl Reply {
+    /// To a blocked caller, which learns of a dropped reply from the
+    /// disconnected channel.
+    pub(crate) fn caller(tx: mpsc::Sender<CheckinOutcome>) -> Reply {
+        Reply(Some(Route::Caller(tx)))
+    }
+
+    pub(crate) fn sink(sink: OutcomeSink) -> Reply {
+        Reply(Some(Route::Sink(sink)))
+    }
+
+    /// Nowhere: the submitter is running the checkin itself and reads the
+    /// outcome off the return value.
+    pub(crate) fn returned() -> Reply {
+        Reply(None)
+    }
+
+    pub(crate) fn send(mut self, outcome: CheckinOutcome) {
+        match self.0.take() {
+            Some(Route::Caller(tx)) => {
+                let _ = tx.send(outcome);
+            }
+            Some(Route::Sink(sink)) => sink(Ok(outcome)),
+            None => {}
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(Route::Sink(sink)) = self.0.take() {
+            sink(Err(AggError::ShuttingDown));
+        }
+    }
+}

@@ -5,17 +5,41 @@
 //!
 //! ```text
 //! checkout  ──►  RwLock<Arc<ParamSnapshot>>      (read: clone an Arc)
-//! checkin   ──►  BoundedQueue ──► worker ──► shard accumulator
-//!                                    │ (epoch full or traffic idle)
-//!                                    ▼
-//!                        Mutex<Server> ── apply_aggregate ── swap snapshot
+//!
+//! checkin   ──►  admit (validate, dedup, ε budget)
+//!                  │
+//!                  ├─ submit_to, volatile, core lock free ──► the submitter ─┐
+//!                  │                                                        │
+//!                  └─ otherwise ──► BoundedQueue ──► a worker ──────────────┤
+//!                                                                           ▼
+//!                         epoch_size = 1: apply ◄──────────── shard accumulator
+//!                                          │   (epoch full, traffic idle, shutdown)
+//!                                          ▼
+//!                        Mutex<Server> ── apply_aggregate ── swap snapshot ── reply
 //! ```
 //!
 //! The only global exclusion is the epoch application itself (one projected SGD
-//! step per epoch); everything a checkin does per-request — validation, queue
-//! admission, gradient summing — touches at most one shard lock. A full queue
-//! rejects with [`AggError::Busy`] carrying a retry hint instead of letting
-//! connection handlers pile up.
+//! step per epoch). A full queue rejects with [`AggError::Busy`] carrying a
+//! retry hint instead of letting connection handlers pile up.
+//!
+//! Who runs a checkin. [`AggRuntime::submit`] (and `checkin`) only ever
+//! *admits*: the job goes to the queue, a worker runs it, and the blocked
+//! caller is answered over a channel. [`AggRuntime::submit_to`], the entry
+//! point for callers that must not block, lets the submitting thread run the
+//! job itself when nothing can make it wait — the runtime is volatile (a
+//! durable unit of work ends in a commit that may `fsync`), shutdown has not
+//! begun, and the core lock is free *right now* (`try_lock`; it is never
+//! waited for). The submitter then runs exactly what a worker would run, under
+//! the guard it just took: with `epoch_size = 1` the apply, whose outcome it
+//! gets back by value; otherwise the shard ingest, and the merge if that
+//! filled the epoch. When the lock is taken the job is queued as above.
+//!
+//! Who fires the reply. A queued or ingested `submit_to` checkin carries an
+//! [`OutcomeSink`] instead of a channel, and the thread that settles the
+//! checkin runs it: on a volatile runtime whichever worker or submitter
+//! applied the epoch, on a durable one the committer, after `sync_data`. A
+//! checkin the runtime drops unanswered (a kill, a halt) runs its sink with
+//! [`AggError::ShuttingDown`].
 //!
 //! A durable runtime (one given a `Store`) group-commits its write-ahead log:
 //!
@@ -37,6 +61,7 @@
 
 use crate::dedup::{Admission, DedupTable};
 use crate::queue::{BoundedQueue, Pop, PushError};
+use crate::reply::{OutcomeSink, Reply};
 use crate::shard::{ShardSet, Waiter};
 use crate::{AggError, Result};
 use crowd_core::config::AggSettings;
@@ -78,13 +103,22 @@ const DEDUP_CAPACITY: usize = 8192;
 
 struct Job {
     payload: CheckinPayload,
-    reply: mpsc::Sender<CheckinOutcome>,
+    reply: Reply,
     /// When the checkin was admitted, for the end-to-end latency histogram
     /// (`checkin_latency_us`: queue wait + shard ingest + epoch apply + ack).
     submitted: Tick,
 }
 
 struct Inner<M: Model> {
+    /// The shutdown gate of [`AggRuntime::submit_to`]'s run-to-completion
+    /// route, holding "closed". A submitter running its own job holds a read
+    /// guard from before it takes the core lock until its last reply is out;
+    /// `finish` closes the gate under the write guard, so once that returns no
+    /// submitter is anywhere between admission and an answer, and none will be.
+    /// Only ever *tried* by submitters: one that finds `finish` waiting takes
+    /// the queue route, and is refused there if it comes too late.
+    // audit:lock(agg.gate, 8)
+    gate: RwLock<bool>,
     // audit:lock(agg.core, 10)
     core: Mutex<Server<M>>,
     shards: ShardSet,
@@ -180,7 +214,7 @@ struct Committer {
 
 /// What answering one checkin takes once its epoch is settled.
 struct Ack {
-    reply: mpsc::Sender<CheckinOutcome>,
+    reply: Reply,
     outcome: CheckinOutcome,
     /// When the checkin was admitted (see [`Job::submitted`]).
     submitted: Tick,
@@ -188,7 +222,18 @@ struct Ack {
     nonce: u64,
 }
 
-/// Why [`AggRuntime::submit_or_return`] refused a checkin.
+/// How [`AggRuntime::submit_to`] took a checkin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Submitted {
+    /// Settled before the call returned — run to completion on the calling
+    /// thread, or a replay of an already-applied nonce (`deduped`). No sink
+    /// was built; this is the whole answer.
+    Applied(CheckinOutcome),
+    /// Admitted; the outcome goes to the sink.
+    Pending,
+}
+
+/// Why [`AggRuntime::submit_to`] refused a checkin.
 #[derive(Debug)]
 pub enum SubmitRejection {
     /// Retryable backpressure — the ingest queue is full, or a duplicate of
@@ -204,6 +249,23 @@ pub enum SubmitRejection {
     /// Hard refusal (malformed, budget exhausted, shutting down); the
     /// connection should be answered with the mapped error reply.
     Refused(AggError),
+}
+
+impl From<SubmitRejection> for AggError {
+    fn from(rejection: SubmitRejection) -> AggError {
+        match rejection {
+            SubmitRejection::Busy { retry_after_ms, .. } => AggError::Busy { retry_after_ms },
+            SubmitRejection::Refused(err) => err,
+        }
+    }
+}
+
+/// What admission made of a checkin.
+enum Admitted {
+    /// A retry of an applied checkin: its recorded outcome, flagged `deduped`.
+    Replay(CheckinOutcome),
+    /// Valid, within budget, and its nonce (if any) marked in flight.
+    Fresh(CheckinPayload),
 }
 
 /// How [`AggRuntime::submit_round`] answered a masked round submission.
@@ -314,6 +376,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             })),
             queue: BoundedQueue::new(settings.queue_bound),
             pending: AtomicI64::new(0),
+            gate: RwLock::new(false),
             core: Mutex::new(server),
             settings,
             param_dim,
@@ -376,24 +439,78 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     /// in a fixed order — guaranteed when devices await their acks before
     /// submitting again (the protocol's behavior), or with one worker thread.
     pub fn submit(&self, payload: CheckinPayload) -> Result<CompletionHandle> {
-        match self.submit_or_return(payload) {
-            Ok(handle) => Ok(handle),
-            Err(SubmitRejection::Busy { retry_after_ms, .. }) => {
-                Err(AggError::Busy { retry_after_ms })
+        let admitted = self.admit(payload)?;
+        let (tx, rx) = mpsc::channel();
+        match admitted {
+            Admitted::Replay(outcome) => {
+                let _ = tx.send(outcome);
             }
-            Err(SubmitRejection::Refused(err)) => Err(err),
+            Admitted::Fresh(payload) => {
+                let submitted = self.inner.metrics.start();
+                self.enqueue(payload, submitted, || Reply::caller(tx))?;
+            }
         }
+        Ok(CompletionHandle { rx })
     }
 
-    /// Like [`AggRuntime::submit`], but on retryable backpressure the payload
-    /// is handed back instead of dropped, so an event-driven caller can park
-    /// it and re-attempt admission later without re-decoding the request. The
-    /// dedup reservation (if any) is released before returning, so the retry
-    /// is admitted fresh.
-    pub fn submit_or_return(
+    /// The entry point for a caller that must not block — an event loop.
+    ///
+    /// Admission is [`AggRuntime::submit`]'s. After it, when nothing can make
+    /// the caller wait (see the module docs), the checkin is run to completion
+    /// on the calling thread: [`Submitted::Applied`] carries the outcome and
+    /// `make_sink` is never called. Otherwise the checkin is queued — or, with
+    /// `epoch_size > 1`, folded into the open epoch — carrying the sink
+    /// `make_sink` builds, which the settling thread runs; that may be this
+    /// thread, before the call returns, if the checkin filled its epoch.
+    ///
+    /// On retryable backpressure the payload is handed back instead of
+    /// dropped, and no sink has been built, so the caller can park the
+    /// request and re-attempt admission later without re-decoding it. The
+    /// dedup reservation (if any) is released first, so the retry is admitted
+    /// fresh.
+    pub fn submit_to(
         &self,
         payload: CheckinPayload,
-    ) -> std::result::Result<CompletionHandle, SubmitRejection> {
+        make_sink: impl FnOnce() -> OutcomeSink,
+    ) -> std::result::Result<Submitted, SubmitRejection> {
+        let payload = match self.admit(payload)? {
+            Admitted::Replay(outcome) => return Ok(Submitted::Applied(outcome)),
+            Admitted::Fresh(payload) => payload,
+        };
+        let inner = &*self.inner;
+        let submitted = inner.metrics.start();
+        if inner.store.is_none() {
+            if let Some(gate) = inner.gate.try_read() {
+                if *gate {
+                    abandon(inner, payload.device_id, payload.nonce);
+                    return Err(SubmitRejection::Refused(AggError::ShuttingDown));
+                }
+                if let Some(core) = inner.core.try_lock() {
+                    inner.metrics.incr(CounterId::CheckinsInline);
+                    if inner.settings.epoch_size == 1 {
+                        let job = Job {
+                            payload,
+                            reply: Reply::returned(),
+                            submitted,
+                        };
+                        return Ok(Submitted::Applied(apply_singleton(inner, core, job)));
+                    }
+                    let job = Job {
+                        payload,
+                        reply: Reply::sink(make_sink()),
+                        submitted,
+                    };
+                    ingest(inner, job, Some(core));
+                    return Ok(Submitted::Pending);
+                }
+            }
+        }
+        self.enqueue(payload, submitted, || Reply::sink(make_sink()))?;
+        Ok(Submitted::Pending)
+    }
+
+    /// Validation, duplicate detection and the ε budget check, in that order.
+    fn admit(&self, payload: CheckinPayload) -> std::result::Result<Admitted, SubmitRejection> {
         if let Err(e) = self.validate(&payload) {
             return Err(SubmitRejection::Refused(e));
         }
@@ -402,17 +519,19 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         // since exhausted its budget (the original WAS served). A duplicate of
         // a still-in-flight checkin is answered with retryable backpressure —
         // by the time the client retries, the original has resolved.
-        let dedup_key = (payload.nonce != 0).then_some((payload.device_id, payload.nonce));
-        if let Some(key) = dedup_key {
-            match self.inner.dedup.lock().admit(key) {
+        if payload.nonce != 0 {
+            let admission = self
+                .inner
+                .dedup
+                .lock()
+                .admit((payload.device_id, payload.nonce));
+            match admission {
                 Admission::Replay(outcome) => {
                     self.inner.metrics.incr(CounterId::DedupReplays);
-                    let (tx, rx) = mpsc::channel();
-                    let _ = tx.send(CheckinOutcome {
+                    return Ok(Admitted::Replay(CheckinOutcome {
                         deduped: true,
                         ..outcome
-                    });
-                    return Ok(CompletionHandle { rx });
+                    }));
                 }
                 Admission::InFlight => {
                     self.inner.metrics.incr(CounterId::DedupInflightBusy);
@@ -424,42 +543,48 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 Admission::Fresh => {}
             }
         }
-        let abandon = |this: &Self| {
-            if let Some(key) = dedup_key {
-                this.inner.dedup.lock().abandon(key);
-            }
-        };
         if self.budget_exhausted(payload.device_id) {
-            abandon(self);
+            abandon(&self.inner, payload.device_id, payload.nonce);
             self.inner.metrics.incr(CounterId::BudgetRejections);
             return Err(SubmitRejection::Refused(AggError::BudgetExhausted {
                 device_id: payload.device_id,
             }));
         }
-        let (tx, rx) = mpsc::channel();
-        let device_id = payload.device_id;
-        let job = Job {
+        Ok(Admitted::Fresh(payload))
+    }
+
+    /// Queues an admitted checkin for the workers. The reply is built only
+    /// once the queue has a slot for the job: a refusal builds nothing.
+    fn enqueue(
+        &self,
+        payload: CheckinPayload,
+        submitted: Tick,
+        make_reply: impl FnOnce() -> Reply,
+    ) -> std::result::Result<(), SubmitRejection> {
+        let inner = &*self.inner;
+        let (device_id, nonce) = (payload.device_id, payload.nonce);
+        let pushed = inner.queue.try_push_with(payload, |payload| Job {
             payload,
-            reply: tx,
-            submitted: self.inner.metrics.start(),
-        };
-        match self.inner.queue.try_push(job) {
+            reply: make_reply(),
+            submitted,
+        });
+        match pushed {
             Ok(()) => {
-                self.inner.metrics.gauge_add(GaugeId::QueueDepth, 1);
-                self.inner.metrics.span(Stage::QueueAdmit, device_id);
-                Ok(CompletionHandle { rx })
+                inner.metrics.gauge_add(GaugeId::QueueDepth, 1);
+                inner.metrics.span(Stage::QueueAdmit, device_id);
+                Ok(())
             }
-            Err(PushError::Full(job)) => {
-                abandon(self);
-                self.inner.metrics.incr(CounterId::BusyRejections);
-                self.inner.metrics.span(Stage::QueuePark, device_id);
+            Err(PushError::Full(payload)) => {
+                abandon(inner, device_id, nonce);
+                inner.metrics.incr(CounterId::BusyRejections);
+                inner.metrics.span(Stage::QueuePark, device_id);
                 Err(SubmitRejection::Busy {
-                    payload: job.payload,
-                    retry_after_ms: self.inner.settings.retry_after_ms,
+                    payload,
+                    retry_after_ms: inner.settings.retry_after_ms,
                 })
             }
             Err(PushError::Closed(_)) => {
-                abandon(self);
+                abandon(inner, device_id, nonce);
                 Err(SubmitRejection::Refused(AggError::ShuttingDown))
             }
         }
@@ -687,6 +812,9 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         if crash {
             self.inner.crashed.store(true, Ordering::SeqCst);
         }
+        // Close the gate, waiting out the submitters inside it: each finishes
+        // the job it is running, replies included, and no other starts one.
+        *self.inner.gate.write() = true;
         self.inner.queue.close();
         let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
         let joined_any = !workers.is_empty();
@@ -698,10 +826,17 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             return;
         }
         if self.inner.crashed.load(Ordering::SeqCst) {
-            // Crash-stopped: drop what is still staged, waiters included.
+            // Crash-stopped: drop what is still staged or sitting on a shard,
+            // waiters included.
             commit(&self.inner, true);
+            let _core = self.inner.core.lock();
+            drop(self.inner.shards.drain());
             return;
         }
+        // The final flush: apply whatever was ingested and not yet merged.
+        // The workers are gone and the gate is shut, so nobody is between
+        // admission and a shard: this merge strands nothing.
+        merge(&self.inner, self.inner.core.lock());
         // A graceful shutdown settles the open round first: its pending
         // submissions were acknowledged, so their ε must be charged (via the
         // finalization epoch) before the checkpoint freezes the ledger.
@@ -836,82 +971,83 @@ fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
         // Without idle flushing, the timeout only paces shutdown polling.
         Duration::from_millis(50)
     };
-    // Clamp instead of casting: `u64::MAX as i64` would wrap to -1 and make
-    // "epoch never closes by size" close on every single ingest.
-    let epoch_threshold = inner.settings.epoch_size.min(i64::MAX as u64) as i64;
+    // `pending` as this worker last saw it on an idle timeout. An empty queue
+    // does not mean idle ingest — submitters running their own jobs never
+    // touch the queue — so the idle flush waits for a whole interval in which
+    // `pending` did not move.
+    let mut idle_pending = 0;
     loop {
         match inner.queue.pop_timeout(idle) {
             Pop::Item(job) => {
                 inner.metrics.gauge_add(GaugeId::QueueDepth, -1);
                 // Per-checkin epochs must stay per-checkin even when several
-                // workers race (a shard drain would coalesce concurrently
+                // threads race (a shard drain would coalesce concurrently
                 // ingested payloads into one epoch and under-count server
                 // iterations), so epoch_size = 1 bypasses the shards and
                 // applies each payload as its own singleton epoch.
                 if inner.settings.epoch_size == 1 {
-                    apply_singleton(&inner, job);
-                    continue;
-                }
-                // Ingest first, count after. A concurrent merge may drain the
-                // payload before its increment lands, sending `pending`
-                // transiently negative (it is signed for exactly this reason);
-                // the increment then restores it. Counting first instead would
-                // let a merge fire between this worker's increment and its
-                // ingest, stranding the not-yet-ingested checkin below the
-                // epoch threshold with nothing left to trigger a flush.
-                let waiter = Waiter {
-                    checkout_iteration: job.payload.checkout_iteration,
-                    device_id: job.payload.device_id,
-                    nonce: job.payload.nonce,
-                    reply: job.reply,
-                    submitted: job.submitted,
-                };
-                if let Err(rejected) = inner.shards.ingest(&job.payload, waiter) {
-                    // Unreachable for payloads that passed submit-time
-                    // validation; fail the one checkin, not the worker. The
-                    // nonce is released rather than completed: nothing was
-                    // applied, so a retry must be admitted fresh.
-                    if rejected.nonce != 0 {
-                        inner
-                            .dedup
-                            .lock()
-                            .abandon((rejected.device_id, rejected.nonce));
-                    }
-                    let snap = inner.snapshot.read().clone();
-                    inner.metrics.incr(CounterId::IngestErrors);
-                    let _ = rejected.reply.send(CheckinOutcome {
-                        accepted: false,
-                        iteration: snap.iteration,
-                        stopped: snap.stopped,
-                        staleness: 0,
-                        deduped: false,
-                    });
-                    continue;
-                }
-                inner
-                    .metrics
-                    .span(Stage::ShardIngest, job.payload.device_id);
-                let counted = inner.pending.fetch_add(1, Ordering::SeqCst) + 1;
-                if counted >= epoch_threshold {
-                    merge(&inner);
+                    apply_singleton(&inner, inner.core.lock(), job);
+                } else {
+                    ingest(&inner, job, None);
                 }
             }
             Pop::TimedOut => {
-                if flush_on_idle && inner.pending.load(Ordering::SeqCst) > 0 {
-                    merge(&inner);
+                let pending = inner.pending.load(Ordering::SeqCst);
+                if flush_on_idle && pending > 0 && pending == idle_pending {
+                    merge(&inner, inner.core.lock());
                 }
+                idle_pending = pending;
             }
-            Pop::Closed => {
-                // Final flush: apply whatever was admitted before shutdown —
-                // unless the runtime is crash-stopping, where dropping the
-                // admitted tail is exactly what a SIGKILL would do.
-                if !inner.crashed.load(Ordering::SeqCst) && inner.pending.load(Ordering::SeqCst) > 0
-                {
-                    merge(&inner);
-                }
-                return;
-            }
+            // What is still on the shards is `finish`'s to flush (or, on a
+            // crash-stop, to drop — exactly what a SIGKILL would do).
+            Pop::Closed => return,
         }
+    }
+}
+
+/// Folds one checkin into its shard accumulator and closes the epoch if that
+/// filled it. `core` is the guard a submitter running its own job already
+/// holds; a worker ingests under the stripe lock alone and takes the core lock
+/// only to merge.
+fn ingest<M: Model>(inner: &Inner<M>, job: Job, core: Option<MutexGuard<'_, Server<M>>>) {
+    // Ingest first, count after. A concurrent merge may drain the payload
+    // before its increment lands, sending `pending` transiently negative (it
+    // is signed for exactly this reason); the increment then restores it.
+    // Counting first instead would let a merge fire between this thread's
+    // increment and its ingest, stranding the not-yet-ingested checkin below
+    // the epoch threshold with nothing left to trigger a flush.
+    let waiter = Waiter {
+        checkout_iteration: job.payload.checkout_iteration,
+        device_id: job.payload.device_id,
+        nonce: job.payload.nonce,
+        reply: job.reply,
+        submitted: job.submitted,
+    };
+    if let Err(rejected) = inner.shards.ingest(&job.payload, waiter) {
+        // Unreachable for payloads that passed submit-time validation; fail
+        // the one checkin, not the thread. The nonce is released rather than
+        // completed: nothing was applied, so a retry must be admitted fresh.
+        abandon(inner, rejected.device_id, rejected.nonce);
+        let snap = inner.snapshot.read().clone();
+        inner.metrics.incr(CounterId::IngestErrors);
+        rejected.reply.send(CheckinOutcome {
+            accepted: false,
+            iteration: snap.iteration,
+            stopped: snap.stopped,
+            staleness: 0,
+            deduped: false,
+        });
+        return;
+    }
+    inner
+        .metrics
+        .span(Stage::ShardIngest, job.payload.device_id);
+    // Clamp instead of casting: `u64::MAX as i64` would wrap to -1 and make
+    // "epoch never closes by size" close on every single ingest.
+    let epoch_threshold = inner.settings.epoch_size.min(i64::MAX as u64) as i64;
+    let counted = inner.pending.fetch_add(1, Ordering::SeqCst) + 1;
+    if counted >= epoch_threshold {
+        merge(inner, core.unwrap_or_else(|| inner.core.lock()));
     }
 }
 
@@ -1053,17 +1189,18 @@ fn deliver<M: Model>(inner: &Inner<M>, ack: Ack) {
     send(inner, ack);
 }
 
-/// Releases the nonce of a checkin that will not stand — its epoch was not
-/// applied, or will never be committed — so a retry is admitted fresh.
-fn release_nonce<M: Model>(inner: &Inner<M>, ack: &Ack) {
-    if ack.nonce != 0 {
-        inner.dedup.lock().abandon((ack.device_id, ack.nonce));
+/// Releases the nonce of a checkin that will not stand — it was never
+/// admitted, its epoch was not applied, or will never be committed — so a
+/// retry is admitted fresh.
+fn abandon<M: Model>(inner: &Inner<M>, device_id: u64, nonce: u64) {
+    if nonce != 0 {
+        inner.dedup.lock().abandon((device_id, nonce));
     }
 }
 
 /// Answers a checkin whose epoch was not applied.
 fn refuse<M: Model>(inner: &Inner<M>, ack: Ack) {
-    release_nonce(inner, &ack);
+    abandon(inner, ack.device_id, ack.nonce);
     send(inner, ack);
 }
 
@@ -1072,7 +1209,7 @@ fn send<M: Model>(inner: &Inner<M>, ack: Ack) {
         .metrics
         .observe_since(HistogramId::CheckinLatencyUs, ack.submitted);
     inner.metrics.span(Stage::Ack, ack.device_id);
-    let _ = ack.reply.send(ack.outcome);
+    ack.reply.send(ack.outcome);
 }
 
 /// Group commit: makes everything staged durable, then lets it out.
@@ -1138,7 +1275,7 @@ fn commit_batch<M: Model>(inner: &Inner<M>, committer: &mut Committer) {
         batch.newest = None;
         batch.applied = 0;
         for ack in batch.acks.drain(..) {
-            release_nonce(inner, &ack);
+            abandon(inner, ack.device_id, ack.nonce);
         }
         return;
     }
@@ -1185,12 +1322,18 @@ fn checkpoint<M: Model>(inner: &Inner<M>, durable: &Durable, core: &Server<M>, s
     }
 }
 
-/// Applies one checkin as its own epoch (the `epoch_size = 1` fast path): the
-/// classic Server Routine 2 update, bit for bit, one iteration per checkin
-/// (a singleton [`EpochAggregate`] is exactly `Server::checkin`).
-fn apply_singleton<M: Model>(inner: &Inner<M>, job: Job) {
+/// Applies one checkin as its own epoch (the `epoch_size = 1` fast path) under
+/// the core guard its caller took — a worker, or the submitter running its own
+/// job: the classic Server Routine 2 update, bit for bit, one iteration per
+/// checkin (a singleton [`EpochAggregate`] is exactly `Server::checkin`).
+/// Returns the outcome the checkin is answered with.
+fn apply_singleton<M: Model>(
+    inner: &Inner<M>,
+    mut core: MutexGuard<'_, Server<M>>,
+    job: Job,
+) -> CheckinOutcome {
     let epoch = EpochAggregate::from_payload(&job.payload);
-    let (mut core, mut stage) = lock_core(inner);
+    let mut stage = lock_stage(inner, &core);
     let (outcome, applied) = apply_epoch(inner, &mut core, stage.as_deref_mut(), &epoch);
     // The apply advanced the iteration clock; settle any now-due round before
     // acking, so a caller that has its ack also sees the finalized round.
@@ -1205,12 +1348,13 @@ fn apply_singleton<M: Model>(inner: &Inner<M>, job: Job) {
         nonce: job.payload.nonce,
     };
     finish_epoch(inner, core, stage, applied, 1, std::iter::once(ack));
+    outcome
 }
 
-/// Applies one epoch: drain the shards (fixed merge order), take one projected
-/// SGD step on the core server, hand on the new snapshot, settle the waiters.
-fn merge<M: Model>(inner: &Inner<M>) {
-    let mut core = inner.core.lock();
+/// Applies one epoch under the core guard its caller took: drain the shards
+/// (fixed merge order), take one projected SGD step on the core server, hand
+/// on the new snapshot, settle the waiters.
+fn merge<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
     let drained = inner.shards.drain();
     let Some(epoch) = drained.epoch else {
         return;
@@ -1253,6 +1397,9 @@ fn merge<M: Model>(inner: &Inner<M>) {
 
 #[cfg(test)]
 mod group_commit_tests;
+
+#[cfg(test)]
+mod inline_tests;
 
 #[cfg(test)]
 mod tests {

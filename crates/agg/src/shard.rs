@@ -22,12 +22,12 @@
 //! storage (plus each device's drained accumulator) after the epoch is
 //! applied.
 
+use crate::reply::Reply;
 use crowd_core::device::CheckinPayload;
-use crowd_core::server::{CheckinOutcome, DeviceEpochStats, EpochAggregate};
+use crowd_core::server::{DeviceEpochStats, EpochAggregate};
 use crowd_linalg::Vector;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 
 /// Upper bound on pooled accumulator buffers; beyond this, drained buffers are
 /// simply dropped (the pool exists to serve the steady state, not bursts).
@@ -45,15 +45,15 @@ const MERGE_BLOCK: usize = 16;
 /// because the combine tree is the same either way.
 const PARALLEL_MERGE_MIN_ELEMS: usize = 1 << 18;
 
-/// A checkin waiting for its epoch to be applied: the handler thread blocks on
-/// the receiving half until the merge sends the outcome.
+/// A checkin waiting for its epoch to be applied; the merge sends the outcome
+/// to its [`Reply`].
 pub(crate) struct Waiter {
     pub(crate) checkout_iteration: u64,
     /// The submitting device, for recording the outcome in the dedup table.
     pub(crate) device_id: u64,
     /// The checkin's dedup nonce (0 = no dedup requested).
     pub(crate) nonce: u64,
-    pub(crate) reply: mpsc::Sender<CheckinOutcome>,
+    pub(crate) reply: Reply,
     /// When the checkin was admitted, redeemed for `checkin_latency_us` at ack.
     pub(crate) submitted: crowd_telemetry::Tick,
 }
@@ -376,8 +376,10 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowd_core::server::CheckinOutcome;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::mpsc;
     use std::sync::Arc;
 
     fn payload(device_id: u64, grad: Vec<f64>, checkout: u64) -> CheckinPayload {
@@ -399,7 +401,7 @@ mod tests {
                 checkout_iteration: 0,
                 device_id: 0,
                 nonce: 0,
-                reply: tx,
+                reply: Reply::caller(tx),
                 submitted: crowd_telemetry::Clock::logical().start(),
             },
             rx,
@@ -566,7 +568,7 @@ mod tests {
                                     checkout_iteration: step,
                                     device_id: device,
                                     nonce: 0,
-                                    reply: tx,
+                                    reply: Reply::caller(tx),
                                     submitted: crowd_telemetry::Clock::logical().start(),
                                 },
                             )
@@ -631,7 +633,7 @@ mod tests {
                                 checkout_iteration: step,
                                 device_id: device,
                                 nonce: 0,
-                                reply: tx,
+                                reply: Reply::caller(tx),
                                 submitted: crowd_telemetry::Clock::logical().start(),
                             },
                         )

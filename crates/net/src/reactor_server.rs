@@ -13,8 +13,14 @@
 //!   flow control pushes back to the device, and the parked gradient is
 //!   re-admitted as soon as the queue drains. The threaded server instead
 //!   replies `Busy` and makes the device retry the full upload.
-//! * **Blocking waits live on pump threads.** Checkin acks wait for their
-//!   epoch on the per-reactor completion pump, never on an event loop.
+//! * **Nothing waits for an ack.** A checkin is run to completion on the
+//!   reactor thread that decoded it whenever the aggregation runtime allows
+//!   (a volatile runtime whose core lock is free that instant); otherwise it
+//!   is queued, and the thread that settles it — an aggregation worker, or
+//!   on a durable server the WAL committer after its `fsync` — posts the ack
+//!   straight to the connection's reactor thread. The per-reactor completion
+//!   pump runs only what really blocks: masked round submissions, which take
+//!   the aggregation core lock, and batch checkins.
 //!
 //! [`ReactorServerHandle`] mirrors [`crate::NetServerHandle`] method for
 //! method, so harnesses (chaos, cluster, benches) can drive either server
@@ -27,7 +33,7 @@ use crowd_core::config::ServerConfig;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::Vector;
 use crowd_proto::auth::TokenRegistry;
-use crowd_reactor::{Reactor, ReactorConfig, ReactorStats};
+use crowd_reactor::{Ctx, Reactor, ReactorConfig, ReactorStats};
 use crowd_store::RecoveryReport;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -66,7 +72,7 @@ impl ReactorServer {
         let addr = listener.local_addr()?;
         let reactor = Reactor::start_with_metrics(
             listener,
-            Arc::new(move |message| handle_event(&service_core, message)),
+            Arc::new(move |message, ctx: &Ctx<'_>| handle_event(&service_core, message, ctx)),
             Arc::clone(&core.pool),
             reactor_config,
             Arc::clone(&core.metrics),
@@ -283,6 +289,91 @@ mod tests {
         assert!(matches!(reply, Message::Error(_)));
         assert_eq!(histogram_count(&handle), 2);
         handle.shutdown();
+    }
+
+    /// One request over `stream`; the reply as the raw frame it arrived in.
+    fn raw_exchange(stream: &mut TcpStream, msg: &Message) -> Vec<u8> {
+        use std::io::Read;
+        write_message(stream, msg).unwrap();
+        let mut frame = vec![0u8; 4];
+        stream.read_exact(&mut frame).unwrap();
+        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+        frame.resize(4 + len, 0);
+        stream.read_exact(&mut frame[4..]).unwrap();
+        frame
+    }
+
+    /// The checkin stream both routes are held to: accepted, replayed,
+    /// accepted-and-stopping, counted-but-refused after the stop, and the
+    /// refusals that never reach the runtime's queue.
+    fn checkin_script() -> Vec<(&'static str, CheckinRequest)> {
+        let with = |device_id, nonce, checkout_iteration| {
+            let mut item = checkin_item(device_id, 99, vec![0.25; 12]);
+            item.nonce = nonce;
+            item.checkout_iteration = checkout_iteration;
+            item
+        };
+        vec![
+            ("accepted", with(1, 11, 0)),
+            ("deduped", with(1, 11, 0)),
+            ("accepted, and the last step", with(2, 12, 1)),
+            ("stopped", with(3, 13, 2)),
+            ("deduped after the stop", with(2, 12, 1)),
+            ("bad token", checkin_item(1, 12345, vec![0.25; 12])),
+            ("wrong dimension", checkin_item(1, 99, vec![0.25; 5])),
+        ]
+    }
+
+    #[test]
+    fn checkin_replies_are_byte_equal_to_the_message_path_on_both_routes() {
+        use crate::service::ServerCore;
+        use crowd_store::testutil::temp_dir;
+        let tokens = || TokenRegistry::with_derived_tokens(4, 99);
+        let model = || MulticlassLogistic::new(4, 3).unwrap();
+        let volatile = ServerConfig::new().with_max_iterations(2);
+        let dirs = [
+            temp_dir("reply-bytes-reactor"),
+            temp_dir("reply-bytes-oracle"),
+        ];
+        // Volatile: the reactor thread runs each checkin itself. Durable:
+        // each is queued and acknowledged by the committer, via the sink.
+        let routes = [
+            (volatile.clone(), volatile.clone(), true),
+            (
+                volatile.clone().with_data_dir(&dirs[0]),
+                volatile.with_data_dir(&dirs[1]),
+                false,
+            ),
+        ];
+        for (config, oracle_config, inline) in routes {
+            let handle = ReactorServer::start(model(), config, tokens()).unwrap();
+            let (runtime, _) = build_runtime(model(), oracle_config).unwrap();
+            let oracle = ServerCore::new(runtime, tokens());
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            let script = checkin_script();
+            for (what, request) in &script {
+                let request = Message::CheckinRequest(request.clone());
+                let mut expected = Vec::new();
+                write_message(&mut expected, &oracle.handle_message(request.clone())).unwrap();
+                assert_eq!(
+                    raw_exchange(&mut stream, &request),
+                    expected,
+                    "inline = {inline}: {what}"
+                );
+            }
+            let stats = handle.runtime_stats();
+            assert_eq!(stats.get("checkins_applied"), 3);
+            assert_eq!(stats.get("checkins_inline"), if inline { 3 } else { 0 });
+            // One `req_checkin_us` sample per checkin, wherever its reply
+            // was built.
+            let timed = stats.histogram("req_checkin_us").map_or(0, |h| h.count());
+            assert_eq!(timed, script.len() as u64);
+            handle.shutdown();
+            oracle.runtime.shutdown();
+        }
+        for dir in dirs {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

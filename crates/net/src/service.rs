@@ -7,9 +7,15 @@
 //! differs. The blocking entry point ([`ServerCore::handle_message`]) waits
 //! for checkin completions inline; the event entry point ([`handle_event`])
 //! maps the same requests onto [`crowd_reactor::Response`] so a reactor
-//! thread never blocks: checkouts answer immediately, checkin completions
-//! resolve on the completion pump, and a full ingest queue *parks* the
-//! connection (read throttling) instead of emitting a Busy reply.
+//! thread never blocks: checkouts answer immediately; a checkin is run to
+//! completion on the reactor thread when the aggregation runtime lets it
+//! (`AggRuntime::submit_to`) and is otherwise acknowledged by whichever
+//! aggregation thread settles it, through the request's
+//! [`crowd_reactor::Completer`] — nothing waits for an ack; and a full ingest
+//! queue *parks* the connection (read throttling) instead of emitting a Busy
+//! reply. Only requests that really block — masked round submissions, which
+//! take the aggregation core lock, and batch checkins — run on the reactor's
+//! completion pump.
 //!
 //! A checkout reply depends only on the published parameter snapshot and the
 //! open round, so the reactor path encodes it once per `(snapshot, round)` —
@@ -21,10 +27,11 @@
 //! `checkouts_served` tells a scrape how much sharing actually happens.
 
 use crowd_agg::{
-    AggError, AggRuntime, CompletionHandle, ParamSnapshot, RoundSubmitOutcome, SubmitRejection,
+    AggError, AggRuntime, CompletionHandle, OutcomeSink, ParamSnapshot, RoundSubmitOutcome,
+    SubmitRejection, Submitted,
 };
 use crowd_core::device::CheckinPayload;
-use crowd_core::server::PendingSubmission;
+use crowd_core::server::{CheckinOutcome, PendingSubmission};
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::{GradientUpdate, QuantizedVector, SparseVector, Vector};
 use crowd_proto::auth::TokenRegistry;
@@ -35,16 +42,15 @@ use crowd_proto::message::{
     MetricsReport, RoundParams,
 };
 use crowd_proto::{BufPool, PROTOCOL_VERSION};
-use crowd_reactor::Response;
+use crowd_reactor::{Completer, Ctx, Response};
 use crowd_telemetry::{CounterId, HistogramId, MetricsSnapshot, Registry, Tick};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long a blocking handler (or the completion pump) waits for a queued
-/// checkin's epoch to be applied before reporting an internal error. Epochs
-/// close on `epoch_size` or the idle flush, so in practice this bound is
-/// never approached.
+/// How long a blocking handler waits for a queued checkin's epoch to be
+/// applied before reporting an internal error. Epochs close on `epoch_size`
+/// or the idle flush, so in practice this bound is never approached.
 pub(crate) const CHECKIN_WAIT: Duration = Duration::from_secs(30);
 
 /// Server state shared by every connection, independent of transport.
@@ -317,12 +323,7 @@ impl ServerCore {
             label_counts: req.label_counts,
         };
         match self.runtime.submit_round(req.round_id, submission) {
-            Ok(RoundSubmitOutcome::Acked(outcome)) => Message::CheckinAck(CheckinAck {
-                accepted: outcome.accepted,
-                iteration: outcome.iteration,
-                stopped: outcome.stopped,
-                deduped: outcome.deduped,
-            }),
+            Ok(RoundSubmitOutcome::Acked(outcome)) => Message::CheckinAck(ack_of(outcome)),
             Ok(RoundSubmitOutcome::Outdated { current_round }) => {
                 round_outdated_reply(current_round)
             }
@@ -385,20 +386,23 @@ pub(crate) fn metrics_report(snap: &MetricsSnapshot) -> MetricsReport {
 ///
 /// * Checkouts answer inline with the shared pre-framed reply for the
 ///   current snapshot; malformed traffic and scrapes answer inline too.
-/// * Checkins are admitted to the ingest queue here; the wait for the applied
-///   epoch becomes a [`Response::Pending`] closure on the completion pump.
+/// * A checkin goes to the runtime's non-blocking entry. Run to completion
+///   right here, it is answered inline ([`Response::Now`]); queued or folded
+///   into an open epoch, it is [`Response::Deferred`] and the aggregation
+///   thread that settles it builds the ack and fires the request's completer.
 /// * A full queue becomes [`Response::Throttle`]: the payload is parked (the
 ///   decoded request is handed back by the runtime) and re-admission is
 ///   probed by the reactor while the connection's reads stay disarmed. The
 ///   device never sees a Busy reply on this path — it sees a quiet socket.
-/// * Batch checkins block on their epochs, so they run wholesale on the pump.
-pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response {
+/// * Masked round submissions take the aggregation core lock and batch
+///   checkins block on their epochs, so both run on the completion pump.
+pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message, ctx: &Ctx<'_>) -> Response {
     match message {
         Message::CheckinRequest(req) => {
             // `req_checkin_us` runs from here to the reply, wherever that is
-            // built: inline for a refusal, on the pump for an ack.
+            // built: here, on the pump, or on the thread that settles it.
             let start = core.metrics.start();
-            let refusal = |reply| Response::Now(checkin_reply(core, start, reply));
+            let refusal = |reply| Response::Now(checkin_reply(&core.metrics, start, reply));
             if !core.tokens.verify(req.device_id, &req.token) {
                 return refusal(error_reply(
                     ErrorCode::Unauthorized,
@@ -413,7 +417,7 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response
                 let core = Arc::clone(core);
                 return Response::Pending(Box::new(move || {
                     let reply = core.round_checkin(req);
-                    checkin_reply(&core, start, reply)
+                    checkin_reply(&core.metrics, start, reply)
                 }));
             }
             if let Some(reply) = core.stale_round_reply(req.round_id) {
@@ -423,7 +427,7 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response
                 Ok(p) => p,
                 Err(reply) => return refusal(*reply),
             };
-            submit_event(core, payload, start)
+            submit_event(core, payload, start, ctx)
         }
         Message::CheckoutRequest(req) => {
             let start = core.metrics.start();
@@ -442,53 +446,77 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response
 
 /// Closes a reactor checkin's `req_checkin_us` measurement as its reply is
 /// built.
-fn checkin_reply(core: &ServerCore, start: Tick, reply: Message) -> Message {
-    core.metrics.observe_since(HistogramId::ReqCheckinUs, start);
+fn checkin_reply(metrics: &Registry, start: Tick, reply: Message) -> Message {
+    metrics.observe_since(HistogramId::ReqCheckinUs, start);
     reply
 }
 
-/// Turns a completion handle into a pump-side reply closure.
-fn pending_ack(core: &Arc<ServerCore>, handle: CompletionHandle, start: Tick) -> Response {
-    let core = Arc::clone(core);
-    Response::Pending(Box::new(move || {
-        let reply = match wait_ack(handle) {
-            Ok(ack) => Message::CheckinAck(ack),
-            Err(reply) => *reply,
+/// What the thread that settles a deferred checkin runs: build the reply —
+/// the ack, or the refusal a dropped checkin maps to — and hand it to the
+/// connection's reactor thread.
+fn ack_sink(metrics: &Arc<Registry>, start: Tick, completer: Completer) -> OutcomeSink {
+    let metrics = Arc::clone(metrics);
+    Box::new(move |outcome| {
+        let reply = match outcome {
+            Ok(outcome) => Message::CheckinAck(ack_of(outcome)),
+            Err(e) => agg_error_reply(e),
         };
-        checkin_reply(&core, start, reply)
-    }))
+        completer.complete(checkin_reply(&metrics, start, reply));
+    })
 }
 
-fn submit_event(core: &Arc<ServerCore>, payload: CheckinPayload, start: Tick) -> Response {
-    let refusal =
-        move |core: &ServerCore, e| Response::Now(checkin_reply(core, start, agg_error_reply(e)));
-    match core.runtime.submit_or_return(payload) {
-        Ok(handle) => pending_ack(core, handle, start),
+/// One admission attempt on the reactor path.
+enum Attempt {
+    /// Answered, now or later.
+    Resolved(Response),
+    /// Backpressure: the payload back, with the runtime's pacing hint, for
+    /// parking.
+    Busy(CheckinPayload, u32),
+}
+
+fn admit_event(core: &ServerCore, payload: CheckinPayload, start: Tick, ctx: &Ctx<'_>) -> Attempt {
+    let now = |reply| Attempt::Resolved(Response::Now(checkin_reply(&core.metrics, start, reply)));
+    let submitted = core
+        .runtime
+        .submit_to(payload, || ack_sink(&core.metrics, start, ctx.completer()));
+    match submitted {
+        Ok(Submitted::Applied(outcome)) => now(Message::CheckinAck(ack_of(outcome))),
+        Ok(Submitted::Pending) => Attempt::Resolved(Response::Deferred),
         Err(SubmitRejection::Busy {
             payload,
             retry_after_ms,
-        }) => {
+        }) => Attempt::Busy(payload, retry_after_ms),
+        Err(SubmitRejection::Refused(e)) => now(agg_error_reply(e)),
+    }
+}
+
+fn submit_event(
+    core: &Arc<ServerCore>,
+    payload: CheckinPayload,
+    start: Tick,
+    ctx: &Ctx<'_>,
+) -> Response {
+    match admit_event(core, payload, start, ctx) {
+        Attempt::Resolved(response) => response,
+        Attempt::Busy(payload, retry_after_ms) => {
             // Backpressure: park the decoded payload and let the reactor
             // probe re-admission. The dedup reservation was released by
-            // `submit_or_return`, so each probe is admitted fresh.
+            // `submit_to`, so each probe is admitted fresh.
             let core = Arc::clone(core);
             let mut parked = Some(payload);
             Response::Throttle {
                 retry_after_ms,
-                retry: Box::new(move || {
-                    let payload = parked.take()?;
-                    match core.runtime.submit_or_return(payload) {
-                        Ok(handle) => Some(pending_ack(&core, handle, start)),
-                        Err(SubmitRejection::Busy { payload, .. }) => {
+                retry: Box::new(
+                    move |ctx| match admit_event(&core, parked.take()?, start, ctx) {
+                        Attempt::Resolved(response) => Some(response),
+                        Attempt::Busy(payload, _) => {
                             parked = Some(payload);
                             None
                         }
-                        Err(SubmitRejection::Refused(e)) => Some(refusal(&core, e)),
-                    }
-                }),
+                    },
+                ),
             }
         }
-        Err(SubmitRejection::Refused(e)) => refusal(core, e),
     }
 }
 
@@ -551,13 +579,18 @@ pub(crate) fn payload_of(req: CheckinRequest) -> std::result::Result<CheckinPayl
 
 pub(crate) fn wait_ack(handle: CompletionHandle) -> std::result::Result<CheckinAck, Box<Message>> {
     match handle.wait_timeout(CHECKIN_WAIT) {
-        Ok(outcome) => Ok(CheckinAck {
-            accepted: outcome.accepted,
-            iteration: outcome.iteration,
-            stopped: outcome.stopped,
-            deduped: outcome.deduped,
-        }),
+        Ok(outcome) => Ok(ack_of(outcome)),
         Err(e) => Err(Box::new(agg_error_reply(e))),
+    }
+}
+
+/// The wire acknowledgement of a settled checkin.
+fn ack_of(outcome: CheckinOutcome) -> CheckinAck {
+    CheckinAck {
+        accepted: outcome.accepted,
+        iteration: outcome.iteration,
+        stopped: outcome.stopped,
+        deduped: outcome.deduped,
     }
 }
 

@@ -10,8 +10,10 @@
 //! * **per-connection frame state machines** ([`frame::FrameReader`] /
 //!   [`frame::FrameWriter`]) that resume partial reads and writes at any byte
 //!   boundary, reusing `crowd-proto`'s pooled buffers,
-//! * a **completion pump** per reactor that turns the aggregation runtime's
-//!   blocking completion handles into poller wakeups, and
+//! * **replies that arrive later without a waiting thread**: a one-shot
+//!   [`Completer`] that whichever thread learns the reply fires straight at
+//!   the owning reactor thread, plus a **completion pump** per reactor for
+//!   the few requests whose reply really has to be waited for, and
 //! * **backpressure by read throttling**: when the ingest queue is full the
 //!   connection's read interest is simply not re-armed, so the kernel's TCP
 //!   flow control pushes back on the device instead of a Busy-reply storm.
@@ -26,4 +28,6 @@ pub mod frame;
 pub mod reactor;
 
 pub use frame::{FrameError, FrameReader, FrameWriter, ReadEvent, WriteEvent};
-pub use reactor::{PendingReply, Reactor, ReactorConfig, ReactorStats, Response, RetryFn, Service};
+pub use reactor::{
+    Completer, Ctx, PendingReply, Reactor, ReactorConfig, ReactorStats, Response, RetryFn, Service,
+};

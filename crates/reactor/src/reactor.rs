@@ -6,11 +6,22 @@
 //! `threads` reactor threads each own a [`polling::Poller`] and a slab of
 //! connections. Thread 0 additionally owns the listening socket; accepted
 //! connections are distributed round-robin across all threads through
-//! channels paired with [`polling::Poller::notify`] wakeups. Each reactor
-//! thread also gets one **completion pump** thread: blocking reply futures
-//! (`Response::Pending` closures, e.g. an aggregation completion handle) are
-//! executed there, and finished replies are posted back to the owning
-//! reactor, so the event loop itself never blocks on anything but the poller.
+//! channels paired with [`polling::Poller::notify`] wakeups. The event loop
+//! itself never blocks on anything but the poller; a request whose reply is
+//! not known when [`Service::handle`] returns is answered later in one of
+//! two ways:
+//!
+//! * **Deferred** — the service takes a one-shot [`Completer`] from the
+//!   request's [`Ctx`] and returns [`Response::Deferred`]. Whichever thread
+//!   learns the reply fires the completer, which posts the reply straight to
+//!   the owning reactor thread and wakes its poller. Nothing waits: this is
+//!   the route for work some other thread finishes anyway (an aggregation
+//!   worker applying an epoch, a WAL committer after its `fsync`).
+//! * **Pending** — the service returns a closure that *blocks* until the
+//!   reply is known. Each reactor thread has one **completion pump** thread
+//!   that runs such closures, in arrival order, and posts their replies back
+//!   the same way. The pump is for work that really has to wait on something
+//!   (a lock, a batch of epochs) and has no thread of its own to do it on.
 //!
 //! ## Connection protocol
 //!
@@ -45,6 +56,7 @@ use crowd_proto::pool::BufPool;
 use crowd_proto::Message;
 use crowd_telemetry::{CounterId, GaugeId, Registry, Stage};
 use polling::{Event, Events, Poller};
+use std::cell::Cell;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -58,8 +70,9 @@ pub type PendingReply = Box<dyn FnOnce() -> Message + Send + 'static>;
 
 /// A parked request's retry hook: returns `None` while the service still
 /// cannot accept the request, or `Some(response)` once it resolved. Must not
-/// return [`Response::Throttle`] — park state is expressed by `None`.
-pub type RetryFn = Box<dyn FnMut() -> Option<Response> + Send + 'static>;
+/// return [`Response::Throttle`] — park state is expressed by `None`. The
+/// [`Ctx`] is the parked request's, as in [`Service::handle`].
+pub type RetryFn = Box<dyn FnMut(&Ctx<'_>) -> Option<Response> + Send + 'static>;
 
 /// What the [`Service`] wants done with a decoded request.
 pub enum Response {
@@ -72,12 +85,17 @@ pub enum Response {
     /// Reply later; the closure blocks on the pump thread until the reply is
     /// known.
     Pending(PendingReply),
+    /// Reply later, without a waiting thread: the service took the request's
+    /// [`Completer`] (see [`Ctx::completer`]) and some thread will fire it.
+    /// The connection reads no further request until then.
+    Deferred,
     /// The service cannot accept the request right now (e.g. ingest queue
     /// full). The reactor parks the connection — reads stay disarmed — and
     /// polls `retry` until it yields a response.
     Throttle {
-        /// The service's pacing hint (currently informational; parked
-        /// connections are retried on every loop iteration).
+        /// The service's pacing hint: the connection is re-probed on every
+        /// loop iteration, and an otherwise idle reactor thread wakes up
+        /// after this long (at least 1 ms) to probe it.
         retry_after_ms: u32,
         /// Called to re-attempt admission.
         retry: RetryFn,
@@ -90,6 +108,7 @@ impl std::fmt::Debug for Response {
             Response::Now(m) => f.debug_tuple("Now").field(m).finish(),
             Response::Framed(frame) => write!(f, "Framed({} bytes)", frame.as_bytes().len()),
             Response::Pending(_) => f.write_str("Pending(..)"),
+            Response::Deferred => f.write_str("Deferred"),
             Response::Throttle { retry_after_ms, .. } => f
                 .debug_struct("Throttle")
                 .field("retry_after_ms", retry_after_ms)
@@ -101,16 +120,104 @@ impl std::fmt::Debug for Response {
 /// Maps decoded requests to responses. Implementations must be cheap on the
 /// immediate path — `handle` runs on a reactor thread.
 pub trait Service: Send + Sync + 'static {
-    /// Handles one decoded request frame.
-    fn handle(&self, message: Message) -> Response;
+    /// Handles one decoded request frame. `ctx` identifies the request to
+    /// the reactor, for a reply that will be known only later.
+    fn handle(&self, message: Message, ctx: &Ctx<'_>) -> Response;
 }
 
 impl<F> Service for F
 where
-    F: Fn(Message) -> Response + Send + Sync + 'static,
+    F: Fn(Message, &Ctx<'_>) -> Response + Send + Sync + 'static,
 {
-    fn handle(&self, message: Message) -> Response {
-        self(message)
+    fn handle(&self, message: Message, ctx: &Ctx<'_>) -> Response {
+        self(message, ctx)
+    }
+}
+
+/// One request as the reactor knows it: which connection it arrived on, and
+/// how to reach the thread that owns that connection.
+pub struct Ctx<'a> {
+    done_tx: &'a Sender<Done>,
+    poller: &'a Arc<Poller>,
+    conn: usize,
+    generation: u64,
+    /// Whether a completer was handed out, which is what
+    /// [`Response::Deferred`] promises.
+    deferred: Cell<bool>,
+}
+
+impl<'a> Ctx<'a> {
+    fn new(done_tx: &'a Sender<Done>, poller: &'a Arc<Poller>, slab: &Slab, conn: usize) -> Self {
+        Ctx {
+            done_tx,
+            poller,
+            conn,
+            generation: slab.generation(conn).unwrap_or(0),
+            deferred: Cell::new(false),
+        }
+    }
+
+    /// The request's one-shot completion handle. A service that takes it
+    /// answers [`Response::Deferred`] (or, from a retry hook,
+    /// `Some(Response::Deferred)`); one that answers any other way must not
+    /// take it.
+    pub fn completer(&self) -> Completer {
+        self.deferred.set(true);
+        Completer {
+            done_tx: self.done_tx.clone(),
+            poller: Arc::clone(self.poller),
+            conn: self.conn,
+            generation: self.generation,
+            fired: false,
+        }
+    }
+}
+
+/// The reply-later half of [`Response::Deferred`]: resolves its connection
+/// exactly once, from any thread.
+///
+/// [`Completer::complete`] posts the reply to the reactor thread that owns
+/// the connection and wakes it; the reply is written and the connection
+/// reads its next request. It may run before `handle` has even returned —
+/// only the owning thread consumes completions, and it does so after it has
+/// marked the connection as waiting. A completer dropped without completing
+/// releases the connection instead: the reactor closes it, since it can
+/// invent no reply. Either way a completion for a connection that closed in
+/// the meantime is discarded by the slab's generation check.
+pub struct Completer {
+    done_tx: Sender<Done>,
+    poller: Arc<Poller>,
+    conn: usize,
+    generation: u64,
+    fired: bool,
+}
+
+impl Completer {
+    /// Answers the request with `reply`.
+    pub fn complete(mut self, reply: Message) {
+        self.post(Some(reply));
+    }
+
+    fn post(&mut self, reply: Option<Message>) {
+        self.fired = true;
+        let done = Done {
+            conn: self.conn,
+            generation: self.generation,
+            reply,
+        };
+        // A send fails only when the reactor thread is gone, and its
+        // connections with it.
+        if self.done_tx.send(done).is_ok() {
+            let _ = self.poller.notify();
+        }
+    }
+}
+
+impl Drop for Completer {
+    fn drop(&mut self) {
+        if !self.fired {
+            self.post(None);
+        }
     }
 }
 
@@ -151,14 +258,17 @@ pub struct ReactorStats {
     pub active: usize,
     /// Connections parked by backpressure right now.
     pub parked: usize,
-    /// Requests waiting on the completion pumps right now.
+    /// Requests whose reply is still to come: blocking waits queued on or
+    /// running on the completion pumps, plus deferred replies whose
+    /// [`Completer`] has not fired yet.
     pub inflight: usize,
     /// Connections dropped at accept because `max_connections` was reached.
     pub rejected: u64,
 }
 
-/// Upper bound on one poller wait; bounds stop-flag latency and parked-retry
-/// latency even if a notify is lost.
+/// Upper bound on one poller wait; bounds stop-flag latency even if a notify
+/// is lost. A thread with parked connections waits no longer than their
+/// retry hints (see [`Shard::wait_timeout`]).
 const TICK: Duration = Duration::from_millis(500);
 
 /// Poller key of the listening socket (thread 0 only). Connection slots use
@@ -202,11 +312,13 @@ struct ShardHandle {
     conn_tx: Sender<TcpStream>,
 }
 
-/// A reply finished by the completion pump.
+/// A reply that became known off the event loop: finished by the completion
+/// pump, or posted by a [`Completer`]. `None` is a completer dropped unfired
+/// — there is no reply, and the connection is closed.
 struct Done {
     conn: usize,
     generation: u64,
-    reply: Message,
+    reply: Option<Message>,
 }
 
 /// Work for the completion pump thread.
@@ -279,16 +391,17 @@ impl Reactor {
             let (done_tx, done_rx) = mpsc::channel::<Done>();
 
             let pump_poller = Arc::clone(&shared.shards[idx].poller);
+            let pump_done_tx = done_tx.clone();
             let pump = thread::Builder::new()
                 .name(format!("crowd-pump-{idx}"))
                 .spawn(move || {
                     while let Ok(job) = pump_rx.recv() {
                         let reply = (job.wait)();
-                        if done_tx
+                        if pump_done_tx
                             .send(Done {
                                 conn: job.conn,
                                 generation: job.generation,
-                                reply,
+                                reply: Some(reply),
                             })
                             .is_err()
                         {
@@ -307,6 +420,7 @@ impl Reactor {
                 listener: if idx == 0 { listener.take() } else { None },
                 listener_armed: false,
                 conn_rx,
+                done_tx,
                 done_rx,
                 pump_tx,
                 slab: Slab::new(),
@@ -408,10 +522,12 @@ impl Drop for Reactor {
 enum Mode {
     /// Reading requests.
     Idle,
-    /// A request is on the pump; reads stay disarmed until its reply.
+    /// A request's reply is pending or deferred; reads stay disarmed until
+    /// it arrives.
     Awaiting,
-    /// Backpressure: reads disarmed, retry hook polled each iteration.
-    Parked { retry: RetryFn },
+    /// Backpressure: reads disarmed, retry hook polled each iteration and at
+    /// least every `retry_after_ms`.
+    Parked { retry: RetryFn, retry_after_ms: u32 },
 }
 
 struct Conn {
@@ -468,6 +584,13 @@ impl Slab {
         }
     }
 
+    fn get(&self, idx: usize) -> Option<&Conn> {
+        match self.slots.get(idx) {
+            Some((_, Slot::Used(conn))) => Some(conn),
+            _ => None,
+        }
+    }
+
     fn get_mut(&mut self, idx: usize) -> Option<&mut Conn> {
         match self.slots.get_mut(idx) {
             Some((_, Slot::Used(conn))) => Some(conn),
@@ -519,6 +642,9 @@ struct Shard {
     listener: Option<TcpListener>,
     listener_armed: bool,
     conn_rx: Receiver<TcpStream>,
+    /// Cloned into every [`Completer`]; keeping one here also keeps
+    /// `done_rx` connected for the thread's whole life.
+    done_tx: Sender<Done>,
     done_rx: Receiver<Done>,
     pump_tx: Sender<PumpJob>,
     slab: Slab,
@@ -547,7 +673,7 @@ impl Shard {
                 break;
             }
             self.sync_listener();
-            let _ = self.poller.wait(&mut events, Some(TICK));
+            let _ = self.poller.wait(&mut events, Some(self.wait_timeout()));
             if self.shared.stop.load(Ordering::Acquire) {
                 break;
             }
@@ -563,6 +689,25 @@ impl Shard {
             self.retry_parked();
         }
         self.teardown();
+    }
+
+    /// How long the loop may sleep: `TICK`, or — while connections are
+    /// parked — the smallest of their retry hints (at least 1 ms), so a
+    /// thread with no other traffic still re-probes them when the service
+    /// asked it to, not half a second later.
+    fn wait_timeout(&self) -> Duration {
+        let hint = self
+            .parked_list
+            .iter()
+            .filter_map(|&idx| match self.slab.get(idx).map(|conn| &conn.mode) {
+                Some(Mode::Parked { retry_after_ms, .. }) => Some(*retry_after_ms),
+                _ => None,
+            })
+            .min();
+        match hint {
+            Some(ms) => Duration::from_millis(u64::from(ms.max(1))).min(TICK),
+            None => TICK,
+        }
     }
 
     /// Arms or disarms the listener to match the accepting flag. Also the
@@ -668,13 +813,20 @@ impl Shard {
     fn apply_completions(&mut self) {
         while let Ok(done) = self.done_rx.try_recv() {
             self.shared.metrics.gauge_add(GaugeId::Inflight, -1);
-            let matches = self.slab.generation(done.conn) == Some(done.generation)
-                && self.slab.get_mut(done.conn).is_some();
-            if !matches {
+            let awaited = self.slab.generation(done.conn) == Some(done.generation)
+                && matches!(
+                    self.slab.get(done.conn).map(|conn| &conn.mode),
+                    Some(Mode::Awaiting)
+                );
+            if !awaited {
                 continue; // connection closed while its reply was pending
             }
+            let Some(reply) = done.reply else {
+                self.close(done.conn); // abandoned by the service
+                continue;
+            };
             if let Some(conn) = self.slab.get_mut(done.conn) {
-                conn.writer.enqueue(&done.reply);
+                conn.writer.enqueue(&reply);
                 conn.mode = Mode::Idle;
             }
             self.drive(done.conn);
@@ -689,23 +841,24 @@ impl Shard {
         }
         let parked = std::mem::take(&mut self.parked_list);
         for idx in parked {
-            let response = {
+            let (response, deferred) = {
+                let ctx = Ctx::new(&self.done_tx, &self.poller, &self.slab, idx);
                 let Some(conn) = self.slab.get_mut(idx) else {
                     continue;
                 };
-                let Mode::Parked { retry } = &mut conn.mode else {
+                let Mode::Parked { retry, .. } = &mut conn.mode else {
                     continue;
                 };
-                match retry() {
+                match retry(&ctx) {
                     None => {
                         self.parked_list.push(idx);
                         continue;
                     }
-                    Some(response) => response,
+                    Some(response) => (response, ctx.deferred.get()),
                 }
             };
             self.unpark(idx);
-            self.apply_response(idx, response);
+            self.apply_response(idx, response, deferred);
             self.drive(idx);
         }
     }
@@ -720,7 +873,13 @@ impl Shard {
     }
 
     /// Applies a service response to a connection (which must be `Idle`).
-    fn apply_response(&mut self, idx: usize, response: Response) {
+    /// `deferred` is whether the service took the request's completer.
+    fn apply_response(&mut self, idx: usize, response: Response, deferred: bool) {
+        debug_assert_eq!(
+            deferred,
+            matches!(response, Response::Deferred),
+            "a completer is taken exactly when the response is Deferred"
+        );
         let generation = self.slab.generation(idx).unwrap_or(0);
         let Some(conn) = self.slab.get_mut(idx) else {
             return;
@@ -746,8 +905,20 @@ impl Shard {
                     self.shared.metrics.gauge_add(GaugeId::Inflight, -1);
                 }
             }
-            Response::Throttle { retry, .. } => {
-                conn.mode = Mode::Parked { retry };
+            Response::Deferred => {
+                // The completion may already sit in `done_rx`: this thread is
+                // its only consumer, and gets to it after this.
+                conn.mode = Mode::Awaiting;
+                self.shared.metrics.gauge_add(GaugeId::Inflight, 1);
+            }
+            Response::Throttle {
+                retry,
+                retry_after_ms,
+            } => {
+                conn.mode = Mode::Parked {
+                    retry,
+                    retry_after_ms,
+                };
                 self.shared.metrics.incr(CounterId::Parks);
                 self.shared.metrics.gauge_add(GaugeId::ConnsParked, 1);
                 self.parked_list.push(idx);
@@ -785,7 +956,8 @@ impl Shard {
                 }
             }
             // Phase 2: only an idle connection reads the next request.
-            let response = {
+            let (response, deferred) = {
+                let ctx = Ctx::new(&self.done_tx, &self.poller, &self.slab, idx);
                 let Some(conn) = self.slab.get_mut(idx) else {
                     return DriveOutcome::Keep;
                 };
@@ -800,7 +972,8 @@ impl Shard {
                             self.shared.metrics.incr(CounterId::FrameResumes);
                         }
                         self.shared.metrics.span(Stage::FrameDecode, idx as u64);
-                        self.shared.service.handle(message)
+                        let response = self.shared.service.handle(message, &ctx);
+                        (response, ctx.deferred.get())
                     }
                     Ok(ReadEvent::NeedMore) => {
                         conn.mid_frame = conn.reader.mid_frame();
@@ -814,7 +987,7 @@ impl Shard {
                     | Err(FrameError::TruncatedFrame { .. }) => return DriveOutcome::Close,
                 }
             };
-            self.apply_response(idx, response);
+            self.apply_response(idx, response, deferred);
             // Loop: flush the reply (phase 1) and, if the response was
             // immediate and fully flushed, keep reading pipelined frames.
         }
@@ -846,8 +1019,8 @@ impl Shard {
         if matches!(conn.mode, Mode::Parked { .. }) {
             self.shared.metrics.gauge_add(GaugeId::ConnsParked, -1);
         }
-        // An Awaiting connection's pump reply is discarded by the generation
-        // check in `apply_completions`.
+        // An Awaiting connection's reply, pumped or deferred, is discarded by
+        // the generation check in `apply_completions`.
     }
 
     fn teardown(&mut self) {
@@ -878,7 +1051,7 @@ mod tests {
     }
 
     fn echo_service() -> Arc<dyn Service> {
-        Arc::new(|message: Message| Response::Now(message))
+        Arc::new(|message: Message, _: &Ctx<'_>| Response::Now(message))
     }
 
     fn start(service: Arc<dyn Service>, threads: usize) -> Reactor {
@@ -926,7 +1099,7 @@ mod tests {
 
     #[test]
     fn pending_replies_flow_through_the_pump() {
-        let service: Arc<dyn Service> = Arc::new(|message: Message| {
+        let service: Arc<dyn Service> = Arc::new(|message: Message, _: &Ctx<'_>| {
             Response::Pending(Box::new(move || {
                 thread::sleep(Duration::from_millis(5));
                 message
@@ -947,12 +1120,12 @@ mod tests {
     #[test]
     fn throttled_requests_park_and_resolve() {
         // Admit nothing for the first 3 probes of each request, then echo.
-        let service: Arc<dyn Service> = Arc::new(|message: Message| {
+        let service: Arc<dyn Service> = Arc::new(|message: Message, _: &Ctx<'_>| {
             let mut probes = 0u32;
             let mut slot = Some(message);
             Response::Throttle {
                 retry_after_ms: 1,
-                retry: Box::new(move || {
+                retry: Box::new(move |_| {
                     probes += 1;
                     if probes < 3 {
                         return None;
@@ -1064,7 +1237,7 @@ mod tests {
         let gate = Arc::new(Mutex::new(()));
         let held = gate.lock().unwrap();
         let gate2 = Arc::clone(&gate);
-        let service: Arc<dyn Service> = Arc::new(move |message: Message| {
+        let service: Arc<dyn Service> = Arc::new(move |message: Message, _: &Ctx<'_>| {
             let gate = Arc::clone(&gate2);
             Response::Pending(Box::new(move || {
                 let _wait = gate.lock().unwrap_or_else(|e| e.into_inner());
@@ -1086,9 +1259,183 @@ mod tests {
         reactor.stop();
     }
 
+    /// Polls `cond` (1 ms steps, no reactor wake-ups) for up to ten seconds.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        for _ in 0..10_000 {
+            if cond() {
+                return;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        panic!("timed out waiting for {what}");
+    }
+
+    #[test]
+    fn parked_connection_on_an_idle_reactor_is_reprobed_at_its_retry_hint() {
+        let admit = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&admit);
+        let service: Arc<dyn Service> = Arc::new(move |message: Message, _: &Ctx<'_>| {
+            let gate = Arc::clone(&gate);
+            let mut slot = Some(message);
+            Response::Throttle {
+                retry_after_ms: 2,
+                retry: Box::new(move |_| {
+                    if !gate.load(Ordering::Acquire) {
+                        return None;
+                    }
+                    slot.take().map(Response::Now)
+                }),
+            }
+        });
+        let reactor = start(service, 1);
+        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
+        write_message(&mut stream, &ping(3)).unwrap();
+        eventually("the request to park", || reactor.stats().parked == 1);
+        // Nothing else happens on this reactor: no traffic, no notify. Only
+        // the retry hint can bring the loop back to the parked connection.
+        thread::sleep(Duration::from_millis(20));
+        let began = std::time::Instant::now();
+        admit.store(true, Ordering::Release);
+        assert_eq!(read_message(&mut stream).unwrap(), ping(3));
+        let waited = began.elapsed();
+        assert!(
+            waited < TICK / 4,
+            "a 2 ms retry hint resolved after {waited:?} (TICK is {TICK:?})"
+        );
+        assert_eq!(reactor.stats().parked, 0);
+        reactor.stop();
+    }
+
+    #[test]
+    fn completer_fired_from_another_thread_before_handle_returns() {
+        // `handle` does not return until the helper thread has fired the
+        // completer, so the completion is in the reactor's channel before
+        // the connection is marked as awaiting it.
+        let service: Arc<dyn Service> = Arc::new(|message: Message, ctx: &Ctx<'_>| {
+            let completer = ctx.completer();
+            thread::spawn(move || completer.complete(message))
+                .join()
+                .unwrap();
+            Response::Deferred
+        });
+        let reactor = start(service, 1);
+        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
+        for i in 0..50 {
+            write_message(&mut stream, &ping(i)).unwrap();
+            assert_eq!(read_message(&mut stream).unwrap(), ping(i));
+        }
+        assert!(reactor.drain(2000));
+        assert_eq!(reactor.stats().inflight, 0);
+        reactor.stop();
+    }
+
+    #[test]
+    fn completer_dropped_unfired_releases_the_connection() {
+        let service: Arc<dyn Service> = Arc::new(|_message: Message, ctx: &Ctx<'_>| {
+            let completer = ctx.completer();
+            thread::spawn(move || drop(completer));
+            Response::Deferred
+        });
+        let reactor = start(service, 1);
+        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_message(&mut stream, &ping(1)).unwrap();
+        // No reply can be invented for an abandoned request: the device
+        // sees the connection close, and nothing is left in flight.
+        let mut probe = [0u8; 1];
+        assert_eq!(std::io::Read::read(&mut stream, &mut probe).unwrap(), 0);
+        assert!(reactor.drain(2000));
+        let stats = reactor.stats();
+        assert_eq!((stats.inflight, stats.active), (0, 0));
+        reactor.stop();
+    }
+
+    #[test]
+    fn generation_guard_discards_deferred_replies_for_closed_connections() {
+        let stash: Arc<Mutex<Vec<(Completer, Message)>>> = Arc::new(Mutex::new(Vec::new()));
+        let held = Arc::clone(&stash);
+        let service: Arc<dyn Service> = Arc::new(move |message: Message, ctx: &Ctx<'_>| {
+            if message == ping(7) {
+                held.lock().unwrap().push((ctx.completer(), message));
+                Response::Deferred
+            } else {
+                Response::Now(message)
+            }
+        });
+        let reactor = start(service, 1);
+        let addr = reactor.local_addr();
+        let mut doomed = TcpStream::connect(addr).unwrap();
+        write_message(&mut doomed, &ping(7)).unwrap();
+        eventually("the request to be deferred", || {
+            reactor.stats().inflight == 1
+        });
+        drop(doomed); // close while the reply is deferred
+        let (completer, message) = stash.lock().unwrap().pop().unwrap();
+        completer.complete(message);
+        // The late reply goes nowhere, and the request stops counting.
+        eventually("the dead connection to be released", || {
+            let stats = reactor.stats();
+            stats.active == 0 && stats.inflight == 0
+        });
+        // Slot reuse: a new connection works and gets only its own replies.
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        for i in 8..12 {
+            write_message(&mut fresh, &ping(i)).unwrap();
+            assert_eq!(read_message(&mut fresh).unwrap(), ping(i));
+        }
+        assert!(reactor.drain(2000));
+        reactor.stop();
+    }
+
+    #[test]
+    fn pumped_and_deferred_replies_interleaved_keep_per_connection_order() {
+        // Even requests block on the pump, odd ones are completed by a
+        // helper thread; both routes post to the same reactor thread.
+        let service: Arc<dyn Service> = Arc::new(|message: Message, ctx: &Ctx<'_>| {
+            let Message::CheckinAck(ack) = &message else {
+                return Response::Now(message);
+            };
+            if ack.iteration % 2 == 0 {
+                Response::Pending(Box::new(move || {
+                    thread::sleep(Duration::from_micros(200));
+                    message
+                }))
+            } else {
+                let completer = ctx.completer();
+                thread::spawn(move || completer.complete(message));
+                Response::Deferred
+            }
+        });
+        let reactor = start(service, 1);
+        let addr = reactor.local_addr();
+        let clients: Vec<_> = (0..3u64)
+            .map(|client| {
+                thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    // Pipelined: all requests are on the wire before the
+                    // first reply is read.
+                    let ids: Vec<u64> = (0..40).map(|i| client * 1000 + i).collect();
+                    for &id in &ids {
+                        write_message(&mut stream, &ping(id)).unwrap();
+                    }
+                    for &id in &ids {
+                        assert_eq!(read_message(&mut stream).unwrap(), ping(id));
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        assert!(reactor.drain(2000));
+        reactor.stop();
+    }
+
     #[test]
     fn error_replies_pass_through() {
-        let service: Arc<dyn Service> = Arc::new(|_message: Message| {
+        let service: Arc<dyn Service> = Arc::new(|_message: Message, _: &Ctx<'_>| {
             Response::Now(Message::Error(ErrorReply {
                 code: ErrorCode::Internal,
                 detail: "nope".into(),

@@ -47,6 +47,10 @@ metric_ids! {
     pub enum CounterId {
         /// Checkins folded into the model (agg).
         CheckinsApplied => "checkins_applied",
+        /// Checkins run to completion on the thread that submitted them,
+        /// never queued; `checkins_applied − checkins_inline` went through
+        /// the ingest queue to a worker (agg).
+        CheckinsInline => "checkins_inline",
         /// Duplicate checkins answered from the dedup cache (agg).
         DedupReplays => "dedup_replays",
         /// Duplicates refused because the original is still in flight (agg).
@@ -116,7 +120,8 @@ metric_ids! {
         ConnsActive => "conns_active",
         /// Connections currently parked on backpressure (reactor).
         ConnsParked => "conns_parked",
-        /// Requests being processed by the service right now (reactor).
+        /// Requests whose reply is still to come: waiting on a completion
+        /// pump, or deferred to a completer that has not fired (reactor).
         Inflight => "inflight",
     }
 }
