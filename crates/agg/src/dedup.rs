@@ -26,7 +26,7 @@
 //! between acknowledged checkins; making retries crash-proof would require
 //! persisting completed nonces alongside the epochs they acked.
 
-use crowd_core::server::CheckinOutcome;
+use crowd_core::server::CheckinReceipt;
 use std::collections::{BTreeMap, VecDeque};
 
 /// What the runtime should do with a submitted nonce.
@@ -38,12 +38,12 @@ pub(crate) enum Admission {
     /// retryable backpressure rather than queue a duplicate.
     InFlight,
     /// Already applied: replay the recorded outcome without re-applying.
-    Replay(CheckinOutcome),
+    Replay(CheckinReceipt),
 }
 
 enum DedupState {
     InFlight,
-    Done(CheckinOutcome),
+    Done(CheckinReceipt),
 }
 
 /// Bounded memory of recent checkin outcomes, keyed on `(device_id, nonce)`.
@@ -89,7 +89,7 @@ impl DedupTable {
 
     /// Records the outcome of an applied checkin, evicting the oldest
     /// completed entries beyond the capacity.
-    pub(crate) fn complete(&mut self, key: (u64, u64), outcome: CheckinOutcome) {
+    pub(crate) fn complete(&mut self, key: (u64, u64), outcome: CheckinReceipt) {
         self.entries.insert(key, DedupState::Done(outcome));
         self.completed.push_back(key);
         while self.completed.len() > self.capacity {
@@ -115,8 +115,8 @@ impl DedupTable {
 mod tests {
     use super::*;
 
-    fn outcome(iteration: u64) -> CheckinOutcome {
-        CheckinOutcome {
+    fn outcome(iteration: u64) -> CheckinReceipt {
+        CheckinReceipt {
             accepted: true,
             iteration,
             stopped: false,

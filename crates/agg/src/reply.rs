@@ -8,7 +8,7 @@
 //! on a durable one — runs it.
 
 use crate::{AggError, Result};
-use crowd_core::server::CheckinOutcome;
+use crowd_core::server::CheckinReceipt;
 use std::sync::mpsc;
 
 /// Receives one checkin's outcome on the thread that settled it.
@@ -18,10 +18,10 @@ use std::sync::mpsc;
 /// runtime) — the same thing a [`crate::CompletionHandle`] reports then. It
 /// may run while that thread holds aggregation locks, so it must be quick
 /// and must not call back into the runtime.
-pub type OutcomeSink = Box<dyn FnOnce(Result<CheckinOutcome>) + Send + 'static>;
+pub type OutcomeSink = Box<dyn FnOnce(Result<CheckinReceipt>) + Send + 'static>;
 
 enum Route {
-    Caller(mpsc::Sender<CheckinOutcome>),
+    Caller(mpsc::Sender<CheckinReceipt>),
     Sink(OutcomeSink),
 }
 
@@ -31,7 +31,7 @@ pub(crate) struct Reply(Option<Route>);
 impl Reply {
     /// To a blocked caller, which learns of a dropped reply from the
     /// disconnected channel.
-    pub(crate) fn caller(tx: mpsc::Sender<CheckinOutcome>) -> Reply {
+    pub(crate) fn caller(tx: mpsc::Sender<CheckinReceipt>) -> Reply {
         Reply(Some(Route::Caller(tx)))
     }
 
@@ -45,7 +45,7 @@ impl Reply {
         Reply(None)
     }
 
-    pub(crate) fn send(mut self, outcome: CheckinOutcome) {
+    pub(crate) fn send(mut self, outcome: CheckinReceipt) {
         match self.0.take() {
             Some(Route::Caller(tx)) => {
                 let _ = tx.send(outcome);

@@ -67,7 +67,7 @@ use crate::{AggError, Result};
 use crowd_core::config::AggSettings;
 use crowd_core::device::CheckinPayload;
 use crowd_core::server::{
-    CheckinOutcome, CheckoutTicket, EpochAggregate, PendingSubmission, RoundAdmission, RoundInfo,
+    CheckinReceipt, CheckoutTicket, EpochAggregate, PendingSubmission, RoundAdmission, RoundInfo,
     Server,
 };
 use crowd_learning::model::Model;
@@ -215,7 +215,7 @@ struct Committer {
 /// What answering one checkin takes once its epoch is settled.
 struct Ack {
     reply: Reply,
-    outcome: CheckinOutcome,
+    outcome: CheckinReceipt,
     /// When the checkin was admitted (see [`Job::submitted`]).
     submitted: Tick,
     device_id: u64,
@@ -228,7 +228,7 @@ pub enum Submitted {
     /// Settled before the call returned — run to completion on the calling
     /// thread, or a replay of an already-applied nonce (`deduped`). No sink
     /// was built; this is the whole answer.
-    Applied(CheckinOutcome),
+    Applied(CheckinReceipt),
     /// Admitted; the outcome goes to the sink.
     Pending,
 }
@@ -263,7 +263,7 @@ impl From<SubmitRejection> for AggError {
 /// What admission made of a checkin.
 enum Admitted {
     /// A retry of an applied checkin: its recorded outcome, flagged `deduped`.
-    Replay(CheckinOutcome),
+    Replay(CheckinReceipt),
     /// Valid, within budget, and its nonce (if any) marked in flight.
     Fresh(CheckinPayload),
 }
@@ -274,7 +274,7 @@ pub enum RoundSubmitOutcome {
     /// The contribution stands (freshly accepted, or a deduplicated retry of
     /// one that already did — `outcome.deduped` distinguishes them). It is
     /// applied to the model when the round finalizes.
-    Acked(CheckinOutcome),
+    Acked(CheckinReceipt),
     /// The named round has closed; the device must refetch parameters (which
     /// carry the current `RoundParams`) and resync.
     Outdated {
@@ -286,18 +286,18 @@ pub enum RoundSubmitOutcome {
 /// A ticket for a submitted checkin: blocks until the checkin's epoch has been
 /// applied and the outcome is known.
 pub struct CompletionHandle {
-    rx: mpsc::Receiver<CheckinOutcome>,
+    rx: mpsc::Receiver<CheckinReceipt>,
 }
 
 impl CompletionHandle {
     /// Waits for the checkin's epoch to be applied.
-    pub fn wait(self) -> Result<CheckinOutcome> {
+    pub fn wait(self) -> Result<CheckinReceipt> {
         self.rx.recv().map_err(|_| AggError::ShuttingDown)
     }
 
     /// Waits up to `timeout`; `Err(ShuttingDown)` if the runtime died,
     /// `Err(Timeout)` if the epoch was not applied in time.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<CheckinOutcome> {
+    pub fn wait_timeout(self, timeout: Duration) -> Result<CheckinReceipt> {
         match self.rx.recv_timeout(timeout) {
             Ok(outcome) => Ok(outcome),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(AggError::Timeout),
@@ -528,7 +528,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             match admission {
                 Admission::Replay(outcome) => {
                     self.inner.metrics.incr(CounterId::DedupReplays);
-                    return Ok(Admitted::Replay(CheckinOutcome {
+                    return Ok(Admitted::Replay(CheckinReceipt {
                         deduped: true,
                         ..outcome
                     }));
@@ -591,7 +591,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     }
 
     /// Submits a checkin and blocks until its epoch is applied.
-    pub fn checkin(&self, payload: CheckinPayload) -> Result<CheckinOutcome> {
+    pub fn checkin(&self, payload: CheckinPayload) -> Result<CheckinReceipt> {
         self.submit(payload)?.wait()
     }
 
@@ -653,7 +653,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 if let (Some(stage), Some(sub)) = (stage.as_deref_mut(), &logged) {
                     stage.batch.frames.stage_round_submit(round_id, sub);
                 }
-                let outcome = CheckinOutcome {
+                let outcome = CheckinReceipt {
                     accepted: true,
                     iteration: core.iteration(),
                     stopped: core.stopped(),
@@ -676,7 +676,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 Ok(RoundSubmitOutcome::Acked(outcome))
             }
             RoundAdmission::Duplicate => {
-                let outcome = CheckinOutcome {
+                let outcome = CheckinReceipt {
                     accepted: true,
                     iteration: core.iteration(),
                     stopped: core.stopped(),
@@ -1030,7 +1030,7 @@ fn ingest<M: Model>(inner: &Inner<M>, job: Job, core: Option<MutexGuard<'_, Serv
         abandon(inner, rejected.device_id, rejected.nonce);
         let snap = inner.snapshot.read().clone();
         inner.metrics.incr(CounterId::IngestErrors);
-        rejected.reply.send(CheckinOutcome {
+        rejected.reply.send(CheckinReceipt {
             accepted: false,
             iteration: snap.iteration,
             stopped: snap.stopped,
@@ -1065,7 +1065,7 @@ fn apply_epoch<M: Model>(
     core: &mut Server<M>,
     mut stage: Option<&mut Staged>,
     epoch: &EpochAggregate,
-) -> (CheckinOutcome, bool) {
+) -> (CheckinReceipt, bool) {
     let merge_start = inner.metrics.start();
     // The ε charges feed both the WAL record (durable runtimes) and the
     // ε-spend distribution (whenever budget accounting is on); skip the
@@ -1122,7 +1122,7 @@ fn apply_epoch<M: Model>(
             // Unreachable for payloads that passed submit-time validation; fail
             // the epoch's checkins without taking a step. (A durable runtime has
             // staged the frame already; replay refuses it identically.)
-            let outcome = CheckinOutcome {
+            let outcome = CheckinReceipt {
                 accepted: false,
                 iteration: core.iteration(),
                 stopped: core.stopped(),
@@ -1331,7 +1331,7 @@ fn apply_singleton<M: Model>(
     inner: &Inner<M>,
     mut core: MutexGuard<'_, Server<M>>,
     job: Job,
-) -> CheckinOutcome {
+) -> CheckinReceipt {
     let epoch = EpochAggregate::from_payload(&job.payload);
     let mut stage = lock_stage(inner, &core);
     let (outcome, applied) = apply_epoch(inner, &mut core, stage.as_deref_mut(), &epoch);
@@ -1378,7 +1378,7 @@ fn merge<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
     let pre_iteration = outcome.iteration - u64::from(outcome.accepted);
     let acks = drained.waiters.into_iter().map(|waiter| Ack {
         reply: waiter.reply,
-        outcome: CheckinOutcome {
+        outcome: CheckinReceipt {
             accepted: outcome.accepted,
             iteration: outcome.iteration,
             stopped: outcome.stopped,
@@ -1694,7 +1694,7 @@ mod tests {
         let replayed = rt.checkin(p).unwrap();
         assert!(replayed.deduped);
         assert_eq!(
-            CheckinOutcome {
+            CheckinReceipt {
                 deduped: false,
                 ..replayed
             },

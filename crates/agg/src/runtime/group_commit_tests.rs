@@ -152,7 +152,7 @@ fn nothing_gets_out_between_apply_and_commit() {
     let replayed = rt.checkin(p).unwrap();
     assert!(replayed.deduped);
     assert_eq!(
-        CheckinOutcome {
+        CheckinReceipt {
             deduped: false,
             ..replayed
         },

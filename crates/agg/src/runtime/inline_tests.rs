@@ -69,7 +69,7 @@ fn payload(device_id: u64, nonce: u64, kind: u8, seed: u64) -> CheckinPayload {
 /// How one submission was answered.
 #[derive(Debug, Clone, PartialEq)]
 enum Answer {
-    Outcome(CheckinOutcome),
+    Outcome(CheckinReceipt),
     Busy,
     Refused(String),
     /// The runtime dropped the checkin: its sink ran with an error.

@@ -376,7 +376,7 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_core::server::CheckinOutcome;
+    use crowd_core::server::CheckinReceipt;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::mpsc;
@@ -394,7 +394,7 @@ mod tests {
         }
     }
 
-    fn waiter() -> (Waiter, mpsc::Receiver<CheckinOutcome>) {
+    fn waiter() -> (Waiter, mpsc::Receiver<CheckinReceipt>) {
         let (tx, rx) = mpsc::channel();
         (
             Waiter {

@@ -5,7 +5,8 @@
 //! chaos-vs-reference equivalence — rests on invariants that ordinary tests
 //! only probe dynamically: no unordered iteration feeding outputs, no wall
 //! clock in deterministic code, no panics in request paths, one global lock
-//! order, and a wire surface that never changes without a version bump. This
+//! order, a wire surface that never changes without a version bump, and
+//! policy tables whose every entry still names a module that exists. This
 //! crate checks them *statically*, on every CI run, with a hand-rolled lexer
 //! and token-tree walker (the workspace vendors no `syn`).
 //!

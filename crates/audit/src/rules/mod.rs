@@ -4,6 +4,7 @@
 
 pub mod lock_order;
 pub mod panic_freedom;
+pub mod stale_path;
 pub mod unordered_iter;
 pub mod unsafe_confinement;
 pub mod wallclock;
@@ -15,7 +16,8 @@ use crate::source::SourceFile;
 use std::path::Path;
 
 /// Runs every rule over the scanned workspace. `root` is needed by the
-/// wire-hygiene rule to locate `wire.lock`.
+/// wire-hygiene rule to locate `wire.lock` and by the stale-path rule to see
+/// what the policy tables name.
 pub fn run_all(files: &[SourceFile], root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(unordered_iter::check(files));
@@ -24,6 +26,7 @@ pub fn run_all(files: &[SourceFile], root: &Path) -> Vec<Finding> {
     findings.extend(panic_freedom::check(files));
     findings.extend(lock_order::check(files));
     findings.extend(wire_hygiene::check(files, root));
+    findings.extend(stale_path::check(files, root));
     findings.sort();
     findings
 }

@@ -84,6 +84,18 @@ fn wire_change_without_bump_fires() {
     assert!(f.message.contains("without a PROTOCOL_VERSION bump"));
 }
 
+#[test]
+fn stale_path_fires_exactly_once() {
+    let findings = audit_fixture("stale_path");
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, "stale-path");
+    assert_eq!(f.file, "crates/audit/src/config.rs");
+    assert_eq!(f.line, 9);
+    assert!(f.message.contains("`crates/net/src/server.rs`"));
+    assert!(f.message.contains("PANIC_FREE_PATHS"));
+}
+
 /// Every fixture must fail a `--deny` run (the CI loop relies on this).
 #[test]
 fn every_fixture_fails_deny() {
@@ -94,6 +106,7 @@ fn every_fixture_fails_deny() {
         "lock_order",
         "unsafe_confinement",
         "wire",
+        "stale_path",
     ] {
         let root = fixture_root(name);
         let outcome =

@@ -1,5 +1,4 @@
-//! Reactor-vs-threaded server scaling: checkins/sec as the device count
-//! grows from 100 to 10k.
+//! Server scaling: checkins/sec as the device count grows from 100 to 10k.
 //!
 //! Each measured iteration starts a fresh server, runs a whole simulated
 //! fleet through one checkout+checkin round per device with the
@@ -8,17 +7,14 @@
 //! and shuts the server down. `ns_per_iter / devices` is therefore the
 //! end-to-end cost per device round — checkins/sec is its reciprocal.
 //!
-//! The threaded server is only measured at fleet sizes it can realistically
-//! hold: one OS thread per concurrent connection means a 2k-device fleet
-//! would pin 2k server threads, which is exactly the wall the reactor's
-//! fixed thread pool removes. The reactor side runs up to 10k devices
-//! through a 4k-connection admission window (the container's 20k
-//! file-descriptor budget, two ends per localhost connection).
+//! Fleets run up to 10k devices through a 4k-connection admission window
+//! (the container's 20k file-descriptor budget, two ends per localhost
+//! connection).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_core::config::ServerConfig;
 use crowd_learning::MulticlassLogistic;
-use crowd_net::{FleetConfig, FleetDriver, NetServer, ReactorServer};
+use crowd_net::{FleetConfig, FleetDriver, ReactorServer};
 use crowd_proto::auth::TokenRegistry;
 use std::hint::black_box;
 
@@ -62,27 +58,5 @@ fn bench_reactor_fleet(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threaded_fleet(c: &mut Criterion) {
-    let mut group = c.benchmark_group("threaded_fleet");
-    for &devices in &[100usize, 1000] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(devices),
-            &devices,
-            |bench, &devices| {
-                bench.iter(|| {
-                    let model = MulticlassLogistic::new(4, 3).unwrap();
-                    let tokens = TokenRegistry::with_derived_tokens(devices as u64, SECRET);
-                    let handle = NetServer::start(model, ServerConfig::new(), tokens).unwrap();
-                    let report = FleetDriver::run(handle.addr(), fleet(devices)).unwrap();
-                    assert_eq!(report.failed_devices, 0, "{report:?}");
-                    handle.shutdown();
-                    black_box(report.acked)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_reactor_fleet, bench_threaded_fleet);
+criterion_group!(benches, bench_reactor_fleet);
 criterion_main!(benches);

@@ -41,7 +41,7 @@ pub use config::{
 pub use device::{CheckinPayload, Device, DeviceAction};
 pub use error::CoreError;
 pub use server::{
-    CheckinOutcome, DeviceEpochStats, EpochAggregate, PendingSubmission, RoundAdmission, RoundInfo,
+    CheckinReceipt, DeviceEpochStats, EpochAggregate, PendingSubmission, RoundAdmission, RoundInfo,
     RoundStateSnapshot, Server, ServerState,
 };
 

@@ -100,9 +100,10 @@ impl EpochAggregate {
     }
 }
 
-/// The result of applying a checkin (Server Routine 2).
+/// The server-side record of a settled checkin (Server Routine 2). What a
+/// device sees of it over TCP is `crowd_net::CheckinOutcome`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckinOutcome {
+pub struct CheckinReceipt {
     /// Whether the gradient was applied (a stopped server rejects new gradients).
     pub accepted: bool,
     /// The server iteration after this checkin.
@@ -737,7 +738,7 @@ impl<M: Model> Server<M> {
     }
 
     /// Server Routine 2: apply one sanitized checkin.
-    pub fn checkin(&mut self, payload: &CheckinPayload) -> Result<CheckinOutcome> {
+    pub fn checkin(&mut self, payload: &CheckinPayload) -> Result<CheckinReceipt> {
         if payload.gradient.dim() != self.params.len() {
             return Err(CoreError::Protocol(format!(
                 "checkin gradient has dimension {}, expected {}",
@@ -767,7 +768,7 @@ impl<M: Model> Server<M> {
     /// acceptance, so the server's view of data volume stays accurate) and, if
     /// the task has not stopped, takes one projected SGD step with the epoch's
     /// *mean* gradient `w ← Π_W[w − η(t)·(Σĝ)/k]`.
-    pub fn apply_aggregate(&mut self, epoch: &EpochAggregate) -> Result<CheckinOutcome> {
+    pub fn apply_aggregate(&mut self, epoch: &EpochAggregate) -> Result<CheckinReceipt> {
         if epoch.gradient_sum.len() != self.params.len() {
             return Err(CoreError::Protocol(format!(
                 "epoch gradient has dimension {}, expected {}",
@@ -826,7 +827,7 @@ impl<M: Model> Server<M> {
         }
 
         if self.stopped() {
-            return Ok(CheckinOutcome {
+            return Ok(CheckinReceipt {
                 accepted: false,
                 iteration: self.iteration,
                 stopped: true,
@@ -847,7 +848,7 @@ impl<M: Model> Server<M> {
             .map_err(|e| CoreError::Protocol(format!("update failed: {e}")))?;
         project_l2_ball(&mut self.params, self.config.radius);
 
-        Ok(CheckinOutcome {
+        Ok(CheckinReceipt {
             accepted: true,
             iteration: self.iteration,
             stopped: self.stopped(),

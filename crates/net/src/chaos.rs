@@ -2,7 +2,7 @@
 //! [`FaultPlan`].
 //!
 //! The driver steps a fleet of devices round-robin from ONE thread against a
-//! live [`NetServer`]: each device observes its next sample and, when its
+//! live [`ReactorServer`]: each device observes its next sample and, when its
 //! minibatch fills, checks out, computes, and checks in — retrying through
 //! whatever the fault shim injects until the checkin is acknowledged. The
 //! sequential schedule is the determinism anchor: checkins are applied in
@@ -22,7 +22,6 @@
 
 use crate::client::{CheckinOutcome, DeviceClient, RetryPolicy, RoundSession};
 use crate::reactor_server::{ReactorServer, ReactorServerHandle};
-use crate::server::{NetServer, NetServerHandle};
 use crate::{NetError, Result};
 use crowd_core::config::{DeviceConfig, PrivacyConfig, RoundSettings, ServerConfig};
 use crowd_core::device::{CheckinPayload, Device, DeviceAction};
@@ -33,7 +32,6 @@ use crowd_proto::auth::{AuthToken, TokenRegistry};
 use crowd_proto::message::ErrorCode;
 use crowd_rounds::Role;
 use crowd_sim::chaos::FaultPlan;
-use crowd_store::RecoveryReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -42,134 +40,6 @@ use std::time::Duration;
 
 /// Cap on recorded trace lines, so a pathological run cannot balloon memory.
 const MAX_TRACE_LINES: usize = 10_000;
-
-/// Which server implementation a harness drives. Both speak the identical
-/// wire protocol through the shared `ServerCore`, so every chaos/determinism
-/// suite can run unchanged against either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerKind {
-    /// Thread-per-connection [`NetServer`].
-    Threaded,
-    /// Event-driven [`ReactorServer`] (fixed reactor thread pool).
-    Reactor,
-}
-
-impl ServerKind {
-    /// Reads the `CROWD_SERVER` environment toggle: `"reactor"` (any case)
-    /// selects the reactor server, anything else — including unset — the
-    /// threaded one. CI uses this to re-run the chaos suite against the
-    /// reactor without touching the tests.
-    pub fn from_env() -> ServerKind {
-        match std::env::var("CROWD_SERVER") {
-            Ok(v) if v.eq_ignore_ascii_case("reactor") => ServerKind::Reactor,
-            _ => ServerKind::Threaded,
-        }
-    }
-
-    /// Starts a server of this kind; same contract as [`NetServer::start`].
-    pub fn start(
-        self,
-        model: MulticlassLogistic,
-        config: ServerConfig,
-        tokens: TokenRegistry,
-    ) -> Result<AnyServerHandle> {
-        match self {
-            ServerKind::Threaded => {
-                NetServer::start(model, config, tokens).map(AnyServerHandle::Threaded)
-            }
-            ServerKind::Reactor => {
-                ReactorServer::start(model, config, tokens).map(AnyServerHandle::Reactor)
-            }
-        }
-    }
-}
-
-/// A server handle abstracted over [`ServerKind`], delegating the full
-/// observation/shutdown surface shared by [`NetServerHandle`] and
-/// [`ReactorServerHandle`].
-pub enum AnyServerHandle {
-    /// Handle to a threaded server.
-    Threaded(NetServerHandle),
-    /// Handle to a reactor server.
-    Reactor(ReactorServerHandle),
-}
-
-macro_rules! delegate {
-    ($self:ident, $h:ident => $body:expr) => {
-        match $self {
-            AnyServerHandle::Threaded($h) => $body,
-            AnyServerHandle::Reactor($h) => $body,
-        }
-    };
-}
-
-impl AnyServerHandle {
-    /// The address the server is listening on.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        delegate!(self, h => h.addr())
-    }
-
-    /// Current server iteration (number of applied epochs).
-    pub fn iteration(&self) -> u64 {
-        delegate!(self, h => h.iteration())
-    }
-
-    /// A copy of the current parameters.
-    pub fn params(&self) -> Vector {
-        delegate!(self, h => h.params())
-    }
-
-    /// Whether the stopping criterion has been met.
-    pub fn stopped(&self) -> bool {
-        delegate!(self, h => h.stopped())
-    }
-
-    /// The total number of samples reported by devices.
-    pub fn total_samples(&self) -> u64 {
-        delegate!(self, h => h.total_samples())
-    }
-
-    /// The privately estimated error rate, if any samples were reported.
-    pub fn error_estimate(&self) -> Option<f64> {
-        delegate!(self, h => h.error_estimate())
-    }
-
-    /// A snapshot of the aggregation-runtime counters.
-    pub fn runtime_stats(&self) -> crowd_telemetry::MetricsSnapshot {
-        delegate!(self, h => h.runtime_stats())
-    }
-
-    /// What the recovery path found at bind time.
-    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        delegate!(self, h => h.recovery_report())
-    }
-
-    /// The per-device ε ledger, ascending by device id.
-    pub fn budget_ledger(&self) -> Vec<(u64, f64)> {
-        delegate!(self, h => h.budget_ledger())
-    }
-
-    /// `true` when the device has spent its entire privacy budget.
-    pub fn budget_exhausted(&self, device_id: u64) -> bool {
-        delegate!(self, h => h.budget_exhausted(device_id))
-    }
-
-    /// Settles the open cohort round without stopping the server, so the
-    /// ledger can be read consistently mid-run.
-    pub fn settle_rounds(&self) {
-        delegate!(self, h => h.settle_rounds())
-    }
-
-    /// Gracefully stops the server.
-    pub fn shutdown(self) {
-        delegate!(self, h => h.shutdown())
-    }
-
-    /// Crash-stops the server (simulated SIGKILL; see the per-kind docs).
-    pub fn kill(self) {
-        delegate!(self, h => h.kill())
-    }
-}
 
 /// Configuration of one chaos run: the workload plus the fault plan.
 #[derive(Debug, Clone)]
@@ -202,9 +72,6 @@ pub struct ChaosCluster {
     pub data_dir: Option<PathBuf>,
     /// Shared secret for device auth tokens.
     pub auth_secret: u64,
-    /// Which server implementation to run; read from the `CROWD_SERVER`
-    /// environment variable at construction.
-    pub server_kind: ServerKind,
 }
 
 /// What a chaos run left behind: final server state plus the counters the
@@ -275,7 +142,6 @@ impl ChaosCluster {
             rounds: None,
             data_dir: None,
             auth_secret: 0xC4A05,
-            server_kind: ServerKind::from_env(),
         }
     }
 
@@ -326,13 +192,11 @@ impl Driver {
         config
     }
 
-    fn start_server(&self) -> Result<AnyServerHandle> {
+    fn start_server(&self) -> Result<ReactorServerHandle> {
         let model = MulticlassLogistic::new(self.opts.dim, self.opts.classes)?;
         let tokens =
             TokenRegistry::with_derived_tokens(self.opts.devices as u64, self.opts.auth_secret);
-        self.opts
-            .server_kind
-            .start(model, self.server_config(), tokens)
+        ReactorServer::start(model, self.server_config(), tokens)
     }
 
     /// Per-device local data stream, derived from the seed alone (never from
@@ -351,7 +215,6 @@ impl Driver {
     fn run(mut self) -> Result<ChaosReport> {
         let opts = self.opts.clone();
         self.log(opts.plan.describe());
-        self.log(format!("server kind: {:?}", opts.server_kind));
         let mut handle = self.start_server()?;
         let model = MulticlassLogistic::new(opts.dim, opts.classes)?;
         let faults = Arc::new(opts.plan.transport);
@@ -816,24 +679,5 @@ mod tests {
     fn crash_plan_without_data_dir_is_rejected() {
         let cluster = ChaosCluster::new(FaultPlan::full(1, 100));
         assert!(cluster.run().is_err());
-    }
-
-    #[test]
-    fn reactor_server_matches_threaded_bitwise_on_fault_free_runs() {
-        // The sequential chaos schedule applies checkins in program order, so
-        // the two servers — sharing ServerCore and AggRuntime — must land on
-        // bitwise-identical parameters and ledgers for the same seed.
-        let mut threaded = ChaosCluster::new(FaultPlan::fault_free(17));
-        threaded.server_kind = ServerKind::Threaded;
-        let mut reactor = ChaosCluster::new(FaultPlan::fault_free(17));
-        reactor.server_kind = ServerKind::Reactor;
-        let a = threaded.run().unwrap();
-        let b = reactor.run().unwrap();
-        assert_eq!(a.params.as_slice(), b.params.as_slice());
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.ledger, b.ledger);
-        assert_eq!(a.acked_checkins, b.acked_checkins);
-        assert_eq!(a.total_samples, b.total_samples);
-        assert!(b.trace.iter().any(|line| line.contains("Reactor")));
     }
 }

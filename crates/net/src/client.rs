@@ -838,7 +838,7 @@ impl RoundSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::NetServer;
+    use crate::reactor_server::ReactorServer;
     use crowd_core::config::ServerConfig;
     use crowd_learning::MulticlassLogistic;
     use crowd_proto::auth::TokenRegistry;
@@ -849,7 +849,7 @@ mod tests {
     fn checkout_and_checkin_against_live_server() {
         let model = MulticlassLogistic::new(3, 2).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(2, 5);
-        let handle = NetServer::start(model, ServerConfig::new(), tokens).unwrap();
+        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
         let client = DeviceClient::builder(handle.addr(), 1, AuthToken::derive(1, 5)).build();
         assert_eq!(client.device_id(), 1);
 
@@ -880,7 +880,7 @@ mod tests {
     fn batch_checkin_amortizes_framing() {
         let model = MulticlassLogistic::new(3, 2).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(2, 5);
-        let handle = NetServer::start(model, ServerConfig::new(), tokens).unwrap();
+        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
         let client = DeviceClient::builder(handle.addr(), 1, AuthToken::derive(1, 5)).build();
         let payloads: Vec<crowd_core::device::CheckinPayload> = (0..3)
             .map(|i| crowd_core::device::CheckinPayload {
@@ -926,7 +926,7 @@ mod tests {
         let model = MulticlassLogistic::new(3, 2).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(2, 5);
         let config = ServerConfig::new().with_budget(0.25, f64::INFINITY);
-        let handle = NetServer::start(model, config, tokens).unwrap();
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
         let client = DeviceClient::builder(handle.addr(), 1, AuthToken::derive(1, 5)).build();
         let payload = crowd_core::device::CheckinPayload {
             device_id: 1,
@@ -983,7 +983,7 @@ mod tests {
         // semantics for all of them.
         let model = MulticlassLogistic::new(3, 2).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(2, 5);
-        let handle = NetServer::start(model, ServerConfig::new(), tokens).unwrap();
+        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
         let client = DeviceClient::builder(handle.addr(), 1, AuthToken::derive(1, 5)).build();
         let actions = [
             FaultAction::DropBeforeSend,
@@ -1042,7 +1042,7 @@ mod tests {
     fn unauthorized_client_gets_server_error() {
         let model = MulticlassLogistic::new(3, 2).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(1, 5);
-        let handle = NetServer::start(model, ServerConfig::new(), tokens).unwrap();
+        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
         let bad = DeviceClient::builder(handle.addr(), 0, AuthToken::derive(0, 999)).build();
         match bad.checkout() {
             Err(NetError::ServerError { .. }) => {}
@@ -1061,7 +1061,7 @@ mod tests {
                 .with_deadline_epochs(100),
         );
         let tokens = TokenRegistry::with_derived_tokens(2, 5);
-        let handle = NetServer::start(model, config, tokens).unwrap();
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
         let clients: Vec<DeviceClient> = (0..2)
             .map(|d| DeviceClient::builder(handle.addr(), d, AuthToken::derive(d, 5)).build())
             .collect();
@@ -1114,7 +1114,7 @@ mod tests {
     fn join_round_on_a_free_running_server_is_a_protocol_error() {
         let model = MulticlassLogistic::new(3, 2).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(1, 5);
-        let handle = NetServer::start(model, ServerConfig::new(), tokens).unwrap();
+        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
         let client = DeviceClient::builder(handle.addr(), 0, AuthToken::derive(0, 5)).build();
         match client.join_round() {
             Err(NetError::Round(_)) => {}
@@ -1134,7 +1134,7 @@ mod tests {
             .unwrap();
         let model = MulticlassLogistic::new(6, 3).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(1, 7);
-        let handle = NetServer::start(model, ServerConfig::new(), tokens).unwrap();
+        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
         let client = DeviceClient::builder(handle.addr(), 0, AuthToken::derive(0, 7)).build();
         let model = MulticlassLogistic::new(6, 3).unwrap();
         let report = client

@@ -5,7 +5,7 @@
 //! It backs the `federated_network` example and the cross-crate integration tests.
 
 use crate::client::{DeviceClient, DeviceReport};
-use crate::server::NetServer;
+use crate::reactor_server::ReactorServer;
 use crate::Result;
 use crossbeam::channel;
 use crowd_core::config::{DeviceConfig, PrivacyConfig, ServerConfig};
@@ -100,7 +100,7 @@ impl LocalCluster {
             server_config.budget.per_checkin_epsilon =
                 self.privacy.budget.total_per_checkin(num_classes);
         }
-        let handle = NetServer::start(model, server_config, tokens)?;
+        let handle = ReactorServer::start(model, server_config, tokens)?;
         let addr = handle.addr();
 
         let (tx, rx) = channel::unbounded::<(usize, Result<DeviceReport>)>();

@@ -1,18 +1,16 @@
-//! Event-driven Crowd-ML TCP server on the `crowd-reactor` core.
+//! The Crowd-ML TCP server: Server Routines 1–2 for the whole crowd, on the
+//! `crowd-reactor` core.
 //!
-//! Serves the same protocol as [`crate::NetServer`] — same
-//! [`crate::service::ServerCore`], same replies byte for byte — but instead of
-//! one thread per connection, a small fixed pool of reactor threads
-//! multiplexes every connection through nonblocking sockets and resumable
-//! frame state machines. The differences that matter at 10k devices:
+//! A small fixed pool of reactor threads multiplexes every connection
+//! through nonblocking sockets and resumable frame state machines; request
+//! handling lives in `crate::service`. What that buys at 10k devices:
 //!
 //! * **Thread count is O(reactor threads), not O(connections).** An idle or
 //!   slow device costs a slab slot and a parked socket, not a stack.
 //! * **Backpressure is read throttling, not Busy spam.** When the ingest
 //!   queue is full, the connection is parked with read interest disarmed; TCP
 //!   flow control pushes back to the device, and the parked gradient is
-//!   re-admitted as soon as the queue drains. The threaded server instead
-//!   replies `Busy` and makes the device retry the full upload.
+//!   re-admitted as soon as the queue drains — the device never re-uploads.
 //! * **Nothing waits for an ack.** A checkin is run to completion on the
 //!   reactor thread that decoded it whenever the aggregation runtime allows
 //!   (a volatile runtime whose core lock is free that instant); otherwise it
@@ -21,20 +19,17 @@
 //!   straight to the connection's reactor thread. The per-reactor completion
 //!   pump runs only what really blocks: masked round submissions, which take
 //!   the aggregation core lock, and batch checkins.
-//!
-//! [`ReactorServerHandle`] mirrors [`crate::NetServerHandle`] method for
-//! method, so harnesses (chaos, cluster, benches) can drive either server
-//! through one surface — see `crate::chaos::AnyServerHandle`.
 
-use crate::server::build_runtime;
 use crate::service::{handle_event, ServerCore};
 use crate::Result;
+use crowd_agg::{AggError, AggRuntime};
 use crowd_core::config::ServerConfig;
+use crowd_core::server::Server;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::Vector;
 use crowd_proto::auth::TokenRegistry;
 use crowd_reactor::{Ctx, Reactor, ReactorConfig, ReactorStats};
-use crowd_store::RecoveryReport;
+use crowd_store::{RecoveryReport, Store};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
@@ -45,10 +40,30 @@ const DRAIN_POLLS: usize = 10_000;
 /// The event-driven Crowd-ML TCP server.
 pub struct ReactorServer;
 
+/// Builds the aggregation runtime `config` describes: through the recovery
+/// path when `config.persist` names a data directory, volatile otherwise.
+pub(crate) fn build_runtime(
+    model: MulticlassLogistic,
+    config: ServerConfig,
+) -> Result<(AggRuntime<MulticlassLogistic>, Option<RecoveryReport>)> {
+    if config.persist.is_enabled() {
+        let (store, server, report) = Store::open(model, config).map_err(AggError::from)?;
+        Ok((AggRuntime::with_store(server, Some(store))?, Some(report)))
+    } else {
+        Ok((AggRuntime::new(Server::new(model, config)?)?, None))
+    }
+}
+
 impl ReactorServer {
-    /// Starts a reactor server on `127.0.0.1` (ephemeral port) with the
-    /// default reactor tuning. Model, aggregation, persistence, and token
-    /// semantics are identical to [`crate::NetServer::start`].
+    /// Starts a server on `127.0.0.1` (ephemeral port) for the given model,
+    /// configuration, and device-token registry, with the default reactor
+    /// tuning. The aggregation runtime is configured by `config.agg`.
+    ///
+    /// When `config.persist` names a data directory, the server binds through
+    /// the recovery path: the latest snapshot is loaded, the WAL tail replayed
+    /// (bitwise-identical state, including the per-device ε ledger), and every
+    /// applied epoch is WAL-logged before its checkins are acked; see
+    /// [`ReactorServerHandle::recovery_report`].
     pub fn start(
         model: MulticlassLogistic,
         config: ServerConfig,
@@ -86,7 +101,7 @@ impl ReactorServer {
     }
 }
 
-/// A handle to a running reactor server; mirrors [`crate::NetServerHandle`].
+/// A handle to a running server: address, shared state, and the reactor.
 pub struct ReactorServerHandle {
     addr: SocketAddr,
     core: Arc<ServerCore>,
@@ -171,8 +186,10 @@ impl ReactorServerHandle {
 
     /// Crash-stops the server, simulating a SIGKILL for recovery testing:
     /// in-flight and parked checkins are dropped unacknowledged, no final
-    /// flush or checkpoint snapshot is written. Same WAL-backed recovery
-    /// contract as [`crate::NetServerHandle::kill`].
+    /// flush or checkpoint snapshot is written. Everything already
+    /// acknowledged is in the WAL (appends happen before acks), so a
+    /// subsequent [`ReactorServer::start`] on the same data directory recovers
+    /// to exactly the acknowledged state via real snapshot-load + WAL-replay.
     pub fn kill(mut self) {
         self.core.runtime.kill();
         if let Some(reactor) = self.reactor.take() {
@@ -206,7 +223,7 @@ mod tests {
     use crowd_proto::auth::AuthToken;
     use crowd_proto::frame::{read_message, write_message};
     use crowd_proto::message::{
-        BatchCheckinRequest, CheckinRequest, CheckoutRequest, ErrorCode, ErrorReply,
+        BatchCheckinRequest, CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode, ErrorReply,
         GradientPayload, Message,
     };
     use crowd_proto::PROTOCOL_VERSION;
@@ -243,6 +260,10 @@ mod tests {
     #[test]
     fn checkout_and_checkin_round_trip() {
         let (handle, token) = start_test_server();
+        assert_eq!((handle.iteration(), handle.total_samples()), (0, 0));
+        assert_eq!(handle.error_estimate(), None);
+        let initial = handle.params();
+        assert_eq!(initial.len(), 12);
         let reply = roundtrip(
             handle.addr(),
             &Message::CheckoutRequest(CheckoutRequest {
@@ -253,7 +274,8 @@ mod tests {
         );
         assert!(matches!(
             reply,
-            Message::CheckoutResponse(r) if r.iteration == 0 && r.params.len() == 12
+            Message::CheckoutResponse(r)
+                if r.iteration == 0 && r.params.len() == 12 && !r.stopped
         ));
         let reply = roundtrip(
             handle.addr(),
@@ -262,6 +284,9 @@ mod tests {
         assert!(matches!(reply, Message::CheckinAck(ack) if ack.accepted && ack.iteration == 1));
         assert_eq!(handle.iteration(), 1);
         assert_eq!(handle.total_samples(), 2);
+        assert_eq!(handle.error_estimate(), Some(0.5));
+        assert!(!handle.stopped());
+        assert_ne!(handle.params().as_slice(), initial.as_slice());
         assert_eq!(handle.runtime_stats().get("checkins_applied"), 1);
         handle.shutdown();
     }
@@ -326,11 +351,12 @@ mod tests {
 
     #[test]
     fn checkin_replies_are_byte_equal_to_the_message_path_on_both_routes() {
-        use crate::service::ServerCore;
         use crowd_store::testutil::temp_dir;
         let tokens = || TokenRegistry::with_derived_tokens(4, 99);
         let model = || MulticlassLogistic::new(4, 3).unwrap();
-        let volatile = ServerConfig::new().with_max_iterations(2);
+        let volatile = ServerConfig::new()
+            .with_max_iterations(2)
+            .with_budget(0.25, f64::INFINITY);
         let dirs = [
             temp_dir("reply-bytes-reactor"),
             temp_dir("reply-bytes-oracle"),
@@ -368,6 +394,16 @@ mod tests {
             // was built.
             let timed = stats.histogram("req_checkin_us").map_or(0, |h| h.count());
             assert_eq!(timed, script.len() as u64);
+            // The same script leaves the same server behind, bit for bit,
+            // whichever path carried it.
+            let bits = |params: Vector| params.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(handle.stopped());
+            assert_eq!(handle.iteration(), oracle.runtime.iteration());
+            assert_eq!(handle.total_samples(), oracle.runtime.total_samples());
+            assert_eq!(bits(handle.params()), bits(oracle.runtime.params()));
+            // (ε charges are finite and positive, where `==` is bit equality.)
+            assert_eq!(handle.budget_ledger(), oracle.runtime.budget_ledger());
+            assert_eq!(handle.budget_ledger().len(), 3, "three devices charged");
             handle.shutdown();
             oracle.runtime.shutdown();
         }
@@ -377,59 +413,115 @@ mod tests {
     }
 
     #[test]
-    fn replies_match_threaded_server_for_error_paths() {
-        // The two servers share ServerCore, so the full refusal surface must
-        // be identical: bad token, bad version, unexpected type, batch mix.
+    fn error_path_replies_are_byte_equal_to_the_message_path() {
         let (handle, _token) = start_test_server();
-        let bad_token = roundtrip(
-            handle.addr(),
-            &Message::CheckoutRequest(CheckoutRequest {
-                version: PROTOCOL_VERSION,
+        let (runtime, _) =
+            build_runtime(MulticlassLogistic::new(4, 3).unwrap(), ServerConfig::new()).unwrap();
+        let oracle = ServerCore::new(runtime, TokenRegistry::with_derived_tokens(4, 99));
+        // The wire reply to `request` must be the message path's, byte for
+        // byte; returns that reply decoded.
+        let exchange = |what: &str, request: Message| {
+            let reply = oracle.handle_message(request.clone());
+            let mut expected = Vec::new();
+            write_message(&mut expected, &reply).unwrap();
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            assert_eq!(raw_exchange(&mut stream, &request), expected, "{what}");
+            reply
+        };
+        let checkout = |version, secret| {
+            Message::CheckoutRequest(CheckoutRequest {
+                version,
                 device_id: 0,
-                token: AuthToken::derive(0, 12345),
-            }),
-        );
-        assert!(matches!(
-            bad_token,
-            Message::Error(ErrorReply {
-                code: ErrorCode::Unauthorized,
-                ..
+                token: AuthToken::derive(0, secret),
             })
-        ));
-        let bad_version = roundtrip(
-            handle.addr(),
-            &Message::CheckoutRequest(CheckoutRequest {
-                version: 999,
-                device_id: 0,
-                token: AuthToken::derive(0, 99),
-            }),
-        );
-        assert!(matches!(
-            bad_version,
-            Message::Error(ErrorReply {
-                code: ErrorCode::BadRequest,
-                ..
-            })
-        ));
-        let batch = roundtrip(
-            handle.addr(),
-            &Message::BatchCheckinRequest(BatchCheckinRequest {
-                items: vec![
-                    checkin_item(1, 99, vec![0.1; 12]),
-                    checkin_item(2, 99, vec![0.5; 3]),
-                    checkin_item(3, 12345, vec![0.1; 12]),
-                ],
-            }),
-        );
-        match batch {
+        };
+        let not_a_request = Message::CheckinAck(CheckinAck {
+            accepted: true,
+            iteration: 0,
+            stopped: false,
+            deduped: false,
+        });
+        for (what, request, code) in [
+            (
+                "bad token",
+                checkout(PROTOCOL_VERSION, 12345),
+                ErrorCode::Unauthorized,
+            ),
+            ("bad version", checkout(999, 99), ErrorCode::BadRequest),
+            (
+                "unexpected message type",
+                not_a_request,
+                ErrorCode::BadRequest,
+            ),
+        ] {
+            let reply = exchange(what, request);
+            assert!(
+                matches!(&reply, Message::Error(e) if e.code == code),
+                "{what}: {reply:?}"
+            );
+        }
+        // Devices 1–3 share a frame; device 2 carries a malformed gradient,
+        // device 3 a bad token — each item is judged independently.
+        let batch = Message::BatchCheckinRequest(BatchCheckinRequest {
+            items: vec![
+                checkin_item(1, 99, vec![0.1; 12]),
+                checkin_item(2, 99, vec![0.5; 3]),
+                checkin_item(3, 12345, vec![0.1; 12]),
+            ],
+        });
+        match exchange("batch mix", batch) {
             Message::BatchCheckinAck(ack) => {
                 assert_eq!(ack.acks.len(), 3);
                 assert!(ack.acks[0].accepted);
+                assert_eq!(ack.acks[0].reject, None);
+                assert!(!ack.acks[1].accepted);
                 assert_eq!(ack.acks[1].reject, Some(ErrorCode::BadRequest));
+                assert!(!ack.acks[2].accepted);
                 assert_eq!(ack.acks[2].reject, Some(ErrorCode::Unauthorized));
             }
             other => panic!("unexpected reply {other:?}"),
         }
+        assert_eq!(handle.iteration(), 1);
+        handle.shutdown();
+        oracle.runtime.shutdown();
+    }
+
+    #[test]
+    fn exhausted_device_is_refused_checkout_and_checkin() {
+        let model = MulticlassLogistic::new(4, 3).unwrap();
+        let tokens = TokenRegistry::with_derived_tokens(4, 99);
+        // Two 0.6-ε checkins cross the 1.0 ceiling.
+        let config = ServerConfig::new().with_budget(0.6, 1.0);
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
+        let checkin = |device_id, nonce| {
+            let mut item = checkin_item(device_id, 99, vec![0.1; 12]);
+            item.nonce = nonce;
+            roundtrip(handle.addr(), &Message::CheckinRequest(item))
+        };
+        let exhausted = ErrorCode::BudgetExhausted;
+        let refused = |reply: &Message| matches!(reply, Message::Error(e) if e.code == exhausted);
+        for step in 0..2u64 {
+            assert!(
+                matches!(checkin(1, step), Message::CheckinAck(ack) if ack.accepted),
+                "checkin {step} should be accepted"
+            );
+        }
+        assert!(handle.budget_exhausted(1));
+        let refused_checkout = roundtrip(
+            handle.addr(),
+            &Message::CheckoutRequest(CheckoutRequest {
+                version: PROTOCOL_VERSION,
+                device_id: 1,
+                token: AuthToken::derive(1, 99),
+            }),
+        );
+        assert!(refused(&refused_checkout), "{refused_checkout:?}");
+        let refused_checkin = checkin(1, 2);
+        assert!(refused(&refused_checkin), "{refused_checkin:?}");
+        // Device 2 is untouched.
+        assert!(!handle.budget_exhausted(2));
+        assert!(matches!(checkin(2, 0), Message::CheckinAck(ack) if ack.accepted));
+        assert_eq!(handle.budget_ledger(), vec![(1, 1.2), (2, 0.6)]);
         handle.shutdown();
     }
 
@@ -465,10 +557,10 @@ mod tests {
 
     #[test]
     fn full_queue_throttles_instead_of_busy() {
-        // Same saturation shape as the threaded server's busy test — but the
-        // reactor parks connections instead of replying Busy, and the parked
-        // checkins all resolve at the shutdown flush. Devices never see a
-        // Busy frame on this path.
+        // A queue nothing drains (an epoch of u64::MAX, no idle flush)
+        // saturates deterministically. The reactor parks the connections
+        // instead of replying Busy, and the parked checkins all resolve at
+        // the shutdown flush: devices never see a Busy frame.
         let model = MulticlassLogistic::new(4, 3).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(4, 99);
         let config = ServerConfig::new().with_agg(crowd_core::config::AggSettings {
@@ -543,6 +635,8 @@ mod tests {
         let handle = ReactorServer::start(model(), config, tokens()).unwrap();
         let report = handle.recovery_report().unwrap();
         assert!(report.recovered());
+        assert!(report.from_snapshot);
+        assert_eq!(report.replayed_epochs, 1);
         assert_eq!(handle.iteration(), 3);
         assert_eq!(handle.params().as_slice(), params_at_kill.as_slice());
         assert_eq!(handle.budget_ledger(), ledger_at_kill);
@@ -572,5 +666,47 @@ mod tests {
         drop(stream);
         drop(second);
         handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_prompt_under_concurrent_connects() {
+        // Shutdown completes promptly even while a client thread hammers
+        // connects, some landing before `stop_accepting` and some after.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for _round in 0..5 {
+            let (handle, _token) = start_test_server();
+            let addr = handle.addr();
+            let hammer_stop = Arc::new(AtomicBool::new(false));
+            let hammer_flag = Arc::clone(&hammer_stop);
+            let (connected_tx, connected_rx) = std::sync::mpsc::sync_channel(1);
+            let hammer = std::thread::spawn(move || {
+                let mut opened = Vec::new();
+                while !hammer_flag.load(Ordering::SeqCst) {
+                    // A rolling window of idle connections plus a steady
+                    // stream of fresh ones.
+                    if let Ok(stream) = TcpStream::connect(addr) {
+                        let _ = connected_tx.try_send(());
+                        opened.push(stream);
+                        if opened.len() > 8 {
+                            opened.remove(0);
+                        }
+                    }
+                }
+            });
+            // Shut down once the hammer is landing connects, on a thread of
+            // its own so a channel timeout can bound the wait.
+            connected_rx.recv().expect("the hammer connects");
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let closer = std::thread::spawn(move || {
+                handle.shutdown();
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("shutdown stalled behind concurrent client connects");
+            hammer_stop.store(true, Ordering::SeqCst);
+            let _ = hammer.join();
+            let _ = closer.join();
+        }
     }
 }

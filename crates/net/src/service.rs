@@ -1,21 +1,28 @@
-//! Transport-independent request handling shared by the threaded
-//! [`crate::server::NetServer`] and the event-driven
-//! [`crate::reactor_server::ReactorServer`].
+//! Request handling for [`crate::reactor_server::ReactorServer`], kept apart
+//! from the transport: authentication against the [`TokenRegistry`], the
+//! [`AggRuntime`] behind every reply, and the mapping from requests to wire
+//! replies, through two entry points over the same state.
 //!
-//! Both servers authenticate against the same [`TokenRegistry`], serve the
-//! same [`AggRuntime`], and produce byte-identical replies; only the I/O model
-//! differs. The blocking entry point ([`ServerCore::handle_message`]) waits
-//! for checkin completions inline; the event entry point ([`handle_event`])
-//! maps the same requests onto [`crowd_reactor::Response`] so a reactor
-//! thread never blocks: checkouts answer immediately; a checkin is run to
-//! completion on the reactor thread when the aggregation runtime lets it
-//! (`AggRuntime::submit_to`) and is otherwise acknowledged by whichever
-//! aggregation thread settles it, through the request's
-//! [`crowd_reactor::Completer`] — nothing waits for an ack; and a full ingest
-//! queue *parks* the connection (read throttling) instead of emitting a Busy
-//! reply. Only requests that really block — masked round submissions, which
-//! take the aggregation core lock, and batch checkins — run on the reactor's
-//! completion pump.
+//! [`handle_event`] is what the reactor calls. It maps requests onto
+//! [`crowd_reactor::Response`] so a reactor thread never blocks: checkouts
+//! answer immediately; a checkin is run to completion on the reactor thread
+//! when the aggregation runtime lets it (`AggRuntime::submit_to`) and is
+//! otherwise acknowledged by whichever aggregation thread settles it, through
+//! the request's [`crowd_reactor::Completer`] — nothing waits for an ack.
+//! Only requests that really block — masked round submissions, which take
+//! the aggregation core lock, and batch checkins — run on the reactor's
+//! completion pump. [`ServerCore::handle_message`] is the blocking
+//! `Message`-in, `Message`-out form: the pump runs it for batches, and its
+//! checkout and checkin arms are the reference the event path is tested
+//! against.
+//!
+//! Backpressure on the wire: a single checkin is never answered with a
+//! top-level [`Message::Busy`]. A full ingest queue *parks* the connection
+//! (read throttling) and the reactor re-admits the decoded payload as the
+//! queue drains, so the device sees a quiet socket, not a retry request.
+//! `Busy` survives as a per-item [`BatchAck::reject`] code — a batch cannot
+//! park item by item — and stays in wire v6; the client's handling of a
+//! top-level `Busy` stays too, as validation of what a server may send.
 //!
 //! A checkout reply depends only on the published parameter snapshot and the
 //! open round, so the reactor path encodes it once per `(snapshot, round)` —
@@ -31,7 +38,7 @@ use crowd_agg::{
     SubmitRejection, Submitted,
 };
 use crowd_core::device::CheckinPayload;
-use crowd_core::server::{CheckinOutcome, PendingSubmission};
+use crowd_core::server::{CheckinReceipt, PendingSubmission};
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::{GradientUpdate, QuantizedVector, SparseVector, Vector};
 use crowd_proto::auth::TokenRegistry;
@@ -92,9 +99,12 @@ impl ServerCore {
         }
     }
 
-    /// Handles one request, blocking until the reply is known. Used by the
-    /// thread-per-connection server and (for batch requests) the reactor's
-    /// completion pump. Request latency is recorded per message type.
+    /// Handles one request, blocking until the reply is known. The reactor
+    /// serves batch and metrics requests through it (batches on the completion
+    /// pump); its checkout and checkin arms are the `Message`-path reference
+    /// that `checkin_replies_are_byte_equal_to_the_message_path_on_both_routes`
+    /// and this module's tests hold the event path's bytes to. Request latency
+    /// is recorded per message type.
     pub(crate) fn handle_message(&self, message: Message) -> Message {
         let hist = match &message {
             Message::CheckoutRequest(_) => Some(HistogramId::ReqCheckoutUs),
@@ -585,7 +595,7 @@ pub(crate) fn wait_ack(handle: CompletionHandle) -> std::result::Result<CheckinA
 }
 
 /// The wire acknowledgement of a settled checkin.
-fn ack_of(outcome: CheckinOutcome) -> CheckinAck {
+fn ack_of(outcome: CheckinReceipt) -> CheckinAck {
     CheckinAck {
         accepted: outcome.accepted,
         iteration: outcome.iteration,
@@ -665,7 +675,7 @@ pub(crate) fn round_outdated_reply(current_round: u64) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::build_runtime;
+    use crate::reactor_server::build_runtime;
     use crowd_core::config::{RoundSettings, ServerConfig};
     use crowd_proto::auth::AuthToken;
     use crowd_proto::codec::decode;

@@ -1,9 +1,9 @@
 //! Event-driven server core for the Crowd-ML TCP deployment.
 //!
-//! The threaded [`crowd-net`] server dedicates one OS thread (and two blocking
-//! syscalls' worth of latency) to every connected device; at thousands of
-//! devices the scheduler, stack memory, and context switches dominate. This
-//! crate replaces that model with a classic reactor:
+//! A server that dedicates one OS thread (and two blocking syscalls' worth of
+//! latency) to every connected device is dominated, at thousands of devices,
+//! by the scheduler, stack memory, and context switches. This crate serves
+//! `crowd-net` with a classic reactor instead:
 //!
 //! * a small **fixed pool of reactor threads**, each running a readiness loop
 //!   over a [`polling::Poller`] (epoll on Linux, `poll(2)` fallback),

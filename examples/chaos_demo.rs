@@ -57,8 +57,8 @@ fn main() {
     check_ledger(&chaotic, eps);
     println!("  bitwise match with the fault-free reference — OK");
     // The volatile run's share of checkins that ran to completion on the
-    // thread that decoded them (non-zero on the reactor server only); the
-    // durable dump below must read 0. The CI metrics gate checks both.
+    // thread that decoded them; the durable dump below must read 0. The CI
+    // metrics gate checks both.
     println!(
         "phase1 counter checkins_inline {}",
         chaotic.metrics.get("checkins_inline")

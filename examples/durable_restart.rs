@@ -16,7 +16,7 @@ use crowd_ml::core::config::ServerConfig;
 use crowd_ml::core::device::CheckinPayload;
 use crowd_ml::learning::MulticlassLogistic;
 use crowd_ml::linalg::Vector;
-use crowd_ml::net::{DeviceClient, NetServer};
+use crowd_ml::net::{DeviceClient, ReactorServer};
 use crowd_ml::proto::auth::{AuthToken, TokenRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,7 +73,7 @@ fn main() {
     let stream = payloads();
 
     println!("Phase 1: durable server, {CRASH_AFTER} checkins, then SIGKILL-style crash");
-    let server = NetServer::start(
+    let server = ReactorServer::start(
         model(),
         config.clone(),
         TokenRegistry::with_derived_tokens(DEVICES, SECRET),
@@ -88,7 +88,7 @@ fn main() {
     println!("  killed at iteration {iteration_at_kill} (no flush, no checkpoint)");
 
     println!("Phase 2: restart from {}", data_dir.display());
-    let server = NetServer::start(
+    let server = ReactorServer::start(
         model(),
         config,
         TokenRegistry::with_derived_tokens(DEVICES, SECRET),

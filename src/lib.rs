@@ -12,7 +12,7 @@
 //! * [`learning`] — models, losses, SGD, schedules, metrics.
 //! * [`sim`] — discrete-event simulation of asynchronous devices and delays.
 //! * [`proto`] — wire protocol for device/server communication.
-//! * [`net`] — TCP deployment of the protocol (threaded and reactor servers).
+//! * [`net`] — TCP deployment of the protocol (reactor server, device client).
 //! * [`reactor`] — dependency-free event-driven I/O core: poller-backed
 //!   nonblocking server runtime with resumable frame state machines.
 //! * [`core`] — the Crowd-ML framework itself: device/server routines, baselines,

@@ -15,7 +15,7 @@ use crowd_ml::core::device::CheckinPayload;
 use crowd_ml::core::server::{EpochAggregate, Server, ServerState};
 use crowd_ml::learning::MulticlassLogistic;
 use crowd_ml::linalg::Vector;
-use crowd_ml::net::{DeviceClient, NetServer};
+use crowd_ml::net::{DeviceClient, ReactorServer};
 use crowd_ml::proto::auth::{AuthToken, TokenRegistry};
 use crowd_ml::store::testutil::temp_dir;
 use crowd_ml::store::Store;
@@ -298,7 +298,7 @@ fn tcp_server_killed_midway_resumes_identical_trajectory_body() {
     };
 
     // Uninterrupted reference over TCP, volatile server.
-    let reference = NetServer::start(model(), volatile_config(), tokens()).unwrap();
+    let reference = ReactorServer::start(model(), volatile_config(), tokens()).unwrap();
     drive(reference.addr(), &payloads);
     assert_eq!(reference.iteration(), n as u64);
     let reference_params = reference.params();
@@ -308,14 +308,14 @@ fn tcp_server_killed_midway_resumes_identical_trajectory_body() {
     // Durable run: crash-kill after `crash_after` acknowledged checkins.
     let dir = temp_dir("tcp");
     let config = durable_config(&dir, 3);
-    let server = NetServer::start(model(), config.clone(), tokens()).unwrap();
+    let server = ReactorServer::start(model(), config.clone(), tokens()).unwrap();
     drive(server.addr(), &payloads[..crash_after]);
     assert_eq!(server.iteration(), crash_after as u64);
     server.kill();
 
     // Restart from disk: recovery must report prior state, resume serving,
     // and the finished experiment must land on the reference bit for bit.
-    let server = NetServer::start(model(), config, tokens()).unwrap();
+    let server = ReactorServer::start(model(), config, tokens()).unwrap();
     let report = server.recovery_report().unwrap().clone();
     assert!(report.recovered(), "restart must recover prior state");
     assert_eq!(server.iteration(), crash_after as u64);

@@ -11,7 +11,7 @@ use crowd_ml::data::partition::{partition, PartitionStrategy};
 use crowd_ml::data::synthetic::GaussianMixtureSpec;
 use crowd_ml::learning::metrics::error_rate;
 use crowd_ml::learning::MulticlassLogistic;
-use crowd_ml::net::{DeviceClient, LocalCluster, NetError, NetServer};
+use crowd_ml::net::{DeviceClient, LocalCluster, NetError, ReactorServer};
 use crowd_ml::proto::auth::{AuthToken, TokenRegistry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,7 +89,7 @@ fn unauthenticated_devices_are_rejected() {
 fn unauthenticated_devices_are_rejected_body() {
     let model = MulticlassLogistic::new(4, 2).unwrap();
     let tokens = TokenRegistry::with_derived_tokens(2, 1234);
-    let handle = NetServer::start(model, ServerConfig::new(), tokens).expect("server start");
+    let handle = ReactorServer::start(model, ServerConfig::new(), tokens).expect("server start");
 
     // Correct token works.
     let good = DeviceClient::builder(handle.addr(), 1, AuthToken::derive(1, 1234)).build();
