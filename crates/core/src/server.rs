@@ -500,12 +500,16 @@ impl<M: Model> Server<M> {
     }
 
     /// Closes the open round and opens the next one: unmasks the survivors'
-    /// submissions (recomputing each one's full-cohort net mask — the dropout
-    /// compensation), folds them in ascending device order, and returns the
-    /// closed round id plus the finalization epoch (`None` when nobody
-    /// submitted). The caller applies the epoch through the ordinary
-    /// [`Server::apply_aggregate`] path, which is what makes the finalized
-    /// cohort sum bitwise identical to the unmasked equivalent.
+    /// submissions (recomputing each one's net mask over the round's mask
+    /// graph — the dropout compensation), folds them in ascending device
+    /// order, and returns the closed round id plus the finalization epoch
+    /// (`None` when nobody submitted). The caller applies the epoch through
+    /// the ordinary [`Server::apply_aggregate`] path, which is what makes the
+    /// finalized cohort sum bitwise identical to the unmasked equivalent.
+    ///
+    /// Submissions that admission would have refused (reachable only by
+    /// restoring state under a different configuration) are an error: they
+    /// are discarded and the round stays open.
     pub fn finalize_round(&mut self) -> Result<(u64, Option<EpochAggregate>)> {
         let settings = *self.config.rounds.as_ref().ok_or_else(|| {
             CoreError::Protocol("finalize_round on a server without rounds".into())
@@ -516,40 +520,35 @@ impl<M: Model> Server<M> {
             .as_mut()
             .ok_or_else(|| CoreError::Protocol("no open round".into()))?;
         let closed = round.round_id;
-        let epoch = if round.pending.is_empty() {
+        // The round is replaced below, so its submissions are moved out, not
+        // cloned. BTreeMap order is the ascending device order the
+        // deterministic fold requires.
+        let pending = std::mem::take(&mut round.pending);
+        let epoch = if pending.is_empty() {
             None
         } else {
-            let survivors: Vec<(u64, Vec<u64>)> = round
-                .pending
-                .values()
-                .map(|s| (s.device_id, s.words.clone()))
-                .collect();
-            let sum = crowd_rounds::finalize_sum(round.seed, &round.cohort, &survivors, dim)
-                .ok_or_else(|| {
-                    CoreError::Protocol("round survivors inconsistent with cohort".into())
-                })?;
-            let min_checkout_iteration = round
-                .pending
-                .values()
-                .map(|s| s.checkout_iteration)
-                .min()
-                .unwrap_or(0);
-            // BTreeMap iteration gives the ascending device order the
-            // deterministic fold requires.
-            let device_stats = round
-                .pending
-                .values()
-                .map(|s| DeviceEpochStats {
+            let checkin_count = pending.len() as u64;
+            let mut min_checkout_iteration = u64::MAX;
+            let mut device_stats = Vec::with_capacity(pending.len());
+            let mut survivors = Vec::with_capacity(pending.len());
+            for s in pending.into_values() {
+                min_checkout_iteration = min_checkout_iteration.min(s.checkout_iteration);
+                device_stats.push(DeviceEpochStats {
                     device_id: s.device_id,
                     checkins: 1,
                     samples: s.num_samples as u64,
                     errors: s.error_count,
-                    label_counts: s.label_counts.clone(),
-                })
-                .collect();
+                    label_counts: s.label_counts,
+                });
+                survivors.push((s.device_id, s.words));
+            }
+            let sum = crowd_rounds::finalize_sum(round.seed, &round.cohort, &survivors, dim)
+                .ok_or_else(|| {
+                    CoreError::Protocol("round survivors inconsistent with cohort".into())
+                })?;
             Some(EpochAggregate {
                 gradient_sum: Vector::from_vec(sum),
-                checkin_count: round.pending.len() as u64,
+                checkin_count,
                 min_checkout_iteration,
                 device_stats,
             })

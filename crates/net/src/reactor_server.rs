@@ -486,6 +486,34 @@ mod tests {
         oracle.runtime.shutdown();
     }
 
+    /// Wire v7 changed no message, only what a masked word means (sparse
+    /// ring masks instead of all-pairs): a v6 device must be turned away at
+    /// checkout, before it can learn a round to submit an all-pairs mask to.
+    #[test]
+    fn a_v6_checkout_is_refused_as_a_bad_version() {
+        let model = MulticlassLogistic::new(4, 3).unwrap();
+        let config = ServerConfig::new().with_rounds(crowd_core::config::RoundSettings::new(4));
+        let tokens = TokenRegistry::with_derived_tokens(4, 99);
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
+        let reply = roundtrip(
+            handle.addr(),
+            &Message::CheckoutRequest(CheckoutRequest {
+                version: 6,
+                device_id: 0,
+                token: AuthToken::derive(0, 99),
+            }),
+        );
+        assert!(
+            matches!(
+                &reply,
+                Message::Error(e) if e.code == ErrorCode::BadRequest
+                    && e.detail == "unsupported protocol version 6"
+            ),
+            "{reply:?}"
+        );
+        handle.shutdown();
+    }
+
     #[test]
     fn exhausted_device_is_refused_checkout_and_checkin() {
         let model = MulticlassLogistic::new(4, 3).unwrap();

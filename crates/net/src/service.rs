@@ -21,7 +21,7 @@
 //! (read throttling) and the reactor re-admits the decoded payload as the
 //! queue drains, so the device sees a quiet socket, not a retry request.
 //! `Busy` survives as a per-item [`BatchAck::reject`] code — a batch cannot
-//! park item by item — and stays in wire v6; the client's handling of a
+//! park item by item — and stays on the wire; the client's handling of a
 //! top-level `Busy` stays too, as validation of what a server may send.
 //!
 //! A checkout reply depends only on the published parameter snapshot and the

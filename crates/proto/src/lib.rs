@@ -45,5 +45,8 @@ pub type Result<T> = std::result::Result<T, ProtoError>;
 /// uploads select when their noise floor dominates the quantization error;
 /// version 6 added the round-based cohort protocol ([`message::RoundParams`]
 /// in checkouts, per-checkin `round_id`, the masked gradient encoding, and
-/// the `RoundOutdated` resync error).
-pub const PROTOCOL_VERSION: u16 = 6;
+/// the `RoundOutdated` resync error); version 7 changed no message but the
+/// meaning of a masked word — `crowd-rounds` masks toward `2⌈log₂ n⌉` ring
+/// neighbours instead of every cohort peer, and a version-6 device's
+/// all-pairs submission would unmask into garbage without any error.
+pub const PROTOCOL_VERSION: u16 = 7;

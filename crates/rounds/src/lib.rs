@@ -11,11 +11,20 @@
 //!   the ascending list of selected ids ([`cohort`]); if the coin flips leave
 //!   it empty, the whole population is the cohort (a deterministic fallback,
 //!   never a stall).
-//! * **Pair masks.** Every unordered cohort pair `{a, b}` shares a mask
-//!   stream seeded by `(seed, a, b)` ([`pair_mask`]). Device `d`'s *net* mask
-//!   adds the pair mask toward every higher-id partner and subtracts it
-//!   toward every lower-id partner ([`net_mask`]), so summed over the full
-//!   cohort the masks cancel exactly.
+//! * **Pair masks.** The round's *mask graph* places the cohort on a ring in
+//!   the order of `mix(seed, mix(id, RING_SALT))` and pairs every member with
+//!   the `⌈log₂ n⌉` members on either side of it — degree `2⌈log₂ n⌉`, the
+//!   structure Bell et al., "Secure Single-Server Aggregation with
+//!   (Poly)Logarithmic Overhead" (CCS 2020), prove sufficient for
+//!   Bonawitz-style secure aggregation. A cohort of `n ≤ 9` is masked over
+//!   all pairs instead: `2⌈log₂ n⌉ ≥ n − 1` there (the ring would reach
+//!   everyone anyway) except at `n = 8`, which is rounded up to complete.
+//!   The degree is a function of the cohort size alone. Each paired `{a, b}`
+//!   shares a mask stream seeded by `(seed, a, b)` ([`pair_mask`]). Device
+//!   `d`'s *net* mask adds the stream toward every higher-id neighbour and
+//!   subtracts it toward every lower-id neighbour ([`net_mask`]); the
+//!   neighbour relation is symmetric, so summed over the full cohort the
+//!   masks cancel exactly.
 //!
 //! Masking operates on the gradient's IEEE-754 **bit patterns** with
 //! wrapping `u64` arithmetic ([`mask`]/[`unmask`]), not on the floats
@@ -34,7 +43,11 @@
 //! protocol shape (roles, exactly-once submission, `RoundOutdated` resync,
 //! dropout compensation) is the reproduction target; swapping the mask
 //! derivation for real pairwise key agreement would not change any interface
-//! in this crate.
+//! in this crate. What the sparse graph changes in that *nominal* model:
+//! with real pairwise keys an individual update is hidden from the server
+//! plus fewer than `2⌈log₂ n⌉` colluding neighbours (all of a device's
+//! neighbours must collude to strip its mask), where all-pairs masking held
+//! against `n − 2` colluding peers.
 
 #![forbid(unsafe_code)]
 
@@ -111,36 +124,113 @@ pub fn role_of(seed: u64, device_id: u64, population: u64, select_fraction: f64)
     }
 }
 
+/// The generator behind the unordered pair `{a, b}`'s shared mask stream,
+/// seeded by `(seed, min(a,b), max(a,b))`.
+fn pair_rng(seed: u64, a: u64, b: u64) -> StdRng {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    StdRng::seed_from_u64(mix(mix(seed, lo), mix(hi, 0x7A1F)))
+}
+
 /// The shared mask stream for the unordered pair `{a, b}`: `dim` words drawn
 /// from a generator seeded by `(seed, min(a,b), max(a,b))`. Both endpoints —
 /// and the compensating server — derive the identical stream.
 pub fn pair_mask(seed: u64, a: u64, b: u64, dim: usize) -> Vec<u64> {
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    let mut rng = StdRng::seed_from_u64(mix(mix(seed, lo), mix(hi, 0x7A1F)));
+    let mut rng = pair_rng(seed, a, b);
     (0..dim).map(|_| rng.next_u64()).collect()
 }
 
-/// Device `device_id`'s net mask over the cohort: the sum of its pair masks,
-/// added toward higher-id partners and subtracted toward lower-id ones
-/// (wrapping). Summed over every cohort member the signs pair off and the
-/// total is exactly zero — the cancellation the protocol is named for.
-pub fn net_mask(seed: u64, device_id: u64, cohort: &[u64], dim: usize) -> Vec<u64> {
-    let mut out = vec![0u64; dim];
-    for &peer in cohort {
-        if peer == device_id {
-            continue;
-        }
-        let pair = pair_mask(seed, device_id, peer, dim);
-        if device_id < peer {
-            for (o, m) in out.iter_mut().zip(&pair) {
-                *o = o.wrapping_add(*m);
-            }
+/// Salt of the ring-order derivation (distinct from selection and pair masks).
+const RING_SALT: u64 = 0x0052_1A6C;
+
+/// Largest cohort masked over all pairs. `2⌈log₂ n⌉ ≥ n − 1` — the ring
+/// already reaching everyone — holds for every `n ≤ 9` except 8 (6 of 7);
+/// 8 is rounded up so the whole small-cohort regime keeps one rule and the
+/// masks it always had.
+const COMPLETE_UP_TO: usize = 9;
+
+/// The round's mask graph: the cohort on a ring ordered by a seed-derived
+/// hash, every member paired with the `⌈log₂ n⌉` members on either side.
+struct MaskRing {
+    seed: u64,
+    /// `(ring key, device id)`, ascending — the ring order.
+    slots: Vec<(u64, u64)>,
+}
+
+impl MaskRing {
+    fn slot(seed: u64, device_id: u64) -> (u64, u64) {
+        (mix(seed, mix(device_id, RING_SALT)), device_id)
+    }
+
+    fn new(seed: u64, cohort: &[u64]) -> Self {
+        let mut slots: Vec<_> = cohort.iter().map(|&d| Self::slot(seed, d)).collect();
+        slots.sort_unstable();
+        MaskRing { seed, slots }
+    }
+
+    /// `device_id`'s ring position, or `Err(where it would be inserted)` for
+    /// a non-member.
+    fn position(&self, device_id: u64) -> Result<usize, usize> {
+        self.slots.binary_search(&Self::slot(self.seed, device_id))
+    }
+
+    /// The ids paired with the member at `pos`: every other member of a
+    /// cohort of at most [`COMPLETE_UP_TO`], otherwise ring offsets `1..=k`
+    /// on either side with `k = ⌈log₂ n⌉`. Symmetric, and without repeats
+    /// since `2k < n − 1` from 10 members up.
+    fn neighbours(&self, pos: usize) -> impl Iterator<Item = u64> + '_ {
+        let n = self.slots.len();
+        let reach = if n <= COMPLETE_UP_TO {
+            n - 1
         } else {
-            for (o, m) in out.iter_mut().zip(&pair) {
-                *o = o.wrapping_sub(*m);
+            n.next_power_of_two().trailing_zeros() as usize
+        };
+        // Offsets ahead, then the ones behind that the first run did not
+        // already reach (none in a complete graph).
+        (1..=reach)
+            .chain((n - reach).max(reach + 1)..n)
+            .map(move |offset| self.slots[(pos + offset) % n].1)
+    }
+
+    /// Overwrites `out` with the net mask of the member at `pos`: its pair
+    /// streams added toward higher-id neighbours, subtracted toward lower-id
+    /// ones (wrapping), straight out of each pair's generator.
+    fn net_mask_into(&self, pos: usize, out: &mut [u64]) {
+        let device_id = self.slots[pos].1;
+        out.fill(0);
+        for peer in self.neighbours(pos) {
+            let mut rng = pair_rng(self.seed, device_id, peer);
+            if device_id < peer {
+                for o in out.iter_mut() {
+                    *o = o.wrapping_add(rng.next_u64());
+                }
+            } else {
+                for o in out.iter_mut() {
+                    *o = o.wrapping_sub(rng.next_u64());
+                }
             }
         }
     }
+}
+
+/// Device `device_id`'s net mask over the cohort's mask graph: the sum of
+/// its pair masks toward its ring neighbours, added toward higher-id ones and
+/// subtracted toward lower-id ones (wrapping). Summed over every cohort
+/// member the signs pair off and the total is exactly zero — the
+/// cancellation the protocol is named for.
+///
+/// A `device_id` outside `cohort` is masked as a member of the cohort plus
+/// itself (ring position by its own hash), so the answer is never the
+/// all-zero mask while the cohort has anyone else in it — a device that
+/// mistakes its role still puts no raw gradient bits on the wire.
+/// [`finalize_sum`] refuses such a survivor.
+pub fn net_mask(seed: u64, device_id: u64, cohort: &[u64], dim: usize) -> Vec<u64> {
+    let mut ring = MaskRing::new(seed, cohort);
+    let pos = ring.position(device_id).unwrap_or_else(|at| {
+        ring.slots.insert(at, MaskRing::slot(seed, device_id));
+        at
+    });
+    let mut out = vec![0u64; dim];
+    ring.net_mask_into(pos, &mut out);
     out
 }
 
@@ -163,16 +253,21 @@ pub fn unmask(words: &[u64], net_mask: &[u64]) -> Vec<f64> {
     words
         .iter()
         .zip(net_mask)
-        .map(|(&w, &m)| f64::from_bits(w.wrapping_sub(m)))
+        .map(|(&w, &m)| unmask_word(w, m))
         .collect()
+}
+
+/// One coordinate of [`unmask`].
+fn unmask_word(word: u64, net_mask: u64) -> f64 {
+    f64::from_bits(word.wrapping_sub(net_mask))
 }
 
 /// Server-side round finalization over the survivors: for each surviving
 /// `(device_id, masked_words)` pair — ascending by device id — recompute the
-/// device's full-cohort net mask (pairs toward dropped partners included:
-/// that recomputation *is* the dropout compensation), unmask, and fold into
-/// the cohort sum. Returns `None` if any survivor's word count differs from
-/// `dim` or a survivor is not a cohort member.
+/// device's net mask over the cohort's mask graph (pairs toward dropped
+/// neighbours included: that recomputation *is* the dropout compensation),
+/// unmask, and fold into the cohort sum. Returns `None` if any survivor's
+/// word count differs from `dim` or a survivor is not a cohort member.
 ///
 /// Because unmasking is per-device lossless, the result is bitwise identical
 /// to summing the survivors' raw gradients in the same ascending order —
@@ -183,20 +278,25 @@ pub fn finalize_sum(
     survivors: &[(u64, Vec<u64>)],
     dim: usize,
 ) -> Option<Vec<f64>> {
+    let ring = MaskRing::new(seed, cohort);
     let mut sum = vec![0.0f64; dim];
+    let mut net = vec![0u64; dim];
     let mut ordered: Vec<&(u64, Vec<u64>)> = survivors.iter().collect();
     ordered.sort_by_key(|(d, _)| *d);
     for (device_id, words) in ordered {
-        if words.len() != dim || cohort.binary_search(device_id).is_err() {
+        if words.len() != dim {
             return None;
         }
-        let mask_words = net_mask(seed, *device_id, cohort, dim);
-        for (acc, g) in sum.iter_mut().zip(unmask(words, &mask_words)) {
-            *acc += g;
+        ring.net_mask_into(ring.position(*device_id).ok()?, &mut net);
+        for ((acc, &w), &m) in sum.iter_mut().zip(words).zip(&net) {
+            *acc += unmask_word(w, m);
         }
     }
     Some(sum)
 }
+
+#[cfg(test)]
+mod mask_graph_tests;
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,7 @@ proptest! {
     fn masked_finalization_is_bitwise_identical_to_the_unmasked_sum(
         base_seed in any::<u64>(),
         round_id in 1u64..1000,
-        population in 2u64..24,
+        population in 2u64..200,
         fraction in 0.2f64..1.0,
         dim in 1usize..12,
         drop_bits in any::<u32>(),
@@ -72,7 +72,7 @@ proptest! {
     fn a_single_submission_does_not_reveal_the_raw_gradient(
         base_seed in any::<u64>(),
         round_id in 1u64..1000,
-        population in 2u64..24,
+        population in 2u64..200,
         dim in 1usize..12,
     ) {
         let seed = round_seed(base_seed, round_id);

@@ -19,9 +19,10 @@
 //!   and experiment runners.
 //! * [`agg`] — the sharded, batched gradient-aggregation runtime the TCP server
 //!   serves from.
-//! * [`rounds`] — the round-based cohort protocol (wire v6): seed-derived
-//!   round/cohort/role derivation and the pairwise additive masking that
-//!   cancels bitwise in the finalized cohort sum.
+//! * [`rounds`] — the round-based cohort protocol (wire v6; sparse mask
+//!   graph since v7): seed-derived round/cohort/role derivation and the
+//!   pairwise additive masking that cancels bitwise in the finalized cohort
+//!   sum.
 //! * [`store`] — durable server state: CRC-framed write-ahead log, atomic
 //!   snapshots, and bitwise crash recovery.
 //! * [`telemetry`] — crowd-scope observability: the typed metric registry,

@@ -209,29 +209,53 @@ fn churn_crash_body(seed: u64) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A rounds-mode cluster of `devices` under `plan`, `select_fraction` of them
+/// in each round's cohort.
+fn rounds_cluster(plan: FaultPlan, devices: usize, select_fraction: f64) -> ChaosCluster {
+    let mut cluster = ChaosCluster {
+        devices,
+        ..ChaosCluster::new(plan)
+    }
+    .with_rounds();
+    cluster.rounds = cluster
+        .rounds
+        .map(|r| r.with_select_fraction(select_fraction));
+    cluster
+}
+
+/// The default fleet: 4 devices, half selected — cohorts of about 2, masked
+/// over all pairs.
 fn rounds_body(seed: u64) {
+    rounds_legs("rounds", seed, 4, 0.5);
+}
+
+/// 16 devices, all selected: every cohort of 16 masks toward 8 of its 15
+/// peers, so the same legs run over the sparse mask ring.
+fn rounds_sparse_body(seed: u64) {
+    rounds_legs("rounds_sparse", seed, 16, 1.0);
+}
+
+fn rounds_legs(kind: &str, seed: u64, devices: usize, select_fraction: f64) {
+    let cluster = |plan| rounds_cluster(plan, devices, select_fraction);
     // Leg 1 — transport transparency with masking in the path: a rounds-mode
     // run under transport-only faults must land bitwise on the rounds-mode
     // fault-free reference. Masked shares ride the same retry + dedup
     // machinery as free-run checkins (per-round, the server keys dedup on
     // `(round, nonce)`), so faults must stay invisible.
-    let reference_cluster = ChaosCluster::new(FaultPlan::fault_free(seed)).with_rounds();
+    let reference_cluster = cluster(FaultPlan::fault_free(seed));
     let eps = reference_cluster.per_checkin_epsilon;
     let reference = reference_cluster
         .run()
         .expect("rounds reference run failed");
-    let chaotic = match ChaosCluster::new(FaultPlan::transport_only(seed))
-        .with_rounds()
-        .run()
-    {
+    let chaotic = match cluster(FaultPlan::transport_only(seed)).run() {
         Ok(r) => r,
         Err(e) => panic!(
             "{}",
-            dump_failure("rounds", seed, None, &format!("run error: {e}"))
+            dump_failure(kind, seed, None, &format!("run error: {e}"))
         ),
     };
-    assert_ledger_integrity("rounds", seed, eps, &reference);
-    assert_ledger_integrity("rounds", seed, eps, &chaotic);
+    assert_ledger_integrity(kind, seed, eps, &reference);
+    assert_ledger_integrity(kind, seed, eps, &chaotic);
     if chaotic.params.as_slice() != reference.params.as_slice()
         || chaotic.iterations != reference.iterations
         || chaotic.ledger != reference.ledger
@@ -240,7 +264,7 @@ fn rounds_body(seed: u64) {
         panic!(
             "{}",
             dump_failure(
-                "rounds",
+                kind,
                 seed,
                 Some(&chaotic),
                 &format!(
@@ -259,17 +283,30 @@ fn rounds_body(seed: u64) {
     // without submitting and rounds finalize at their deadline from the
     // survivors (mask compensation). The ledger invariant must still hold:
     // only acknowledged contributions are ever charged.
-    let stormy = match ChaosCluster::new(FaultPlan::rounds(seed))
-        .with_rounds()
-        .run()
-    {
+    let stormy = match cluster(FaultPlan::rounds(seed)).run() {
         Ok(r) => r,
         Err(e) => panic!(
             "{}",
-            dump_failure("rounds", seed, None, &format!("dropout-leg run error: {e}"))
+            dump_failure(kind, seed, None, &format!("dropout-leg run error: {e}"))
         ),
     };
-    assert_ledger_integrity("rounds", seed, eps, &stormy);
+    assert_ledger_integrity(kind, seed, eps, &stormy);
+    // A round a scripted dropout left short of its cohort can only have
+    // closed at its deadline, finalizing the survivors.
+    if stormy.round_dropouts > 0 && stormy.metrics.get("rounds_finalized") == 0 {
+        panic!(
+            "{}",
+            dump_failure(
+                kind,
+                seed,
+                Some(&stormy),
+                &format!(
+                    "{} scripted dropouts but no round finalized",
+                    stormy.round_dropouts
+                )
+            )
+        );
+    }
 }
 
 #[test]
@@ -280,6 +317,11 @@ fn transport_only_plans_land_bitwise_on_the_reference() {
 #[test]
 fn rounds_plans_hold_the_standing_invariants() {
     sweep("rounds", rounds_body);
+}
+
+#[test]
+fn rounds_sparse_mask_plans_hold_the_standing_invariants() {
+    sweep("rounds_sparse", rounds_sparse_body);
 }
 
 #[test]
