@@ -61,18 +61,19 @@ fn bench_gradients(c: &mut Criterion) {
             black_box(scratch.as_slice()[0])
         })
     });
-    // The fused pass computes prediction, loss, and gradient from one scores
-    // evaluation — what the minibatch loop actually runs per sample.
-    grad_group.bench_function("fused_evaluate", |bench| {
-        let mut scratch = crowd_linalg::Vector::zeros(model.param_dim());
+    // The fused pass computes prediction and loss from one scores evaluation
+    // and adds the gradient straight into a running sum — what the minibatch
+    // loop actually runs per sample.
+    grad_group.bench_function("fused_accumulate", |bench| {
+        let mut grad_sum = crowd_linalg::Vector::zeros(model.param_dim());
         bench.iter(|| {
             black_box(
                 model
-                    .evaluate_into(
+                    .evaluate_accumulate(
                         black_box(&w),
                         black_box(&sample.features),
                         sample.label,
-                        &mut scratch,
+                        Some(&mut grad_sum),
                     )
                     .unwrap(),
             )

@@ -174,26 +174,10 @@ impl Device {
             )));
         }
 
-        // Remark 2: optionally set aside a random fraction of the buffer as
-        // held-out samples whose gradients are excluded from the average.
-        let holdout: Vec<usize> = if self.config.holdout_fraction > 0.0 {
-            let count =
-                ((self.buffer.len() as f64) * self.config.holdout_fraction).floor() as usize;
-            let mut indices: Vec<usize> = (0..self.buffer.len()).collect();
-            for i in (1..indices.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                indices.swap(i, j);
-            }
-            indices.truncate(count.min(self.buffer.len().saturating_sub(1)));
-            indices
-        } else {
-            Vec::new()
-        };
-
+        let (holdout, sanitizer) = self.holdout_and_sanitizer(rng)?;
         let stats = minibatch_statistics(model, params, &self.buffer, lambda, &holdout)?;
-        let sanitizer = Sanitizer::new(&self.privacy, stats.num_samples)?;
         let sanitized =
-            sanitizer.sanitize(rng, &stats.gradient, stats.num_errors, &stats.label_counts);
+            sanitizer.sanitize_owned(rng, stats.gradient, stats.num_errors, &stats.label_counts);
 
         self.buffer.clear();
         self.awaiting_params = false;
@@ -204,22 +188,25 @@ impl Device {
         // levels — 2 bytes per coordinate instead of 8, with rounding error
         // provably below the noise already injected. Otherwise ship the
         // lossless encoding (sparse when the measured density makes it
-        // smaller on the wire; noised gradients are always dense).
-        let max_abs = sanitized
-            .gradient
-            .iter()
-            .fold(0.0_f64, |m, &v| m.max(v.abs()));
-        let quant_step = max_abs / f64::from(crowd_linalg::quant::QMAX);
-        let gradient =
-            if crowd_dp::noise_dominates_quantization(sanitizer.gradient_noise_scale(), quant_step)
-            {
-                GradientUpdate::Quantized(
-                    QuantizedVector::quantize_stochastic(sanitized.gradient.as_slice(), rng)
-                        .map_err(|e| CoreError::Protocol(e.to_string()))?,
-                )
-            } else {
-                GradientUpdate::from_dense_auto(sanitized.gradient)
-            };
+        // smaller on the wire; noised gradients are always dense). Without
+        // noise the rule can never hold, so max|g| is not even folded.
+        let noise_scale = sanitizer.gradient_noise_scale();
+        let quantize = noise_scale > 0.0 && {
+            let max_abs = sanitized
+                .gradient
+                .iter()
+                .fold(0.0_f64, |m, &v| m.max(v.abs()));
+            let quant_step = max_abs / f64::from(crowd_linalg::quant::QMAX);
+            crowd_dp::noise_dominates_quantization(noise_scale, quant_step)
+        };
+        let gradient = if quantize {
+            GradientUpdate::Quantized(
+                QuantizedVector::quantize_stochastic(sanitized.gradient.as_slice(), rng)
+                    .map_err(|e| CoreError::Protocol(e.to_string()))?,
+            )
+        } else {
+            GradientUpdate::from_dense_auto(sanitized.gradient)
+        };
 
         Ok(CheckinPayload {
             device_id: self.id,
@@ -233,14 +220,45 @@ impl Device {
             label_counts: sanitized.label_counts,
         })
     }
+
+    /// Remark 2: optionally sets aside a random fraction of the buffer as
+    /// held-out samples whose gradients are excluded from the average, and
+    /// calibrates the sanitizer to the `b − h` samples the gradient *does*
+    /// average — its L1 sensitivity is `4/(b − h)`, not `4/b`.
+    fn holdout_and_sanitizer<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+    ) -> Result<(Vec<usize>, Sanitizer)> {
+        let holdout: Vec<usize> = if self.config.holdout_fraction > 0.0 {
+            let count =
+                ((self.buffer.len() as f64) * self.config.holdout_fraction).floor() as usize;
+            let mut indices: Vec<usize> = (0..self.buffer.len()).collect();
+            for i in (1..indices.len()).rev() {
+                let j = rng.gen_range(0..=i);
+                indices.swap(i, j);
+            }
+            indices.truncate(count.min(self.buffer.len().saturating_sub(1)));
+            indices
+        } else {
+            Vec::new()
+        };
+        let sanitizer = Sanitizer::new(&self.privacy, self.buffer.len() - holdout.len())?;
+        Ok((holdout, sanitizer))
+    }
 }
+
+#[cfg(test)]
+mod checkin_reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{DeviceConfig, PrivacyConfig};
+    use crowd_learning::logistic::BinaryLogistic;
+    use crowd_learning::svm::MulticlassHinge;
     use crowd_learning::MulticlassLogistic;
     use crowd_linalg::Vector;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -401,5 +419,155 @@ mod tests {
         // of them), and the payload still reports the full sample count.
         assert_eq!(payload.num_samples, 4);
         assert!(payload.gradient.dim() == model.param_dim());
+    }
+
+    #[test]
+    fn holdout_calibrates_noise_to_the_averaged_samples() {
+        // Remark 2 with b = 20 and half held out: the gradient averages 10
+        // samples, so its sensitivity — and the Laplace scale — is 4/10, not
+        // 4/20. The payload still reports all 20 samples.
+        let privacy = PrivacyConfig::with_total_epsilon(1.0);
+        let config = DeviceConfig::new(20).with_holdout_fraction(0.5);
+        let mut d = Device::new(1, config, privacy).unwrap();
+        for i in 0..20 {
+            d.observe(sample(i % 3));
+        }
+        let (holdout, sanitizer) = d
+            .holdout_and_sanitizer(&mut StdRng::seed_from_u64(4))
+            .unwrap();
+        assert_eq!(holdout.len(), 10);
+        let eps_g = privacy.budget.gradient.value();
+        let expected = 4.0 / (10.0 * eps_g);
+        assert!((sanitizer.gradient_noise_scale() - expected).abs() < 1e-12);
+        let model = MulticlassLogistic::new(2, 3).unwrap();
+        let payload = d
+            .compute_checkin(
+                &model,
+                &model.init_params(),
+                0,
+                0.0,
+                &mut StdRng::seed_from_u64(4),
+            )
+            .unwrap();
+        assert_eq!(payload.num_samples, 20);
+    }
+
+    /// Features with exact `+0.0` and `−0.0` coordinates mixed in.
+    fn signed_zero_features(rng: &mut StdRng, dim: usize) -> Vector {
+        Vector::from_vec(
+            (0..dim)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect(),
+        )
+    }
+
+    /// Runs the same checkin through `compute_checkin` and the frozen
+    /// pre-in-place tail from identically seeded RNGs. Debug output is the
+    /// comparison: it prints every finite `f64` in a round-trippable form
+    /// (`-0.0` included), so equal strings mean equal bits — and a payload
+    /// never carries a NaN.
+    fn assert_matches_frozen(
+        model: &dyn Model,
+        privacy: PrivacyConfig,
+        params: &Vector,
+        samples: Vec<Sample>,
+        lambda: f64,
+        seed: u64,
+    ) -> Result<CheckinPayload> {
+        let mut device = Device::new(3, DeviceConfig::new(samples.len()), privacy).unwrap();
+        for s in samples {
+            device.observe(s);
+        }
+        device.begin_checkout().unwrap();
+        let mut frozen = device.clone();
+        let new =
+            device.compute_checkin(model, params, 9, lambda, &mut StdRng::seed_from_u64(seed));
+        let old = checkin_reference::compute_checkin(
+            &mut frozen,
+            model,
+            params,
+            9,
+            lambda,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        assert_eq!(format!("{new:?}"), format!("{old:?}"));
+        new
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn checkin_payload_is_bitwise_the_frozen_tail(
+            seed in any::<u64>(),
+            b in 1usize..=32,
+            kind in 0usize..3,
+            private in any::<bool>(),
+            regularize in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = rng.gen_range(1..=8);
+            let classes = rng.gen_range(2..=5);
+            let model: Box<dyn Model> = match kind {
+                0 => Box::new(MulticlassLogistic::new(dim, classes).unwrap()),
+                1 => Box::new(BinaryLogistic::new(dim).unwrap()),
+                _ => Box::new(MulticlassHinge::new(dim, classes).unwrap()),
+            };
+            let privacy = if private {
+                PrivacyConfig::with_total_epsilon(rng.gen_range(0.05..50.0))
+            } else {
+                PrivacyConfig::non_private()
+            };
+            let lambda = if regularize { rng.gen_range(0.001..1.0) } else { 0.0 };
+            let scale = [0.1, 1.0, 30.0, 1000.0][rng.gen_range(0..4usize)];
+            let params = Vector::from_vec(
+                (0..model.param_dim()).map(|_| scale * rng.gen_range(-1.0..1.0)).collect(),
+            );
+            let samples = (0..b)
+                .map(|_| {
+                    let x = signed_zero_features(&mut rng, dim);
+                    Sample::new(x, rng.gen_range(0..model.num_classes()))
+                })
+                .collect();
+            prop_assert!(assert_matches_frozen(&*model, privacy, &params, samples, lambda, seed).is_ok());
+        }
+    }
+
+    #[test]
+    fn signed_zero_features_pick_the_frozen_wire_encoding() {
+        // Half of every feature vector is exact ±0.0, so the non-private
+        // gradient is sparse on the wire; the in-place path must count the
+        // same exact zeros as the scratch path did.
+        let model = MulticlassLogistic::new(8, 3).unwrap();
+        let params = Vector::from_vec((0..24).map(|i| 0.1 * i as f64 - 1.0).collect());
+        let samples = (0..6)
+            .map(|i| {
+                let v = 0.1 * (i + 1) as f64;
+                Sample::new(
+                    Vector::from_vec(vec![v, -0.0, 0.0, -v, -0.0, 0.5, 0.0, -0.0]),
+                    i % 3,
+                )
+            })
+            .collect::<Vec<_>>();
+        for lambda in [0.0, 0.25] {
+            let payload = assert_matches_frozen(
+                &model,
+                PrivacyConfig::non_private(),
+                &params,
+                samples.clone(),
+                lambda,
+                5,
+            )
+            .unwrap();
+            // λw fills every coordinate; without it the zeros survive.
+            assert_eq!(
+                matches!(payload.gradient, GradientUpdate::Sparse(_)),
+                lambda == 0.0
+            );
+        }
     }
 }

@@ -9,8 +9,9 @@
 //!   (Eqs. 11–12, Theorem 2).
 //!
 //! The sanitizer is constructed per checkin from the privacy configuration and the
-//! *actual* number of samples in the minibatch, because the sensitivity (and hence
-//! the noise scale) depends on the averaged batch size.
+//! number of samples the gradient actually *averages* — the minibatch minus any
+//! samples held out for error estimation (Remark 2) — because the sensitivity (and
+//! hence the noise scale) depends on the averaged batch size.
 
 use crate::config::PrivacyConfig;
 use crate::Result;
@@ -39,8 +40,8 @@ pub struct Sanitizer {
 }
 
 impl Sanitizer {
-    /// Builds a sanitizer for a minibatch of `batch_size` samples under the given
-    /// privacy configuration.
+    /// Builds a sanitizer for a gradient averaged over `batch_size` samples
+    /// under the given privacy configuration.
     pub fn new(privacy: &PrivacyConfig, batch_size: usize) -> Result<Self> {
         let sensitivity = averaged_logistic_gradient(batch_size);
         let gradient_mechanism = LaplaceMechanism::new(privacy.budget.gradient, sensitivity)
@@ -57,7 +58,8 @@ impl Sanitizer {
         self.gradient_mechanism.scale()
     }
 
-    /// Sanitizes one minibatch's statistics.
+    /// Sanitizes one minibatch's statistics, perturbing a copy of the
+    /// gradient (a device hands over its own gradient instead).
     pub fn sanitize<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -65,7 +67,20 @@ impl Sanitizer {
         num_errors: usize,
         label_counts: &[u64],
     ) -> SanitizedStats {
-        let gradient = self.gradient_mechanism.perturb_vector(rng, gradient);
+        self.sanitize_owned(rng, gradient.clone(), num_errors, label_counts)
+    }
+
+    /// Sanitizes one minibatch's statistics, perturbing the owned gradient in
+    /// place — in the non-private limit the gradient is not touched at all.
+    pub(crate) fn sanitize_owned<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        mut gradient: Vector,
+        num_errors: usize,
+        label_counts: &[u64],
+    ) -> SanitizedStats {
+        self.gradient_mechanism
+            .perturb_vector_in_place(rng, &mut gradient);
         let error_count = self.counter_mechanism.perturb_count(rng, num_errors as i64);
         let label_counts = label_counts
             .iter()

@@ -324,14 +324,14 @@ impl<'a, M: Model> Model for ModelRef<'a, M> {
     ) -> crowd_learning::Result<()> {
         self.inner.gradient_into(params, x, y, out)
     }
-    fn evaluate_into(
+    fn evaluate_accumulate(
         &self,
         params: &Vector,
         x: &Vector,
         y: usize,
-        out: &mut Vector,
+        grad_sum: Option<&mut Vector>,
     ) -> crowd_learning::Result<crowd_learning::model::SampleEval> {
-        self.inner.evaluate_into(params, x, y, out)
+        self.inner.evaluate_accumulate(params, x, y, grad_sum)
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::error::LearningError;
 use crate::metrics::error_rate;
-use crate::model::{minibatch_statistics_into, Model};
+use crate::model::{minibatch_statistics, Model};
 use crate::schedule::LearningRate;
 use crate::Result;
 use crowd_data::Dataset;
@@ -119,16 +119,9 @@ impl<M: Model> BatchTrainer<M> {
         let mut schedule = self.config.schedule.clone();
         let samples = train.samples();
         let mut performed = 0usize;
-        let mut grad_scratch = Vector::zeros(self.model.param_dim());
         for t in 1..=self.config.iterations {
-            let stats = minibatch_statistics_into(
-                &self.model,
-                &params,
-                samples,
-                self.config.lambda,
-                &[],
-                &mut grad_scratch,
-            )?;
+            let stats =
+                minibatch_statistics(&self.model, &params, samples, self.config.lambda, &[])?;
             performed = t;
             if stats.gradient.norm_l2() <= self.config.gradient_tolerance {
                 break;

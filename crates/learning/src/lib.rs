@@ -24,6 +24,8 @@ pub mod batch;
 pub mod error;
 pub mod logistic;
 pub mod metrics;
+#[cfg(test)]
+mod minibatch_reference;
 pub mod model;
 pub mod regression;
 pub mod schedule;

@@ -11,7 +11,7 @@
 //! which is what [`crowd_dp::sensitivity::averaged_logistic_gradient`] encodes.
 
 use crate::error::LearningError;
-use crate::model::{Model, SampleEval};
+use crate::model::{check_grad_len, Model, SampleEval};
 use crate::Result;
 use crowd_linalg::ops::{log_sum_exp, sigmoid, softmax, softmax_in_place};
 use crowd_linalg::Vector;
@@ -78,14 +78,9 @@ impl Model for MulticlassLogistic {
     }
 
     fn scores(&self, params: &Vector, x: &Vector) -> Result<Vec<f64>> {
-        self.check_params(params)?;
-        self.validate(x, 0)?;
-        let d = self.input_dim;
-        let ps = params.as_slice();
-        let xs = x.as_slice();
-        Ok((0..self.num_classes)
-            .map(|k| crowd_linalg::kernels::dot(&ps[k * d..(k + 1) * d], xs))
-            .collect())
+        let mut scores = vec![0.0; self.num_classes];
+        self.scores_into(params, x, &mut scores)?;
+        Ok(scores)
     }
 
     fn loss(&self, params: &Vector, x: &Vector, y: usize) -> Result<f64> {
@@ -98,17 +93,29 @@ impl Model for MulticlassLogistic {
         self.validate(x, y)?;
         let mut scores = self.scores(params, x)?;
         softmax_in_place(&mut scores);
-        self.scatter_gradient(&scores, x, y, out)
+        check_grad_len(out, self.param_dim())?;
+        out.set_zero();
+        self.scatter_gradient(&scores, x, y, out);
+        Ok(())
     }
 
-    fn evaluate_into(
+    fn evaluate_accumulate(
         &self,
         params: &Vector,
         x: &Vector,
         y: usize,
-        out: &mut Vector,
+        grad_sum: Option<&mut Vector>,
     ) -> Result<SampleEval> {
         self.validate(x, y)?;
+        let mut stack = [0.0; STACK_CLASSES];
+        let mut heap = Vec::new();
+        let scores = if self.num_classes <= STACK_CLASSES {
+            &mut stack[..self.num_classes]
+        } else {
+            heap.resize(self.num_classes, 0.0);
+            &mut heap[..]
+        };
+        self.scores_into(params, x, scores)?;
         // One scores pass feeds prediction, loss, and gradient, and the
         // post-processing is itself fused: a single max fold, a single exp
         // pass, and a single sum serve both the log-sum-exp and the softmax,
@@ -116,10 +123,10 @@ impl Model for MulticlassLogistic {
         // standalone methods' arithmetic operation for operation (same fold
         // seeds, same left-to-right order), so prediction, loss, and gradient
         // stay bitwise identical to `predict`/`loss`/`gradient_into`.
-        let mut scores = self.scores(params, x)?;
-        let predicted = crowd_linalg::ops::argmax(&scores).ok_or(LearningError::ShapeMismatch {
-            reason: "model produced no scores".into(),
-        })?;
+        let predicted =
+            crowd_linalg::ops::argmax(scores).ok_or_else(|| LearningError::ShapeMismatch {
+                reason: "model produced no scores".into(),
+            })?;
         let score_y = scores[y];
         let max = scores.iter().fold(f64::NEG_INFINITY, |m, &s| m.max(s));
         let mut sum = 0.0;
@@ -131,36 +138,41 @@ impl Model for MulticlassLogistic {
         // max is ±inf/NaN; the softmax loop above still runs in that case,
         // exactly as `softmax_in_place` would.
         let lse = if max.is_finite() { max + sum.ln() } else { max };
-        let loss = lse - score_y;
-        for s in scores.iter_mut() {
-            *s /= sum;
+        if let Some(grad_sum) = grad_sum {
+            check_grad_len(grad_sum, self.param_dim())?;
+            for s in scores.iter_mut() {
+                *s /= sum;
+            }
+            self.scatter_gradient(scores, x, y, grad_sum);
         }
-        self.scatter_gradient(&scores, x, y, out)?;
-        Ok(SampleEval { predicted, loss })
+        Ok(SampleEval {
+            predicted,
+            loss: lse - score_y,
+        })
     }
 }
 
+/// Class counts whose scores the per-sample path keeps on the stack; a model
+/// with more classes uses one heap buffer per sample instead.
+const STACK_CLASSES: usize = 16;
+
 impl MulticlassLogistic {
-    /// Writes `∇_w l = x ⊗ (P − e_y)` into `out` given the posteriors.
-    fn scatter_gradient(
-        &self,
-        posteriors: &[f64],
-        x: &Vector,
-        y: usize,
-        out: &mut Vector,
-    ) -> Result<()> {
-        if out.len() != self.param_dim() {
-            return Err(LearningError::ShapeMismatch {
-                reason: format!(
-                    "gradient scratch has length {}, expected {}",
-                    out.len(),
-                    self.param_dim()
-                ),
-            });
-        }
+    /// Writes the class scores `w_k'x` into `out` (length `C`).
+    fn scores_into(&self, params: &Vector, x: &Vector, out: &mut [f64]) -> Result<()> {
+        self.check_params(params)?;
+        self.validate(x, 0)?;
         let d = self.input_dim;
-        out.set_zero();
-        let grad = out.as_mut_slice();
+        let (ps, xs) = (params.as_slice(), x.as_slice());
+        for (k, s) in out.iter_mut().enumerate() {
+            *s = crowd_linalg::kernels::dot(&ps[k * d..(k + 1) * d], xs);
+        }
+        Ok(())
+    }
+
+    /// Adds `∇_w l = x ⊗ (P − e_y)` into `grad` given the posteriors.
+    fn scatter_gradient(&self, posteriors: &[f64], x: &Vector, y: usize, grad: &mut Vector) {
+        let d = self.input_dim;
+        let grad = grad.as_mut_slice();
         for (k, &p) in posteriors.iter().enumerate() {
             let coeff = p - if k == y { 1.0 } else { 0.0 };
             if coeff == 0.0 {
@@ -171,7 +183,6 @@ impl MulticlassLogistic {
                 *g += coeff * v;
             }
         }
-        Ok(())
     }
 }
 
@@ -247,15 +258,7 @@ impl Model for BinaryLogistic {
 
     fn gradient_into(&self, params: &Vector, x: &Vector, y: usize, out: &mut Vector) -> Result<()> {
         self.validate(x, y)?;
-        if out.len() != self.input_dim {
-            return Err(LearningError::ShapeMismatch {
-                reason: format!(
-                    "gradient scratch has length {}, expected {}",
-                    out.len(),
-                    self.input_dim
-                ),
-            });
-        }
+        check_grad_len(out, self.input_dim)?;
         let p = self.probability(params, x)?;
         let target = if y == 1 { 1.0 } else { 0.0 };
         let coeff = p - target;
@@ -263,6 +266,27 @@ impl Model for BinaryLogistic {
             *g = v * coeff;
         }
         Ok(())
+    }
+
+    fn evaluate_accumulate(
+        &self,
+        params: &Vector,
+        x: &Vector,
+        y: usize,
+        grad_sum: Option<&mut Vector>,
+    ) -> Result<SampleEval> {
+        // Off every hot path: the standalone methods, not a second copy of
+        // the loss.
+        let predicted = self.predict(params, x)?;
+        let loss = self.loss(params, x, y)?;
+        if let Some(grad_sum) = grad_sum {
+            check_grad_len(grad_sum, self.input_dim)?;
+            let coeff = self.probability(params, x)? - if y == 1 { 1.0 } else { 0.0 };
+            for (g, &v) in grad_sum.iter_mut().zip(x.as_slice().iter()) {
+                *g += v * coeff;
+            }
+        }
+        Ok(SampleEval { predicted, loss })
     }
 }
 
@@ -375,7 +399,9 @@ mod tests {
             let x = normal_vector(&mut rng, 7);
             let y = trial % 5;
             let mut fused_grad = Vector::zeros(m.param_dim());
-            let eval = m.evaluate_into(&w, &x, y, &mut fused_grad).unwrap();
+            let eval = m
+                .evaluate_accumulate(&w, &x, y, Some(&mut fused_grad))
+                .unwrap();
             assert_eq!(eval.predicted, m.predict(&w, &x).unwrap());
             assert_eq!(
                 eval.loss.to_bits(),

@@ -5,6 +5,14 @@
 //! update (Eq. 3), the L2-ball projection, and the Laplace gradient perturbation
 //! (Eq. 10) operate uniformly regardless of the model family. Multiclass models
 //! store their `C × D` weight matrix row-major in that vector.
+//!
+//! A minibatch is built from one per-sample primitive,
+//! [`Model::evaluate_accumulate`], which adds `∇_w l` straight into the running
+//! gradient sum, in sample order. That is bitwise the sum a zeroed per-sample
+//! scratch plus an `axpy` gave: the scratch held `0.0 + coeff·x`, which differs
+//! from `coeff·x` only when the product is `−0.0`, and `s + (−0.0) = s + 0.0`
+//! for every `s` but `−0.0` — which a sum starting at `+0.0` never becomes. So
+//! even the exact-zero count behind the sparse/dense wire choice is unchanged.
 
 use crate::error::LearningError;
 use crate::Result;
@@ -55,25 +63,17 @@ pub trait Model: Send + Sync {
     /// allocating. `out` must have length [`Model::param_dim`].
     fn gradient_into(&self, params: &Vector, x: &Vector, y: usize, out: &mut Vector) -> Result<()>;
 
-    /// Fused per-sample evaluation: prediction, loss, and gradient from one
-    /// scores computation, with the gradient written into `out`.
-    ///
-    /// The default computes the three quantities separately (three score
-    /// passes); models override it to share one. Either way the results are
-    /// bitwise identical to the individual methods — the fused path reuses the
-    /// exact same scores, it does not reassociate anything.
-    fn evaluate_into(
+    /// The per-sample primitive of [`minibatch_statistics`]: prediction and
+    /// loss (bitwise [`Model::predict`]'s and [`Model::loss`]'s) and, when
+    /// `grad_sum` is given (length [`Model::param_dim`]), the products
+    /// [`Model::gradient_into`] computes *added* into it.
+    fn evaluate_accumulate(
         &self,
         params: &Vector,
         x: &Vector,
         y: usize,
-        out: &mut Vector,
-    ) -> Result<SampleEval> {
-        let predicted = self.predict(params, x)?;
-        let loss = self.loss(params, x, y)?;
-        self.gradient_into(params, x, y, out)?;
-        Ok(SampleEval { predicted, loss })
-    }
+        grad_sum: Option<&mut Vector>,
+    ) -> Result<SampleEval>;
 
     /// Validates that a feature/label pair is compatible with the model.
     fn validate(&self, x: &Vector, y: usize) -> Result<()> {
@@ -95,13 +95,23 @@ pub trait Model: Send + Sync {
     }
 }
 
-/// Per-sample outcome of a fused [`Model::evaluate_into`] pass.
+/// Per-sample outcome of a fused [`Model::evaluate_accumulate`] pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleEval {
     /// The predicted class label (argmax of the scores).
     pub predicted: usize,
     /// The per-sample loss `l(h(x; w), y)`.
     pub loss: f64,
+}
+
+/// Checks that a gradient vector handed to a model has length `dim`.
+pub(crate) fn check_grad_len(grad: &Vector, dim: usize) -> Result<()> {
+    if grad.len() != dim {
+        return Err(LearningError::ShapeMismatch {
+            reason: format!("gradient vector has length {}, expected {dim}", grad.len()),
+        });
+    }
+    Ok(())
 }
 
 /// The statistics a device computes over one minibatch in Device Routine 2:
@@ -136,21 +146,6 @@ pub fn minibatch_statistics<M: Model + ?Sized>(
     lambda: f64,
     holdout: &[usize],
 ) -> Result<MinibatchStats> {
-    let mut scratch = Vector::zeros(model.param_dim());
-    minibatch_statistics_into(model, params, samples, lambda, holdout, &mut scratch)
-}
-
-/// [`minibatch_statistics`] with a caller-provided per-sample gradient scratch
-/// vector (length [`Model::param_dim`]), so training loops that process many
-/// minibatches allocate the scratch once instead of once per sample.
-pub fn minibatch_statistics_into<M: Model + ?Sized>(
-    model: &M,
-    params: &Vector,
-    samples: &[Sample],
-    lambda: f64,
-    holdout: &[usize],
-    scratch: &mut Vector,
-) -> Result<MinibatchStats> {
     if samples.is_empty() {
         return Err(LearningError::EmptyData);
     }
@@ -160,7 +155,7 @@ pub fn minibatch_statistics_into<M: Model + ?Sized>(
             value: lambda,
         });
     }
-    let mut grad_sum = Vector::zeros(model.param_dim());
+    let mut gradient = Vector::zeros(model.param_dim());
     let mut num_errors = 0usize;
     let mut label_counts = vec![0u64; model.num_classes()];
     let mut loss_sum = 0.0;
@@ -169,34 +164,41 @@ pub fn minibatch_statistics_into<M: Model + ?Sized>(
     for (i, s) in samples.iter().enumerate() {
         model.validate(&s.features, s.label)?;
         label_counts[s.label] += 1;
-        let eval = model.evaluate_into(params, &s.features, s.label, scratch)?;
-        if eval.predicted != s.label {
-            num_errors += 1;
-        }
+        let averaged = !holdout.contains(&i);
+        let eval = model.evaluate_accumulate(
+            params,
+            &s.features,
+            s.label,
+            averaged.then_some(&mut gradient),
+        )?;
+        num_errors += usize::from(eval.predicted != s.label);
         loss_sum += eval.loss;
-        if holdout.contains(&i) {
-            continue;
-        }
-        grad_sum
-            .axpy(1.0, scratch)
-            .map_err(|e| LearningError::ShapeMismatch {
-                reason: format!("gradient accumulation failed: {e}"),
-            })?;
-        grad_count += 1;
+        grad_count += usize::from(averaged);
     }
 
-    let mut gradient = grad_sum;
-    if grad_count > 0 {
-        gradient.scale(1.0 / grad_count as f64);
-    }
-    if lambda > 0.0 {
+    // Average, `+λw` and finiteness in one pass; each coordinate still sees
+    // `g·(1/n)`, then `+ λ·w`. With every sample held out the sum stays `+0.0`.
+    let inv = 1.0 / grad_count.max(1) as f64;
+    let finite = if lambda > 0.0 {
+        if params.len() != gradient.len() {
+            return Err(LearningError::ShapeMismatch {
+                reason: "regularization failed: parameter length mismatch".into(),
+            });
+        }
         gradient
-            .axpy(lambda, params)
-            .map_err(|e| LearningError::ShapeMismatch {
-                reason: format!("regularization failed: {e}"),
-            })?;
-    }
-    if !gradient.is_finite() {
+            .iter_mut()
+            .zip(params.iter())
+            .fold(true, |ok, (g, &w)| {
+                *g = *g * inv + lambda * w;
+                ok & g.is_finite()
+            })
+    } else {
+        gradient.iter_mut().fold(true, |ok, g| {
+            *g *= inv;
+            ok & g.is_finite()
+        })
+    };
+    if !finite {
         return Err(LearningError::NumericalFailure {
             context: "minibatch gradient".into(),
         });
@@ -237,8 +239,14 @@ pub fn finite_difference_gradient<M: Model + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logistic::BinaryLogistic;
     use crate::logistic::MulticlassLogistic;
+    use crate::minibatch_reference;
+    use crate::svm::MulticlassHinge;
     use crowd_linalg::Vector;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn samples() -> Vec<Sample> {
         vec![
@@ -307,5 +315,152 @@ mod tests {
         assert!(model.validate(&Vector::zeros(3), 1).is_ok());
         assert!(model.validate(&Vector::zeros(2), 1).is_err());
         assert!(model.validate(&Vector::zeros(3), 2).is_err());
+    }
+
+    /// Requires the accumulate path and the frozen scratch path to agree:
+    /// gradient and mean loss bit for bit, counts exactly, errors in full.
+    fn assert_matches_frozen(
+        model: &dyn Model,
+        params: &Vector,
+        samples: &[Sample],
+        lambda: f64,
+        holdout: &[usize],
+    ) -> Result<MinibatchStats> {
+        let new = minibatch_statistics(model, params, samples, lambda, holdout);
+        let old =
+            minibatch_reference::minibatch_statistics(model, params, samples, lambda, holdout);
+        match (&new, &old) {
+            (Ok(n), Ok(o)) => {
+                let bits = |v: &Vector| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&n.gradient), bits(&o.gradient));
+                assert_eq!(n.mean_loss.to_bits(), o.mean_loss.to_bits());
+                assert_eq!(
+                    (n.num_samples, n.num_errors, &n.label_counts),
+                    (o.num_samples, o.num_errors, &o.label_counts)
+                );
+            }
+            _ => assert_eq!(new, old),
+        }
+        new
+    }
+
+    /// The three models over `dim` features (`classes` for the multiclass
+    /// ones).
+    fn models(dim: usize, classes: usize) -> Vec<Box<dyn Model>> {
+        vec![
+            Box::new(MulticlassLogistic::new(dim, classes).unwrap()),
+            Box::new(BinaryLogistic::new(dim).unwrap()),
+            Box::new(MulticlassHinge::new(dim, classes).unwrap()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn accumulated_minibatch_is_bitwise_the_frozen_scratch_path(
+            seed in any::<u64>(),
+            b in 1usize..=32,
+            kind in 0usize..3,
+            regularize in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = rng.gen_range(1..=8);
+            let model = models(dim, rng.gen_range(2..=5)).swap_remove(kind);
+            let lambda = if regularize { rng.gen_range(0.001..1.0) } else { 0.0 };
+            // Large scales saturate the softmax and the hinges, so whole
+            // classes get a coefficient of exactly 0.
+            let scale = [0.1, 1.0, 30.0, 1000.0][rng.gen_range(0..4usize)];
+            let params = Vector::from_vec(
+                (0..model.param_dim()).map(|_| scale * rng.gen_range(-1.0..1.0)).collect(),
+            );
+            let samples: Vec<Sample> = (0..b)
+                .map(|_| {
+                    let x = (0..dim)
+                        .map(|_| match rng.gen_range(0..4usize) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(-1.0..1.0),
+                        })
+                        .collect();
+                    Sample::new(Vector::from_vec(x), rng.gen_range(0..model.num_classes()))
+                })
+                .collect();
+            // Any subset, possibly every sample, possibly with repeats.
+            let holdout: Vec<usize> =
+                (0..rng.gen_range(0..=b)).map(|_| rng.gen_range(0..b)).collect();
+            let stats = assert_matches_frozen(&*model, &params, &samples, lambda, &holdout);
+            prop_assert!(stats.is_ok());
+        }
+    }
+
+    #[test]
+    fn frozen_path_agrees_on_signed_zeros_and_zero_coefficients() {
+        // Row 0 scores +1000 and every other row −1000 on feature 0, with the
+        // label on the winning class: the softmax saturates to exactly 1 and
+        // 0, every hinge is inactive, and the binary sigmoid rounds to 1, so
+        // every class coefficient is exactly 0. The other features are ±0.0.
+        let x = Vector::from_vec(vec![1.0, -0.0, 0.0, -0.0]);
+        for model in models(4, 3) {
+            let params = Vector::from_vec(
+                (0..model.param_dim())
+                    .map(|j| match (j % 4, j < 4) {
+                        (0, true) => 1000.0,
+                        (0, false) => -1000.0,
+                        _ => 0.0,
+                    })
+                    .collect(),
+            );
+            let label = if model.num_classes() == 2 { 1 } else { 0 };
+            let saturated = vec![Sample::new(x.clone(), label)];
+            let mixed = vec![
+                Sample::new(x.clone(), label),
+                Sample::new(Vector::from_vec(vec![-0.0, 0.5, -0.0, -0.25]), 0),
+                Sample::new(Vector::from_vec(vec![0.0, -0.0, 0.0, -0.0]), 1),
+            ];
+            for lambda in [0.0, 0.5] {
+                let zero =
+                    assert_matches_frozen(&*model, &params, &saturated, lambda, &[]).unwrap();
+                if lambda == 0.0 {
+                    assert!(zero.gradient.iter().all(|g| g.to_bits() == 0));
+                }
+                assert_matches_frozen(&*model, &params, &mixed, lambda, &[]).unwrap();
+                assert_matches_frozen(&*model, &params, &mixed, lambda, &[1]).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_path_agrees_on_every_error() {
+        let nan = Sample::new(Vector::from_vec(vec![f64::NAN, 0.5, 0.25]), 1);
+        let fine = Sample::new(Vector::from_vec(vec![0.5, -0.5, 0.0]), 0);
+        for (kind, model) in models(3, 3).into_iter().enumerate() {
+            let params = Vector::from_vec(vec![0.3; model.param_dim()]);
+            let batch = [fine.clone(), nan.clone()];
+            let check = |params: &Vector, samples: &[Sample], lambda: f64, holdout: &[usize]| {
+                assert_matches_frozen(&*model, params, samples, lambda, holdout)
+            };
+            // A NaN margin activates no hinge, so only the logistic models'
+            // gradients turn non-finite.
+            let poisoned = check(&params, &batch, 0.1, &[]);
+            assert_eq!(
+                matches!(poisoned, Err(LearningError::NumericalFailure { .. })),
+                kind < 2
+            );
+            // Held out, the NaN sample never reaches the gradient.
+            check(&params, &batch, 0.1, &[1]).unwrap();
+            assert_eq!(check(&params, &[], 0.1, &[]), Err(LearningError::EmptyData));
+            assert!(matches!(
+                check(&params, &batch, -0.1, &[]),
+                Err(LearningError::InvalidHyperparameter { .. })
+            ));
+            let short = Vector::zeros(model.param_dim() - 1);
+            for lambda in [0.0, 0.1] {
+                assert!(matches!(
+                    check(&short, std::slice::from_ref(&fine), lambda, &[]),
+                    Err(LearningError::ShapeMismatch { .. })
+                ));
+            }
+        }
     }
 }

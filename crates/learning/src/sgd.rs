@@ -8,7 +8,7 @@
 
 use crate::error::LearningError;
 use crate::metrics::{error_rate, ErrorCurve};
-use crate::model::{minibatch_statistics_into, Model};
+use crate::model::{minibatch_statistics, Model};
 use crate::schedule::LearningRate;
 use crate::Result;
 use crowd_data::{Dataset, Sample};
@@ -157,9 +157,6 @@ impl<M: Model> SgdTrainer<M> {
         let mut updates = 0usize;
         let mut batch: Vec<Sample> = Vec::with_capacity(self.config.minibatch_size);
         let mut next_eval = self.config.eval_every;
-        // One per-sample gradient scratch for the whole run: the inner loop
-        // never allocates a parameter-sized vector per sample.
-        let mut grad_scratch = Vector::zeros(self.model.param_dim());
 
         while consumed < total_samples {
             if pos >= order.len() {
@@ -180,14 +177,8 @@ impl<M: Model> SgdTrainer<M> {
 
             batch.push(sample);
             if batch.len() >= self.config.minibatch_size || consumed == total_samples {
-                let stats = minibatch_statistics_into(
-                    &self.model,
-                    &params,
-                    &batch,
-                    self.config.lambda,
-                    &[],
-                    &mut grad_scratch,
-                )?;
+                let stats =
+                    minibatch_statistics(&self.model, &params, &batch, self.config.lambda, &[])?;
                 updates += 1;
                 let eta = schedule.rate(updates, &stats.gradient);
                 params

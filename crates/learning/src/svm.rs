@@ -7,7 +7,7 @@
 //! features are L1-normalized so the same clipping/sensitivity machinery applies.
 
 use crate::error::LearningError;
-use crate::model::{Model, SampleEval};
+use crate::model::{check_grad_len, Model, SampleEval};
 use crate::Result;
 use crowd_linalg::Vector;
 
@@ -80,67 +80,60 @@ impl Model for MulticlassHinge {
 
     fn loss(&self, params: &Vector, x: &Vector, y: usize) -> Result<f64> {
         self.validate(x, y)?;
-        let scores = self.scores(params, x)?;
-        // One-vs-rest: the true class should score ≥ +1, every other class ≤ −1.
-        let mut loss = 0.0;
-        for (k, &s) in scores.iter().enumerate() {
-            let t = if k == y { 1.0 } else { -1.0 };
-            loss += (1.0 - t * s).max(0.0);
-        }
-        Ok(loss)
+        Ok(hinge_loss(&self.scores(params, x)?, y))
     }
 
     fn gradient_into(&self, params: &Vector, x: &Vector, y: usize, out: &mut Vector) -> Result<()> {
         self.validate(x, y)?;
         let scores = self.scores(params, x)?;
-        self.scatter_subgradient(&scores, x, y, out)
+        check_grad_len(out, self.param_dim())?;
+        out.set_zero();
+        self.scatter_subgradient(&scores, x, y, out);
+        Ok(())
     }
 
-    fn evaluate_into(
+    fn evaluate_accumulate(
         &self,
         params: &Vector,
         x: &Vector,
         y: usize,
-        out: &mut Vector,
+        grad_sum: Option<&mut Vector>,
     ) -> Result<SampleEval> {
         self.validate(x, y)?;
         // One scores pass feeds prediction, loss, and subgradient; the values
         // match the standalone methods exactly.
         let scores = self.scores(params, x)?;
-        let predicted = crowd_linalg::ops::argmax(&scores).ok_or(LearningError::ShapeMismatch {
-            reason: "model produced no scores".into(),
-        })?;
-        let mut loss = 0.0;
-        for (k, &s) in scores.iter().enumerate() {
-            let t = if k == y { 1.0 } else { -1.0 };
-            loss += (1.0 - t * s).max(0.0);
+        let predicted =
+            crowd_linalg::ops::argmax(&scores).ok_or_else(|| LearningError::ShapeMismatch {
+                reason: "model produced no scores".into(),
+            })?;
+        if let Some(grad_sum) = grad_sum {
+            check_grad_len(grad_sum, self.param_dim())?;
+            self.scatter_subgradient(&scores, x, y, grad_sum);
         }
-        self.scatter_subgradient(&scores, x, y, out)?;
-        Ok(SampleEval { predicted, loss })
+        Ok(SampleEval {
+            predicted,
+            loss: hinge_loss(&scores, y),
+        })
     }
 }
 
+/// One-vs-rest hinge loss: the true class should score ≥ +1, every other
+/// class ≤ −1.
+fn hinge_loss(scores: &[f64], y: usize) -> f64 {
+    let mut loss = 0.0;
+    for (k, &s) in scores.iter().enumerate() {
+        let t = if k == y { 1.0 } else { -1.0 };
+        loss += (1.0 - t * s).max(0.0);
+    }
+    loss
+}
+
 impl MulticlassHinge {
-    /// Writes the one-vs-rest hinge subgradient into `out` given the scores.
-    fn scatter_subgradient(
-        &self,
-        scores: &[f64],
-        x: &Vector,
-        y: usize,
-        out: &mut Vector,
-    ) -> Result<()> {
-        if out.len() != self.param_dim() {
-            return Err(LearningError::ShapeMismatch {
-                reason: format!(
-                    "gradient scratch has length {}, expected {}",
-                    out.len(),
-                    self.param_dim()
-                ),
-            });
-        }
+    /// Adds the one-vs-rest hinge subgradient into `grad` given the scores.
+    fn scatter_subgradient(&self, scores: &[f64], x: &Vector, y: usize, grad: &mut Vector) {
         let d = self.input_dim;
-        out.set_zero();
-        let grad = out.as_mut_slice();
+        let grad = grad.as_mut_slice();
         for (k, &s) in scores.iter().enumerate() {
             let t = if k == y { 1.0 } else { -1.0 };
             if 1.0 - t * s > 0.0 {
@@ -150,7 +143,6 @@ impl MulticlassHinge {
                 }
             }
         }
-        Ok(())
     }
 }
 
