@@ -37,9 +37,7 @@ pub mod shard;
 
 pub use queue::BoundedQueue;
 pub use reply::OutcomeSink;
-pub use runtime::{
-    AggRuntime, CompletionHandle, ParamSnapshot, RoundSubmitOutcome, SubmitRejection, Submitted,
-};
+pub use runtime::{AggRuntime, CompletionHandle, ParamSnapshot, SubmitRejection, Submitted};
 pub use shard::ShardSet;
 
 use std::fmt;
@@ -64,6 +62,12 @@ pub enum AggError {
         /// The exhausted device.
         device_id: u64,
     },
+    /// A round submission named a round that has closed; the device must
+    /// refetch parameters (which carry the current round) and resync.
+    RoundOutdated {
+        /// The server's current round id.
+        current_round: u64,
+    },
     /// The core framework reported an error.
     Core(crowd_core::CoreError),
     /// The persistence subsystem reported an error.
@@ -81,6 +85,9 @@ impl fmt::Display for AggError {
             AggError::Timeout => write!(f, "timed out waiting for epoch application"),
             AggError::BudgetExhausted { device_id } => {
                 write!(f, "device {device_id} has exhausted its privacy budget")
+            }
+            AggError::RoundOutdated { current_round } => {
+                write!(f, "round closed; the current round is {current_round}")
             }
             AggError::Core(e) => write!(f, "core error: {e}"),
             AggError::Store(e) => write!(f, "store error: {e}"),
@@ -131,6 +138,8 @@ mod tests {
         assert!(AggError::Timeout.to_string().contains("timed out"));
         let exhausted = AggError::BudgetExhausted { device_id: 6 };
         assert!(exhausted.to_string().contains("device 6"));
+        let outdated = AggError::RoundOutdated { current_round: 9 };
+        assert!(outdated.to_string().contains("round is 9"));
         assert!(std::error::Error::source(&exhausted).is_none());
         let store: AggError = crowd_store::StoreError::CorruptWal("tail".into()).into();
         assert!(store.to_string().contains("tail"));

@@ -15,7 +15,9 @@ use std::sync::mpsc;
 ///
 /// Run exactly once: with the outcome, or with [`AggError::ShuttingDown`]
 /// when the runtime drops the checkin unanswered (a kill, a halted durable
-/// runtime) — the same thing a [`crate::CompletionHandle`] reports then. It
+/// runtime) — the same thing a [`crate::CompletionHandle`] reports then. A
+/// queued round submission's sink may also get the error that refused it
+/// (say, [`AggError::RoundOutdated`]). It
 /// may run while that thread holds aggregation locks, so it must be quick
 /// and must not call back into the runtime.
 pub type OutcomeSink = Box<dyn FnOnce(Result<CheckinReceipt>) + Send + 'static>;
@@ -52,6 +54,19 @@ impl Reply {
             }
             Some(Route::Sink(sink)) => sink(Ok(outcome)),
             None => {}
+        }
+    }
+
+    /// Answers with `result`. An error reaches a sink as is; a blocked
+    /// caller learns of it from the disconnected channel.
+    pub(crate) fn settle(mut self, result: Result<CheckinReceipt>) {
+        match result {
+            Ok(outcome) => self.send(outcome),
+            Err(e) => {
+                if let Some(Route::Sink(sink)) = self.0.take() {
+                    sink(Err(e));
+                }
+            }
         }
     }
 }

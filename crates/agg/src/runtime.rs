@@ -16,6 +16,9 @@
 //!                                          │   (epoch full, traffic idle, shutdown)
 //!                                          ▼
 //!                        Mutex<Server> ── apply_aggregate ── swap snapshot ── reply
+//!
+//! round     ──►  validate, ε budget ──► (same two routes) ──► Server::round_submit
+//!                                        ──► finalize when the cohort is complete
 //! ```
 //!
 //! The only global exclusion is the epoch application itself (one projected SGD
@@ -33,13 +36,17 @@
 //! the guard it just took: with `epoch_size = 1` the apply, whose outcome it
 //! gets back by value; otherwise the shard ingest, and the merge if that
 //! filled the epoch. When the lock is taken the job is queued as above.
+//! [`AggRuntime::submit_round_to`] gives a masked round submission the same
+//! two routes; its job is the core server's `round_submit` (and the
+//! finalization it may trigger) instead of an epoch.
 //!
 //! Who fires the reply. A queued or ingested `submit_to` checkin carries an
 //! [`OutcomeSink`] instead of a channel, and the thread that settles the
 //! checkin runs it: on a volatile runtime whichever worker or submitter
 //! applied the epoch, on a durable one the committer, after `sync_data`. A
-//! checkin the runtime drops unanswered (a kill, a halt) runs its sink with
-//! [`AggError::ShuttingDown`].
+//! queued round submission's sink runs on the worker that ran it, after the
+//! commit that covers its WAL frame. A checkin the runtime drops unanswered
+//! (a kill, a halt) runs its sink with [`AggError::ShuttingDown`].
 //!
 //! A durable runtime (one given a `Store`) group-commits its write-ahead log:
 //!
@@ -74,7 +81,7 @@ use crowd_learning::model::Model;
 use crowd_linalg::Vector;
 use crowd_store::{Store, WalStage};
 use crowd_telemetry::{CounterId, GaugeId, HistogramId, MetricsSnapshot, Registry, Stage, Tick};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -101,12 +108,25 @@ pub struct ParamSnapshot {
 /// are far more history than any retry needs.
 const DEDUP_CAPACITY: usize = 8192;
 
+/// One unit of work on the ingest queue.
+enum Task {
+    Checkin(Job),
+    Round(RoundJob),
+}
+
 struct Job {
     payload: CheckinPayload,
     reply: Reply,
     /// When the checkin was admitted, for the end-to-end latency histogram
     /// (`checkin_latency_us`: queue wait + shard ingest + epoch apply + ack).
     submitted: Tick,
+}
+
+/// A masked round submission a worker runs (see [`apply_round`]).
+struct RoundJob {
+    round_id: u64,
+    submission: PendingSubmission,
+    reply: Reply,
 }
 
 struct Inner<M: Model> {
@@ -124,7 +144,7 @@ struct Inner<M: Model> {
     shards: ShardSet,
     // audit:lock(agg.snapshot, 50)
     snapshot: RwLock<Arc<ParamSnapshot>>,
-    queue: BoundedQueue<Job>,
+    queue: BoundedQueue<Task>,
     /// Checkins accumulated on a shard but not yet merged into an epoch.
     /// Signed: a merge may drain a payload just before the ingesting worker's
     /// increment lands, dipping the counter below zero for an instant.
@@ -222,7 +242,12 @@ struct Ack {
     nonce: u64,
 }
 
-/// How [`AggRuntime::submit_to`] took a checkin.
+/// What a submitter running its own job holds: the shutdown gate's read
+/// guard, then the core guard.
+type InlineGuards<'a, M> = (RwLockReadGuard<'a, bool>, MutexGuard<'a, Server<M>>);
+
+/// How [`AggRuntime::submit_to`] (or [`AggRuntime::submit_round_to`]) took
+/// a checkin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Submitted {
     /// Settled before the call returned — run to completion on the calling
@@ -233,16 +258,18 @@ pub enum Submitted {
     Pending,
 }
 
-/// Why [`AggRuntime::submit_to`] refused a checkin.
+/// Why [`AggRuntime::submit_to`] refused a checkin (`T` is what was
+/// submitted: a [`CheckinPayload`], or a [`PendingSubmission`] for
+/// [`AggRuntime::submit_round_to`]).
 #[derive(Debug)]
-pub enum SubmitRejection {
+pub enum SubmitRejection<T = CheckinPayload> {
     /// Retryable backpressure — the ingest queue is full, or a duplicate of
     /// this nonce is still in flight. The payload is returned so the caller
     /// can park it (e.g. a reactor throttling the connection's reads) and
     /// re-attempt admission later.
     Busy {
         /// The checkin, unchanged; resubmit it as-is.
-        payload: CheckinPayload,
+        payload: T,
         /// Pacing hint, mirroring [`AggError::Busy`].
         retry_after_ms: u32,
     },
@@ -251,8 +278,8 @@ pub enum SubmitRejection {
     Refused(AggError),
 }
 
-impl From<SubmitRejection> for AggError {
-    fn from(rejection: SubmitRejection) -> AggError {
+impl<T> From<SubmitRejection<T>> for AggError {
+    fn from(rejection: SubmitRejection<T>) -> AggError {
         match rejection {
             SubmitRejection::Busy { retry_after_ms, .. } => AggError::Busy { retry_after_ms },
             SubmitRejection::Refused(err) => err,
@@ -266,21 +293,6 @@ enum Admitted {
     Replay(CheckinReceipt),
     /// Valid, within budget, and its nonce (if any) marked in flight.
     Fresh(CheckinPayload),
-}
-
-/// How [`AggRuntime::submit_round`] answered a masked round submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundSubmitOutcome {
-    /// The contribution stands (freshly accepted, or a deduplicated retry of
-    /// one that already did — `outcome.deduped` distinguishes them). It is
-    /// applied to the model when the round finalizes.
-    Acked(CheckinReceipt),
-    /// The named round has closed; the device must refetch parameters (which
-    /// carry the current `RoundParams`) and resync.
-    Outdated {
-        /// The server's current round id.
-        current_round: u64,
-    },
 }
 
 /// A ticket for a submitted checkin: blocks until the checkin's epoch has been
@@ -447,7 +459,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             }
             Admitted::Fresh(payload) => {
                 let submitted = self.inner.metrics.start();
-                self.enqueue(payload, submitted, || Reply::caller(tx))?;
+                self.enqueue_checkin(payload, submitted, || Reply::caller(tx))?;
             }
         }
         Ok(CompletionHandle { rx })
@@ -479,34 +491,52 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         };
         let inner = &*self.inner;
         let submitted = inner.metrics.start();
-        if inner.store.is_none() {
-            if let Some(gate) = inner.gate.try_read() {
-                if *gate {
-                    abandon(inner, payload.device_id, payload.nonce);
-                    return Err(SubmitRejection::Refused(AggError::ShuttingDown));
-                }
-                if let Some(core) = inner.core.try_lock() {
-                    inner.metrics.incr(CounterId::CheckinsInline);
-                    if inner.settings.epoch_size == 1 {
-                        let job = Job {
-                            payload,
-                            reply: Reply::returned(),
-                            submitted,
-                        };
-                        return Ok(Submitted::Applied(apply_singleton(inner, core, job)));
-                    }
+        match self.try_inline() {
+            Err(e) => {
+                abandon(inner, payload.device_id, payload.nonce);
+                return Err(SubmitRejection::Refused(e));
+            }
+            Ok(Some((_gate, core))) => {
+                inner.metrics.incr(CounterId::CheckinsInline);
+                if inner.settings.epoch_size == 1 {
                     let job = Job {
                         payload,
-                        reply: Reply::sink(make_sink()),
+                        reply: Reply::returned(),
                         submitted,
                     };
-                    ingest(inner, job, Some(core));
-                    return Ok(Submitted::Pending);
+                    return Ok(Submitted::Applied(apply_singleton(inner, core, job)));
                 }
+                let job = Job {
+                    payload,
+                    reply: Reply::sink(make_sink()),
+                    submitted,
+                };
+                ingest(inner, job, Some(core));
+                return Ok(Submitted::Pending);
             }
+            Ok(None) => {}
         }
-        self.enqueue(payload, submitted, || Reply::sink(make_sink()))?;
+        self.enqueue_checkin(payload, submitted, || Reply::sink(make_sink()))?;
         Ok(Submitted::Pending)
+    }
+
+    /// The run-to-completion route's way in (see the module docs): on a
+    /// volatile runtime, with the gate open and the core lock free right
+    /// now, the gate's read guard and the core guard — hold the first until
+    /// the job's last reply is out. `None` sends the job to the queue;
+    /// `Err` means shutdown has begun.
+    fn try_inline(&self) -> Result<Option<InlineGuards<'_, M>>> {
+        let inner = &*self.inner;
+        if inner.store.is_some() {
+            return Ok(None);
+        }
+        let Some(gate) = inner.gate.try_read() else {
+            return Ok(None);
+        };
+        if *gate {
+            return Err(AggError::ShuttingDown);
+        }
+        Ok(inner.core.try_lock().map(|core| (gate, core)))
     }
 
     /// Validation, duplicate detection and the ε budget check, in that order.
@@ -553,40 +583,50 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         Ok(Admitted::Fresh(payload))
     }
 
-    /// Queues an admitted checkin for the workers. The reply is built only
-    /// once the queue has a slot for the job: a refusal builds nothing.
-    fn enqueue(
+    /// Queues an admitted checkin for the workers, releasing its nonce if
+    /// the queue refuses it.
+    fn enqueue_checkin(
         &self,
         payload: CheckinPayload,
         submitted: Tick,
         make_reply: impl FnOnce() -> Reply,
     ) -> std::result::Result<(), SubmitRejection> {
-        let inner = &*self.inner;
         let (device_id, nonce) = (payload.device_id, payload.nonce);
-        let pushed = inner.queue.try_push_with(payload, |payload| Job {
-            payload,
-            reply: make_reply(),
-            submitted,
-        });
-        match pushed {
+        self.enqueue(payload, device_id, |payload| {
+            Task::Checkin(Job {
+                payload,
+                reply: make_reply(),
+                submitted,
+            })
+        })
+        .inspect_err(|_| abandon(&self.inner, device_id, nonce))
+    }
+
+    /// Queues `item` as the task `make_task` builds. The task (and with it
+    /// the reply) is built only once the queue has a slot for it: a refusal
+    /// builds nothing and hands `item` back.
+    fn enqueue<T>(
+        &self,
+        item: T,
+        device_id: u64,
+        make_task: impl FnOnce(T) -> Task,
+    ) -> std::result::Result<(), SubmitRejection<T>> {
+        let inner = &*self.inner;
+        match inner.queue.try_push_with(item, make_task) {
             Ok(()) => {
                 inner.metrics.gauge_add(GaugeId::QueueDepth, 1);
                 inner.metrics.span(Stage::QueueAdmit, device_id);
                 Ok(())
             }
-            Err(PushError::Full(payload)) => {
-                abandon(inner, device_id, nonce);
+            Err(PushError::Full(item)) => {
                 inner.metrics.incr(CounterId::BusyRejections);
                 inner.metrics.span(Stage::QueuePark, device_id);
                 Err(SubmitRejection::Busy {
-                    payload,
+                    payload: item,
                     retry_after_ms: inner.settings.retry_after_ms,
                 })
             }
-            Err(PushError::Closed(_)) => {
-                abandon(inner, device_id, nonce);
-                Err(SubmitRejection::Refused(AggError::ShuttingDown))
-            }
+            Err(PushError::Closed(_)) => Err(SubmitRejection::Refused(AggError::ShuttingDown)),
         }
     }
 
@@ -602,19 +642,63 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         *self.inner.rounds.read()
     }
 
-    /// Submits one masked round contribution.
-    ///
-    /// Unlike free-run checkins, round submissions bypass the ingest queue and
-    /// shard accumulators: the masked words are opaque until the whole cohort
-    /// is unmasked together, so the submission goes straight into the core
-    /// server's pending set (WAL-logged first when durable) and is applied —
-    /// and ε-charged — when the round finalizes. If this submission completes
-    /// the cohort, the round is finalized before the ack returns.
+    /// Submits one masked round contribution and blocks until it is
+    /// answered: the blocking form of [`AggRuntime::submit_round_to`], with
+    /// the same validation and answers, that waits for the core lock instead
+    /// of queueing.
     pub fn submit_round(
         &self,
         round_id: u64,
         submission: PendingSubmission,
-    ) -> Result<RoundSubmitOutcome> {
+    ) -> Result<CheckinReceipt> {
+        self.admit_round(&submission)?;
+        apply_round(&self.inner, self.inner.core.lock(), round_id, submission)
+    }
+
+    /// Submits one masked round contribution without blocking — the round
+    /// protocol's [`AggRuntime::submit_to`].
+    ///
+    /// Unlike free-run checkins, round submissions bypass the shard
+    /// accumulators: the masked words are opaque until the whole cohort is
+    /// unmasked together, so the submission goes straight into the core
+    /// server's pending set (WAL-logged first when durable) and is applied —
+    /// and ε-charged — when the round finalizes. If this submission completes
+    /// the cohort, the round is finalized before it is answered.
+    ///
+    /// Validation and the ε budget check come first. Then, when nothing can
+    /// make the caller wait, the submission runs on the calling thread and
+    /// [`Submitted::Applied`] carries its ack; otherwise it is queued with the
+    /// sink `make_sink` builds, and the worker that runs it fires the sink —
+    /// on a durable runtime only after the commit covering its WAL frame. A
+    /// closed round is refused with [`AggError::RoundOutdated`]. A full queue
+    /// hands the submission back, as [`SubmitRejection::Busy`].
+    pub fn submit_round_to(
+        &self,
+        round_id: u64,
+        submission: PendingSubmission,
+        make_sink: impl FnOnce() -> OutcomeSink,
+    ) -> std::result::Result<Submitted, SubmitRejection<PendingSubmission>> {
+        self.admit_round(&submission)
+            .map_err(SubmitRejection::Refused)?;
+        let inner = &*self.inner;
+        if let Some((_gate, core)) = self.try_inline().map_err(SubmitRejection::Refused)? {
+            return apply_round(inner, core, round_id, submission)
+                .map(Submitted::Applied)
+                .map_err(SubmitRejection::Refused);
+        }
+        let device_id = submission.device_id;
+        self.enqueue(submission, device_id, |submission| {
+            Task::Round(RoundJob {
+                round_id,
+                submission,
+                reply: Reply::sink(make_sink()),
+            })
+        })?;
+        Ok(Submitted::Pending)
+    }
+
+    /// A round submission's shape checks and ε budget check.
+    fn admit_round(&self, submission: &PendingSubmission) -> Result<()> {
         let inner = &self.inner;
         if submission.words.len() != inner.param_dim {
             return Err(AggError::Invalid(format!(
@@ -641,67 +725,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 device_id: submission.device_id,
             });
         }
-        let device_id = submission.device_id;
-        let checkout_iteration = submission.checkout_iteration;
-        let logged = inner.store.is_some().then(|| submission.clone());
-        let (mut core, mut stage) = lock_core(inner);
-        match core
-            .round_submit(round_id, submission)
-            .map_err(AggError::Core)?
-        {
-            RoundAdmission::Accepted { cohort_complete } => {
-                if let (Some(stage), Some(sub)) = (stage.as_deref_mut(), &logged) {
-                    stage.batch.frames.stage_round_submit(round_id, sub);
-                }
-                let outcome = CheckinReceipt {
-                    accepted: true,
-                    iteration: core.iteration(),
-                    stopped: core.stopped(),
-                    staleness: core.iteration().saturating_sub(checkout_iteration),
-                    deduped: false,
-                };
-                inner.metrics.incr(CounterId::RoundSubmissions);
-                inner.metrics.span(Stage::ShardIngest, device_id);
-                if cohort_complete {
-                    finalize_round(inner, &mut core, stage.as_deref_mut());
-                    settle_due_rounds(inner, &mut core, stage.as_deref_mut());
-                }
-                // The reply is the ack, so the commit is inline. When it
-                // fails the pending entry stays (there is no un-submit) but no
-                // ack is sent: a crash loses exactly what the device believes
-                // unacknowledged.
-                if !release(inner, core, stage, true) {
-                    return Err(AggError::ShuttingDown);
-                }
-                Ok(RoundSubmitOutcome::Acked(outcome))
-            }
-            RoundAdmission::Duplicate => {
-                let outcome = CheckinReceipt {
-                    accepted: true,
-                    iteration: core.iteration(),
-                    stopped: core.stopped(),
-                    staleness: 0,
-                    deduped: true,
-                };
-                drop(stage);
-                drop(core);
-                inner.metrics.incr(CounterId::DedupReplays);
-                Ok(RoundSubmitOutcome::Acked(outcome))
-            }
-            RoundAdmission::Outdated { current_round } => {
-                drop(stage);
-                drop(core);
-                inner.metrics.incr(CounterId::RoundOutdatedRejections);
-                Ok(RoundSubmitOutcome::Outdated { current_round })
-            }
-            RoundAdmission::NotSelected => {
-                drop(stage);
-                drop(core);
-                Err(AggError::Invalid(format!(
-                    "device {device_id} is not in round {round_id}'s cohort"
-                )))
-            }
-        }
+        Ok(())
     }
 
     fn validate(&self, payload: &CheckinPayload) -> Result<()> {
@@ -978,17 +1002,24 @@ fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
     let mut idle_pending = 0;
     loop {
         match inner.queue.pop_timeout(idle) {
-            Pop::Item(job) => {
+            Pop::Item(task) => {
                 inner.metrics.gauge_add(GaugeId::QueueDepth, -1);
-                // Per-checkin epochs must stay per-checkin even when several
-                // threads race (a shard drain would coalesce concurrently
-                // ingested payloads into one epoch and under-count server
-                // iterations), so epoch_size = 1 bypasses the shards and
-                // applies each payload as its own singleton epoch.
-                if inner.settings.epoch_size == 1 {
-                    apply_singleton(&inner, inner.core.lock(), job);
-                } else {
-                    ingest(&inner, job, None);
+                match task {
+                    // Per-checkin epochs must stay per-checkin even when
+                    // several threads race (a shard drain would coalesce
+                    // concurrently ingested payloads into one epoch and
+                    // under-count server iterations), so epoch_size = 1
+                    // bypasses the shards and applies each payload as its own
+                    // singleton epoch.
+                    Task::Checkin(job) if inner.settings.epoch_size == 1 => {
+                        apply_singleton(&inner, inner.core.lock(), job);
+                    }
+                    Task::Checkin(job) => ingest(&inner, job, None),
+                    Task::Round(job) => {
+                        let answer =
+                            apply_round(&inner, inner.core.lock(), job.round_id, job.submission);
+                        job.reply.settle(answer);
+                    }
                 }
             }
             Pop::TimedOut => {
@@ -1003,6 +1034,74 @@ fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
             Pop::Closed => return,
         }
     }
+}
+
+/// Runs one admitted round submission under the core guard its caller took —
+/// a worker, the submitter running its own job, or a blocking
+/// [`AggRuntime::submit_round`] — and returns its answer: an ack, or why it
+/// does not stand. On a durable runtime the ack is returned only once the
+/// commit covering the submission's WAL frame is done.
+fn apply_round<M: Model>(
+    inner: &Inner<M>,
+    mut core: MutexGuard<'_, Server<M>>,
+    round_id: u64,
+    submission: PendingSubmission,
+) -> Result<CheckinReceipt> {
+    let device_id = submission.device_id;
+    let checkout_iteration = submission.checkout_iteration;
+    let logged = inner.store.is_some().then(|| submission.clone());
+    let mut stage = lock_stage(inner, &core);
+    let admission = core.round_submit(round_id, submission);
+    let cohort_complete = match admission.map_err(AggError::Core)? {
+        RoundAdmission::Accepted { cohort_complete } => cohort_complete,
+        RoundAdmission::Duplicate => {
+            let outcome = CheckinReceipt {
+                accepted: true,
+                iteration: core.iteration(),
+                stopped: core.stopped(),
+                staleness: 0,
+                deduped: true,
+            };
+            drop(stage);
+            drop(core);
+            inner.metrics.incr(CounterId::DedupReplays);
+            return Ok(outcome);
+        }
+        RoundAdmission::Outdated { current_round } => {
+            drop(stage);
+            drop(core);
+            inner.metrics.incr(CounterId::RoundOutdatedRejections);
+            return Err(AggError::RoundOutdated { current_round });
+        }
+        RoundAdmission::NotSelected => {
+            return Err(AggError::Invalid(format!(
+                "device {device_id} is not in round {round_id}'s cohort"
+            )));
+        }
+    };
+    if let (Some(stage), Some(sub)) = (stage.as_deref_mut(), &logged) {
+        stage.batch.frames.stage_round_submit(round_id, sub);
+    }
+    let outcome = CheckinReceipt {
+        accepted: true,
+        iteration: core.iteration(),
+        stopped: core.stopped(),
+        staleness: core.iteration().saturating_sub(checkout_iteration),
+        deduped: false,
+    };
+    inner.metrics.incr(CounterId::RoundSubmissions);
+    inner.metrics.span(Stage::ShardIngest, device_id);
+    if cohort_complete {
+        finalize_round(inner, &mut core, stage.as_deref_mut());
+        settle_due_rounds(inner, &mut core, stage.as_deref_mut());
+    }
+    // The reply is the ack, so the commit is waited for. When it fails the
+    // pending entry stays (there is no un-submit) but no ack is sent: a
+    // crash loses exactly what the device believes unacknowledged.
+    if !release(inner, core, stage, true) {
+        return Err(AggError::ShuttingDown);
+    }
+    Ok(outcome)
 }
 
 /// Folds one checkin into its shard accumulator and closes the epoch if that
@@ -1778,13 +1877,9 @@ mod tests {
         let gradient = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         for device in 0..3u64 {
             let (round_id, sub) = masked(&rt, device, &gradient);
-            match rt.submit_round(round_id, sub).unwrap() {
-                RoundSubmitOutcome::Acked(outcome) => {
-                    assert!(outcome.accepted);
-                    assert!(!outcome.deduped);
-                }
-                other => panic!("expected ack, got {other:?}"),
-            }
+            let outcome = rt.submit_round(round_id, sub).unwrap();
+            assert!(outcome.accepted);
+            assert!(!outcome.deduped);
         }
         // The third submission completed the cohort: one epoch applied, the
         // next round opened, and the step equals the unmasked mean gradient
@@ -1804,18 +1899,12 @@ mod tests {
         let rt = runtime(round_config(3, 1.0, 100));
         let gradient = [0.5; 6];
         let (round_id, sub) = masked(&rt, 0, &gradient);
-        assert!(matches!(
-            rt.submit_round(round_id, sub.clone()).unwrap(),
-            RoundSubmitOutcome::Acked(o) if !o.deduped
-        ));
+        assert!(!rt.submit_round(round_id, sub.clone()).unwrap().deduped);
         // A retried submission (ack lost on the wire) replays, not re-applies.
-        assert!(matches!(
-            rt.submit_round(round_id, sub.clone()).unwrap(),
-            RoundSubmitOutcome::Acked(o) if o.deduped
-        ));
+        assert!(rt.submit_round(round_id, sub.clone()).unwrap().deduped);
         // A submission against a round that is not current resyncs the device.
-        match rt.submit_round(round_id + 7, sub).unwrap() {
-            RoundSubmitOutcome::Outdated { current_round } => {
+        match rt.submit_round(round_id + 7, sub) {
+            Err(AggError::RoundOutdated { current_round }) => {
                 assert_eq!(current_round, round_id)
             }
             other => panic!("expected outdated, got {other:?}"),
@@ -1900,10 +1989,7 @@ mod tests {
         assert_eq!(report.replayed_submissions, 2);
         let rt = AggRuntime::with_store(server, Some(store)).unwrap();
         let (round_id, sub) = masked(&rt, 2, &gradient);
-        match rt.submit_round(round_id, sub).unwrap() {
-            RoundSubmitOutcome::Acked(outcome) => assert!(outcome.accepted),
-            other => panic!("expected ack, got {other:?}"),
-        }
+        assert!(rt.submit_round(round_id, sub).unwrap().accepted);
         assert_eq!(rt.iteration(), 1);
         assert!((rt.params()[0] + 1.0).abs() < 1e-12);
         rt.shutdown();

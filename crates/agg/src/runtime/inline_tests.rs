@@ -2,7 +2,8 @@
 //! its submitting thread leaves the same state and gets the same answer as
 //! one a worker ran off the queue; nothing admitted is stranded, by
 //! contention, by shutdown or by a kill; and a durable runtime never runs a
-//! checkin on its submitter.
+//! checkin on its submitter. The same holds for a masked round submission
+//! through [`AggRuntime::submit_round_to`].
 
 use super::*;
 use crowd_core::config::ServerConfig;
@@ -498,4 +499,159 @@ fn kill_under_fire_applies_whole_checkins_or_drops_them() {
             .collect();
         assert_eq!(rt.budget_ledger(), ledger);
     }
+}
+
+/// Rounds over a population of four, all of them selected, that never expire
+/// on their own.
+fn with_rounds(config: ServerConfig) -> ServerConfig {
+    config.with_rounds(
+        crowd_core::RoundSettings::new(4)
+            .with_select_fraction(1.0)
+            .with_deadline_epochs(1000),
+    )
+}
+
+/// `device_id`'s masked submission to the runtime's open round.
+fn round_submission(rt: &Runtime, device_id: u64) -> (u64, PendingSubmission) {
+    let info = rt.round_info().unwrap();
+    let cohort = crowd_rounds::cohort(info.seed, info.population, info.select_fraction);
+    let masks = crowd_rounds::net_mask(info.seed, device_id, &cohort, PARAM_DIM);
+    let gradient: Vec<f64> = (0..PARAM_DIM).map(|i| i as f64 / 8.0).collect();
+    let submission = PendingSubmission {
+        device_id,
+        nonce: 700 + device_id,
+        checkout_iteration: 0,
+        words: crowd_rounds::mask(&gradient, &masks),
+        num_samples: 2,
+        error_count: 1,
+        label_counts: vec![1, 1, 0],
+    };
+    (info.round_id, submission)
+}
+
+/// Waits until `cond` holds, for at most [`WAIT`].
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    for _ in 0..WAIT.as_millis() {
+        if cond() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("timed out waiting for {what}");
+}
+
+#[test]
+fn a_held_core_lock_queues_the_round_submission_and_its_sink_fires_once() {
+    let rt = runtime(with_rounds(config(1, 1, 1)));
+    let answers = Answers::default();
+    let sinks_built = AtomicU64::new(0);
+    let submit = |device: u64| {
+        let (round_id, submission) = round_submission(&rt, device);
+        rt.submit_round_to(round_id, submission, || {
+            sinks_built.fetch_add(1, Ordering::SeqCst);
+            answers.sink(device as usize)
+        })
+    };
+
+    let held = rt.inner.core.lock();
+    // The lock is taken: the submission is queued, and the worker that pops
+    // it waits for the lock in the submitter's stead.
+    assert_eq!(submit(0).unwrap(), Submitted::Pending);
+    wait_until("the worker to take the first job", || {
+        rt.inner.queue.is_empty()
+    });
+    assert_eq!(submit(1).unwrap(), Submitted::Pending);
+    // The one-deep queue is full: the submission comes back, no sink built.
+    match submit(2) {
+        Err(SubmitRejection::Busy {
+            payload,
+            retry_after_ms: 1,
+        }) => assert_eq!((payload.device_id, payload.nonce), (2, 702)),
+        other => panic!("expected the submission back, got {other:?}"),
+    }
+    assert_eq!(sinks_built.load(Ordering::SeqCst), 2);
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(
+        answers.0.lock().is_empty(),
+        "no sink fires while the core lock is held"
+    );
+
+    drop(held);
+    wait_until("both sinks to fire", || answers.0.lock().len() == 2);
+    // `Answers::set` refuses a second answer; give a stray one time to land.
+    std::thread::sleep(Duration::from_millis(20));
+    for (device, answer) in answers.take(2).iter().enumerate() {
+        match answer {
+            Some(Answer::Outcome(outcome)) => assert!(outcome.accepted && !outcome.deduped),
+            other => panic!("submission {device} was answered {other:?}"),
+        }
+    }
+    // The handed-back submission, resubmitted with the lock free, runs
+    // inline; so does the one that completes the cohort and finalizes it.
+    for device in [2, 3] {
+        match submit(device).unwrap() {
+            Submitted::Applied(outcome) => assert!(outcome.accepted && !outcome.deduped),
+            Submitted::Pending => panic!("nothing holds the core lock"),
+        }
+    }
+    assert_eq!(sinks_built.load(Ordering::SeqCst), 2);
+    let stats = rt.stats();
+    assert_eq!(stats.get("round_submissions"), 4);
+    assert_eq!(stats.get("rounds_finalized"), 1);
+    assert_eq!(rt.iteration(), 1);
+    rt.shutdown();
+}
+
+#[test]
+fn a_durable_round_submission_is_answered_after_its_commit_or_not_at_all() {
+    let dir = temp_dir("round-route-durable");
+    let config = with_rounds(config(1, 64, 2))
+        .with_data_dir(&dir)
+        .with_fsync(false);
+    let model = MulticlassLogistic::new(2, 3).unwrap();
+    let (store, server, _) = crowd_store::Store::open(model, config).unwrap();
+    let rt = AggRuntime::with_store(server, Some(store)).unwrap();
+    let metrics = rt.metrics();
+    let (tx, rx) = mpsc::channel();
+    let submit = |device: u64| {
+        let (round_id, submission) = round_submission(&rt, device);
+        let (tx, metrics) = (tx.clone(), Arc::clone(&metrics));
+        rt.submit_round_to(round_id, submission, move || {
+            Box::new(move |outcome| {
+                // What the WAL held when the sink ran.
+                let committed = metrics.counter(CounterId::WalFrames);
+                tx.send((outcome, committed)).unwrap();
+            })
+        })
+    };
+    for device in 0..3u64 {
+        // A durable runtime never runs a submission on its submitter.
+        assert_eq!(submit(device).unwrap(), Submitted::Pending);
+        let (outcome, committed) = rx.recv_timeout(WAIT).unwrap();
+        assert!(outcome.unwrap().accepted);
+        assert!(
+            committed > device,
+            "submission {device} was answered before its frame was committed"
+        );
+    }
+
+    // A kill while the submission waits for the core lock: its frame is
+    // never committed, and its sink says so.
+    let frames = metrics.counter(CounterId::WalFrames);
+    std::thread::scope(|scope| {
+        let held = rt.inner.core.lock();
+        assert_eq!(submit(3).unwrap(), Submitted::Pending);
+        let killer = scope.spawn(|| rt.kill());
+        wait_until("the kill to begin", || {
+            rt.inner.crashed.load(Ordering::SeqCst)
+        });
+        drop(held);
+        killer.join().unwrap();
+    });
+    match rx.recv_timeout(WAIT).unwrap() {
+        (Err(AggError::ShuttingDown), committed) => assert_eq!(committed, frames),
+        (other, _) => panic!("expected ShuttingDown, got {other:?}"),
+    }
+    assert!(rx.try_recv().is_err(), "the sink ran once");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -9,8 +9,8 @@ use crowd_learning::model::Model;
 use crowd_linalg::{GradientUpdate, Vector};
 use crowd_proto::frame::{read_message_pooled, write_message_pooled, DEFAULT_MAX_FRAME};
 use crowd_proto::message::{
-    BatchAck, BatchCheckinRequest, CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode,
-    GradientPayload, Message, MetricsReport, MetricsRequest, RoundParams,
+    CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode, GradientPayload, Message,
+    MetricsReport, MetricsRequest, RoundParams,
 };
 use crowd_proto::{AuthToken, BufPool, PROTOCOL_VERSION};
 use crowd_rounds::Role;
@@ -544,99 +544,6 @@ impl DeviceClient {
         })
     }
 
-    /// Checks in several buffered minibatches per frame (the `BatchCheckin`
-    /// message), amortizing connection and framing overhead for co-located
-    /// payloads. Batches larger than the codec's [`MAX_BATCH_ITEMS`] decode cap
-    /// are split across frames transparently. Returns one positional
-    /// acknowledgement per payload.
-    ///
-    /// [`MAX_BATCH_ITEMS`]: crowd_proto::codec::MAX_BATCH_ITEMS
-    pub fn checkin_batch(&self, payloads: &[CheckinPayload]) -> Result<Vec<BatchAck>> {
-        let mut acks = Vec::with_capacity(payloads.len());
-        for chunk in payloads.chunks(crowd_proto::codec::MAX_BATCH_ITEMS) {
-            let items: Vec<CheckinRequest> = chunk
-                .iter()
-                .map(|payload| CheckinRequest {
-                    device_id: self.device_id,
-                    token: self.token,
-                    checkout_iteration: payload.checkout_iteration,
-                    nonce: payload.nonce,
-                    round_id: 0,
-                    gradient: wire_gradient(&payload.gradient),
-                    num_samples: payload.num_samples as u32,
-                    error_count: payload.error_count,
-                    label_counts: payload.label_counts.clone(),
-                })
-                .collect();
-            let mut chunk_acks = self.batch_exchange(items.clone())?;
-            // Backpressure inside a batch reply arrives per item
-            // (reject = Busy), not as a whole-message Busy that `exchange`
-            // would retry — resend just the rejected items under the same
-            // retry policy so they are not silently dropped.
-            let mut failures = 0u32;
-            loop {
-                let busy: Vec<usize> = chunk_acks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ack)| ack.reject == Some(ErrorCode::Busy))
-                    .map(|(i, _)| i)
-                    .collect();
-                if busy.is_empty() {
-                    break;
-                }
-                failures += 1;
-                if failures >= self.retry.max_attempts {
-                    // Out of retries: the Busy rejections are reported to the
-                    // caller in the acks rather than swallowed.
-                    break;
-                }
-                std::thread::sleep(self.retry.backoff(failures - 1, 0));
-                let retry_items: Vec<CheckinRequest> =
-                    busy.iter().map(|&i| items[i].clone()).collect();
-                let retry_acks = self.batch_exchange(retry_items)?;
-                for (slot, ack) in busy.into_iter().zip(retry_acks) {
-                    chunk_acks[slot] = ack;
-                }
-            }
-            acks.extend(chunk_acks);
-        }
-        Ok(acks)
-    }
-
-    /// One batch-checkin frame exchange, validated to return exactly one ack
-    /// per item.
-    fn batch_exchange(&self, items: Vec<CheckinRequest>) -> Result<Vec<BatchAck>> {
-        let expected = items.len();
-        // The whole frame is idempotent iff every item is individually
-        // deduplicable.
-        let idempotent = items.iter().all(|item| item.nonce != 0);
-        let request = Message::BatchCheckinRequest(BatchCheckinRequest { items });
-        let reply = if idempotent {
-            self.exchange_idempotent(&request)?
-        } else {
-            self.exchange(&request)?
-        };
-        match reply {
-            Message::BatchCheckinAck(ack) => {
-                if ack.acks.len() != expected {
-                    return Err(NetError::UnexpectedMessage {
-                        expected: "one ack per batch item",
-                        received: "mismatched batch ack",
-                    });
-                }
-                Ok(ack.acks)
-            }
-            Message::Error(e) => Err(NetError::ServerError {
-                code: e.code,
-                detail: e.detail,
-            }),
-            other => Err(NetError::UnexpectedMessage {
-                expected: "batch_checkin_ack",
-                received: other.name(),
-            }),
-        }
-    }
-
     /// Runs the full device loop over a local data stream: buffer samples, check
     /// out when the minibatch fills, compute and sanitize the statistics, check in,
     /// and stop when the stream is exhausted or the server reports the task ended.
@@ -873,33 +780,6 @@ mod tests {
         assert!(outcome.applied());
         assert!(!outcome.task_stopped());
         assert_eq!(handle.iteration(), 1);
-        handle.shutdown();
-    }
-
-    #[test]
-    fn batch_checkin_amortizes_framing() {
-        let model = MulticlassLogistic::new(3, 2).unwrap();
-        let tokens = TokenRegistry::with_derived_tokens(2, 5);
-        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
-        let client = DeviceClient::builder(handle.addr(), 1, AuthToken::derive(1, 5)).build();
-        let payloads: Vec<crowd_core::device::CheckinPayload> = (0..3)
-            .map(|i| crowd_core::device::CheckinPayload {
-                device_id: 1,
-                checkout_iteration: i,
-                nonce: 0,
-                gradient: Vector::from_vec(vec![0.1; 6]).into(),
-                num_samples: 2,
-                error_count: 0,
-                label_counts: vec![1, 1],
-            })
-            .collect();
-        let acks = client.checkin_batch(&payloads).unwrap();
-        assert_eq!(acks.len(), 3);
-        assert!(acks
-            .iter()
-            .all(|a| a.accepted && !a.deduped && a.reject.is_none()));
-        assert_eq!(handle.iteration(), 3);
-        assert_eq!(handle.total_samples(), 6);
         handle.shutdown();
     }
 

@@ -11,14 +11,13 @@
 //!   queue is full, the connection is parked with read interest disarmed; TCP
 //!   flow control pushes back to the device, and the parked gradient is
 //!   re-admitted as soon as the queue drains — the device never re-uploads.
-//! * **Nothing waits for an ack.** A checkin is run to completion on the
-//!   reactor thread that decoded it whenever the aggregation runtime allows
-//!   (a volatile runtime whose core lock is free that instant); otherwise it
-//!   is queued, and the thread that settles it — an aggregation worker, or
-//!   on a durable server the WAL committer after its `fsync` — posts the ack
-//!   straight to the connection's reactor thread. The per-reactor completion
-//!   pump runs only what really blocks: masked round submissions, which take
-//!   the aggregation core lock, and batch checkins.
+//! * **Nothing waits for an ack.** A checkin — free-run or a masked round
+//!   submission — is run to completion on the reactor thread that decoded it
+//!   whenever the aggregation runtime allows (a volatile runtime whose core
+//!   lock is free that instant); otherwise it is queued, and the thread that
+//!   settles it — an aggregation worker, or on a durable server the WAL
+//!   committer after its `fsync` — posts the reply straight to the
+//!   connection's reactor thread. The reactor runs no other thread.
 
 use crate::service::{handle_event, ServerCore};
 use crate::Result;
@@ -223,8 +222,8 @@ mod tests {
     use crowd_proto::auth::AuthToken;
     use crowd_proto::frame::{read_message, write_message};
     use crowd_proto::message::{
-        BatchCheckinRequest, CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode, ErrorReply,
-        GradientPayload, Message,
+        CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode, ErrorReply, GradientPayload,
+        Message,
     };
     use crowd_proto::PROTOCOL_VERSION;
     use std::net::TcpStream;
@@ -299,7 +298,7 @@ mod tests {
             stats.histogram("req_checkin_us").map_or(0, |h| h.count())
         };
         assert_eq!(histogram_count(&handle), 0);
-        // One acknowledged checkin (the reply is built on the pump) …
+        // One acknowledged checkin …
         let reply = roundtrip(
             handle.addr(),
             &Message::CheckinRequest(checkin_item(1, 99, vec![0.1; 12])),
@@ -453,6 +452,16 @@ mod tests {
                 not_a_request,
                 ErrorCode::BadRequest,
             ),
+            (
+                "malformed gradient",
+                Message::CheckinRequest(checkin_item(2, 99, vec![0.5; 3])),
+                ErrorCode::BadRequest,
+            ),
+            (
+                "bad checkin token",
+                Message::CheckinRequest(checkin_item(3, 12345, vec![0.1; 12])),
+                ErrorCode::Unauthorized,
+            ),
         ] {
             let reply = exchange(what, request);
             assert!(
@@ -460,25 +469,10 @@ mod tests {
                 "{what}: {reply:?}"
             );
         }
-        // Devices 1–3 share a frame; device 2 carries a malformed gradient,
-        // device 3 a bad token — each item is judged independently.
-        let batch = Message::BatchCheckinRequest(BatchCheckinRequest {
-            items: vec![
-                checkin_item(1, 99, vec![0.1; 12]),
-                checkin_item(2, 99, vec![0.5; 3]),
-                checkin_item(3, 12345, vec![0.1; 12]),
-            ],
-        });
-        match exchange("batch mix", batch) {
-            Message::BatchCheckinAck(ack) => {
-                assert_eq!(ack.acks.len(), 3);
-                assert!(ack.acks[0].accepted);
-                assert_eq!(ack.acks[0].reject, None);
-                assert!(!ack.acks[1].accepted);
-                assert_eq!(ack.acks[1].reject, Some(ErrorCode::BadRequest));
-                assert!(!ack.acks[2].accepted);
-                assert_eq!(ack.acks[2].reject, Some(ErrorCode::Unauthorized));
-            }
+        // The refusals applied nothing; a well-formed checkin still is.
+        let valid = Message::CheckinRequest(checkin_item(1, 99, vec![0.1; 12]));
+        match exchange("valid checkin", valid) {
+            Message::CheckinAck(ack) => assert!(ack.accepted),
             other => panic!("unexpected reply {other:?}"),
         }
         assert_eq!(handle.iteration(), 1);
@@ -489,28 +483,31 @@ mod tests {
     /// Wire v7 changed no message, only what a masked word means (sparse
     /// ring masks instead of all-pairs): a v6 device must be turned away at
     /// checkout, before it can learn a round to submit an all-pairs mask to.
+    /// Wire v8 retired batch checkin, so a v7 device is turned away too.
     #[test]
     fn a_v6_checkout_is_refused_as_a_bad_version() {
         let model = MulticlassLogistic::new(4, 3).unwrap();
         let config = ServerConfig::new().with_rounds(crowd_core::config::RoundSettings::new(4));
         let tokens = TokenRegistry::with_derived_tokens(4, 99);
         let handle = ReactorServer::start(model, config, tokens).unwrap();
-        let reply = roundtrip(
-            handle.addr(),
-            &Message::CheckoutRequest(CheckoutRequest {
-                version: 6,
-                device_id: 0,
-                token: AuthToken::derive(0, 99),
-            }),
-        );
-        assert!(
-            matches!(
-                &reply,
-                Message::Error(e) if e.code == ErrorCode::BadRequest
-                    && e.detail == "unsupported protocol version 6"
-            ),
-            "{reply:?}"
-        );
+        for version in [6, 7] {
+            let reply = roundtrip(
+                handle.addr(),
+                &Message::CheckoutRequest(CheckoutRequest {
+                    version,
+                    device_id: 0,
+                    token: AuthToken::derive(0, 99),
+                }),
+            );
+            let expected = format!("unsupported protocol version {version}");
+            assert!(
+                matches!(
+                    &reply,
+                    Message::Error(e) if e.code == ErrorCode::BadRequest && e.detail == expected
+                ),
+                "{reply:?}"
+            );
+        }
         handle.shutdown();
     }
 

@@ -5,24 +5,22 @@
 //!
 //! [`handle_event`] is what the reactor calls. It maps requests onto
 //! [`crowd_reactor::Response`] so a reactor thread never blocks: checkouts
-//! answer immediately; a checkin is run to completion on the reactor thread
-//! when the aggregation runtime lets it (`AggRuntime::submit_to`) and is
-//! otherwise acknowledged by whichever aggregation thread settles it, through
+//! answer immediately; a checkin — free-run or a masked round submission —
+//! is run to completion on the reactor thread when the aggregation runtime
+//! lets it (`AggRuntime::submit_to`, `AggRuntime::submit_round_to`) and is
+//! otherwise answered by whichever aggregation thread settles it, through
 //! the request's [`crowd_reactor::Completer`] — nothing waits for an ack.
-//! Only requests that really block — masked round submissions, which take
-//! the aggregation core lock, and batch checkins — run on the reactor's
-//! completion pump. [`ServerCore::handle_message`] is the blocking
-//! `Message`-in, `Message`-out form: the pump runs it for batches, and its
-//! checkout and checkin arms are the reference the event path is tested
-//! against.
+//! [`ServerCore::handle_message`] is the blocking `Message`-in, `Message`-out
+//! form: the reactor answers metrics scrapes and malformed traffic with it,
+//! and its checkout and checkin arms are the reference the event path is
+//! tested against.
 //!
-//! Backpressure on the wire: a single checkin is never answered with a
-//! top-level [`Message::Busy`]. A full ingest queue *parks* the connection
-//! (read throttling) and the reactor re-admits the decoded payload as the
-//! queue drains, so the device sees a quiet socket, not a retry request.
-//! `Busy` survives as a per-item [`BatchAck::reject`] code — a batch cannot
-//! park item by item — and stays on the wire; the client's handling of a
-//! top-level `Busy` stays too, as validation of what a server may send.
+//! Backpressure on the wire: the reactor path never answers a checkin with a
+//! [`Message::Busy`]. A full ingest queue *parks* the connection (read
+//! throttling) and the reactor re-admits the decoded checkin as the queue
+//! drains, so the device sees a quiet socket, not a retry request. `Busy`
+//! stays on the wire, and the client's handling of it stays too, as
+//! validation of what a server may send.
 //!
 //! A checkout reply depends only on the published parameter snapshot and the
 //! open round, so the reactor path encodes it once per `(snapshot, round)` —
@@ -34,8 +32,7 @@
 //! `checkouts_served` tells a scrape how much sharing actually happens.
 
 use crowd_agg::{
-    AggError, AggRuntime, CompletionHandle, OutcomeSink, ParamSnapshot, RoundSubmitOutcome,
-    SubmitRejection, Submitted,
+    AggError, AggRuntime, CompletionHandle, OutcomeSink, ParamSnapshot, SubmitRejection, Submitted,
 };
 use crowd_core::device::CheckinPayload;
 use crowd_core::server::{CheckinReceipt, PendingSubmission};
@@ -44,9 +41,8 @@ use crowd_linalg::{GradientUpdate, QuantizedVector, SparseVector, Vector};
 use crowd_proto::auth::TokenRegistry;
 use crowd_proto::frame::SharedFrame;
 use crowd_proto::message::{
-    BatchAck, BatchCheckinAck, BusyReply, CheckinAck, CheckinRequest, CheckoutRequest,
-    CheckoutResponse, ErrorCode, ErrorReply, GradientPayload, HistogramReport, Message,
-    MetricsReport, RoundParams,
+    BusyReply, CheckinAck, CheckinRequest, CheckoutRequest, CheckoutResponse, ErrorCode,
+    ErrorReply, GradientPayload, HistogramReport, Message, MetricsReport, RoundParams,
 };
 use crowd_proto::{BufPool, PROTOCOL_VERSION};
 use crowd_reactor::{Completer, Ctx, Response};
@@ -100,16 +96,16 @@ impl ServerCore {
     }
 
     /// Handles one request, blocking until the reply is known. The reactor
-    /// serves batch and metrics requests through it (batches on the completion
-    /// pump); its checkout and checkin arms are the `Message`-path reference
-    /// that `checkin_replies_are_byte_equal_to_the_message_path_on_both_routes`
-    /// and this module's tests hold the event path's bytes to. Request latency
-    /// is recorded per message type.
+    /// serves metrics requests and unexpected messages through it; its
+    /// checkout and checkin arms — a masked checkin through the blocking
+    /// `AggRuntime::submit_round` — are the `Message`-path reference that
+    /// `checkin_replies_are_byte_equal_to_the_message_path_on_both_routes`
+    /// and this module's tests hold the event path's bytes to. Request
+    /// latency is recorded per message type.
     pub(crate) fn handle_message(&self, message: Message) -> Message {
         let hist = match &message {
             Message::CheckoutRequest(_) => Some(HistogramId::ReqCheckoutUs),
             Message::CheckinRequest(_) => Some(HistogramId::ReqCheckinUs),
-            Message::BatchCheckinRequest(_) => Some(HistogramId::ReqBatchCheckinUs),
             Message::MetricsRequest(_) => Some(HistogramId::ReqMetricsUs),
             _ => None,
         };
@@ -144,7 +140,14 @@ impl ServerCore {
                 }
                 note_gradient_encoding(&self.metrics, &req.gradient);
                 if matches!(req.gradient, GradientPayload::Masked { .. }) {
-                    return self.round_checkin(req);
+                    let round = match round_submission_of(req) {
+                        Ok(round) => round,
+                        Err(reply) => return *reply,
+                    };
+                    return match self.runtime.submit_round(round.round_id, round.submission) {
+                        Ok(outcome) => Message::CheckinAck(ack_of(outcome)),
+                        Err(e) => agg_error_reply(e),
+                    };
                 }
                 if let Some(reply) = self.stale_round_reply(req.round_id) {
                     return reply;
@@ -160,53 +163,6 @@ impl ServerCore {
                     },
                     Err(e) => agg_error_reply(e),
                 }
-            }
-            Message::BatchCheckinRequest(req) => {
-                // Admit every item before waiting on any of them, so a batch
-                // fills at most one epoch's worth of queue slots at a time and
-                // the runtime can fold co-submitted gradients into shared
-                // epochs.
-                let submitted: Vec<std::result::Result<CompletionHandle, Box<Message>>> = req
-                    .items
-                    .into_iter()
-                    .map(|item| {
-                        if !self.tokens.verify(item.device_id, &item.token) {
-                            return Err(Box::new(error_reply(
-                                ErrorCode::Unauthorized,
-                                "unknown device or bad token",
-                            )));
-                        }
-                        note_gradient_encoding(&self.metrics, &item.gradient);
-                        if matches!(item.gradient, GradientPayload::Masked { .. }) {
-                            // Round submissions resolve synchronously; the
-                            // reply (ack or refusal) is folded in positionally.
-                            return Err(Box::new(self.round_checkin(item)));
-                        }
-                        if let Some(reply) = self.stale_round_reply(item.round_id) {
-                            return Err(Box::new(reply));
-                        }
-                        self.runtime
-                            .submit(payload_of(item)?)
-                            .map_err(|e| Box::new(agg_error_reply(e)))
-                    })
-                    .collect();
-                let acks = submitted
-                    .into_iter()
-                    .map(|entry| match entry {
-                        Ok(handle) => match wait_ack(handle) {
-                            Ok(ack) => BatchAck {
-                                accepted: ack.accepted,
-                                iteration: ack.iteration,
-                                stopped: ack.stopped,
-                                deduped: ack.deduped,
-                                reject: None,
-                            },
-                            Err(reply) => batch_ack_of(&reply),
-                        },
-                        Err(reply) => batch_ack_of(&reply),
-                    })
-                    .collect();
-                Message::BatchCheckinAck(BatchCheckinAck { acks })
             }
             Message::MetricsRequest(req) => {
                 if req.version != PROTOCOL_VERSION {
@@ -310,37 +266,6 @@ impl ServerCore {
         })
     }
 
-    /// Handles a round submission (a masked checkin): the gradient is recorded
-    /// against the round it names and applied at round finalization, so the
-    /// acknowledgement is immediate — no epoch wait.
-    pub(crate) fn round_checkin(&self, req: CheckinRequest) -> Message {
-        let GradientPayload::Masked { words } = req.gradient else {
-            return error_reply(ErrorCode::Internal, "round_checkin on an unmasked gradient");
-        };
-        if req.round_id == 0 {
-            return error_reply(
-                ErrorCode::BadRequest,
-                "a masked checkin must name the round it contributes to",
-            );
-        }
-        let submission = PendingSubmission {
-            device_id: req.device_id,
-            nonce: req.nonce,
-            checkout_iteration: req.checkout_iteration,
-            words,
-            num_samples: req.num_samples,
-            error_count: req.error_count,
-            label_counts: req.label_counts,
-        };
-        match self.runtime.submit_round(req.round_id, submission) {
-            Ok(RoundSubmitOutcome::Acked(outcome)) => Message::CheckinAck(ack_of(outcome)),
-            Ok(RoundSubmitOutcome::Outdated { current_round }) => {
-                round_outdated_reply(current_round)
-            }
-            Err(e) => agg_error_reply(e),
-        }
-    }
-
     /// Refuses a free-run checkin tagged with a round other than the server's
     /// current one: the device's protocol view is stale and it must refetch
     /// the round parameters. `round_id == 0` opts out of the check, and the
@@ -400,17 +325,17 @@ pub(crate) fn metrics_report(snap: &MetricsSnapshot) -> MetricsReport {
 ///   right here, it is answered inline ([`Response::Now`]); queued or folded
 ///   into an open epoch, it is [`Response::Deferred`] and the aggregation
 ///   thread that settles it builds the ack and fires the request's completer.
+///   A masked round submission takes the same two routes through
+///   `AggRuntime::submit_round_to`.
 /// * A full queue becomes [`Response::Throttle`]: the payload is parked (the
 ///   decoded request is handed back by the runtime) and re-admission is
 ///   probed by the reactor while the connection's reads stay disarmed. The
 ///   device never sees a Busy reply on this path — it sees a quiet socket.
-/// * Masked round submissions take the aggregation core lock and batch
-///   checkins block on their epochs, so both run on the completion pump.
 pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message, ctx: &Ctx<'_>) -> Response {
     match message {
         Message::CheckinRequest(req) => {
             // `req_checkin_us` runs from here to the reply, wherever that is
-            // built: here, on the pump, or on the thread that settles it.
+            // built: here, or on the thread that settles it.
             let start = core.metrics.start();
             let refusal = |reply| Response::Now(checkin_reply(&core.metrics, start, reply));
             if !core.tokens.verify(req.device_id, &req.token) {
@@ -421,14 +346,10 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message, ctx: &Ctx<'
             }
             note_gradient_encoding(&core.metrics, &req.gradient);
             if matches!(req.gradient, GradientPayload::Masked { .. }) {
-                // A round submission locks the aggregation core synchronously
-                // (and may finalize an epoch when it completes the cohort), so
-                // it runs on the completion pump, never the event loop.
-                let core = Arc::clone(core);
-                return Response::Pending(Box::new(move || {
-                    let reply = core.round_checkin(req);
-                    checkin_reply(&core.metrics, start, reply)
-                }));
+                return match round_submission_of(req) {
+                    Ok(round) => submit_event(core, round, start, ctx),
+                    Err(reply) => refusal(*reply),
+                };
             }
             if let Some(reply) = core.stale_round_reply(req.round_id) {
                 return refusal(reply);
@@ -445,10 +366,6 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message, ctx: &Ctx<'
             core.metrics
                 .observe_since(HistogramId::ReqCheckoutUs, start);
             response
-        }
-        Message::BatchCheckinRequest(_) => {
-            let core = Arc::clone(core);
-            Response::Pending(Box::new(move || core.handle_message(message)))
         }
         other => Response::Now(core.handle_message(other)),
     }
@@ -475,20 +392,71 @@ fn ack_sink(metrics: &Arc<Registry>, start: Tick, completer: Completer) -> Outco
     })
 }
 
-/// One admission attempt on the reactor path.
-enum Attempt {
-    /// Answered, now or later.
-    Resolved(Response),
-    /// Backpressure: the payload back, with the runtime's pacing hint, for
-    /// parking.
-    Busy(CheckinPayload, u32),
+/// A masked checkin as the runtime takes it: the submission, and the round
+/// it contributes to.
+struct RoundSubmission {
+    round_id: u64,
+    submission: PendingSubmission,
 }
 
-fn admit_event(core: &ServerCore, payload: CheckinPayload, start: Tick, ctx: &Ctx<'_>) -> Attempt {
+/// What the reactor path submits without blocking: a free-run checkin or a
+/// round submission. A full queue hands it back whole, for parking.
+trait EventJob: Sized + Send + 'static {
+    fn submit_to(
+        self,
+        runtime: &AggRuntime<MulticlassLogistic>,
+        make_sink: impl FnOnce() -> OutcomeSink,
+    ) -> std::result::Result<Submitted, SubmitRejection<Self>>;
+}
+
+impl EventJob for CheckinPayload {
+    fn submit_to(
+        self,
+        runtime: &AggRuntime<MulticlassLogistic>,
+        make_sink: impl FnOnce() -> OutcomeSink,
+    ) -> std::result::Result<Submitted, SubmitRejection<Self>> {
+        runtime.submit_to(self, make_sink)
+    }
+}
+
+impl EventJob for RoundSubmission {
+    fn submit_to(
+        self,
+        runtime: &AggRuntime<MulticlassLogistic>,
+        make_sink: impl FnOnce() -> OutcomeSink,
+    ) -> std::result::Result<Submitted, SubmitRejection<Self>> {
+        let round_id = self.round_id;
+        match runtime.submit_round_to(round_id, self.submission, make_sink) {
+            Ok(submitted) => Ok(submitted),
+            Err(SubmitRejection::Busy {
+                payload,
+                retry_after_ms,
+            }) => Err(SubmitRejection::Busy {
+                payload: RoundSubmission {
+                    round_id,
+                    submission: payload,
+                },
+                retry_after_ms,
+            }),
+            Err(SubmitRejection::Refused(e)) => Err(SubmitRejection::Refused(e)),
+        }
+    }
+}
+
+/// One admission attempt on the reactor path.
+enum Attempt<J> {
+    /// Answered, now or later.
+    Resolved(Response),
+    /// Backpressure: the job back, with the runtime's pacing hint, for
+    /// parking.
+    Busy(J, u32),
+}
+
+fn admit_event<J: EventJob>(core: &ServerCore, job: J, start: Tick, ctx: &Ctx<'_>) -> Attempt<J> {
     let now = |reply| Attempt::Resolved(Response::Now(checkin_reply(&core.metrics, start, reply)));
-    let submitted = core
-        .runtime
-        .submit_to(payload, || ack_sink(&core.metrics, start, ctx.completer()));
+    let submitted = job.submit_to(&core.runtime, || {
+        ack_sink(&core.metrics, start, ctx.completer())
+    });
     match submitted {
         Ok(Submitted::Applied(outcome)) => now(Message::CheckinAck(ack_of(outcome))),
         Ok(Submitted::Pending) => Attempt::Resolved(Response::Deferred),
@@ -500,27 +468,27 @@ fn admit_event(core: &ServerCore, payload: CheckinPayload, start: Tick, ctx: &Ct
     }
 }
 
-fn submit_event(
+fn submit_event<J: EventJob>(
     core: &Arc<ServerCore>,
-    payload: CheckinPayload,
+    job: J,
     start: Tick,
     ctx: &Ctx<'_>,
 ) -> Response {
-    match admit_event(core, payload, start, ctx) {
+    match admit_event(core, job, start, ctx) {
         Attempt::Resolved(response) => response,
-        Attempt::Busy(payload, retry_after_ms) => {
-            // Backpressure: park the decoded payload and let the reactor
-            // probe re-admission. The dedup reservation was released by
+        Attempt::Busy(job, retry_after_ms) => {
+            // Backpressure: park the decoded job and let the reactor probe
+            // re-admission. A checkin's dedup reservation was released by
             // `submit_to`, so each probe is admitted fresh.
             let core = Arc::clone(core);
-            let mut parked = Some(payload);
+            let mut parked = Some(job);
             Response::Throttle {
                 retry_after_ms,
                 retry: Box::new(
                     move |ctx| match admit_event(&core, parked.take()?, start, ctx) {
                         Attempt::Resolved(response) => Some(response),
-                        Attempt::Busy(payload, _) => {
-                            parked = Some(payload);
+                        Attempt::Busy(job, _) => {
+                            parked = Some(job);
                             None
                         }
                     },
@@ -569,7 +537,7 @@ pub(crate) fn payload_of(req: CheckinRequest) -> std::result::Result<CheckinPayl
         }
         GradientPayload::Masked { .. } => {
             // Masked gradients are round submissions; callers route them to
-            // `ServerCore::round_checkin` before building a free-run payload.
+            // `round_submission_of` before building a free-run payload.
             return Err(Box::new(error_reply(
                 ErrorCode::BadRequest,
                 "a masked gradient is only valid as a round submission",
@@ -584,6 +552,35 @@ pub(crate) fn payload_of(req: CheckinRequest) -> std::result::Result<CheckinPayl
         num_samples: req.num_samples as usize,
         error_count: req.error_count,
         label_counts: req.label_counts,
+    })
+}
+
+/// Converts a decoded masked checkin into a round submission, refusing one
+/// that names no round. Boxed like [`payload_of`].
+fn round_submission_of(req: CheckinRequest) -> std::result::Result<RoundSubmission, Box<Message>> {
+    let GradientPayload::Masked { words } = req.gradient else {
+        return Err(Box::new(error_reply(
+            ErrorCode::Internal,
+            "a round submission needs a masked gradient",
+        )));
+    };
+    if req.round_id == 0 {
+        return Err(Box::new(error_reply(
+            ErrorCode::BadRequest,
+            "a masked checkin must name the round it contributes to",
+        )));
+    }
+    Ok(RoundSubmission {
+        round_id: req.round_id,
+        submission: PendingSubmission {
+            device_id: req.device_id,
+            nonce: req.nonce,
+            checkout_iteration: req.checkout_iteration,
+            words,
+            num_samples: req.num_samples,
+            error_count: req.error_count,
+            label_counts: req.label_counts,
+        },
     })
 }
 
@@ -616,40 +613,9 @@ pub(crate) fn agg_error_reply(e: AggError) -> Message {
             ErrorCode::BudgetExhausted,
             format!("device {device_id} has exhausted its privacy budget"),
         ),
+        AggError::RoundOutdated { current_round } => round_outdated_reply(current_round),
         AggError::Core(e) => error_reply(ErrorCode::Internal, e.to_string()),
         AggError::Store(e) => error_reply(ErrorCode::Internal, e.to_string()),
-    }
-}
-
-/// Collapses a refusal reply into a per-item batch acknowledgement.
-pub(crate) fn rejected_ack(reply: &Message) -> BatchAck {
-    let reject = match reply {
-        Message::Busy(_) => ErrorCode::Busy,
-        Message::Error(e) => e.code,
-        _ => ErrorCode::Internal,
-    };
-    BatchAck {
-        accepted: false,
-        iteration: 0,
-        stopped: false,
-        deduped: false,
-        reject: Some(reject),
-    }
-}
-
-/// Folds any per-item reply into a batch acknowledgement: a checkin ack (a
-/// synchronously resolved round submission) positionally as-is, a refusal via
-/// [`rejected_ack`].
-pub(crate) fn batch_ack_of(reply: &Message) -> BatchAck {
-    match reply {
-        Message::CheckinAck(ack) => BatchAck {
-            accepted: ack.accepted,
-            iteration: ack.iteration,
-            stopped: ack.stopped,
-            deduped: ack.deduped,
-            reject: None,
-        },
-        _ => rejected_ack(reply),
     }
 }
 

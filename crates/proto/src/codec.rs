@@ -17,9 +17,9 @@
 use crate::auth::{AuthToken, TOKEN_LEN};
 use crate::error::ProtoError;
 use crate::message::{
-    BatchAck, BatchCheckinAck, BatchCheckinRequest, BusyReply, CheckinAck, CheckinRequest,
-    CheckoutRequest, CheckoutResponse, ErrorCode, ErrorReply, GradientPayload, HistogramReport,
-    Message, MetricsReport, MetricsRequest, RoundParams,
+    BusyReply, CheckinAck, CheckinRequest, CheckoutRequest, CheckoutResponse, ErrorCode,
+    ErrorReply, GradientPayload, HistogramReport, Message, MetricsReport, MetricsRequest,
+    RoundParams,
 };
 use crate::Result;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -28,9 +28,9 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// counts). Prevents a malicious length prefix from triggering a huge allocation.
 pub const MAX_VEC_LEN: usize = 16 * 1024 * 1024;
 
-/// Maximum number of checkins accepted in one batch frame. Each item embeds a
-/// gradient, so the cap keeps a single frame's decode cost bounded.
-pub const MAX_BATCH_ITEMS: usize = 4096;
+/// Maximum number of entries accepted in one list of a metrics report. The
+/// cap keeps a forged length prefix from sizing a huge allocation.
+pub(crate) const MAX_LIST_LEN: usize = 4096;
 
 /// Message tag of [`Message::CheckoutResponse`] ([`Message::tag`] is the table).
 const TAG_CHECKOUT_RESPONSE: u8 = 2;
@@ -81,23 +81,6 @@ pub fn encode_into<B: BufMut>(message: &Message, buf: &mut B) {
             buf.put_u8(m.code.as_u8());
             put_string(buf, &m.detail);
             buf.put_u64_le(m.round_id);
-        }
-        Message::BatchCheckinRequest(m) => {
-            buf.put_u32_le(m.items.len() as u32);
-            for item in &m.items {
-                put_checkin(buf, item);
-            }
-        }
-        Message::BatchCheckinAck(m) => {
-            buf.put_u32_le(m.acks.len() as u32);
-            for ack in &m.acks {
-                put_bool(buf, ack.accepted);
-                buf.put_u64_le(ack.iteration);
-                put_bool(buf, ack.stopped);
-                put_bool(buf, ack.deduped);
-                // 0 = processed normally, otherwise the refusing error code.
-                buf.put_u8(ack.reject.map_or(0, ErrorCode::as_u8));
-            }
         }
         Message::Busy(m) => {
             buf.put_u32_le(m.retry_after_ms);
@@ -257,43 +240,6 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
                 round_id,
             })
         }
-        6 => {
-            let count = get_batch_len(&mut buf, "batch items")?;
-            let mut items = Vec::with_capacity(count);
-            for _ in 0..count {
-                items.push(get_checkin(&mut buf)?);
-            }
-            Message::BatchCheckinRequest(BatchCheckinRequest { items })
-        }
-        7 => {
-            let count = get_batch_len(&mut buf, "batch acks")?;
-            let mut acks = Vec::with_capacity(count);
-            for _ in 0..count {
-                let accepted = get_bool(&mut buf, "accepted")?;
-                let iteration = get_u64(&mut buf, "iteration")?;
-                let stopped = get_bool(&mut buf, "stopped")?;
-                let deduped = get_bool(&mut buf, "deduped")?;
-                let raw_reject = get_u8(&mut buf, "reject code")?;
-                let reject = if raw_reject == 0 {
-                    None
-                } else {
-                    Some(
-                        ErrorCode::from_u8(raw_reject).ok_or(ProtoError::InvalidField {
-                            field: "reject_code",
-                            reason: format!("unknown code {raw_reject}"),
-                        })?,
-                    )
-                };
-                acks.push(BatchAck {
-                    accepted,
-                    iteration,
-                    stopped,
-                    deduped,
-                    reject,
-                });
-            }
-            Message::BatchCheckinAck(BatchCheckinAck { acks })
-        }
         8 => {
             let retry_after_ms = get_u32(&mut buf, "retry_after_ms")?;
             Message::Busy(BusyReply { retry_after_ms })
@@ -309,21 +255,21 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
             })
         }
         10 => {
-            let count = get_batch_len(&mut buf, "metric counters")?;
+            let count = get_list_len(&mut buf, "metric counters")?;
             let mut counters = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "counter name")?;
                 let value = get_u64(&mut buf, "counter value")?;
                 counters.push((name, value));
             }
-            let count = get_batch_len(&mut buf, "metric gauges")?;
+            let count = get_list_len(&mut buf, "metric gauges")?;
             let mut gauges = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "gauge name")?;
                 let value = get_i64(&mut buf, "gauge value")?;
                 gauges.push((name, value));
             }
-            let count = get_batch_len(&mut buf, "metric histograms")?;
+            let count = get_list_len(&mut buf, "metric histograms")?;
             let mut histograms = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "histogram name")?;
@@ -487,12 +433,12 @@ fn get_checkin(buf: &mut &[u8]) -> Result<CheckinRequest> {
     })
 }
 
-fn get_batch_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
+fn get_list_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
     let len = get_u32(buf, context)? as usize;
-    if len > MAX_BATCH_ITEMS {
+    if len > MAX_LIST_LEN {
         return Err(ProtoError::InvalidField {
             field: context,
-            reason: format!("declared batch size {len} exceeds maximum {MAX_BATCH_ITEMS}"),
+            reason: format!("declared list length {len} exceeds maximum {MAX_LIST_LEN}"),
         });
     }
     Ok(len)
@@ -724,54 +670,6 @@ mod tests {
                 detail: "round 3 closed".into(),
                 round_id: 4,
             }),
-            Message::BatchCheckinRequest(BatchCheckinRequest {
-                items: vec![
-                    CheckinRequest {
-                        device_id: 1,
-                        token: AuthToken::derive(1, 7),
-                        checkout_iteration: 3,
-                        nonce: 103,
-                        round_id: 0,
-                        gradient: GradientPayload::Dense(vec![0.25, -0.5]),
-                        num_samples: 4,
-                        error_count: 1,
-                        label_counts: vec![2, 2],
-                    },
-                    CheckinRequest {
-                        device_id: 2,
-                        token: AuthToken::derive(2, 7),
-                        checkout_iteration: 3,
-                        nonce: 103,
-                        round_id: 0,
-                        gradient: GradientPayload::Sparse {
-                            dim: 8,
-                            indices: vec![3],
-                            values: vec![2.0],
-                        },
-                        num_samples: 1,
-                        error_count: -1,
-                        label_counts: vec![],
-                    },
-                ],
-            }),
-            Message::BatchCheckinAck(BatchCheckinAck {
-                acks: vec![
-                    BatchAck {
-                        accepted: true,
-                        iteration: 4,
-                        stopped: false,
-                        deduped: false,
-                        reject: None,
-                    },
-                    BatchAck {
-                        accepted: false,
-                        iteration: 4,
-                        stopped: true,
-                        deduped: true,
-                        reject: Some(ErrorCode::Unauthorized),
-                    },
-                ],
-            }),
             Message::Busy(BusyReply { retry_after_ms: 25 }),
             Message::MetricsRequest(MetricsRequest {
                 version: 4,
@@ -817,10 +715,13 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        assert!(matches!(
-            decode(&[0xFFu8]),
-            Err(ProtoError::UnknownMessageTag(0xFF))
-        ));
+        // 6 and 7 were the batch checkin pair until wire v8.
+        for tag in [0xFFu8, 6, 7] {
+            assert!(matches!(
+                decode(&[tag]),
+                Err(ProtoError::UnknownMessageTag(t)) if t == tag
+            ));
+        }
         assert!(matches!(decode(&[]), Err(ProtoError::Truncated { .. })));
     }
 
@@ -867,40 +768,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn empty_batch_round_trips() {
-        let req = Message::BatchCheckinRequest(BatchCheckinRequest { items: vec![] });
-        assert_eq!(decode(&encode(&req)).unwrap(), req);
-        let ack = Message::BatchCheckinAck(BatchCheckinAck { acks: vec![] });
-        assert_eq!(decode(&encode(&ack)).unwrap(), ack);
-    }
-
-    #[test]
-    fn oversized_batch_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(6);
-        buf.put_u32_le((MAX_BATCH_ITEMS + 1) as u32);
-        assert!(matches!(
-            decode(&buf),
-            Err(ProtoError::InvalidField {
-                field: "batch items",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn invalid_batch_reject_code_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(7);
-        buf.put_u32_le(1);
-        buf.put_u8(1); // accepted
-        buf.put_u64_le(0); // iteration
-        buf.put_u8(0); // stopped
-        buf.put_u8(200); // unknown reject code
-        assert!(decode(&buf).is_err());
     }
 
     #[test]
@@ -1270,16 +1137,6 @@ mod tests {
         }
     }
 
-    fn arb_ack(rng: &mut StdRng) -> BatchAck {
-        BatchAck {
-            accepted: rng.gen(),
-            iteration: rng.gen(),
-            stopped: rng.gen(),
-            deduped: rng.gen(),
-            reject: rng.gen_bool(0.3).then_some(ErrorCode::Unauthorized),
-        }
-    }
-
     fn arb_name(rng: &mut StdRng) -> String {
         (0..rng.gen_range(0..12usize))
             .map(|_| char::from(rng.gen_range(b'a'..=b'z')))
@@ -1289,7 +1146,9 @@ mod tests {
     fn arb_message(rng: &mut StdRng) -> Message {
         let device_id = rng.gen();
         let token = AuthToken::derive(device_id, rng.gen());
-        match rng.gen_range(1..=10u32) {
+        // Every live wire tag (6 and 7 retired with batch checkin in v8).
+        const TAGS: [u8; 8] = [1, 2, 3, 4, 5, 8, 9, 10];
+        match TAGS[rng.gen_range(0..TAGS.len())] {
             1 => Message::CheckoutRequest(CheckoutRequest {
                 version: rng.gen::<u32>() as u16,
                 device_id,
@@ -1312,29 +1171,16 @@ mod tests {
                 }),
             }),
             3 => Message::CheckinRequest(arb_checkin(rng)),
-            4 => {
-                let ack = arb_ack(rng);
-                Message::CheckinAck(CheckinAck {
-                    accepted: ack.accepted,
-                    iteration: ack.iteration,
-                    stopped: ack.stopped,
-                    deduped: ack.deduped,
-                })
-            }
+            4 => Message::CheckinAck(CheckinAck {
+                accepted: rng.gen(),
+                iteration: rng.gen(),
+                stopped: rng.gen(),
+                deduped: rng.gen(),
+            }),
             5 => Message::Error(ErrorReply {
                 code: ErrorCode::RoundOutdated,
                 detail: arb_name(rng),
                 round_id: rng.gen(),
-            }),
-            6 => Message::BatchCheckinRequest(BatchCheckinRequest {
-                items: (0..rng.gen_range(0..4usize))
-                    .map(|_| arb_checkin(rng))
-                    .collect(),
-            }),
-            7 => Message::BatchCheckinAck(BatchCheckinAck {
-                acks: (0..rng.gen_range(0..6usize))
-                    .map(|_| arb_ack(rng))
-                    .collect(),
             }),
             8 => Message::Busy(BusyReply {
                 retry_after_ms: rng.gen(),

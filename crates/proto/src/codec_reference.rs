@@ -4,12 +4,12 @@
 //! nothing outside `#[cfg(test)]` may call it.
 
 use crate::auth::{AuthToken, TOKEN_LEN};
-use crate::codec::{MAX_BATCH_ITEMS, MAX_VEC_LEN};
+use crate::codec::{MAX_LIST_LEN, MAX_VEC_LEN};
 use crate::error::ProtoError;
 use crate::message::{
-    BatchAck, BatchCheckinAck, BatchCheckinRequest, BusyReply, CheckinAck, CheckinRequest,
-    CheckoutRequest, CheckoutResponse, ErrorCode, ErrorReply, GradientPayload, HistogramReport,
-    Message, MetricsReport, MetricsRequest, RoundParams,
+    BusyReply, CheckinAck, CheckinRequest, CheckoutRequest, CheckoutResponse, ErrorCode,
+    ErrorReply, GradientPayload, HistogramReport, Message, MetricsReport, MetricsRequest,
+    RoundParams,
 };
 use crate::Result;
 use bytes::Buf;
@@ -104,43 +104,6 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
                 round_id,
             })
         }
-        6 => {
-            let count = get_batch_len(&mut buf, "batch items")?;
-            let mut items = Vec::with_capacity(count);
-            for _ in 0..count {
-                items.push(get_checkin(&mut buf)?);
-            }
-            Message::BatchCheckinRequest(BatchCheckinRequest { items })
-        }
-        7 => {
-            let count = get_batch_len(&mut buf, "batch acks")?;
-            let mut acks = Vec::with_capacity(count);
-            for _ in 0..count {
-                let accepted = get_bool(&mut buf, "accepted")?;
-                let iteration = get_u64(&mut buf, "iteration")?;
-                let stopped = get_bool(&mut buf, "stopped")?;
-                let deduped = get_bool(&mut buf, "deduped")?;
-                let raw_reject = get_u8(&mut buf, "reject code")?;
-                let reject = if raw_reject == 0 {
-                    None
-                } else {
-                    Some(
-                        ErrorCode::from_u8(raw_reject).ok_or(ProtoError::InvalidField {
-                            field: "reject_code",
-                            reason: format!("unknown code {raw_reject}"),
-                        })?,
-                    )
-                };
-                acks.push(BatchAck {
-                    accepted,
-                    iteration,
-                    stopped,
-                    deduped,
-                    reject,
-                });
-            }
-            Message::BatchCheckinAck(BatchCheckinAck { acks })
-        }
         8 => {
             let retry_after_ms = get_u32(&mut buf, "retry_after_ms")?;
             Message::Busy(BusyReply { retry_after_ms })
@@ -156,21 +119,21 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
             })
         }
         10 => {
-            let count = get_batch_len(&mut buf, "metric counters")?;
+            let count = get_list_len(&mut buf, "metric counters")?;
             let mut counters = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "counter name")?;
                 let value = get_u64(&mut buf, "counter value")?;
                 counters.push((name, value));
             }
-            let count = get_batch_len(&mut buf, "metric gauges")?;
+            let count = get_list_len(&mut buf, "metric gauges")?;
             let mut gauges = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "gauge name")?;
                 let value = get_i64(&mut buf, "gauge value")?;
                 gauges.push((name, value));
             }
-            let count = get_batch_len(&mut buf, "metric histograms")?;
+            let count = get_list_len(&mut buf, "metric histograms")?;
             let mut histograms = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "histogram name")?;
@@ -293,12 +256,12 @@ fn get_checkin(buf: &mut &[u8]) -> Result<CheckinRequest> {
     })
 }
 
-fn get_batch_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
+fn get_list_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
     let len = get_u32(buf, context)? as usize;
-    if len > MAX_BATCH_ITEMS {
+    if len > MAX_LIST_LEN {
         return Err(ProtoError::InvalidField {
             field: context,
-            reason: format!("declared batch size {len} exceeds maximum {MAX_BATCH_ITEMS}"),
+            reason: format!("declared list length {len} exceeds maximum {MAX_LIST_LEN}"),
         });
     }
     Ok(len)

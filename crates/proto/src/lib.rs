@@ -48,5 +48,7 @@ pub type Result<T> = std::result::Result<T, ProtoError>;
 /// the `RoundOutdated` resync error); version 7 changed no message but the
 /// meaning of a masked word — `crowd-rounds` masks toward `2⌈log₂ n⌉` ring
 /// neighbours instead of every cohort peer, and a version-6 device's
-/// all-pairs submission would unmask into garbage without any error.
-pub const PROTOCOL_VERSION: u16 = 7;
+/// all-pairs submission would unmask into garbage without any error;
+/// version 8 removed the batch checkin message pair (tags 6 and 7), which
+/// the paper's one-checkin-per-minibatch protocol never uses.
+pub const PROTOCOL_VERSION: u16 = 8;

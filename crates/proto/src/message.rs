@@ -214,43 +214,6 @@ pub struct CheckinAck {
     pub deduped: bool,
 }
 
-/// A batch of checkins sent in one frame.
-///
-/// Co-located devices (or a gateway fronting several of them) amortize framing
-/// and connection overhead by packing multiple [`CheckinRequest`]s — possibly
-/// from different devices, each carrying its own token — into one message. The
-/// server authenticates and ingests each item independently and replies with a
-/// positionally matching [`BatchCheckinAck`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchCheckinRequest {
-    /// The individual checkins, each self-authenticating.
-    pub items: Vec<CheckinRequest>,
-}
-
-/// Per-item result inside a [`BatchCheckinAck`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchAck {
-    /// Whether the item's gradient was applied.
-    pub accepted: bool,
-    /// The server iteration after the item's epoch.
-    pub iteration: u64,
-    /// Whether the stopping criterion has been met.
-    pub stopped: bool,
-    /// `true` when the item's ack is a dedup replay (see
-    /// [`CheckinAck::deduped`]).
-    pub deduped: bool,
-    /// Why the item was refused (`None` when it was processed normally; a
-    /// refused item also has `accepted == false`).
-    pub reject: Option<ErrorCode>,
-}
-
-/// Positional acknowledgements for a [`BatchCheckinRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchCheckinAck {
-    /// One entry per request item, in order.
-    pub acks: Vec<BatchAck>,
-}
-
 /// Server → device: the ingest queue is full; retry after a short backoff
 /// instead of blocking a handler thread (backpressure, not failure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,10 +356,6 @@ pub enum Message {
     CheckinAck(CheckinAck),
     /// Server → device: error reply.
     Error(ErrorReply),
-    /// Gateway → server: several checkins in one frame.
-    BatchCheckinRequest(BatchCheckinRequest),
-    /// Server → gateway: positional acknowledgements for a batch.
-    BatchCheckinAck(BatchCheckinAck),
     /// Server → device: backpressure rejection with a retry hint.
     Busy(BusyReply),
     /// Operator → server: scrape the metric registry (wire v4).
@@ -414,8 +373,6 @@ impl Message {
             Message::CheckinRequest(_) => 3,
             Message::CheckinAck(_) => 4,
             Message::Error(_) => 5,
-            Message::BatchCheckinRequest(_) => 6,
-            Message::BatchCheckinAck(_) => 7,
             Message::Busy(_) => 8,
             Message::MetricsRequest(_) => 9,
             Message::MetricsReport(_) => 10,
@@ -430,8 +387,6 @@ impl Message {
             Message::CheckinRequest(_) => "checkin_request",
             Message::CheckinAck(_) => "checkin_ack",
             Message::Error(_) => "error",
-            Message::BatchCheckinRequest(_) => "batch_checkin_request",
-            Message::BatchCheckinAck(_) => "batch_checkin_ack",
             Message::Busy(_) => "busy",
             Message::MetricsRequest(_) => "metrics_request",
             Message::MetricsReport(_) => "metrics_report",
@@ -479,8 +434,6 @@ mod tests {
                 detail: String::new(),
                 round_id: 0,
             }),
-            Message::BatchCheckinRequest(BatchCheckinRequest { items: vec![] }),
-            Message::BatchCheckinAck(BatchCheckinAck { acks: vec![] }),
             Message::Busy(BusyReply { retry_after_ms: 2 }),
             Message::MetricsRequest(MetricsRequest {
                 version: 1,
@@ -496,14 +449,12 @@ mod tests {
         let mut tags: Vec<u8> = msgs.iter().map(|m| m.tag()).collect();
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags.len(), 10);
+        assert_eq!(tags.len(), 8);
         assert_eq!(msgs[0].name(), "checkout_request");
         assert_eq!(msgs[4].name(), "error");
-        assert_eq!(msgs[5].name(), "batch_checkin_request");
-        assert_eq!(msgs[6].name(), "batch_checkin_ack");
-        assert_eq!(msgs[7].name(), "busy");
-        assert_eq!(msgs[8].name(), "metrics_request");
-        assert_eq!(msgs[9].name(), "metrics_report");
+        assert_eq!(msgs[5].name(), "busy");
+        assert_eq!(msgs[6].name(), "metrics_request");
+        assert_eq!(msgs[7].name(), "metrics_report");
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   boundary, reusing `crowd-proto`'s pooled buffers,
 //! * **replies that arrive later without a waiting thread**: a one-shot
 //!   [`Completer`] that whichever thread learns the reply fires straight at
-//!   the owning reactor thread, plus a **completion pump** per reactor for
-//!   the few requests whose reply really has to be waited for, and
+//!   the owning reactor thread, and
 //! * **backpressure by read throttling**: when the ingest queue is full the
 //!   connection's read interest is simply not re-armed, so the kernel's TCP
 //!   flow control pushes back on the device instead of a Busy-reply storm.
@@ -29,5 +28,5 @@ pub mod reactor;
 
 pub use frame::{FrameError, FrameReader, FrameWriter, ReadEvent, WriteEvent};
 pub use reactor::{
-    Completer, Ctx, PendingReply, Reactor, ReactorConfig, ReactorStats, Response, RetryFn, Service,
+    Completer, Ctx, Reactor, ReactorConfig, ReactorStats, Response, RetryFn, Service,
 };

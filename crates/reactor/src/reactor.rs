@@ -7,21 +7,18 @@
 //! connections. Thread 0 additionally owns the listening socket; accepted
 //! connections are distributed round-robin across all threads through
 //! channels paired with [`polling::Poller::notify`] wakeups. The event loop
-//! itself never blocks on anything but the poller; a request whose reply is
-//! not known when [`Service::handle`] returns is answered later in one of
-//! two ways:
+//! itself never blocks on anything but the poller, and the reactor starts no
+//! other thread.
 //!
-//! * **Deferred** — the service takes a one-shot [`Completer`] from the
-//!   request's [`Ctx`] and returns [`Response::Deferred`]. Whichever thread
-//!   learns the reply fires the completer, which posts the reply straight to
-//!   the owning reactor thread and wakes its poller. Nothing waits: this is
-//!   the route for work some other thread finishes anyway (an aggregation
-//!   worker applying an epoch, a WAL committer after its `fsync`).
-//! * **Pending** — the service returns a closure that *blocks* until the
-//!   reply is known. Each reactor thread has one **completion pump** thread
-//!   that runs such closures, in arrival order, and posts their replies back
-//!   the same way. The pump is for work that really has to wait on something
-//!   (a lock, a batch of epochs) and has no thread of its own to do it on.
+//! A request whose reply is not known when [`Service::handle`] returns has
+//! one way to be answered later: the service takes a one-shot [`Completer`]
+//! from the request's [`Ctx`] and returns [`Response::Deferred`]. Whichever
+//! thread learns the reply fires the completer, which posts the reply
+//! straight to the owning reactor thread and wakes its poller. Nothing
+//! waits: the reply comes from work some other thread finishes anyway (an
+//! aggregation worker applying an epoch or a round submission, a WAL
+//! committer after its `fsync`). A service with work that would block finds
+//! it such a thread; it never blocks the one it is called on.
 //!
 //! ## Connection protocol
 //!
@@ -65,9 +62,6 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-/// A deferred reply: runs on the completion pump thread, may block.
-pub type PendingReply = Box<dyn FnOnce() -> Message + Send + 'static>;
-
 /// A parked request's retry hook: returns `None` while the service still
 /// cannot accept the request, or `Some(response)` once it resolved. Must not
 /// return [`Response::Throttle`] — park state is expressed by `None`. The
@@ -82,9 +76,6 @@ pub enum Response {
     /// bytes for every connection that gets them, written from one shared
     /// allocation instead of being encoded per connection.
     Framed(SharedFrame),
-    /// Reply later; the closure blocks on the pump thread until the reply is
-    /// known.
-    Pending(PendingReply),
     /// Reply later, without a waiting thread: the service took the request's
     /// [`Completer`] (see [`Ctx::completer`]) and some thread will fire it.
     /// The connection reads no further request until then.
@@ -107,7 +98,6 @@ impl std::fmt::Debug for Response {
         match self {
             Response::Now(m) => f.debug_tuple("Now").field(m).finish(),
             Response::Framed(frame) => write!(f, "Framed({} bytes)", frame.as_bytes().len()),
-            Response::Pending(_) => f.write_str("Pending(..)"),
             Response::Deferred => f.write_str("Deferred"),
             Response::Throttle { retry_after_ms, .. } => f
                 .debug_struct("Throttle")
@@ -224,7 +214,8 @@ impl Drop for Completer {
 /// Tuning knobs for a [`Reactor`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Number of reactor (event loop) threads; each gets one pump thread.
+    /// Number of reactor (event loop) threads — all the threads the reactor
+    /// runs.
     pub threads: usize,
     /// Maximum accepted frame size in bytes.
     pub max_frame: usize,
@@ -258,8 +249,7 @@ pub struct ReactorStats {
     pub active: usize,
     /// Connections parked by backpressure right now.
     pub parked: usize,
-    /// Requests whose reply is still to come: blocking waits queued on or
-    /// running on the completion pumps, plus deferred replies whose
+    /// Requests whose reply is still to come: deferred replies whose
     /// [`Completer`] has not fired yet.
     pub inflight: usize,
     /// Connections dropped at accept because `max_connections` was reached.
@@ -312,20 +302,13 @@ struct ShardHandle {
     conn_tx: Sender<TcpStream>,
 }
 
-/// A reply that became known off the event loop: finished by the completion
-/// pump, or posted by a [`Completer`]. `None` is a completer dropped unfired
-/// — there is no reply, and the connection is closed.
+/// A reply that became known off the event loop, posted by a [`Completer`].
+/// `None` is a completer dropped unfired — there is no reply, and the
+/// connection is closed.
 struct Done {
     conn: usize,
     generation: u64,
     reply: Option<Message>,
-}
-
-/// Work for the completion pump thread.
-struct PumpJob {
-    conn: usize,
-    generation: u64,
-    wait: PendingReply,
 }
 
 /// An event-driven frame server over a fixed reactor thread pool.
@@ -333,7 +316,6 @@ pub struct Reactor {
     shared: Arc<Shared>,
     addr: SocketAddr,
     threads: Vec<thread::JoinHandle<()>>,
-    pumps: Vec<thread::JoinHandle<()>>,
 }
 
 impl Reactor {
@@ -384,35 +366,9 @@ impl Reactor {
         });
 
         let mut reactor_threads = Vec::with_capacity(threads);
-        let mut pump_threads = Vec::with_capacity(threads);
         let mut listener = Some(listener);
         for (idx, conn_rx) in conn_rxs.into_iter().enumerate() {
-            let (pump_tx, pump_rx) = mpsc::channel::<PumpJob>();
             let (done_tx, done_rx) = mpsc::channel::<Done>();
-
-            let pump_poller = Arc::clone(&shared.shards[idx].poller);
-            let pump_done_tx = done_tx.clone();
-            let pump = thread::Builder::new()
-                .name(format!("crowd-pump-{idx}"))
-                .spawn(move || {
-                    while let Ok(job) = pump_rx.recv() {
-                        let reply = (job.wait)();
-                        if pump_done_tx
-                            .send(Done {
-                                conn: job.conn,
-                                generation: job.generation,
-                                reply: Some(reply),
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                        let _ = pump_poller.notify();
-                    }
-                })
-                .map_err(|e| io::Error::other(format!("spawning pump thread: {e}")))?;
-            pump_threads.push(pump);
-
             let shard = Shard {
                 idx,
                 shared: Arc::clone(&shared),
@@ -422,7 +378,6 @@ impl Reactor {
                 conn_rx,
                 done_tx,
                 done_rx,
-                pump_tx,
                 slab: Slab::new(),
                 parked_list: Vec::new(),
             };
@@ -437,7 +392,6 @@ impl Reactor {
             shared,
             addr,
             threads: reactor_threads,
-            pumps: pump_threads,
         })
     }
 
@@ -498,11 +452,6 @@ impl Reactor {
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        // Reactor threads dropped their pump senders; pumps exit after their
-        // current (already-unblocked) job, if any.
-        for handle in self.pumps.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -522,8 +471,7 @@ impl Drop for Reactor {
 enum Mode {
     /// Reading requests.
     Idle,
-    /// A request's reply is pending or deferred; reads stay disarmed until
-    /// it arrives.
+    /// A request's reply is deferred; reads stay disarmed until it arrives.
     Awaiting,
     /// Backpressure: reads disarmed, retry hook polled each iteration and at
     /// least every `retry_after_ms`.
@@ -646,7 +594,6 @@ struct Shard {
     /// `done_rx` connected for the thread's whole life.
     done_tx: Sender<Done>,
     done_rx: Receiver<Done>,
-    pump_tx: Sender<PumpJob>,
     slab: Slab,
     parked_list: Vec<usize>,
 }
@@ -880,7 +827,6 @@ impl Shard {
             matches!(response, Response::Deferred),
             "a completer is taken exactly when the response is Deferred"
         );
-        let generation = self.slab.generation(idx).unwrap_or(0);
         let Some(conn) = self.slab.get_mut(idx) else {
             return;
         };
@@ -890,20 +836,6 @@ impl Shard {
             }
             Response::Framed(frame) => {
                 conn.writer.enqueue_frame(frame);
-            }
-            Response::Pending(wait) => {
-                conn.mode = Mode::Awaiting;
-                self.shared.metrics.gauge_add(GaugeId::Inflight, 1);
-                let job = PumpJob {
-                    conn: idx,
-                    generation,
-                    wait,
-                };
-                if self.pump_tx.send(job).is_err() {
-                    // Pump gone (shutdown); the connection will be dropped
-                    // with the reactor.
-                    self.shared.metrics.gauge_add(GaugeId::Inflight, -1);
-                }
             }
             Response::Deferred => {
                 // The completion may already sit in `done_rx`: this thread is
@@ -1019,8 +951,8 @@ impl Shard {
         if matches!(conn.mode, Mode::Parked { .. }) {
             self.shared.metrics.gauge_add(GaugeId::ConnsParked, -1);
         }
-        // An Awaiting connection's reply, pumped or deferred, is discarded by
-        // the generation check in `apply_completions`.
+        // An Awaiting connection's deferred reply is discarded by the
+        // generation check in `apply_completions`.
     }
 
     fn teardown(&mut self) {
@@ -1098,12 +1030,14 @@ mod tests {
     }
 
     #[test]
-    fn pending_replies_flow_through_the_pump() {
-        let service: Arc<dyn Service> = Arc::new(|message: Message, _: &Ctx<'_>| {
-            Response::Pending(Box::new(move || {
+    fn deferred_replies_flow_from_helper_threads() {
+        let service: Arc<dyn Service> = Arc::new(|message: Message, ctx: &Ctx<'_>| {
+            let completer = ctx.completer();
+            thread::spawn(move || {
                 thread::sleep(Duration::from_millis(5));
-                message
-            }))
+                completer.complete(message);
+            });
+            Response::Deferred
         });
         let reactor = start(service, 2);
         let addr = reactor.local_addr();
@@ -1227,35 +1161,6 @@ mod tests {
             .unwrap();
         write_message(&mut fresh, &ping(3)).unwrap();
         assert!(read_message(&mut fresh).is_err());
-        reactor.stop();
-    }
-
-    #[test]
-    fn generation_guard_discards_replies_for_closed_connections() {
-        // A pending reply that outlives its connection must be dropped, not
-        // delivered to a reused slot.
-        let gate = Arc::new(Mutex::new(()));
-        let held = gate.lock().unwrap();
-        let gate2 = Arc::clone(&gate);
-        let service: Arc<dyn Service> = Arc::new(move |message: Message, _: &Ctx<'_>| {
-            let gate = Arc::clone(&gate2);
-            Response::Pending(Box::new(move || {
-                let _wait = gate.lock().unwrap_or_else(|e| e.into_inner());
-                message
-            }))
-        });
-        let reactor = start(service, 1);
-        let addr = reactor.local_addr();
-        let mut doomed = TcpStream::connect(addr).unwrap();
-        write_message(&mut doomed, &ping(7)).unwrap();
-        thread::sleep(Duration::from_millis(50)); // request reaches the pump
-        drop(doomed); // close while pending
-        drop(held); // let the pump finish; reply must be discarded
-        thread::sleep(Duration::from_millis(50));
-        // Slot reuse: a new connection works and gets only its own reply.
-        let service_alive = exchange(addr, &ping(8));
-        assert_eq!(service_alive, ping(8));
-        assert!(reactor.drain(2000));
         reactor.stop();
     }
 
@@ -1390,23 +1295,35 @@ mod tests {
     }
 
     #[test]
-    fn pumped_and_deferred_replies_interleaved_keep_per_connection_order() {
-        // Even requests block on the pump, odd ones are completed by a
-        // helper thread; both routes post to the same reactor thread.
-        let service: Arc<dyn Service> = Arc::new(|message: Message, ctx: &Ctx<'_>| {
+    fn deferred_replies_fired_out_of_order_keep_per_connection_order() {
+        // Every request is deferred: even ones to one helper thread, odd
+        // ones to another. Each helper takes whatever has piled up and fires
+        // it newest first, so completions reach the reactor thread out of
+        // arrival order.
+        type Stash = mpsc::Sender<(Completer, Message)>;
+        fn helper(delay: Duration) -> (Stash, thread::JoinHandle<()>) {
+            let (tx, rx) = mpsc::channel::<(Completer, Message)>();
+            let handle = thread::spawn(move || {
+                while let Ok(first) = rx.recv() {
+                    thread::sleep(delay);
+                    let mut batch = vec![first];
+                    batch.extend(rx.try_iter());
+                    for (completer, message) in batch.into_iter().rev() {
+                        completer.complete(message);
+                    }
+                }
+            });
+            (tx, handle)
+        }
+        let (even, even_helper) = helper(Duration::from_micros(200));
+        let (odd, odd_helper) = helper(Duration::from_micros(50));
+        let service: Arc<dyn Service> = Arc::new(move |message: Message, ctx: &Ctx<'_>| {
             let Message::CheckinAck(ack) = &message else {
                 return Response::Now(message);
             };
-            if ack.iteration % 2 == 0 {
-                Response::Pending(Box::new(move || {
-                    thread::sleep(Duration::from_micros(200));
-                    message
-                }))
-            } else {
-                let completer = ctx.completer();
-                thread::spawn(move || completer.complete(message));
-                Response::Deferred
-            }
+            let helper = if ack.iteration % 2 == 0 { &even } else { &odd };
+            helper.send((ctx.completer(), message)).unwrap();
+            Response::Deferred
         });
         let reactor = start(service, 1);
         let addr = reactor.local_addr();
@@ -1430,7 +1347,10 @@ mod tests {
             client.join().unwrap();
         }
         assert!(reactor.drain(2000));
+        // Stopping drops the service and with it the helpers' senders.
         reactor.stop();
+        even_helper.join().unwrap();
+        odd_helper.join().unwrap();
     }
 
     #[test]

@@ -120,8 +120,8 @@ metric_ids! {
         ConnsActive => "conns_active",
         /// Connections currently parked on backpressure (reactor).
         ConnsParked => "conns_parked",
-        /// Requests whose reply is still to come: waiting on a completion
-        /// pump, or deferred to a completer that has not fired (reactor).
+        /// Requests whose reply is still to come: deferred to a completer
+        /// that has not fired (reactor).
         Inflight => "inflight",
     }
 }
@@ -135,8 +135,6 @@ metric_ids! {
         ReqCheckoutUs => "req_checkout_us",
         /// Service time of a CheckinRequest (net, µs).
         ReqCheckinUs => "req_checkin_us",
-        /// Service time of a BatchCheckinRequest (net, µs).
-        ReqBatchCheckinUs => "req_batch_checkin_us",
         /// Service time of a MetricsRequest scrape (net, µs).
         ReqMetricsUs => "req_metrics_us",
         /// Epoch merge (WAL frame staging + apply) latency; a due snapshot

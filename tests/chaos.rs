@@ -306,7 +306,44 @@ fn rounds_legs(kind: &str, seed: u64, devices: usize, select_fraction: f64) {
                 )
             )
         );
+    } // Leg 3 — the full storm against a durable server: masked submissions
+      // over TCP through transport faults and churn, with scripted crashes
+      // and WAL recovery. Queued round submissions are acknowledged only
+      // after their commit, so a crash never loses an acked contribution and
+      // recovery never charges one twice.
+    let dir = temp_dir(&format!("chaos-{kind}-{seed}"));
+    let plan = FaultPlan::full(seed, 8);
+    let earliest_crash = plan
+        .crash
+        .as_ref()
+        .and_then(|c| c.points.first().copied())
+        .expect("full plans script at least one crash point");
+    let mut durable = cluster(plan);
+    durable.data_dir = Some(dir.clone());
+    let crashed = match durable.run() {
+        Ok(r) => r,
+        Err(e) => panic!(
+            "{}",
+            dump_failure(kind, seed, None, &format!("durable-leg run error: {e}"))
+        ),
+    };
+    assert_ledger_integrity(kind, seed, eps, &crashed);
+    if crashed.restarts == 0 && earliest_crash <= crashed.iterations {
+        panic!(
+            "{}",
+            dump_failure(
+                kind,
+                seed,
+                Some(&crashed),
+                &format!(
+                    "the durable leg reached iteration {} past the earliest crash \
+                     point {earliest_crash} but never restarted the server",
+                    crashed.iterations
+                )
+            )
+        );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

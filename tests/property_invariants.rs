@@ -15,8 +15,8 @@ use crowd_ml::linalg::Vector;
 use crowd_ml::proto::auth::AuthToken;
 use crowd_ml::proto::codec::{decode, encode};
 use crowd_ml::proto::message::{
-    BatchAck, BatchCheckinAck, BatchCheckinRequest, BusyReply, CheckinRequest, CheckoutResponse,
-    ErrorCode, GradientPayload, Message, RoundParams,
+    BusyReply, CheckinAck, CheckinRequest, CheckoutResponse, ErrorCode, ErrorReply,
+    GradientPayload, Message, RoundParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -201,45 +201,30 @@ proptest! {
             "sparse={} diverged from the dense path", went_sparse);
     }
 
-    /// Batch-checkin and retry-after messages survive encode → decode unchanged
-    /// for every well-formed combination of items, acks, and reject codes.
+    /// Checkin acks, error replies and retry-after messages survive encode →
+    /// decode unchanged for every flag combination and every error code.
     #[test]
-    fn batch_and_busy_round_trip(
-        device_ids in prop::collection::vec(any::<u64>(), 0..6),
+    fn ack_error_and_busy_round_trip(
         iteration in any::<u64>(),
-        gradient in prop::collection::vec(-1e6f64..1e6, 0..48),
-        counts in prop::collection::vec(-1000i64..1000, 0..8),
-        num_samples in 0u32..10_000,
-        error_count in -1000i64..1000,
-        reject_selector in 0u8..6,
+        // Every error code (1..=7 on the wire).
+        code_selector in 1u8..8,
+        round_id in any::<u64>(),
         accepted in any::<bool>(),
         stopped in any::<bool>(),
         retry_after_ms in any::<u32>(),
     ) {
-        let items: Vec<CheckinRequest> = device_ids
-            .iter()
-            .map(|&device_id| CheckinRequest {
-                device_id,
-                token: AuthToken::derive(device_id, 42),
-                checkout_iteration: iteration,
-                nonce: 0,
-                round_id: 0,
-                gradient: GradientPayload::from_dense_auto(gradient.clone()),
-                num_samples,
-                error_count,
-                label_counts: counts.clone(),
-            })
-            .collect();
-        let batch = Message::BatchCheckinRequest(BatchCheckinRequest { items });
-        prop_assert_eq!(decode(&encode(&batch)).unwrap(), batch);
+        let ack = Message::CheckinAck(CheckinAck {
+            accepted,
+            iteration,
+            stopped,
+            deduped: accepted ^ stopped,
+        });
+        prop_assert_eq!(decode(&encode(&ack)).unwrap(), ack);
 
-        // Cycle the reject field through "processed" and every error code.
-        let reject = ErrorCode::from_u8(reject_selector);
-        let acks: Vec<BatchAck> = (0..device_ids.len())
-            .map(|_| BatchAck { accepted, iteration, stopped, deduped: accepted ^ stopped, reject })
-            .collect();
-        let batch_ack = Message::BatchCheckinAck(BatchCheckinAck { acks });
-        prop_assert_eq!(decode(&encode(&batch_ack)).unwrap(), batch_ack);
+        let code = ErrorCode::from_u8(code_selector).unwrap();
+        let detail = format!("code {code_selector} at iteration {iteration}");
+        let error = Message::Error(ErrorReply { code, detail, round_id });
+        prop_assert_eq!(decode(&encode(&error)).unwrap(), error);
 
         let busy = Message::Busy(BusyReply { retry_after_ms });
         prop_assert_eq!(decode(&encode(&busy)).unwrap(), busy);
