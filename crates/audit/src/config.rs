@@ -15,8 +15,8 @@ pub const WALLCLOCK_ALLOWED: &[&str] = &["crates/telemetry/src/clock.rs", "crate
 
 /// Request-path modules where a panic tears down a server worker mid-epoch:
 /// everything between a byte arriving on the socket and the durable ack.
-/// Entries are workspace-relative path prefixes; here and in the two
-/// allow-lists each must name something that exists (rule `stale-path`).
+/// Entries are workspace-relative path prefixes; here and in the wallclock
+/// allow-list each must name something that exists (rule `stale-path`).
 pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/proto/src/codec.rs",
     "crates/proto/src/frame.rs",
@@ -32,13 +32,6 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/store/src/",
     "crates/telemetry/src/",
 ];
-
-/// Files allowed to contain `unsafe` code: the single audited SIMD kernel
-/// module (whose safety argument lives next to the intrinsics) and the
-/// vendored polling shim's FFI surface. Everywhere else the workspace is
-/// `deny(unsafe_code)` and any `unsafe` token is a finding. Entries are
-/// workspace-relative path prefixes.
-pub const UNSAFE_ALLOWED: &[&str] = &["crates/linalg/src/kernels/simd.rs", "vendor/polling/"];
 
 /// The file carrying the message tag table (`Message::tag`).
 pub const WIRE_MESSAGE_FILE: &str = "crates/proto/src/message.rs";

@@ -6,7 +6,6 @@ pub mod lock_order;
 pub mod panic_freedom;
 pub mod stale_path;
 pub mod unordered_iter;
-pub mod unsafe_confinement;
 pub mod wallclock;
 pub mod wire_hygiene;
 
@@ -21,7 +20,6 @@ use std::path::Path;
 pub fn run_all(files: &[SourceFile], root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(unordered_iter::check(files));
-    findings.extend(unsafe_confinement::check(files));
     findings.extend(wallclock::check(files));
     findings.extend(panic_freedom::check(files));
     findings.extend(lock_order::check(files));

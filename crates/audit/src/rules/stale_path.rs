@@ -1,9 +1,9 @@
 //! Rule `stale-path`: a policy-table entry that names nothing.
 //!
-//! `panic-freedom`, `wallclock`, and `unsafe-confinement` decide where they
-//! apply from path-prefix tables in [`crate::config`]. Delete or rename a
-//! module and its entry keeps compiling while guarding nothing, so every
-//! entry must name a file or directory that exists under the audited root.
+//! `panic-freedom` and `wallclock` decide where they apply from path-prefix
+//! tables in [`crate::config`]. Delete or rename a module and its entry keeps
+//! compiling while guarding nothing, so every entry must name a file or
+//! directory that exists under the audited root.
 //!
 //! The entries are read from the audited tree's own copy of the tables
 //! ([`CONFIG_FILE`]), so a finding points at the line to fix; a tree without
@@ -19,7 +19,7 @@ pub const RULE: &str = "stale-path";
 /// Where the path-prefix tables live, workspace-relative.
 pub const CONFIG_FILE: &str = "crates/audit/src/config.rs";
 
-const PATH_TABLES: &[&str] = &["PANIC_FREE_PATHS", "WALLCLOCK_ALLOWED", "UNSAFE_ALLOWED"];
+const PATH_TABLES: &[&str] = &["PANIC_FREE_PATHS", "WALLCLOCK_ALLOWED"];
 
 /// `(table, prefix, line)` for the string literals of every
 /// `const <TABLE>: … = &[ … ];` in `config`.
@@ -73,7 +73,7 @@ pub fn check(files: &[SourceFile], root: &Path) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PANIC_FREE_PATHS, UNSAFE_ALLOWED, WALLCLOCK_ALLOWED};
+    use crate::config::{PANIC_FREE_PATHS, WALLCLOCK_ALLOWED};
 
     #[test]
     fn reads_exactly_the_compiled_in_tables() {
@@ -84,7 +84,6 @@ mod tests {
         for (table, compiled) in [
             ("PANIC_FREE_PATHS", PANIC_FREE_PATHS),
             ("WALLCLOCK_ALLOWED", WALLCLOCK_ALLOWED),
-            ("UNSAFE_ALLOWED", UNSAFE_ALLOWED),
         ] {
             let prefixes: Vec<&str> = read
                 .iter()

@@ -8,5 +8,3 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/audit/src/config.rs",
     "crates/net/src/server.rs",
 ];
-
-pub const UNSAFE_ALLOWED: &[&str] = &[];

@@ -65,17 +65,6 @@ fn lock_order_fires_exactly_once() {
 }
 
 #[test]
-fn unsafe_confinement_fires_exactly_once() {
-    let findings = audit_fixture("unsafe_confinement");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    let f = &findings[0];
-    assert_eq!(f.rule, "unsafe-confinement");
-    assert_eq!(f.file, "crates/net/src/bad.rs");
-    assert_eq!(f.line, 6);
-    assert!(f.message.contains("audited SIMD kernel module"));
-}
-
-#[test]
 fn wire_change_without_bump_fires() {
     let findings = audit_fixture("wire");
     assert_eq!(findings.len(), 1, "findings: {findings:?}");
@@ -104,7 +93,6 @@ fn every_fixture_fails_deny() {
         "wallclock",
         "panic_freedom",
         "lock_order",
-        "unsafe_confinement",
         "wire",
         "stale_path",
     ] {

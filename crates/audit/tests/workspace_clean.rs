@@ -55,6 +55,44 @@ fn the_checked_in_baseline_parses_and_is_not_stale() {
     );
 }
 
+/// `unsafe` is refused by the compiler, not by a rule: every crate root under
+/// `crates/*/src` (`lib.rs`, `main.rs`, `bin/*.rs`) must carry
+/// `#![forbid(unsafe_code)]`, so a new crate or binary cannot opt out
+/// silently.
+#[test]
+fn every_crate_root_forbids_unsafe_code() {
+    let crates = workspace_root().join("crates");
+    let mut roots = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("crates/ lists") {
+        let src = entry.expect("crates/ entry reads").path().join("src");
+        roots.extend(
+            ["lib.rs", "main.rs"]
+                .iter()
+                .map(|name| src.join(name))
+                .filter(|p| p.is_file()),
+        );
+        if let Ok(bins) = std::fs::read_dir(src.join("bin")) {
+            roots.extend(
+                bins.map(|e| e.expect("bin/ entry reads").path())
+                    .filter(|p| p.extension().is_some_and(|ext| ext == "rs")),
+            );
+        }
+    }
+    assert!(roots.len() >= 15, "found only {} crate roots", roots.len());
+    let missing: Vec<_> = roots
+        .iter()
+        .filter(|p| {
+            !std::fs::read_to_string(p)
+                .expect("crate root reads")
+                .contains("#![forbid(unsafe_code)]")
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "crate roots without #![forbid(unsafe_code)]: {missing:?}"
+    );
+}
+
 #[test]
 fn wire_lock_matches_the_live_surface() {
     let root = workspace_root();

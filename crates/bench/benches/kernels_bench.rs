@@ -1,11 +1,6 @@
-//! The SIMD kernel dispatch vs the scalar reference at the server-side hot
-//! dimensionality (D = 5000, roughly the MNIST-like D·C parameter vector).
-//!
-//! `crowd_linalg::kernels::{dot, axpy, ...}` dispatch to the widest lane width
-//! the CPU supports (honouring `CROWD_SIMD`); `kernels::scalar::*` is the
-//! portable reference every SIMD path must match bitwise. The acceptance bar
-//! for the vectorized kernels is dot/axpy at d=5000 running ≥1.5× faster than
-//! the scalar reference when SIMD is active.
+//! The fixed-order BLAS-1 kernels at the server-side hot dimensionality
+//! (D = 5000, roughly the MNIST-like D·C parameter vector): one row per
+//! kernel, `kernels_d5000/{dot,sum_sq,axpy}`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use crowd_linalg::kernels;
@@ -21,26 +16,13 @@ fn bench_kernels(c: &mut Criterion) {
     let b = normal_vector(&mut rng, dim);
 
     let mut group = c.benchmark_group("kernels_d5000");
-    group.bench_function("dot_scalar", |bench| {
-        bench.iter(|| black_box(kernels::scalar::dot(black_box(a.as_slice()), b.as_slice())))
-    });
-    group.bench_function("dot_simd", |bench| {
+    group.bench_function("dot", |bench| {
         bench.iter(|| black_box(kernels::dot(black_box(a.as_slice()), b.as_slice())))
     });
-    group.bench_function("sum_sq_scalar", |bench| {
-        bench.iter(|| black_box(kernels::scalar::sum_sq(black_box(a.as_slice()))))
-    });
-    group.bench_function("sum_sq_simd", |bench| {
+    group.bench_function("sum_sq", |bench| {
         bench.iter(|| black_box(kernels::sum_sq(black_box(a.as_slice()))))
     });
-    group.bench_function("axpy_scalar", |bench| {
-        let mut y = b.clone();
-        bench.iter(|| {
-            kernels::scalar::axpy(0.125, black_box(a.as_slice()), y.as_mut_slice());
-            black_box(y.as_slice()[0])
-        })
-    });
-    group.bench_function("axpy_simd", |bench| {
+    group.bench_function("axpy", |bench| {
         let mut y = b.clone();
         bench.iter(|| {
             kernels::axpy(0.125, black_box(a.as_slice()), y.as_mut_slice());

@@ -19,6 +19,8 @@
 //! commands from the workflow and checking in the fresh file (see README,
 //! "Chaos & CI").
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

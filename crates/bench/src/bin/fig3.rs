@@ -6,6 +6,8 @@
 //! learning-rate constants c ∈ {1e-6, 1e-4, 1e-2, 1}. The expected shape: all
 //! four curves converge quickly (within ~50 samples) and end up nearly identical.
 
+#![forbid(unsafe_code)]
+
 use crowd_bench::RunScale;
 use crowd_core::experiment::{CrowdMlExperiment, ExperimentConfig};
 use crowd_core::report::series_to_csv;

@@ -5,6 +5,8 @@
 //! error; the decentralized error stays far higher because each device only sees
 //! `~N/M` samples.
 
+#![forbid(unsafe_code)]
+
 use crowd_bench::{run_no_privacy_comparison, RunScale, SimulatedWorkload};
 
 fn main() {

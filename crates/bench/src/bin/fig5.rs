@@ -5,6 +5,8 @@
 //! Central batch on perturbed data); Central (SGD) on feature/label-perturbed data
 //! stays near chance regardless of b.
 
+#![forbid(unsafe_code)]
+
 use crowd_bench::{run_privacy_minibatch_sweep, RunScale, SimulatedWorkload};
 
 fn main() {

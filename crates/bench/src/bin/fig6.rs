@@ -5,6 +5,8 @@
 //! b = 20 even a 1000Δ delay barely affects the final error, which stays below the
 //! Central (batch) reference.
 
+#![forbid(unsafe_code)]
+
 use crowd_bench::{run_delay_sweep, RunScale, SimulatedWorkload};
 
 fn main() {

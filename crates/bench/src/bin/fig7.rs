@@ -2,6 +2,8 @@
 //! no delay — the Fig. 4 protocol on the harder 100-dimensional workload, so the
 //! same ordering holds but every error level is higher (≈0.3 for the winners).
 
+#![forbid(unsafe_code)]
+
 use crowd_bench::{run_no_privacy_comparison, RunScale, SimulatedWorkload};
 
 fn main() {

@@ -2,6 +2,8 @@
 //! ε⁻¹ = 0.1 and minibatch sizes b ∈ {1, 10, 20} — the Fig. 5 protocol on the
 //! harder workload.
 
+#![forbid(unsafe_code)]
+
 use crowd_bench::{run_privacy_minibatch_sweep, RunScale, SimulatedWorkload};
 
 fn main() {

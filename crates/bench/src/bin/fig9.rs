@@ -2,6 +2,8 @@
 //! CIFAR-feature workload (privacy ε⁻¹ = 0.1, b ∈ {1, 20},
 //! delays ∈ {1Δ, 10Δ, 100Δ, 1000Δ}) — the Fig. 6 protocol on the harder workload.
 
+#![forbid(unsafe_code)]
+
 use crowd_bench::{run_delay_sweep, RunScale, SimulatedWorkload};
 
 fn main() {

@@ -3,6 +3,8 @@
 //! vs stochastically rounded i16 levels, with the uplink bytes per checkin for
 //! each transport reported alongside the error curves.
 
+#![forbid(unsafe_code)]
+
 use crowd_bench::{run_quantization_ablation, RunScale, SimulatedWorkload};
 
 fn main() {

@@ -11,6 +11,8 @@
 //! 3. the empirical sensitivity of the *averaged* gradient over minibatches
 //!    differing in one sample never exceeds 4/b (Theorem 1's bound).
 
+#![forbid(unsafe_code)]
+
 use crowd_data::Sample;
 use crowd_learning::model::{finite_difference_gradient, minibatch_statistics, Model};
 use crowd_learning::MulticlassLogistic;

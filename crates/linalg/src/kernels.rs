@@ -8,67 +8,12 @@
 //! rely on. The four lanes break the sequential add dependency chain, letting
 //! the CPU retire ~4 FLOPs per cycle instead of stalling on one accumulator.
 //!
-//! The element-wise kernels (`axpy`, `add_assign`, `scale`) are bitwise
-//! identical to their naive loops (each element is independent); only the
-//! reductions (`dot`, `sum_sq`) differ from a left-to-right fold — by design,
-//! and identically on every run.
-//!
-//! # SIMD dispatch
-//!
-//! On x86_64 the hot kernels route through explicit SSE2/AVX2 bodies in
-//! [`simd`] chosen once per process by runtime feature detection. The vector
-//! lanes of a 4-wide accumulator *are* the four scalar lanes `s0..s3`, and
-//! the horizontal combine extracts them and reapplies the exact
-//! `((s0 + s1) + (s2 + s3)) + tail` order — no FMA, no reassociation — so
-//! every SIMD kernel is bitwise identical to its [`scalar`] twin (proptested
-//! in `tests/simd_bitwise.rs`, including ±0.0, subnormals, and NaN
-//! payloads). Setting `CROWD_SIMD=0` forces the scalar bodies; any other
-//! value (or unset) uses the best detected level. Non-x86_64 targets always
-//! take the scalar path.
-
-use std::sync::OnceLock;
-
-pub mod scalar;
-#[cfg(target_arch = "x86_64")]
-pub mod simd;
-
-/// Which kernel bodies the process dispatches to. Decided once, at first use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// Portable four-lane scalar unrolls (always available).
-    Scalar,
-    /// 128-bit SSE2 (x86_64 baseline): two 2-lane accumulators.
-    #[cfg(target_arch = "x86_64")]
-    Sse2,
-    /// 256-bit AVX2: one 4-lane accumulator, detected at runtime.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-
-fn detect() -> SimdLevel {
-    if std::env::var_os("CROWD_SIMD").is_some_and(|v| v == "0") {
-        return SimdLevel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            SimdLevel::Avx2
-        } else {
-            // SSE2 is part of the x86_64 baseline — always present.
-            SimdLevel::Sse2
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    SimdLevel::Scalar
-}
-
-/// The dispatch level in effect for this process (cached after first call).
-#[inline]
-pub fn simd_level() -> SimdLevel {
-    *LEVEL.get_or_init(detect)
-}
+//! The element-wise kernels (`axpy`, `add_assign`, `scale`, `scatter_add`)
+//! are bitwise identical to their naive loops (each element is independent);
+//! only the reductions (`dot`, `sum_sq`, `sum_abs`) differ from a
+//! left-to-right fold — by design, and identically on every run. A WAL
+//! written by an older binary is replayed through these reductions, so the
+//! bracketing is pinned by `reduction_bits_are_frozen` below.
 
 /// Dot product `a · b` over equal-length slices, four-lane unrolled.
 ///
@@ -77,87 +22,118 @@ pub fn simd_level() -> SimdLevel {
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "kernel dot length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match simd_level() {
-        SimdLevel::Avx2 => return simd::dot_avx2(a, b),
-        SimdLevel::Sse2 => return simd::dot_sse2(a, b),
-        SimdLevel::Scalar => {}
+    let mut ca = a.chunks_exact(4);
+    let mut cb = b.chunks_exact(4);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        s0 += xa[0] * xb[0];
+        s1 += xa[1] * xb[1];
+        s2 += xa[2] * xb[2];
+        s3 += xa[3] * xb[3];
     }
-    scalar::dot(a, b)
+    let mut tail = 0.0;
+    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+        tail += x * y;
+    }
+    ((s0 + s1) + (s2 + s3)) + tail
 }
 
 /// Sum of squares `Σ aᵢ²`, four-lane unrolled (the L2 norm is its sqrt).
 #[inline]
 pub fn sum_sq(a: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    match simd_level() {
-        SimdLevel::Avx2 => return simd::sum_sq_avx2(a),
-        SimdLevel::Sse2 => return simd::sum_sq_sse2(a),
-        SimdLevel::Scalar => {}
+    let mut chunks = a.chunks_exact(4);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for c in &mut chunks {
+        s0 += c[0] * c[0];
+        s1 += c[1] * c[1];
+        s2 += c[2] * c[2];
+        s3 += c[3] * c[3];
     }
-    scalar::sum_sq(a)
+    let mut tail = 0.0;
+    for x in chunks.remainder() {
+        tail += x * x;
+    }
+    ((s0 + s1) + (s2 + s3)) + tail
 }
 
 /// Sum of absolute values `Σ |aᵢ|`, four-lane unrolled.
 #[inline]
 pub fn sum_abs(a: &[f64]) -> f64 {
-    scalar::sum_abs(a)
+    let mut chunks = a.chunks_exact(4);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for c in &mut chunks {
+        s0 += c[0].abs();
+        s1 += c[1].abs();
+        s2 += c[2].abs();
+        s3 += c[3].abs();
+    }
+    let mut tail = 0.0;
+    for x in chunks.remainder() {
+        tail += x.abs();
+    }
+    ((s0 + s1) + (s2 + s3)) + tail
 }
 
 /// In-place `y += alpha * x`, unrolled. Bitwise identical to the naive loop.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len(), "kernel axpy length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match simd_level() {
-        SimdLevel::Avx2 => return simd::axpy_avx2(alpha, x, y),
-        SimdLevel::Sse2 => return simd::axpy_sse2(alpha, x, y),
-        SimdLevel::Scalar => {}
+    let mut cy = y.chunks_exact_mut(4);
+    let mut cx = x.chunks_exact(4);
+    for (ya, xa) in (&mut cy).zip(&mut cx) {
+        ya[0] += alpha * xa[0];
+        ya[1] += alpha * xa[1];
+        ya[2] += alpha * xa[2];
+        ya[3] += alpha * xa[3];
     }
-    scalar::axpy(alpha, x, y)
+    for (yv, xv) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
+        *yv += alpha * xv;
+    }
 }
 
 /// In-place `y += x`, unrolled. Bitwise identical to the naive loop.
 #[inline]
 pub fn add_assign(y: &mut [f64], x: &[f64]) {
     debug_assert_eq!(x.len(), y.len(), "kernel add length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match simd_level() {
-        SimdLevel::Avx2 => return simd::add_assign_avx2(y, x),
-        SimdLevel::Sse2 => return simd::add_assign_sse2(y, x),
-        SimdLevel::Scalar => {}
+    let mut cy = y.chunks_exact_mut(4);
+    let mut cx = x.chunks_exact(4);
+    for (ya, xa) in (&mut cy).zip(&mut cx) {
+        ya[0] += xa[0];
+        ya[1] += xa[1];
+        ya[2] += xa[2];
+        ya[3] += xa[3];
     }
-    scalar::add_assign(y, x)
+    for (yv, xv) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
+        *yv += xv;
+    }
 }
 
 /// In-place `y *= alpha`, unrolled. Bitwise identical to the naive loop.
 #[inline]
 pub fn scale(alpha: f64, y: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    match simd_level() {
-        SimdLevel::Avx2 => return simd::scale_avx2(alpha, y),
-        SimdLevel::Sse2 => return simd::scale_sse2(alpha, y),
-        SimdLevel::Scalar => {}
+    let mut cy = y.chunks_exact_mut(4);
+    for ya in &mut cy {
+        ya[0] *= alpha;
+        ya[1] *= alpha;
+        ya[2] *= alpha;
+        ya[3] *= alpha;
     }
-    scalar::scale(alpha, y)
+    for yv in cy.into_remainder() {
+        *yv *= alpha;
+    }
 }
 
 /// Sparse scatter-add `out[indices[k]] += values[k]` in index order.
 ///
-/// Bitwise identical to the naive loop in every mode: the adds happen one
-/// element at a time, in index order. Indices are bounds-checked against
-/// `out.len()` up front (`SparseVector` already guarantees this invariant);
-/// with SIMD dispatch active the body is then a 4-way unrolled unchecked
-/// loop, which matters because a scatter defeats the autovectorizer's
-/// bounds-check elimination. Out-of-range entries take the checked scalar
-/// loop, which panics in debug builds exactly like the old inline loop did.
+/// Bitwise identical to the naive loop: the adds happen one element at a
+/// time, in index order. Every index is bounds-checked against `out.len()`
+/// (`SparseVector` already guarantees the invariant), so an out-of-range
+/// entry panics.
 #[inline]
 pub fn scatter_add(indices: &[u32], values: &[f64], out: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_level() != SimdLevel::Scalar && simd::scatter_add(indices, values, out) {
-        return;
+    for (&i, &v) in indices.iter().zip(values) {
+        out[i as usize] += v;
     }
-    scalar::scatter_add(indices, values, out);
 }
 
 #[cfg(test)]
@@ -190,6 +166,28 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(first.to_bits(), dot(&a, &b).to_bits());
         }
+    }
+
+    /// The exact bits of the reductions and of `axpy` on fixed inputs.
+    /// Durable state written by an older binary is replayed through these
+    /// kernels, so a change to the `((s0 + s1) + (s2 + s3)) + tail`
+    /// bracketing must fail here.
+    #[test]
+    fn reduction_bits_are_frozen() {
+        let a = seq(1027, |i| (i as f64 * 0.37).sin() * 1e3);
+        let b = seq(1027, |i| (i as f64 * 0.19).cos() * 1e-3);
+        assert_eq!(dot(&a, &b).to_bits(), 0x401b_7348_27a2_f2f6);
+        assert_eq!(sum_sq(&a).to_bits(), 0x41be_9e00_c8e6_bcfc);
+        // `a · b` happens to round alike under other lane combines; `a · a`
+        // shares `sum_sq`'s order and its bits, and does not.
+        assert_eq!(dot(&a, &a).to_bits(), 0x41be_9e00_c8e6_bcfc);
+        let mut y = b.clone();
+        axpy(0.37, &a, &mut y);
+        // FNV-1a over the output's bit patterns, in index order.
+        let digest = y.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0xb12e_c356_32f3_34e3);
     }
 
     #[test]

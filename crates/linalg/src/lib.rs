@@ -24,13 +24,8 @@
 //!   normal via Box–Muller).
 //!
 //! All floating-point storage is `f64`.
-//!
-//! `unsafe` is denied crate-wide with exactly one audited exception: the
-//! explicit SIMD bodies in [`kernels::simd`] (see that module's determinism
-//! argument). crowd-audit's `unsafe-confinement` rule enforces the
-//! containment mechanically.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod fft;

@@ -23,4 +23,4 @@ pub use chaos::{ChurnSchedule, CrashPlan, FaultAction, FaultPlan, TransportFault
 pub use delay::DelayModel;
 pub use event::Event;
 pub use queue::EventQueue;
-pub use trace::{SharedTrace, TraceCollector};
+pub use trace::TraceCollector;

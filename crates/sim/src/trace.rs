@@ -145,58 +145,6 @@ impl TraceCollector {
     }
 }
 
-/// A thread-safe [`TraceCollector`]: the same named counters and latency
-/// samples, but shareable across worker threads.
-///
-/// The single-threaded simulation keeps using [`TraceCollector`] directly; this
-/// wrapper exists for concurrent runtimes (the `crowd-agg` aggregation workers)
-/// that want to report into the same vocabulary of counters. Recording takes a
-/// short internal lock, so it is meant for coarse events (epoch merges, queue
-/// rejections), not per-sample hot paths.
-#[derive(Debug, Default)]
-pub struct SharedTrace {
-    // audit:lock(sim.trace, 90)
-    inner: std::sync::Mutex<TraceCollector>,
-}
-
-impl SharedTrace {
-    /// Creates an empty shared collector.
-    pub fn new() -> Self {
-        SharedTrace::default()
-    }
-
-    /// Increments a named counter by one.
-    pub fn count(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Increments a named counter by `amount`.
-    pub fn add(&self, name: &str, amount: u64) {
-        self.lock().add(name, amount);
-    }
-
-    /// Reads a counter (zero when never incremented).
-    pub fn get(&self, name: &str) -> u64 {
-        self.lock().get(name)
-    }
-
-    /// Records a latency observation (negative or non-finite values are ignored).
-    pub fn record_latency(&self, value: f64) {
-        self.lock().record_latency(value);
-    }
-
-    /// A point-in-time copy of the collected data.
-    pub fn snapshot(&self) -> TraceCollector {
-        self.lock().clone()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceCollector> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,29 +175,6 @@ mod tests {
         assert_eq!(t.latency_count(), 2);
         assert_eq!(t.mean_latency(), Some(2.0));
         assert_eq!(t.max_latency(), Some(3.0));
-    }
-
-    #[test]
-    fn shared_trace_accumulates_across_threads() {
-        use std::sync::Arc;
-        let shared = Arc::new(SharedTrace::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let t = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    t.count("events");
-                }
-                t.record_latency(1.5);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(shared.get("events"), 400);
-        let snap = shared.snapshot();
-        assert_eq!(snap.get("events"), 400);
-        assert_eq!(snap.latency_count(), 4);
     }
 
     #[test]
