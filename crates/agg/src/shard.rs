@@ -6,7 +6,7 @@
 //! the stripe lock, not a global one.
 //!
 //! Determinism: every stripe keeps a *per-device* running sum (a device's own
-//! checkins are sequential, so that sum is reproducible), and [`ShardSet::drain`]
+//! checkins are sequential, so that sum is reproducible), and `ShardSet::drain`
 //! folds the per-device sums in ascending device-id order regardless of which
 //! stripe held them. The merged [`EpochAggregate`] is therefore bitwise
 //! identical to what a single-lock sequential accumulator would produce from

@@ -309,7 +309,7 @@ impl Default for BudgetSettings {
 /// Round-based cohort protocol settings (wire v6).
 ///
 /// When configured, the server runs the `crowd-rounds` protocol: it publishes
-/// [`crowd_proto::message::RoundParams`]-shaped parameters in every checkout,
+/// `crowd_proto::message::RoundParams`-shaped parameters in every checkout,
 /// accepts exactly one masked submission per selected device per round, and
 /// folds the unmasked cohort sum into the model when the round finalizes
 /// (cohort complete or `deadline_epochs` applied epochs elapsed).

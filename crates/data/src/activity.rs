@@ -85,9 +85,6 @@ pub struct ActivityConfig {
     /// Expected dwell time (in windows) before the simulated user switches
     /// activity. Label changes follow a geometric distribution with this mean.
     pub mean_dwell_windows: f64,
-    /// Whether to L1-normalize the FFT features (matches the rest of the paper's
-    /// preprocessing; the privacy analysis requires `‖x‖₁ ≤ 1`).
-    pub l1_normalize: bool,
 }
 
 impl Default for ActivityConfig {
@@ -96,7 +93,6 @@ impl Default for ActivityConfig {
             sample_rate_hz: 20.0,
             window_len: 64,
             mean_dwell_windows: 12.0,
-            l1_normalize: true,
         }
     }
 }
@@ -146,11 +142,6 @@ impl ActivitySimulator {
         self.config.window_len / 2
     }
 
-    /// The activity currently being simulated.
-    pub fn current_activity(&self) -> Activity {
-        self.current
-    }
-
     /// Generates one raw magnitude window for the current activity.
     pub fn raw_window<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<f64> {
         let (amp, freq, noise) = self.current.profile();
@@ -165,7 +156,8 @@ impl ActivitySimulator {
         window
     }
 
-    /// Extracts the FFT magnitude feature vector from a raw window.
+    /// Extracts the L1-normalized FFT magnitude feature vector from a raw window
+    /// (the privacy analysis requires `‖x‖₁ ≤ 1`).
     pub fn featurize(&self, window: &[f64]) -> Result<Vector> {
         let mags = magnitude_spectrum(window)
             .map_err(|e| DataError::InvalidArgument(format!("feature extraction failed: {e}")))?;
@@ -174,9 +166,7 @@ impl ActivitySimulator {
         if !x.is_empty() {
             x[0] = 0.0;
         }
-        if self.config.l1_normalize {
-            normalize_l1(&mut x);
-        }
+        normalize_l1(&mut x);
         Ok(x)
     }
 
@@ -301,17 +291,15 @@ mod tests {
     #[test]
     fn walking_has_more_spectral_energy_than_still() {
         let mut rng = StdRng::seed_from_u64(1);
-        let config = ActivityConfig {
-            l1_normalize: false,
-            ..ActivityConfig::default()
-        };
-        let mut walk = ActivitySimulator::new(config.clone(), Activity::OnFoot).unwrap();
-        let mut still = ActivitySimulator::new(config, Activity::Still).unwrap();
-        let walk_window = walk.raw_window(&mut rng);
-        let still_window = still.raw_window(&mut rng);
-        let wx = walk.featurize(&walk_window).unwrap();
-        let sx = still.featurize(&still_window).unwrap();
-        assert!(wx.norm_l1() > 5.0 * sx.norm_l1());
+        let mut walk = ActivitySimulator::new(ActivityConfig::default(), Activity::OnFoot).unwrap();
+        let mut still = ActivitySimulator::new(ActivityConfig::default(), Activity::Still).unwrap();
+        // Compare raw spectra: the features are L1-normalized, so their total
+        // energy is 1 for every activity. Skip the DC (gravity) bin.
+        let motion_energy =
+            |window: &[f64]| -> f64 { magnitude_spectrum(window).unwrap()[1..].iter().sum() };
+        let walk_energy = motion_energy(&walk.raw_window(&mut rng));
+        let still_energy = motion_energy(&still.raw_window(&mut rng));
+        assert!(walk_energy > 5.0 * still_energy);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::DataError;
 use crate::Result;
-use crowd_linalg::{Matrix, Vector};
+use crowd_linalg::Vector;
 use rand::Rng;
 
 /// One labeled sample: a feature vector and its class label.
@@ -78,23 +78,6 @@ impl Dataset {
         })
     }
 
-    /// Creates a dataset from an `n × d` feature matrix and a label vector.
-    pub fn from_matrix(features: &Matrix, labels: &[usize], num_classes: usize) -> Result<Self> {
-        if features.rows() != labels.len() {
-            return Err(DataError::ShapeMismatch {
-                reason: format!(
-                    "{} feature rows but {} labels",
-                    features.rows(),
-                    labels.len()
-                ),
-            });
-        }
-        let samples = (0..features.rows())
-            .map(|r| Sample::new(features.row_vector(r), labels[r]))
-            .collect();
-        Dataset::new(samples, num_classes)
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -161,23 +144,6 @@ impl Dataset {
             counts[s.label] += 1;
         }
         counts
-    }
-
-    /// Empirical class prior `P(y = k)`.
-    pub fn class_priors(&self) -> Vec<f64> {
-        let counts = self.class_counts();
-        let n = self.len().max(1) as f64;
-        counts.into_iter().map(|c| c as f64 / n).collect()
-    }
-
-    /// Returns the features as an `n × d` matrix (copies).
-    pub fn feature_matrix(&self) -> Matrix {
-        let rows: Vec<Vec<f64>> = self
-            .samples
-            .iter()
-            .map(|s| s.features.as_slice().to_vec())
-            .collect();
-        Matrix::from_rows(&rows).expect("samples validated to share a dimension")
     }
 
     /// Returns the labels as a vector (copies).
@@ -262,13 +228,6 @@ impl Dataset {
         self.samples.extend(other.samples);
         Ok(self)
     }
-
-    /// Applies `f` to every feature vector in place (used by normalizers).
-    pub fn map_features_in_place(&mut self, mut f: impl FnMut(&mut Vector)) {
-        for s in &mut self.samples {
-            f(&mut s.features);
-        }
-    }
 }
 
 impl<'a> IntoIterator for &'a Dataset {
@@ -320,10 +279,8 @@ mod tests {
         assert_eq!(d.dim(), 2);
         assert_eq!(d.num_classes(), 3);
         assert_eq!(d.class_counts(), vec![1, 2, 1]);
-        assert_eq!(d.class_priors(), vec![0.25, 0.5, 0.25]);
         assert_eq!(d.labels(), vec![0, 1, 1, 2]);
         assert_eq!(d.get(2).label, 1);
-        assert_eq!(d.feature_matrix().shape(), (4, 2));
     }
 
     #[test]
@@ -392,22 +349,6 @@ mod tests {
         let empty = Dataset::empty(0, 3).unwrap();
         let merged2 = empty.concat(tiny()).unwrap();
         assert_eq!(merged2.dim(), 2);
-    }
-
-    #[test]
-    fn from_matrix_round_trip() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let d = Dataset::from_matrix(&m, &[0, 1], 2).unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.feature_matrix(), m);
-        assert!(Dataset::from_matrix(&m, &[0], 2).is_err());
-    }
-
-    #[test]
-    fn map_features_in_place_applies() {
-        let mut d = tiny();
-        d.map_features_in_place(|v| v.scale(2.0));
-        assert_eq!(d.get(0).features.as_slice(), &[2.0, 0.0]);
     }
 
     #[test]

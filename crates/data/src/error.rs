@@ -1,4 +1,4 @@
-//! Error type for dataset construction, loading, and partitioning.
+//! Error type for dataset construction, generation, and partitioning.
 
 use std::fmt;
 
@@ -19,10 +19,6 @@ pub enum DataError {
     },
     /// An argument was outside its valid domain.
     InvalidArgument(String),
-    /// An IDX/MNIST file could not be read or parsed.
-    Io(std::io::Error),
-    /// An IDX file had an unexpected magic number or dimension header.
-    Format(String),
 }
 
 impl fmt::Display for DataError {
@@ -33,26 +29,11 @@ impl fmt::Display for DataError {
                 write!(f, "label {label} out of range for {num_classes} classes")
             }
             DataError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
-            DataError::Io(e) => write!(f, "i/o error: {e}"),
-            DataError::Format(msg) => write!(f, "format error: {msg}"),
         }
     }
 }
 
-impl std::error::Error for DataError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DataError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for DataError {
-    fn from(e: std::io::Error) -> Self {
-        DataError::Io(e)
-    }
-}
+impl std::error::Error for DataError {}
 
 #[cfg(test)]
 mod tests {
@@ -74,16 +55,5 @@ mod tests {
         assert!(DataError::InvalidArgument("x".into())
             .to_string()
             .contains("x"));
-        assert!(DataError::Format("bad magic".into())
-            .to_string()
-            .contains("magic"));
-    }
-
-    #[test]
-    fn io_error_conversion_and_source() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "missing");
-        let err: DataError = io.into();
-        assert!(err.to_string().contains("missing"));
-        assert!(std::error::Error::source(&err).is_some());
     }
 }

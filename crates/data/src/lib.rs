@@ -1,5 +1,5 @@
-//! Datasets, synthetic workload generators, preprocessing, and device partitioning
-//! for the Crowd-ML evaluation.
+//! Datasets, synthetic workload generators, and device partitioning for the
+//! Crowd-ML evaluation.
 //!
 //! The paper evaluates on three workloads:
 //!
@@ -10,25 +10,26 @@
 //!    [`activity`] synthesizes accelerometer traces with per-activity
 //!    amplitude/frequency profiles and runs the *same* feature-extraction pipeline.
 //! 2. **Handwritten digits** (§V-C): MNIST, PCA to 50 dimensions, L1-normalized,
-//!    60 000 train / 10 000 test, 10 classes. [`idx`] loads the real IDX files when
-//!    present; [`synthetic::mnist_like`] generates a Gaussian-mixture surrogate with
-//!    identical shape and a comparable error floor otherwise.
+//!    60 000 train / 10 000 test, 10 classes. [`synthetic::mnist_like`] generates
+//!    a Gaussian-mixture surrogate with identical shape and a comparable error
+//!    floor.
 //! 3. **Object recognition** (Appendix D): CIFAR-10 CNN features, PCA to 100
 //!    dimensions, L1-normalized. [`synthetic::cifar_feature_like`] generates the
 //!    surrogate with heavier class overlap (higher error floor, ≈0.3 in the paper).
 //!
+//! Neither image corpus is in the repository, so the surrogates are generated
+//! directly at the post-PCA dimension and already L1-normalized: no PCA and no
+//! dataset file loading runs anywhere in the workspace.
+//!
 //! [`partition`] distributes a dataset across `M` simulated devices (IID or
-//! non-IID), and [`preprocess`] provides the PCA + normalization pipeline the paper
-//! applies before learning.
+//! non-IID).
 
 #![forbid(unsafe_code)]
 
 pub mod activity;
 pub mod dataset;
 pub mod error;
-pub mod idx;
 pub mod partition;
-pub mod preprocess;
 pub mod synthetic;
 
 pub use dataset::{Dataset, Sample};

@@ -3,11 +3,12 @@
 //! The paper's simulated experiments use MNIST (PCA → 50 dims, L1-normalized) and
 //! CIFAR-10 CNN features (PCA → 100 dims, L1-normalized). Neither corpus ships with
 //! this repository, so [`mnist_like`] and [`cifar_feature_like`] generate
-//! Gaussian-mixture surrogates with the same shape (dimension, class count,
-//! train/test sizes, L1 normalization) and separability tuned to land near the
-//! paper's non-private error floors (≈0.1 for digits, ≈0.3 for objects). The
-//! general-purpose [`GaussianMixtureSpec`] is also the workload used by the
-//! quickstart example and many tests.
+//! Gaussian-mixture surrogates directly at the post-PCA dimension, already
+//! L1-normalized: no PCA and no dataset loading ever runs. The surrogates match
+//! the paper's shape (dimension, class count, train/test sizes) and their
+//! separability is tuned to land near the paper's non-private error floors (≈0.1
+//! for digits, ≈0.3 for objects). The general-purpose [`GaussianMixtureSpec`] is
+//! also the workload used by the quickstart example and many tests.
 
 use crate::dataset::{Dataset, Sample};
 use crate::error::DataError;
@@ -28,14 +29,11 @@ pub struct GaussianMixtureSpec {
     mean_scale: f64,
     /// Per-coordinate standard deviation of each class cloud (larger = harder).
     noise_std: f64,
-    /// Whether to L1-normalize every feature vector (the paper's preprocessing).
-    l1_normalize: bool,
 }
 
 impl GaussianMixtureSpec {
     /// Creates a spec with the given dimensionality and class count, and defaults
-    /// for everything else (1 000 train / 200 test, moderate separability,
-    /// L1 normalization on).
+    /// for everything else (1 000 train / 200 test, moderate separability).
     pub fn new(dim: usize, num_classes: usize) -> Self {
         GaussianMixtureSpec {
             dim,
@@ -44,7 +42,6 @@ impl GaussianMixtureSpec {
             test_size: 200,
             mean_scale: 2.0,
             noise_std: 1.0,
-            l1_normalize: true,
         }
     }
 
@@ -72,12 +69,6 @@ impl GaussianMixtureSpec {
         self
     }
 
-    /// Enables or disables L1 normalization of generated features.
-    pub fn with_l1_normalization(mut self, on: bool) -> Self {
-        self.l1_normalize = on;
-        self
-    }
-
     /// Feature dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -98,7 +89,9 @@ impl GaussianMixtureSpec {
         self.test_size
     }
 
-    /// Generates `(train, test)` datasets from the spec.
+    /// Generates `(train, test)` datasets from the spec. Every feature vector is
+    /// L1-normalized (`‖x‖₁ = 1`), the precondition of the `4/b` sensitivity
+    /// bound.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<(Dataset, Dataset)> {
         if self.dim == 0 {
             return Err(DataError::InvalidArgument("dim must be positive".into()));
@@ -128,9 +121,7 @@ impl GaussianMixtureSpec {
                 for j in 0..self.dim {
                     x[j] += self.noise_std * standard_normal(rng);
                 }
-                if self.l1_normalize {
-                    normalize_l1(&mut x);
-                }
+                normalize_l1(&mut x);
                 samples.push(Sample::new(x, label));
             }
             Dataset::new(samples, self.num_classes)
@@ -180,6 +171,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn assert_l1_normalized(data: &Dataset) {
+        for s in data.iter() {
+            assert!((s.features.norm_l1() - 1.0).abs() < 1e-9);
+        }
+    }
+
     #[test]
     fn spec_validation() {
         let mut rng = StdRng::seed_from_u64(0);
@@ -211,18 +208,7 @@ mod tests {
             .with_test_size(10)
             .generate(&mut rng)
             .unwrap();
-        for s in train.iter() {
-            assert!((s.features.norm_l1() - 1.0).abs() < 1e-9);
-        }
-        let (raw, _) = GaussianMixtureSpec::new(6, 3)
-            .with_train_size(30)
-            .with_test_size(10)
-            .with_l1_normalization(false)
-            .generate(&mut rng)
-            .unwrap();
-        assert!(raw
-            .iter()
-            .any(|s| (s.features.norm_l1() - 1.0).abs() > 1e-6));
+        assert_l1_normalized(&train);
     }
 
     #[test]
@@ -245,15 +231,19 @@ mod tests {
         assert_eq!(train.num_classes(), 10);
         assert_eq!(train.len(), 600);
         assert_eq!(test.len(), 100);
+        assert_l1_normalized(&train);
+        assert_l1_normalized(&test);
     }
 
     #[test]
     fn cifar_like_shape_and_difficulty_ordering() {
         let mut rng = StdRng::seed_from_u64(4);
-        let (train, _) = cifar_feature_like(&mut rng, 0.01).unwrap();
+        let (train, test) = cifar_feature_like(&mut rng, 0.01).unwrap();
         assert_eq!(train.dim(), 100);
         assert_eq!(train.num_classes(), 10);
         assert_eq!(train.len(), 500);
+        assert_l1_normalized(&train);
+        assert_l1_normalized(&test);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A vector-valued function `f` with L1 sensitivity `S(f)` is made ε-differentially
 //! private by adding i.i.d. Laplace noise with density `P(z) ∝ exp(−ε‖z‖₁ / S(f))`,
-//! i.e. per-coordinate scale `S(f)/ε` (Dwork et al., 2006; Proposition 1 of [3] in
+//! i.e. per-coordinate scale `S(f)/ε` (Dwork et al., 2006; Proposition 1 of \[3\] in
 //! the paper). Crowd-ML applies this to the averaged minibatch gradient, whose
 //! sensitivity for multiclass logistic regression is `4/b` (Appendix A), and the
 //! centralized baseline applies it to raw features with sensitivity 2 (Appendix C).

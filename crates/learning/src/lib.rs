@@ -2,7 +2,7 @@
 //! metrics.
 //!
 //! Crowd-ML learns a classifier by empirical-risk minimization (Eq. 2 of the
-//! paper): a [`Model`](model::Model) supplies per-sample losses and (sub)gradients,
+//! paper): a [`Model`] supplies per-sample losses and (sub)gradients,
 //! [`sgd`] provides the stochastic-gradient machinery (minibatch averaging,
 //! learning-rate [`schedule`]s, the projected update of Eq. 3), and [`batch`]
 //! provides the full-gradient trainer used for the "Central (batch)" baseline.
@@ -14,9 +14,7 @@
 //!   Table I (the model used in every experiment of the paper);
 //! * [`logistic::BinaryLogistic`] — two-class logistic regression;
 //! * [`svm::MulticlassHinge`] — one-vs-rest linear SVM with hinge loss, one of the
-//!   alternative losses §III-A mentions;
-//! * [`regression::RidgeRegression`] — regularized least squares for real-valued
-//!   targets, covering the "predictor" (regression) side of the framework.
+//!   alternative losses §III-A mentions.
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +25,6 @@ pub mod metrics;
 #[cfg(test)]
 mod minibatch_reference;
 pub mod model;
-pub mod regression;
 pub mod schedule;
 pub mod sgd;
 pub mod svm;

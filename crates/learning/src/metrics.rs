@@ -1,5 +1,5 @@
-//! Evaluation metrics: test error, confusion matrices, and the error curves the
-//! paper plots.
+//! Evaluation metrics: test error, mean loss, and the error curves the paper
+//! plots.
 
 use crate::error::LearningError;
 use crate::model::Model;
@@ -36,73 +36,6 @@ pub fn mean_loss<M: Model + ?Sized>(model: &M, params: &Vector, data: &Dataset) 
         sum += model.loss(params, &s.features, s.label)?;
     }
     Ok(sum / data.len() as f64)
-}
-
-/// A `C × C` confusion matrix: `matrix[true][predicted]` counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// Computes the confusion matrix of `params` on `data`.
-    pub fn compute<M: Model + ?Sized>(model: &M, params: &Vector, data: &Dataset) -> Result<Self> {
-        let c = model.num_classes();
-        let mut counts = vec![vec![0usize; c]; c];
-        for s in data.iter() {
-            let pred = model.predict(params, &s.features)?;
-            counts[s.label][pred] += 1;
-        }
-        Ok(ConfusionMatrix { counts })
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Count of samples with true class `t` predicted as class `p`.
-    pub fn count(&self, t: usize, p: usize) -> usize {
-        self.counts[t][p]
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> usize {
-        self.counts
-            .iter()
-            .map(|row| row.iter().sum::<usize>())
-            .sum()
-    }
-
-    /// Overall accuracy from the diagonal.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: usize = (0..self.num_classes()).map(|k| self.counts[k][k]).sum();
-        correct as f64 / total as f64
-    }
-
-    /// Per-class recall (`None` when the class has no true samples).
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let row_total: usize = self.counts[class].iter().sum();
-        if row_total == 0 {
-            None
-        } else {
-            Some(self.counts[class][class] as f64 / row_total as f64)
-        }
-    }
-
-    /// Per-class precision (`None` when the class was never predicted).
-    pub fn precision(&self, class: usize) -> Option<f64> {
-        let col_total: usize = self.counts.iter().map(|row| row[class]).sum();
-        if col_total == 0 {
-            None
-        } else {
-            Some(self.counts[class][class] as f64 / col_total as f64)
-        }
-    }
 }
 
 /// The time-averaged online error of Fig. 3:
@@ -176,14 +109,6 @@ impl ErrorCurve {
         Some(tail.iter().map(|p| p.error).sum::<f64>() / tail.len() as f64)
     }
 
-    /// The first iteration at which the error drops to or below `threshold`.
-    pub fn iterations_to_reach(&self, threshold: f64) -> Option<usize> {
-        self.points
-            .iter()
-            .find(|p| p.error <= threshold)
-            .map(|p| p.iteration)
-    }
-
     /// Averages several curves point-wise (all curves must have the same length;
     /// iterations are taken from the first curve). Used for the "averaged over 10
     /// trials" reporting in §V-C.
@@ -254,26 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn confusion_matrix_counts() {
-        let model = MulticlassLogistic::new(2, 2).unwrap();
-        let data = dataset();
-        let cm = ConfusionMatrix::compute(&model, &good_params(), &data).unwrap();
-        assert_eq!(cm.num_classes(), 2);
-        assert_eq!(cm.total(), 4);
-        assert_eq!(cm.count(0, 0), 2);
-        assert_eq!(cm.count(1, 1), 2);
-        assert_eq!(cm.accuracy(), 1.0);
-        assert_eq!(cm.recall(0), Some(1.0));
-        assert_eq!(cm.precision(1), Some(1.0));
-
-        let w0 = model.init_params();
-        let cm0 = ConfusionMatrix::compute(&model, &w0, &data).unwrap();
-        assert_eq!(cm0.count(1, 0), 2);
-        assert_eq!(cm0.precision(1), None);
-        assert_eq!(cm0.accuracy(), 0.5);
-    }
-
-    #[test]
     fn time_averaged_error_matches_fig3_definition() {
         let mistakes = [true, false, false, true];
         let curve = time_averaged_error(&mistakes);
@@ -291,8 +196,6 @@ mod tests {
         c.push(30, 0.1);
         assert_eq!(c.len(), 3);
         assert_eq!(c.final_error(), Some(0.1));
-        assert_eq!(c.iterations_to_reach(0.3), Some(20));
-        assert_eq!(c.iterations_to_reach(0.05), None);
         assert!((c.tail_mean(2).unwrap() - 0.2).abs() < 1e-12);
         assert!(c.to_csv().contains("20,0.300000"));
     }

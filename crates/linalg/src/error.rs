@@ -21,13 +21,6 @@ pub enum LinalgError {
         /// Description of the violated requirement.
         reason: String,
     },
-    /// An iterative routine failed to converge within its iteration budget.
-    NotConverged {
-        /// Operation that did not converge.
-        op: &'static str,
-        /// Number of iterations attempted.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -40,9 +33,6 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::InvalidArgument { op, reason } => {
                 write!(f, "invalid argument to `{op}`: {reason}")
-            }
-            LinalgError::NotConverged { op, iterations } => {
-                write!(f, "`{op}` did not converge after {iterations} iterations")
             }
         }
     }
@@ -90,15 +80,6 @@ mod tests {
     fn display_invalid_argument() {
         let err = LinalgError::invalid("fft", "length must be a power of two");
         assert!(err.to_string().contains("power of two"));
-    }
-
-    #[test]
-    fn display_not_converged() {
-        let err = LinalgError::NotConverged {
-            op: "power_iteration",
-            iterations: 100,
-        };
-        assert!(err.to_string().contains("100"));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! implemented from scratch so the workspace has no external linear-algebra
 //! dependency:
 //!
-//! * [`Vector`] and [`Matrix`] — owned, row-major dense containers with the usual
-//!   BLAS-1/2/3-style operations (`dot`, `axpy`, `matvec`, `matmul`, …).
+//! * [`Vector`] — an owned dense vector with the usual BLAS-1-style operations
+//!   (`dot`, `axpy`, `scale`, norms, …).
 //! * [`kernels`] — unrolled BLAS-1 reductions with a fixed summation order, so
 //!   hot-path dot products and norms are fast *and* bitwise reproducible.
 //! * [`sparse`] — [`SparseVector`] and the [`GradientUpdate`] carrier used to
@@ -15,13 +15,10 @@
 //!   `Π_W(w) = min(1, R/‖w‖)·w` from Eq. (3) of the paper.
 //! * [`fft`] — an iterative radix-2 FFT and the 64-bin magnitude-spectrum feature
 //!   extractor used by the activity-recognition workload (§V-B).
-//! * [`pca`] — covariance-based principal component analysis via power iteration
-//!   with deflation, used to reduce MNIST-like data to 50 dimensions and
-//!   CIFAR-feature-like data to 100 dimensions (§V-C, Appendix D).
 //! * [`stats`] — scalar summary statistics used by tests and the experiment
 //!   harness.
-//! * [`random`] — seeded random vector/matrix constructors (uniform, standard
-//!   normal via Box–Muller).
+//! * [`random`] — seeded samplers (standard normal via Box–Muller, random
+//!   permutations).
 //!
 //! All floating-point storage is `f64`.
 
@@ -30,9 +27,7 @@
 pub mod error;
 pub mod fft;
 pub mod kernels;
-pub mod matrix;
 pub mod ops;
-pub mod pca;
 pub mod quant;
 pub mod random;
 pub mod sparse;
@@ -40,8 +35,6 @@ pub mod stats;
 pub mod vector;
 
 pub use error::LinalgError;
-pub use matrix::Matrix;
-pub use pca::Pca;
 pub use quant::QuantizedVector;
 pub use sparse::{GradientUpdate, SparseVector};
 pub use vector::Vector;

@@ -1,11 +1,9 @@
-//! Seeded random vector/matrix constructors.
+//! Seeded random vector constructors.
 //!
 //! Every stochastic component in the workspace takes an explicit `&mut impl Rng`
 //! so experiments are reproducible from a single seed. This module centralizes the
-//! primitive samplers (uniform, standard normal via Box–Muller) used to build
-//! random vectors and matrices.
+//! primitive samplers (standard normal via Box–Muller, uniform permutations).
 
-use crate::matrix::Matrix;
 use crate::vector::Vector;
 use rand::Rng;
 
@@ -28,37 +26,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
 /// A vector of independent standard normal entries.
 pub fn normal_vector<R: Rng + ?Sized>(rng: &mut R, len: usize) -> Vector {
     Vector::from_vec((0..len).map(|_| standard_normal(rng)).collect())
-}
-
-/// A vector of independent uniform entries in `[lo, hi)`.
-pub fn uniform_vector<R: Rng + ?Sized>(rng: &mut R, len: usize, lo: f64, hi: f64) -> Vector {
-    Vector::from_vec((0..len).map(|_| rng.gen_range(lo..hi)).collect())
-}
-
-/// A matrix of independent standard normal entries.
-pub fn normal_matrix<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
-    Matrix::from_row_major(
-        rows,
-        cols,
-        (0..rows * cols).map(|_| standard_normal(rng)).collect(),
-    )
-    .expect("shape is consistent by construction")
-}
-
-/// A matrix of independent uniform entries in `[lo, hi)`.
-pub fn uniform_matrix<R: Rng + ?Sized>(
-    rng: &mut R,
-    rows: usize,
-    cols: usize,
-    lo: f64,
-    hi: f64,
-) -> Matrix {
-    Matrix::from_row_major(
-        rows,
-        cols,
-        (0..rows * cols).map(|_| rng.gen_range(lo..hi)).collect(),
-    )
-    .expect("shape is consistent by construction")
 }
 
 /// Fisher–Yates shuffle of indices `0..n`, returned as a permutation vector.
@@ -94,21 +61,6 @@ mod tests {
         let n = 10_000;
         let mean = (0..n).map(|_| normal(&mut rng, 5.0, 0.5)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn uniform_vector_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let v = uniform_vector(&mut rng, 1000, -2.0, 3.0);
-        assert!(v.iter().all(|&x| (-2.0..3.0).contains(&x)));
-        assert_eq!(v.len(), 1000);
-    }
-
-    #[test]
-    fn matrices_have_requested_shape() {
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(normal_matrix(&mut rng, 4, 6).shape(), (4, 6));
-        assert_eq!(uniform_matrix(&mut rng, 2, 3, 0.0, 1.0).shape(), (2, 3));
     }
 
     #[test]

@@ -70,59 +70,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Exponential moving average of a series with smoothing factor `alpha` in `(0, 1]`.
-///
-/// Returns an empty vector for empty input.
-pub fn ewma(xs: &[f64], alpha: f64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(xs.len());
-    let mut state = match xs.first() {
-        Some(&x) => x,
-        None => return out,
-    };
-    out.push(state);
-    for &x in &xs[1..] {
-        state = alpha * x + (1.0 - alpha) * state;
-        out.push(state);
-    }
-    out
-}
-
-/// Running (prefix) means of a series: `out[t] = mean(xs[0..=t])`.
-///
-/// This matches the time-averaged error definition used in Fig. 3 of the paper:
-/// `Err(t) = (1/t) Σ_{i≤t} I[y_i ≠ ŷ_i]`.
-pub fn running_mean(xs: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = 0.0;
-    for (i, &x) in xs.iter().enumerate() {
-        acc += x;
-        out.push(acc / (i + 1) as f64);
-    }
-    out
-}
-
-/// Pearson correlation coefficient between two equal-length slices; `NaN` if either
-/// slice has zero variance or lengths differ.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    if xs.len() != ys.len() || xs.is_empty() {
-        return f64::NAN;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return f64::NAN;
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
 /// Histogram of `xs` over `bins` equal-width buckets spanning `[lo, hi)`.
 ///
 /// Values outside the range are clamped into the first/last bucket. Returns an
@@ -180,31 +127,6 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), 3.0);
         assert!(approx_eq(quantile(&xs, 0.5), 1.5, 1e-12));
         assert!(approx_eq(quantile(&xs, 0.25), 0.75, 1e-12));
-    }
-
-    #[test]
-    fn ewma_and_running_mean() {
-        let xs = [1.0, 1.0, 0.0, 0.0];
-        let rm = running_mean(&xs);
-        assert_eq!(rm, vec![1.0, 1.0, 2.0 / 3.0, 0.5]);
-        let e = ewma(&xs, 0.5);
-        assert_eq!(e.len(), 4);
-        assert_eq!(e[0], 1.0);
-        assert_eq!(e[1], 1.0);
-        assert_eq!(e[2], 0.5);
-        assert!(ewma(&[], 0.3).is_empty());
-        assert!(running_mean(&[]).is_empty());
-    }
-
-    #[test]
-    fn pearson_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!(approx_eq(pearson(&xs, &ys), 1.0, 1e-12));
-        let zs = [8.0, 6.0, 4.0, 2.0];
-        assert!(approx_eq(pearson(&xs, &zs), -1.0, 1e-12));
-        assert!(pearson(&xs, &[1.0, 1.0, 1.0, 1.0]).is_nan());
-        assert!(pearson(&xs, &ys[..2]).is_nan());
     }
 
     #[test]

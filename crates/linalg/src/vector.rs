@@ -43,19 +43,6 @@ impl Vector {
         }
     }
 
-    /// Creates a standard basis vector `e_i` of dimension `len`.
-    pub fn basis(len: usize, i: usize) -> Result<Self> {
-        if i >= len {
-            return Err(LinalgError::invalid(
-                "basis",
-                format!("index {i} out of range for dimension {len}"),
-            ));
-        }
-        let mut v = Self::zeros(len);
-        v.data[i] = 1.0;
-        Ok(v)
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -153,11 +140,6 @@ impl Vector {
         crate::kernels::sum_sq(&self.data).sqrt()
     }
 
-    /// L∞ norm (maximum absolute value); `0.0` for an empty vector.
-    pub fn norm_linf(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, a| m.max(a.abs()))
-    }
-
     /// Squared L2 norm.
     pub fn norm_l2_squared(&self) -> f64 {
         crate::kernels::sum_sq(&self.data)
@@ -177,38 +159,6 @@ impl Vector {
             }
         }
         Some(best)
-    }
-
-    /// Returns the index of the minimum element; ties resolve to the smallest index.
-    pub fn argmin(&self) -> Option<usize> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let mut best = 0usize;
-        for (i, v) in self.data.iter().enumerate() {
-            if *v < self.data[best] {
-                best = i;
-            }
-        }
-        Some(best)
-    }
-
-    /// Element-wise product (Hadamard product).
-    pub fn hadamard(&self, other: &Vector) -> Result<Vector> {
-        if self.len() != other.len() {
-            return Err(LinalgError::vector_mismatch(
-                "hadamard",
-                self.len(),
-                other.len(),
-            ));
-        }
-        Ok(Vector::from_vec(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        ))
     }
 
     /// Euclidean distance between two vectors.
@@ -352,9 +302,6 @@ mod tests {
         assert_eq!(Vector::zeros(3).as_slice(), &[0.0, 0.0, 0.0]);
         assert_eq!(Vector::ones(2).as_slice(), &[1.0, 1.0]);
         assert_eq!(Vector::filled(2, 2.5).as_slice(), &[2.5, 2.5]);
-        let e1 = Vector::basis(3, 1).unwrap();
-        assert_eq!(e1.as_slice(), &[0.0, 1.0, 0.0]);
-        assert!(Vector::basis(3, 3).is_err());
     }
 
     #[test]
@@ -379,15 +326,13 @@ mod tests {
         let v = Vector::from_vec(vec![3.0, -4.0]);
         assert_eq!(v.norm_l1(), 7.0);
         assert_eq!(v.norm_l2(), 5.0);
-        assert_eq!(v.norm_linf(), 4.0);
         assert_eq!(v.norm_l2_squared(), 25.0);
     }
 
     #[test]
-    fn argmax_argmin() {
+    fn argmax_ties_resolve_low() {
         let v = Vector::from_vec(vec![0.5, 2.0, -1.0, 2.0]);
         assert_eq!(v.argmax(), Some(1));
-        assert_eq!(v.argmin(), Some(2));
         assert_eq!(Vector::zeros(0).argmax(), None);
     }
 
@@ -407,11 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_distance() {
+    fn distance_is_euclidean() {
         let a = Vector::from_vec(vec![1.0, 2.0]);
         let b = Vector::from_vec(vec![3.0, 4.0]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[3.0, 8.0]);
         assert!((a.distance(&b).unwrap() - 8.0_f64.sqrt()).abs() < 1e-12);
+        assert!(a.distance(&Vector::zeros(3)).is_err());
     }
 
     #[test]

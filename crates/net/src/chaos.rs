@@ -109,18 +109,6 @@ pub struct ChaosReport {
     pub trace: Vec<String>,
 }
 
-impl ChaosReport {
-    /// Total acknowledged checkins across the fleet.
-    pub fn acked_total(&self) -> u64 {
-        self.acked_checkins.iter().sum()
-    }
-
-    /// Total ε charged across the fleet.
-    pub fn ledger_total(&self) -> f64 {
-        self.ledger.iter().map(|&(_, eps)| eps).sum()
-    }
-}
-
 struct Driver {
     opts: ChaosCluster,
     trace: Vec<String>,

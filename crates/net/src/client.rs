@@ -272,11 +272,6 @@ impl DeviceClientBuilder {
         self
     }
 
-    /// Disables retries entirely (one attempt per request).
-    pub fn no_retry(self) -> Self {
-        self.retry(RetryPolicy::none())
-    }
-
     /// Installs a seeded transport-fault shim: every wire exchange consults it
     /// and may be dropped, delayed, duplicated, or truncated. The client's
     /// retry and dedup machinery must absorb whatever it injects.

@@ -12,7 +12,7 @@
 //! a few nanoseconds, far below the cost of the socket read it serves, and the
 //! shelf is bounded in both buffer count and per-buffer capacity, so an idle
 //! server does not hold peak-burst memory forever: a buffer grown past
-//! [`MAX_POOLED_BYTES`] (e.g. by one maximum-size frame from a hostile peer)
+//! `MAX_POOLED_BYTES` (e.g. by one maximum-size frame from a hostile peer)
 //! is dropped on return instead of being parked.
 
 use std::ops::{Deref, DerefMut};

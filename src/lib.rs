@@ -6,9 +6,10 @@
 //! This facade crate re-exports the public API of every crate in the workspace so
 //! downstream users can depend on a single crate:
 //!
-//! * [`linalg`] — dense linear algebra, FFT, PCA.
+//! * [`linalg`] — dense vectors, BLAS-1 kernels, FFT, quantization.
 //! * [`dp`] — differential-privacy mechanisms and budget accounting.
-//! * [`data`] — datasets, synthetic generators, partitioners, preprocessing.
+//! * [`data`] — datasets, synthetic generators (generated already L1-normalized
+//!   at the post-PCA dimension), partitioners.
 //! * [`learning`] — models, losses, SGD, schedules, metrics.
 //! * [`sim`] — discrete-event simulation of asynchronous devices and delays.
 //! * [`proto`] — wire protocol for device/server communication.
