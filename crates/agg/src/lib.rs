@@ -1,5 +1,5 @@
-//! `crowd-agg`: a sharded, batched gradient-aggregation runtime behind the
-//! Crowd-ML server.
+//! `crowd-agg`: a batched gradient-aggregation runtime behind the Crowd-ML
+//! server.
 //!
 //! The paper's server is conceptually a single sequential loop — devices check
 //! out the current parameters `w` and check in sanitized gradients that the
@@ -8,19 +8,16 @@
 //! *and* checkin through one mutex collapses throughput exactly where the
 //! paper's premise demands scale. This crate decomposes the server into:
 //!
-//! * **Sharded accumulators** ([`shard::ShardSet`]) — N lock stripes, each
-//!   holding per-device running gradient sums, merged in a fixed device order
-//!   at epoch boundaries so the aggregate is bitwise reproducible no matter how
-//!   threads interleave (see the related trick of combining many narrow
-//!   Hamming/ECC accumulators into one wide word, Freitas et al.,
-//!   arXiv:2306.16259).
+//! * **An epoch accumulator** — per-device running gradient sums, folded in
+//!   ascending device-id order at epoch boundaries so the aggregate is
+//!   bitwise reproducible no matter how threads interleave.
 //! * **Epoch-snapshotted parameters** ([`runtime::ParamSnapshot`]) — checkouts
 //!   clone an `Arc` published at the last update; the read path never waits on
 //!   gradient application.
 //! * **Bounded ingest with backpressure** ([`queue::BoundedQueue`]) — a full
 //!   queue rejects with [`AggError::Busy`] and a retry hint instead of growing
 //!   an unbounded thread pileup; a small worker pool drains the queue into the
-//!   shards and applies merged epochs.
+//!   accumulator and applies merged epochs.
 //!
 //! All knobs live on `crowd_core::config::ServerConfig::agg`
 //! ([`crowd_core::config::AggSettings`]). With the default `epoch_size = 1`
@@ -33,12 +30,11 @@ mod dedup;
 pub mod queue;
 mod reply;
 pub mod runtime;
-pub mod shard;
+mod shard;
 
 pub use queue::BoundedQueue;
 pub use reply::OutcomeSink;
 pub use runtime::{AggRuntime, CompletionHandle, ParamSnapshot, SubmitRejection, Submitted};
-pub use shard::ShardSet;
 
 use std::fmt;
 

@@ -1,15 +1,14 @@
 //! Where a checkin's outcome goes once its epoch is settled.
 //!
-//! A caller blocked in [`crate::AggRuntime::checkin`] (or holding a
-//! [`crate::CompletionHandle`]) is answered over a channel. An event-driven
-//! caller has nobody waiting: it hands the runtime an [`OutcomeSink`], and
-//! the thread that settles the checkin — the worker (or submitter) that
-//! applied its epoch on a volatile runtime, the committer after `sync_data`
-//! on a durable one — runs it.
+//! Every waiting caller hands the runtime an [`OutcomeSink`], and the thread
+//! that settles the checkin — the worker (or submitter) that applied its
+//! epoch on a volatile runtime, the committer after `sync_data` on a durable
+//! one — runs it. A caller blocked in [`crate::AggRuntime::checkin`] (or
+//! holding a [`crate::CompletionHandle`]) is one whose sink sends down a
+//! channel.
 
 use crate::{AggError, Result};
 use crowd_core::server::CheckinReceipt;
-use std::sync::mpsc;
 
 /// Receives one checkin's outcome on the thread that settled it.
 ///
@@ -22,23 +21,12 @@ use std::sync::mpsc;
 /// and must not call back into the runtime.
 pub type OutcomeSink = Box<dyn FnOnce(Result<CheckinReceipt>) + Send + 'static>;
 
-enum Route {
-    Caller(mpsc::Sender<CheckinReceipt>),
-    Sink(OutcomeSink),
-}
-
-/// One checkin's way back to whoever submitted it.
-pub(crate) struct Reply(Option<Route>);
+/// One checkin's way back to whoever submitted it: a sink, or nobody.
+pub(crate) struct Reply(Option<OutcomeSink>);
 
 impl Reply {
-    /// To a blocked caller, which learns of a dropped reply from the
-    /// disconnected channel.
-    pub(crate) fn caller(tx: mpsc::Sender<CheckinReceipt>) -> Reply {
-        Reply(Some(Route::Caller(tx)))
-    }
-
     pub(crate) fn sink(sink: OutcomeSink) -> Reply {
-        Reply(Some(Route::Sink(sink)))
+        Reply(Some(sink))
     }
 
     /// Nowhere: the submitter is running the checkin itself and reads the
@@ -47,33 +35,21 @@ impl Reply {
         Reply(None)
     }
 
-    pub(crate) fn send(mut self, outcome: CheckinReceipt) {
-        match self.0.take() {
-            Some(Route::Caller(tx)) => {
-                let _ = tx.send(outcome);
-            }
-            Some(Route::Sink(sink)) => sink(Ok(outcome)),
-            None => {}
-        }
+    pub(crate) fn send(self, outcome: CheckinReceipt) {
+        self.settle(Ok(outcome));
     }
 
-    /// Answers with `result`. An error reaches a sink as is; a blocked
-    /// caller learns of it from the disconnected channel.
+    /// Answers with `result`.
     pub(crate) fn settle(mut self, result: Result<CheckinReceipt>) {
-        match result {
-            Ok(outcome) => self.send(outcome),
-            Err(e) => {
-                if let Some(Route::Sink(sink)) = self.0.take() {
-                    sink(Err(e));
-                }
-            }
+        if let Some(sink) = self.0.take() {
+            sink(result);
         }
     }
 }
 
 impl Drop for Reply {
     fn drop(&mut self) {
-        if let Some(Route::Sink(sink)) = self.0.take() {
+        if let Some(sink) = self.0.take() {
             sink(Err(AggError::ShuttingDown));
         }
     }

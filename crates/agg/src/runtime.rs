@@ -1,4 +1,4 @@
-//! The aggregation runtime: lock-free-read checkouts, sharded checkin ingest,
+//! The aggregation runtime: lock-free-read checkouts, batched checkin ingest,
 //! and a worker pool that applies merged epochs to the core server.
 //!
 //! Request flow:
@@ -12,7 +12,7 @@
 //!                  │                                                        │
 //!                  └─ otherwise ──► BoundedQueue ──► a worker ──────────────┤
 //!                                                                           ▼
-//!                         epoch_size = 1: apply ◄──────────── shard accumulator
+//!                         epoch_size = 1: apply ◄──────────── epoch accumulator
 //!                                          │   (epoch full, traffic idle, shutdown)
 //!                                          ▼
 //!                        Mutex<Server> ── apply_aggregate ── swap snapshot ── reply
@@ -27,26 +27,26 @@
 //!
 //! Who runs a checkin. [`AggRuntime::submit`] (and `checkin`) only ever
 //! *admits*: the job goes to the queue, a worker runs it, and the blocked
-//! caller is answered over a channel. [`AggRuntime::submit_to`], the entry
-//! point for callers that must not block, lets the submitting thread run the
-//! job itself when nothing can make it wait — the runtime is volatile (a
-//! durable unit of work ends in a commit that may `fsync`), shutdown has not
-//! begun, and the core lock is free *right now* (`try_lock`; it is never
-//! waited for). The submitter then runs exactly what a worker would run, under
-//! the guard it just took: with `epoch_size = 1` the apply, whose outcome it
-//! gets back by value; otherwise the shard ingest, and the merge if that
-//! filled the epoch. When the lock is taken the job is queued as above.
-//! [`AggRuntime::submit_round_to`] gives a masked round submission the same
-//! two routes; its job is the core server's `round_submit` (and the
-//! finalization it may trigger) instead of an epoch.
+//! caller is answered through a sink that sends down a channel.
+//! [`AggRuntime::submit_to`], the entry point for callers that must not block,
+//! lets the submitting thread run the job itself when nothing can make it wait
+//! — the runtime is volatile (a durable unit of work ends in a commit that may
+//! `fsync`), shutdown has not begun, and the core lock is free *right now*
+//! (`try_lock`; it is never waited for). The submitter then runs exactly what a
+//! worker would run, under the guard it just took: with `epoch_size = 1` the
+//! apply, whose outcome it gets back by value; otherwise the accumulator
+//! ingest, and the merge if that filled the epoch. When the lock is taken the
+//! job is queued as above. [`AggRuntime::submit_round_to`] gives a masked round
+//! submission the same two routes; its job is the core server's `round_submit`
+//! (and the finalization it may trigger) instead of an epoch.
 //!
-//! Who fires the reply. A queued or ingested `submit_to` checkin carries an
-//! [`OutcomeSink`] instead of a channel, and the thread that settles the
-//! checkin runs it: on a volatile runtime whichever worker or submitter
-//! applied the epoch, on a durable one the committer, after `sync_data`. A
-//! queued round submission's sink runs on the worker that ran it, after the
-//! commit that covers its WAL frame. A checkin the runtime drops unanswered
-//! (a kill, a halt) runs its sink with [`AggError::ShuttingDown`].
+//! Who fires the reply. A queued or ingested checkin carries an
+//! [`OutcomeSink`], and the thread that settles the checkin runs it: on a
+//! volatile runtime whichever worker or submitter applied the epoch, on a
+//! durable one the committer, after `sync_data`. A queued round submission's
+//! sink runs on the worker that ran it, after the commit that covers its WAL
+//! frame. A checkin the runtime drops unanswered (a kill, a halt) runs its sink
+//! with [`AggError::ShuttingDown`].
 //!
 //! A durable runtime (one given a `Store`) group-commits its write-ahead log:
 //!
@@ -69,7 +69,7 @@
 use crate::dedup::{Admission, DedupTable};
 use crate::queue::{BoundedQueue, Pop, PushError};
 use crate::reply::{OutcomeSink, Reply};
-use crate::shard::{ShardSet, Waiter};
+use crate::shard::{EpochAccumulator, Waiter};
 use crate::{AggError, Result};
 use crowd_core::config::AggSettings;
 use crowd_core::device::CheckinPayload;
@@ -118,7 +118,7 @@ struct Job {
     payload: CheckinPayload,
     reply: Reply,
     /// When the checkin was admitted, for the end-to-end latency histogram
-    /// (`checkin_latency_us`: queue wait + shard ingest + epoch apply + ack).
+    /// (`checkin_latency_us`: queue wait + ingest + epoch apply + ack).
     submitted: Tick,
 }
 
@@ -141,11 +141,11 @@ struct Inner<M: Model> {
     gate: RwLock<bool>,
     // audit:lock(agg.core, 10)
     core: Mutex<Server<M>>,
-    shards: ShardSet,
+    accumulator: EpochAccumulator,
     // audit:lock(agg.snapshot, 50)
     snapshot: RwLock<Arc<ParamSnapshot>>,
     queue: BoundedQueue<Task>,
-    /// Checkins accumulated on a shard but not yet merged into an epoch.
+    /// Checkins on the accumulator but not yet merged into an epoch.
     /// Signed: a merge may drain a payload just before the ingesting worker's
     /// increment lands, dipping the counter below zero for an instant.
     pending: AtomicI64,
@@ -298,27 +298,27 @@ enum Admitted {
 /// A ticket for a submitted checkin: blocks until the checkin's epoch has been
 /// applied and the outcome is known.
 pub struct CompletionHandle {
-    rx: mpsc::Receiver<CheckinReceipt>,
+    rx: mpsc::Receiver<Result<CheckinReceipt>>,
 }
 
 impl CompletionHandle {
     /// Waits for the checkin's epoch to be applied.
     pub fn wait(self) -> Result<CheckinReceipt> {
-        self.rx.recv().map_err(|_| AggError::ShuttingDown)
+        self.rx.recv().unwrap_or(Err(AggError::ShuttingDown))
     }
 
     /// Waits up to `timeout`; `Err(ShuttingDown)` if the runtime died,
     /// `Err(Timeout)` if the epoch was not applied in time.
     pub fn wait_timeout(self, timeout: Duration) -> Result<CheckinReceipt> {
         match self.rx.recv_timeout(timeout) {
-            Ok(outcome) => Ok(outcome),
+            Ok(outcome) => outcome,
             Err(mpsc::RecvTimeoutError::Timeout) => Err(AggError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(AggError::ShuttingDown),
         }
     }
 }
 
-/// The sharded, batched aggregation runtime wrapping a [`Server`].
+/// The batched aggregation runtime wrapping a [`Server`].
 pub struct AggRuntime<M: Model + Send + 'static> {
     inner: Arc<Inner<M>>,
     // audit:lock(agg.workers, 5)
@@ -379,8 +379,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         });
         let round_info = server.round_info();
         let inner = Arc::new(Inner {
-            shards: ShardSet::new(settings.shard_count, param_dim, num_classes)
-                .with_merge_workers(settings.worker_threads),
+            accumulator: EpochAccumulator::new(param_dim, num_classes),
             snapshot: RwLock::new(Arc::new(ParamSnapshot {
                 iteration: ticket.iteration,
                 params: ticket.params,
@@ -446,20 +445,24 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     /// [`AggError::Busy`] when the queue is full (backpressure: the caller
     /// should retry after the indicated delay rather than block).
     ///
-    /// The merged aggregate is bitwise independent of shard count and device
-    /// interleaving as long as each *individual device's* checkins accumulate
-    /// in a fixed order — guaranteed when devices await their acks before
-    /// submitting again (the protocol's behavior), or with one worker thread.
+    /// The merged aggregate is bitwise independent of device interleaving as
+    /// long as each *individual device's* checkins accumulate in a fixed
+    /// order — guaranteed when devices await their acks before submitting
+    /// again (the protocol's behavior), or with one worker thread.
     pub fn submit(&self, payload: CheckinPayload) -> Result<CompletionHandle> {
         let admitted = self.admit(payload)?;
         let (tx, rx) = mpsc::channel();
         match admitted {
             Admitted::Replay(outcome) => {
-                let _ = tx.send(outcome);
+                let _ = tx.send(Ok(outcome));
             }
             Admitted::Fresh(payload) => {
                 let submitted = self.inner.metrics.start();
-                self.enqueue_checkin(payload, submitted, || Reply::caller(tx))?;
+                self.enqueue_checkin(payload, submitted, || {
+                    Reply::sink(Box::new(move |outcome| {
+                        let _ = tx.send(outcome);
+                    }))
+                })?;
             }
         }
         Ok(CompletionHandle { rx })
@@ -658,8 +661,8 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     /// Submits one masked round contribution without blocking — the round
     /// protocol's [`AggRuntime::submit_to`].
     ///
-    /// Unlike free-run checkins, round submissions bypass the shard
-    /// accumulators: the masked words are opaque until the whole cohort is
+    /// Unlike free-run checkins, round submissions bypass the epoch
+    /// accumulator: the masked words are opaque until the whole cohort is
     /// unmasked together, so the submission goes straight into the core
     /// server's pending set (WAL-logged first when durable) and is applied —
     /// and ε-charged — when the round finalizes. If this submission completes
@@ -850,16 +853,16 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             return;
         }
         if self.inner.crashed.load(Ordering::SeqCst) {
-            // Crash-stopped: drop what is still staged or sitting on a shard,
-            // waiters included.
+            // Crash-stopped: drop what is still staged or sitting on the
+            // accumulator, waiters included.
             commit(&self.inner, true);
             let _core = self.inner.core.lock();
-            drop(self.inner.shards.drain());
+            drop(self.inner.accumulator.drain());
             return;
         }
         // The final flush: apply whatever was ingested and not yet merged.
         // The workers are gone and the gate is shut, so nobody is between
-        // admission and a shard: this merge strands nothing.
+        // admission and the accumulator: this merge strands nothing.
         merge(&self.inner, self.inner.core.lock());
         // A graceful shutdown settles the open round first: its pending
         // submissions were acknowledged, so their ε must be charged (via the
@@ -1006,11 +1009,11 @@ fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
                 inner.metrics.gauge_add(GaugeId::QueueDepth, -1);
                 match task {
                     // Per-checkin epochs must stay per-checkin even when
-                    // several threads race (a shard drain would coalesce
+                    // several threads race (a drain would coalesce
                     // concurrently ingested payloads into one epoch and
                     // under-count server iterations), so epoch_size = 1
-                    // bypasses the shards and applies each payload as its own
-                    // singleton epoch.
+                    // bypasses the accumulator and applies each payload as
+                    // its own singleton epoch.
                     Task::Checkin(job) if inner.settings.epoch_size == 1 => {
                         apply_singleton(&inner, inner.core.lock(), job);
                     }
@@ -1029,7 +1032,7 @@ fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
                 }
                 idle_pending = pending;
             }
-            // What is still on the shards is `finish`'s to flush (or, on a
+            // What is still on the accumulator is `finish`'s to flush (or, on a
             // crash-stop, to drop — exactly what a SIGKILL would do).
             Pop::Closed => return,
         }
@@ -1104,10 +1107,10 @@ fn apply_round<M: Model>(
     Ok(outcome)
 }
 
-/// Folds one checkin into its shard accumulator and closes the epoch if that
+/// Folds one checkin into the epoch accumulator and closes the epoch if that
 /// filled it. `core` is the guard a submitter running its own job already
-/// holds; a worker ingests under the stripe lock alone and takes the core lock
-/// only to merge.
+/// holds; a worker ingests under the accumulator lock alone and takes the core
+/// lock only to merge.
 fn ingest<M: Model>(inner: &Inner<M>, job: Job, core: Option<MutexGuard<'_, Server<M>>>) {
     // Ingest first, count after. A concurrent merge may drain the payload
     // before its increment lands, sending `pending` transiently negative (it
@@ -1122,7 +1125,7 @@ fn ingest<M: Model>(inner: &Inner<M>, job: Job, core: Option<MutexGuard<'_, Serv
         reply: job.reply,
         submitted: job.submitted,
     };
-    if let Err(rejected) = inner.shards.ingest(&job.payload, waiter) {
+    if let Err(rejected) = inner.accumulator.ingest(&job.payload, waiter) {
         // Unreachable for payloads that passed submit-time validation; fail
         // the one checkin, not the thread. The nonce is released rather than
         // completed: nothing was applied, so a retry must be admitted fresh.
@@ -1450,11 +1453,11 @@ fn apply_singleton<M: Model>(
     outcome
 }
 
-/// Applies one epoch under the core guard its caller took: drain the shards
-/// (fixed merge order), take one projected SGD step on the core server, hand
+/// Applies one epoch under the core guard its caller took: drain the
+/// accumulator (fixed merge order), take one projected SGD step on the core server, hand
 /// on the new snapshot, settle the waiters.
 fn merge<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
-    let drained = inner.shards.drain();
+    let drained = inner.accumulator.drain();
     let Some(epoch) = drained.epoch else {
         return;
     };
@@ -1490,8 +1493,8 @@ fn merge<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
     });
     finish_epoch(inner, core, stage, applied, drained.count, acks);
     // The epoch has been applied (or refused); either way its merged gradient
-    // buffer goes back to the shard pool for the next merge.
-    inner.shards.recycle_epoch(epoch);
+    // buffer goes back to the accumulator's pool for the next merge.
+    inner.accumulator.recycle_epoch(epoch);
 }
 
 #[cfg(test)]
@@ -1578,7 +1581,6 @@ mod tests {
         // One-deep queue and an epoch size nothing reaches without the idle
         // flush: submissions beyond the first are rejected with a retry hint.
         let config = ServerConfig::new().with_agg(crowd_core::config::AggSettings {
-            shard_count: 2,
             queue_bound: 1,
             epoch_size: u64::MAX,
             worker_threads: 1,
@@ -1614,7 +1616,6 @@ mod tests {
             ServerConfig::new()
                 .with_rate_constant(1.0)
                 .with_agg(crowd_core::config::AggSettings {
-                    shard_count: 4,
                     queue_bound: 64,
                     epoch_size: 4,
                     worker_threads: 1,
@@ -1644,7 +1645,6 @@ mod tests {
     #[test]
     fn idle_flush_applies_partial_epochs() {
         let config = ServerConfig::new().with_agg(crowd_core::config::AggSettings {
-            shard_count: 2,
             queue_bound: 16,
             epoch_size: 1000,
             worker_threads: 1,
@@ -1937,9 +1937,7 @@ mod tests {
     fn deadline_expiry_finalizes_survivors_mid_run() {
         // Deadline of 2 epochs; unselected devices' free-run checkins drive
         // the iteration clock past it.
-        let mut config = round_config(8, 0.5, 2);
-        config = config.with_shard_count(1);
-        let rt = runtime(config);
+        let rt = runtime(round_config(8, 0.5, 2));
         let info = rt.round_info().unwrap();
         let cohort = crowd_rounds::cohort(info.seed, info.population, info.select_fraction);
         assert!(!cohort.is_empty() && cohort.len() < 8);
@@ -1998,8 +1996,7 @@ mod tests {
 
     #[test]
     fn concurrent_checkins_from_many_devices() {
-        let config = ServerConfig::new().with_shard_count(8);
-        let rt = Arc::new(runtime(config));
+        let rt = Arc::new(runtime(ServerConfig::new()));
         let mut threads = Vec::new();
         for device in 0..8u64 {
             let rt = Arc::clone(&rt);

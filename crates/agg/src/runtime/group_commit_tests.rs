@@ -36,7 +36,6 @@ fn volatile_config() -> ServerConfig {
         .with_rate_constant(1.0)
         .with_budget(EPSILON, f64::INFINITY)
         .with_agg(AggSettings {
-            shard_count: 4,
             queue_bound: 1024,
             epoch_size: 1,
             worker_threads: 2,

@@ -24,7 +24,6 @@ fn config(epoch_size: u64, queue_bound: usize, workers: usize) -> ServerConfig {
     ServerConfig::new()
         .with_rate_constant(1.0)
         .with_agg(AggSettings {
-            shard_count: 3,
             queue_bound,
             epoch_size,
             worker_threads: workers,

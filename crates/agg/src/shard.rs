@@ -1,20 +1,25 @@
-//! Sharded gradient accumulators with a deterministic merge.
+//! The epoch accumulator: per-device running gradient sums, folded in a
+//! fixed device order when the epoch closes.
 //!
-//! Checkins hash to one of N lock stripes by device id, so concurrent devices
-//! almost never contend on the same lock, and the expensive O(d) work of a
-//! checkin — summing its gradient into a running accumulator — happens under
-//! the stripe lock, not a global one.
+//! One lock guards the open epoch. Checkins reach it only with
+//! `epoch_size > 1` (per-checkin epochs and masked round submissions bypass
+//! it), and most of those are ingested by a submitter that already holds the
+//! core lock to run its job to completion, so a single lock costs no
+//! parallelism the traffic could use.
 //!
-//! Determinism: every stripe keeps a *per-device* running sum (a device's own
-//! checkins are sequential, so that sum is reproducible), and `ShardSet::drain`
-//! folds the per-device sums in ascending device-id order regardless of which
-//! stripe held them. The merged [`EpochAggregate`] is therefore bitwise
-//! identical to what a single-lock sequential accumulator would produce from
-//! the same per-device contributions — shard count and thread interleaving
-//! cannot change a single bit of the aggregate. Sparse checkins scatter-add
-//! into the same accumulators (never densified), which is bitwise equivalent
-//! because skipping an exact-zero addend cannot change an accumulator that
-//! started at `+0.0`.
+//! Determinism: the accumulator keeps a *per-device* running sum (a device's
+//! own checkins are sequential, so that sum is reproducible), and
+//! [`EpochAccumulator::drain`] folds the per-device sums left to right in
+//! ascending device-id order into one buffer. Thread interleaving therefore
+//! cannot change a single bit of the merged [`EpochAggregate`]. Sparse
+//! checkins scatter-add into the same accumulators (never densified), which is
+//! bitwise equivalent because skipping an exact-zero addend cannot change an
+//! accumulator that started at `+0.0`.
+//!
+//! The fold order is not an on-disk format: WAL records and snapshots store
+//! the merged sum, never the per-device terms. An earlier version summed
+//! 16-device blocks before folding the block sums; that gives the same bits
+//! for every epoch of at most 16 devices and may round differently above it.
 //!
 //! Allocation: the parameter-dimension accumulators cycle through a small
 //! buffer pool instead of being freshly allocated every epoch — ingest takes a
@@ -32,18 +37,6 @@ use std::collections::BTreeMap;
 /// Upper bound on pooled accumulator buffers; beyond this, drained buffers are
 /// simply dropped (the pool exists to serve the steady state, not bursts).
 const MAX_POOLED_BUFFERS: usize = 64;
-
-/// Devices per leaf block of the fixed merge combine tree. A compile-time
-/// constant on purpose: the tree *shape* is a function of the device count
-/// alone, never of worker count or thread scheduling, so parallel and
-/// sequential merges are bitwise identical by construction.
-const MERGE_BLOCK: usize = 16;
-
-/// Fan the merge out to threads only past this many summed elements
-/// (`device count × param_dim`); below it, thread spawn overhead dominates.
-/// Purely a latency knob — crossing it cannot change a single output bit,
-/// because the combine tree is the same either way.
-const PARALLEL_MERGE_MIN_ELEMS: usize = 1 << 18;
 
 /// A checkin waiting for its epoch to be applied; the merge sends the outcome
 /// to its [`Reply`].
@@ -67,16 +60,27 @@ struct DeviceAccum {
     label_counts: Vec<i64>,
 }
 
-/// One lock stripe: per-device accumulators plus the epoch's pending waiters.
-#[derive(Default)]
-struct Shard {
+/// The open epoch: per-device accumulators plus the checkins waiting on it.
+struct OpenEpoch {
     devices: BTreeMap<u64, DeviceAccum>,
     waiters: Vec<Waiter>,
     payloads: u64,
     min_checkout_iteration: u64,
 }
 
-/// Everything removed from the stripes by one [`ShardSet::drain`] call.
+impl OpenEpoch {
+    fn new() -> Self {
+        OpenEpoch {
+            devices: BTreeMap::new(),
+            waiters: Vec::new(),
+            payloads: 0,
+            min_checkout_iteration: u64::MAX,
+        }
+    }
+}
+
+/// Everything removed from the accumulator by one
+/// [`EpochAccumulator::drain`] call.
 pub(crate) struct DrainedEpoch {
     /// The merged aggregate, or `None` when nothing was pending.
     pub(crate) epoch: Option<EpochAggregate>,
@@ -86,64 +90,27 @@ pub(crate) struct DrainedEpoch {
     pub(crate) count: u64,
 }
 
-/// N independently locked gradient accumulators.
-pub struct ShardSet {
+/// The open epoch's gradient accumulator.
+pub(crate) struct EpochAccumulator {
     // audit:lock(agg.shard, 20)
-    shards: Vec<Mutex<Shard>>,
+    open: Mutex<OpenEpoch>,
     param_dim: usize,
     num_classes: usize,
     /// Recycled parameter-dimension buffers, shared by the per-device
-    /// accumulators and the merge scratch.
+    /// accumulators and the merged sum.
     // audit:lock(agg.shard-scratch, 25)
     scratch: Mutex<Vec<Vec<f64>>>,
-    /// Threads the epoch merge may fan block sums across (1 = sequential).
-    merge_workers: usize,
-    /// Minimum summed elements before the merge actually goes parallel.
-    parallel_min_elems: usize,
 }
 
-impl ShardSet {
-    /// Creates `shard_count` stripes for gradients of dimension `param_dim`.
-    pub fn new(shard_count: usize, param_dim: usize, num_classes: usize) -> Self {
-        let shards = (0..shard_count.max(1))
-            .map(|_| {
-                Mutex::new(Shard {
-                    min_checkout_iteration: u64::MAX,
-                    ..Shard::default()
-                })
-            })
-            .collect();
-        ShardSet {
-            shards,
+impl EpochAccumulator {
+    /// An empty accumulator for gradients of dimension `param_dim`.
+    pub(crate) fn new(param_dim: usize, num_classes: usize) -> Self {
+        EpochAccumulator {
+            open: Mutex::new(OpenEpoch::new()),
             param_dim,
             num_classes,
             scratch: Mutex::new(Vec::new()),
-            merge_workers: 1,
-            parallel_min_elems: PARALLEL_MERGE_MIN_ELEMS,
         }
-    }
-
-    /// Lets the epoch merge fan its fixed combine tree across up to `n`
-    /// scoped threads. The tree shape never depends on `n`, so any worker
-    /// count (including 1) produces the identical aggregate; this only cuts
-    /// merge latency once an epoch is large enough to clear the
-    /// parallelism threshold.
-    pub fn with_merge_workers(mut self, n: usize) -> Self {
-        self.merge_workers = n.max(1);
-        self
-    }
-
-    /// Overrides the parallel-merge size threshold (elements = devices ×
-    /// `param_dim`). Exposed for tests and tuning; values at or below 0 make
-    /// every multi-block merge parallel.
-    pub fn with_parallel_min_elems(mut self, elems: usize) -> Self {
-        self.parallel_min_elems = elems;
-        self
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// A zeroed `param_dim` accumulator, reusing pooled storage when possible.
@@ -163,7 +130,7 @@ impl ShardSet {
     }
 
     /// Recycles an applied epoch's merged gradient buffer so the next
-    /// [`ShardSet::drain`] reuses it instead of allocating.
+    /// [`EpochAccumulator::drain`] reuses it instead of allocating.
     pub(crate) fn recycle_epoch(&self, epoch: EpochAggregate) {
         self.put_back(epoch.gradient_sum);
     }
@@ -174,7 +141,7 @@ impl ShardSet {
         self.scratch.lock().len()
     }
 
-    /// Folds one (pre-validated) checkin into its device's stripe accumulator.
+    /// Folds one (pre-validated) checkin into its device's accumulator.
     ///
     /// A payload whose dimensions do not match the configured model is handed
     /// back with its waiter (`Err`) so the caller can fail that one checkin
@@ -191,9 +158,8 @@ impl ShardSet {
         {
             return Err(waiter);
         }
-        let idx = (payload.device_id % self.shards.len() as u64) as usize;
-        let mut shard = self.shards[idx].lock();
-        let accum = shard
+        let mut open = self.open.lock();
+        let accum = open
             .devices
             .entry(payload.device_id)
             .or_insert_with(|| DeviceAccum {
@@ -224,26 +190,38 @@ impl ShardSet {
         {
             *acc += c;
         }
-        shard.payloads += 1;
-        shard.min_checkout_iteration = shard.min_checkout_iteration.min(payload.checkout_iteration);
-        shard.waiters.push(waiter);
+        open.payloads += 1;
+        open.min_checkout_iteration = open.min_checkout_iteration.min(payload.checkout_iteration);
+        open.waiters.push(waiter);
         Ok(())
     }
 
-    /// Sums one leaf block of the combine tree: device accumulators fold
-    /// left-to-right (ascending device id) into a pool-zeroed buffer, and the
-    /// drained per-device storage returns to the pool. Runs on the draining
-    /// thread or a merge worker — the fold order is identical either way.
-    fn block_sum(&self, block: Vec<(u64, DeviceAccum)>) -> (Vector, Vec<DeviceEpochStats>) {
-        let mut sum = self.take_zeroed();
-        let mut stats = Vec::with_capacity(block.len());
-        for (device_id, accum) in block {
+    /// Takes everything accumulated so far and merges it into one epoch.
+    ///
+    /// The open epoch is swapped out under the lock; the per-device sums are
+    /// then folded left to right, in ascending device-id order, into one
+    /// pooled buffer, and each drained per-device buffer returns to the pool.
+    pub(crate) fn drain(&self) -> DrainedEpoch {
+        let taken = std::mem::replace(&mut *self.open.lock(), OpenEpoch::new());
+        if taken.payloads == 0 {
+            return DrainedEpoch {
+                epoch: None,
+                waiters: taken.waiters,
+                count: 0,
+            };
+        }
+        let mut gradient_sum = self.take_zeroed();
+        let mut device_stats = Vec::with_capacity(taken.devices.len());
+        for (device_id, accum) in taken.devices {
             // Accumulators are all created at `param_dim`, so the elementwise
             // fold is total; `+=` matches `axpy(1.0, ·)` bit for bit without
             // a fallible call in the merge path.
-            crowd_linalg::kernels::add_assign(sum.as_mut_slice(), accum.gradient_sum.as_slice());
+            crowd_linalg::kernels::add_assign(
+                gradient_sum.as_mut_slice(),
+                accum.gradient_sum.as_slice(),
+            );
             self.put_back(accum.gradient_sum);
-            stats.push(DeviceEpochStats {
+            device_stats.push(DeviceEpochStats {
                 device_id,
                 checkins: accum.checkins,
                 samples: accum.samples,
@@ -251,124 +229,15 @@ impl ShardSet {
                 label_counts: accum.label_counts,
             });
         }
-        (sum, stats)
-    }
-
-    /// Takes everything accumulated so far and merges it into one epoch.
-    ///
-    /// Stripes are locked one at a time (their contents moved out), then the
-    /// per-device sums are folded through a *fixed combine tree*: ascending
-    /// device-id order, grouped into [`MERGE_BLOCK`]-sized leaf blocks whose
-    /// sums fold left-to-right into the aggregate. The tree shape depends
-    /// only on the device count — never on shard count, worker count, or
-    /// thread interleaving — so the merged epoch is bitwise reproducible,
-    /// and large epochs can compute their block sums on scoped threads
-    /// (see [`ShardSet::with_merge_workers`]) with zero effect on the bits.
-    pub(crate) fn drain(&self) -> DrainedEpoch {
-        let mut combined: BTreeMap<u64, DeviceAccum> = BTreeMap::new();
-        let mut waiters = Vec::new();
-        let mut count = 0u64;
-        let mut min_checkout = u64::MAX;
-        for stripe in &self.shards {
-            let mut shard = stripe.lock();
-            if shard.payloads == 0 {
-                continue;
-            }
-            count += shard.payloads;
-            min_checkout = min_checkout.min(shard.min_checkout_iteration);
-            combined.append(&mut shard.devices);
-            waiters.append(&mut shard.waiters);
-            shard.payloads = 0;
-            shard.min_checkout_iteration = u64::MAX;
-        }
-        if count == 0 {
-            return DrainedEpoch {
-                epoch: None,
-                waiters,
-                count: 0,
-            };
-        }
-        // Group the device-ordered accumulators into the tree's leaf blocks.
-        let device_count = combined.len();
-        let mut blocks: Vec<Vec<(u64, DeviceAccum)>> =
-            Vec::with_capacity(device_count.div_ceil(MERGE_BLOCK));
-        for entry in combined {
-            match blocks.last_mut() {
-                Some(block) if block.len() < MERGE_BLOCK => block.push(entry),
-                _ => {
-                    let mut block = Vec::with_capacity(MERGE_BLOCK);
-                    block.push(entry);
-                    blocks.push(block);
-                }
-            }
-        }
-        // Block sums land in order-preserving slots; whether a scoped worker
-        // or this thread fills a slot cannot matter, because each block's
-        // fold and the final left-to-right fold over slots are both fixed.
-        let mut slots: Vec<Option<(Vector, Vec<DeviceEpochStats>)>> =
-            blocks.iter().map(|_| None).collect();
-        let workers = self.merge_workers.min(blocks.len()).max(1);
-        if workers > 1 && device_count.saturating_mul(self.param_dim) >= self.parallel_min_elems {
-            let per = blocks.len().div_ceil(workers);
-            // Hand each worker an owned run of blocks plus the matching
-            // `&mut` run of result slots (disjoint, so no locks needed).
-            let mut groups: Vec<Vec<Vec<(u64, DeviceAccum)>>> = Vec::with_capacity(workers);
-            let mut group = Vec::with_capacity(per);
-            for block in blocks {
-                group.push(block);
-                if group.len() == per {
-                    groups.push(std::mem::take(&mut group));
-                    group = Vec::with_capacity(per);
-                }
-            }
-            if !group.is_empty() {
-                groups.push(group);
-            }
-            std::thread::scope(|scope| {
-                let mut rest = slots.as_mut_slice();
-                for group in groups {
-                    let take = group.len().min(rest.len());
-                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                    rest = tail;
-                    scope.spawn(move || {
-                        for (slot, block) in mine.iter_mut().zip(group) {
-                            *slot = Some(self.block_sum(block));
-                        }
-                    });
-                }
-            });
-        } else {
-            for (slot, block) in slots.iter_mut().zip(blocks) {
-                *slot = Some(self.block_sum(block));
-            }
-        }
-        // Root fold, left to right over block sums. A single block (≤ 16
-        // devices, the common small-epoch case) short-circuits: its sum IS
-        // the aggregate, with no extra zero-buffer add. The merge scratch
-        // comes from (and returns to) the buffer pool: no parameter-sized
-        // allocation on the steady-state epoch path.
-        let mut filled = slots.into_iter().flatten();
-        let (mut gradient_sum, mut device_stats) = match filled.next() {
-            Some((sum, stats)) => (sum, stats),
-            // Unreachable (count > 0 ⇒ ≥ 1 block), but the merge path must
-            // not panic a worker: report an empty epoch instead.
-            None => (self.take_zeroed(), Vec::new()),
-        };
-        device_stats.reserve(device_count.saturating_sub(device_stats.len()));
-        for (block_sum, stats) in filled {
-            crowd_linalg::kernels::add_assign(gradient_sum.as_mut_slice(), block_sum.as_slice());
-            self.put_back(block_sum);
-            device_stats.extend(stats);
-        }
         DrainedEpoch {
             epoch: Some(EpochAggregate {
                 gradient_sum,
-                checkin_count: count,
-                min_checkout_iteration: min_checkout,
+                checkin_count: taken.payloads,
+                min_checkout_iteration: taken.min_checkout_iteration,
                 device_stats,
             }),
-            waiters,
-            count,
+            waiters: taken.waiters,
+            count: taken.payloads,
         }
     }
 }
@@ -376,10 +245,8 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_core::server::CheckinReceipt;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::mpsc;
     use std::sync::Arc;
 
     fn payload(device_id: u64, grad: Vec<f64>, checkout: u64) -> CheckinPayload {
@@ -394,25 +261,21 @@ mod tests {
         }
     }
 
-    fn waiter() -> (Waiter, mpsc::Receiver<CheckinReceipt>) {
-        let (tx, rx) = mpsc::channel();
-        (
-            Waiter {
-                checkout_iteration: 0,
-                device_id: 0,
-                nonce: 0,
-                reply: Reply::caller(tx),
-                submitted: crowd_telemetry::Clock::logical().start(),
-            },
-            rx,
-        )
+    fn waiter() -> Waiter {
+        Waiter {
+            checkout_iteration: 0,
+            device_id: 0,
+            nonce: 0,
+            reply: Reply::returned(),
+            submitted: crowd_telemetry::Clock::logical().start(),
+        }
     }
 
     #[test]
     fn drain_merges_devices_in_id_order() {
-        let set = ShardSet::new(4, 3, 2);
+        let set = EpochAccumulator::new(3, 2);
         for device in [9u64, 2, 5] {
-            let (w, _rx) = waiter();
+            let w = waiter();
             assert!(set
                 .ingest(&payload(device, vec![device as f64, 0.0, 0.0], device), w)
                 .is_ok());
@@ -432,9 +295,9 @@ mod tests {
 
     #[test]
     fn repeat_checkins_accumulate_per_device() {
-        let set = ShardSet::new(2, 2, 2);
+        let set = EpochAccumulator::new(2, 2);
         for step in 0..3u64 {
-            let (w, _rx) = waiter();
+            let w = waiter();
             assert!(set.ingest(&payload(7, vec![1.0, 2.0], step), w).is_ok());
         }
         let epoch = set.drain().epoch.unwrap();
@@ -449,17 +312,14 @@ mod tests {
 
     #[test]
     fn mismatched_payload_is_handed_back_not_panicked() {
-        let set = ShardSet::new(2, 3, 2);
-        let (w, rx) = waiter();
+        let set = EpochAccumulator::new(3, 2);
         // Wrong gradient dimension: the waiter comes back so the caller can
-        // fail that checkin, and nothing lands on any shard.
-        assert!(set.ingest(&payload(0, vec![1.0; 5], 0), w).is_err());
-        let (w, _rx2) = waiter();
+        // fail that checkin, and nothing lands on the accumulator.
+        assert!(set.ingest(&payload(0, vec![1.0; 5], 0), waiter()).is_err());
         let mut bad_counts = payload(0, vec![1.0, 2.0, 3.0], 0);
         bad_counts.label_counts = vec![1];
-        assert!(set.ingest(&bad_counts, w).is_err());
+        assert!(set.ingest(&bad_counts, waiter()).is_err());
         assert!(set.drain().epoch.is_none());
-        drop(rx);
     }
 
     /// Sparse and dense encodings of the same gradient must fold into bitwise
@@ -482,15 +342,15 @@ mod tests {
                     .collect()
             })
             .collect();
-        let dense_set = ShardSet::new(3, dim, 2);
-        let sparse_set = ShardSet::new(3, dim, 2);
+        let dense_set = EpochAccumulator::new(dim, 2);
+        let sparse_set = EpochAccumulator::new(dim, 2);
         for (step, g) in grads.iter().enumerate() {
             let device = step as u64 % 2;
-            let (w, _rx) = waiter();
+            let w = waiter();
             assert!(dense_set
                 .ingest(&payload(device, g.clone(), step as u64), w)
                 .is_ok());
-            let (w, _rx) = waiter();
+            let w = waiter();
             let mut sparse_payload = payload(device, g.clone(), step as u64);
             sparse_payload.gradient =
                 crowd_linalg::GradientUpdate::Sparse(SparseVector::from_dense(g));
@@ -512,11 +372,11 @@ mod tests {
     /// instead of being reallocated every epoch.
     #[test]
     fn drained_buffers_return_to_the_pool_and_get_reused() {
-        let set = ShardSet::new(2, 4, 2);
+        let set = EpochAccumulator::new(4, 2);
         assert_eq!(set.pooled_buffers(), 0);
         for epoch in 0..3 {
             for device in 0..4u64 {
-                let (w, _rx) = waiter();
+                let w = waiter();
                 assert!(set
                     .ingest(&payload(device, vec![1.0, 0.0, 2.0, 0.0], epoch), w)
                     .is_ok());
@@ -532,70 +392,46 @@ mod tests {
         }
     }
 
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The combine-tree contract: a parallel merge (many workers, tiny
-        /// threshold so it really runs on threads) is bitwise identical to
-        /// the sequential merge at any shard count, device count, and
-        /// dimension — including device counts straddling block boundaries.
-        #[test]
-        fn parallel_merge_matches_sequential_merge_bitwise(
-            shard_count in 1usize..9,
-            devices in 1u64..70,
-            dim in 1usize..40,
-            checkins_per_device in 1u64..4,
-            seed in any::<u64>(),
-        ) {
-            let make_grad = |device: u64, step: u64| -> Vec<f64> {
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ (device.wrapping_mul(1000) + step),
-                );
-                (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
-            };
-            let fill = |set: &ShardSet| {
-                for device in 0..devices {
-                    for step in 0..checkins_per_device {
-                        let (tx, _rx) = mpsc::channel();
-                        let mut p = payload(device, make_grad(device, step), step);
-                        p.label_counts = vec![1, 1];
-                        assert!(set
-                            .ingest(
-                                &p,
-                                Waiter {
-                                    checkout_iteration: step,
-                                    device_id: device,
-                                    nonce: 0,
-                                    reply: Reply::caller(tx),
-                                    submitted: crowd_telemetry::Clock::logical().start(),
-                                },
-                            )
-                            .is_ok());
-                    }
-                }
-            };
-            let sequential = ShardSet::new(shard_count, dim, 2);
-            fill(&sequential);
-            let expected = sequential.drain().epoch.unwrap();
-
-            let parallel = ShardSet::new(shard_count, dim, 2)
-                .with_merge_workers(4)
-                .with_parallel_min_elems(0);
-            fill(&parallel);
-            let merged = parallel.drain().epoch.unwrap();
-
-            prop_assert_eq!(merged.checkin_count, expected.checkin_count);
-            prop_assert_eq!(&merged.device_stats, &expected.device_stats);
-            for (a, b) in merged.gradient_sum.iter().zip(expected.gradient_sum.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+    /// The drained sum is one left-to-right fold in ascending device-id
+    /// order, also past 16 devices. The gradients make the order visible:
+    /// folding `2^-53` into `1.0` rounds back to `1.0` each time, while
+    /// summing the four of them first gives `1.0 + 2^-51`. A combine tree
+    /// that summed devices 16..20 as their own block (as this module once
+    /// did) fails this test.
+    #[test]
+    fn drain_folds_past_sixteen_devices_left_to_right() {
+        let tiny = f64::EPSILON / 2.0;
+        let grads: Vec<f64> = (0..20u64)
+            .map(|device| match device {
+                0 => 1.0,
+                16.. => tiny,
+                _ => 0.0,
+            })
+            .collect();
+        let set = EpochAccumulator::new(1, 2);
+        for device in (0..20u64).rev() {
+            let p = payload(device, vec![grads[device as usize]], 0);
+            assert!(set.ingest(&p, waiter()).is_ok());
         }
+        let epoch = set.drain().epoch.unwrap();
+
+        let mut ascending = 0.0f64;
+        for &g in &grads {
+            ascending += g;
+        }
+        let first_block: f64 = grads[..16].iter().fold(0.0, |acc, &g| acc + g);
+        let last_block: f64 = grads[16..].iter().fold(0.0, |acc, &g| acc + g);
+        assert_ne!(
+            ascending.to_bits(),
+            (first_block + last_block).to_bits(),
+            "the gradients must tell the two orders apart"
+        );
+        assert_eq!(epoch.gradient_sum[0].to_bits(), ascending.to_bits());
+        assert_eq!(epoch.device_stats.len(), 20);
     }
 
-    /// The determinism contract: concurrent ingest through many shards yields an
-    /// aggregate bitwise identical to sequential ingest through a single lock.
+    /// The determinism contract: concurrent ingest from many device threads
+    /// yields an aggregate bitwise identical to sequential ingest.
     #[test]
     fn concurrent_sharded_ingest_matches_sequential_single_lock_bitwise() {
         let dim = 24;
@@ -606,11 +442,11 @@ mod tests {
             (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
         };
 
-        // Sequential reference: one stripe, one thread, device-major order.
-        let reference = ShardSet::new(1, dim, 2);
+        // Sequential reference: one thread, device-major order.
+        let reference = EpochAccumulator::new(dim, 2);
         for device in 0..devices {
             for step in 0..checkins_per_device {
-                let (w, _rx) = waiter();
+                let w = waiter();
                 assert!(reference
                     .ingest(&payload(device, make_grad(device, step), step), w)
                     .is_ok());
@@ -618,14 +454,13 @@ mod tests {
         }
         let expected = reference.drain().epoch.unwrap();
 
-        // Concurrent sharded run: one thread per device, 5 stripes.
-        let sharded = Arc::new(ShardSet::new(5, dim, 2));
+        // Concurrent run: one thread per device.
+        let concurrent = Arc::new(EpochAccumulator::new(dim, 2));
         let mut handles = Vec::new();
         for device in 0..devices {
-            let set = Arc::clone(&sharded);
+            let set = Arc::clone(&concurrent);
             handles.push(std::thread::spawn(move || {
                 for step in 0..checkins_per_device {
-                    let (tx, _rx) = mpsc::channel();
                     assert!(set
                         .ingest(
                             &payload(device, make_grad(device, step), step),
@@ -633,7 +468,7 @@ mod tests {
                                 checkout_iteration: step,
                                 device_id: device,
                                 nonce: 0,
-                                reply: Reply::caller(tx),
+                                reply: Reply::returned(),
                                 submitted: crowd_telemetry::Clock::logical().start(),
                             },
                         )
@@ -644,7 +479,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let merged = sharded.drain().epoch.unwrap();
+        let merged = concurrent.drain().epoch.unwrap();
 
         assert_eq!(merged.checkin_count, expected.checkin_count);
         assert_eq!(merged.device_stats, expected.device_stats);

@@ -1,8 +1,7 @@
 //! Server throughput comparison: the original single-mutex path (every
 //! checkout clones the parameter vector under the global lock and every
 //! checkin serializes a full projected SGD update behind it) versus the
-//! `crowd-agg` sharded runtime, varying device concurrency, shard count, and
-//! epoch size.
+//! `crowd-agg` runtime, varying device concurrency and epoch size.
 //!
 //! Each measured iteration runs `threads` devices through rounds of the
 //! protocol's natural unit of work — one checkout followed by a window of
@@ -10,7 +9,7 @@
 //! so ms/iter is directly comparable across paths: lower is higher sustained
 //! throughput. Two submission styles are timed for the runtime: `sync` (each
 //! device blocks on its ack before the next checkin, the lockstep worst case
-//! for batching — it pays the sharding machinery without amortizing anything)
+//! for batching — it pays the runtime's queueing without amortizing anything)
 //! and `pipelined` (devices submit their round's window before collecting
 //! acks, as a gateway or async device would), which lets large epochs amortize
 //! the projection and bookkeeping of the update across many gradients while
@@ -28,7 +27,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 // A large model (d = DIM·CLASSES = 100 000 parameters) so the per-request
-// O(d) work — the thing sharding, batching, and snapshotting amortize —
+// O(d) work — the thing batching and snapshotting amortize —
 // dominates the fixed per-request synchronization cost. 24 checkins per device
 // keeps the totals (48 / 192) aligned with the benched epoch sizes, so no
 // measured configuration depends on the idle-flush timer.
@@ -53,7 +52,7 @@ fn payload(device_id: u64, step: u64) -> CheckinPayload {
 }
 
 /// A 95%-zero gradient in its sparse representation: what a bandwidth-lean
-/// device uploads, ingested by the shards via scatter-add.
+/// device uploads, ingested by the accumulator via scatter-add.
 fn sparse_payload(device_id: u64, step: u64) -> CheckinPayload {
     let dim = DIM * CLASSES;
     let mut grad = vec![0.0; dim];
@@ -106,9 +105,8 @@ fn run_single_mutex(threads: u64) -> u64 {
     iterations
 }
 
-fn sharded_runtime(shards: usize, epoch: u64) -> AggRuntime<MulticlassLogistic> {
+fn agg_runtime(epoch: u64) -> AggRuntime<MulticlassLogistic> {
     let config = ServerConfig::new().with_agg(AggSettings {
-        shard_count: shards,
         queue_bound: 4096,
         epoch_size: epoch,
         worker_threads: 2,
@@ -121,8 +119,8 @@ fn sharded_runtime(shards: usize, epoch: u64) -> AggRuntime<MulticlassLogistic> 
 
 /// Lockstep devices: checkout a snapshot each round, then block on each ack
 /// before the next checkin.
-fn run_sharded_sync(threads: u64, shards: usize, epoch: u64) -> u64 {
-    let runtime = Arc::new(sharded_runtime(shards, epoch));
+fn run_sharded_sync(threads: u64, epoch: u64) -> u64 {
+    let runtime = Arc::new(agg_runtime(epoch));
     let mut handles = Vec::new();
     for device in 0..threads {
         let runtime = Arc::clone(&runtime);
@@ -147,9 +145,9 @@ fn run_sharded_sync(threads: u64, shards: usize, epoch: u64) -> u64 {
 
 /// Pipelined devices: checkout a snapshot, submit the round's window, then
 /// collect the acks. `sparse` switches the uploads to the 95%-zero sparse
-/// representation, exercising the shard scatter-add path.
-fn run_sharded_pipelined_with(threads: u64, shards: usize, epoch: u64, sparse: bool) -> u64 {
-    let runtime = Arc::new(sharded_runtime(shards, epoch));
+/// representation, exercising the accumulator's scatter-add path.
+fn run_sharded_pipelined_with(threads: u64, epoch: u64, sparse: bool) -> u64 {
+    let runtime = Arc::new(agg_runtime(epoch));
     let mut handles = Vec::new();
     for device in 0..threads {
         let runtime = Arc::clone(&runtime);
@@ -182,8 +180,8 @@ fn run_sharded_pipelined_with(threads: u64, shards: usize, epoch: u64, sparse: b
     applied
 }
 
-fn run_sharded_pipelined(threads: u64, shards: usize, epoch: u64) -> u64 {
-    run_sharded_pipelined_with(threads, shards, epoch, false)
+fn run_sharded_pipelined(threads: u64, epoch: u64) -> u64 {
+    run_sharded_pipelined_with(threads, epoch, false)
 }
 
 /// One pipelined run's submit→ack latency distribution, read off the
@@ -193,7 +191,7 @@ fn run_sharded_pipelined(threads: u64, shards: usize, epoch: u64) -> u64 {
 /// trajectory tracks tail latency, not just throughput; the bench gate
 /// treats them like any other named entry.
 fn report_checkin_latency_percentiles() {
-    let runtime = Arc::new(sharded_runtime(8, 64));
+    let runtime = Arc::new(agg_runtime(64));
     let mut handles = Vec::new();
     for device in 0..8u64 {
         let runtime = Arc::clone(&runtime);
@@ -262,7 +260,6 @@ const COHORT: u64 = 8;
 fn rounds_runtime() -> AggRuntime<MulticlassLogistic> {
     let config = ServerConfig::new()
         .with_agg(AggSettings {
-            shard_count: 4,
             queue_bound: 4096,
             epoch_size: 1,
             worker_threads: 2,
@@ -366,27 +363,21 @@ fn bench_agg(c: &mut Criterion) {
             b.iter(|| run_single_mutex(threads))
         });
         group.bench_function(format!("sharded_sync_e1/devices{threads}"), |b| {
-            b.iter(|| run_sharded_sync(threads, 8, 1))
+            b.iter(|| run_sharded_sync(threads, 1))
         });
         group.bench_function(
             format!("sharded_pipelined_e{threads}/devices{threads}"),
-            |b| b.iter(|| run_sharded_pipelined(threads, 8, threads)),
+            |b| b.iter(|| run_sharded_pipelined(threads, threads)),
         );
         group.bench_function(format!("sharded_pipelined_e64/devices{threads}"), |b| {
-            b.iter(|| run_sharded_pipelined(threads, 8, 64))
+            b.iter(|| run_sharded_pipelined(threads, 64))
         });
-        // Same pipeline, sparse uploads: the shards scatter-add 5% of the
+        // Same pipeline, sparse uploads: the accumulator scatter-adds 5% of the
         // coordinates instead of folding all of them.
         group.bench_function(
             format!("sharded_pipelined_e64_sparse95/devices{threads}"),
-            |b| b.iter(|| run_sharded_pipelined_with(threads, 8, 64, true)),
+            |b| b.iter(|| run_sharded_pipelined_with(threads, 64, true)),
         );
-    }
-    // Shard-count sweep at fixed (high) concurrency.
-    for &shards in &[1usize, 4, 16] {
-        group.bench_function(format!("sharded_pipelined_e64/shards{shards}"), |b| {
-            b.iter(|| run_sharded_pipelined(8, shards, 64))
-        });
     }
     group.finish();
     report_checkin_latency_percentiles();

@@ -125,27 +125,23 @@ impl Default for DeviceConfig {
     }
 }
 
-/// Tuning knobs of the sharded aggregation runtime (`crowd-agg`) that serves the
+/// Tuning knobs of the aggregation runtime (`crowd-agg`) that serves the
 /// checkin write path behind a deployed server.
 ///
-/// The runtime keeps `shard_count` independently locked gradient accumulators,
-/// admits at most `queue_bound` checkins into its ingest queue (rejecting the
-/// rest with a retry-after hint instead of piling up handler threads), and folds
-/// the accumulated gradients into one projected SGD step once `epoch_size`
-/// checkins have arrived. `epoch_size = 1` reproduces the paper's per-checkin
+/// The runtime admits at most `queue_bound` checkins into its ingest queue
+/// (rejecting the rest with a retry-after hint instead of piling up handler
+/// threads), and folds the accumulated gradients into one projected SGD step
+/// once `epoch_size` checkins have arrived. `epoch_size = 1` reproduces the paper's per-checkin
 /// update `w ← Π_W[w − η(t)ĝ]` exactly; larger epochs apply the *mean* of the
 /// epoch's gradients as a single step (synchronous minibatch aggregation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggSettings {
-    /// Number of lock stripes for the gradient accumulators. Checkins hash to a
-    /// stripe by device id, so concurrent devices rarely contend.
-    pub shard_count: usize,
     /// Capacity of the bounded ingest queue. A full queue rejects checkins with
     /// a "server busy" reply carrying [`AggSettings::retry_after_ms`].
     pub queue_bound: usize,
     /// Number of checkins folded into one server update. 1 = per-checkin SGD.
     pub epoch_size: u64,
-    /// Worker threads draining the ingest queue into the shards.
+    /// Worker threads draining the ingest queue into the accumulator.
     pub worker_threads: usize,
     /// Retry hint (milliseconds) returned with backpressure rejections.
     pub retry_after_ms: u32,
@@ -158,11 +154,10 @@ pub struct AggSettings {
 }
 
 impl AggSettings {
-    /// Defaults: 8 shards, 1024-deep queue, per-checkin updates, 2 workers,
+    /// Defaults: 1024-deep queue, per-checkin updates, 2 workers,
     /// 2 ms retry hint, 1 ms idle flush.
     pub fn new() -> Self {
         AggSettings {
-            shard_count: 8,
             queue_bound: 1024,
             epoch_size: 1,
             worker_threads: 2,
@@ -173,9 +168,6 @@ impl AggSettings {
 
     /// Validates the settings.
     pub fn validate(&self) -> Result<()> {
-        if self.shard_count == 0 {
-            return Err(CoreError::Config("shard_count must be positive".into()));
-        }
         if self.queue_bound == 0 {
             return Err(CoreError::Config("queue_bound must be positive".into()));
         }
@@ -451,12 +443,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the number of accumulator shards of the aggregation runtime.
-    pub fn with_shard_count(mut self, shards: usize) -> Self {
-        self.agg.shard_count = shards;
-        self
-    }
-
     /// Sets the ingest-queue capacity of the aggregation runtime.
     pub fn with_queue_bound(mut self, bound: usize) -> Self {
         self.agg.queue_bound = bound;
@@ -637,10 +623,6 @@ mod tests {
         assert_eq!(AggSettings::default(), AggSettings::new());
         for broken in [
             AggSettings {
-                shard_count: 0,
-                ..AggSettings::new()
-            },
-            AggSettings {
                 queue_bound: 0,
                 ..AggSettings::new()
             },
@@ -656,11 +638,7 @@ mod tests {
             assert!(broken.validate().is_err());
             assert!(ServerConfig::new().with_agg(broken).validate().is_err());
         }
-        let tuned = ServerConfig::new()
-            .with_shard_count(4)
-            .with_queue_bound(16)
-            .with_epoch_size(32);
-        assert_eq!(tuned.agg.shard_count, 4);
+        let tuned = ServerConfig::new().with_queue_bound(16).with_epoch_size(32);
         assert_eq!(tuned.agg.queue_bound, 16);
         assert_eq!(tuned.agg.epoch_size, 32);
         assert!(tuned.validate().is_ok());

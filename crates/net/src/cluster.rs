@@ -214,7 +214,7 @@ mod tests {
             .generate(&mut rng)
             .unwrap();
         let parts = partition(&train, 6, PartitionStrategy::Iid, &mut rng).unwrap();
-        let config = ServerConfig::new().with_queue_bound(2).with_shard_count(4);
+        let config = ServerConfig::new().with_queue_bound(2);
         let cluster = LocalCluster::new(config).with_device(DeviceConfig::new(4));
         let report = cluster.run(4, 2, &parts).unwrap();
         assert_eq!(report.total_samples, 240);

@@ -589,7 +589,6 @@ mod tests {
         let model = MulticlassLogistic::new(4, 3).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(4, 99);
         let config = ServerConfig::new().with_agg(crowd_core::config::AggSettings {
-            shard_count: 1,
             queue_bound: 1,
             epoch_size: u64::MAX,
             worker_threads: 1,

@@ -6,7 +6,7 @@
 //! `crowd-net` with a classic reactor instead:
 //!
 //! * a small **fixed pool of reactor threads**, each running a readiness loop
-//!   over a [`polling::Poller`] (epoll on Linux, `poll(2)` fallback),
+//!   over a [`polling::Poller`] (oneshot epoll),
 //! * **per-connection frame state machines** ([`frame::FrameReader`] /
 //!   [`frame::FrameWriter`]) that resume partial reads and writes at any byte
 //!   boundary, reusing `crowd-proto`'s pooled buffers,

@@ -35,12 +35,11 @@ fn main() {
 
     println!("Starting a localhost Crowd-ML cluster: 1 server + {devices} device threads");
 
-    // The server serves from the sharded aggregation runtime: 8 accumulator
-    // stripes, a 256-deep ingest queue (overflow answered with Busy +
-    // retry-after, which the device clients absorb with backoff).
+    // The server serves from the aggregation runtime with a 256-deep ingest
+    // queue (overflow answered with Busy + retry-after, which the device
+    // clients absorb with backoff).
     let server_config = ServerConfig::new()
         .with_rate_constant(2.0)
-        .with_shard_count(8)
         .with_queue_bound(256);
     let cluster = LocalCluster::new(server_config)
         .with_device(DeviceConfig::new(10))

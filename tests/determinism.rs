@@ -1,7 +1,7 @@
 //! Reproducibility guarantees: a fixed seed yields identical experiments,
-//! different seeds yield different noise realizations, and the sharded
-//! aggregation runtime reproduces the sequential single-lock aggregate bit for
-//! bit.
+//! different seeds yield different noise realizations, and the aggregation
+//! runtime fed by concurrent devices reproduces the sequential aggregate bit
+//! for bit.
 
 use crowd_ml::agg::AggRuntime;
 use crowd_ml::core::config::{AggSettings, PrivacyConfig, ServerConfig};
@@ -79,20 +79,19 @@ fn determinism_runtime(agg: AggSettings) -> AggRuntime<MulticlassLogistic> {
     AggRuntime::new(Server::new(model, config).unwrap()).unwrap()
 }
 
-/// The sharded runtime's epoch aggregate must equal the sequential single-lock
-/// aggregate bit for bit: many shards fed from concurrent device threads end
-/// in exactly the same parameters as one shard fed sequentially.
+/// The runtime's epoch aggregate must not depend on thread interleaving:
+/// concurrent device threads end in exactly the same parameters as one
+/// thread submitting sequentially.
 ///
 /// Epoch boundaries are pinned (one epoch covering every checkin, idle flush
-/// disabled) so the only thing under test is what sharding can change: which
-/// stripe accumulated each gradient and in which order the stripes merged.
+/// disabled) so the only thing under test is what interleaving can change:
+/// the order in which devices' gradients reach the accumulator.
 #[test]
 fn sharded_aggregation_matches_single_lock_bitwise() {
     let total = DETERMINISM_DEVICES * DETERMINISM_CHECKINS;
 
-    // Sequential single-lock reference: one stripe, one thread, one epoch.
+    // Sequential reference: one thread, one epoch.
     let sequential = determinism_runtime(AggSettings {
-        shard_count: 1,
         queue_bound: 2 * total as usize,
         epoch_size: total,
         worker_threads: 1,
@@ -117,13 +116,12 @@ fn sharded_aggregation_matches_single_lock_bitwise() {
     let expected_samples = sequential.total_samples();
     sequential.shutdown();
 
-    // Concurrent sharded run: 7 stripes, one thread per device. A single
-    // worker keeps each device's own checkins accumulating in submission order
-    // (the guarantee the live protocol gets from devices awaiting their acks),
-    // while the 12 device threads still race freely against each other — the
-    // nondeterminism the per-device stripes and fixed merge order must absorb.
+    // Concurrent run: one thread per device. A single worker keeps each
+    // device's own checkins accumulating in submission order (the guarantee
+    // the live protocol gets from devices awaiting their acks), while the 12
+    // device threads still race freely against each other — the
+    // nondeterminism the per-device sums and fixed merge order must absorb.
     let sharded = Arc::new(determinism_runtime(AggSettings {
-        shard_count: 7,
         queue_bound: 2 * total as usize,
         epoch_size: total,
         worker_threads: 1,
@@ -197,7 +195,6 @@ fn instrumented_runs_render_byte_identical_dumps() {
             .with_rate_constant(1.5)
             .with_budget(0.25, f64::INFINITY)
             .with_agg(AggSettings {
-                shard_count: 3,
                 queue_bound: 64,
                 epoch_size: 1,
                 worker_threads: 1,

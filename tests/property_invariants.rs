@@ -294,24 +294,24 @@ proptest! {
     // all), so this sweep runs fewer cases than the pure-math properties.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Masked round finalization is shard-count independent: the same cohort
-    /// submissions with the same dropout subset land on bitwise-identical
-    /// parameters whatever the runtime's shard layout, because the pending
-    /// round buffer is folded in ascending device order outside the shard
-    /// path. Together with `crates/rounds/tests/mask_cancellation.rs` (masked
-    /// sum == unmasked sum) this closes the loop over cohorts, dropouts, and
-    /// shard counts.
+    /// Masked round finalization is submission-order independent: the same
+    /// cohort submissions with the same dropout subset land on
+    /// bitwise-identical parameters whether the survivors submit in
+    /// ascending device order or in a seed-shuffled one, because the pending
+    /// round buffer is folded in ascending device order at finalization.
+    /// Together with `crates/rounds/tests/mask_cancellation.rs` (masked sum
+    /// == unmasked sum) this closes the loop over cohorts, dropouts, and
+    /// arrival orders.
     #[test]
-    fn masked_round_finalization_is_shard_count_independent(
+    fn masked_round_finalization_is_submission_order_independent(
         seed in 0u64..10_000,
         population in 2u64..10,
-        shard_a in 1usize..8,
-        shard_b in 1usize..8,
         drop_bits in any::<u32>(),
     ) {
         use crowd_ml::agg::AggRuntime;
         use crowd_ml::core::config::{AggSettings, RoundSettings, ServerConfig};
         use crowd_ml::core::server::{PendingSubmission, Server};
+        use rand::seq::SliceRandom;
 
         let dim = 4usize;
         let classes = 3usize;
@@ -321,10 +321,9 @@ proptest! {
             crowd_ml::linalg::random::normal_vector(&mut rng, param_dim).as_slice().to_vec()
         };
 
-        let run = |shards: usize| {
+        let run = |shuffled: bool| {
             let config = ServerConfig::new()
                 .with_agg(AggSettings {
-                    shard_count: shards,
                     queue_bound: 64,
                     epoch_size: 1,
                     worker_threads: 2,
@@ -343,13 +342,17 @@ proptest! {
             let members =
                 crowd_ml::rounds::cohort(info.seed, info.population, info.select_fraction);
             // At least one survivor so the round finalizes with an epoch.
-            let survivors: Vec<u64> = members
+            let mut survivors: Vec<u64> = members
                 .iter()
                 .copied()
                 .enumerate()
                 .filter(|&(i, _)| i == 0 || drop_bits & (1 << (i % 32)) != 0)
                 .map(|(_, d)| d)
                 .collect();
+            survivors.sort_unstable();
+            if shuffled {
+                survivors.shuffle(&mut StdRng::seed_from_u64(seed));
+            }
             for &d in &survivors {
                 let mask_words =
                     crowd_ml::rounds::net_mask(info.seed, d, &members, param_dim);
@@ -375,8 +378,8 @@ proptest! {
             (bits, iteration)
         };
 
-        let (bits_a, iter_a) = run(shard_a);
-        let (bits_b, iter_b) = run(shard_b);
+        let (bits_a, iter_a) = run(false);
+        let (bits_b, iter_b) = run(true);
         prop_assert_eq!(iter_a, 1, "the finalized round applies exactly one epoch");
         prop_assert_eq!(iter_a, iter_b);
         prop_assert_eq!(bits_a, bits_b);
