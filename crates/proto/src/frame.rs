@@ -8,7 +8,7 @@
 //! for one published parameter snapshot — is framed once as a [`SharedFrame`]
 //! and written to every socket from that one allocation.
 
-use crate::codec::{decode, encode, encode_checkout_response_into, encode_into};
+use crate::codec::{decode, encode_checkout_response_into, encode_into};
 use crate::error::ProtoError;
 use crate::message::{Message, RoundParams};
 use crate::pool::BufPool;
@@ -55,28 +55,35 @@ impl SharedFrame {
     }
 }
 
-/// Writes one framed message to `writer`.
+/// Appends one frame — the length prefix, then `message` encoded — to `buf`.
+pub fn encode_frame_into(message: &Message, buf: &mut Vec<u8>) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0u8; 4]);
+    encode_into(message, buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Writes one framed message to `writer` with a single `write_all`: prefix
+/// and payload leave in one segment even on a `TCP_NODELAY` socket.
 pub fn write_message<W: Write>(writer: &mut W, message: &Message) -> Result<()> {
-    let payload = encode(message);
-    let len = payload.len() as u32;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(&payload)?;
+    let mut frame = Vec::with_capacity(64);
+    encode_frame_into(message, &mut frame);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
 
-/// Writes one framed message, encoding into a pooled buffer instead of
+/// Like [`write_message`], but encodes into a pooled buffer instead of
 /// allocating a fresh one per message.
 pub fn write_message_pooled<W: Write>(
     writer: &mut W,
     message: &Message,
     pool: &BufPool,
 ) -> Result<()> {
-    let mut payload = pool.take_empty();
-    encode_into(message, &mut *payload);
-    let len = payload.len() as u32;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(&payload)?;
+    let mut frame = pool.take_empty();
+    encode_frame_into(message, &mut frame);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -162,6 +169,57 @@ mod tests {
         }
         // Stream exhausted: the next read reports an I/O error.
         assert!(matches!(read_message(&mut cursor), Err(ProtoError::Io(_))));
+    }
+
+    /// Counts `write` calls; `write_all` over an in-memory sink makes one
+    /// call per buffer it is handed.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write_with_unchanged_bytes() {
+        let pool = BufPool::default();
+        let messages = [
+            Message::CheckoutRequest(CheckoutRequest {
+                version: 1,
+                device_id: 3,
+                token: AuthToken::derive(3, 9),
+            }),
+            Message::CheckoutResponse(CheckoutResponse {
+                iteration: 10,
+                params: vec![1.0; 5000],
+                stopped: false,
+                round: None,
+            }),
+        ];
+        for message in &messages {
+            let payload = crate::codec::encode(message);
+            let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(&payload);
+
+            let mut plain = CountingWriter::default();
+            write_message(&mut plain, message).unwrap();
+            let mut pooled = CountingWriter::default();
+            write_message_pooled(&mut pooled, message, &pool).unwrap();
+            for sink in [plain, pooled] {
+                assert_eq!(sink.writes, 1, "{message:?}");
+                assert_eq!(sink.bytes, expected);
+            }
+        }
     }
 
     #[test]

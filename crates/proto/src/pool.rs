@@ -4,9 +4,11 @@
 //! the read side and a fresh `BytesMut` on the write side. Under sustained
 //! checkin traffic that is two heap round-trips per message of up to
 //! megabytes each. A [`BufPool`] keeps a shelf of previously used buffers;
-//! [`BufPool::take`] hands one out (zero-filled to the requested length) and
-//! the [`PooledBuf`] guard returns it on drop, so steady-state frame handling
-//! touches the allocator only while a buffer grows to a new high-water mark.
+//! [`BufPool::take`] hands one out (zero-filled to the requested length;
+//! [`BufPool::take_scratch_owned`] skips the fill for a socket reader that
+//! overwrites it) and the [`PooledBuf`] guard returns it on drop, so
+//! steady-state frame handling touches the allocator only while a buffer
+//! grows to a new high-water mark.
 //!
 //! The pool is a plain mutex around a `Vec` — taking or returning a buffer is
 //! a few nanoseconds, far below the cost of the socket read it serves, and the
@@ -88,24 +90,28 @@ impl BufPool {
         }
     }
 
-    /// Like [`BufPool::take`], but the returned guard owns an [`Arc`] handle
-    /// to the pool instead of borrowing it, so it can be stored in long-lived
-    /// state (e.g. a reactor connection that accumulates a frame across many
-    /// readiness events).
-    pub fn take_owned(self: &Arc<Self>, len: usize) -> OwnedPooledBuf {
+    /// Owned counterpart of [`BufPool::take_empty`]: the returned guard owns
+    /// an [`Arc`] handle to the pool instead of borrowing it, so it can be
+    /// stored in long-lived state (e.g. a reactor connection's write queue).
+    pub fn take_empty_owned(self: &Arc<Self>) -> OwnedPooledBuf {
         let mut buf = self.pop();
         buf.clear();
-        buf.resize(len, 0);
         OwnedPooledBuf {
             pool: Arc::clone(self),
             buf,
         }
     }
 
-    /// Owned counterpart of [`BufPool::take_empty`].
-    pub fn take_empty_owned(self: &Arc<Self>) -> OwnedPooledBuf {
+    /// Takes an owned buffer at least `min_len` bytes long whose bytes are
+    /// left as its last user wrote them: only growth past the pooled length
+    /// is zero-filled. For a caller that overwrites before it reads — a frame
+    /// reader filling it from a socket across readiness events — so reuse
+    /// costs no memset.
+    pub fn take_scratch_owned(self: &Arc<Self>, min_len: usize) -> OwnedPooledBuf {
         let mut buf = self.pop();
-        buf.clear();
+        if buf.len() < min_len {
+            buf.resize(min_len, 0);
+        }
         OwnedPooledBuf {
             pool: Arc::clone(self),
             buf,
@@ -302,7 +308,7 @@ mod tests {
     #[test]
     fn owned_buffers_return_to_the_pool_and_outlive_borrows() {
         let pool = std::sync::Arc::new(BufPool::new(4));
-        let buf = pool.take_owned(16);
+        let buf = pool.take_scratch_owned(16);
         assert_eq!(buf.len(), 16);
         assert!(buf.iter().all(|&b| b == 0));
         // The owned guard keeps the pool alive on its own.
@@ -314,15 +320,22 @@ mod tests {
     }
 
     #[test]
-    fn owned_buffers_are_reused_zeroed() {
+    fn scratch_buffers_are_reused_without_a_fill() {
         let pool = std::sync::Arc::new(BufPool::new(4));
         {
-            let mut buf = pool.take_owned(8);
+            let mut buf = pool.take_scratch_owned(8);
             buf[0] = 0xAA;
         }
         assert_eq!(pool.idle_buffers(), 1);
-        let again = pool.take_owned(8);
-        assert!(again.iter().all(|&b| b == 0));
+        // Reuse keeps the pooled length and bytes...
+        let again = pool.take_scratch_owned(4);
+        assert_eq!((again.len(), again[0]), (8, 0xAA));
+        drop(again);
+        // ...and zero-fills only what it grows by.
+        let grown = pool.take_scratch_owned(16);
+        assert_eq!(grown.len(), 16);
+        assert_eq!(grown[0], 0xAA);
+        assert!(grown[8..].iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -1,24 +1,46 @@
 //! Resumable per-connection frame state machines.
 //!
-//! The blocking server reads a frame with two `read_exact` calls; a reactor
-//! cannot block, so these state machines accept however many bytes the socket
-//! has *right now* and pick up exactly where they left off on the next
-//! readiness event. Frames are the wire format of `crowd-proto`:
+//! A reactor cannot block, so these state machines accept however many bytes
+//! the socket has *right now* and pick up exactly where they left off on the
+//! next readiness event. Frames are the wire format of `crowd-proto`:
 //! `[len: u32 little-endian][payload: len bytes]`, with the payload decoded
-//! into a [`Message`]. Payload storage comes from a shared [`BufPool`], so
-//! steady-state traffic does not touch the allocator for frame bytes; what a
-//! read still allocates is the decoded message's own vectors. A reply that is
-//! already framed ([`SharedFrame`]: the checkout reply every device of one
-//! snapshot receives) is queued by reference and written straight from the
-//! shared allocation — no per-connection copy.
+//! into a [`Message`].
+//!
+//! ## Reading: one `read` per frame
+//!
+//! [`FrameReader`] reads into a buffer, as many bytes as the socket has, and
+//! parses prefix and payload out of it, so a frame whose bytes are all there
+//! costs one `read` (a frame larger than the buffer costs two: the buffer
+//! grows once the prefix is known). Bytes of a following frame stay buffered
+//! and are returned by the next call without a `read`. A `read` that returns
+//! fewer bytes than it was offered means the socket was empty, so the reader
+//! does not `read` again to see `EAGAIN`: it answers [`ReadEvent::NeedMore`],
+//! and once nothing is buffered [`FrameReader::drained`] tells the caller a
+//! read would find nothing. Both are sound only when the caller then re-arms
+//! **level-triggered** read interest (the vendored `polling` poller:
+//! level-triggered oneshot epoll): bytes that arrived after that `read` fire
+//! the poller at once instead of being missed.
+//!
+//! The read buffer comes from the shared [`BufPool`], taken without a
+//! zero-fill ([`BufPool::take_scratch_owned`]) when a `read` needs one and
+//! given back the moment no unconsumed bytes remain: a connection between
+//! requests holds no buffer. What a read still allocates is the decoded
+//! message's own vectors.
+//!
+//! ## Writing
+//!
+//! [`FrameWriter`] encodes each reply into a pooled buffer, prefix included.
+//! A reply that is already framed ([`SharedFrame`]: the checkout reply every
+//! device of one snapshot receives) is queued by reference and written
+//! straight from the shared allocation — no per-connection copy.
 //!
 //! Both machines are transport-agnostic (`Read` / `Write` traits) which is
 //! what makes exhaustive fragmentation testing possible: the proptest suite
 //! feeds them through adapters that split the stream at arbitrary byte
 //! boundaries.
 
-use crowd_proto::codec::{decode, encode_into};
-use crowd_proto::frame::SharedFrame;
+use crowd_proto::codec::decode;
+use crowd_proto::frame::{encode_frame_into, SharedFrame};
 use crowd_proto::pool::{BufPool, OwnedPooledBuf};
 use crowd_proto::{Message, ProtoError};
 use std::collections::VecDeque;
@@ -73,129 +95,166 @@ impl From<ProtoError> for FrameError {
 pub enum ReadEvent {
     /// One complete frame, decoded.
     Frame(Message),
-    /// The socket has no more bytes right now; wait for readability.
+    /// No complete frame yet, and the socket had no more bytes at the last
+    /// `read`; re-arm read interest and call again when readable.
     NeedMore,
     /// Clean EOF at a frame boundary.
     Closed,
 }
 
-enum ReadState {
-    /// Accumulating the 4-byte length prefix.
-    Len { buf: [u8; 4], filled: usize },
-    /// Accumulating the payload.
-    Payload { buf: OwnedPooledBuf, filled: usize },
-}
+/// The smallest buffer the reader offers a `read`. A frame up to this size
+/// (a checkout reply of up to ~500 parameters, any checkin but a wide dense
+/// one) costs one call; a larger frame's prefix and head arrive with the
+/// first, and the rest, once the buffer has grown, with the second.
+const READ_CHUNK: usize = 4096;
 
 /// Incremental reader: turns arbitrarily fragmented socket bytes into frames.
+///
+/// It reads into one pooled buffer, as much as the socket has up to the
+/// buffer's length, and decodes each frame straight out of it; the bytes of a
+/// following frame stay there for the next call. The buffer is taken from the
+/// pool when a read needs it and goes back as soon as no unconsumed bytes
+/// remain, so a connection between requests holds none.
 pub struct FrameReader {
     pool: Arc<BufPool>,
     max_frame: usize,
-    state: ReadState,
+    /// The read buffer; `Some` exactly while `start < filled`, and during
+    /// a read.
+    buf: Option<OwnedPooledBuf>,
+    /// `buf[start..filled]` are received bytes not yet returned as a frame.
+    start: usize,
+    filled: usize,
+    /// Whether the last `read` returned fewer bytes than it was offered
+    /// (or `WouldBlock`, or EOF): the socket was empty at that moment.
+    short_read: bool,
 }
 
 impl fmt::Debug for FrameReader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FrameReader")
             .field("max_frame", &self.max_frame)
-            .field("mid_frame", &self.mid_frame())
+            .field("buffered", &(self.filled - self.start))
+            .field("drained", &self.drained())
             .finish()
     }
 }
 
 impl FrameReader {
-    /// Creates a reader drawing payload buffers from `pool` and rejecting
+    /// Creates a reader drawing its read buffer from `pool` and rejecting
     /// frames larger than `max_frame` bytes.
     pub fn new(pool: Arc<BufPool>, max_frame: usize) -> Self {
         FrameReader {
             pool,
             max_frame,
-            state: ReadState::Len {
-                buf: [0; 4],
-                filled: 0,
-            },
+            buf: None,
+            start: 0,
+            filled: 0,
+            short_read: false,
         }
     }
 
-    /// Whether any bytes of an unfinished frame have been received — i.e.
+    /// Whether bytes of a frame not yet returned have been received — i.e.
     /// whether an EOF now would be a protocol violation.
     pub fn mid_frame(&self) -> bool {
-        match &self.state {
-            ReadState::Len { filled, .. } => *filled > 0,
-            ReadState::Payload { .. } => true,
+        self.start < self.filled
+    }
+
+    /// Whether a [`FrameReader::poll_read`] now could only find the socket
+    /// empty: the last `read` returned fewer bytes than it was offered and
+    /// nothing is buffered. A caller that re-arms level-triggered read
+    /// interest instead of calling it loses nothing — bytes that arrived
+    /// since fire the poller at once — and saves the `EAGAIN` syscall.
+    pub fn drained(&self) -> bool {
+        self.short_read && !self.mid_frame()
+    }
+
+    /// Returns the next frame, reading from `stream` only when the buffer
+    /// holds no complete one. Returns after the **first** complete frame
+    /// (call again for pipelined frames), after a `read` that left a frame
+    /// incomplete and returned fewer bytes than offered (the socket is empty:
+    /// no `EAGAIN` probe follows), on `WouldBlock`, or at EOF.
+    pub fn poll_read<R: Read>(&mut self, stream: &mut R) -> Result<ReadEvent, FrameError> {
+        let mut may_read = true;
+        loop {
+            let pending = self.filled - self.start;
+            // Bytes the frame at `start` spans, prefix included; 4 until the
+            // prefix is in.
+            let need = match &self.buf {
+                Some(buf) if pending >= 4 => {
+                    let mut prefix = [0u8; 4];
+                    prefix.copy_from_slice(&buf[self.start..self.start + 4]);
+                    let len = u32::from_le_bytes(prefix) as usize;
+                    if len > self.max_frame {
+                        return Err(FrameError::Proto(ProtoError::FrameTooLarge {
+                            declared: len,
+                            max: self.max_frame,
+                        }));
+                    }
+                    if pending >= 4 + len {
+                        let payload = self.start + 4..self.start + 4 + len;
+                        let decoded = decode(&buf[payload]);
+                        self.consume(4 + len);
+                        return Ok(ReadEvent::Frame(decoded?));
+                    }
+                    4 + len
+                }
+                _ => 4,
+            };
+            if !may_read {
+                return Ok(ReadEvent::NeedMore);
+            }
+            let pool = &self.pool;
+            let buf = self
+                .buf
+                .get_or_insert_with(|| pool.take_scratch_owned(READ_CHUNK));
+            if buf.len() - self.start < need {
+                // The frame does not fit where it starts: move it to the
+                // front, and grow past it so the read that completes it can
+                // come back short.
+                buf.copy_within(self.start..self.filled, 0);
+                self.filled = pending;
+                self.start = 0;
+                if buf.len() < need {
+                    buf.resize(need + READ_CHUNK, 0);
+                }
+            }
+            let offered = buf.len() - self.filled;
+            match stream.read(&mut buf[self.filled..]) {
+                Ok(0) => {
+                    self.short_read = true;
+                    if pending == 0 {
+                        self.consume(0);
+                        return Ok(ReadEvent::Closed);
+                    }
+                    return Err(FrameError::TruncatedFrame {
+                        got: pending,
+                        expected: need,
+                    });
+                }
+                Ok(n) => {
+                    self.filled += n;
+                    self.short_read = n < offered;
+                    may_read = !self.short_read;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.short_read = true;
+                    self.consume(0);
+                    return Ok(ReadEvent::NeedMore);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
         }
     }
 
-    fn reset(&mut self) {
-        self.state = ReadState::Len {
-            buf: [0; 4],
-            filled: 0,
-        };
-    }
-
-    /// Reads as much as the socket will give without blocking. Returns after
-    /// the **first** complete frame (call again for pipelined frames), on
-    /// `WouldBlock`, or at EOF.
-    pub fn poll_read<R: Read>(&mut self, stream: &mut R) -> Result<ReadEvent, FrameError> {
-        loop {
-            match &mut self.state {
-                ReadState::Len { buf, filled } => {
-                    debug_assert!(*filled < 4);
-                    match stream.read(&mut buf[*filled..]) {
-                        Ok(0) => {
-                            return if *filled == 0 {
-                                Ok(ReadEvent::Closed)
-                            } else {
-                                Err(FrameError::TruncatedFrame {
-                                    got: *filled,
-                                    expected: 4,
-                                })
-                            };
-                        }
-                        Ok(n) => {
-                            *filled += n;
-                            if *filled == 4 {
-                                let len = u32::from_le_bytes(*buf) as usize;
-                                if len > self.max_frame {
-                                    return Err(FrameError::Proto(ProtoError::FrameTooLarge {
-                                        declared: len,
-                                        max: self.max_frame,
-                                    }));
-                                }
-                                self.state = ReadState::Payload {
-                                    buf: self.pool.take_owned(len),
-                                    filled: 0,
-                                };
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            return Ok(ReadEvent::NeedMore)
-                        }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(e) => return Err(FrameError::Io(e)),
-                    }
-                }
-                ReadState::Payload { buf, filled } => {
-                    if *filled == buf.len() {
-                        let message = decode(buf)?;
-                        self.reset();
-                        return Ok(ReadEvent::Frame(message));
-                    }
-                    match stream.read(&mut buf[*filled..]) {
-                        Ok(0) => {
-                            return Err(FrameError::TruncatedFrame {
-                                got: 4 + *filled,
-                                expected: 4 + buf.len(),
-                            })
-                        }
-                        Ok(n) => *filled += n,
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            return Ok(ReadEvent::NeedMore)
-                        }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(e) => return Err(FrameError::Io(e)),
-                    }
-                }
-            }
+    /// Marks `n` buffered bytes as returned, and gives the buffer back to the
+    /// pool once none are left.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.filled {
+            self.buf = None;
+            self.start = 0;
+            self.filled = 0;
         }
     }
 }
@@ -259,10 +318,7 @@ impl FrameWriter {
     /// outbound queue. Call [`FrameWriter::poll_write`] to drain.
     pub fn enqueue(&mut self, message: &Message) {
         let mut buf = self.pool.take_empty_owned();
-        buf.extend_from_slice(&[0u8; 4]);
-        encode_into(message, &mut *buf);
-        let len = (buf.len() - 4) as u32;
-        buf[..4].copy_from_slice(&len.to_le_bytes());
+        encode_frame_into(message, &mut buf);
         self.queue.push_back(Segment::Pooled(buf));
     }
 
@@ -412,6 +468,140 @@ mod tests {
                 ReadEvent::Closed => return out,
             }
         }
+    }
+
+    /// A checkout reply larger than the reader's first `read` chunk, so
+    /// reading it takes the grow (and, behind another frame, compact) path.
+    fn big_checkout(params: usize) -> Message {
+        Message::CheckoutResponse(CheckoutResponse {
+            iteration: 77,
+            params: (0..params).map(|i| i as f64 * 0.5).collect(),
+            stopped: false,
+            round: None,
+        })
+    }
+
+    /// A nonblocking socket as the reader sees it: every `read` returns as
+    /// many of the bytes that have arrived as fit, `WouldBlock` when none
+    /// have, and is counted.
+    struct Counting {
+        bytes: Vec<u8>,
+        pos: usize,
+        reads: usize,
+    }
+
+    impl Counting {
+        fn new(bytes: Vec<u8>) -> Self {
+            Counting {
+                bytes,
+                pos: 0,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Counting {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            if self.pos == self.bytes.len() {
+                return Err(std::io::Error::new(ErrorKind::WouldBlock, "empty"));
+            }
+            let n = buf.len().min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    fn expect_frame(reader: &mut FrameReader, stream: &mut Counting) -> Message {
+        match reader.poll_read(stream) {
+            Ok(ReadEvent::Frame(message)) => message,
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_whole_frame_costs_one_read_and_no_eagain_probe() {
+        let messages = sample_messages();
+        for message in &messages {
+            let mut stream = Counting::new(encode_frames(std::slice::from_ref(message)));
+            let mut reader = FrameReader::new(pool(), DEFAULT_MAX_FRAME);
+            assert!(!reader.drained(), "nothing has been read yet");
+            assert_eq!(&expect_frame(&mut reader, &mut stream), message);
+            assert_eq!(stream.reads, 1);
+            assert!(reader.drained(), "a short read leaves the reader drained");
+        }
+    }
+
+    #[test]
+    fn a_frame_buffered_behind_another_costs_no_read() {
+        let messages = sample_messages();
+        let mut stream = Counting::new(encode_frames(&messages[..2]));
+        let mut reader = FrameReader::new(pool(), DEFAULT_MAX_FRAME);
+        assert_eq!(expect_frame(&mut reader, &mut stream), messages[0]);
+        assert!(reader.mid_frame() && !reader.drained());
+        assert_eq!(expect_frame(&mut reader, &mut stream), messages[1]);
+        assert_eq!(stream.reads, 1);
+        assert!(reader.drained());
+    }
+
+    #[test]
+    fn a_40_kb_frame_costs_at_most_two_reads() {
+        let message = big_checkout(5000);
+        let bytes = encode_frames(std::slice::from_ref(&message));
+        assert!(bytes.len() > 40_000);
+        let mut stream = Counting::new(bytes);
+        let mut reader = FrameReader::new(pool(), DEFAULT_MAX_FRAME);
+        assert_eq!(expect_frame(&mut reader, &mut stream), message);
+        assert!(stream.reads <= 2, "{} reads", stream.reads);
+        // The grown buffer offered more than the frame's rest.
+        assert!(reader.drained());
+    }
+
+    #[test]
+    fn oversized_prefix_is_refused_before_a_len_sized_allocation() {
+        let pool = pool();
+        let max_frame = 1 << 20;
+        let mut bytes = ((max_frame + 1) as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0xAB; 64]);
+        let mut stream = Counting::new(bytes);
+        let mut reader = FrameReader::new(Arc::clone(&pool), max_frame);
+        match reader.poll_read(&mut stream) {
+            Err(FrameError::Proto(ProtoError::FrameTooLarge { declared, max })) => {
+                assert_eq!((declared, max), (max_frame + 1, max_frame));
+            }
+            other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+        assert_eq!(stream.reads, 1);
+        drop(reader);
+        assert_eq!(pool.idle_buffers(), 1);
+        assert!(pool.take_empty().capacity() < max_frame);
+    }
+
+    #[test]
+    fn the_read_buffer_returns_to_the_pool_once_consumed() {
+        let pool = pool();
+        let message = sample_messages().remove(1);
+        let bytes = encode_frames(std::slice::from_ref(&message));
+        let half = bytes.len() / 2;
+        let mut stream = Counting::new(bytes[..half].to_vec());
+        let mut reader = FrameReader::new(Arc::clone(&pool), DEFAULT_MAX_FRAME);
+        assert!(matches!(
+            reader.poll_read(&mut stream),
+            Ok(ReadEvent::NeedMore)
+        ));
+        // Mid-frame, the reader holds the buffer.
+        assert_eq!(pool.idle_buffers(), 0);
+        assert!(reader.mid_frame());
+        stream.bytes.extend_from_slice(&bytes[half..]);
+        assert_eq!(expect_frame(&mut reader, &mut stream), message);
+        assert_eq!(pool.idle_buffers(), 1);
+        // A wake-up that finds nothing takes the buffer and gives it back.
+        assert!(matches!(
+            reader.poll_read(&mut stream),
+            Ok(ReadEvent::NeedMore)
+        ));
+        assert_eq!(pool.idle_buffers(), 1);
     }
 
     #[test]
@@ -615,6 +805,7 @@ mod tests {
             let mut messages = Vec::new();
             for _ in 0..reps {
                 messages.extend(sample_messages());
+                messages.push(big_checkout(1000));
             }
             let bytes = encode_frames(&messages);
             let mut stream = Fragmented::new(bytes, chunk_sizes);

@@ -28,6 +28,15 @@
 //! client that never reads its replies is eventually stopped by TCP flow
 //! control rather than unbounded buffering.
 //!
+//! After a reply the connection reads on only if its reader holds buffered
+//! bytes or its last `read` filled the whole buffer it was offered. Otherwise
+//! ([`FrameReader::drained`](crate::frame::FrameReader::drained)) the socket
+//! was empty at that read, and the reactor re-arms read interest instead of
+//! paying a syscall to see `EAGAIN`: the poller is level-triggered, so a
+//! request that arrived in the meantime fires it at once. This holds for the
+//! reply written in the same drive, for one a [`Completer`] posted and for a
+//! parked request's retry; a drive woken by the poller always reads.
+//!
 //! ## Backpressure by read throttling
 //!
 //! When the service reports [`Response::Throttle`] (ingest queue full), the
@@ -630,7 +639,7 @@ impl Shard {
                 if event.key == LISTENER_KEY {
                     self.accept_burst();
                 } else {
-                    self.drive(event.key - 1);
+                    self.drive(event.key - 1, true);
                 }
             }
             self.retry_parked();
@@ -776,7 +785,7 @@ impl Shard {
                 conn.writer.enqueue(&reply);
                 conn.mode = Mode::Idle;
             }
-            self.drive(done.conn);
+            self.drive(done.conn, false);
         }
     }
 
@@ -806,7 +815,7 @@ impl Shard {
             };
             self.unpark(idx);
             self.apply_response(idx, response, deferred);
-            self.drive(idx);
+            self.drive(idx, false);
         }
     }
 
@@ -860,15 +869,18 @@ impl Shard {
 
     /// Pumps one connection: flush queued replies, then (if idle) read and
     /// handle requests, then arm the poller for whatever it still waits on.
-    fn drive(&mut self, idx: usize) {
-        let outcome = self.drive_inner(idx);
+    /// `woken` is whether the poller reported the connection ready; only then
+    /// is a read certain to be worth its syscall.
+    fn drive(&mut self, idx: usize, woken: bool) {
+        let outcome = self.drive_inner(idx, woken);
         match outcome {
             DriveOutcome::Keep => self.account_unflushed(idx),
             DriveOutcome::Close => self.close(idx),
         }
     }
 
-    fn drive_inner(&mut self, idx: usize) -> DriveOutcome {
+    fn drive_inner(&mut self, idx: usize, woken: bool) -> DriveOutcome {
+        let mut must_read = woken;
         loop {
             // Phase 1: drain the write queue.
             {
@@ -897,6 +909,15 @@ impl Shard {
                     // Awaiting or parked: stay disarmed until completion.
                     return DriveOutcome::Keep;
                 }
+                if !must_read && conn.reader.drained() {
+                    // The last read found the socket empty and nothing is
+                    // buffered, so a read now would only return EAGAIN. The
+                    // poller is level-triggered: bytes that arrived since
+                    // fire the re-armed interest at once.
+                    let _ = self.poller.modify(&conn.stream, Event::readable(idx + 1));
+                    return DriveOutcome::Keep;
+                }
+                must_read = false;
                 match conn.reader.poll_read(&mut conn.stream) {
                     Ok(ReadEvent::Frame(message)) => {
                         if conn.mid_frame {
@@ -1259,16 +1280,7 @@ mod tests {
 
     #[test]
     fn generation_guard_discards_deferred_replies_for_closed_connections() {
-        let stash: Arc<Mutex<Vec<(Completer, Message)>>> = Arc::new(Mutex::new(Vec::new()));
-        let held = Arc::clone(&stash);
-        let service: Arc<dyn Service> = Arc::new(move |message: Message, ctx: &Ctx<'_>| {
-            if message == ping(7) {
-                held.lock().unwrap().push((ctx.completer(), message));
-                Response::Deferred
-            } else {
-                Response::Now(message)
-            }
-        });
+        let (service, stash) = defer_ping_7();
         let reactor = start(service, 1);
         let addr = reactor.local_addr();
         let mut doomed = TcpStream::connect(addr).unwrap();
@@ -1291,6 +1303,78 @@ mod tests {
             assert_eq!(read_message(&mut fresh).unwrap(), ping(i));
         }
         assert!(reactor.drain(2000));
+        reactor.stop();
+    }
+
+    /// Deferred requests, each with the completer that answers it.
+    type Held = Arc<Mutex<Vec<(Completer, Message)>>>;
+
+    /// A service that defers `ping(7)` — its completer goes to the returned
+    /// stash — and echoes everything else at once.
+    fn defer_ping_7() -> (Arc<dyn Service>, Held) {
+        let stash: Held = Arc::new(Mutex::new(Vec::new()));
+        let held = Arc::clone(&stash);
+        let service: Arc<dyn Service> = Arc::new(move |message: Message, ctx: &Ctx<'_>| {
+            if message == ping(7) {
+                held.lock().unwrap().push((ctx.completer(), message));
+                Response::Deferred
+            } else {
+                Response::Now(message)
+            }
+        });
+        (service, stash)
+    }
+
+    #[test]
+    fn a_request_sent_while_the_reply_is_deferred_is_read_after_completion() {
+        // The deferred request's read left the reader drained, so the
+        // completion re-arms read interest instead of reading: the request
+        // already waiting in the socket must still fire the poller.
+        let (service, stash) = defer_ping_7();
+        let reactor = start(service, 1);
+        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_message(&mut stream, &ping(7)).unwrap();
+        eventually("the request to be deferred", || {
+            reactor.stats().inflight == 1
+        });
+        write_message(&mut stream, &ping(8)).unwrap();
+        thread::sleep(Duration::from_millis(20));
+        let (completer, message) = stash.lock().unwrap().pop().unwrap();
+        completer.complete(message);
+        assert_eq!(read_message(&mut stream).unwrap(), ping(7));
+        assert_eq!(read_message(&mut stream).unwrap(), ping(8));
+        assert!(reactor.drain(2000));
+        reactor.stop();
+    }
+
+    #[test]
+    fn a_peer_that_closes_while_its_reply_is_deferred_is_closed_afterwards() {
+        let (service, stash) = defer_ping_7();
+        let reactor = start(service, 1);
+        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_message(&mut stream, &ping(7)).unwrap();
+        eventually("the request to be deferred", || {
+            reactor.stats().inflight == 1
+        });
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        thread::sleep(Duration::from_millis(20));
+        let (completer, message) = stash.lock().unwrap().pop().unwrap();
+        completer.complete(message);
+        // The reply still goes out; the EOF behind it is seen next, through
+        // the re-armed read interest, and closes the connection.
+        assert_eq!(read_message(&mut stream).unwrap(), ping(7));
+        let mut probe = [0u8; 1];
+        assert_eq!(std::io::Read::read(&mut stream, &mut probe).unwrap(), 0);
+        eventually("the closed peer to be released", || {
+            let stats = reactor.stats();
+            stats.active == 0 && stats.inflight == 0
+        });
         reactor.stop();
     }
 

@@ -3,23 +3,34 @@
 //! A counting global allocator wraps the system allocator; every registry
 //! operation a request touches (counter incr, gauge move, histogram observe,
 //! tick start/stop, span record) runs under the counter and must leave it
-//! unchanged. Snapshots and dumps are explicitly *allowed* to allocate —
-//! they run off the request path — and the test pins that asymmetry.
+//! unchanged. The count is per thread, so what the test harness or a
+//! concurrently running test allocates on other threads is not charged to
+//! the measured window. Snapshots and dumps are explicitly *allowed* to
+//! allocate — they run off the request path — and the test pins that
+//! asymmetry.
 //!
 //! Lives in an integration test because the library itself is
 //! `#![forbid(unsafe_code)]`; the `GlobalAlloc` impl needs `unsafe`.
 
 use crowd_telemetry::{Clock, CounterId, GaugeId, HistogramId, Registry, Stage};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread; a `const` initializer, so reading
+    /// it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,9 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 #[test]
