@@ -14,10 +14,10 @@
 //! * **Epoch-snapshotted parameters** ([`runtime::ParamSnapshot`]) — checkouts
 //!   clone an `Arc` published at the last update; the read path never waits on
 //!   gradient application.
-//! * **Bounded ingest with backpressure** ([`queue::BoundedQueue`]) — a full
-//!   queue rejects with [`AggError::Busy`] and a retry hint instead of growing
-//!   an unbounded thread pileup; a small worker pool drains the queue into the
-//!   accumulator and applies merged epochs.
+//! * **Flat combining over one core lock** — the submitting threads run the
+//!   checkins, the lock's holder those that found it taken; a full combining
+//!   queue rejects with [`AggError::Busy`] and a retry hint. A durable
+//!   runtime adds one thread, `crowd-agg`, that group-commits the WAL.
 //!
 //! All knobs live on `crowd_core::config::ServerConfig::agg`
 //! ([`crowd_core::config::AggSettings`]). With the default `epoch_size = 1`
@@ -27,12 +27,11 @@
 #![forbid(unsafe_code)]
 
 mod dedup;
-pub mod queue;
+mod queue;
 mod reply;
 pub mod runtime;
 mod shard;
 
-pub use queue::BoundedQueue;
 pub use reply::OutcomeSink;
 pub use runtime::{AggRuntime, CompletionHandle, ParamSnapshot, SubmitRejection, Submitted};
 

@@ -1,30 +1,19 @@
-//! A bounded MPMC ingest queue with explicit backpressure.
+//! The bounded job queue that flat combining drains.
 //!
-//! The queue never blocks producers: a push against a full queue fails
-//! immediately so the caller can reply "server busy, retry later" instead of
-//! letting handler threads pile up behind an unbounded buffer. Consumers block
-//! with a timeout so they can flush partially filled epochs when traffic goes
-//! idle, and a closed queue keeps draining its remaining items before reporting
-//! closure — nothing that was admitted is ever dropped.
+//! A submitter that finds the core lock taken leaves its job here, and
+//! whichever thread holds the lock runs it. The queue never blocks: a push
+//! against a full queue fails immediately so the caller can park the request
+//! (or reply "server busy, retry later") instead of letting work pile up
+//! without bound, and a pop on an empty queue returns at once. A closed queue
+//! refuses pushes but still hands out what it holds — nothing that was
+//! admitted is ever dropped.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
-
-/// Result of a [`BoundedQueue::pop_timeout`] call.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Pop<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The queue stayed empty for the whole timeout (and is still open).
-    TimedOut,
-    /// The queue is closed and fully drained.
-    Closed,
-}
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// The queue is at capacity; the item is handed back to the caller.
     Full(T),
     /// The queue was closed; the item is handed back to the caller.
@@ -36,24 +25,22 @@ struct State<T> {
     closed: bool,
 }
 
-/// A fixed-capacity queue shared between connection handlers (producers) and
-/// aggregation workers (consumers).
-pub struct BoundedQueue<T> {
+/// A fixed-capacity FIFO shared between submitters (producers) and the
+/// holders of the core lock (consumers).
+pub(crate) struct BoundedQueue<T> {
     // audit:lock(agg.ingest-queue, 70)
     state: Mutex<State<T>>,
-    available: Condvar,
     capacity: usize,
 }
 
 impl<T> BoundedQueue<T> {
     /// Creates a queue admitting at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         BoundedQueue {
             state: Mutex::new(State {
                 items: VecDeque::new(),
                 closed: false,
             }),
-            available: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
@@ -63,16 +50,21 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Attempts to enqueue without blocking.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    #[cfg(test)]
+    fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         self.try_push_with(item, |item| item)
     }
 
-    /// Like [`BoundedQueue::try_push`], but the item is built from `seed`
-    /// only once the queue is known to admit it; a refusal hands `seed` back
-    /// untouched. For items that carry something which must not be created
-    /// and then thrown away (a one-shot reply handle, say). `make` runs under
-    /// the queue's lock, so it must be quick and must not touch the queue.
-    pub fn try_push_with<A>(&self, seed: A, make: impl FnOnce(A) -> T) -> Result<(), PushError<A>> {
+    /// Like `try_push`, but the item is built from `seed` only once the
+    /// queue is known to admit it; a refusal hands `seed` back untouched. For
+    /// items that carry something which must not be created and then thrown
+    /// away (a one-shot reply handle, say). `make` runs under the queue's
+    /// lock, so it must be quick and must not touch the queue.
+    pub(crate) fn try_push_with<A>(
+        &self,
+        seed: A,
+        make: impl FnOnce(A) -> T,
+    ) -> Result<(), PushError<A>> {
         let mut state = self.lock();
         if state.closed {
             return Err(PushError::Closed(seed));
@@ -81,64 +73,40 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full(seed));
         }
         state.items.push_back(make(seed));
-        drop(state);
-        self.available.notify_one();
         Ok(())
     }
 
-    /// Dequeues the next item, waiting up to `timeout` for one to arrive.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
-        let mut state = self.lock();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Pop::Item(item);
-            }
-            if state.closed {
-                return Pop::Closed;
-            }
-            let (next, result) = self
-                .available
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = next;
-            if result.timed_out() && state.items.is_empty() && !state.closed {
-                return Pop::TimedOut;
-            }
-        }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
+    /// Dequeues the oldest item, if any.
+    pub(crate) fn pop(&self) -> Option<T> {
+        self.lock().items.pop_front()
     }
 
     /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lock().items.is_empty()
     }
 
-    /// Closes the queue: future pushes fail, consumers drain the remaining
-    /// items and then observe [`Pop::Closed`].
-    pub fn close(&self) {
+    /// Closes the queue: future pushes fail; what is queued can still be
+    /// popped.
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
-        self.available.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn push_pop_fifo() {
         let q = BoundedQueue::new(4);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Item(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Item(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::TimedOut);
+        assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -161,7 +129,7 @@ mod tests {
         q.close();
         let refused = q.try_push_with(40, |_| -> i32 { panic!("built for a closed queue") });
         assert_eq!(refused, Err(PushError::Closed(40)));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Item(21));
+        assert_eq!(q.pop(), Some(21));
     }
 
     #[test]
@@ -170,27 +138,7 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Item(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Closed);
-    }
-
-    #[test]
-    fn blocked_consumer_wakes_on_push() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let consumer_q = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || consumer_q.pop_timeout(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(5));
-        q.try_push(7).unwrap();
-        assert_eq!(consumer.join().unwrap(), Pop::Item(7));
-    }
-
-    #[test]
-    fn blocked_consumer_wakes_on_close() {
-        let q = Arc::new(BoundedQueue::<u32>::new(4));
-        let consumer_q = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || consumer_q.pop_timeout(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(5));
-        q.close();
-        assert_eq!(consumer.join().unwrap(), Pop::Closed);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 }

@@ -1,10 +1,10 @@
 //! Where a checkin's outcome goes once its epoch is settled.
 //!
 //! Every waiting caller hands the runtime an [`OutcomeSink`], and the thread
-//! that settles the checkin — the worker (or submitter) that applied its
-//! epoch on a volatile runtime, the committer after `sync_data` on a durable
-//! one — runs it. A caller blocked in [`crate::AggRuntime::checkin`] (or
-//! holding a [`crate::CompletionHandle`]) is one whose sink sends down a
+//! that settles the checkin — on a volatile runtime whichever holder of the
+//! core lock applied its epoch, on a durable one `crowd-agg` after
+//! `sync_data` — runs it. A caller blocked in [`crate::AggRuntime::checkin`]
+//! (or holding a [`crate::CompletionHandle`]) is one whose sink sends down a
 //! channel.
 
 use crate::{AggError, Result};
@@ -16,9 +16,9 @@ use crowd_core::server::CheckinReceipt;
 /// when the runtime drops the checkin unanswered (a kill, a halted durable
 /// runtime) — the same thing a [`crate::CompletionHandle`] reports then. A
 /// queued round submission's sink may also get the error that refused it
-/// (say, [`AggError::RoundOutdated`]). It
-/// may run while that thread holds aggregation locks, so it must be quick
-/// and must not call back into the runtime.
+/// (say, [`AggError::RoundOutdated`]). It may run while that thread holds
+/// aggregation locks — a holder of the core lock runs other threads' jobs —
+/// so it must be quick and must not call back into the runtime.
 pub type OutcomeSink = Box<dyn FnOnce(Result<CheckinReceipt>) + Send + 'static>;
 
 /// One checkin's way back to whoever submitted it: a sink, or nobody.

@@ -1,5 +1,5 @@
-//! The aggregation runtime: lock-free-read checkouts, batched checkin ingest,
-//! and a worker pool that applies merged epochs to the core server.
+//! The aggregation runtime: lock-free-read checkouts, and checkins run by
+//! whichever thread holds the core lock (flat combining).
 //!
 //! Request flow:
 //!
@@ -8,66 +8,53 @@
 //!
 //! checkin   ──►  admit (validate, dedup, ε budget)
 //!                  │
-//!                  ├─ submit_to, volatile, core lock free ──► the submitter ─┐
-//!                  │                                                        │
-//!                  └─ otherwise ──► BoundedQueue ──► a worker ──────────────┤
-//!                                                                           ▼
-//!                         epoch_size = 1: apply ◄──────────── epoch accumulator
+//!                  ├─ core lock free ──► the submitter runs it ────────────────┐
+//!                  │                                                          │
+//!                  └─ taken ──► BoundedQueue ──► the lock's holder runs it ───┤
+//!                                                                             ▼
+//!                         epoch_size = 1: apply ◄────────────── epoch accumulator
 //!                                          │   (epoch full, traffic idle, shutdown)
 //!                                          ▼
 //!                        Mutex<Server> ── apply_aggregate ── swap snapshot ── reply
+//!                                   (durable: stage; crowd-agg commits, then swaps and replies)
 //!
 //! round     ──►  validate, ε budget ──► (same two routes) ──► Server::round_submit
 //!                                        ──► finalize when the cohort is complete
 //! ```
 //!
-//! The only global exclusion is the epoch application itself (one projected SGD
-//! step per epoch). A full queue rejects with [`AggError::Busy`] carrying a
-//! retry hint instead of letting connection handlers pile up.
+//! Flat combining (Hendler, Incze, Shavit and Taubenfeld, SPAA 2010): every
+//! acquisition of the core lock goes through `CoreGuard`. A submitter that
+//! wins `try_lock` runs its own job; one that loses queues it and tries once
+//! more. A holder drains the queue as soon as it has the lock (before its own
+//! job, so a thread's jobs run in submission order) and again before it lets
+//! go, then looks once more after letting go, so no queued job is stranded.
+//! A full queue rejects with [`AggError::Busy`]. The submit path only ever
+//! *tries* the lock; the blocking entry points and `crowd-agg` wait for it.
 //!
-//! Who runs a checkin. [`AggRuntime::submit`] (and `checkin`) only ever
-//! *admits*: the job goes to the queue, a worker runs it, and the blocked
-//! caller is answered through a sink that sends down a channel.
-//! [`AggRuntime::submit_to`], the entry point for callers that must not block,
-//! lets the submitting thread run the job itself when nothing can make it wait
-//! — the runtime is volatile (a durable unit of work ends in a commit that may
-//! `fsync`), shutdown has not begun, and the core lock is free *right now*
-//! (`try_lock`; it is never waited for). The submitter then runs exactly what a
-//! worker would run, under the guard it just took: with `epoch_size = 1` the
-//! apply, whose outcome it gets back by value; otherwise the accumulator
-//! ingest, and the merge if that filled the epoch. When the lock is taken the
-//! job is queued as above. [`AggRuntime::submit_round_to`] gives a masked round
-//! submission the same two routes; its job is the core server's `round_submit`
-//! (and the finalization it may trigger) instead of an epoch.
-//!
-//! Who fires the reply. A queued or ingested checkin carries an
-//! [`OutcomeSink`], and the thread that settles the checkin runs it: on a
-//! volatile runtime whichever worker or submitter applied the epoch, on a
-//! durable one the committer, after `sync_data`. A queued round submission's
-//! sink runs on the worker that ran it, after the commit that covers its WAL
-//! frame. A checkin the runtime drops unanswered (a kill, a halt) runs its sink
-//! with [`AggError::ShuttingDown`].
+//! Who fires the reply. A submitter that ran its own per-checkin epoch on a
+//! volatile runtime gets the outcome back by value ([`Submitted::Applied`]);
+//! any other checkin carries an [`OutcomeSink`], run by whoever applied its
+//! epoch, or on a durable runtime by `crowd-agg` after the commit. A checkin
+//! the runtime drops unanswered (a kill, a halt) runs its sink with
+//! [`AggError::ShuttingDown`].
 //!
 //! A durable runtime (one given a `Store`) group-commits its write-ahead log:
 //!
 //! ```text
-//! stage ─► apply ─► park ack        under the core lock: memory only
-//!            commit ─► publish ─► ack    outside it: one write + fsync per group
+//! stage ─► apply ─► park ack            the lock's holder: memory only
+//!            commit ─► publish ─► ack    crowd-agg: one write + fsync per group
 //! ```
 //!
-//! Under the core lock a worker only *stages* — it encodes the epoch's WAL
-//! frame into an in-memory batch, applies the epoch, and parks the ack. After
-//! releasing the core lock, whichever worker finds something staged and nobody
-//! committing becomes the committer: it swaps the batch out and makes it
-//! durable with one write and one `fsync`, then publishes the batch's newest
-//! parameter snapshot, records the dedup outcomes and sends the acks. The
-//! other workers keep staging meanwhile, so a group is as large as the load
-//! made it — one frame with one device, tens with sixty-four — with nothing to
-//! tune. What survives a crash is a prefix of the applied epochs that contains
+//! The submitters keep staging while `crowd-agg` commits, so a group is as
+//! large as the load made it, with nothing to tune, and no submitting thread
+//! waits for an `fsync`. `crowd-agg` also takes the periodic checkpoints and,
+//! with `epoch_size > 1`, flushes a partial epoch once ingest goes idle; a
+//! runtime with neither a store nor an idle flush has no thread of its own.
+//! What survives a crash is a prefix of the applied epochs that contains
 //! every acknowledged one; a failed commit halts the runtime (see `halt`).
 
 use crate::dedup::{Admission, DedupTable};
-use crate::queue::{BoundedQueue, Pop, PushError};
+use crate::queue::{BoundedQueue, PushError};
 use crate::reply::{OutcomeSink, Reply};
 use crate::shard::{EpochAccumulator, Waiter};
 use crate::{AggError, Result};
@@ -81,11 +68,12 @@ use crowd_learning::model::Model;
 use crowd_linalg::Vector;
 use crowd_store::{Store, WalStage};
 use crowd_telemetry::{CounterId, GaugeId, HistogramId, MetricsSnapshot, Registry, Stage, Tick};
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 /// An immutable view of the global parameters at some server iteration.
@@ -108,7 +96,7 @@ pub struct ParamSnapshot {
 /// are far more history than any retry needs.
 const DEDUP_CAPACITY: usize = 8192;
 
-/// One unit of work on the ingest queue.
+/// One job on the combining queue.
 enum Task {
     Checkin(Job),
     Round(RoundJob),
@@ -122,7 +110,7 @@ struct Job {
     submitted: Tick,
 }
 
-/// A masked round submission a worker runs (see [`apply_round`]).
+/// A masked round submission (see [`run_round`]).
 struct RoundJob {
     round_id: u64,
     submission: PendingSubmission,
@@ -130,25 +118,13 @@ struct RoundJob {
 }
 
 struct Inner<M: Model> {
-    /// The shutdown gate of [`AggRuntime::submit_to`]'s run-to-completion
-    /// route, holding "closed". A submitter running its own job holds a read
-    /// guard from before it takes the core lock until its last reply is out;
-    /// `finish` closes the gate under the write guard, so once that returns no
-    /// submitter is anywhere between admission and an answer, and none will be.
-    /// Only ever *tried* by submitters: one that finds `finish` waiting takes
-    /// the queue route, and is refused there if it comes too late.
-    // audit:lock(agg.gate, 8)
-    gate: RwLock<bool>,
     // audit:lock(agg.core, 10)
     core: Mutex<Server<M>>,
     accumulator: EpochAccumulator,
     // audit:lock(agg.snapshot, 50)
     snapshot: RwLock<Arc<ParamSnapshot>>,
+    /// Jobs whose submitter found the core lock taken, for its holder to run.
     queue: BoundedQueue<Task>,
-    /// Checkins on the accumulator but not yet merged into an epoch.
-    /// Signed: a merge may drain a payload just before the ingesting worker's
-    /// increment lands, dipping the counter below zero for an instant.
-    pending: AtomicI64,
     settings: AggSettings,
     param_dim: usize,
     num_classes: usize,
@@ -177,17 +153,120 @@ struct Inner<M: Model> {
     /// being applied (and ε-charged) twice.
     // audit:lock(agg.dedup, 60)
     dedup: Mutex<DedupTable>,
+    /// Set once, by `finish`. Read under the core lock: once `finish` has held
+    /// it, a submitter that gets it refuses its own job.
+    closed: AtomicBool,
     /// Set by [`AggRuntime::kill`] and by a failed WAL commit: nothing more is
     /// committed or acknowledged, and the final flush and the shutdown
     /// checkpoint are skipped, leaving the disk exactly as a SIGKILL would.
     crashed: AtomicBool,
+    /// `crowd-agg`, if any: unparked when a durable core lock is released.
+    agg_thread: OnceLock<Thread>,
+}
+
+impl<M: Model> Inner<M> {
+    fn refusing(&self) -> bool {
+        self.closed.load(Ordering::SeqCst) || self.crashed.load(Ordering::SeqCst)
+    }
+
+    fn idle_flush(&self) -> Option<Duration> {
+        (self.settings.epoch_size > 1 && self.settings.flush_idle_ms > 0)
+            .then(|| Duration::from_millis(u64::from(self.settings.flush_idle_ms)))
+    }
+
+    fn wake_agg(&self) {
+        if let Some(thread) = self.agg_thread.get() {
+            thread.unpark();
+        }
+    }
+}
+
+/// The one way to hold `agg.core`: acquiring it drains the queue, and so
+/// does releasing it, before and after the unlock (see the module docs).
+struct CoreGuard<'a, M: Model> {
+    // Field order is the release protocol: `drop` drains, `server` unlocks,
+    // then `recheck` runs.
+    server: MutexGuard<'a, Server<M>>,
+    recheck: Recheck<'a, M>,
+}
+
+impl<'a, M: Model> CoreGuard<'a, M> {
+    fn lock(inner: &'a Inner<M>) -> Self {
+        Self::hold(inner, inner.core.lock())
+    }
+
+    fn try_lock(inner: &'a Inner<M>) -> Option<Self> {
+        Some(Self::hold(inner, inner.core.try_lock()?))
+    }
+
+    fn hold(inner: &'a Inner<M>, mut server: MutexGuard<'a, Server<M>>) -> Self {
+        drain(inner, &mut server);
+        CoreGuard {
+            server,
+            recheck: Recheck(inner),
+        }
+    }
+}
+
+impl<M: Model> Deref for CoreGuard<'_, M> {
+    type Target = Server<M>;
+
+    fn deref(&self) -> &Server<M> {
+        &self.server
+    }
+}
+
+impl<M: Model> DerefMut for CoreGuard<'_, M> {
+    fn deref_mut(&mut self) -> &mut Server<M> {
+        &mut self.server
+    }
+}
+
+impl<M: Model> Drop for CoreGuard<'_, M> {
+    fn drop(&mut self) {
+        drain(self.recheck.0, &mut self.server);
+    }
+}
+
+/// The tail of a [`CoreGuard`] release, once the lock is free: it runs a job
+/// pushed after the last drain by a submitter whose second try came early.
+struct Recheck<'a, M: Model>(&'a Inner<M>);
+
+impl<M: Model> Drop for Recheck<'_, M> {
+    fn drop(&mut self) {
+        let inner = self.0;
+        while !inner.queue.is_empty() {
+            let Some(mut server) = inner.core.try_lock() else {
+                break;
+            };
+            drain(inner, &mut server);
+        }
+        if inner.store.is_some() {
+            inner.wake_agg();
+        }
+    }
+}
+
+/// Runs every queued job, oldest first, under the held core lock.
+fn drain<M: Model>(inner: &Inner<M>, core: &mut Server<M>) {
+    while let Some(task) = inner.queue.pop() {
+        inner.metrics.gauge_add(GaugeId::QueueDepth, -1);
+        match task {
+            Task::Checkin(job) => {
+                run_checkin(inner, core, job);
+            }
+            Task::Round(job) => {
+                if let Some((answer, reply)) = run_round(inner, core, job) {
+                    reply.settle(answer);
+                }
+            }
+        }
+    }
 }
 
 /// The two halves of a durable runtime's write path. Lock order is
-/// `core → stage → wal_commit`. [`commit`] holds neither `core` nor (while it
-/// writes) `stage`, so the `fsync` behind `wal_commit` never stalls an apply;
-/// only a snapshot takes `wal_commit` under the other two — it must see the
-/// log quiescent.
+/// `core → stage → wal_commit`; only a checkpoint takes `wal_commit` under
+/// the other two, so the `fsync` behind it never stalls an apply.
 struct Durable {
     /// Applied-but-uncommitted work, appended to under the core lock.
     // audit:lock(agg.store, 30)
@@ -195,6 +274,8 @@ struct Durable {
     /// The WAL writer. Holding this lock is being *the* committer.
     // audit:lock(agg.wal_commit, 35)
     wal_commit: Mutex<Committer>,
+    /// `persist.snapshot_every_epochs` (0 = only at clean shutdown).
+    snapshot_every: u64,
 }
 
 #[derive(Default)]
@@ -236,15 +317,12 @@ struct Committer {
 struct Ack {
     reply: Reply,
     outcome: CheckinReceipt,
-    /// When the checkin was admitted (see [`Job::submitted`]).
-    submitted: Tick,
+    /// When the checkin was admitted (see [`Job::submitted`]); `None`, and
+    /// nonce 0, for a round submission, which the core server dedups.
+    submitted: Option<Tick>,
     device_id: u64,
     nonce: u64,
 }
-
-/// What a submitter running its own job holds: the shutdown gate's read
-/// guard, then the core guard.
-type InlineGuards<'a, M> = (RwLockReadGuard<'a, bool>, MutexGuard<'a, Server<M>>);
 
 /// How [`AggRuntime::submit_to`] (or [`AggRuntime::submit_round_to`]) took
 /// a checkin.
@@ -263,10 +341,10 @@ pub enum Submitted {
 /// [`AggRuntime::submit_round_to`]).
 #[derive(Debug)]
 pub enum SubmitRejection<T = CheckinPayload> {
-    /// Retryable backpressure — the ingest queue is full, or a duplicate of
-    /// this nonce is still in flight. The payload is returned so the caller
-    /// can park it (e.g. a reactor throttling the connection's reads) and
-    /// re-attempt admission later.
+    /// Retryable backpressure — the combining queue is full, or a duplicate
+    /// of this nonce is still in flight. The payload is returned so the
+    /// caller can park it (e.g. a reactor throttling the connection's reads)
+    /// and re-attempt admission later.
     Busy {
         /// The checkin, unchanged; resubmit it as-is.
         payload: T,
@@ -318,11 +396,18 @@ impl CompletionHandle {
     }
 }
 
+/// A sink that sends the outcome down `tx`, to a [`CompletionHandle`].
+fn channel_sink(tx: mpsc::Sender<Result<CheckinReceipt>>) -> OutcomeSink {
+    Box::new(move |outcome| {
+        let _ = tx.send(outcome);
+    })
+}
+
 /// The batched aggregation runtime wrapping a [`Server`].
 pub struct AggRuntime<M: Model + Send + 'static> {
     inner: Arc<Inner<M>>,
-    // audit:lock(agg.workers, 5)
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// `crowd-agg`, joined on drop.
+    agg: Option<JoinHandle<()>>,
 }
 
 impl<M: Model + Send + 'static> AggRuntime<M> {
@@ -367,6 +452,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             .collect();
         // The store shares the runtime's registry so WAL append bytes, fsync
         // latency, and snapshot durations land in the same scrape.
+        let snapshot_every = server.config().persist.snapshot_every_epochs;
         let store = store.map(|mut store| {
             store.set_metrics(Arc::clone(&metrics));
             Durable {
@@ -375,6 +461,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                     store,
                     batch: Batch::default(),
                 }),
+                snapshot_every,
             }
         });
         let round_info = server.round_info();
@@ -386,8 +473,6 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 stopped: ticket.stopped,
             })),
             queue: BoundedQueue::new(settings.queue_bound),
-            pending: AtomicI64::new(0),
-            gate: RwLock::new(false),
             core: Mutex::new(server),
             settings,
             param_dim,
@@ -397,26 +482,30 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             exhausted: RwLock::new(exhausted),
             rounds: RwLock::new(round_info),
             dedup: Mutex::new(DedupTable::new(DEDUP_CAPACITY)),
+            closed: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
+            agg_thread: OnceLock::new(),
         });
         // A recovered round may already be past its deadline (the crash could
         // land between the expiring apply and its finalization); settle it
         // before serving.
         {
-            let (mut core, mut stage) = lock_core(&inner);
+            let mut core = CoreGuard::lock(&inner);
+            let mut stage = lock_stage(&inner, &core);
             settle_due_rounds(&inner, &mut core, stage.as_deref_mut());
-            release(&inner, core, stage, true);
         }
-        let workers = (0..settings.worker_threads)
-            .map(|_| {
-                let worker_inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(worker_inner))
-            })
-            .collect();
-        Ok(AggRuntime {
-            inner,
-            workers: Mutex::new(workers),
-        })
+        let needs_agg = inner.store.is_some() || inner.idle_flush().is_some();
+        let agg = needs_agg.then(|| {
+            let agg_inner = Arc::clone(&inner);
+            let handle = std::thread::Builder::new()
+                .name("crowd-agg".into())
+                .spawn(move || agg_loop(&agg_inner))
+                // audit:allow(panic-freedom, startup only, as std::thread::spawn itself does)
+                .expect("failed to spawn the crowd-agg thread");
+            let _ = inner.agg_thread.set(handle.thread().clone());
+            handle
+        });
+        Ok(AggRuntime { inner, agg })
     }
 
     /// The runtime's settings.
@@ -439,44 +528,34 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         }
     }
 
-    /// Admits one checkin into the ingest queue.
+    /// Admits one checkin: [`AggRuntime::submit_to`] with a sink that sends
+    /// down the returned handle's channel.
     ///
     /// Fails fast with [`AggError::Invalid`] on malformed payloads and
-    /// [`AggError::Busy`] when the queue is full (backpressure: the caller
-    /// should retry after the indicated delay rather than block).
+    /// [`AggError::Busy`] when the combining queue is full (backpressure: the
+    /// caller should retry after the indicated delay rather than block).
     ///
     /// The merged aggregate is bitwise independent of device interleaving as
     /// long as each *individual device's* checkins accumulate in a fixed
-    /// order — guaranteed when devices await their acks before submitting
-    /// again (the protocol's behavior), or with one worker thread.
+    /// order — guaranteed when one thread submits each device's checkins.
     pub fn submit(&self, payload: CheckinPayload) -> Result<CompletionHandle> {
-        let admitted = self.admit(payload)?;
         let (tx, rx) = mpsc::channel();
-        match admitted {
-            Admitted::Replay(outcome) => {
-                let _ = tx.send(Ok(outcome));
-            }
-            Admitted::Fresh(payload) => {
-                let submitted = self.inner.metrics.start();
-                self.enqueue_checkin(payload, submitted, || {
-                    Reply::sink(Box::new(move |outcome| {
-                        let _ = tx.send(outcome);
-                    }))
-                })?;
-            }
+        let sink_tx = tx.clone();
+        if let Submitted::Applied(outcome) = self.submit_to(payload, || channel_sink(sink_tx))? {
+            let _ = tx.send(Ok(outcome));
         }
         Ok(CompletionHandle { rx })
     }
 
     /// The entry point for a caller that must not block — an event loop.
     ///
-    /// Admission is [`AggRuntime::submit`]'s. After it, when nothing can make
-    /// the caller wait (see the module docs), the checkin is run to completion
-    /// on the calling thread: [`Submitted::Applied`] carries the outcome and
-    /// `make_sink` is never called. Otherwise the checkin is queued — or, with
-    /// `epoch_size > 1`, folded into the open epoch — carrying the sink
-    /// `make_sink` builds, which the settling thread runs; that may be this
-    /// thread, before the call returns, if the checkin filled its epoch.
+    /// After admission (validation, duplicate detection, the ε budget), the
+    /// checkin runs on the calling thread when the core lock is free, and is
+    /// queued for the lock's holder otherwise (see the module docs).
+    /// [`Submitted::Applied`] carries the outcome of a replay, or of a
+    /// per-checkin epoch the caller ran on a volatile runtime, and
+    /// `make_sink` is never called. Otherwise the sink `make_sink` builds
+    /// gets the outcome, possibly before the call returns.
     ///
     /// On retryable backpressure the payload is handed back instead of
     /// dropped, and no sink has been built, so the caller can park the
@@ -494,52 +573,33 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         };
         let inner = &*self.inner;
         let submitted = inner.metrics.start();
-        match self.try_inline() {
-            Err(e) => {
-                abandon(inner, payload.device_id, payload.nonce);
-                return Err(SubmitRejection::Refused(e));
-            }
-            Ok(Some((_gate, core))) => {
-                inner.metrics.incr(CounterId::CheckinsInline);
-                if inner.settings.epoch_size == 1 {
-                    let job = Job {
-                        payload,
-                        reply: Reply::returned(),
-                        submitted,
-                    };
-                    return Ok(Submitted::Applied(apply_singleton(inner, core, job)));
-                }
-                let job = Job {
-                    payload,
-                    reply: Reply::sink(make_sink()),
-                    submitted,
-                };
-                ingest(inner, job, Some(core));
-                return Ok(Submitted::Pending);
-            }
-            Ok(None) => {}
-        }
-        self.enqueue_checkin(payload, submitted, || Reply::sink(make_sink()))?;
-        Ok(Submitted::Pending)
-    }
-
-    /// The run-to-completion route's way in (see the module docs): on a
-    /// volatile runtime, with the gate open and the core lock free right
-    /// now, the gate's read guard and the core guard — hold the first until
-    /// the job's last reply is out. `None` sends the job to the queue;
-    /// `Err` means shutdown has begun.
-    fn try_inline(&self) -> Result<Option<InlineGuards<'_, M>>> {
-        let inner = &*self.inner;
-        if inner.store.is_some() {
-            return Ok(None);
-        }
-        let Some(gate) = inner.gate.try_read() else {
-            return Ok(None);
+        let Some(mut core) = CoreGuard::try_lock(inner) else {
+            self.enqueue_checkin(payload, submitted, || Reply::sink(make_sink()))?;
+            // The holder may have looked for the last time before the push.
+            drop(CoreGuard::try_lock(inner));
+            return Ok(Submitted::Pending);
         };
-        if *gate {
-            return Err(AggError::ShuttingDown);
+        if inner.refusing() {
+            abandon(inner, payload.device_id, payload.nonce);
+            return Err(SubmitRejection::Refused(AggError::ShuttingDown));
         }
-        Ok(inner.core.try_lock().map(|core| (gate, core)))
+        inner.metrics.incr(CounterId::CheckinsInline);
+        // Only a volatile per-checkin epoch is settled when the job returns.
+        let by_value = inner.store.is_none() && inner.settings.epoch_size == 1;
+        let reply = if by_value {
+            Reply::returned()
+        } else {
+            Reply::sink(make_sink())
+        };
+        let job = Job {
+            payload,
+            reply,
+            submitted,
+        };
+        Ok(match run_checkin(inner, &mut core, job) {
+            Some(outcome) if by_value => Submitted::Applied(outcome),
+            _ => Submitted::Pending,
+        })
     }
 
     /// Validation, duplicate detection and the ε budget check, in that order.
@@ -586,8 +646,8 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         Ok(Admitted::Fresh(payload))
     }
 
-    /// Queues an admitted checkin for the workers, releasing its nonce if
-    /// the queue refuses it.
+    /// Queues an admitted checkin for the core lock's holder, releasing its
+    /// nonce if the queue refuses it.
     fn enqueue_checkin(
         &self,
         payload: CheckinPayload,
@@ -646,16 +706,18 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     }
 
     /// Submits one masked round contribution and blocks until it is
-    /// answered: the blocking form of [`AggRuntime::submit_round_to`], with
-    /// the same validation and answers, that waits for the core lock instead
-    /// of queueing.
+    /// answered: [`AggRuntime::submit_round_to`] with a sink that sends down
+    /// a channel.
     pub fn submit_round(
         &self,
         round_id: u64,
         submission: PendingSubmission,
     ) -> Result<CheckinReceipt> {
-        self.admit_round(&submission)?;
-        apply_round(&self.inner, self.inner.core.lock(), round_id, submission)
+        let (tx, rx) = mpsc::channel();
+        match self.submit_round_to(round_id, submission, || channel_sink(tx))? {
+            Submitted::Applied(outcome) => Ok(outcome),
+            Submitted::Pending => CompletionHandle { rx }.wait(),
+        }
     }
 
     /// Submits one masked round contribution without blocking — the round
@@ -668,13 +730,13 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     /// and ε-charged — when the round finalizes. If this submission completes
     /// the cohort, the round is finalized before it is answered.
     ///
-    /// Validation and the ε budget check come first. Then, when nothing can
-    /// make the caller wait, the submission runs on the calling thread and
-    /// [`Submitted::Applied`] carries its ack; otherwise it is queued with the
-    /// sink `make_sink` builds, and the worker that runs it fires the sink —
-    /// on a durable runtime only after the commit covering its WAL frame. A
-    /// closed round is refused with [`AggError::RoundOutdated`]. A full queue
-    /// hands the submission back, as [`SubmitRejection::Busy`].
+    /// Validation and the ε budget check come first; then the submission
+    /// takes a checkin's two routes. On a volatile runtime a submission the
+    /// caller ran is answered by [`Submitted::Applied`]; on a durable one the
+    /// answer always goes to the sink, after the commit covering the
+    /// submission's WAL frame. A closed round is refused with
+    /// [`AggError::RoundOutdated`]. A full queue hands the submission back,
+    /// as [`SubmitRejection::Busy`].
     pub fn submit_round_to(
         &self,
         round_id: u64,
@@ -684,20 +746,43 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         self.admit_round(&submission)
             .map_err(SubmitRejection::Refused)?;
         let inner = &*self.inner;
-        if let Some((_gate, core)) = self.try_inline().map_err(SubmitRejection::Refused)? {
-            return apply_round(inner, core, round_id, submission)
-                .map(Submitted::Applied)
-                .map_err(SubmitRejection::Refused);
+        let Some(mut core) = CoreGuard::try_lock(inner) else {
+            let device_id = submission.device_id;
+            self.enqueue(submission, device_id, |submission| {
+                Task::Round(RoundJob {
+                    round_id,
+                    submission,
+                    reply: Reply::sink(make_sink()),
+                })
+            })?;
+            // The holder may have looked for the last time before the push.
+            drop(CoreGuard::try_lock(inner));
+            return Ok(Submitted::Pending);
+        };
+        if inner.refusing() {
+            return Err(SubmitRejection::Refused(AggError::ShuttingDown));
         }
-        let device_id = submission.device_id;
-        self.enqueue(submission, device_id, |submission| {
-            Task::Round(RoundJob {
-                round_id,
-                submission,
-                reply: Reply::sink(make_sink()),
-            })
-        })?;
-        Ok(Submitted::Pending)
+        let by_value = inner.store.is_none();
+        let reply = if by_value {
+            Reply::returned()
+        } else {
+            Reply::sink(make_sink())
+        };
+        let job = RoundJob {
+            round_id,
+            submission,
+            reply,
+        };
+        match run_round(inner, &mut core, job) {
+            Some((answer, _)) if by_value => answer
+                .map(Submitted::Applied)
+                .map_err(SubmitRejection::Refused),
+            Some((answer, reply)) => {
+                reply.settle(answer);
+                Ok(Submitted::Pending)
+            }
+            None => Ok(Submitted::Pending),
+        }
     }
 
     /// A round submission's shape checks and ε budget check.
@@ -754,34 +839,39 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         Ok(())
     }
 
+    /// The core server, under the core lock.
+    fn core(&self) -> CoreGuard<'_, M> {
+        CoreGuard::lock(&self.inner)
+    }
+
     /// Server iteration (number of applied epochs).
     pub fn iteration(&self) -> u64 {
-        self.inner.core.lock().iteration()
+        self.core().iteration()
     }
 
     /// A copy of the current parameters.
     pub fn params(&self) -> Vector {
-        self.inner.core.lock().params().clone()
+        self.core().params().clone()
     }
 
     /// Whether the stopping criterion has been met.
     pub fn stopped(&self) -> bool {
-        self.inner.core.lock().stopped()
+        self.core().stopped()
     }
 
     /// Total samples reported across devices.
     pub fn total_samples(&self) -> u64 {
-        self.inner.core.lock().total_samples()
+        self.core().total_samples()
     }
 
     /// The privately estimated error rate, if any samples were reported.
     pub fn error_estimate(&self) -> Option<f64> {
-        self.inner.core.lock().error_estimate()
+        self.core().error_estimate()
     }
 
     /// Number of devices that have checked in at least once.
     pub fn active_devices(&self) -> usize {
-        self.inner.core.lock().active_devices()
+        self.core().active_devices()
     }
 
     /// `true` when the device has spent its entire privacy budget and the
@@ -792,7 +882,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
 
     /// The per-device ε ledger, ascending by device id.
     pub fn budget_ledger(&self) -> Vec<(u64, f64)> {
-        self.inner.core.lock().budget_ledger()
+        self.core().budget_ledger()
     }
 
     /// A point-in-time snapshot of the runtime's metrics (`epoch_merges`,
@@ -816,12 +906,12 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     /// this before reading the ledger of a still-running server, so
     /// acknowledged round submissions are never observed uncharged.
     pub fn settle_rounds(&self) {
-        settle_open_round(&self.inner);
+        settle_open_round(&self.inner, &mut self.core());
     }
 
-    /// Stops accepting checkins, applies everything already admitted, joins
-    /// the worker pool, and — when durable — writes a final checkpoint
-    /// snapshot (compacting the WAL away). Idempotent; also invoked on drop.
+    /// Stops accepting checkins, applies everything already admitted, and —
+    /// when durable — writes a final checkpoint snapshot (compacting the WAL
+    /// away). Idempotent; also invoked on drop.
     pub fn shutdown(&self) {
         self.finish(false);
     }
@@ -836,43 +926,38 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     }
 
     fn finish(&self, crash: bool) {
+        let inner = &*self.inner;
         if crash {
-            self.inner.crashed.store(true, Ordering::SeqCst);
+            inner.crashed.store(true, Ordering::SeqCst);
         }
-        // Close the gate, waiting out the submitters inside it: each finishes
-        // the job it is running, replies included, and no other starts one.
-        *self.inner.gate.write() = true;
-        self.inner.queue.close();
-        let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        let joined_any = !workers.is_empty();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        // Once, on the call that actually tore the runtime down.
-        if !joined_any {
+        // Once, on the call that actually tears the runtime down.
+        if inner.closed.swap(true, Ordering::SeqCst) {
             return;
         }
-        if self.inner.crashed.load(Ordering::SeqCst) {
+        inner.queue.close();
+        inner.wake_agg();
+        // Taking the lock runs every job queued before the close; a submitter
+        // that gets the lock after this guard refuses its own job.
+        let mut core = CoreGuard::lock(inner);
+        if inner.crashed.load(Ordering::SeqCst) {
             // Crash-stopped: drop what is still staged or sitting on the
-            // accumulator, waiters included.
-            commit(&self.inner, true);
-            let _core = self.inner.core.lock();
-            drop(self.inner.accumulator.drain());
+            // accumulator, waiters included, and wait out a commit already
+            // under way, so nothing reaches the disk after this returns.
+            drop(inner.accumulator.drain());
+            if let (Some(durable), Some(mut stage)) = (&inner.store, lock_stage(inner, &core)) {
+                drop_batch(inner, &mut stage.batch);
+                drop(durable.wal_commit.lock());
+            }
             return;
         }
         // The final flush: apply whatever was ingested and not yet merged.
-        // The workers are gone and the gate is shut, so nobody is between
-        // admission and the accumulator: this merge strands nothing.
-        merge(&self.inner, self.inner.core.lock());
+        merge(inner, &mut core);
         // A graceful shutdown settles the open round first: its pending
         // submissions were acknowledged, so their ε must be charged (via the
         // finalization epoch) before the checkpoint freezes the ledger.
-        settle_open_round(&self.inner);
-        if let Some(durable) = &self.inner.store {
-            let (core, stage) = lock_core(&self.inner);
-            if let Some(mut stage) = stage {
-                checkpoint(&self.inner, durable, &core, &mut stage);
-            }
+        settle_open_round(inner, &mut core);
+        if let (Some(durable), Some(mut stage)) = (&inner.store, lock_stage(inner, &core)) {
+            checkpoint(inner, durable, &core, &mut stage);
         }
     }
 }
@@ -880,47 +965,19 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
 impl<M: Model + Send + 'static> Drop for AggRuntime<M> {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Takes the core lock and, on a durable runtime, the stage behind it.
-/// Everything staged while both are held is one unit to the committer: it
-/// swaps out all of it or none of it.
-fn lock_core<M: Model>(
-    inner: &Inner<M>,
-) -> (MutexGuard<'_, Server<M>>, Option<MutexGuard<'_, Staged>>) {
-    let core = inner.core.lock();
-    let stage = lock_stage(inner, &core);
-    (core, stage)
-}
-
-/// Takes a durable runtime's stage. The core guard is the caller's proof of
-/// the lock order: the stage is only ever taken with the core lock held.
-fn lock_stage<'a, M: Model>(
-    inner: &'a Inner<M>,
-    _core: &MutexGuard<'_, Server<M>>,
-) -> Option<MutexGuard<'a, Staged>> {
-    inner.store.as_ref().map(|durable| durable.stage.lock())
-}
-
-/// Ends a unit of work begun with [`lock_core`]: snapshots if one is due,
-/// releases both locks, and commits what the unit staged — see [`commit`] for
-/// `wait` and the result.
-fn release<M: Model>(
-    inner: &Inner<M>,
-    core: MutexGuard<'_, Server<M>>,
-    stage: Option<MutexGuard<'_, Staged>>,
-    wait: bool,
-) -> bool {
-    if let (Some(durable), Some(mut stage)) = (&inner.store, stage) {
-        // 0 = snapshot only at clean shutdown.
-        let every = core.config().persist.snapshot_every_epochs;
-        if every > 0 && stage.since_snapshot >= every {
-            checkpoint(inner, durable, &core, &mut stage);
+        if let Some(agg) = self.agg.take() {
+            let _ = agg.join();
         }
     }
-    drop(core);
-    commit(inner, wait)
+}
+
+/// Takes a durable runtime's stage. The core server is the caller's proof of
+/// the lock order: it is only reachable through the core lock.
+fn lock_stage<'a, M: Model>(
+    inner: &'a Inner<M>,
+    _core: &Server<M>,
+) -> Option<MutexGuard<'a, Staged>> {
+    inner.store.as_ref().map(|durable| durable.stage.lock())
 }
 
 /// Finalizes the open round under the held core lock: stages the round
@@ -980,84 +1037,57 @@ fn settle_due_rounds<M: Model>(
 }
 
 /// Finalizes the open round now if it holds submissions (and whatever that
-/// makes due), durably: the graceful-shutdown and harness entry point.
-fn settle_open_round<M: Model>(inner: &Inner<M>) {
-    let (mut core, mut stage) = lock_core(inner);
+/// makes due): the graceful-shutdown and harness entry point.
+fn settle_open_round<M: Model>(inner: &Inner<M>, core: &mut Server<M>) {
     if core.round_pending() > 0 {
-        finalize_round(inner, &mut core, stage.as_deref_mut());
-        settle_due_rounds(inner, &mut core, stage.as_deref_mut());
+        let mut stage = lock_stage(inner, core);
+        finalize_round(inner, core, stage.as_deref_mut());
+        settle_due_rounds(inner, core, stage.as_deref_mut());
     }
-    release(inner, core, stage, true);
 }
 
-fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
-    let flush_on_idle = inner.settings.flush_idle_ms > 0;
-    let idle = if flush_on_idle {
-        Duration::from_millis(inner.settings.flush_idle_ms as u64)
-    } else {
-        // Without idle flushing, the timeout only paces shutdown polling.
-        Duration::from_millis(50)
-    };
-    // `pending` as this worker last saw it on an idle timeout. An empty queue
-    // does not mean idle ingest — submitters running their own jobs never
-    // touch the queue — so the idle flush waits for a whole interval in which
-    // `pending` did not move.
+/// `crowd-agg`: commits what was staged and flushes idle partial epochs
+/// until `finish` closes the runtime; what is left then is `finish`'s.
+fn agg_loop<M: Model>(inner: &Inner<M>) {
+    let idle = inner.idle_flush();
+    // The idle flush waits for a whole interval in which `pending` held still.
     let mut idle_pending = 0;
-    loop {
-        match inner.queue.pop_timeout(idle) {
-            Pop::Item(task) => {
-                inner.metrics.gauge_add(GaugeId::QueueDepth, -1);
-                match task {
-                    // Per-checkin epochs must stay per-checkin even when
-                    // several threads race (a drain would coalesce
-                    // concurrently ingested payloads into one epoch and
-                    // under-count server iterations), so epoch_size = 1
-                    // bypasses the accumulator and applies each payload as
-                    // its own singleton epoch.
-                    Task::Checkin(job) if inner.settings.epoch_size == 1 => {
-                        apply_singleton(&inner, inner.core.lock(), job);
-                    }
-                    Task::Checkin(job) => ingest(&inner, job, None),
-                    Task::Round(job) => {
-                        let answer =
-                            apply_round(&inner, inner.core.lock(), job.round_id, job.submission);
-                        job.reply.settle(answer);
-                    }
-                }
-            }
-            Pop::TimedOut => {
-                let pending = inner.pending.load(Ordering::SeqCst);
-                if flush_on_idle && pending > 0 && pending == idle_pending {
-                    merge(&inner, inner.core.lock());
-                }
-                idle_pending = pending;
-            }
-            // What is still on the accumulator is `finish`'s to flush (or, on a
-            // crash-stop, to drop — exactly what a SIGKILL would do).
-            Pop::Closed => return,
+    while !inner.closed.load(Ordering::SeqCst) {
+        if let Some(durable) = &inner.store {
+            commit_staged(inner, durable);
         }
+        let Some(idle) = idle else {
+            std::thread::park();
+            continue;
+        };
+        std::thread::park_timeout(idle);
+        let pending = inner.accumulator.pending();
+        if pending > 0 && pending == idle_pending {
+            merge(inner, &mut CoreGuard::lock(inner));
+        }
+        idle_pending = pending;
     }
 }
 
-/// Runs one admitted round submission under the core guard its caller took —
-/// a worker, the submitter running its own job, or a blocking
-/// [`AggRuntime::submit_round`] — and returns its answer: an ack, or why it
-/// does not stand. On a durable runtime the ack is returned only once the
-/// commit covering the submission's WAL frame is done.
-fn apply_round<M: Model>(
+/// Runs one admitted round submission under the held core lock. An accepted
+/// submission on a durable runtime parks its ack with the batch, for
+/// `crowd-agg` to send after the commit that covers its WAL frame, and `None`
+/// comes back; any other answer comes back with the reply, for the caller to
+/// give.
+fn run_round<M: Model>(
     inner: &Inner<M>,
-    mut core: MutexGuard<'_, Server<M>>,
-    round_id: u64,
-    submission: PendingSubmission,
-) -> Result<CheckinReceipt> {
-    let device_id = submission.device_id;
-    let checkout_iteration = submission.checkout_iteration;
-    let logged = inner.store.is_some().then(|| submission.clone());
-    let mut stage = lock_stage(inner, &core);
-    let admission = core.round_submit(round_id, submission);
-    let cohort_complete = match admission.map_err(AggError::Core)? {
-        RoundAdmission::Accepted { cohort_complete } => cohort_complete,
-        RoundAdmission::Duplicate => {
+    core: &mut Server<M>,
+    job: RoundJob,
+) -> Option<(Result<CheckinReceipt>, Reply)> {
+    let (round_id, reply) = (job.round_id, job.reply);
+    let device_id = job.submission.device_id;
+    let checkout_iteration = job.submission.checkout_iteration;
+    let logged = inner.store.is_some().then(|| job.submission.clone());
+    let mut stage = lock_stage(inner, core);
+    let cohort_complete = match core.round_submit(round_id, job.submission) {
+        Ok(RoundAdmission::Accepted { cohort_complete }) => cohort_complete,
+        Ok(RoundAdmission::Duplicate) => {
+            inner.metrics.incr(CounterId::DedupReplays);
             let outcome = CheckinReceipt {
                 accepted: true,
                 iteration: core.iteration(),
@@ -1065,22 +1095,17 @@ fn apply_round<M: Model>(
                 staleness: 0,
                 deduped: true,
             };
-            drop(stage);
-            drop(core);
-            inner.metrics.incr(CounterId::DedupReplays);
-            return Ok(outcome);
+            return Some((Ok(outcome), reply));
         }
-        RoundAdmission::Outdated { current_round } => {
-            drop(stage);
-            drop(core);
+        Ok(RoundAdmission::Outdated { current_round }) => {
             inner.metrics.incr(CounterId::RoundOutdatedRejections);
-            return Err(AggError::RoundOutdated { current_round });
+            return Some((Err(AggError::RoundOutdated { current_round }), reply));
         }
-        RoundAdmission::NotSelected => {
-            return Err(AggError::Invalid(format!(
-                "device {device_id} is not in round {round_id}'s cohort"
-            )));
+        Ok(RoundAdmission::NotSelected) => {
+            let cohort = format!("device {device_id} is not in round {round_id}'s cohort");
+            return Some((Err(AggError::Invalid(cohort)), reply));
         }
+        Err(e) => return Some((Err(AggError::Core(e)), reply)),
     };
     if let (Some(stage), Some(sub)) = (stage.as_deref_mut(), &logged) {
         stage.batch.frames.stage_round_submit(round_id, sub);
@@ -1095,61 +1120,72 @@ fn apply_round<M: Model>(
     inner.metrics.incr(CounterId::RoundSubmissions);
     inner.metrics.span(Stage::ShardIngest, device_id);
     if cohort_complete {
-        finalize_round(inner, &mut core, stage.as_deref_mut());
-        settle_due_rounds(inner, &mut core, stage.as_deref_mut());
+        finalize_round(inner, core, stage.as_deref_mut());
+        settle_due_rounds(inner, core, stage.as_deref_mut());
     }
-    // The reply is the ack, so the commit is waited for. When it fails the
-    // pending entry stays (there is no un-submit) but no ack is sent: a
-    // crash loses exactly what the device believes unacknowledged.
-    if !release(inner, core, stage, true) {
-        return Err(AggError::ShuttingDown);
+    // On a durable runtime the ack waits for the commit. When that fails the
+    // pending entry stays (there is no un-submit) but no ack is sent.
+    match stage {
+        Some(mut stage) => {
+            stage.batch.acks.push(Ack {
+                reply,
+                outcome,
+                submitted: None,
+                device_id,
+                nonce: 0,
+            });
+            None
+        }
+        None => Some((Ok(outcome), reply)),
     }
-    Ok(outcome)
+}
+
+/// Runs one admitted checkin under the held core lock: with `epoch_size = 1`
+/// as its own epoch, whose outcome is returned, and otherwise through the
+/// accumulator.
+fn run_checkin<M: Model>(
+    inner: &Inner<M>,
+    core: &mut Server<M>,
+    job: Job,
+) -> Option<CheckinReceipt> {
+    if inner.settings.epoch_size == 1 {
+        return Some(apply_singleton(inner, core, job));
+    }
+    ingest(inner, core, job);
+    None
 }
 
 /// Folds one checkin into the epoch accumulator and closes the epoch if that
-/// filled it. `core` is the guard a submitter running its own job already
-/// holds; a worker ingests under the accumulator lock alone and takes the core
-/// lock only to merge.
-fn ingest<M: Model>(inner: &Inner<M>, job: Job, core: Option<MutexGuard<'_, Server<M>>>) {
-    // Ingest first, count after. A concurrent merge may drain the payload
-    // before its increment lands, sending `pending` transiently negative (it
-    // is signed for exactly this reason); the increment then restores it.
-    // Counting first instead would let a merge fire between this thread's
-    // increment and its ingest, stranding the not-yet-ingested checkin below
-    // the epoch threshold with nothing left to trigger a flush.
+/// filled it.
+fn ingest<M: Model>(inner: &Inner<M>, core: &mut Server<M>, job: Job) {
+    let device_id = job.payload.device_id;
     let waiter = Waiter {
         checkout_iteration: job.payload.checkout_iteration,
-        device_id: job.payload.device_id,
+        device_id,
         nonce: job.payload.nonce,
         reply: job.reply,
         submitted: job.submitted,
     };
-    if let Err(rejected) = inner.accumulator.ingest(&job.payload, waiter) {
+    let pending = match inner.accumulator.ingest(&job.payload, waiter) {
+        Ok(pending) => pending,
         // Unreachable for payloads that passed submit-time validation; fail
         // the one checkin, not the thread. The nonce is released rather than
         // completed: nothing was applied, so a retry must be admitted fresh.
-        abandon(inner, rejected.device_id, rejected.nonce);
-        let snap = inner.snapshot.read().clone();
-        inner.metrics.incr(CounterId::IngestErrors);
-        rejected.reply.send(CheckinReceipt {
-            accepted: false,
-            iteration: snap.iteration,
-            stopped: snap.stopped,
-            staleness: 0,
-            deduped: false,
-        });
-        return;
-    }
-    inner
-        .metrics
-        .span(Stage::ShardIngest, job.payload.device_id);
-    // Clamp instead of casting: `u64::MAX as i64` would wrap to -1 and make
-    // "epoch never closes by size" close on every single ingest.
-    let epoch_threshold = inner.settings.epoch_size.min(i64::MAX as u64) as i64;
-    let counted = inner.pending.fetch_add(1, Ordering::SeqCst) + 1;
-    if counted >= epoch_threshold {
-        merge(inner, core.unwrap_or_else(|| inner.core.lock()));
+        Err(rejected) => {
+            abandon(inner, rejected.device_id, rejected.nonce);
+            inner.metrics.incr(CounterId::IngestErrors);
+            return rejected.reply.send(CheckinReceipt {
+                accepted: false,
+                iteration: core.iteration(),
+                stopped: core.stopped(),
+                staleness: 0,
+                deduped: false,
+            });
+        }
+    };
+    inner.metrics.span(Stage::ShardIngest, device_id);
+    if pending >= inner.settings.epoch_size {
+        merge(inner, core);
     }
 }
 
@@ -1247,13 +1283,12 @@ fn microeps(eps: f64) -> u64 {
     }
 }
 
-/// Settles the checkins of one epoch, consuming the locks it was applied
-/// under. Applied and volatile: count and answer them now. Applied and
-/// durable: park the acks with the batch and try to commit it. Not applied:
-/// refuse them.
-fn finish_epoch<M: Model>(
+/// Settles the checkins of one epoch applied under the held core lock,
+/// releasing the stage. Applied and volatile: count and answer them now.
+/// Applied and durable: park the acks with the batch for `crowd-agg`. Not
+/// applied: refuse them.
+fn settle_epoch<M: Model>(
     inner: &Inner<M>,
-    core: MutexGuard<'_, Server<M>>,
     stage: Option<MutexGuard<'_, Staged>>,
     applied: bool,
     count: u64,
@@ -1263,11 +1298,9 @@ fn finish_epoch<M: Model>(
         Some(mut stage) if applied => {
             stage.batch.applied += count;
             stage.batch.acks.extend(acks);
-            release(inner, core, Some(stage), false);
         }
         stage => {
             drop(stage);
-            drop(core);
             if applied {
                 inner.metrics.add(CounterId::CheckinsApplied, count);
                 acks.for_each(|ack| deliver(inner, ack));
@@ -1307,56 +1340,60 @@ fn refuse<M: Model>(inner: &Inner<M>, ack: Ack) {
 }
 
 fn send<M: Model>(inner: &Inner<M>, ack: Ack) {
-    inner
-        .metrics
-        .observe_since(HistogramId::CheckinLatencyUs, ack.submitted);
-    inner.metrics.span(Stage::Ack, ack.device_id);
+    if let Some(submitted) = ack.submitted {
+        inner
+            .metrics
+            .observe_since(HistogramId::CheckinLatencyUs, submitted);
+        inner.metrics.span(Stage::Ack, ack.device_id);
+    }
     ack.reply.send(ack.outcome);
 }
 
-/// Group commit: makes everything staged durable, then lets it out.
-///
-/// Whoever gets `wal_commit` is the committer; a worker that finds it taken
-/// leaves its frames to that committer and goes back to the queue. The loop is
-/// the hand-off: whoever has held `wal_commit`, however briefly, looks at the
-/// stage again after releasing it, so a unit staged meanwhile — whose worker
-/// found the lock taken — is never stranded until the next checkin.
-///
-/// With `wait` (round submissions, settling, shutdown) the call returns only
-/// once everything staged before it has been committed or dropped, and says
-/// which: `false` means the runtime is halted, staged work is dropped rather
-/// than committed, and its waiters see [`AggError::ShuttingDown`].
-fn commit<M: Model>(inner: &Inner<M>, wait: bool) -> bool {
-    let Some(durable) = &inner.store else {
-        return true;
-    };
-    // Whether this call has held `wal_commit` since it last saw the stage
-    // occupied: every commit begun before that moment is finished.
-    let mut quiesced = false;
+/// Drops a batch that will never be committed: its nonces are released and
+/// its waiters see [`AggError::ShuttingDown`].
+fn drop_batch<M: Model>(inner: &Inner<M>, batch: &mut Batch) {
+    batch.frames.clear();
+    batch.newest = None;
+    batch.applied = 0;
+    for ack in batch.acks.drain(..) {
+        abandon(inner, ack.device_id, ack.nonce);
+    }
+}
+
+/// `crowd-agg`'s commit pass: makes everything staged durable and lets it
+/// out, one group per pass, until the stage is empty. A group that brings a
+/// periodic snapshot due goes out through a checkpoint, under the core lock,
+/// so the snapshot is taken before any epoch after it is applied.
+fn commit_staged<M: Model>(inner: &Inner<M>, durable: &Durable) {
     loop {
         let mut stage = durable.stage.lock();
-        let staged = !stage.batch.is_empty();
-        if staged {
-            if let Some(mut committer) = durable.wal_commit.try_lock() {
-                std::mem::swap(&mut stage.batch, &mut committer.batch);
-                drop(stage);
-                commit_batch(inner, &mut committer);
-                quiesced = true;
-                continue;
+        if stage.batch.is_empty() {
+            return;
+        }
+        let due = |stage: &Staged| {
+            durable.snapshot_every > 0 && stage.since_snapshot >= durable.snapshot_every
+        };
+        if due(&stage) {
+            drop(stage);
+            let core = CoreGuard::lock(inner);
+            if let Some(mut stage) = lock_stage(inner, &core) {
+                // Shutdown may have checkpointed while this thread waited.
+                if !stage.batch.is_empty() && due(&stage) {
+                    checkpoint(inner, durable, &core, &mut stage);
+                }
             }
+            continue;
         }
+        let Some(mut committer) = durable.wal_commit.try_lock() else {
+            // Shutdown's checkpoint holds the log: wait it out, leaving the
+            // stage to the submitters meanwhile.
+            drop(stage);
+            drop(durable.wal_commit.lock());
+            continue;
+        };
+        std::mem::swap(&mut stage.batch, &mut committer.batch);
         drop(stage);
-        if !wait {
-            return true;
-        }
-        if !staged && quiesced {
-            return !inner.crashed.load(Ordering::SeqCst);
-        }
-        // What the caller staged is with the committer now at work, or still
-        // on the stage behind it: wait that commit out (without holding the
-        // stage, so the workers keep staging) and look again.
-        drop(durable.wal_commit.lock());
-        quiesced = !staged;
+        commit_batch(inner, &mut committer);
     }
 }
 
@@ -1373,12 +1410,7 @@ fn commit_batch<M: Model>(inner: &Inner<M>, committer: &mut Committer) {
             .map_err(|e| halt(inner, &e))
             .is_ok();
     if !committed {
-        batch.frames.clear();
-        batch.newest = None;
-        batch.applied = 0;
-        for ack in batch.acks.drain(..) {
-            abandon(inner, ack.device_id, ack.nonce);
-        }
+        drop_batch(inner, batch);
         return;
     }
     if let Some(snapshot) = batch.newest.take() {
@@ -1424,48 +1456,40 @@ fn checkpoint<M: Model>(inner: &Inner<M>, durable: &Durable, core: &Server<M>, s
     }
 }
 
-/// Applies one checkin as its own epoch (the `epoch_size = 1` fast path) under
-/// the core guard its caller took — a worker, or the submitter running its own
-/// job: the classic Server Routine 2 update, bit for bit, one iteration per
-/// checkin (a singleton [`EpochAggregate`] is exactly `Server::checkin`).
-/// Returns the outcome the checkin is answered with.
-fn apply_singleton<M: Model>(
-    inner: &Inner<M>,
-    mut core: MutexGuard<'_, Server<M>>,
-    job: Job,
-) -> CheckinReceipt {
+/// Applies one checkin as its own epoch (the `epoch_size = 1` path) under the
+/// held core lock: the classic Server Routine 2 update, bit for bit, one
+/// iteration per checkin (a singleton [`EpochAggregate`] is exactly
+/// `Server::checkin`). Returns the outcome the checkin is answered with.
+fn apply_singleton<M: Model>(inner: &Inner<M>, core: &mut Server<M>, job: Job) -> CheckinReceipt {
     let epoch = EpochAggregate::from_payload(&job.payload);
-    let mut stage = lock_stage(inner, &core);
-    let (outcome, applied) = apply_epoch(inner, &mut core, stage.as_deref_mut(), &epoch);
+    let mut stage = lock_stage(inner, core);
+    let (outcome, applied) = apply_epoch(inner, core, stage.as_deref_mut(), &epoch);
     // The apply advanced the iteration clock; settle any now-due round before
     // acking, so a caller that has its ack also sees the finalized round.
     if applied {
-        settle_due_rounds(inner, &mut core, stage.as_deref_mut());
+        settle_due_rounds(inner, core, stage.as_deref_mut());
     }
     let ack = Ack {
         reply: job.reply,
         outcome,
-        submitted: job.submitted,
+        submitted: Some(job.submitted),
         device_id: job.payload.device_id,
         nonce: job.payload.nonce,
     };
-    finish_epoch(inner, core, stage, applied, 1, std::iter::once(ack));
+    settle_epoch(inner, stage, applied, 1, std::iter::once(ack));
     outcome
 }
 
-/// Applies one epoch under the core guard its caller took: drain the
-/// accumulator (fixed merge order), take one projected SGD step on the core server, hand
-/// on the new snapshot, settle the waiters.
-fn merge<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
+/// Applies one epoch under the held core lock: drain the accumulator (fixed
+/// merge order), take one projected SGD step on the core server, hand on the
+/// new snapshot, settle the waiters.
+fn merge<M: Model>(inner: &Inner<M>, core: &mut Server<M>) {
     let drained = inner.accumulator.drain();
     let Some(epoch) = drained.epoch else {
         return;
     };
-    let mut stage = lock_stage(inner, &core);
-    inner
-        .pending
-        .fetch_sub(drained.count as i64, Ordering::SeqCst);
-    let (outcome, applied) = apply_epoch(inner, &mut core, stage.as_deref_mut(), &epoch);
+    let mut stage = lock_stage(inner, core);
+    let (outcome, applied) = apply_epoch(inner, core, stage.as_deref_mut(), &epoch);
     if applied {
         if drained.count > 1 {
             inner.metrics.incr(CounterId::BatchedEpochs);
@@ -1473,7 +1497,7 @@ fn merge<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
         // The apply advanced the iteration clock; settle any now-due round
         // before acking, so a caller that has its ack also sees the finalized
         // round.
-        settle_due_rounds(inner, &mut core, stage.as_deref_mut());
+        settle_due_rounds(inner, core, stage.as_deref_mut());
     }
     // Staleness is per-checkin: measured against the iteration the epoch was
     // applied at (the pre-update iteration, as in the classic checkin path).
@@ -1487,11 +1511,11 @@ fn merge<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
             staleness: pre_iteration.saturating_sub(waiter.checkout_iteration),
             deduped: false,
         },
-        submitted: waiter.submitted,
+        submitted: Some(waiter.submitted),
         device_id: waiter.device_id,
         nonce: waiter.nonce,
     });
-    finish_epoch(inner, core, stage, applied, drained.count, acks);
+    settle_epoch(inner, stage, applied, drained.count, acks);
     // The epoch has been applied (or refused); either way its merged gradient
     // buffer goes back to the accumulator's pool for the next merge.
     inner.accumulator.recycle_epoch(epoch);
@@ -1579,17 +1603,18 @@ mod tests {
     #[test]
     fn full_queue_rejects_with_busy() {
         // One-deep queue and an epoch size nothing reaches without the idle
-        // flush: submissions beyond the first are rejected with a retry hint.
+        // flush: while the core guard is held, submissions beyond the first
+        // are rejected with a retry hint.
         let config = ServerConfig::new().with_agg(crowd_core::config::AggSettings {
             queue_bound: 1,
             epoch_size: u64::MAX,
-            worker_threads: 1,
             retry_after_ms: 7,
             flush_idle_ms: 0,
         });
         let rt = runtime(config);
         let mut handles = Vec::new();
         let mut busy = 0;
+        let held = CoreGuard::lock(&rt.inner);
         for i in 0..50u64 {
             match rt.submit(payload(i, vec![0.1; 6], 0)) {
                 Ok(h) => handles.push(h),
@@ -1600,6 +1625,7 @@ mod tests {
                 Err(other) => panic!("unexpected {other:?}"),
             }
         }
+        drop(held);
         assert!(busy > 0, "a 1-deep queue must reject under a burst of 50");
         assert_eq!(rt.stats().get("busy_rejections"), busy);
         // Shutdown flushes the admitted checkins; every handle resolves.
@@ -1618,7 +1644,6 @@ mod tests {
                 .with_agg(crowd_core::config::AggSettings {
                     queue_bound: 64,
                     epoch_size: 4,
-                    worker_threads: 1,
                     retry_after_ms: 1,
                     flush_idle_ms: 0,
                 });
@@ -1647,7 +1672,6 @@ mod tests {
         let config = ServerConfig::new().with_agg(crowd_core::config::AggSettings {
             queue_bound: 16,
             epoch_size: 1000,
-            worker_threads: 1,
             retry_after_ms: 1,
             flush_idle_ms: 1,
         });

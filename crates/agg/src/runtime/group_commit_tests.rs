@@ -3,9 +3,9 @@
 //! a failed commit halts the runtime, and no ack is ever stranded.
 //!
 //! Where a test needs the window between apply and commit it holds the
-//! `wal_commit` lock itself — it *is* the committer, so the workers stage
-//! behind it — and then performs the hand-off a real committer performs after
-//! unlocking (`commit`).
+//! `wal_commit` lock itself — it *is* the committer, so `crowd-agg` waits for
+//! it and the submitters stage behind it — and once the test lets go,
+//! `crowd-agg` commits what was staged.
 
 use super::*;
 use crowd_core::config::ServerConfig;
@@ -29,8 +29,8 @@ fn model() -> MulticlassLogistic {
     MulticlassLogistic::new(2, 3).unwrap()
 }
 
-/// Two workers, per-checkin epochs, and no idle flush: an ack can only come
-/// from a commit some worker (or the hand-off) performs.
+/// Per-checkin epochs and no idle flush: an ack can only come from a commit
+/// `crowd-agg` performs.
 fn volatile_config() -> ServerConfig {
     ServerConfig::new()
         .with_rate_constant(1.0)
@@ -38,7 +38,6 @@ fn volatile_config() -> ServerConfig {
         .with_agg(AggSettings {
             queue_bound: 1024,
             epoch_size: 1,
-            worker_threads: 2,
             retry_after_ms: 1,
             flush_idle_ms: 0,
         })
@@ -94,11 +93,10 @@ fn unresolved(handle: &CompletionHandle) -> bool {
 #[test]
 fn one_worker_commits_its_own_frame() {
     let dir = temp_dir("gc-single");
-    let mut config = durable_config(&dir, 0, true);
-    config.agg.worker_threads = 1;
+    let config = durable_config(&dir, 0, true);
     let (rt, _) = open(&config);
     let mut rng = StdRng::seed_from_u64(1);
-    // No follower, no idle flush: the lone worker stages, then commits.
+    // No idle flush: the submitter stages, then `crowd-agg` commits.
     let outcome = rt
         .submit(payload(&mut rng, 0, 0))
         .unwrap()
@@ -142,7 +140,6 @@ fn nothing_gets_out_between_apply_and_commit() {
     assert_eq!(rt.stats().get("dedup_inflight_busy"), 1);
 
     drop(gate);
-    commit(&rt.inner, false);
     let original = handle.wait_timeout(ACK_TIMEOUT).unwrap();
     assert!(original.accepted);
     assert_eq!(rt.snapshot().iteration, 1);
@@ -174,11 +171,17 @@ fn kill_drops_what_is_staged_and_shutdown_commits_it() {
             .map(|i| rt.submit(payload(&mut rng, i, i as usize)).unwrap())
             .collect();
         wait_until("all three are staged", || rt.iteration() == 3);
-        drop(gate);
-        // No hand-off: the frames sit on the stage until the runtime stops.
         if crash {
-            rt.kill();
+            // The kill begins while the frames sit on the stage.
+            std::thread::scope(|scope| {
+                scope.spawn(|| rt.kill());
+                wait_until("the kill to begin", || {
+                    rt.inner.crashed.load(Ordering::SeqCst)
+                });
+                drop(gate);
+            });
         } else {
+            drop(gate);
             rt.shutdown();
         }
         for handle in handles {
@@ -225,7 +228,6 @@ fn many_submitters_all_resolve_and_share_commits() {
         assert_eq!(rt.stats().get("wal_appends"), 0);
         assert_eq!(rt.stats().get("checkins_applied"), 0);
         drop(gate);
-        commit(&rt.inner, false);
     });
     let stats = rt.stats();
     let total = SUBMITTERS * ROUNDS;
@@ -270,7 +272,6 @@ fn failed_commit_halts_the_runtime_and_acks_nothing() {
         .collect();
     wait_until("all five are staged", || rt.iteration() == 8);
     drop(gate);
-    commit(&rt.inner, false);
 
     // Every waiter of the failed group fails; none is acknowledged.
     for handle in handles {
@@ -326,7 +327,7 @@ fn epochs_in_wal(dir: &Path) -> BTreeMap<u64, usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Concurrent submitters, two workers, a kill at a random point: what
+    /// Concurrent submitters and a kill at a random point: what
     /// recovery rebuilds is the sequential run over some prefix of the applied
     /// epochs — bit for bit, ledger included — and the prefix covers every
     /// acknowledged checkin.

@@ -1,9 +1,11 @@
-//! The contract of [`AggRuntime::submit_to`]: a checkin run to completion on
-//! its submitting thread leaves the same state and gets the same answer as
-//! one a worker ran off the queue; nothing admitted is stranded, by
-//! contention, by shutdown or by a kill; and a durable runtime never runs a
-//! checkin on its submitter. The same holds for a masked round submission
-//! through [`AggRuntime::submit_round_to`].
+//! The contract of [`AggRuntime::submit_to`] and the combining protocol
+//! behind it: a checkin run to completion on its submitting thread leaves
+//! the same state and gets the same answer as one the core lock's holder ran
+//! off the queue; a holder drains the queue before its own job and again on
+//! release; nothing admitted is stranded, by contention, by shutdown or by a
+//! kill; and a durable runtime acknowledges a checkin its submitter ran only
+//! after the commit. The same holds for a masked round submission through
+//! [`AggRuntime::submit_round_to`].
 
 use super::*;
 use crowd_core::config::ServerConfig;
@@ -11,8 +13,7 @@ use crowd_learning::MulticlassLogistic;
 use crowd_linalg::{GradientUpdate, QuantizedVector, SparseVector};
 use crowd_store::testutil::temp_dir;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicI64, AtomicU64};
 
 const PARAM_DIM: usize = 6;
 const EPSILON: f64 = 0.5;
@@ -20,13 +21,12 @@ const WAIT: Duration = Duration::from_secs(30);
 
 type Runtime = AggRuntime<MulticlassLogistic>;
 
-fn config(epoch_size: u64, queue_bound: usize, workers: usize) -> ServerConfig {
+fn config(epoch_size: u64, queue_bound: usize) -> ServerConfig {
     ServerConfig::new()
         .with_rate_constant(1.0)
         .with_agg(AggSettings {
             queue_bound,
             epoch_size,
-            worker_threads: workers,
             retry_after_ms: 1,
             // No idle flush: an epoch closes because it filled, or at shutdown.
             flush_idle_ms: 0,
@@ -145,56 +145,39 @@ impl Answers {
     }
 }
 
-/// The reference: every payload through `submit()`, a lone worker running
-/// them in order. Handles are awaited whenever an epoch has filled, so a
-/// later duplicate meets a settled nonce — as it does on the event route,
-/// where the epoch is closed before the filling call returns.
+/// The reference: every payload through `submit()` under a held core guard,
+/// so it is queued, and the guard's release runs it — the combined route.
 fn run_queued(config: ServerConfig, payloads: &[CheckinPayload]) -> Trace {
-    let epoch_size = config.agg.epoch_size as usize;
     let rt = runtime(config);
     let mut answers: Vec<Option<Answer>> = vec![None; payloads.len()];
     let mut waiting: Vec<(usize, CompletionHandle)> = Vec::new();
-    let mut settled: BTreeSet<(u64, u64)> = BTreeSet::new();
-    let mut open: Vec<(u64, u64)> = Vec::new();
-    let settle = |waiting: &mut Vec<(usize, CompletionHandle)>,
-                  answers: &mut Vec<Option<Answer>>| {
-        for (index, handle) in waiting.drain(..) {
-            let outcome = handle
-                .wait_timeout(WAIT)
-                .expect("an admitted checkin resolves");
-            answers[index] = Some(Answer::Outcome(outcome));
-        }
-    };
     for (index, payload) in payloads.iter().enumerate() {
-        let key = (payload.device_id, payload.nonce);
-        match rt.submit(payload.clone()) {
-            Ok(handle) => {
-                waiting.push((index, handle));
-                let replay = payload.nonce != 0 && settled.contains(&key);
-                if !replay {
-                    open.push(key);
-                }
-                if open.len() == epoch_size {
-                    settle(&mut waiting, &mut answers);
-                    settled.extend(open.drain(..));
-                }
-            }
+        let held = CoreGuard::lock(&rt.inner);
+        let submitted = rt.submit(payload.clone());
+        drop(held);
+        match submitted {
+            Ok(handle) => waiting.push((index, handle)),
             Err(AggError::Busy { .. }) => answers[index] = Some(Answer::Busy),
             Err(e) => answers[index] = Some(Answer::Refused(e.to_string())),
         }
     }
     rt.shutdown();
-    settle(&mut waiting, &mut answers);
+    for (index, handle) in waiting {
+        let outcome = handle
+            .wait_timeout(WAIT)
+            .expect("an admitted checkin resolves");
+        answers[index] = Some(Answer::Outcome(outcome));
+    }
     assert_eq!(
         rt.stats().get("checkins_inline"),
         0,
-        "submit() never runs a job"
+        "every checkin ran on the combined route"
     );
     trace(&rt, answers)
 }
 
-/// The same payloads through `submit_to()` from one thread: with the workers
-/// idle the core lock is always free, so every checkin runs inline.
+/// The same payloads through `submit_to()` from one thread: the core lock is
+/// always free, so every checkin runs inline.
 fn run_event(config: ServerConfig, payloads: &[CheckinPayload]) -> Trace {
     let rt = runtime(config);
     let answers = Answers::default();
@@ -254,7 +237,7 @@ proptest! {
     fn queued_and_inline_routes_agree_bitwise(steps in steps(), batched in any::<bool>()) {
         let epoch_size = if batched { 4 } else { 1 };
         // Four ε-charged checkins exhaust a device, so refusals are in the mix.
-        let config = config(epoch_size, 64, 1).with_budget(EPSILON, 4.0 * EPSILON);
+        let config = config(epoch_size, 64).with_budget(EPSILON, 4.0 * EPSILON);
         let payloads = payloads_of(&steps);
         let queued = run_queued(config.clone(), &payloads);
         let event = run_event(config, &payloads);
@@ -272,7 +255,7 @@ proptest! {
             .enumerate()
             .map(|(i, &seed)| payload(i as u64 % 4, i as u64 + 1, (seed % 3) as u8, seed))
             .collect();
-        let config = config(payloads.len() as u64, 64, 2);
+        let config = config(payloads.len() as u64, 64);
         let reference = run_queued(config.clone(), &payloads);
 
         let rt = runtime(config);
@@ -299,7 +282,7 @@ proptest! {
 
 #[test]
 fn a_held_core_lock_queues_the_checkin_and_a_full_queue_hands_it_back() {
-    let rt = runtime(config(1, 1, 1));
+    let rt = runtime(config(1, 2));
     let answers = Answers::default();
     let sinks_built = AtomicU64::new(0);
     let submit = |index: usize| {
@@ -309,19 +292,12 @@ fn a_held_core_lock_queues_the_checkin_and_a_full_queue_hands_it_back() {
         })
     };
 
-    let held = rt.inner.core.lock();
-    // The lock is taken: the checkin is queued, and the worker that pops it
-    // waits for the lock in the submitter's stead.
+    let held = CoreGuard::lock(&rt.inner);
+    // The lock is taken: the checkins are queued for its holder, which runs
+    // them when it lets go.
     assert_eq!(submit(0).unwrap(), Submitted::Pending);
-    for _ in 0..WAIT.as_millis() {
-        if rt.inner.queue.is_empty() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(rt.inner.queue.is_empty(), "the worker took the first job");
     assert_eq!(submit(1).unwrap(), Submitted::Pending);
-    // The one-deep queue is full: the payload comes back, and no sink was
+    // The two-deep queue is full: the payload comes back, and no sink was
     // built for it.
     match submit(2) {
         Err(SubmitRejection::Busy {
@@ -334,13 +310,8 @@ fn a_held_core_lock_queues_the_checkin_and_a_full_queue_hands_it_back() {
     assert_eq!(rt.stats().get("busy_rejections"), 1);
     assert_eq!(rt.stats().get("checkins_applied"), 0);
 
+    // The release ran both.
     drop(held);
-    for _ in 0..WAIT.as_millis() {
-        if rt.stats().get("checkins_applied") == 2 && answers.0.lock().len() == 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
     let settled = answers.take(2);
     for (index, answer) in settled.iter().enumerate() {
         match answer {
@@ -363,10 +334,50 @@ fn a_held_core_lock_queues_the_checkin_and_a_full_queue_hands_it_back() {
     rt.shutdown();
 }
 
+/// Drain first: a thread that gets the core lock runs what is queued before
+/// its own job, so its later checkin never overtakes its queued one.
 #[test]
-fn a_durable_runtime_never_runs_a_checkin_on_its_submitter() {
+fn a_holder_runs_the_queued_jobs_before_its_own() {
+    let rt = runtime(config(1, 64));
+    let answers = Answers::default();
+    // Checkin A is queued behind a raw hold, whose release runs nothing;
+    // checkin B finds the lock free, and its submitter runs A, then B.
+    let raw = rt.inner.core.lock();
+    answers.submit_to(&rt, 0, payload(0, 1, 0, 1));
+    drop(raw);
+    answers.submit_to(&rt, 1, payload(0, 2, 0, 2));
+    let iterations = answers.take(2).into_iter().map(|answer| match answer {
+        Some(Answer::Outcome(outcome)) => outcome.iteration,
+        other => panic!("expected an outcome, got {other:?}"),
+    });
+    assert_eq!(iterations.collect::<Vec<_>>(), [1, 2]);
+    assert_eq!(rt.stats().get("checkins_inline"), 1);
+    rt.shutdown();
+}
+
+/// Releasing a core guard runs what was queued meanwhile, before `drop`
+/// returns and with no further submission.
+#[test]
+fn releasing_the_core_guard_runs_what_was_queued_meanwhile() {
+    let rt = runtime(config(1, 64));
+    let answers = Answers::default();
+    let held = CoreGuard::lock(&rt.inner);
+    std::thread::scope(|scope| {
+        scope.spawn(|| answers.submit_to(&rt, 0, payload(1, 1, 0, 3)));
+    });
+    drop(held);
+    match answers.take(1).as_slice() {
+        [Some(Answer::Outcome(outcome))] => assert_eq!(outcome.iteration, 1),
+        other => panic!("the release ran nothing: {other:?}"),
+    }
+    assert_eq!(rt.stats().get("checkins_inline"), 0);
+    rt.shutdown();
+}
+
+#[test]
+fn a_durable_checkin_run_by_its_submitter_is_acked_after_its_commit() {
     let dir = temp_dir("inline-durable");
-    let config = config(1, 64, 2).with_data_dir(&dir).with_fsync(false);
+    let config = config(1, 64).with_data_dir(&dir).with_fsync(false);
     let model = MulticlassLogistic::new(2, 3).unwrap();
     let (store, server, _) = crowd_store::Store::open(model, config).unwrap();
     let rt = AggRuntime::with_store(server, Some(store)).unwrap();
@@ -378,8 +389,9 @@ fn a_durable_runtime_never_runs_a_checkin_on_its_submitter() {
                 Box::new(move |outcome| tx.send(outcome).unwrap())
             })
             .unwrap();
+        // The submitter ran it, but the ack waits for the commit: the sink
+        // runs on `crowd-agg`, after the commit.
         assert_eq!(submitted, Submitted::Pending);
-        // The sink runs on the committer, after the commit.
         let outcome = rx.recv_timeout(WAIT).unwrap().unwrap();
         assert_eq!(outcome.iteration, step + 1);
         assert!(rt.stats().get("wal_frames") > step);
@@ -392,7 +404,7 @@ fn a_durable_runtime_never_runs_a_checkin_on_its_submitter() {
         other => panic!("expected the replay, got {other:?}"),
     }
     let stats = rt.stats();
-    assert_eq!(stats.get("checkins_inline"), 0);
+    assert_eq!(stats.get("checkins_inline"), 20);
     assert_eq!(stats.get("checkins_applied"), 20);
     rt.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -456,7 +468,7 @@ fn hammer_until_stopped(rt: &Runtime, stop: impl FnOnce(&Runtime)) -> (Vec<u64>,
 fn shutdown_under_fire_applies_and_answers_everything_it_admitted() {
     // The larger the epoch, the surer a part-filled one is open at the stop.
     for epoch_size in [1, 4, 7, 64] {
-        let rt = runtime(config(epoch_size, 8, 2).with_budget(EPSILON, f64::INFINITY));
+        let rt = runtime(config(epoch_size, 8).with_budget(EPSILON, f64::INFINITY));
         let (resolved, dropped) = hammer_until_stopped(&rt, Runtime::shutdown);
         assert_eq!(
             dropped, 0,
@@ -484,7 +496,7 @@ fn shutdown_under_fire_applies_and_answers_everything_it_admitted() {
 fn kill_under_fire_applies_whole_checkins_or_drops_them() {
     // The larger the epoch, the surer a part-filled one is open at the stop.
     for epoch_size in [1, 4, 7, 64] {
-        let rt = runtime(config(epoch_size, 8, 2).with_budget(EPSILON, f64::INFINITY));
+        let rt = runtime(config(epoch_size, 8).with_budget(EPSILON, f64::INFINITY));
         let (resolved, _dropped) = hammer_until_stopped(&rt, Runtime::kill);
         // Every checkin is wholly in the state (and answered) or wholly out
         // of it (and dropped or refused): per device, a prefix of its stream.
@@ -541,7 +553,7 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 
 #[test]
 fn a_held_core_lock_queues_the_round_submission_and_its_sink_fires_once() {
-    let rt = runtime(with_rounds(config(1, 1, 1)));
+    let rt = runtime(with_rounds(config(1, 2)));
     let answers = Answers::default();
     let sinks_built = AtomicU64::new(0);
     let submit = |device: u64| {
@@ -552,15 +564,12 @@ fn a_held_core_lock_queues_the_round_submission_and_its_sink_fires_once() {
         })
     };
 
-    let held = rt.inner.core.lock();
-    // The lock is taken: the submission is queued, and the worker that pops
-    // it waits for the lock in the submitter's stead.
+    let held = CoreGuard::lock(&rt.inner);
+    // The lock is taken: the submissions are queued for its holder, which
+    // runs them when it lets go.
     assert_eq!(submit(0).unwrap(), Submitted::Pending);
-    wait_until("the worker to take the first job", || {
-        rt.inner.queue.is_empty()
-    });
     assert_eq!(submit(1).unwrap(), Submitted::Pending);
-    // The one-deep queue is full: the submission comes back, no sink built.
+    // The two-deep queue is full: the submission comes back, no sink built.
     match submit(2) {
         Err(SubmitRejection::Busy {
             payload,
@@ -576,7 +585,7 @@ fn a_held_core_lock_queues_the_round_submission_and_its_sink_fires_once() {
     );
 
     drop(held);
-    wait_until("both sinks to fire", || answers.0.lock().len() == 2);
+    assert_eq!(answers.0.lock().len(), 2, "the release ran both");
     // `Answers::set` refuses a second answer; give a stray one time to land.
     std::thread::sleep(Duration::from_millis(20));
     for (device, answer) in answers.take(2).iter().enumerate() {
@@ -604,7 +613,7 @@ fn a_held_core_lock_queues_the_round_submission_and_its_sink_fires_once() {
 #[test]
 fn a_durable_round_submission_is_answered_after_its_commit_or_not_at_all() {
     let dir = temp_dir("round-route-durable");
-    let config = with_rounds(config(1, 64, 2))
+    let config = with_rounds(config(1, 64))
         .with_data_dir(&dir)
         .with_fsync(false);
     let model = MulticlassLogistic::new(2, 3).unwrap();
@@ -624,7 +633,7 @@ fn a_durable_round_submission_is_answered_after_its_commit_or_not_at_all() {
         })
     };
     for device in 0..3u64 {
-        // A durable runtime never runs a submission on its submitter.
+        // The submitter runs it, but the ack waits for the commit.
         assert_eq!(submit(device).unwrap(), Submitted::Pending);
         let (outcome, committed) = rx.recv_timeout(WAIT).unwrap();
         assert!(outcome.unwrap().accepted);

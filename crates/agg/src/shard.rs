@@ -3,9 +3,8 @@
 //!
 //! One lock guards the open epoch. Checkins reach it only with
 //! `epoch_size > 1` (per-checkin epochs and masked round submissions bypass
-//! it), and most of those are ingested by a submitter that already holds the
-//! core lock to run its job to completion, so a single lock costs no
-//! parallelism the traffic could use.
+//! it), and every one of those is ingested under the core lock, so a single
+//! lock costs no parallelism the traffic could use.
 //!
 //! Determinism: the accumulator keeps a *per-device* running sum (a device's
 //! own checkins are sequential, so that sum is reproducible), and
@@ -141,18 +140,19 @@ impl EpochAccumulator {
         self.scratch.lock().len()
     }
 
-    /// Folds one (pre-validated) checkin into its device's accumulator.
+    /// Folds one (pre-validated) checkin into its device's accumulator and
+    /// returns how many checkins the open epoch now holds.
     ///
     /// A payload whose dimensions do not match the configured model is handed
     /// back with its waiter (`Err`) so the caller can fail that one checkin
-    /// instead of panicking the worker — submit-time validation makes this
-    /// unreachable in practice, but a poisoned worker would take the whole
-    /// server down with it.
+    /// instead of panicking the thread — submit-time validation makes this
+    /// unreachable in practice, but a panic under the core lock would take
+    /// the whole server down with it.
     pub(crate) fn ingest(
         &self,
         payload: &CheckinPayload,
         waiter: Waiter,
-    ) -> std::result::Result<(), Waiter> {
+    ) -> std::result::Result<u64, Waiter> {
         if payload.gradient.dim() != self.param_dim
             || payload.label_counts.len() != self.num_classes
         {
@@ -174,7 +174,7 @@ impl EpochAccumulator {
         // an exact-zero addend is a no-op on a sum that started at `+0.0`).
         // The dimension check above and the pool invariant (accumulators are
         // always `param_dim`) make this unreachable; hand the checkin back
-        // rather than panic the worker. `add_into` checks before mutating, so
+        // rather than panic the thread. `add_into` checks before mutating, so
         // the freshly inserted (or existing) accumulator is untouched on the
         // error path and no counter below has moved yet.
         if payload.gradient.add_into(&mut accum.gradient_sum).is_err() {
@@ -193,7 +193,12 @@ impl EpochAccumulator {
         open.payloads += 1;
         open.min_checkout_iteration = open.min_checkout_iteration.min(payload.checkout_iteration);
         open.waiters.push(waiter);
-        Ok(())
+        Ok(open.payloads)
+    }
+
+    /// How many checkins the open epoch holds.
+    pub(crate) fn pending(&self) -> u64 {
+        self.open.lock().payloads
     }
 
     /// Takes everything accumulated so far and merges it into one epoch.

@@ -109,7 +109,6 @@ fn agg_runtime(epoch: u64) -> AggRuntime<MulticlassLogistic> {
     let config = ServerConfig::new().with_agg(AggSettings {
         queue_bound: 4096,
         epoch_size: epoch,
-        worker_threads: 2,
         retry_after_ms: 1,
         flush_idle_ms: 1,
     });
@@ -262,7 +261,6 @@ fn rounds_runtime() -> AggRuntime<MulticlassLogistic> {
         .with_agg(AggSettings {
             queue_bound: 4096,
             epoch_size: 1,
-            worker_threads: 2,
             retry_after_ms: 1,
             flush_idle_ms: 1,
         })

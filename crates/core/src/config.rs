@@ -128,25 +128,27 @@ impl Default for DeviceConfig {
 /// Tuning knobs of the aggregation runtime (`crowd-agg`) that serves the
 /// checkin write path behind a deployed server.
 ///
-/// The runtime admits at most `queue_bound` checkins into its ingest queue
-/// (rejecting the rest with a retry-after hint instead of piling up handler
-/// threads), and folds the accumulated gradients into one projected SGD step
-/// once `epoch_size` checkins have arrived. `epoch_size = 1` reproduces the paper's per-checkin
-/// update `w ← Π_W[w − η(t)ĝ]` exactly; larger epochs apply the *mean* of the
-/// epoch's gradients as a single step (synchronous minibatch aggregation).
+/// The runtime has no thread pool: the threads that submit checkins run
+/// them, and one that finds the core lock taken leaves its checkin on a
+/// combining queue for the lock's holder. At most `queue_bound` checkins wait
+/// there (the rest are rejected with a retry-after hint instead of piling
+/// up). The runtime folds the accumulated gradients into one projected SGD
+/// step once `epoch_size` checkins have arrived. `epoch_size = 1` reproduces
+/// the paper's per-checkin update `w ← Π_W[w − η(t)ĝ]` exactly; larger epochs
+/// apply the *mean* of the epoch's gradients as a single step (synchronous
+/// minibatch aggregation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggSettings {
-    /// Capacity of the bounded ingest queue. A full queue rejects checkins with
-    /// a "server busy" reply carrying [`AggSettings::retry_after_ms`].
+    /// Capacity of the combining queue: checkins waiting for the holder of
+    /// the core lock. A full queue rejects checkins with a "server busy"
+    /// reply carrying [`AggSettings::retry_after_ms`].
     pub queue_bound: usize,
     /// Number of checkins folded into one server update. 1 = per-checkin SGD.
     pub epoch_size: u64,
-    /// Worker threads draining the ingest queue into the accumulator.
-    pub worker_threads: usize,
     /// Retry hint (milliseconds) returned with backpressure rejections.
     pub retry_after_ms: u32,
     /// Idle flush interval in milliseconds: a partially filled epoch is applied
-    /// once the ingest queue stays empty this long, so a trickle of checkins
+    /// once no checkin has arrived for this long, so a trickle of checkins
     /// never stalls behind an unreachable `epoch_size`. 0 disables idle flushes
     /// (epochs then close only on `epoch_size` or shutdown), which makes epoch
     /// boundaries — and therefore the whole run — independent of thread timing.
@@ -154,13 +156,12 @@ pub struct AggSettings {
 }
 
 impl AggSettings {
-    /// Defaults: 1024-deep queue, per-checkin updates, 2 workers,
-    /// 2 ms retry hint, 1 ms idle flush.
+    /// Defaults: 1024-deep queue, per-checkin updates, 2 ms retry hint,
+    /// 1 ms idle flush.
     pub fn new() -> Self {
         AggSettings {
             queue_bound: 1024,
             epoch_size: 1,
-            worker_threads: 2,
             retry_after_ms: 2,
             flush_idle_ms: 1,
         }
@@ -173,9 +174,6 @@ impl AggSettings {
         }
         if self.epoch_size == 0 {
             return Err(CoreError::Config("epoch_size must be positive".into()));
-        }
-        if self.worker_threads == 0 {
-            return Err(CoreError::Config("worker_threads must be positive".into()));
         }
         Ok(())
     }
@@ -628,10 +626,6 @@ mod tests {
             },
             AggSettings {
                 epoch_size: 0,
-                ..AggSettings::new()
-            },
-            AggSettings {
-                worker_threads: 0,
                 ..AggSettings::new()
             },
         ] {

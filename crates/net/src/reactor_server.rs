@@ -12,11 +12,10 @@
 //!   flow control pushes back to the device, and the parked gradient is
 //!   re-admitted as soon as the queue drains — the device never re-uploads.
 //! * **Nothing waits for an ack.** A checkin — free-run or a masked round
-//!   submission — is run to completion on the reactor thread that decoded it
-//!   whenever the aggregation runtime allows (a volatile runtime whose core
-//!   lock is free that instant); otherwise it is queued, and the thread that
-//!   settles it — an aggregation worker, or on a durable server the WAL
-//!   committer after its `fsync` — posts the reply straight to the
+//!   submission — is run by the reactor thread that decoded it, or, if the
+//!   aggregation runtime's core lock is taken, by the lock's holder. The
+//!   thread that settles it — on a durable server the runtime's `crowd-agg`
+//!   thread, after its `fsync` — posts the reply straight to the
 //!   connection's reactor thread. The reactor runs no other thread.
 
 use crate::service::{handle_event, ServerCore};
@@ -360,17 +359,18 @@ mod tests {
             temp_dir("reply-bytes-reactor"),
             temp_dir("reply-bytes-oracle"),
         ];
-        // Volatile: the reactor thread runs each checkin itself. Durable:
-        // each is queued and acknowledged by the committer, via the sink.
+        // The reactor thread runs each checkin itself. Volatile: it answers
+        // at once. Durable: `crowd-agg` acknowledges it after the commit,
+        // via the sink.
         let routes = [
-            (volatile.clone(), volatile.clone(), true),
+            (volatile.clone(), volatile.clone(), false),
             (
                 volatile.clone().with_data_dir(&dirs[0]),
                 volatile.with_data_dir(&dirs[1]),
-                false,
+                true,
             ),
         ];
-        for (config, oracle_config, inline) in routes {
+        for (config, oracle_config, durable) in routes {
             let handle = ReactorServer::start(model(), config, tokens()).unwrap();
             let (runtime, _) = build_runtime(model(), oracle_config).unwrap();
             let oracle = ServerCore::new(runtime, tokens());
@@ -383,12 +383,12 @@ mod tests {
                 assert_eq!(
                     raw_exchange(&mut stream, &request),
                     expected,
-                    "inline = {inline}: {what}"
+                    "durable = {durable}: {what}"
                 );
             }
             let stats = handle.runtime_stats();
             assert_eq!(stats.get("checkins_applied"), 3);
-            assert_eq!(stats.get("checkins_inline"), if inline { 3 } else { 0 });
+            assert_eq!(stats.get("checkins_inline"), 3);
             // One `req_checkin_us` sample per checkin, wherever its reply
             // was built.
             let timed = stats.histogram("req_checkin_us").map_or(0, |h| h.count());
@@ -582,16 +582,15 @@ mod tests {
 
     #[test]
     fn full_queue_throttles_instead_of_busy() {
-        // A queue nothing drains (an epoch of u64::MAX, no idle flush)
-        // saturates deterministically. The reactor parks the connections
-        // instead of replying Busy, and the parked checkins all resolve at
-        // the shutdown flush: devices never see a Busy frame.
+        // A one-deep queue and an epoch nothing closes before shutdown (an
+        // epoch of u64::MAX, no idle flush). A checkin that finds the queue
+        // full is parked, not answered Busy, and the admitted checkins all
+        // resolve at the shutdown flush: devices never see a Busy frame.
         let model = MulticlassLogistic::new(4, 3).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(4, 99);
         let config = ServerConfig::new().with_agg(crowd_core::config::AggSettings {
             queue_bound: 1,
             epoch_size: u64::MAX,
-            worker_threads: 1,
             retry_after_ms: 9,
             flush_idle_ms: 0,
         });
@@ -609,8 +608,8 @@ mod tests {
                 read_message(&mut stream).ok()
             }));
         }
-        // Give the burst time to saturate the 1-deep queue and park, then
-        // flush via shutdown: parked gradients re-admit as the queue drains.
+        // Give the burst time to be admitted or parked, then flush via
+        // shutdown: parked gradients re-admit as the queue drains.
         std::thread::sleep(Duration::from_millis(200));
         handle.shutdown();
         let mut acked = 0;

@@ -6,17 +6,17 @@
 //! [`handle_event`] is what the reactor calls. It maps requests onto
 //! [`crowd_reactor::Response`] so a reactor thread never blocks: checkouts
 //! answer immediately; a checkin — free-run or a masked round submission —
-//! is run to completion on the reactor thread when the aggregation runtime
-//! lets it (`AggRuntime::submit_to`, `AggRuntime::submit_round_to`) and is
-//! otherwise answered by whichever aggregation thread settles it, through
-//! the request's [`crowd_reactor::Completer`] — nothing waits for an ack.
+//! is run by the reactor thread, or by the holder of the aggregation
+//! runtime's core lock (`AggRuntime::submit_to`, `AggRuntime::submit_round_to`),
+//! and whichever thread settles it answers through the request's
+//! [`crowd_reactor::Completer`] — nothing waits for an ack.
 //! [`ServerCore::handle_message`] is the blocking `Message`-in, `Message`-out
 //! form: the reactor answers metrics scrapes and malformed traffic with it,
 //! and its checkout and checkin arms are the reference the event path is
 //! tested against.
 //!
 //! Backpressure on the wire: the reactor path never answers a checkin with a
-//! [`Message::Busy`]. A full ingest queue *parks* the connection (read
+//! [`Message::Busy`]. A full combining queue *parks* the connection (read
 //! throttling) and the reactor re-admits the decoded checkin as the queue
 //! drains, so the device sees a quiet socket, not a retry request. `Busy`
 //! stays on the wire, and the client's handling of it stays too, as

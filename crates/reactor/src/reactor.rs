@@ -15,10 +15,10 @@
 //! from the request's [`Ctx`] and returns [`Response::Deferred`]. Whichever
 //! thread learns the reply fires the completer, which posts the reply
 //! straight to the owning reactor thread and wakes its poller. Nothing
-//! waits: the reply comes from work some other thread finishes anyway (an
-//! aggregation worker applying an epoch or a round submission, a WAL
-//! committer after its `fsync`). A service with work that would block finds
-//! it such a thread; it never blocks the one it is called on.
+//! waits: the reply comes from work some other thread finishes anyway (a
+//! reactor thread running a queued checkin, a WAL committer after its
+//! `fsync`). A service with work that would block finds it such a thread;
+//! it never blocks the one it is called on.
 //!
 //! ## Connection protocol
 //!

@@ -47,9 +47,9 @@ metric_ids! {
     pub enum CounterId {
         /// Checkins folded into the model (agg).
         CheckinsApplied => "checkins_applied",
-        /// Checkins run to completion on the thread that submitted them,
-        /// never queued; `checkins_applied − checkins_inline` went through
-        /// the ingest queue to a worker (agg).
+        /// Checkins run by the thread that submitted them;
+        /// `checkins_applied − checkins_inline` were queued and combined by
+        /// another holder of the core lock (agg).
         CheckinsInline => "checkins_inline",
         /// Duplicate checkins answered from the dedup cache (agg).
         DedupReplays => "dedup_replays",

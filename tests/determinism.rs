@@ -94,7 +94,6 @@ fn sharded_aggregation_matches_single_lock_bitwise() {
     let sequential = determinism_runtime(AggSettings {
         queue_bound: 2 * total as usize,
         epoch_size: total,
-        worker_threads: 1,
         retry_after_ms: 1,
         flush_idle_ms: 0,
     });
@@ -116,15 +115,15 @@ fn sharded_aggregation_matches_single_lock_bitwise() {
     let expected_samples = sequential.total_samples();
     sequential.shutdown();
 
-    // Concurrent run: one thread per device. A single worker keeps each
-    // device's own checkins accumulating in submission order (the guarantee
-    // the live protocol gets from devices awaiting their acks), while the 12
-    // device threads still race freely against each other — the
-    // nondeterminism the per-device sums and fixed merge order must absorb.
+    // Concurrent run: one thread per device. A holder of the core lock runs
+    // the queued checkins before its own, so each device's checkins
+    // accumulate in submission order (the guarantee the live protocol gets
+    // from devices awaiting their acks), while the 12 device threads still
+    // race freely against each other — the nondeterminism the per-device
+    // sums and fixed merge order must absorb.
     let sharded = Arc::new(determinism_runtime(AggSettings {
         queue_bound: 2 * total as usize,
         epoch_size: total,
-        worker_threads: 1,
         retry_after_ms: 1,
         flush_idle_ms: 0,
     }));
@@ -197,7 +196,6 @@ fn instrumented_runs_render_byte_identical_dumps() {
             .with_agg(AggSettings {
                 queue_bound: 64,
                 epoch_size: 1,
-                worker_threads: 1,
                 retry_after_ms: 1,
                 flush_idle_ms: 0,
             });

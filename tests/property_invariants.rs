@@ -290,8 +290,8 @@ proptest! {
 }
 
 proptest! {
-    // Each case spins up two full aggregation runtimes (worker threads and
-    // all), so this sweep runs fewer cases than the pure-math properties.
+    // Each case spins up two full aggregation runtimes, so this sweep runs
+    // fewer cases than the pure-math properties.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Masked round finalization is submission-order independent: the same
@@ -326,7 +326,6 @@ proptest! {
                 .with_agg(AggSettings {
                     queue_bound: 64,
                     epoch_size: 1,
-                    worker_threads: 2,
                     retry_after_ms: 1,
                     flush_idle_ms: 1,
                 })

@@ -100,48 +100,3 @@ fn reactor_holds_2000_concurrent_devices() {
         handle.shutdown();
     });
 }
-
-/// The reactor answers every deferred reply through a completer and runs no
-/// thread besides its event loops: a started server has reactor threads and
-/// no completion-pump threads.
-#[cfg(target_os = "linux")]
-#[test]
-fn a_started_server_runs_no_pump_threads() {
-    let model = MulticlassLogistic::new(4, 3).unwrap();
-    let tokens = TokenRegistry::with_derived_tokens(4, 99);
-    let handle =
-        ReactorServer::start(model, crowd_ml::core::config::ServerConfig::new(), tokens).unwrap();
-    let thread_names = || -> Vec<String> {
-        std::fs::read_dir("/proc/self/task")
-            .unwrap()
-            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-            .map(|comm| comm.trim_end().to_string())
-            .collect()
-    };
-    // A new thread carries its spawner's name until it runs and renames
-    // itself: wait for both reactor threads (the default pool) to have done
-    // so, then give any other thread started with them the same chance.
-    let reactors = |names: &[String]| {
-        names
-            .iter()
-            .filter(|name| name.starts_with("crowd-reactor-"))
-            .count()
-    };
-    for _ in 0..10_000 {
-        if reactors(&thread_names()) >= 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    std::thread::sleep(Duration::from_millis(50));
-    let names = thread_names();
-    assert!(
-        reactors(&names) >= 2,
-        "reactor threads are visible by name: {names:?}"
-    );
-    assert!(
-        !names.iter().any(|name| name.contains("pump")),
-        "a pump thread is running: {names:?}"
-    );
-    handle.shutdown();
-}
