@@ -42,13 +42,16 @@
 //!
 //! ```text
 //! stage ─► apply ─► park ack            the lock's holder: memory only
-//!            commit ─► publish ─► ack    crowd-agg: one write + fsync per group
+//!            commit ─► publish ─► ack    crowd-agg: seal CRCs, one write + fsync per group
 //! ```
 //!
-//! The submitters keep staging while `crowd-agg` commits, so a group is as
-//! large as the load made it, with nothing to tune, and no submitting thread
-//! waits for an `fsync`. `crowd-agg` also takes the periodic checkpoints and,
-//! with `epoch_size > 1`, flushes a partial epoch once ingest goes idle; a
+//! Staging encodes a frame and writes its length, nothing more: the frame's
+//! CRC is sealed by `crowd-agg` as part of the commit, so no checksum is
+//! computed under the core lock. The submitters keep staging while
+//! `crowd-agg` commits, so a group is as large as the load made it, with
+//! nothing to tune, and no submitting thread waits for an `fsync`.
+//! `crowd-agg` also takes the periodic checkpoints and, with
+//! `epoch_size > 1`, flushes a partial epoch once ingest goes idle; a
 //! runtime with neither a store nor an idle flush has no thread of its own.
 //! What survives a crash is a prefix of the applied epochs that contains
 //! every acknowledged one; a failed commit halts the runtime (see `halt`).
@@ -905,6 +908,12 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     /// no-op when rounds are disabled or nothing is pending. Harnesses call
     /// this before reading the ledger of a still-running server, so
     /// acknowledged round submissions are never observed uncharged.
+    ///
+    /// On a durable runtime this returns once the finalization is applied and
+    /// *staged*, not committed: `crowd-agg` commits it right after, and a
+    /// shutdown's checkpoint covers it, but a crash in between recovers the
+    /// round still open, its submissions pending and uncharged. The in-memory
+    /// ledger this makes readable is the applied one.
     pub fn settle_rounds(&self) {
         settle_open_round(&self.inner, &mut self.core());
     }

@@ -154,9 +154,9 @@ pub fn magnitude_spectrum(signal: &[f64]) -> Result<Vec<f64>> {
     Ok(spectrum[..n / 2].iter().map(|c| c.abs() * scale).collect())
 }
 
-/// Inverse FFT returning only the real parts (useful for round-trip testing and
-/// synthetic signal construction).
-pub fn ifft_real(spectrum: &[Complex]) -> Result<Vec<f64>> {
+/// Inverse FFT returning only the real parts: the round-trip test's oracle.
+#[cfg(test)]
+fn ifft_real(spectrum: &[Complex]) -> Result<Vec<f64>> {
     let mut data = spectrum.to_vec();
     fft_in_place(&mut data, true)?;
     Ok(data.into_iter().map(|c| c.re).collect())

@@ -10,8 +10,8 @@
 //!   per-device ε charges it incurs) is a CRC-framed record in an append-only
 //!   log, durable *before* its checkins are acknowledged. Records are staged
 //!   in memory ([`WalStage`]) in apply order and group-committed
-//!   ([`Store::commit`]): one write and one `fsync` cover every epoch staged
-//!   since the previous commit.
+//!   ([`Store::commit`]): the CRCs are sealed, then one write and one `fsync`
+//!   cover every epoch staged since the previous commit.
 //! * **Snapshots** ([`snapshot`]) — periodic full snapshots of the
 //!   [`ServerState`](crowd_core::ServerState) (params, iteration, schedule
 //!   position, monitoring counters, ε ledger), written to a temporary file and
@@ -24,9 +24,10 @@
 //!   of `crowd-agg`: replaying the logged epochs through
 //!   [`Server::apply_aggregate`](crowd_core::Server::apply_aggregate)
 //!   reproduces every parameter bit and every ledger entry.
-//! * **Rotation/compaction** — each snapshot starts a fresh WAL segment and
-//!   deletes the segments it superseded, so the log never grows beyond one
-//!   snapshot interval.
+//! * **Rotation/compaction** — each snapshot moves the log to a successor
+//!   segment, recycled from the one spare the previous snapshot superseded,
+//!   and deletes every older segment, so the log never grows beyond one
+//!   snapshot interval and the disk holds at most two segments.
 //!
 //! The knobs live on `crowd_core::config::ServerConfig::persist`
 //! ([`PersistSettings`](crowd_core::PersistSettings)): the data directory,
@@ -56,6 +57,15 @@ pub enum StoreError {
     /// A WAL record decoded but violates the log's sequencing invariants
     /// (e.g. its pre-apply iteration does not match the recovered server).
     CorruptWal(String),
+    /// A WAL segment is in a format of this log that this build does not
+    /// read (e.g. `CMLWAL01`, written before frames were salted). Reading it
+    /// as empty would silently drop acknowledged epochs and their ε charges.
+    UnsupportedWal {
+        /// The segment's path.
+        segment: std::path::PathBuf,
+        /// The magic found at its start.
+        found: String,
+    },
     /// Replaying a logged epoch produced different ε charges than the log
     /// recorded — the server was restarted with a different budget
     /// configuration than it ran with.
@@ -70,6 +80,12 @@ impl fmt::Display for StoreError {
             StoreError::Io(e) => write!(f, "store i/o error: {e}"),
             StoreError::CorruptSnapshot(detail) => write!(f, "corrupt snapshot: {detail}"),
             StoreError::CorruptWal(detail) => write!(f, "corrupt WAL: {detail}"),
+            StoreError::UnsupportedWal { segment, found } => write!(
+                f,
+                "WAL segment {} is format {found}; this build reads {} only",
+                segment.display(),
+                String::from_utf8_lossy(wal::WAL_MAGIC)
+            ),
             StoreError::ReplayDiverged(detail) => write!(f, "replay diverged: {detail}"),
             StoreError::Core(e) => write!(f, "core error: {e}"),
         }
@@ -128,6 +144,14 @@ pub mod testutil {
     pub fn break_wal(store: &mut crate::Store) -> std::io::Result<()> {
         store.wal_mut().break_writes()
     }
+
+    /// Runs the first half of `store`'s next snapshot rotation — the spare
+    /// segment renamed to the successor's name and its header rewritten (or,
+    /// with no spare, the successor created) — and stops there, as a crash
+    /// before the snapshot that names the successor is installed would.
+    pub fn rotate_without_snapshot(store: &mut crate::Store) -> crate::Result<()> {
+        store.open_successor().map(drop)
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +168,12 @@ mod tests {
         assert!(std::error::Error::source(&snap).is_none());
         let wal = StoreError::CorruptWal("iteration gap".into());
         assert!(wal.to_string().contains("iteration gap"));
+        let v1 = StoreError::UnsupportedWal {
+            segment: "data/wal-00000003.log".into(),
+            found: "CMLWAL01".into(),
+        };
+        assert!(v1.to_string().contains("wal-00000003.log"));
+        assert!(v1.to_string().contains("CMLWAL01"));
         let diverged = StoreError::ReplayDiverged("charges".into());
         assert!(diverged.to_string().contains("charges"));
         let core: StoreError = crowd_core::CoreError::Config("bad".into()).into();

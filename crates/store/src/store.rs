@@ -5,16 +5,19 @@
 //! ```text
 //! data_dir/
 //!   snapshot.bin      latest full snapshot (atomic-rename; may be absent)
-//!   wal-XXXXXXXX.log  the active WAL segment (sequence-numbered)
+//!   wal-XXXXXXXX.log  the active WAL segment (sequence-numbered), and at
+//!                     most one spare: the segment the latest snapshot
+//!                     superseded, kept for the next rotation to recycle
 //! ```
 //!
 //! The write path is a two-step group commit. Records are *staged* — encoded
-//! and CRC-framed into an in-memory [`WalStage`], in the order their epochs
-//! are applied, which costs no syscall — and a stage is *committed* by
-//! [`Store::commit`]: one `write_all` and (with `persist.fsync`) one
-//! `sync_data` for everything staged since the previous commit. Nothing a
-//! stage holds may be acknowledged before the commit that covers it returns,
-//! so a crash loses at most a suffix of unacknowledged records. The
+//! and length-framed into an in-memory [`WalStage`], in the order their
+//! epochs are applied, which costs no syscall and no checksum — and a stage
+//! is *committed* by [`Store::commit`]: every frame's CRC sealed, then one
+//! `write_all` and (with `persist.fsync`) one `sync_data` for everything
+//! staged since the previous commit. Nothing a stage holds may be
+//! acknowledged before the commit that covers it returns, so a crash loses
+//! at most a suffix of unacknowledged records. The
 //! aggregation runtime stages under its core lock and commits outside it (see
 //! `crowd_agg::runtime`); a single caller can use the one-call form, per epoch:
 //!
@@ -23,8 +26,22 @@
 //!    checkins (write-ahead).
 //! 2. apply the epoch to the server.
 //! 3. [`Store::note_applied`] — when it reports a snapshot is due,
-//!    [`Store::snapshot`] the server's exported state, which also rotates to a
-//!    fresh WAL segment and deletes the segments the snapshot superseded.
+//!    [`Store::snapshot`] the server's exported state, which also rotates the
+//!    log to a successor segment.
+//!
+//! Rotation recycles. The spare (a segment the latest durable snapshot
+//! already superseded, so none of its frames is needed) is renamed to the
+//! successor's name, its header is rewritten and its first old frame header
+//! invalidated, and the data and then the directory are synced — all
+//! *before* the snapshot that names the successor is installed. Once that
+//! snapshot is durable, the segment it superseded becomes the new spare and
+//! anything older is deleted. Appends to a recycled segment overwrite
+//! allocated blocks, so their `sync_data` has no file growth to journal, and
+//! the old frames never replay: each frame's CRC is salted with its
+//! segment's sequence number (see [`crate::wal`]). A crash before the
+//! install recovers under the previous snapshot, which still names the old
+//! active segment (Pillai et al., "All File Systems Are Not Created Equal",
+//! OSDI 2014, for the rename/fsync ordering).
 //!
 //! [`Store::open`] inverts this on startup: restore the snapshot, replay the
 //! surviving WAL records through `Server::apply_aggregate` (the same
@@ -73,10 +90,11 @@ impl RecoveryReport {
     }
 }
 
-/// WAL records staged for the next commit: whole CRC frames, back to back, in
-/// the order they were staged. Staging only writes memory; [`Store::commit`]
-/// makes a stage durable and empties it (keeping its buffer), so a stage that
-/// is swapped with a spare and reused allocates nothing per record.
+/// WAL records staged for the next commit: whole frames, back to back, in
+/// the order they were staged, their CRCs left for the commit to seal.
+/// Staging only writes memory; [`Store::commit`] makes a stage durable and
+/// empties it (keeping its buffer), so a stage that is swapped with a spare
+/// and reused allocates nothing per record.
 #[derive(Debug, Default)]
 pub struct WalStage {
     frames: Vec<u8>,
@@ -136,7 +154,7 @@ impl WalStage {
         self.count == 0
     }
 
-    /// The staged frames, exactly as a commit writes them.
+    /// The staged frames: what a commit writes once it has sealed their CRCs.
     pub fn as_bytes(&self) -> &[u8] {
         &self.frames
     }
@@ -158,6 +176,9 @@ pub struct Store {
     wal: WalWriter,
     /// The stage behind the one-call `log_*` methods.
     stage: WalStage,
+    /// A segment the latest durable snapshot superseded, which the next
+    /// rotation recycles as its successor.
+    spare: Option<u64>,
     epochs_since_snapshot: u64,
     /// When attached (by the aggregation runtime), WAL append bytes/latency
     /// and snapshot durations are recorded here alongside the runtime's own
@@ -197,18 +218,23 @@ impl Store {
             None => (Server::new(model, config)?, 0),
         };
 
-        // Segments below `first_seq` are fully covered by the snapshot; delete
-        // them (they may survive a crash between snapshot-rename and segment
-        // cleanup, and replaying them would double-apply their epochs).
-        let mut live_segments = Vec::new();
-        for seq in list_segments(&dir)? {
-            if seq < first_seq {
-                let _ = std::fs::remove_file(dir.join(wal::segment_file_name(seq)));
-            } else {
-                live_segments.push(seq);
-            }
+        // Segments below `first_seq` are fully covered by the snapshot and
+        // never replayed (that would double-apply their epochs). The newest is
+        // kept as the spare; the rest may survive a crash between
+        // snapshot-rename and cleanup, and are deleted.
+        let (mut superseded, live_segments): (Vec<u64>, Vec<u64>) = list_segments(&dir)?
+            .into_iter()
+            .partition(|&seq| seq < first_seq);
+        let spare = superseded.pop();
+        for seq in superseded {
+            let _ = std::fs::remove_file(dir.join(wal::segment_file_name(seq)));
         }
-        live_segments.sort_unstable();
+        // A spare may only be overwritten once the snapshot that supersedes
+        // it is durable; the run that installed it may have died before its
+        // directory sync.
+        if persist.fsync && spare.is_some() {
+            wal::sync_dir(&dir)?;
+        }
 
         let mut active = None;
         for &seq in &live_segments {
@@ -232,6 +258,7 @@ impl Store {
                 fsync: persist.fsync,
                 wal,
                 stage: WalStage::new(),
+                spare,
                 epochs_since_snapshot: 0,
                 metrics: None,
             },
@@ -256,17 +283,18 @@ impl Store {
 
     /// Attaches a crowd-scope registry; subsequent commits and snapshots
     /// record `wal_appends`, `wal_append_bytes`, `wal_append_us`, `wal_frames`,
-    /// `wal_group_frames`, and `snapshot_us` into it.
+    /// `wal_group_frames`, `wal_segments_recycled` and `snapshot_us` into it.
     pub fn set_metrics(&mut self, metrics: Arc<Registry>) {
         self.metrics = Some(metrics);
     }
 
-    /// Commits a stage: everything in it reaches the active segment with one
-    /// `write_all` and (with `persist.fsync`) one `sync_data`, and is durable
-    /// on `Ok`. The stage comes back empty either way. An `Err` may have left
-    /// a torn frame at the segment's tail, so nothing may be committed to this
-    /// store afterwards (a restart truncates the tear); the caller must treat
-    /// it as fatal and acknowledge nothing the stage covered.
+    /// Commits a stage: its frames' CRCs are sealed, and everything in it
+    /// reaches the active segment with one `write_all` and (with
+    /// `persist.fsync`) one `sync_data`, and is durable on `Ok`. The stage
+    /// comes back empty either way. An `Err` may have left a torn frame at the
+    /// segment's tail, so nothing may be committed to this store afterwards
+    /// (a restart truncates the tear); the caller must treat it as fatal and
+    /// acknowledge nothing the stage covered.
     pub fn commit(&mut self, stage: &mut WalStage) -> Result<()> {
         commit_stage(&mut self.wal, self.metrics.as_deref(), stage)
     }
@@ -317,10 +345,12 @@ impl Store {
         self.snapshot_every > 0 && self.epochs_since_snapshot >= self.snapshot_every
     }
 
-    /// Writes a full snapshot of `state`, rotates to a fresh WAL segment, and
-    /// deletes every segment the snapshot supersedes (compaction).
+    /// Writes a full snapshot of `state` and rotates the log to a successor
+    /// segment (recycling the spare when there is one); once the snapshot is
+    /// durable, the segment it superseded becomes the spare and every older
+    /// segment is deleted (compaction).
     ///
-    /// Failure ordering matters: the successor segment is created *before*
+    /// Failure ordering matters: the successor segment is in place *before*
     /// the snapshot that names it, and the store only switches its writer
     /// once the snapshot naming it is in place. If either step fails, the old
     /// segment stays active and the old snapshot stays authoritative —
@@ -331,21 +361,25 @@ impl Store {
     /// after it, or it would land in the successor and replay twice.
     pub fn snapshot(&mut self, state: &ServerState) -> Result<()> {
         let start = self.metrics.as_ref().map(|m| m.start());
-        let next_seq = self.wal.seq() + 1;
-        let new_wal = WalWriter::create(&self.dir, next_seq, self.fsync)?;
+        let new_wal = self.open_successor()?;
+        let next_seq = new_wal.seq();
         snapshot::install(&self.dir, next_seq, state, self.fsync)?;
         // The renamed snapshot is visible from here on, so appends belong to
         // the successor whatever happens next; but until the rename is known
         // durable the superseded segments stay (a power loss that drops it
-        // replays them under the old snapshot), and the next snapshot retries.
+        // replays them under the old snapshot), and the next rotation creates
+        // its successor afresh.
         self.wal = new_wal;
         if self.fsync {
             wal::sync_dir(&self.dir)?;
         }
-        for seq in list_segments(&self.dir)? {
-            if seq < next_seq {
-                let _ = std::fs::remove_file(self.dir.join(wal::segment_file_name(seq)));
-            }
+        let mut superseded: Vec<u64> = list_segments(&self.dir)?
+            .into_iter()
+            .filter(|&seq| seq < next_seq)
+            .collect();
+        self.spare = superseded.pop();
+        for seq in superseded {
+            let _ = std::fs::remove_file(self.dir.join(wal::segment_file_name(seq)));
         }
         self.epochs_since_snapshot = 0;
         if let (Some(metrics), Some(start)) = (&self.metrics, start) {
@@ -353,9 +387,26 @@ impl Store {
         }
         Ok(())
     }
+
+    /// The successor of the active segment, ready for appends: the spare
+    /// recycled under the successor's name, or a fresh segment when there is
+    /// no spare. The spare is used up either way, so a failed rotation never
+    /// recycles a file twice.
+    pub(crate) fn open_successor(&mut self) -> Result<WalWriter> {
+        let next_seq = self.wal.seq() + 1;
+        let Some(spare) = self.spare.take() else {
+            return Ok(WalWriter::create(&self.dir, next_seq, self.fsync)?);
+        };
+        let recycled = WalWriter::recycle(&self.dir, spare, next_seq, self.fsync)?;
+        if let Some(metrics) = &self.metrics {
+            metrics.incr(CounterId::WalSegmentsRecycled);
+        }
+        Ok(recycled)
+    }
 }
 
-/// Writes a stage to `wal` as one commit group, records it, and empties it.
+/// Seals a stage's frames and writes them to `wal` as one commit group,
+/// records it, and empties it.
 fn commit_stage(
     wal: &mut WalWriter,
     metrics: Option<&Registry>,
@@ -365,7 +416,7 @@ fn commit_stage(
         return Ok(());
     }
     let start = metrics.map(|m| m.start());
-    let written = wal.append_batch(stage.as_bytes());
+    let written = wal.append_batch(&mut stage.frames);
     if let (Ok(()), Some(metrics), Some(start)) = (&written, metrics, start) {
         metrics.incr(CounterId::WalAppends);
         // Payload bytes, as before group commit: frame headers excluded.
@@ -456,6 +507,7 @@ fn charges_bitwise_equal(a: &[(u64, f64)], b: &[(u64, f64)]) -> bool {
             })
 }
 
+/// The sequence numbers of the segments in `dir`, ascending.
 fn list_segments(dir: &Path) -> std::io::Result<Vec<u64>> {
     let mut segments = Vec::new();
     for entry in std::fs::read_dir(dir)? {
@@ -464,6 +516,7 @@ fn list_segments(dir: &Path) -> std::io::Result<Vec<u64>> {
             segments.push(seq);
         }
     }
+    segments.sort_unstable();
     Ok(segments)
 }
 
@@ -558,11 +611,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The framing the WAL used before records were encoded in place: the
-    /// allocating encoder's payload behind a freshly built header.
+    /// A staged frame built the long way round: the allocating encoder's
+    /// payload behind a freshly built header whose CRC the commit has yet to
+    /// seal.
     fn reference_frame(payload: &[u8]) -> Vec<u8> {
         let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&codec::crc32(payload).to_le_bytes());
+        frame.extend_from_slice(&[0; 4]);
         frame.extend_from_slice(payload);
         frame
     }
@@ -666,7 +720,8 @@ mod tests {
             durable_checkin(&mut store, &mut server, &p);
         }
         assert_eq!(store.wal_seq(), 1);
-        assert_eq!(list_segments(&dir).unwrap(), vec![1]);
+        // Segment 0 stays as the spare the next rotation recycles.
+        assert_eq!(list_segments(&dir).unwrap(), vec![0, 1]);
         drop(store);
         let (_, recovered, report) = Store::open(model(), fsync_config).unwrap();
         assert!(report.from_snapshot);
@@ -752,12 +807,155 @@ mod tests {
             let p = payload(step as u64, step as u64, &mut rng);
             durable_checkin(&mut store, &mut server, &p);
         }
-        // Two snapshots happened (after epochs 4 and 8): only the newest
-        // segment survives, and it holds exactly the one post-snapshot epoch.
+        // Two snapshots happened (after epochs 4 and 8): the second recycled
+        // segment 0 as segment 2, which holds exactly the one post-snapshot
+        // epoch, and segment 1 stays as the spare.
         assert_eq!(store.wal_seq(), 2);
-        assert_eq!(list_segments(&dir).unwrap(), vec![2]);
+        assert_eq!(list_segments(&dir).unwrap(), vec![1, 2]);
         let contents = wal::read_segment(&dir.join(wal::segment_file_name(2))).unwrap();
         assert_eq!(contents.records.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_frames_of_a_recycled_segment_never_replay() {
+        let dir = temp_dir("store-recycle-stale");
+        let manual = config(&dir).with_snapshot_every(0);
+        let metrics = Arc::new(Registry::new());
+        let (mut store, mut server, _) = Store::open(model(), manual.clone()).unwrap();
+        store.set_metrics(Arc::clone(&metrics));
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut log = |store: &mut Store, server: &mut Server<_>, steps: std::ops::Range<u64>| {
+            for step in steps {
+                durable_checkin(store, server, &payload(step % 5, step, &mut rng));
+            }
+        };
+        // Many frames in segment 0, then two rotations: 0 → 1 keeps 0 as the
+        // spare, 1 → 2 recycles it.
+        log(&mut store, &mut server, 0..10);
+        store.snapshot(&server.export_state()).unwrap();
+        log(&mut store, &mut server, 10..11);
+        store.snapshot(&server.export_state()).unwrap();
+        assert_eq!(store.wal_seq(), 2);
+        assert_eq!(metrics.snapshot().get("wal_segments_recycled"), 1);
+        // Fewer frames in the reborn segment than its first life held, then
+        // a crash with no snapshot.
+        log(&mut store, &mut server, 11..13);
+        let at_crash = server.export_state();
+        drop(store);
+        drop(server);
+
+        let (_store, server, report) = Store::open(model(), manual).unwrap();
+        assert!(report.from_snapshot);
+        assert_eq!(report.replayed_epochs, 2);
+        assert!(
+            report.torn_tail,
+            "the first life's frames follow the new ones"
+        );
+        assert_eq!(server.export_state(), at_crash);
+        assert_eq!(at_crash, reference_state(13));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crash_mid_rotation_recovers_under_the_previous_snapshot() {
+        let dir = temp_dir("store-recycle-crash");
+        let (mut store, mut server, _) = Store::open(model(), config(&dir)).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        // Snapshots after epochs 4 and 8 leave segment 2 active and 1 spare.
+        let total = 14;
+        for step in 0..9 {
+            durable_checkin(&mut store, &mut server, &payload(step % 5, step, &mut rng));
+        }
+        assert_eq!(list_segments(&dir).unwrap(), vec![1, 2]);
+        let at_crash = server.export_state();
+        // The spare is renamed to segment 3 and rewritten; the process dies
+        // before the snapshot naming segment 3 is installed.
+        crate::testutil::rotate_without_snapshot(&mut store).unwrap();
+        assert_eq!(list_segments(&dir).unwrap(), vec![2, 3]);
+        drop(store);
+        drop(server);
+
+        let (mut store, server, report) = Store::open(model(), config(&dir)).unwrap();
+        assert!(report.from_snapshot);
+        assert_eq!(report.replayed_epochs, 1);
+        assert_eq!(server.export_state(), at_crash);
+        // The half-rotated segment is where appending resumes. Segment 2 is
+        // still the snapshot's, so the next rotation must not recycle it:
+        // crash mid-rotation again and recover the same state.
+        assert_eq!(store.wal_seq(), 3);
+        crate::testutil::rotate_without_snapshot(&mut store).unwrap();
+        assert_eq!(list_segments(&dir).unwrap(), vec![2, 3, 4]);
+        drop(store);
+        drop(server);
+        let (mut store, mut server, report) = Store::open(model(), config(&dir)).unwrap();
+        assert_eq!(report.replayed_epochs, 1);
+        assert_eq!(server.export_state(), at_crash);
+        for step in 9..total {
+            durable_checkin(&mut store, &mut server, &payload(step % 5, step, &mut rng));
+        }
+        assert_eq!(server.export_state(), reference_state(total as usize));
+        drop(store);
+        drop(server);
+        let (_store, server, _) = Store::open(model(), config(&dir)).unwrap();
+        assert_eq!(server.export_state(), reference_state(total as usize));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn at_rest_the_directory_holds_the_active_segment_one_spare_and_the_snapshot() {
+        let dir = temp_dir("store-recycle-disk");
+        let (mut store, mut server, _) = Store::open(model(), config(&dir)).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        for step in 0..30 {
+            durable_checkin(&mut store, &mut server, &payload(step % 5, step, &mut rng));
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            let active = wal::segment_file_name(store.wal_seq());
+            let mut allowed = vec![active.clone(), snapshot::SNAPSHOT_FILE.to_string()];
+            if let Some(spare) = store.spare {
+                allowed.push(wal::segment_file_name(spare));
+            }
+            assert!(names.contains(&active), "after step {step}: {names:?}");
+            assert!(
+                names.len() <= 3 && names.iter().all(|name| allowed.contains(name)),
+                "after step {step}: {names:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_segment_is_refused_by_name_and_format() {
+        let dir = temp_dir("store-wal-v1");
+        let (_, server, _) = Store::open(model(), config(&dir)).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let epoch = EpochAggregate::from_payload(&payload(0, 0, &mut rng));
+        let charges = server.epoch_charges(&epoch);
+        // A v1 segment: the old magic, then frames whose CRC covers the
+        // payload alone.
+        let record = codec::encode_epoch_record(0, &epoch, &charges);
+        let mut v1 = b"CMLWAL01".to_vec();
+        v1.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&codec::crc32(&record).to_le_bytes());
+        v1.extend_from_slice(&record);
+        let segment = dir.join(wal::segment_file_name(0));
+        std::fs::write(&segment, &v1).unwrap();
+        match Store::open(model(), config(&dir)) {
+            Err(StoreError::UnsupportedWal {
+                segment: named,
+                found,
+            }) => {
+                assert_eq!(named, segment);
+                assert_eq!(found, "CMLWAL01");
+            }
+            other => panic!("expected UnsupportedWal, got {other:?}"),
+        }
+        // Refused, not repaired: the acknowledged epoch is still on disk.
+        assert_eq!(std::fs::read(&segment).unwrap(), v1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,24 +1,50 @@
-//! CRC-framed append-only write-ahead log segments.
+//! CRC-framed append-only write-ahead log segments (format v2).
 //!
-//! A segment is `[8-byte magic]` followed by frames of
-//! `[len: u32][crc32(payload): u32][payload: len bytes]`. Frames are built in
-//! memory ([`frame_into`]) in the order their epochs are applied and reach the
-//! file a commit group at a time ([`WalWriter::append_batch`]: one `write_all`,
-//! one `sync_data`); nothing a group covers is acknowledged before that call
-//! returns. After a crash the log is therefore a prefix of what was applied
-//! that contains every acknowledged epoch: the lost suffix was never
-//! acknowledged, and at most the last frame written is torn. Reading stops at
-//! the first frame whose length or CRC does not check out and reports the
-//! byte offset of the last valid frame so the writer can truncate the torn
-//! tail before appending again.
+//! A segment opens with a 16-byte header, `CMLWAL02` followed by the
+//! segment's own sequence number (`u64`, little-endian), and continues with
+//! frames of `[len: u32][crc: u32][payload: len bytes]`. A frame's CRC-32
+//! covers the sequence number's eight bytes followed by the payload, so a
+//! frame is valid only in the segment it was written for.
+//!
+//! That salt is what lets [`crate::Store`] recycle segment files: a spare is
+//! renamed to its successor's name ([`WalWriter::recycle`]) and overwritten in
+//! place, so appends land on already-allocated blocks and `sync_data` has no
+//! size change to journal. A frame left over from the file's previous life
+//! fails its check exactly as a torn tail does, and reading stops there; a
+//! header that still names the old sequence number (a crash between the
+//! rename and the header rewrite) makes the whole segment count as empty.
+//!
+//! Frames are built in memory ([`frame_into`], which writes only the length)
+//! in the order their epochs are applied, and reach the file a commit group
+//! at a time ([`WalWriter::append_batch`]: every CRC sealed, then one
+//! `write_all` and one `sync_data`); nothing a group covers is acknowledged
+//! before that call returns. After a crash the log is therefore a prefix of
+//! what was applied that contains every acknowledged epoch: the lost suffix
+//! was never acknowledged, and at most the last frame written is torn.
+//! Reading stops at the first frame whose length or CRC does not check out
+//! and reports the byte offset of the last valid frame so the writer can
+//! truncate the tail before appending again.
+//!
+//! A segment in another format of this log (`CMLWAL01`, whose frames carry
+//! unsalted CRCs) is refused with [`StoreError::UnsupportedWal`] rather than
+//! read as empty, which would silently drop acknowledged epochs and their ε
+//! charges.
 
-use crate::codec::crc32;
+use crate::codec::crc32_salted;
+use crate::{Result, StoreError};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every WAL segment.
-pub const WAL_MAGIC: &[u8; 8] = b"CMLWAL01";
+pub const WAL_MAGIC: &[u8; 8] = b"CMLWAL02";
+
+/// The magic's format-independent prefix: a segment that carries it with
+/// another version is a log this build cannot read.
+const WAL_MAGIC_FAMILY: &[u8] = b"CMLWAL";
+
+/// Segment header: the magic, then the segment's sequence number.
+pub(crate) const WAL_HEADER: usize = WAL_MAGIC.len() + 8;
 
 /// Upper bound on a single record's payload (a merged epoch of a very large
 /// model is tens of megabytes; anything near this cap is corruption).
@@ -26,18 +52,46 @@ pub const MAX_RECORD_LEN: usize = 1 << 30;
 
 pub(crate) const FRAME_HEADER: usize = 8; // len + crc
 
-/// Appends one frame to `buf`: reserves the `[len][crc]` header, lets `encode`
-/// write the payload straight behind it, then patches the header in place —
-/// no intermediate payload buffer.
+/// Appends one unsealed frame to `buf`: reserves the `[len][crc]` header,
+/// lets `encode` write the payload straight behind it, then patches the
+/// length in place — no intermediate payload buffer. The CRC slot stays zero
+/// until [`WalWriter::append_batch`] seals it, off the caller's lock.
 pub fn frame_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     let header = buf.len();
     buf.extend_from_slice(&[0; FRAME_HEADER]);
     encode(buf);
-    let payload = header + FRAME_HEADER;
-    let len = (buf.len() - payload) as u32;
-    let crc = crc32(&buf[payload..]);
+    let len = (buf.len() - header - FRAME_HEADER) as u32;
     buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
-    buf[header + 4..payload].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Writes each frame's CRC (salted with `seq`) into its header.
+fn seal(seq: u64, frames: &mut [u8]) -> std::io::Result<()> {
+    let mut offset = 0;
+    while offset < frames.len() {
+        let payload = offset + FRAME_HEADER;
+        let len = frames
+            .get(offset..offset + 4)
+            .and_then(|b| b.try_into().ok())
+            .map(|b| u32::from_le_bytes(b) as usize);
+        let Some(end) = len.map(|len| payload + len).filter(|&e| e <= frames.len()) else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "commit group does not end on a frame boundary",
+            ));
+        };
+        let crc = crc32_salted(seq, &frames[payload..end]);
+        frames[offset + 4..payload].copy_from_slice(&crc.to_le_bytes());
+        offset = end;
+    }
+    Ok(())
+}
+
+/// The header of segment `seq`.
+fn segment_header(seq: u64) -> [u8; WAL_HEADER] {
+    let mut header = [0; WAL_HEADER];
+    header[..WAL_MAGIC.len()].copy_from_slice(WAL_MAGIC);
+    header[WAL_MAGIC.len()..].copy_from_slice(&seq.to_le_bytes());
+    header
 }
 
 /// Makes a directory entry (a created or renamed file) survive power loss.
@@ -52,19 +106,40 @@ pub struct SegmentContents {
     pub records: Vec<Vec<u8>>,
     /// Byte offset just past the last valid frame (where appending resumes).
     pub valid_len: u64,
-    /// `true` when trailing bytes after the last valid frame were present
-    /// (a torn final append — the expected crash artifact).
+    /// `true` when bytes after the last valid frame were present: a torn
+    /// final append (the expected crash artifact) or, in a recycled segment,
+    /// frames from the file's previous life.
     pub torn: bool,
 }
 
-/// Reads a segment, tolerating a torn tail.
+/// Reads a segment, tolerating a torn tail. The segment's sequence number
+/// comes from its file name ([`segment_file_name`]).
 ///
-/// A missing or too-short magic makes the whole segment count as empty
-/// (`valid_len` = 0), which the writer repairs by rewriting the header.
-pub fn read_segment(path: &Path) -> std::io::Result<SegmentContents> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+/// A header that is missing, too short, or names another sequence number
+/// makes the whole segment count as empty (`valid_len` = 0), which the writer
+/// repairs by rewriting the header. A `CMLWAL` magic of another version is
+/// [`StoreError::UnsupportedWal`].
+pub fn read_segment(path: &Path) -> Result<SegmentContents> {
+    let seq = path
+        .file_name()
+        .and_then(|name| name.to_str())
+        .and_then(parse_segment_seq)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{} is not a WAL segment name", path.display()),
+            )
+        })?;
+    let bytes = std::fs::read(path)?;
+    if let Some(magic) = bytes.get(..WAL_MAGIC.len()) {
+        if magic.starts_with(WAL_MAGIC_FAMILY) && magic != WAL_MAGIC {
+            return Err(StoreError::UnsupportedWal {
+                segment: path.to_path_buf(),
+                found: String::from_utf8_lossy(magic).into_owned(),
+            });
+        }
+    }
+    if bytes.get(..WAL_HEADER) != Some(&segment_header(seq)[..]) {
         return Ok(SegmentContents {
             records: Vec::new(),
             valid_len: 0,
@@ -72,7 +147,7 @@ pub fn read_segment(path: &Path) -> std::io::Result<SegmentContents> {
         });
     }
     let mut records = Vec::new();
-    let mut offset = WAL_MAGIC.len();
+    let mut offset = WAL_HEADER;
     loop {
         let remaining = &bytes[offset..];
         if remaining.len() < FRAME_HEADER {
@@ -92,7 +167,7 @@ pub fn read_segment(path: &Path) -> std::io::Result<SegmentContents> {
         };
         let crc = u32::from_le_bytes(crc_bytes);
         let payload = &remaining[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32(payload) != crc {
+        if crc32_salted(seq, payload) != crc {
             break;
         }
         records.push(payload.to_vec());
@@ -129,7 +204,7 @@ pub fn parse_segment_seq(name: &str) -> Option<u64> {
 }
 
 impl WalWriter {
-    /// Creates (or truncates) segment `seq` in `dir` and writes the magic.
+    /// Creates (or truncates) segment `seq` in `dir` and writes its header.
     /// With `fsync`, the file and its directory entry are synced: a segment
     /// whose name can vanish in a power loss takes every synced frame with it.
     pub fn create(dir: &Path, seq: u64, fsync: bool) -> std::io::Result<Self> {
@@ -139,7 +214,7 @@ impl WalWriter {
             .create(true)
             .truncate(true)
             .open(&path)?;
-        file.write_all(WAL_MAGIC)?;
+        file.write_all(&segment_header(seq))?;
         if fsync {
             file.sync_data()?;
             sync_dir(dir)?;
@@ -152,33 +227,52 @@ impl WalWriter {
         })
     }
 
-    /// Reopens an existing segment for appending after recovery, truncating a
-    /// torn tail at `valid_len` first. `valid_len` = 0 (unreadable header)
-    /// rewrites the segment from scratch.
-    pub fn reopen(dir: &Path, seq: u64, valid_len: u64, fsync: bool) -> std::io::Result<Self> {
-        if valid_len < WAL_MAGIC.len() as u64 {
-            return Self::create(dir, seq, fsync);
-        }
+    /// Turns segment `spare` into segment `seq` without freeing its blocks:
+    /// renames the file, then rewrites its header and invalidates the first
+    /// old frame header (a length past [`MAX_RECORD_LEN`]) in one write. With
+    /// `fsync`, the data and then the directory are synced, so the successor
+    /// is in place before any snapshot names it. Appends then overwrite the
+    /// old frames, which the new salt already rejects.
+    pub fn recycle(dir: &Path, spare: u64, seq: u64, fsync: bool) -> std::io::Result<Self> {
         let path = dir.join(segment_file_name(seq));
-        let file = OpenOptions::new().write(true).open(&path)?;
-        file.set_len(valid_len)?;
+        std::fs::rename(dir.join(segment_file_name(spare)), &path)?;
+        let mut file = OpenOptions::new().write(true).open(&path)?;
+        let mut head = [0xFF; WAL_HEADER + FRAME_HEADER];
+        head[..WAL_HEADER].copy_from_slice(&segment_header(seq));
+        file.write_all(&head)?;
         if fsync {
             file.sync_data()?;
+            sync_dir(dir)?;
         }
-        let mut writer = WalWriter {
+        file.seek(SeekFrom::Start(WAL_HEADER as u64))?;
+        Ok(WalWriter {
             file,
             path,
             seq,
             fsync,
-        };
-        writer.seek_end(valid_len)?;
-        Ok(writer)
+        })
     }
 
-    fn seek_end(&mut self, pos: u64) -> std::io::Result<()> {
-        use std::io::{Seek, SeekFrom};
-        self.file.seek(SeekFrom::Start(pos))?;
-        Ok(())
+    /// Reopens an existing segment for appending after recovery, truncating a
+    /// torn tail at `valid_len` first. A `valid_len` short of the header
+    /// (unreadable or stale header) rewrites the segment from scratch.
+    pub fn reopen(dir: &Path, seq: u64, valid_len: u64, fsync: bool) -> std::io::Result<Self> {
+        if valid_len < WAL_HEADER as u64 {
+            return Self::create(dir, seq, fsync);
+        }
+        let path = dir.join(segment_file_name(seq));
+        let mut file = OpenOptions::new().write(true).open(&path)?;
+        file.set_len(valid_len)?;
+        if fsync {
+            file.sync_data()?;
+        }
+        file.seek(SeekFrom::Start(valid_len))?;
+        Ok(WalWriter {
+            file,
+            path,
+            seq,
+            fsync,
+        })
     }
 
     /// Swaps the segment's handle for a read-only one, so the next append is
@@ -202,15 +296,17 @@ impl WalWriter {
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
         frame_into(&mut frame, |buf| buf.extend_from_slice(payload));
-        self.append_batch(&frame)
+        self.append_batch(&mut frame)
     }
 
     /// Appends a commit group — whole frames built by [`frame_into`], back to
-    /// back — with a single `write_all` and (optionally) a single `sync_data`.
-    /// A crash mid-write loses a suffix of the group and tears at most one
+    /// back — sealing every frame's CRC in place and then writing the group
+    /// with a single `write_all` and (optionally) a single `sync_data`. A
+    /// crash mid-write loses a suffix of the group and tears at most one
     /// frame. After an error the segment's tail is unknown, so the writer must
     /// not be appended to again (recovery truncates the tear).
-    pub fn append_batch(&mut self, frames: &[u8]) -> std::io::Result<()> {
+    pub fn append_batch(&mut self, frames: &mut [u8]) -> std::io::Result<()> {
+        seal(self.seq, frames)?;
         self.file.write_all(frames)?;
         if self.fsync {
             self.file.sync_data()?;
@@ -222,6 +318,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32_bytewise;
     use crate::testutil::temp_dir;
 
     #[test]
@@ -242,33 +339,44 @@ mod tests {
     #[test]
     fn batched_frames_match_single_appends_byte_for_byte() {
         let payloads: Vec<Vec<u8>> = (0u8..4).map(|i| vec![i ^ 0x5A; i as usize * 7]).collect();
-        let dir = temp_dir("wal-batch");
-        let mut one_by_one = WalWriter::create(&dir, 0, false).unwrap();
+        let (single_dir, batch_dir) = (temp_dir("wal-single"), temp_dir("wal-batch"));
+        let seq = 5;
+        let mut one_by_one = WalWriter::create(&single_dir, seq, false).unwrap();
         for p in &payloads {
             one_by_one.append(p).unwrap();
         }
         let mut group = Vec::new();
+        let mut expected = Vec::new();
         for p in &payloads {
-            // The reference framing, assembled the long way round.
-            let mut frame = (p.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&crc32(p).to_le_bytes());
-            frame.extend_from_slice(p);
+            // The reference framing, assembled the long way round: the CRC
+            // covers the segment's sequence number, then the payload.
+            let salted = [&seq.to_le_bytes()[..], p].concat();
+            expected.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&crc32_bytewise(&salted).to_le_bytes());
+            expected.extend_from_slice(p);
             let start = group.len();
             frame_into(&mut group, |buf| buf.extend_from_slice(p));
-            assert_eq!(&group[start..], frame.as_slice());
+            // Staged frames carry their length and no CRC yet.
+            assert_eq!(group[start..start + 4], (p.len() as u32).to_le_bytes());
+            assert_eq!(group[start + 4..start + FRAME_HEADER], [0; 4]);
         }
-        let mut batched = WalWriter::create(&dir, 1, true).unwrap();
-        batched.append_batch(&group).unwrap();
-        drop((one_by_one, batched));
-        let single = std::fs::read(dir.join(segment_file_name(0))).unwrap();
+        let mut batched = WalWriter::create(&batch_dir, seq, true).unwrap();
+        batched.append_batch(&mut group).unwrap();
         assert_eq!(
-            single,
-            std::fs::read(dir.join(segment_file_name(1))).unwrap()
+            group, expected,
+            "the commit seals the staged frames in place"
         );
-        let contents = read_segment(&dir.join(segment_file_name(1))).unwrap();
+        drop((one_by_one, batched));
+        let path = |dir: &Path| dir.join(segment_file_name(seq));
+        let single = std::fs::read(path(&single_dir)).unwrap();
+        assert_eq!(single, std::fs::read(path(&batch_dir)).unwrap());
+        assert_eq!(single[..WAL_HEADER], segment_header(seq));
+        assert_eq!(single[WAL_HEADER..], expected);
+        let contents = read_segment(&path(&batch_dir)).unwrap();
         assert_eq!(contents.records, payloads);
         assert!(!contents.torn);
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&single_dir).unwrap();
+        std::fs::remove_dir_all(&batch_dir).unwrap();
     }
 
     #[test]
@@ -333,6 +441,32 @@ mod tests {
         drop(wal);
         let contents = read_segment(&path).unwrap();
         assert_eq!(contents.records, vec![vec![1]]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn frames_are_valid_only_in_the_segment_they_were_written_for() {
+        let dir = temp_dir("wal-salt");
+        let mut wal = WalWriter::create(&dir, 1, false).unwrap();
+        wal.append(&[7; 12]).unwrap();
+        wal.append(&[8; 12]).unwrap();
+        drop(wal);
+        // Renamed but not yet rewritten (a crash mid-recycle): the header
+        // names another segment, so nothing in it counts.
+        let reborn = dir.join(segment_file_name(3));
+        std::fs::rename(dir.join(segment_file_name(1)), &reborn).unwrap();
+        let contents = read_segment(&reborn).unwrap();
+        assert!(contents.records.is_empty());
+        assert_eq!(contents.valid_len, 0);
+        assert!(contents.torn);
+        // With the header rewritten, the old frames fail the new salt.
+        let mut bytes = std::fs::read(&reborn).unwrap();
+        bytes[..WAL_HEADER].copy_from_slice(&segment_header(3));
+        std::fs::write(&reborn, &bytes).unwrap();
+        let contents = read_segment(&reborn).unwrap();
+        assert!(contents.records.is_empty());
+        assert_eq!(contents.valid_len, WAL_HEADER as u64);
+        assert!(contents.torn);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

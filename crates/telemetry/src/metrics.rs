@@ -96,6 +96,9 @@ metric_ids! {
         /// WAL records committed; `wal_frames / wal_appends` is the mean
         /// commit-group size (store).
         WalFrames => "wal_frames",
+        /// WAL segments reused by a snapshot rotation: the spare renamed to
+        /// the successor's name and overwritten in place (store).
+        WalSegmentsRecycled => "wal_segments_recycled",
         /// Checkins that arrived with the quantized gradient encoding (net).
         QuantizedCheckins => "quantized_checkins",
         /// Wire bytes saved by quantized versus dense gradient encoding (net).
