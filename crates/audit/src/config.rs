@@ -4,8 +4,9 @@
 //! diffed at a glance.
 
 /// Crates whose iteration order reaches merged parameters, acks, or persisted
-/// state — the bitwise-determinism surface.
-pub const DETERMINISM_CRATES: &[&str] = &["core", "agg", "store", "dp", "linalg"];
+/// state — the bitwise-determinism surface. Each names a directory under
+/// `crates/` (rule `stale-path`).
+pub const DETERMINISM_CRATES: &[&str] = &["core", "agg", "store", "learning", "linalg"];
 
 /// Files allowed to read the wall clock: the telemetry clock module (the ONE
 /// place a monotonic `Instant` is anchored — everything else observes time

@@ -1,9 +1,10 @@
 //! Rule `stale-path`: a policy-table entry that names nothing.
 //!
 //! `panic-freedom` and `wallclock` decide where they apply from path-prefix
-//! tables in [`crate::config`]. Delete or rename a module and its entry keeps
-//! compiling while guarding nothing, so every entry must name a file or
-//! directory that exists under the audited root.
+//! tables in [`crate::config`], and `unordered-iter` from a table of crate
+//! names. Delete or rename a module or crate and its entry keeps compiling
+//! while guarding nothing, so every entry must name a file or directory that
+//! exists under the audited root (a crate name: `crates/<name>/`).
 //!
 //! The entries are read from the audited tree's own copy of the tables
 //! ([`CONFIG_FILE`]), so a finding points at the line to fix; a tree without
@@ -16,17 +17,23 @@ use std::path::Path;
 
 pub const RULE: &str = "stale-path";
 
-/// Where the path-prefix tables live, workspace-relative.
+/// Where the policy tables live, workspace-relative.
 pub const CONFIG_FILE: &str = "crates/audit/src/config.rs";
 
-const PATH_TABLES: &[&str] = &["PANIC_FREE_PATHS", "WALLCLOCK_ALLOWED"];
+/// `(table, directory its entries are relative to)`.
+const PATH_TABLES: &[(&str, &str)] = &[
+    ("PANIC_FREE_PATHS", ""),
+    ("WALLCLOCK_ALLOWED", ""),
+    ("DETERMINISM_CRATES", "crates/"),
+];
 
-/// `(table, prefix, line)` for the string literals of every
-/// `const <TABLE>: … = &[ … ];` in `config`.
+/// `(table, path, line)` for the string literals of every
+/// `const <TABLE>: … = &[ … ];` in `config`, each joined to its table's
+/// directory.
 pub fn entries(config: &SourceFile) -> Vec<(&'static str, String, u32)> {
     let tokens = &config.tokens;
     let mut out = Vec::new();
-    for &table in PATH_TABLES {
+    for &(table, dir) in PATH_TABLES {
         // Past the `=` (the type before it has brackets of its own), the
         // first `[` opens the initializer.
         let Some(open) = tokens
@@ -41,8 +48,8 @@ pub fn entries(config: &SourceFile) -> Vec<(&'static str, String, u32)> {
             let TokenKind::Literal(text) = &token.kind else {
                 continue;
             };
-            if let Some(prefix) = text.strip_prefix('"').and_then(|t| t.strip_suffix('"')) {
-                out.push((table, prefix.to_string(), token.line));
+            if let Some(entry) = text.strip_prefix('"').and_then(|t| t.strip_suffix('"')) {
+                out.push((table, format!("{dir}{entry}"), token.line));
             }
         }
     }
@@ -55,15 +62,15 @@ pub fn check(files: &[SourceFile], root: &Path) -> Vec<Finding> {
     };
     entries(config)
         .into_iter()
-        .filter(|(_, prefix, _)| !root.join(prefix).exists())
-        .map(|(table, prefix, line)| {
+        .filter(|(_, path, _)| !root.join(path).exists())
+        .map(|(table, path, line)| {
             Finding::new(
                 RULE,
                 CONFIG_FILE,
                 line,
                 format!(
-                    "`{prefix}` in {table} names no file or directory — the module was \
-                     deleted or renamed; drop the entry or point it at the module's new home"
+                    "`{path}` in {table} names no file or directory — the module or crate \
+                     was deleted or renamed; drop the entry or point it at its new home"
                 ),
             )
         })
@@ -73,7 +80,7 @@ pub fn check(files: &[SourceFile], root: &Path) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PANIC_FREE_PATHS, WALLCLOCK_ALLOWED};
+    use crate::config::{DETERMINISM_CRATES, PANIC_FREE_PATHS, WALLCLOCK_ALLOWED};
 
     #[test]
     fn reads_exactly_the_compiled_in_tables() {
@@ -81,16 +88,18 @@ mod tests {
         // what the other rules actually use.
         let config = SourceFile::parse(CONFIG_FILE, include_str!("../config.rs"));
         let read = entries(&config);
-        for (table, compiled) in [
-            ("PANIC_FREE_PATHS", PANIC_FREE_PATHS),
-            ("WALLCLOCK_ALLOWED", WALLCLOCK_ALLOWED),
+        for (table, dir, compiled) in [
+            ("PANIC_FREE_PATHS", "", PANIC_FREE_PATHS),
+            ("WALLCLOCK_ALLOWED", "", WALLCLOCK_ALLOWED),
+            ("DETERMINISM_CRATES", "crates/", DETERMINISM_CRATES),
         ] {
-            let prefixes: Vec<&str> = read
+            let paths: Vec<&str> = read
                 .iter()
                 .filter(|(t, ..)| *t == table)
-                .map(|(_, prefix, _)| prefix.as_str())
+                .map(|(_, path, _)| path.as_str())
                 .collect();
-            assert_eq!(prefixes, compiled, "{table}");
+            let expected: Vec<String> = compiled.iter().map(|e| format!("{dir}{e}")).collect();
+            assert_eq!(paths, expected, "{table}");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! `HashMap` iteration order depends on the hasher's per-process random seed,
 //! so any value derived from it — merged parameters, ack contents, persisted
 //! ledgers — varies run to run. In the crates whose outputs must be bitwise
-//! reproducible (`core`, `agg`, `store`, `dp`, `linalg`) every iteration over
+//! reproducible (`core`, `agg`, `store`, `learning`, `linalg`) every iteration over
 //! a hash container must either be sorted before use, switched to a BTree
 //! container, or explicitly waived with
 //! `// audit:allow(unordered-iter, reason)`.

@@ -85,6 +85,18 @@ fn stale_path_fires_exactly_once() {
     assert!(f.message.contains("PANIC_FREE_PATHS"));
 }
 
+#[test]
+fn stale_crate_fires_exactly_once() {
+    let findings = audit_fixture("stale_crate");
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, "stale-path");
+    assert_eq!(f.file, "crates/audit/src/config.rs");
+    assert_eq!(f.line, 5);
+    assert!(f.message.contains("`crates/dp`"));
+    assert!(f.message.contains("DETERMINISM_CRATES"));
+}
+
 /// Every fixture must fail a `--deny` run (the CI loop relies on this).
 #[test]
 fn every_fixture_fails_deny() {
@@ -95,6 +107,7 @@ fn every_fixture_fails_deny() {
         "lock_order",
         "wire",
         "stale_path",
+        "stale_crate",
     ] {
         let root = fixture_root(name);
         let outcome =

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_core::config::{DeviceConfig, PrivacyConfig};
 use crowd_core::device::Device;
 use crowd_data::Sample;
-use crowd_dp::{Epsilon, GaussianMechanism, LaplaceMechanism};
+use crowd_learning::dp::{Epsilon, GaussianMechanism, LaplaceMechanism};
 use crowd_learning::model::Model;
 use crowd_learning::{LearningRate, MulticlassLogistic};
 use crowd_linalg::ops::normalize_l1;

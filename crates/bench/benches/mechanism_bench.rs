@@ -3,7 +3,7 @@
 //! label flip used by the centralized baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowd_dp::{
+use crowd_learning::dp::{
     DiscreteLaplaceMechanism, Epsilon, ExponentialMechanism, GaussianMechanism, LaplaceMechanism,
 };
 use crowd_linalg::Vector;

@@ -6,10 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_core::config::CrowdMlConfig;
 use crowd_core::simulation::{run_crowd_ml, SimulationConfig};
+use crowd_core::simulation::{DelayModel, EventQueue};
 use crowd_data::partition::{partition, PartitionStrategy};
 use crowd_data::synthetic::GaussianMixtureSpec;
 use crowd_learning::MulticlassLogistic;
-use crowd_sim::{DelayModel, EventQueue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;

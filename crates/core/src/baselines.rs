@@ -13,9 +13,9 @@
 use crate::config::PrivacyConfig;
 use crate::Result;
 use crowd_data::{Dataset, Sample};
-use crowd_dp::sensitivity::feature_release;
-use crowd_dp::{Epsilon, ExponentialMechanism, LaplaceMechanism};
 use crowd_learning::batch::{BatchConfig, BatchTrainer};
+use crowd_learning::dp::sensitivity::feature_release;
+use crowd_learning::dp::{Epsilon, ExponentialMechanism, LaplaceMechanism};
 use crowd_learning::metrics::{error_rate, ErrorCurve};
 use crowd_learning::model::Model;
 use crowd_learning::sgd::{SgdConfig, SgdTrainer};
@@ -36,19 +36,15 @@ pub fn perturb_dataset_for_central<R: Rng + ?Sized>(
     if privacy.is_non_private() || total <= 0.0 {
         return Ok(data.clone());
     }
-    let eps_x = Epsilon::finite(total / 2.0).map_err(crate::CoreError::Privacy)?;
-    let eps_y = Epsilon::finite(total / 2.0).map_err(crate::CoreError::Privacy)?;
-    let feature_mechanism =
-        LaplaceMechanism::new(eps_x, feature_release()).map_err(crate::CoreError::Privacy)?;
-    let label_mechanism =
-        ExponentialMechanism::new(eps_y, 1.0).map_err(crate::CoreError::Privacy)?;
+    let eps_x = Epsilon::finite(total / 2.0)?;
+    let eps_y = Epsilon::finite(total / 2.0)?;
+    let feature_mechanism = LaplaceMechanism::new(eps_x, feature_release())?;
+    let label_mechanism = ExponentialMechanism::new(eps_y, 1.0)?;
 
     let mut out = Dataset::empty(data.dim(), data.num_classes())?;
     for s in data.iter() {
         let features = feature_mechanism.perturb_vector(rng, &s.features);
-        let label = label_mechanism
-            .perturb_label(rng, s.label, data.num_classes())
-            .map_err(crate::CoreError::Privacy)?;
+        let label = label_mechanism.perturb_label(rng, s.label, data.num_classes())?;
         out.push(Sample::new(features, label))?;
     }
     Ok(out)

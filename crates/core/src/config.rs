@@ -2,7 +2,7 @@
 
 use crate::error::CoreError;
 use crate::Result;
-use crowd_dp::{Epsilon, PrivacyBudget};
+use crowd_learning::dp::{Epsilon, PrivacyBudget};
 use crowd_learning::LearningRate;
 use std::path::PathBuf;
 
@@ -38,7 +38,7 @@ impl PrivacyConfig {
     /// Builds the configuration from the inverse ε the paper reports
     /// (`ε⁻¹ = 0.1` in Figs. 5–6 and 8–9; `ε⁻¹ = 0` means non-private).
     pub fn from_inverse_epsilon(inverse: f64) -> Result<Self> {
-        let eps = Epsilon::from_inverse(inverse).map_err(CoreError::Privacy)?;
+        let eps = Epsilon::from_inverse(inverse)?;
         Ok(match eps {
             Epsilon::NonPrivate => Self::non_private(),
             Epsilon::Finite(v) => Self::with_total_epsilon(v),

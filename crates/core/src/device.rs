@@ -197,7 +197,7 @@ impl Device {
                 .iter()
                 .fold(0.0_f64, |m, &v| m.max(v.abs()));
             let quant_step = max_abs / f64::from(crowd_linalg::quant::QMAX);
-            crowd_dp::noise_dominates_quantization(noise_scale, quant_step)
+            crowd_learning::dp::noise_dominates_quantization(noise_scale, quant_step)
         };
         let gradient = if quantize {
             GradientUpdate::Quantized(

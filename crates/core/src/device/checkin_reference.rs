@@ -10,8 +10,10 @@
 use super::{CheckinPayload, Device};
 use crate::error::CoreError;
 use crate::Result;
-use crowd_dp::sensitivity::averaged_logistic_gradient;
-use crowd_dp::{DiscreteLaplaceMechanism, LaplaceMechanism};
+use crowd_learning::dp::sensitivity::averaged_logistic_gradient;
+use crowd_learning::dp::{
+    noise_dominates_quantization, DiscreteLaplaceMechanism, LaplaceMechanism,
+};
 use crowd_learning::model::{minibatch_statistics, Model};
 use crowd_linalg::{GradientUpdate, QuantizedVector, Vector};
 use rand::Rng;
@@ -51,8 +53,7 @@ pub(super) fn compute_checkin<M: Model + ?Sized, R: Rng + ?Sized>(
     let gradient_mechanism = LaplaceMechanism::new(
         budget.gradient,
         averaged_logistic_gradient(stats.num_samples),
-    )
-    .map_err(CoreError::Privacy)?;
+    )?;
     let counter_mechanism = DiscreteLaplaceMechanism::new(budget.error_count);
     let label_mechanism = DiscreteLaplaceMechanism::new(budget.label_count);
     let sanitized_gradient = gradient_mechanism.perturb_vector(rng, &stats.gradient);
@@ -71,8 +72,7 @@ pub(super) fn compute_checkin<M: Model + ?Sized, R: Rng + ?Sized>(
         .iter()
         .fold(0.0_f64, |m, &v| m.max(v.abs()));
     let quant_step = max_abs / f64::from(crowd_linalg::quant::QMAX);
-    let gradient = if crowd_dp::noise_dominates_quantization(gradient_mechanism.scale(), quant_step)
-    {
+    let gradient = if noise_dominates_quantization(gradient_mechanism.scale(), quant_step) {
         GradientUpdate::Quantized(
             QuantizedVector::quantize_stochastic(sanitized_gradient.as_slice(), rng)
                 .map_err(|e| CoreError::Protocol(e.to_string()))?,

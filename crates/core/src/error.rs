@@ -7,10 +7,9 @@ use std::fmt;
 pub enum CoreError {
     /// Invalid configuration value.
     Config(String),
-    /// An error bubbled up from the learning substrate.
+    /// An error bubbled up from the learning substrate (models and privacy
+    /// mechanisms).
     Learning(crowd_learning::LearningError),
-    /// An error bubbled up from the privacy substrate.
-    Privacy(crowd_dp::DpError),
     /// An error bubbled up from the data substrate.
     Data(crowd_data::DataError),
     /// A device or the server was used in a way that violates the protocol state
@@ -23,7 +22,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Config(msg) => write!(f, "configuration error: {msg}"),
             CoreError::Learning(e) => write!(f, "learning error: {e}"),
-            CoreError::Privacy(e) => write!(f, "privacy error: {e}"),
             CoreError::Data(e) => write!(f, "data error: {e}"),
             CoreError::Protocol(msg) => write!(f, "protocol error: {msg}"),
         }
@@ -34,7 +32,6 @@ impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CoreError::Learning(e) => Some(e),
-            CoreError::Privacy(e) => Some(e),
             CoreError::Data(e) => Some(e),
             _ => None,
         }
@@ -44,12 +41,6 @@ impl std::error::Error for CoreError {
 impl From<crowd_learning::LearningError> for CoreError {
     fn from(e: crowd_learning::LearningError) -> Self {
         CoreError::Learning(e)
-    }
-}
-
-impl From<crowd_dp::DpError> for CoreError {
-    fn from(e: crowd_dp::DpError) -> Self {
-        CoreError::Privacy(e)
     }
 }
 
@@ -70,8 +61,8 @@ mod tests {
         let learning: CoreError = crowd_learning::LearningError::EmptyData.into();
         assert!(learning.to_string().contains("learning"));
         assert!(std::error::Error::source(&learning).is_some());
-        let privacy: CoreError = crowd_dp::DpError::EmptyCandidateSet.into();
-        assert!(privacy.to_string().contains("privacy"));
+        let privacy: CoreError = crowd_learning::LearningError::EmptyCandidateSet.into();
+        assert!(privacy.to_string().contains("candidate"));
         let data: CoreError = crowd_data::DataError::InvalidArgument("x".into()).into();
         assert!(data.to_string().contains("data"));
         let proto = CoreError::Protocol("double checkout".into());

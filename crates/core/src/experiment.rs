@@ -16,7 +16,7 @@
 
 use crate::baselines::{central_batch, central_sgd, decentralized};
 use crate::config::{CrowdMlConfig, DeviceConfig, PrivacyConfig, ServerConfig};
-use crate::simulation::{run_crowd_ml, SimulationConfig};
+use crate::simulation::{run_crowd_ml, DelayModel, SimulationConfig, SimulationTrace};
 use crate::Result;
 use crowd_data::activity::{simulate_fleet, ActivityConfig};
 use crowd_data::partition::{partition, PartitionStrategy};
@@ -26,7 +26,6 @@ use crowd_learning::batch::BatchConfig;
 use crowd_learning::metrics::{time_averaged_error, ErrorCurve};
 use crowd_learning::sgd::SgdConfig;
 use crowd_learning::{LearningRate, MulticlassLogistic};
-use crowd_sim::{DelayModel, TraceCollector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -251,7 +250,7 @@ pub struct ExperimentOutcome {
     /// Number of server updates applied.
     pub server_iterations: u64,
     /// Simulation trace (event counts, staleness).
-    pub trace: TraceCollector,
+    pub trace: SimulationTrace,
 }
 
 impl ExperimentOutcome {
@@ -582,7 +581,7 @@ mod tests {
         );
         assert!(!outcome.online_error.is_empty());
         assert!(outcome.server_iterations > 0);
-        assert!(outcome.trace.get("samples_generated") > 0);
+        assert!(outcome.trace.samples_generated > 0);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   Centralized (SGD) on feature/label-perturbed data (Appendix C), and
 //!   Decentralized per-device SGD.
 //! * [`simulation`] — the asynchronous, delay-aware discrete-event simulation of a
-//!   fleet of devices (§V-C's simulated environment), built on `crowd-sim`.
+//!   fleet of devices (§V-C's simulated environment) over its own event queue
+//!   and delay models.
 //! * [`experiment`] — high-level experiment runners that produce the
 //!   error-vs-iteration curves of Figs. 3–9.
 //! * [`report`] — plain-text/CSV rendering used by the figure binaries and

@@ -15,8 +15,8 @@
 
 use crate::config::PrivacyConfig;
 use crate::Result;
-use crowd_dp::sensitivity::averaged_logistic_gradient;
-use crowd_dp::{DiscreteLaplaceMechanism, LaplaceMechanism};
+use crowd_learning::dp::sensitivity::averaged_logistic_gradient;
+use crowd_learning::dp::{DiscreteLaplaceMechanism, LaplaceMechanism};
 use crowd_linalg::Vector;
 use rand::Rng;
 
@@ -44,8 +44,7 @@ impl Sanitizer {
     /// under the given privacy configuration.
     pub fn new(privacy: &PrivacyConfig, batch_size: usize) -> Result<Self> {
         let sensitivity = averaged_logistic_gradient(batch_size);
-        let gradient_mechanism = LaplaceMechanism::new(privacy.budget.gradient, sensitivity)
-            .map_err(crate::CoreError::Privacy)?;
+        let gradient_mechanism = LaplaceMechanism::new(privacy.budget.gradient, sensitivity)?;
         Ok(Sanitizer {
             gradient_mechanism,
             counter_mechanism: DiscreteLaplaceMechanism::new(privacy.budget.error_count),

@@ -9,7 +9,7 @@ use crate::config::{RoundSettings, ServerConfig};
 use crate::device::CheckinPayload;
 use crate::error::CoreError;
 use crate::Result;
-use crowd_dp::BudgetAccountant;
+use crowd_learning::dp::BudgetAccountant;
 use crowd_learning::model::Model;
 use crowd_learning::LearningRate;
 use crowd_linalg::ops::project_l2_ball;
@@ -667,15 +667,12 @@ impl<M: Model> Server<M> {
             .into_iter()
             .map(|(d, r, n)| (d, (r, n)))
             .collect();
-        server
-            .accountant
-            .restore_spent(
-                state
-                    .budget_ledger
-                    .into_iter()
-                    .map(|(id, spent)| (budget_entity(id), spent)),
-            )
-            .map_err(CoreError::Privacy)?;
+        server.accountant.restore_spent(
+            state
+                .budget_ledger
+                .into_iter()
+                .map(|(id, spent)| (budget_entity(id), spent)),
+        )?;
         Ok(server)
     }
 
@@ -820,9 +817,7 @@ impl<M: Model> Server<M> {
         // server the device has already spent the privacy budget, so the
         // ledger must count it even when the gradient is not applied.
         for (device_id, cost) in self.epoch_charges(epoch) {
-            self.accountant
-                .record(&budget_entity(device_id), cost)
-                .map_err(CoreError::Privacy)?;
+            self.accountant.record(&budget_entity(device_id), cost)?;
         }
 
         if self.stopped() {

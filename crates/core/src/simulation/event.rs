@@ -19,7 +19,7 @@ pub struct Event<T> {
 }
 
 impl<T> Event<T> {
-    /// Creates an event (normally done by [`crate::EventQueue::schedule`]).
+    /// Creates an event (normally done by [`EventQueue::schedule`](super::EventQueue::schedule)).
     pub fn new(time: f64, sequence: u64, payload: T) -> Self {
         Event {
             time,

@@ -11,6 +11,18 @@
 //! [`DelayModel`] (the paper draws each uniformly from `[0, τ]`). While a device
 //! waits, other devices keep checking in, so the parameters it eventually uses are
 //! stale; the server measures and reports that staleness.
+//!
+//! The generic machinery lives in three submodules: a deterministic
+//! [`EventQueue`] of timestamped [`Event`]s and the [`DelayModel`]s that draw
+//! each leg's delay.
+
+mod delay;
+mod event;
+mod queue;
+
+pub use delay::DelayModel;
+pub use event::Event;
+pub use queue::EventQueue;
 
 use crate::config::CrowdMlConfig;
 use crate::device::{Device, DeviceAction};
@@ -20,7 +32,6 @@ use crowd_data::Dataset;
 use crowd_learning::metrics::{error_rate, ErrorCurve};
 use crowd_learning::model::Model;
 use crowd_linalg::Vector;
-use crowd_sim::{DelayModel, EventQueue, TraceCollector};
 use rand::Rng;
 
 /// Simulation-level configuration (on top of the Crowd-ML algorithm configuration).
@@ -82,7 +93,36 @@ pub struct CrowdRunResult {
     /// Number of server updates applied.
     pub server_iterations: u64,
     /// Event counters and staleness observations.
-    pub trace: TraceCollector,
+    pub trace: SimulationTrace,
+}
+
+/// What one simulated run counted. The run drains its event queue before it
+/// returns, so every message sent was also received:
+/// `checkout_requests == checkouts_served == checkins_sent +
+/// empty_checkins_skipped` and `checkins_sent == checkins_applied`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SimulationTrace {
+    /// Samples generated across the fleet.
+    pub samples_generated: u64,
+    /// Checkout requests the devices sent.
+    pub checkout_requests: u64,
+    /// Samples a device dropped because its buffer was full.
+    pub samples_dropped: u64,
+    /// Checkout requests the server answered.
+    pub checkouts_served: u64,
+    /// Checkouts that reached a device with nothing buffered and were
+    /// released without a checkin.
+    pub empty_checkins_skipped: u64,
+    /// Checkins the devices sent.
+    pub checkins_sent: u64,
+    /// Checkins the server processed, accepted or not.
+    pub checkins_applied: u64,
+    /// Sum over processed checkins of their staleness (server updates between
+    /// the device's checkout and its checkin).
+    pub staleness_total: u64,
+    /// Sum over processed checkins of the simulated time from the parameters
+    /// reaching the device to the checkin reaching the server.
+    pub latency_total: f64,
 }
 
 impl CrowdRunResult {
@@ -153,7 +193,7 @@ where
     let total_arrivals = ((total_local as f64) * sim.passes).ceil() as u64;
 
     let mut queue: EventQueue<SimEvent> = EventQueue::new();
-    let mut trace = TraceCollector::new();
+    let mut trace = SimulationTrace::default();
     let mut curve = ErrorCurve::new();
     let mut online_mistakes = Vec::with_capacity(total_arrivals as usize);
     let mut consumed_by_server = 0usize;
@@ -171,7 +211,7 @@ where
                 if !part.is_empty() {
                     let sample = part.get(cursors[device_idx] % part.len()).clone();
                     cursors[device_idx] += 1;
-                    trace.count("samples_generated");
+                    trace.samples_generated += 1;
 
                     // Online prediction with the parameters this device last saw.
                     let pred = server
@@ -183,14 +223,14 @@ where
                     match action {
                         DeviceAction::RequestCheckout => {
                             devices[device_idx].begin_checkout()?;
-                            trace.count("checkout_requests");
+                            trace.checkout_requests += 1;
                             let delay = sim.delay.sample(rng);
                             queue.schedule_after(
                                 delay,
                                 SimEvent::CheckoutAtServer { device: device_idx },
                             );
                         }
-                        DeviceAction::Dropped => trace.count("samples_dropped"),
+                        DeviceAction::Dropped => trace.samples_dropped += 1,
                         DeviceAction::Buffered => {}
                     }
                 }
@@ -201,7 +241,7 @@ where
             }
             SimEvent::CheckoutAtServer { device } => {
                 let ticket = server.checkout();
-                trace.count("checkouts_served");
+                trace.checkouts_served += 1;
                 let delay = sim.delay.sample(rng);
                 queue.schedule_after(
                     delay,
@@ -222,7 +262,7 @@ where
                     // Nothing to do (should not normally happen); release the
                     // outstanding checkout so the device can retry later.
                     devices[device].abort_checkout();
-                    trace.count("empty_checkins_skipped");
+                    trace.empty_checkins_skipped += 1;
                     continue;
                 }
                 let payload = devices[device].compute_checkin(
@@ -232,7 +272,7 @@ where
                     config.server.lambda,
                     rng,
                 )?;
-                trace.count("checkins_sent");
+                trace.checkins_sent += 1;
                 let delay = sim.delay.sample(rng);
                 let checkout_time = queue.now();
                 queue.schedule_after(
@@ -249,9 +289,9 @@ where
             } => {
                 let num_samples = payload.num_samples;
                 let outcome = server.checkin(&payload)?;
-                trace.count("checkins_applied");
-                trace.record_latency(queue.now() - checkout_time);
-                trace.add("staleness_total", outcome.staleness);
+                trace.checkins_applied += 1;
+                trace.latency_total += queue.now() - checkout_time;
+                trace.staleness_total += outcome.staleness;
                 if outcome.accepted {
                     consumed_by_server += num_samples;
                     if consumed_by_server >= next_eval {
@@ -361,6 +401,18 @@ mod tests {
         partition(train, devices, PartitionStrategy::Iid, &mut rng).unwrap()
     }
 
+    /// The drained queue delivered every message: each checkout request was
+    /// served and answered by a checkin or a skip, and each checkin landed.
+    fn assert_messages_conserved(trace: &SimulationTrace) {
+        assert_eq!(trace.checkout_requests, trace.checkouts_served, "{trace:?}");
+        assert_eq!(
+            trace.checkouts_served,
+            trace.checkins_sent + trace.empty_checkins_skipped,
+            "{trace:?}"
+        );
+        assert_eq!(trace.checkins_sent, trace.checkins_applied, "{trace:?}");
+    }
+
     #[test]
     fn crowd_ml_learns_without_privacy_or_delay() {
         let (train, test) = task(0, 1500);
@@ -380,11 +432,11 @@ mod tests {
             "error {}",
             result.final_test_error()
         );
-        assert_eq!(result.trace.get("samples_generated"), 1500);
+        assert_eq!(result.trace.samples_generated, 1500);
         assert_eq!(result.server_iterations, 1500);
         assert_eq!(result.online_mistakes.len(), 1500);
         // With b = 1 every sample triggers a checkout/checkin.
-        assert_eq!(result.trace.get("checkins_applied"), 1500);
+        assert_eq!(result.trace.checkins_applied, 1500);
     }
 
     #[test]
@@ -419,14 +471,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let result = run_crowd_ml(&model, &parts, &test, &config, &delayed, &mut rng).unwrap();
         // With substantial delays some checkins must observe a stale model.
-        assert!(result.trace.get("staleness_total") > 0);
-        assert!(result.trace.mean_latency().unwrap() > 0.0);
+        assert!(result.trace.staleness_total > 0);
+        assert!(result.trace.latency_total > 0.0);
         // Checkins batch up the samples that arrived while the device waited, so
         // there are fewer checkins than samples but all generated samples are
         // accounted for (generated = consumed by server + dropped + still buffered).
-        let applied = result.trace.get("checkins_applied");
+        let applied = result.trace.checkins_applied;
         assert!(applied > 0 && applied < 800, "applied {applied}");
-        assert_eq!(result.trace.get("samples_generated"), 800);
+        assert_eq!(result.trace.samples_generated, 800);
+        assert_messages_conserved(&result.trace);
     }
 
     #[test]
@@ -445,7 +498,8 @@ mod tests {
         let result = run_crowd_ml(&model, &parts, &test, &config, &sim, &mut rng).unwrap();
         assert_eq!(result.server_iterations, 50);
         // The stop prevents the remaining samples from being generated.
-        assert!(result.trace.get("samples_generated") < 1000);
+        assert!(result.trace.samples_generated < 1000);
+        assert_messages_conserved(&result.trace);
     }
 
     #[test]

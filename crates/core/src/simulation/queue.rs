@@ -1,6 +1,6 @@
 //! A deterministic future-event queue with a virtual clock.
 
-use crate::event::Event;
+use super::Event;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

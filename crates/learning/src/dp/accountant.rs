@@ -7,8 +7,8 @@
 //! cumulative spend per device under basic (sequential) composition so a
 //! deployment can refuse releases that would exceed a per-device ceiling.
 
-use crate::error::DpError;
-use crate::{Epsilon, Result};
+use super::Epsilon;
+use crate::{LearningError, Result};
 use std::collections::BTreeMap;
 
 /// The per-checkin privacy budget split across the three kinds of release.
@@ -41,7 +41,7 @@ impl PrivacyBudget {
             Epsilon::NonPrivate => Ok(Self::non_private()),
             Epsilon::Finite(eps) => {
                 if eps <= 0.0 || !eps.is_finite() {
-                    return Err(DpError::InvalidEpsilon(eps));
+                    return Err(LearningError::InvalidEpsilon(eps));
                 }
                 let monitor = eps * monitor_fraction;
                 let gradient = eps - monitor;
@@ -124,11 +124,11 @@ impl BudgetAccountant {
     /// ceiling. A cost of zero (non-private release) always succeeds.
     pub fn charge(&mut self, entity: &str, cost: f64) -> Result<()> {
         if cost < 0.0 || !cost.is_finite() {
-            return Err(DpError::InvalidEpsilon(cost));
+            return Err(LearningError::InvalidEpsilon(cost));
         }
         let current = self.spent(entity);
         if current + cost > self.ceiling + 1e-12 {
-            return Err(DpError::BudgetExhausted {
+            return Err(LearningError::BudgetExhausted {
                 spent: current,
                 requested: cost,
                 total: self.ceiling,
@@ -147,7 +147,7 @@ impl BudgetAccountant {
     /// spend. Callers use the returned flag to stop querying the entity.
     pub fn record(&mut self, entity: &str, cost: f64) -> Result<bool> {
         if cost < 0.0 || !cost.is_finite() {
-            return Err(DpError::InvalidEpsilon(cost));
+            return Err(LearningError::InvalidEpsilon(cost));
         }
         let spent = self.spent.entry(entity.to_string()).or_insert(0.0);
         *spent += cost;
@@ -167,26 +167,11 @@ impl BudgetAccountant {
     {
         for (entity, spent) in entries {
             if spent < 0.0 || !spent.is_finite() {
-                return Err(DpError::InvalidEpsilon(spent));
+                return Err(LearningError::InvalidEpsilon(spent));
             }
             self.spent.insert(entity.into(), spent);
         }
         Ok(())
-    }
-
-    /// Records one Crowd-ML checkin for `entity` under the given budget split.
-    pub fn charge_checkin(
-        &mut self,
-        entity: &str,
-        budget: &PrivacyBudget,
-        num_classes: usize,
-    ) -> Result<()> {
-        self.charge(entity, budget.total_per_checkin(num_classes))
-    }
-
-    /// Number of entities with any recorded spend.
-    pub fn num_entities(&self) -> usize {
-        self.spent.len()
     }
 
     /// Iterator over `(entity, spent)` pairs in ascending entity order.
@@ -243,10 +228,10 @@ mod tests {
         assert!((acc.spent("dev-1") - 0.8).abs() < 1e-12);
         assert!((acc.remaining("dev-1") - 0.2).abs() < 1e-12);
         let err = acc.charge("dev-1", 0.4).unwrap_err();
-        assert!(matches!(err, DpError::BudgetExhausted { .. }));
+        assert!(matches!(err, LearningError::BudgetExhausted { .. }));
         // Other devices are unaffected.
         acc.charge("dev-2", 0.9).unwrap();
-        assert_eq!(acc.num_entities(), 2);
+        assert_eq!(acc.iter().count(), 2);
     }
 
     #[test]
@@ -257,21 +242,22 @@ mod tests {
         acc.charge("d", 1.0).unwrap();
         acc.reset();
         assert_eq!(acc.spent("d"), 0.0);
-        assert_eq!(acc.num_entities(), 0);
+        assert_eq!(acc.iter().count(), 0);
     }
 
     #[test]
     fn charge_checkin_uses_budget_split() {
         let total = Epsilon::finite(0.5).unwrap();
         let budget = PrivacyBudget::split_total(total, 3, 0.1).unwrap();
+        let per_checkin = budget.total_per_checkin(3);
         let mut acc = BudgetAccountant::new(5.0);
-        acc.charge_checkin("dev", &budget, 3).unwrap();
-        assert!((acc.spent("dev") - budget.total_per_checkin(3)).abs() < 1e-12);
+        acc.charge("dev", per_checkin).unwrap();
+        assert!((acc.spent("dev") - per_checkin).abs() < 1e-12);
         // Ten checkins fit within a ceiling of 5.0 for a per-checkin cost of 0.5.
         for _ in 0..9 {
-            acc.charge_checkin("dev", &budget, 3).unwrap();
+            acc.charge("dev", per_checkin).unwrap();
         }
-        assert!(acc.charge_checkin("dev", &budget, 3).is_err());
+        assert!(acc.charge("dev", per_checkin).is_err());
     }
 
     #[test]
@@ -304,7 +290,7 @@ mod tests {
         assert_eq!(acc.spent("a"), 1.5);
         // Past-ceiling history is restored verbatim.
         assert_eq!(acc.spent("b"), 3.0);
-        assert_eq!(acc.num_entities(), 2);
+        assert_eq!(acc.iter().count(), 2);
         assert!(acc
             .restore_spent([("c".to_string(), f64::INFINITY)])
             .is_err());

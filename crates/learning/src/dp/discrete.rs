@@ -10,8 +10,8 @@
 //! 2006), which Remark 2 of Appendix B uses to argue the server-side error
 //! estimates remain consistent.
 
-use crate::error::DpError;
-use crate::{Epsilon, Result};
+use super::Epsilon;
+use crate::{LearningError, Result};
 use rand::Rng;
 
 /// The discrete Laplace mechanism with parameter `p = exp(−ε/2)`.
@@ -68,12 +68,6 @@ impl DiscreteLaplaceMechanism {
     pub fn perturb_count<R: Rng + ?Sized>(&self, rng: &mut R, count: i64) -> i64 {
         count + self.sample_noise(rng)
     }
-
-    /// Perturbs a slice of counters with independent noise (e.g. the `C` label
-    /// counts `n_y^k`).
-    pub fn perturb_counts<R: Rng + ?Sized>(&self, rng: &mut R, counts: &[i64]) -> Vec<i64> {
-        counts.iter().map(|&c| self.perturb_count(rng, c)).collect()
-    }
 }
 
 /// Samples from the geometric distribution on `{0, 1, 2, …}` with
@@ -98,7 +92,7 @@ fn sample_geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> i64 {
 /// that want an explicit error rather than the permissive `new`.
 pub fn validated(epsilon: f64) -> Result<DiscreteLaplaceMechanism> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
-        return Err(DpError::InvalidEpsilon(epsilon));
+        return Err(LearningError::InvalidEpsilon(epsilon));
     }
     Ok(DiscreteLaplaceMechanism::new(Epsilon::Finite(epsilon)))
 }
@@ -125,7 +119,6 @@ mod tests {
         let m = DiscreteLaplaceMechanism::new(Epsilon::non_private());
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(m.perturb_count(&mut rng, 42), 42);
-        assert_eq!(m.perturb_counts(&mut rng, &[1, 2, 3]), vec![1, 2, 3]);
         assert_eq!(m.noise_variance(), 0.0);
     }
 

@@ -6,8 +6,8 @@
 //! probability proportional to 1. The same primitive is exposed generically for
 //! arbitrary score functions with bounded sensitivity.
 
-use crate::error::DpError;
-use crate::{Epsilon, Result};
+use super::Epsilon;
+use crate::{LearningError, Result};
 use rand::Rng;
 
 /// The exponential mechanism for selecting one of finitely many candidates.
@@ -23,7 +23,7 @@ impl ExponentialMechanism {
     /// the given sensitivity.
     pub fn new(epsilon: Epsilon, score_sensitivity: f64) -> Result<Self> {
         if !(score_sensitivity.is_finite() && score_sensitivity > 0.0) {
-            return Err(DpError::InvalidSensitivity(score_sensitivity));
+            return Err(LearningError::InvalidSensitivity(score_sensitivity));
         }
         Ok(ExponentialMechanism {
             epsilon,
@@ -43,7 +43,7 @@ impl ExponentialMechanism {
     /// deterministically (ties resolve to the smallest index).
     pub fn select<R: Rng + ?Sized>(&self, rng: &mut R, scores: &[f64]) -> Result<usize> {
         if scores.is_empty() {
-            return Err(DpError::EmptyCandidateSet);
+            return Err(LearningError::EmptyCandidateSet);
         }
         match self.epsilon {
             Epsilon::NonPrivate => Ok(argmax_index(scores)),
@@ -67,10 +67,10 @@ impl ExponentialMechanism {
         num_classes: usize,
     ) -> Result<usize> {
         if num_classes == 0 {
-            return Err(DpError::EmptyCandidateSet);
+            return Err(LearningError::EmptyCandidateSet);
         }
         if label >= num_classes {
-            return Err(DpError::UnknownEntity(format!(
+            return Err(LearningError::UnknownEntity(format!(
                 "label {label} out of range for {num_classes} classes"
             )));
         }
@@ -78,21 +78,6 @@ impl ExponentialMechanism {
             .map(|k| if k == label { 1.0 } else { 0.0 })
             .collect();
         self.select(rng, &scores)
-    }
-
-    /// Probability that [`perturb_label`](Self::perturb_label) keeps the true label,
-    /// `e^{ε/2} / (e^{ε/2} + C − 1)` for `C` classes. Useful for analysis and tests.
-    pub fn label_retention_probability(&self, num_classes: usize) -> f64 {
-        if num_classes == 0 {
-            return 0.0;
-        }
-        match self.epsilon {
-            Epsilon::NonPrivate => 1.0,
-            Epsilon::Finite(eps) => {
-                let keep = (eps / (2.0 * self.score_sensitivity)).exp();
-                keep / (keep + (num_classes as f64 - 1.0))
-            }
-        }
     }
 }
 
@@ -140,7 +125,10 @@ mod tests {
     fn empty_candidates_rejected() {
         let m = ExponentialMechanism::new(Epsilon::finite(1.0).unwrap(), 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(m.select(&mut rng, &[]), Err(DpError::EmptyCandidateSet));
+        assert_eq!(
+            m.select(&mut rng, &[]),
+            Err(LearningError::EmptyCandidateSet)
+        );
         assert!(m.perturb_label(&mut rng, 0, 0).is_err());
         assert!(m.perturb_label(&mut rng, 5, 3).is_err());
     }
@@ -151,7 +139,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(m.select(&mut rng, &[0.1, 0.9, 0.3]).unwrap(), 1);
         assert_eq!(m.perturb_label(&mut rng, 2, 5).unwrap(), 2);
-        assert_eq!(m.label_retention_probability(10), 1.0);
     }
 
     #[test]
@@ -160,7 +147,6 @@ mod tests {
         let classes = 10;
         let m = ExponentialMechanism::new(Epsilon::finite(eps).unwrap(), 1.0).unwrap();
         let expected = (eps / 2.0_f64).exp() / ((eps / 2.0_f64).exp() + 9.0);
-        assert!((m.label_retention_probability(classes) - expected).abs() < 1e-12);
 
         let mut rng = StdRng::seed_from_u64(21);
         let n = 40_000;

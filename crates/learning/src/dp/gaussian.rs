@@ -7,8 +7,8 @@
 //! `ablation_mechanism` benchmark to compare Laplace and Gaussian gradient
 //! perturbation.
 
-use crate::error::DpError;
-use crate::{Epsilon, Result};
+use super::Epsilon;
+use crate::{LearningError, Result};
 use crowd_linalg::random::standard_normal;
 use crowd_linalg::Vector;
 use rand::Rng;
@@ -26,10 +26,10 @@ impl GaussianMechanism {
     /// given L2 sensitivity.
     pub fn new(epsilon: Epsilon, delta: f64, l2_sensitivity: f64) -> Result<Self> {
         if !(delta > 0.0 && delta < 1.0) {
-            return Err(DpError::InvalidDelta(delta));
+            return Err(LearningError::InvalidDelta(delta));
         }
         if !(l2_sensitivity.is_finite() && l2_sensitivity > 0.0) {
-            return Err(DpError::InvalidSensitivity(l2_sensitivity));
+            return Err(LearningError::InvalidSensitivity(l2_sensitivity));
         }
         Ok(GaussianMechanism {
             epsilon,

@@ -7,8 +7,8 @@
 //! sensitivity for multiclass logistic regression is `4/b` (Appendix A), and the
 //! centralized baseline applies it to raw features with sensitivity 2 (Appendix C).
 
-use crate::error::DpError;
-use crate::{Epsilon, Result};
+use super::Epsilon;
+use crate::{LearningError, Result};
 use crowd_linalg::Vector;
 use rand::Rng;
 
@@ -32,7 +32,7 @@ impl LaplaceMechanism {
     /// level `epsilon`.
     pub fn new(epsilon: Epsilon, sensitivity: f64) -> Result<Self> {
         if !(sensitivity.is_finite() && sensitivity > 0.0) {
-            return Err(DpError::InvalidSensitivity(sensitivity));
+            return Err(LearningError::InvalidSensitivity(sensitivity));
         }
         Ok(LaplaceMechanism {
             epsilon,
@@ -98,16 +98,6 @@ impl LaplaceMechanism {
         }
         value.map_in_place(|v| v + sample_laplace(rng, scale));
     }
-
-    /// Draws a pure noise vector of the given dimension (useful for analysis and
-    /// benchmarks).
-    pub fn noise_vector<R: Rng + ?Sized>(&self, rng: &mut R, dim: usize) -> Vector {
-        let scale = self.scale();
-        if scale == 0.0 {
-            return Vector::zeros(dim);
-        }
-        Vector::from_vec((0..dim).map(|_| sample_laplace(rng, scale)).collect())
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +133,6 @@ mod tests {
         let v = Vector::from_vec(vec![1.0, -2.0, 3.0]);
         assert_eq!(m.perturb_vector(&mut rng, &v), v);
         assert_eq!(m.perturb_scalar(&mut rng, 7.0), 7.0);
-        assert_eq!(m.noise_vector(&mut rng, 4).as_slice(), &[0.0; 4]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Differential-privacy substrate for Crowd-ML.
+//! Differential-privacy mechanisms and budget accounting.
 //!
 //! The paper protects every quantity that leaves a device with a *local*
 //! ε-differential-privacy mechanism (§III-C):
@@ -18,11 +18,8 @@
 //! relies on, and [`accountant`] tracks per-device budget consumption under basic
 //! composition so a deployment can enforce a total ε.
 
-#![forbid(unsafe_code)]
-
 pub mod accountant;
 pub mod discrete;
-pub mod error;
 pub mod exponential;
 pub mod gaussian;
 pub mod laplace;
@@ -30,13 +27,11 @@ pub mod sensitivity;
 
 pub use accountant::{BudgetAccountant, PrivacyBudget};
 pub use discrete::DiscreteLaplaceMechanism;
-pub use error::DpError;
 pub use exponential::ExponentialMechanism;
 pub use gaussian::GaussianMechanism;
 pub use laplace::LaplaceMechanism;
 
-/// Result alias for fallible privacy operations.
-pub type Result<T> = std::result::Result<T, DpError>;
+use crate::{LearningError, Result};
 
 /// Transport selection rule for quantized gradient uploads: does the DP
 /// noise floor dominate the quantization error?
@@ -72,7 +67,7 @@ impl Epsilon {
     /// Constructs a finite ε, validating positivity.
     pub fn finite(value: f64) -> Result<Self> {
         if !(value.is_finite() && value > 0.0) {
-            return Err(DpError::InvalidEpsilon(value));
+            return Err(LearningError::InvalidEpsilon(value));
         }
         Ok(Epsilon::Finite(value))
     }
@@ -86,7 +81,7 @@ impl Epsilon {
     /// (`ε⁻¹ = 0` means non-private).
     pub fn from_inverse(inverse: f64) -> Result<Self> {
         if inverse < 0.0 || !inverse.is_finite() {
-            return Err(DpError::InvalidEpsilon(inverse));
+            return Err(LearningError::InvalidEpsilon(inverse));
         }
         if inverse == 0.0 {
             Ok(Epsilon::NonPrivate)

@@ -25,12 +25,6 @@ pub fn feature_release() -> f64 {
     2.0
 }
 
-/// Sensitivity of an integer counter that changes by at most one when a single
-/// sample changes (error counts, label counts).
-pub fn unit_counter() -> f64 {
-    1.0
-}
-
 /// L1 sensitivity of the averaged hinge-loss (linear SVM) gradient under the same
 /// normalization. A single-sample subgradient is bounded by `‖x‖₁ + ‖x‖₁ ≤ 2` per
 /// class pair, giving the same `4/b` bound used for logistic regression.
@@ -76,6 +70,46 @@ pub fn clip_l2(gradient: &mut Vector, max_l2: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{minibatch_statistics, Model};
+    use crate::MulticlassLogistic;
+    use crowd_data::Sample;
+    use crowd_linalg::ops::normalize_l1;
+    use crowd_linalg::random::normal_vector;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Theorem 1 against the model: swapping one sample of a minibatch of
+    /// L1-normalized features moves the averaged logistic gradient by at most
+    /// the bound the device's Laplace noise is calibrated to.
+    #[test]
+    fn averaged_logistic_gradient_bounds_neighbouring_minibatches() {
+        let (dim, classes) = (20, 10);
+        let model = MulticlassLogistic::new(dim, classes).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let sample = |rng: &mut StdRng| {
+            let mut x = normal_vector(rng, dim);
+            normalize_l1(&mut x);
+            Sample::new(x, rng.gen_range(0..classes))
+        };
+        for b in [1usize, 5, 20] {
+            for _ in 0..200 {
+                let w = normal_vector(&mut rng, model.param_dim());
+                let mut batch: Vec<Sample> = (0..b).map(|_| sample(&mut rng)).collect();
+                let g = minibatch_statistics(&model, &w, &batch, 0.0, &[])
+                    .unwrap()
+                    .gradient;
+                batch[0] = sample(&mut rng);
+                let g_neighbour = minibatch_statistics(&model, &w, &batch, 0.0, &[])
+                    .unwrap()
+                    .gradient;
+                let moved = (&g - &g_neighbour).norm_l1();
+                assert!(
+                    moved <= averaged_logistic_gradient(b),
+                    "b = {b}: the averaged gradient moved {moved}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn logistic_sensitivity_matches_appendix_a() {
@@ -88,7 +122,6 @@ mod tests {
     #[test]
     fn constant_sensitivities() {
         assert_eq!(feature_release(), 2.0);
-        assert_eq!(unit_counter(), 1.0);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Error type for the learning crate.
+//! Error type for the learning crate: the on-device math, models and
+//! privacy mechanisms alike.
 
 use std::fmt;
 
-/// Errors produced by model construction, training, or evaluation.
+/// Errors produced by model construction, training, evaluation, or privacy
+/// mechanisms and budget accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LearningError {
     /// A feature vector, parameter vector, or label had an unexpected shape.
@@ -24,6 +26,25 @@ pub enum LearningError {
         /// Where the failure was detected.
         context: String,
     },
+    /// The privacy parameter ε was non-positive, NaN, or otherwise unusable.
+    InvalidEpsilon(f64),
+    /// The failure probability δ of an (ε, δ) mechanism was outside `(0, 1)`.
+    InvalidDelta(f64),
+    /// A sensitivity bound was non-positive or non-finite.
+    InvalidSensitivity(f64),
+    /// An exponential-mechanism invocation had no candidates to choose from.
+    EmptyCandidateSet,
+    /// A budget accountant refused an operation that would exceed the total budget.
+    BudgetExhausted {
+        /// Budget already spent.
+        spent: f64,
+        /// Cost of the requested operation.
+        requested: f64,
+        /// Total available budget.
+        total: f64,
+    },
+    /// An unknown entity (e.g. a label outside the candidate set) was referenced.
+    UnknownEntity(String),
 }
 
 impl fmt::Display for LearningError {
@@ -36,6 +57,25 @@ impl fmt::Display for LearningError {
             LearningError::EmptyData => write!(f, "operation requires at least one sample"),
             LearningError::NumericalFailure { context } => {
                 write!(f, "numerical failure during {context}")
+            }
+            LearningError::InvalidEpsilon(v) => {
+                write!(f, "invalid privacy parameter epsilon = {v}")
+            }
+            LearningError::InvalidDelta(v) => write!(f, "invalid failure probability delta = {v}"),
+            LearningError::InvalidSensitivity(v) => write!(f, "invalid sensitivity bound {v}"),
+            LearningError::EmptyCandidateSet => {
+                write!(f, "exponential mechanism needs a non-empty candidate set")
+            }
+            LearningError::BudgetExhausted {
+                spent,
+                requested,
+                total,
+            } => write!(
+                f,
+                "privacy budget exhausted: spent {spent}, requested {requested}, total {total}"
+            ),
+            LearningError::UnknownEntity(name) => {
+                write!(f, "unknown entity `{name}` in budget accountant")
             }
         }
     }
@@ -66,6 +106,27 @@ mod tests {
         }
         .to_string()
         .contains("sgd"));
+        assert!(LearningError::InvalidEpsilon(-1.0)
+            .to_string()
+            .contains("-1"));
+        assert!(LearningError::InvalidDelta(2.0)
+            .to_string()
+            .contains("delta"));
+        assert!(LearningError::InvalidSensitivity(0.0)
+            .to_string()
+            .contains("sensitivity"));
+        assert!(LearningError::EmptyCandidateSet
+            .to_string()
+            .contains("candidate"));
+        let b = LearningError::BudgetExhausted {
+            spent: 0.9,
+            requested: 0.2,
+            total: 1.0,
+        };
+        assert!(b.to_string().contains("exhausted"));
+        assert!(LearningError::UnknownEntity("dev-3".into())
+            .to_string()
+            .contains("dev-3"));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`sgd`] provides the stochastic-gradient machinery (minibatch averaging,
 //! learning-rate [`schedule`]s, the projected update of Eq. 3), and [`batch`]
 //! provides the full-gradient trainer used for the "Central (batch)" baseline.
-//! [`metrics`] computes the error curves the evaluation section plots.
+//! [`metrics`] computes the error curves the evaluation section plots, and
+//! [`dp`] holds the local differential-privacy mechanisms a device applies to
+//! what it releases, calibrated to the models' sensitivity bounds.
 //!
 //! Implemented models:
 //!
@@ -19,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
+pub mod dp;
 pub mod error;
 pub mod logistic;
 pub mod metrics;

@@ -8,7 +8,7 @@
 //! * per-sample gradient w.r.t. `w_k`: `x · (P(y = k | x) − I[y = k])`
 //!
 //! With `‖x‖₁ ≤ 1` the averaged-gradient L1 sensitivity is `4/b` (Appendix A),
-//! which is what `crowd_dp::sensitivity::averaged_logistic_gradient` encodes.
+//! which is what [`crate::dp::sensitivity::averaged_logistic_gradient`] encodes.
 
 use crate::error::LearningError;
 use crate::model::{check_grad_len, Model, SampleEval};

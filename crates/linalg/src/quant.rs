@@ -10,7 +10,7 @@
 //! `⌊t⌋ + Bernoulli(t − ⌊t⌋)`, so the quantizer is unbiased
 //! (`E[q·scale] = v`) and quantization acts as zero-mean noise with per-
 //! coordinate error `< scale`, bounded well under the DP noise floor by the
-//! transport selection rule (`crowd_dp::noise_dominates_quantization`). The
+//! transport selection rule (`crowd_learning::dp::noise_dominates_quantization`). The
 //! Bernoulli draws come from the caller's seeded RNG — the same replayable
 //! stream that drew the DP noise — so a device checkin remains a pure
 //! function of `(seed, data)` and every determinism suite still holds.

@@ -21,6 +21,7 @@
 //! retries, or crash recovery).
 
 use crate::client::{CheckinOutcome, DeviceClient, RetryPolicy, RoundSession};
+use crate::fault::FaultPlan;
 use crate::reactor_server::{ReactorServer, ReactorServerHandle};
 use crate::{NetError, Result};
 use crowd_core::config::{DeviceConfig, PrivacyConfig, RoundSettings, ServerConfig};
@@ -31,7 +32,6 @@ use crowd_linalg::Vector;
 use crowd_proto::auth::{AuthToken, TokenRegistry};
 use crowd_proto::message::ErrorCode;
 use crowd_rounds::Role;
-use crowd_sim::chaos::FaultPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -572,7 +572,7 @@ fn collect_samples(data: &Dataset) -> Result<Vec<Sample>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_sim::chaos::TransportFaults;
+    use crate::fault::TransportFaults;
 
     #[test]
     fn fault_free_run_is_reproducible_bitwise() {

@@ -1,6 +1,7 @@
 //! Device-side TCP client running Device Routines 1–3 against a remote server.
 
 use crate::error::NetError;
+use crate::fault::{FaultAction, TransportFaults};
 use crate::Result;
 use crowd_core::config::{DeviceConfig, PrivacyConfig};
 use crowd_core::device::{CheckinPayload, Device, DeviceAction};
@@ -14,7 +15,6 @@ use crowd_proto::message::{
 };
 use crowd_proto::{AuthToken, BufPool, PROTOCOL_VERSION};
 use crowd_rounds::Role;
-use crowd_sim::chaos::{FaultAction, TransportFaults};
 use rand::Rng;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -11,8 +11,9 @@
 //! Replaying a seed replays the exact fault schedule, which is what lets the
 //! chaos suite print `CHAOS_SEED=n` as a complete repro for any failure.
 //!
-//! The plan only *decides*; injecting the faults is the transport layer's job
-//! (`crowd-net`), and applying churn/crashes is the chaos driver's. Keeping
+//! The plan only *decides*; injecting the faults is the
+//! [`client`](crate::client)'s job, and applying churn/crashes is the
+//! [`chaos`](crate::chaos) driver's. Keeping
 //! the decisions here, behind pure functions, means the decisions cannot be
 //! perturbed by thread timing: two runs with the same seed and the same
 //! per-device operation sequence see identical faults.

@@ -15,6 +15,10 @@
 //! [`driver::FleetDriver`] is its client-side counterpart — one thread driving
 //! an entire simulated device fleet through nonblocking exchanges.
 //!
+//! [`fault::FaultPlan`] turns one seed into every transport fault, churn
+//! event and scripted crash of a run; the client's fault shim injects them and
+//! the [`chaos::ChaosCluster`] driver applies the churn and crashes.
+//!
 //! Transport security (the prototype's TLS) is out of scope — the privacy
 //! guarantees of Crowd-ML come from the *local* sanitization on the device, which
 //! is unchanged — but device authentication tokens are enforced exactly as the
@@ -27,6 +31,7 @@ pub mod client;
 pub mod cluster;
 pub mod driver;
 pub mod error;
+pub mod fault;
 pub mod reactor_server;
 mod service;
 

@@ -75,7 +75,7 @@ pub struct RoundParams {
 /// The quantized encoding (wire v5) is different in kind: it is *lossy*, so a
 /// device only selects it for DP-noised uploads where the rounding error is
 /// provably below the privacy noise already injected (see
-/// `crowd_dp::noise_dominates_quantization`). Each coordinate travels as an
+/// `crowd_learning::dp::noise_dominates_quantization`). Each coordinate travels as an
 /// `i16` level times a shared per-message scale: 2 bytes instead of 8, a ~4×
 /// body reduction.
 #[derive(Debug, Clone, PartialEq)]

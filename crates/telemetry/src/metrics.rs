@@ -3,10 +3,8 @@
 //! Metrics are addressed by compile-time ids ([`CounterId`], [`GaugeId`],
 //! [`HistogramId`]) that index fixed atomic arrays, so the request path
 //! never hashes a string, takes a lock, or allocates. Names exist only at
-//! the snapshot/dump boundary — and the counter names deliberately match
-//! the string keys the old `crowd_sim::TraceCollector` exposed, so call
-//! sites asserting `stats().get("checkins_applied")` read identically off
-//! a [`MetricsSnapshot`].
+//! the snapshot/dump boundary, where call sites read e.g.
+//! `stats().get("checkins_applied")` off a [`MetricsSnapshot`].
 
 use crate::clock::{Clock, Tick};
 use crate::hist::{Histogram, HistogramBins};
@@ -296,9 +294,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Value of the named counter; 0 when unknown (mirrors the old
-    /// `TraceCollector::get` contract, so existing assertion sites port
-    /// verbatim).
+    /// Value of the named counter; 0 when unknown.
     pub fn get(&self, name: &str) -> u64 {
         self.counters
             .iter()

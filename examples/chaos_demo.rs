@@ -17,7 +17,7 @@
 //! invariant violation.)
 
 use crowd_ml::net::chaos::{ChaosCluster, ChaosReport};
-use crowd_ml::sim::chaos::FaultPlan;
+use crowd_ml::net::fault::FaultPlan;
 
 /// `eps` is the cluster's configured `per_checkin_epsilon`.
 fn check_ledger(report: &ChaosReport, eps: f64) {

@@ -7,17 +7,17 @@
 //! downstream users can depend on a single crate:
 //!
 //! * [`linalg`] — dense vectors, BLAS-1 kernels, FFT, quantization.
-//! * [`dp`] — differential-privacy mechanisms and budget accounting.
 //! * [`data`] — datasets, synthetic generators (generated already L1-normalized
 //!   at the post-PCA dimension), partitioners.
-//! * [`learning`] — models, losses, SGD, schedules, metrics.
-//! * [`sim`] — discrete-event simulation of asynchronous devices and delays.
+//! * [`learning`] — models, losses, SGD, schedules, metrics, and the
+//!   differential-privacy mechanisms and budget accounting (`learning::dp`).
 //! * [`proto`] — wire protocol for device/server communication.
-//! * [`net`] — TCP deployment of the protocol (reactor server, device client).
+//! * [`net`] — TCP deployment of the protocol (reactor server, device client)
+//!   and the seeded fault plan of its chaos driver (`net::fault`).
 //! * [`reactor`] — dependency-free event-driven I/O core: poller-backed
 //!   nonblocking server runtime with resumable frame state machines.
 //! * [`core`] — the Crowd-ML framework itself: device/server routines, baselines,
-//!   and experiment runners.
+//!   experiment runners, and the discrete-event simulation (`core::simulation`).
 //! * [`agg`] — the sharded, batched gradient-aggregation runtime the TCP server
 //!   serves from.
 //! * [`rounds`] — the round-based cohort protocol (wire v6; sparse mask
@@ -91,13 +91,11 @@
 pub use crowd_agg as agg;
 pub use crowd_core as core;
 pub use crowd_data as data;
-pub use crowd_dp as dp;
 pub use crowd_learning as learning;
 pub use crowd_linalg as linalg;
 pub use crowd_net as net;
 pub use crowd_proto as proto;
 pub use crowd_reactor as reactor;
 pub use crowd_rounds as rounds;
-pub use crowd_sim as sim;
 pub use crowd_store as store;
 pub use crowd_telemetry as telemetry;

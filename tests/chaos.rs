@@ -19,7 +19,7 @@
 //! the run's full trace to `target/chaos/` (uploaded as a CI artifact).
 
 use crowd_ml::net::chaos::{ChaosCluster, ChaosReport};
-use crowd_ml::sim::chaos::FaultPlan;
+use crowd_ml::net::fault::FaultPlan;
 use crowd_ml::store::testutil::temp_dir;
 use std::time::Duration;
 

@@ -7,7 +7,7 @@ use crowd_ml::core::config::PrivacyConfig;
 use crowd_ml::core::privacy::Sanitizer;
 use crowd_ml::data::partition::{partition, PartitionStrategy};
 use crowd_ml::data::{Dataset, Sample};
-use crowd_ml::dp::{DiscreteLaplaceMechanism, Epsilon};
+use crowd_ml::learning::dp::{DiscreteLaplaceMechanism, Epsilon};
 use crowd_ml::learning::model::{minibatch_statistics, Model};
 use crowd_ml::learning::MulticlassLogistic;
 use crowd_ml::linalg::ops::{normalize_l1, project_l2_ball};
