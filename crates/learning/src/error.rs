@@ -134,4 +134,12 @@ mod tests {
         fn assert_err<E: std::error::Error>(_: &E) {}
         assert_err(&LearningError::EmptyData);
     }
+
+    #[test]
+    fn implements_std_error() {
+        // The privacy variants folded in from the dp module are std errors too.
+        let e: Box<dyn std::error::Error> = Box::new(LearningError::EmptyCandidateSet);
+        assert!(e.source().is_none());
+        assert!(e.to_string().contains("candidate"));
+    }
 }
