@@ -1,10 +1,13 @@
-//! Deterministic chaos driver: a real TCP cluster run under a seeded
-//! [`FaultPlan`].
+//! Deterministic fleet driver: real [`Device`]s on one TCP server, under a
+//! seeded [`FaultPlan`].
 //!
 //! The driver steps a fleet of devices round-robin from ONE thread against a
 //! live [`ReactorServer`]: each device observes its next sample and, when its
 //! minibatch fills, checks out, computes, and checks in — retrying through
-//! whatever the fault shim injects until the checkin is acknowledged. The
+//! whatever the fault shim injects until the checkin is acknowledged. Under
+//! [`FaultPlan::fault_free`] it is the plain networked learning run:
+//! [`ChaosCluster::run_on`] drives caller-supplied device partitions, and
+//! [`ChaosCluster::run`] a seeded synthetic fleet. The
 //! sequential schedule is the determinism anchor: checkins are applied in
 //! program order, so two runs that apply every checkin exactly once produce
 //! bitwise-identical servers. Transport faults (drops, delays, duplicates,
@@ -26,7 +29,7 @@ use crate::reactor_server::{ReactorServer, ReactorServerHandle};
 use crate::{NetError, Result};
 use crowd_core::config::{DeviceConfig, PrivacyConfig, RoundSettings, ServerConfig};
 use crowd_core::device::{CheckinPayload, Device, DeviceAction};
-use crowd_data::{Dataset, Sample};
+use crowd_data::Dataset;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::Vector;
 use crowd_proto::auth::{AuthToken, TokenRegistry};
@@ -46,18 +49,25 @@ const MAX_TRACE_LINES: usize = 10_000;
 pub struct ChaosCluster {
     /// The seeded fault schedule driving transport faults, churn, and crashes.
     pub plan: FaultPlan,
-    /// Fleet size.
+    /// Fleet size of the seeded synthetic fleet [`Self::run`] builds (and
+    /// the cohort population [`Self::with_rounds`] sets up);
+    /// [`Self::run_on`] reads the fleet size off its partitions.
     pub devices: usize,
-    /// Samples each device observes (its local stream length).
+    /// Samples each device of the seeded fleet observes (its local stream
+    /// length); only [`Self::run`] reads it.
     pub samples_per_device: usize,
     /// Device minibatch size `b`.
     pub minibatch: usize,
+    /// Privacy configuration every device sanitizes its checkins with.
+    pub privacy: PrivacyConfig,
     /// ε charged per checkin on the server's ledger (tracking only — the
     /// ceiling stays infinite so no device is refused mid-run).
     pub per_checkin_epsilon: f64,
-    /// Feature dimension of the synthetic task.
+    /// Feature dimension of the seeded fleet's synthetic task; only
+    /// [`Self::run`] reads it.
     pub dim: usize,
-    /// Class count of the synthetic task.
+    /// Class count of the seeded fleet's synthetic task; only [`Self::run`]
+    /// reads it.
     pub classes: usize,
     /// Base server configuration (schedule, agg knobs); budget and persistence
     /// are layered on top by the driver.
@@ -109,20 +119,25 @@ pub struct ChaosReport {
     pub trace: Vec<String>,
 }
 
-struct Driver {
-    opts: ChaosCluster,
+struct Driver<'a> {
+    opts: &'a ChaosCluster,
+    /// One local data stream per device, indexed by device id.
+    partitions: &'a [Dataset],
+    dim: usize,
+    classes: usize,
     trace: Vec<String>,
 }
 
 impl ChaosCluster {
-    /// A small default workload under the given plan: 4 devices × 24 samples,
-    /// minibatch 3, per-checkin ε 0.25.
+    /// A small default workload under the given plan: 4 non-private devices
+    /// × 24 samples, minibatch 3, per-checkin ε 0.25.
     pub fn new(plan: FaultPlan) -> Self {
         ChaosCluster {
             plan,
             devices: 4,
             samples_per_device: 24,
             minibatch: 3,
+            privacy: PrivacyConfig::non_private(),
             per_checkin_epsilon: 0.25,
             dim: 4,
             classes: 3,
@@ -141,24 +156,72 @@ impl ChaosCluster {
         self
     }
 
-    /// Runs the cluster under the plan. Deterministic given the plan and the
-    /// workload knobs (modulo retry *counts*, which may vary with scheduling;
-    /// the applied checkin sequence never does).
+    /// Runs the seeded synthetic fleet under the plan: `devices` streams of
+    /// `samples_per_device` samples of a `dim`×`classes` Gaussian mixture,
+    /// each derived from the plan's seed alone (never from the fault
+    /// schedule), so every plan over one seed sees identical data.
     pub fn run(&self) -> Result<ChaosReport> {
+        let partitions = (0..self.devices as u64)
+            .map(|d| self.seeded_partition(d))
+            .collect::<Result<Vec<_>>>()?;
+        self.run_on(&partitions)
+    }
+
+    /// Runs one device per entry of `partitions` (device `d` observes
+    /// `partitions[d]` in order) under the plan, until the longest partition
+    /// is exhausted or the server stops the task. The model shape is read off
+    /// the partitions, which must be non-empty and agree on dimension and
+    /// class count. Deterministic given the plan, the workload knobs and the
+    /// data (modulo retry *counts*, which may vary with scheduling; the
+    /// applied checkin sequence never does).
+    pub fn run_on(&self, partitions: &[Dataset]) -> Result<ChaosReport> {
         if self.plan.crash.is_some() && self.data_dir.is_none() {
-            return Err(NetError::Io(std::io::Error::other(
+            return Err(invalid_input(
                 "a crash plan requires a durable server (set data_dir)",
-            )));
+            ));
+        }
+        let first = partitions
+            .first()
+            .ok_or_else(|| invalid_input("a run needs at least one device partition"))?;
+        let (dim, classes) = (first.dim(), first.num_classes());
+        if partitions
+            .iter()
+            .any(|p| p.dim() != dim || p.num_classes() != classes)
+        {
+            return Err(invalid_input(
+                "device partitions disagree on dimension or class count",
+            ));
         }
         Driver {
-            opts: self.clone(),
+            opts: self,
+            partitions,
+            dim,
+            classes,
             trace: Vec::new(),
         }
         .run()
     }
+
+    fn seeded_partition(&self, device_id: u64) -> Result<Dataset> {
+        let mut rng = StdRng::seed_from_u64(self.plan.seed ^ (device_id << 20) ^ 0xDA7A);
+        let (train, _test) =
+            crowd_data::synthetic::GaussianMixtureSpec::new(self.dim, self.classes)
+                .with_train_size(self.samples_per_device)
+                .with_test_size(1)
+                .generate(&mut rng)
+                .map_err(crowd_core::CoreError::from)?;
+        Ok(train)
+    }
 }
 
-impl Driver {
+fn invalid_input(detail: &str) -> NetError {
+    NetError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        detail,
+    ))
+}
+
+impl Driver<'_> {
     fn log(&mut self, line: String) {
         if self.trace.len() < MAX_TRACE_LINES {
             self.trace.push(line);
@@ -181,30 +244,19 @@ impl Driver {
     }
 
     fn start_server(&self) -> Result<ReactorServerHandle> {
-        let model = MulticlassLogistic::new(self.opts.dim, self.opts.classes)?;
+        let model = MulticlassLogistic::new(self.dim, self.classes)?;
         let tokens =
-            TokenRegistry::with_derived_tokens(self.opts.devices as u64, self.opts.auth_secret);
+            TokenRegistry::with_derived_tokens(self.partitions.len() as u64, self.opts.auth_secret);
         ReactorServer::start(model, self.server_config(), tokens)
     }
 
-    /// Per-device local data stream, derived from the seed alone (never from
-    /// the fault schedule), so every plan over one seed sees identical data.
-    fn device_stream(&self, device_id: u64) -> Result<Vec<Sample>> {
-        let mut rng = StdRng::seed_from_u64(self.opts.plan.seed ^ (device_id << 20) ^ 0xDA7A);
-        let (train, _test) =
-            crowd_data::synthetic::GaussianMixtureSpec::new(self.opts.dim, self.opts.classes)
-                .with_train_size(self.opts.samples_per_device)
-                .with_test_size(1)
-                .generate(&mut rng)
-                .map_err(crowd_core::CoreError::from)?;
-        collect_samples(&train)
-    }
-
     fn run(mut self) -> Result<ChaosReport> {
-        let opts = self.opts.clone();
+        let opts = self.opts;
+        let partitions = self.partitions;
+        let fleet = partitions.len();
         self.log(opts.plan.describe());
         let mut handle = self.start_server()?;
-        let model = MulticlassLogistic::new(opts.dim, opts.classes)?;
+        let model = MulticlassLogistic::new(self.dim, self.classes)?;
         let faults = Arc::new(opts.plan.transport);
         // Generous retry policy: under a ≤30% per-exchange fault rate, 40
         // attempts make an unabsorbed fault astronomically unlikely, while
@@ -214,7 +266,7 @@ impl Driver {
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(4),
         };
-        let mut clients: Vec<DeviceClient> = (0..opts.devices as u64)
+        let mut clients: Vec<DeviceClient> = (0..fleet as u64)
             .map(|d| {
                 DeviceClient::builder(handle.addr(), d, AuthToken::derive(d, opts.auth_secret))
                     .retry(retry)
@@ -222,24 +274,15 @@ impl Driver {
                     .build()
             })
             .collect();
-        let mut devices: Vec<Device> = (0..opts.devices as u64)
-            .map(|d| {
-                Device::new(
-                    d,
-                    DeviceConfig::new(opts.minibatch),
-                    PrivacyConfig::non_private(),
-                )
-            })
+        let mut devices: Vec<Device> = (0..fleet as u64)
+            .map(|d| Device::new(d, DeviceConfig::new(opts.minibatch), opts.privacy))
             .collect::<crowd_core::Result<_>>()?;
-        let mut rngs: Vec<StdRng> = (0..opts.devices as u64)
+        let mut rngs: Vec<StdRng> = (0..fleet as u64)
             .map(|d| StdRng::seed_from_u64(opts.plan.seed.wrapping_add(d)))
             .collect();
-        let streams: Vec<Vec<Sample>> = (0..opts.devices as u64)
-            .map(|d| self.device_stream(d))
-            .collect::<Result<_>>()?;
-        let mut cursors = vec![0usize; opts.devices];
-        let mut acked = vec![0u64; opts.devices];
-        let mut active = vec![true; opts.devices];
+        let mut cursors = vec![0usize; fleet];
+        let mut acked = vec![0u64; fleet];
+        let mut active = vec![true; fleet];
         let mut crash_points: Vec<u64> = opts
             .plan
             .crash
@@ -255,8 +298,8 @@ impl Driver {
         // Rounds mode: the highest round id each device has submitted a
         // masked share to (0 = none yet); a device contributes to a round at
         // most once, later minibatches in the same round free-run.
-        let mut last_submitted = vec![0u64; opts.devices];
-        for d in 0..opts.devices as u64 {
+        let mut last_submitted = vec![0u64; fleet];
+        for d in 0..fleet as u64 {
             let join = opts
                 .plan
                 .churn
@@ -268,10 +311,11 @@ impl Driver {
             }
         }
 
-        for round in 0..opts.samples_per_device as u64 {
-            for d in 0..opts.devices {
+        let steps = partitions.iter().map(Dataset::len).max().unwrap_or(0);
+        for round in 0..steps as u64 {
+            for d in 0..fleet {
                 let device_id = d as u64;
-                if !active[d] || cursors[d] >= streams[d].len() {
+                if !active[d] || cursors[d] >= partitions[d].len() {
                     continue;
                 }
                 if let Some(churn) = &opts.plan.churn {
@@ -279,7 +323,7 @@ impl Driver {
                         continue;
                     }
                 }
-                let sample = streams[d][cursors[d]].clone();
+                let sample = partitions[d].get(cursors[d]).clone();
                 cursors[d] += 1;
                 if devices[d].observe(sample) != DeviceAction::RequestCheckout {
                     continue;
@@ -293,10 +337,10 @@ impl Driver {
                         std::thread::sleep(Duration::from_millis(stall));
                     }
                 }
-                let checked_out = match self.checkout_until_served(&clients[d], &mut devices[d]) {
+                let checked_out = match self.checkout_until_served(&clients[d], &mut devices[d])? {
                     Some(c) => c,
                     None => {
-                        // Budget refusal or task end: the device is done.
+                        // Budget refusal: the device is done.
                         active[d] = false;
                         continue;
                     }
@@ -390,35 +434,38 @@ impl Driver {
     }
 
     /// Checks out until the server serves the request, absorbing transport
-    /// faults. `None` when the server refuses the device for good (budget) —
-    /// not reachable with an infinite ceiling, but handled for completeness.
+    /// faults and retryable refusals. `Ok(None)` when the server refuses the
+    /// device for good (budget) — not reachable with an infinite ceiling, but
+    /// handled for completeness; any other refusal is returned.
     fn checkout_until_served(
         &mut self,
         client: &DeviceClient,
         device: &mut Device,
-    ) -> Option<crate::client::CheckedOutParams> {
+    ) -> Result<Option<crate::client::CheckedOutParams>> {
         loop {
             if device.begin_checkout().is_err() {
                 device.abort_checkout();
                 continue;
             }
-            match client.checkout() {
-                Ok(c) => return Some(c),
-                Err(NetError::ServerError {
+            let e = match client.checkout() {
+                Ok(c) => return Ok(Some(c)),
+                Err(e) => e,
+            };
+            device.abort_checkout();
+            match e {
+                NetError::ServerError {
                     code: ErrorCode::BudgetExhausted,
                     ..
-                }) => {
-                    device.abort_checkout();
-                    return None;
-                }
-                Err(e) => {
+                } => return Ok(None),
+                NetError::ServerError { code, .. } if !code.is_retryable() => return Err(e),
+                NetError::Io(_) | NetError::Proto(_) | NetError::ServerError { .. } => {
                     // Transport fault or transient refusal: keep the buffer
                     // and try again (Remark 1 — failed checkouts are
                     // non-critical). Termination rests on the fault rate
                     // being < 1 and the suite's watchdog.
                     self.log(format!("device {} checkout retry: {e}", client.device_id()));
-                    device.abort_checkout();
                 }
+                e => return Err(e),
             }
         }
     }
@@ -564,15 +611,14 @@ impl Driver {
     }
 }
 
-/// Clones a dataset's samples into a step-indexable stream.
-fn collect_samples(data: &Dataset) -> Result<Vec<Sample>> {
-    Ok(data.iter().cloned().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::TransportFaults;
+    use crowd_data::partition::{partition, PartitionStrategy};
+    use crowd_data::synthetic::GaussianMixtureSpec;
+    use crowd_learning::metrics::error_rate;
+    use crowd_learning::model::Model;
 
     #[test]
     fn fault_free_run_is_reproducible_bitwise() {
@@ -667,5 +713,110 @@ mod tests {
     fn crash_plan_without_data_dir_is_rejected() {
         let cluster = ChaosCluster::new(FaultPlan::full(1, 100));
         assert!(cluster.run().is_err());
+    }
+
+    #[test]
+    fn run_on_rejects_an_empty_or_mismatched_fleet() {
+        let cluster = ChaosCluster::new(FaultPlan::fault_free(0));
+        assert!(cluster.run_on(&[]).is_err());
+        let parts = [Dataset::empty(4, 3).unwrap(), Dataset::empty(5, 3).unwrap()];
+        assert!(cluster.run_on(&parts).is_err());
+        let parts = [Dataset::empty(4, 3).unwrap(), Dataset::empty(4, 2).unwrap()];
+        assert!(cluster.run_on(&parts).is_err());
+    }
+
+    #[test]
+    fn cluster_learns_a_small_task_over_tcp() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let (train, test) = GaussianMixtureSpec::new(8, 3)
+            .with_train_size(300)
+            .with_test_size(100)
+            .with_mean_scale(2.5)
+            .with_noise_std(0.6)
+            .generate(&mut rng)
+            .unwrap();
+        let parts = partition(&train, 5, PartitionStrategy::Iid, &mut rng).unwrap();
+
+        let cluster = ChaosCluster {
+            minibatch: 2,
+            server: ServerConfig::new().with_rate_constant(2.0),
+            ..ChaosCluster::new(FaultPlan::fault_free(7))
+        };
+        let report = cluster.run_on(&parts).unwrap();
+
+        assert_eq!(report.total_samples, 300);
+        assert_eq!(report.iterations, 150);
+        assert_eq!(report.acked_checkins, vec![30; 5]);
+
+        let model = MulticlassLogistic::new(8, 3).unwrap();
+        let err = error_rate(&model, &report.params, &test).unwrap();
+        assert!(err < 0.25, "networked training error {err}");
+        assert_eq!(report.params.len(), model.param_dim());
+    }
+
+    #[test]
+    fn cluster_respects_server_stopping_criterion() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let (train, _) = GaussianMixtureSpec::new(4, 2)
+            .with_train_size(200)
+            .with_test_size(10)
+            .generate(&mut rng)
+            .unwrap();
+        let parts = partition(&train, 4, PartitionStrategy::Iid, &mut rng).unwrap();
+        let cluster = ChaosCluster {
+            minibatch: 1,
+            server: ServerConfig::new().with_max_iterations(10),
+            ..ChaosCluster::new(FaultPlan::fault_free(0))
+        };
+        let report = cluster.run_on(&parts).unwrap();
+        assert_eq!(report.iterations, 10);
+        // At least one device observed the stop signal.
+        assert!(report
+            .trace
+            .iter()
+            .any(|line| line.contains("observed task stop")));
+    }
+
+    /// Regression: a checkout refusal that no retry can cure (here a wrong
+    /// auth token) used to be retried forever; it must come back as an error.
+    #[test]
+    fn checkout_returns_a_refusal_that_is_not_retryable() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let model = MulticlassLogistic::new(3, 2).unwrap();
+            let tokens = TokenRegistry::with_derived_tokens(1, 5);
+            let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
+            let bad = DeviceClient::builder(handle.addr(), 0, AuthToken::derive(0, 999)).build();
+            let cluster = ChaosCluster::new(FaultPlan::fault_free(0));
+            let mut driver = Driver {
+                opts: &cluster,
+                partitions: &[],
+                dim: 3,
+                classes: 2,
+                trace: Vec::new(),
+            };
+            let mut device =
+                Device::new(0, DeviceConfig::new(1), PrivacyConfig::non_private()).unwrap();
+            let result = driver
+                .checkout_until_served(&bad, &mut device)
+                .map(|served| served.is_some());
+            handle.shutdown();
+            let _ = tx.send(result);
+        });
+        // A timeout means the refusal was retried until the watchdog fired.
+        let result = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("checkout did not return within the watchdog");
+        worker.join().expect("checkout thread panicked");
+        assert!(
+            matches!(
+                result,
+                Err(NetError::ServerError {
+                    code: ErrorCode::Unauthorized,
+                    ..
+                })
+            ),
+            "expected an Unauthorized server error, got {result:?}"
+        );
     }
 }

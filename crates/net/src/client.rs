@@ -3,10 +3,7 @@
 use crate::error::NetError;
 use crate::fault::{FaultAction, TransportFaults};
 use crate::Result;
-use crowd_core::config::{DeviceConfig, PrivacyConfig};
-use crowd_core::device::{CheckinPayload, Device, DeviceAction};
-use crowd_data::Dataset;
-use crowd_learning::model::Model;
+use crowd_core::device::CheckinPayload;
 use crowd_linalg::{GradientUpdate, Vector};
 use crowd_proto::frame::{read_message_pooled, write_message_pooled, DEFAULT_MAX_FRAME};
 use crowd_proto::message::{
@@ -15,7 +12,6 @@ use crowd_proto::message::{
 };
 use crowd_proto::{AuthToken, BufPool, PROTOCOL_VERSION};
 use crowd_rounds::Role;
-use rand::Rng;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,15 +40,6 @@ impl RetryPolicy {
             max_attempts: 5,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(50),
-        }
-    }
-
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
         }
     }
 
@@ -196,20 +183,6 @@ fn checkin_outcome(reply: Message) -> Result<CheckinOutcome> {
             received: other.name(),
         }),
     }
-}
-
-/// Summary of one device's participation in a networked task.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeviceReport {
-    /// Samples observed by the device.
-    pub samples_observed: u64,
-    /// Checkins successfully acknowledged by the server.
-    pub checkins: u64,
-    /// Whether the device stopped because the server reported the task ended.
-    pub stopped_by_server: bool,
-    /// Whether the device stopped because the server refused to query it
-    /// further (its ε budget is spent).
-    pub budget_exhausted: bool,
 }
 
 /// A TCP client for one device.
@@ -538,111 +511,6 @@ impl DeviceClient {
             cohort,
         })
     }
-
-    /// Runs the full device loop over a local data stream: buffer samples, check
-    /// out when the minibatch fills, compute and sanitize the statistics, check in,
-    /// and stop when the stream is exhausted or the server reports the task ended.
-    pub fn run_task<M: Model + ?Sized, R: Rng + ?Sized>(
-        &self,
-        model: &M,
-        local_data: &Dataset,
-        device_config: DeviceConfig,
-        privacy: PrivacyConfig,
-        lambda: f64,
-        rng: &mut R,
-    ) -> Result<DeviceReport> {
-        let mut device = Device::new(self.device_id, device_config, privacy)?;
-        let mut report = DeviceReport::default();
-        for sample in local_data.iter() {
-            report.samples_observed += 1;
-            let action = device.observe(sample.clone());
-            if action != DeviceAction::RequestCheckout {
-                continue;
-            }
-            device.begin_checkout()?;
-            let checked_out = match self.checkout() {
-                Ok(c) => c,
-                Err(e) => {
-                    device.abort_checkout();
-                    // The server refusing to query this device further is a
-                    // normal end of participation, not a failure.
-                    if matches!(
-                        e,
-                        NetError::ServerError {
-                            code: crowd_proto::message::ErrorCode::BudgetExhausted,
-                            ..
-                        }
-                    ) {
-                        report.budget_exhausted = true;
-                        break;
-                    }
-                    // Remark 1: a failed checkout is non-critical — keep the buffer
-                    // and retry on a later sample.
-                    if matches!(e, NetError::ServerError { .. }) {
-                        return Err(e);
-                    }
-                    continue;
-                }
-            };
-            if checked_out.stopped {
-                report.stopped_by_server = true;
-                break;
-            }
-            let payload = device.compute_checkin(
-                model,
-                &checked_out.params,
-                checked_out.iteration,
-                lambda,
-                rng,
-            )?;
-            // The payload is already computed, so sustained backpressure is
-            // survivable: after `checkin`'s own per-request retries are
-            // exhausted, keep resending at the policy's backoff ceiling until
-            // the server has queue capacity again. Only a persistently wedged
-            // server (~200 rounds) makes a device give the minibatch up.
-            let mut busy_rounds = 0u32;
-            loop {
-                match self.checkin(&payload) {
-                    // Budget exhaustion ends participation gracefully; the
-                    // rejected minibatch is simply lost.
-                    Ok(CheckinOutcome::BudgetExhausted) => {
-                        report.budget_exhausted = true;
-                        break;
-                    }
-                    // Free-run checkins are round-untagged, so this is
-                    // unreachable here; a lost minibatch is the safe reading.
-                    Ok(CheckinOutcome::RoundOutdated { .. }) => break,
-                    Ok(outcome) => {
-                        report.checkins += 1;
-                        if outcome.task_stopped() {
-                            report.stopped_by_server = true;
-                        }
-                        break;
-                    }
-                    Err(NetError::ServerError { code, detail }) => {
-                        if code.is_retryable() && busy_rounds < 200 {
-                            busy_rounds += 1;
-                            std::thread::sleep(
-                                self.retry.max_backoff.max(Duration::from_millis(1)),
-                            );
-                            continue;
-                        }
-                        return Err(NetError::ServerError { code, detail });
-                    }
-                    Err(_) => {
-                        // Transport failure on checkin is likewise non-critical;
-                        // the minibatch is simply lost (the buffer was already
-                        // cleared).
-                        break;
-                    }
-                }
-            }
-            if report.stopped_by_server || report.budget_exhausted {
-                break;
-            }
-        }
-        Ok(report)
-    }
 }
 
 /// A device's typed view of one aggregation round (wire v6), produced by
@@ -744,8 +612,6 @@ mod tests {
     use crowd_core::config::ServerConfig;
     use crowd_learning::MulticlassLogistic;
     use crowd_proto::auth::TokenRegistry;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn checkout_and_checkin_against_live_server() {
@@ -787,7 +653,6 @@ mod tests {
         assert_eq!(policy.backoff(16, 0), Duration::from_millis(50));
         // A larger server hint wins over the local schedule.
         assert_eq!(policy.backoff(0, 30), Duration::from_millis(30));
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
     }
 
     /// Regression (chaos satellite): an I/O failure on a checkin whose request
@@ -995,37 +860,6 @@ mod tests {
             Err(NetError::Round(_)) => {}
             other => panic!("expected NetError::Round, got {other:?}"),
         }
-        handle.shutdown();
-    }
-
-    #[test]
-    fn run_task_trains_the_server_model() {
-        use crowd_data::synthetic::GaussianMixtureSpec;
-        let mut rng = StdRng::seed_from_u64(0);
-        let (train, _test) = GaussianMixtureSpec::new(6, 3)
-            .with_train_size(60)
-            .with_test_size(10)
-            .generate(&mut rng)
-            .unwrap();
-        let model = MulticlassLogistic::new(6, 3).unwrap();
-        let tokens = TokenRegistry::with_derived_tokens(1, 7);
-        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
-        let client = DeviceClient::builder(handle.addr(), 0, AuthToken::derive(0, 7)).build();
-        let model = MulticlassLogistic::new(6, 3).unwrap();
-        let report = client
-            .run_task(
-                &model,
-                &train,
-                DeviceConfig::new(5),
-                PrivacyConfig::non_private(),
-                0.0,
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(report.samples_observed, 60);
-        assert_eq!(report.checkins, 12);
-        assert_eq!(handle.iteration(), 12);
-        assert_eq!(handle.total_samples(), 60);
         handle.shutdown();
     }
 }

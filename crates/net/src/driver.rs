@@ -2,9 +2,10 @@
 //! device fleet against a Crowd-ML server.
 //!
 //! [`crate::DeviceClient`] is the faithful per-device client — one blocking
-//! connection per device, one thread per device when a fleet is simulated.
-//! That model tops out around the thread budget of the machine, far below the
-//! paper's "thousands of devices" premise. `FleetDriver` restructures the
+//! connection per device, so a fleet of them is either stepped one exchange
+//! at a time ([`crate::ChaosCluster`]) or needs one thread per device, which
+//! tops out around the thread budget of the machine, far below the paper's
+//! "thousands of devices" premise. `FleetDriver` restructures the
 //! client side the same way `crowd-reactor` restructures the server: every
 //! device becomes a resumable state machine (checkout → checkin → next
 //! round), all of them multiplexed over nonblocking sockets by one poller

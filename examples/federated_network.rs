@@ -1,19 +1,22 @@
-//! Crowd-ML over real sockets: a localhost TCP server plus a fleet of device
-//! threads, mirroring the paper's smartphone/Apache prototype.
+//! Crowd-ML over real sockets: a localhost TCP server plus a fleet of devices,
+//! mirroring the paper's smartphone/Apache prototype.
 //!
-//! Each device thread buffers its local samples, checks out parameters over TCP,
-//! sanitizes its averaged gradient with the Laplace mechanism, and checks the
-//! result back in. The server applies the projected SGD update and tracks the
-//! privately estimated error rate.
+//! One thread steps the devices round-robin in a fixed order: each buffers its
+//! local samples, checks out parameters over TCP, sanitizes its averaged
+//! gradient with the Laplace mechanism, and checks the result back in. The
+//! server applies the projected SGD update and tracks the privately estimated
+//! error rate. The run is seeded and sequential, so its output is the same
+//! every time.
 //!
 //! Run with: `cargo run --release --example federated_network`
 
-use crowd_ml::core::config::{DeviceConfig, PrivacyConfig, ServerConfig};
+use crowd_ml::core::config::{PrivacyConfig, ServerConfig};
 use crowd_ml::data::partition::{partition, PartitionStrategy};
 use crowd_ml::data::synthetic::GaussianMixtureSpec;
 use crowd_ml::learning::metrics::error_rate;
 use crowd_ml::learning::MulticlassLogistic;
-use crowd_ml::net::LocalCluster;
+use crowd_ml::net::fault::FaultPlan;
+use crowd_ml::net::ChaosCluster;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,34 +36,29 @@ fn main() {
     let partitions =
         partition(&train, devices, PartitionStrategy::Iid, &mut rng).expect("device partitions");
 
-    println!("Starting a localhost Crowd-ML cluster: 1 server + {devices} device threads");
+    println!("Starting a localhost Crowd-ML cluster: 1 server + {devices} devices over TCP");
 
-    // The server serves from the aggregation runtime with a 256-deep ingest
-    // queue (overflow answered with Busy + retry-after, which the device
-    // clients absorb with backoff).
-    let server_config = ServerConfig::new()
-        .with_rate_constant(2.0)
-        .with_queue_bound(256);
-    let cluster = LocalCluster::new(server_config)
-        .with_device(DeviceConfig::new(10))
-        .with_privacy(PrivacyConfig::with_total_epsilon(5.0))
-        .with_seed(17);
-    let report = cluster
-        .run(dim, classes, &partitions)
-        .expect("cluster run over TCP");
+    // Every checkin is charged the devices' total ε on the server's ledger.
+    let privacy = PrivacyConfig::with_total_epsilon(5.0);
+    let cluster = ChaosCluster {
+        minibatch: 10,
+        privacy,
+        per_checkin_epsilon: privacy.budget.total_per_checkin(classes),
+        server: ServerConfig::new().with_rate_constant(2.0),
+        ..ChaosCluster::new(FaultPlan::fault_free(17))
+    };
+    let report = cluster.run_on(&partitions).expect("cluster run over TCP");
 
-    println!("server applied {} updates", report.server_iterations);
+    println!("server applied {} updates", report.iterations);
     println!("devices reported {} samples in total", report.total_samples);
     println!(
-        "aggregation runtime: {} epoch merges, {} busy rejections",
-        report.runtime_stats.get("epoch_merges"),
-        report.runtime_stats.get("busy_rejections"),
+        "aggregation runtime: {} epoch merges, {} checkins applied",
+        report.metrics.get("epoch_merges"),
+        report.metrics.get("checkins_applied"),
     );
-    for (id, device) in report.device_reports.iter().enumerate() {
-        println!(
-            "  device {id}: observed {:>4} samples, completed {:>3} checkins",
-            device.samples_observed, device.checkins
-        );
+    for &(device, eps) in &report.ledger {
+        let checkins = report.acked_checkins[device as usize];
+        println!("  device {device}: {checkins:>3} acked checkins, eps spent {eps:.1}");
     }
 
     let model = MulticlassLogistic::new(dim, classes).expect("model");

@@ -6,12 +6,13 @@
 //! each test body runs under [`with_timeout`] so a wedged socket can never hang
 //! CI — the watchdog fails the test instead.
 
-use crowd_ml::core::config::{DeviceConfig, PrivacyConfig, ServerConfig};
+use crowd_ml::core::config::{PrivacyConfig, ServerConfig};
 use crowd_ml::data::partition::{partition, PartitionStrategy};
 use crowd_ml::data::synthetic::GaussianMixtureSpec;
 use crowd_ml::learning::metrics::error_rate;
 use crowd_ml::learning::MulticlassLogistic;
-use crowd_ml::net::{DeviceClient, LocalCluster, NetError, ReactorServer};
+use crowd_ml::net::fault::FaultPlan;
+use crowd_ml::net::{ChaosCluster, DeviceClient, NetError, ReactorServer};
 use crowd_ml::proto::auth::{AuthToken, TokenRegistry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,14 +66,27 @@ fn tcp_cluster_learns_with_privacy_body() {
         .unwrap();
     let parts = partition(&train, 6, PartitionStrategy::Iid, &mut rng).unwrap();
 
-    let cluster = LocalCluster::new(ServerConfig::new().with_rate_constant(2.0))
-        .with_device(DeviceConfig::new(10))
-        .with_privacy(PrivacyConfig::with_total_epsilon(20.0))
-        .with_seed(9);
-    let report = cluster.run(dim, classes, &parts).expect("cluster run");
+    let cluster = ChaosCluster {
+        minibatch: 10,
+        privacy: PrivacyConfig::with_total_epsilon(20.0),
+        server: ServerConfig::new().with_rate_constant(2.0),
+        ..ChaosCluster::new(FaultPlan::fault_free(9))
+    };
+    let report = cluster.run_on(&parts).expect("cluster run");
+
+    // One thread steps the fleet in a fixed order, so the same experiment
+    // replays bit for bit, noise draws included.
+    let replay = cluster.run_on(&parts).expect("replayed cluster run");
+    let bits = |params: &[f64]| params.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(replay.params.as_slice()),
+        bits(report.params.as_slice())
+    );
+    assert_eq!(replay.ledger, report.ledger);
+    assert_eq!(replay.acked_checkins, report.acked_checkins);
 
     assert_eq!(report.total_samples, 900);
-    assert_eq!(report.server_iterations, 90);
+    assert_eq!(report.iterations, 90);
     let model = MulticlassLogistic::new(dim, classes).unwrap();
     let err = error_rate(&model, &report.params, &test).unwrap();
     assert!(err < 0.3, "networked private training error {err}");

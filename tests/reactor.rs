@@ -2,11 +2,13 @@
 //!
 //! A fixed pool of reactor threads holds thousands of concurrent device
 //! connections where a thread per connection would need thousands of OS
-//! threads. The test below drives 2,000 devices — each holding a persistent
-//! connection for its whole checkout+checkin lifetime — from one
+//! threads. The first test below drives 2,000 devices — each holding a
+//! persistent connection for its whole checkout+checkin lifetime — from one
 //! `FleetDriver` thread, requires every exchange to complete, and then reads
-//! the loaded server's telemetry over the wire. Correctness under faults is
-//! `tests/chaos.rs`; bitwise recovery over TCP is `tests/durability.rs`.
+//! the loaded server's telemetry over the wire. The second drives a fleet
+//! into a 2-deep ingest queue and requires backpressure to lose no checkin.
+//! Correctness under faults is `tests/chaos.rs`; bitwise recovery over TCP is
+//! `tests/durability.rs`.
 
 use crowd_ml::learning::MulticlassLogistic;
 use crowd_ml::net::{DeviceClient, FleetConfig, FleetDriver, ReactorServer};
@@ -97,6 +99,34 @@ fn reactor_holds_2000_concurrent_devices() {
                 "missing gauge {gauge}"
             );
         }
+        handle.shutdown();
+    });
+}
+
+#[test]
+fn fleet_survives_backpressure_without_losing_checkins() {
+    under_watchdog(Duration::from_secs(120), || {
+        // 64 concurrent devices against a 2-deep ingest queue: the server
+        // throttles reads instead of dropping work, so every checkin still
+        // gets an answer and every accepted one is applied exactly once.
+        let devices = 64usize;
+        let model = MulticlassLogistic::new(4, 3).unwrap();
+        let tokens = TokenRegistry::with_derived_tokens(devices as u64, 99);
+        let config = crowd_ml::core::config::ServerConfig::new().with_queue_bound(2);
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
+        let config = FleetConfig {
+            devices,
+            rounds: 4,
+            dim: 12,
+            classes: 3,
+            auth_secret: 99,
+            max_open: devices,
+            ..FleetConfig::default()
+        };
+        let report = FleetDriver::run(handle.addr(), config).unwrap();
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.acked + report.rejected, 4 * devices as u64);
+        assert_eq!(handle.runtime_stats().get("checkins_applied"), report.acked);
         handle.shutdown();
     });
 }
