@@ -21,6 +21,7 @@ pub const WALLCLOCK_ALLOWED: &[&str] = &["crates/telemetry/src/clock.rs", "crate
 pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/proto/src/codec.rs",
     "crates/proto/src/frame.rs",
+    "crates/proto/src/le.rs",
     "crates/proto/src/pool.rs",
     "crates/net/src/service.rs",
     "crates/net/src/reactor_server.rs",

@@ -106,3 +106,85 @@ fn wire_lock_matches_the_live_surface() {
         "wire.lock is out of date — refresh with `cargo run -p crowd-audit -- --update-wire-lock`"
     );
 }
+
+/// `(key, value)` of each entry in the `[section]` table of a Cargo.toml,
+/// with a `.workspace` suffix stripped (`rand.workspace = true` names `rand`).
+fn toml_table<'a>(text: &'a str, section: &str) -> Vec<(&'a str, &'a str)> {
+    let header = format!("[{section}]");
+    let mut inside = false;
+    let mut entries = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line == header;
+        } else if let Some((key, value)) = line
+            .split_once('=')
+            .filter(|_| inside && !line.starts_with('#'))
+        {
+            let key = key.trim();
+            entries.push((key.strip_suffix(".workspace").unwrap_or(key), value.trim()));
+        }
+    }
+    entries
+}
+
+/// A vendored shim must not outlive its last user: nothing else fails when
+/// the last crate stops naming it, and it keeps being built and tested. So
+/// every directory under `vendor/` must be a path entry in
+/// `[workspace.dependencies]`, and every such entry must be named in the
+/// `[dependencies]` or `[dev-dependencies]` of some workspace member.
+#[test]
+fn every_vendor_shim_is_declared_and_used() {
+    let root = workspace_root();
+    let manifest = |dir: &str| {
+        std::fs::read_to_string(root.join(dir).join("Cargo.toml")).expect("manifest reads")
+    };
+    let root_toml = manifest(".");
+    let shims: Vec<(&str, &str)> = toml_table(&root_toml, "workspace.dependencies")
+        .into_iter()
+        .filter_map(|(name, value)| {
+            let path = value.split("path = \"").nth(1)?.split('"').next()?;
+            path.starts_with("vendor/").then_some((name, path))
+        })
+        .collect();
+
+    let undeclared: Vec<String> = std::fs::read_dir(root.join("vendor"))
+        .expect("vendor/ lists")
+        .map(|e| {
+            format!(
+                "vendor/{}",
+                e.expect("entry reads").file_name().to_string_lossy()
+            )
+        })
+        .filter(|dir| !shims.iter().any(|(_, path)| path == dir))
+        .collect();
+    assert!(
+        undeclared.is_empty(),
+        "vendor directories with no [workspace.dependencies] path entry: {undeclared:?}"
+    );
+
+    let members = root_toml
+        .split("\nmembers = [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("the root manifest lists its members");
+    let mut named = Vec::new();
+    for member in members.split('"').skip(1).step_by(2).chain(["."]) {
+        let toml = manifest(member);
+        for section in ["dependencies", "dev-dependencies"] {
+            named.extend(
+                toml_table(&toml, section)
+                    .into_iter()
+                    .map(|(k, _)| k.to_string()),
+            );
+        }
+    }
+    let unused: Vec<&str> = shims
+        .iter()
+        .map(|&(name, _)| name)
+        .filter(|name| !named.iter().any(|n| n == name))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "vendor shims no member depends on (delete them): {unused:?}"
+    );
+}

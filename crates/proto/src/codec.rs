@@ -5,24 +5,24 @@
 //! length; booleans a single byte. The message itself is `[tag: u8][body]`; the
 //! framing layer (`crate::frame`) adds the outer length prefix.
 //!
-//! Both directions touch a numeric vector's bytes once. Encode reserves once
-//! and appends in blocks (`BufMut::put_*_slice_le`). Decode reads the element
-//! count, checks `count × width` against what is left of the frame — so no
-//! length prefix, however large, allocates before the bytes are known to be
-//! there — splits that run off the cursor and converts it in one pass into an
-//! exactly sized `Vec`. That `Vec` is the only allocation a decoded vector
-//! costs. The per-element decoder this replaced survives as the test oracle
-//! in `codec_reference`.
+//! The bytes go through [`crate::le`], the reader and writer `crowd-store`'s
+//! codec shares: a numeric vector costs one `reserve` to encode, and one
+//! count check — against [`MAX_VEC_LEN`] and against what is left of the
+//! frame — plus one exactly sized `Vec` to decode. The per-element decoder
+//! the bulk reader replaced survives as the test oracle in `codec_reference`.
 
-use crate::auth::{AuthToken, TOKEN_LEN};
+use crate::auth::AuthToken;
 use crate::error::ProtoError;
+use crate::le::{
+    self, get_bytes, get_count, get_f64, get_i64, get_u16, get_u32, get_u64, get_u8, put_f64,
+    put_i64, put_u16, put_u32, put_u64, put_u8, put_vec,
+};
 use crate::message::{
     BusyReply, CheckinAck, CheckinRequest, CheckoutRequest, CheckoutResponse, ErrorCode,
     ErrorReply, GradientPayload, HistogramReport, Message, MetricsReport, MetricsRequest,
     RoundParams,
 };
 use crate::Result;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Maximum number of elements accepted in any decoded vector (gradients, label
 /// counts). Prevents a malicious length prefix from triggering a huge allocation.
@@ -31,6 +31,14 @@ pub const MAX_VEC_LEN: usize = 16 * 1024 * 1024;
 /// Maximum number of entries accepted in one list of a metrics report. The
 /// cap keeps a forged length prefix from sizing a huge allocation.
 pub(crate) const MAX_LIST_LEN: usize = 4096;
+
+/// Fewest bytes a metrics-report counter or gauge takes: an empty name's
+/// 4-byte length and an 8-byte value.
+pub(crate) const COUNTER_MIN: usize = 4 + 8;
+
+/// Fewest bytes a metrics-report histogram takes: an empty name's 4-byte
+/// length and seven 8-byte statistics.
+pub(crate) const HISTOGRAM_MIN: usize = 4 + 7 * 8;
 
 /// Message tag of [`Message::CheckoutResponse`] ([`Message::tag`] is the table).
 const TAG_CHECKOUT_RESPONSE: u8 = 2;
@@ -48,22 +56,22 @@ const GRADIENT_MASKED: u8 = 3;
 
 /// Encodes a message into a standalone byte buffer (without the frame length
 /// prefix).
-pub fn encode(message: &Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+pub fn encode(message: &Message) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
     encode_into(message, &mut buf);
-    buf.freeze()
+    buf
 }
 
 /// Encodes a message into a caller-provided buffer (without the frame length
 /// prefix), appending to whatever it already holds. Reusing one buffer across
 /// messages keeps the steady-state encode path allocation-free.
-pub fn encode_into<B: BufMut>(message: &Message, buf: &mut B) {
-    buf.put_u8(message.tag());
+pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
+    put_u8(buf, message.tag());
     match message {
         Message::CheckoutRequest(m) => {
-            buf.put_u16_le(m.version);
-            buf.put_u64_le(m.device_id);
-            buf.put_slice(m.token.as_bytes());
+            put_u16(buf, m.version);
+            put_u64(buf, m.device_id);
+            buf.extend_from_slice(m.token.as_bytes());
         }
         Message::CheckoutResponse(m) => {
             put_checkout_response_body(buf, m.iteration, m.stopped, &m.params, m.round.as_ref());
@@ -72,45 +80,41 @@ pub fn encode_into<B: BufMut>(message: &Message, buf: &mut B) {
             put_checkin(buf, m);
         }
         Message::CheckinAck(m) => {
-            put_bool(buf, m.accepted);
-            buf.put_u64_le(m.iteration);
-            put_bool(buf, m.stopped);
-            put_bool(buf, m.deduped);
+            put_u8(buf, m.accepted.into());
+            put_u64(buf, m.iteration);
+            put_u8(buf, m.stopped.into());
+            put_u8(buf, m.deduped.into());
         }
         Message::Error(m) => {
-            buf.put_u8(m.code.as_u8());
+            put_u8(buf, m.code.as_u8());
             put_string(buf, &m.detail);
-            buf.put_u64_le(m.round_id);
+            put_u64(buf, m.round_id);
         }
         Message::Busy(m) => {
-            buf.put_u32_le(m.retry_after_ms);
+            put_u32(buf, m.retry_after_ms);
         }
         Message::MetricsRequest(m) => {
-            buf.put_u16_le(m.version);
-            buf.put_u64_le(m.device_id);
-            buf.put_slice(m.token.as_bytes());
+            put_u16(buf, m.version);
+            put_u64(buf, m.device_id);
+            buf.extend_from_slice(m.token.as_bytes());
         }
         Message::MetricsReport(m) => {
-            buf.put_u32_le(m.counters.len() as u32);
+            put_u32(buf, m.counters.len() as u32);
             for (name, value) in &m.counters {
                 put_string(buf, name);
-                buf.put_u64_le(*value);
+                put_u64(buf, *value);
             }
-            buf.put_u32_le(m.gauges.len() as u32);
+            put_u32(buf, m.gauges.len() as u32);
             for (name, value) in &m.gauges {
                 put_string(buf, name);
-                buf.put_i64_le(*value);
+                put_i64(buf, *value);
             }
-            buf.put_u32_le(m.histograms.len() as u32);
+            put_u32(buf, m.histograms.len() as u32);
             for h in &m.histograms {
                 put_string(buf, &h.name);
-                buf.put_u64_le(h.count);
-                buf.put_u64_le(h.sum);
-                buf.put_u64_le(h.max);
-                buf.put_u64_le(h.p50);
-                buf.put_u64_le(h.p90);
-                buf.put_u64_le(h.p99);
-                buf.put_u64_le(h.p999);
+                for stat in [h.count, h.sum, h.max, h.p50, h.p90, h.p99, h.p999] {
+                    put_u64(buf, stat);
+                }
             }
         }
     }
@@ -120,37 +124,37 @@ pub fn encode_into<B: BufMut>(message: &Message, buf: &mut B) {
 /// [`encode_into`]) from borrowed parts, so a server can encode a reply
 /// straight out of its parameter snapshot without first copying the
 /// parameters into a [`CheckoutResponse`].
-pub(crate) fn encode_checkout_response_into<B: BufMut>(
-    buf: &mut B,
+pub(crate) fn encode_checkout_response_into(
+    buf: &mut Vec<u8>,
     iteration: u64,
     stopped: bool,
     params: &[f64],
     round: Option<&RoundParams>,
 ) {
-    buf.put_u8(TAG_CHECKOUT_RESPONSE);
+    put_u8(buf, TAG_CHECKOUT_RESPONSE);
     put_checkout_response_body(buf, iteration, stopped, params, round);
 }
 
 /// The one definition of the `CheckoutResponse` body layout.
-fn put_checkout_response_body<B: BufMut>(
-    buf: &mut B,
+fn put_checkout_response_body(
+    buf: &mut Vec<u8>,
     iteration: u64,
     stopped: bool,
     params: &[f64],
     round: Option<&RoundParams>,
 ) {
-    buf.put_u64_le(iteration);
-    put_bool(buf, stopped);
-    put_f64_vec(buf, params);
+    put_u64(buf, iteration);
+    put_u8(buf, stopped.into());
+    put_vec(buf, params);
     match round {
-        None => buf.put_u8(0),
+        None => put_u8(buf, 0),
         Some(r) => {
-            buf.put_u8(1);
-            buf.put_u64_le(r.round_id);
-            buf.put_u64_le(r.seed);
-            buf.put_f64_le(r.select_fraction);
-            buf.put_u32_le(r.deadline_epochs);
-            buf.put_u64_le(r.population);
+            put_u8(buf, 1);
+            put_u64(buf, r.round_id);
+            put_u64(buf, r.seed);
+            put_f64(buf, r.select_fraction);
+            put_u32(buf, r.deadline_epochs);
+            put_u64(buf, r.population);
         }
     }
 }
@@ -171,15 +175,14 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
         }
         TAG_CHECKOUT_RESPONSE => {
             let iteration = get_u64(&mut buf, "iteration")?;
-            let stopped = get_bool(&mut buf, "stopped")?;
-            let params = get_f64_vec(&mut buf, "params")?;
+            let stopped = get_u8(&mut buf, "stopped")? != 0;
+            let params = le::get_vec(&mut buf, MAX_VEC_LEN, "params")?;
             let round = match get_u8(&mut buf, "round presence")? {
                 0 => None,
                 1 => {
                     let round_id = get_u64(&mut buf, "round_id")?;
                     let seed = get_u64(&mut buf, "round seed")?;
-                    ensure(buf, 8, "select_fraction")?;
-                    let select_fraction = buf.get_f64_le();
+                    let select_fraction = get_f64(&mut buf, "select_fraction")?;
                     if !(select_fraction.is_finite()
                         && select_fraction > 0.0
                         && select_fraction <= 1.0)
@@ -215,10 +218,10 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
         }
         3 => Message::CheckinRequest(get_checkin(&mut buf)?),
         4 => {
-            let accepted = get_bool(&mut buf, "accepted")?;
+            let accepted = get_u8(&mut buf, "accepted")? != 0;
             let iteration = get_u64(&mut buf, "iteration")?;
-            let stopped = get_bool(&mut buf, "stopped")?;
-            let deduped = get_bool(&mut buf, "deduped")?;
+            let stopped = get_u8(&mut buf, "stopped")? != 0;
+            let deduped = get_u8(&mut buf, "deduped")? != 0;
             Message::CheckinAck(CheckinAck {
                 accepted,
                 iteration,
@@ -255,34 +258,34 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
             })
         }
         10 => {
-            let count = get_list_len(&mut buf, "metric counters")?;
+            let count = get_count(&mut buf, MAX_LIST_LEN, COUNTER_MIN, "metric counters")?;
             let mut counters = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "counter name")?;
                 let value = get_u64(&mut buf, "counter value")?;
                 counters.push((name, value));
             }
-            let count = get_list_len(&mut buf, "metric gauges")?;
+            let count = get_count(&mut buf, MAX_LIST_LEN, COUNTER_MIN, "metric gauges")?;
             let mut gauges = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "gauge name")?;
                 let value = get_i64(&mut buf, "gauge value")?;
                 gauges.push((name, value));
             }
-            let count = get_list_len(&mut buf, "metric histograms")?;
+            let count = get_count(&mut buf, MAX_LIST_LEN, HISTOGRAM_MIN, "metric histograms")?;
             let mut histograms = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "histogram name")?;
-                ensure(buf, 7 * 8, "histogram stats")?;
+                let mut stat = || get_u64(&mut buf, "histogram stats");
                 histograms.push(HistogramReport {
                     name,
-                    count: buf.get_u64_le(),
-                    sum: buf.get_u64_le(),
-                    max: buf.get_u64_le(),
-                    p50: buf.get_u64_le(),
-                    p90: buf.get_u64_le(),
-                    p99: buf.get_u64_le(),
-                    p999: buf.get_u64_le(),
+                    count: stat()?,
+                    sum: stat()?,
+                    max: stat()?,
+                    p50: stat()?,
+                    p90: stat()?,
+                    p99: stat()?,
+                    p999: stat()?,
                 });
             }
             Message::MetricsReport(MetricsReport {
@@ -302,52 +305,53 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
     Ok(message)
 }
 
-fn put_checkin<B: BufMut>(buf: &mut B, m: &CheckinRequest) {
-    buf.put_u64_le(m.device_id);
-    buf.put_slice(m.token.as_bytes());
-    buf.put_u64_le(m.checkout_iteration);
-    buf.put_u64_le(m.nonce);
-    buf.put_u64_le(m.round_id);
-    buf.put_u32_le(m.num_samples);
-    buf.put_i64_le(m.error_count);
+fn put_checkin(buf: &mut Vec<u8>, m: &CheckinRequest) {
+    put_u64(buf, m.device_id);
+    buf.extend_from_slice(m.token.as_bytes());
+    put_u64(buf, m.checkout_iteration);
+    put_u64(buf, m.nonce);
+    put_u64(buf, m.round_id);
+    put_u32(buf, m.num_samples);
+    put_i64(buf, m.error_count);
     put_gradient(buf, &m.gradient);
-    put_i64_vec(buf, &m.label_counts);
+    put_vec(buf, &m.label_counts);
 }
 
-fn put_gradient<B: BufMut>(buf: &mut B, gradient: &GradientPayload) {
+fn put_gradient(buf: &mut Vec<u8>, gradient: &GradientPayload) {
     match gradient {
         GradientPayload::Dense(values) => {
-            buf.put_u8(GRADIENT_DENSE);
-            put_f64_vec(buf, values);
+            put_u8(buf, GRADIENT_DENSE);
+            put_vec(buf, values);
         }
         GradientPayload::Sparse {
             dim,
             indices,
             values,
         } => {
-            buf.put_u8(GRADIENT_SPARSE);
-            buf.put_u32_le(*dim);
-            buf.put_u32_le(indices.len() as u32);
-            buf.put_u32_slice_le(indices);
-            buf.put_f64_slice_le(values);
+            put_u8(buf, GRADIENT_SPARSE);
+            put_u32(buf, *dim);
+            put_vec(buf, indices);
+            le::put_run(buf, values);
         }
         GradientPayload::Quantized { scale, levels } => {
-            buf.put_u8(GRADIENT_QUANTIZED);
-            buf.put_u32_le(levels.len() as u32);
-            buf.put_f64_le(*scale);
-            buf.put_i16_slice_le(levels);
+            put_u8(buf, GRADIENT_QUANTIZED);
+            put_u32(buf, levels.len() as u32);
+            put_f64(buf, *scale);
+            le::put_run(buf, levels);
         }
         GradientPayload::Masked { words } => {
-            buf.put_u8(GRADIENT_MASKED);
-            buf.put_u32_le(words.len() as u32);
-            buf.put_u64_slice_le(words);
+            put_u8(buf, GRADIENT_MASKED);
+            put_vec(buf, words);
         }
     }
 }
 
 fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
     match get_u8(buf, "gradient encoding")? {
-        GRADIENT_DENSE => Ok(GradientPayload::Dense(get_f64_vec(buf, "gradient")?)),
+        GRADIENT_DENSE => {
+            let values = le::get_vec(buf, MAX_VEC_LEN, "gradient")?;
+            Ok(GradientPayload::Dense(values))
+        }
         GRADIENT_SPARSE => {
             let dim = get_u32(buf, "gradient dim")? as usize;
             if dim > MAX_VEC_LEN {
@@ -363,11 +367,9 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
                     reason: format!("{nnz} stored coordinates exceed dimension {dim}"),
                 });
             }
-            let raw_indices = take_le::<4>(buf, nnz, "gradient indices")?;
-            let mut indices = Vec::with_capacity(nnz);
+            let indices: Vec<u32> = le::get_run(buf, nnz, "gradient indices")?;
             let mut prev: Option<u32> = None;
-            for raw in raw_indices {
-                let i = u32::from_le_bytes(*raw);
+            for &i in &indices {
                 if i as usize >= dim || prev.is_some_and(|p| i <= p) {
                     return Err(ProtoError::InvalidField {
                         field: "gradient indices",
@@ -375,9 +377,8 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
                     });
                 }
                 prev = Some(i);
-                indices.push(i);
             }
-            let values = le_vec(take_le(buf, nnz, "gradient values")?, f64::from_le_bytes);
+            let values = le::get_run(buf, nnz, "gradient values")?;
             Ok(GradientPayload::Sparse {
                 dim: dim as u32,
                 indices,
@@ -385,9 +386,9 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
             })
         }
         GRADIENT_QUANTIZED => {
-            let dim = get_vec_len(buf, "quantized gradient")?;
-            ensure(buf, 8, "quantized scale")?;
-            let scale = buf.get_f64_le();
+            // The levels' bytes are checked after the scale, by `get_run`.
+            let dim = get_count(buf, MAX_VEC_LEN, 0, "quantized gradient")?;
+            let scale = get_f64(buf, "quantized scale")?;
             // The scale multiplies every reconstructed coordinate; a NaN,
             // infinite, or negative scale would poison the whole aggregate.
             if !scale.is_finite() || scale < 0.0 {
@@ -396,11 +397,11 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
                     reason: format!("scale {scale} is not finite and non-negative"),
                 });
             }
-            let levels = le_vec(take_le(buf, dim, "quantized levels")?, i16::from_le_bytes);
+            let levels = le::get_run(buf, dim, "quantized levels")?;
             Ok(GradientPayload::Quantized { scale, levels })
         }
         GRADIENT_MASKED => {
-            let words = get_u64_vec(buf, "masked gradient")?;
+            let words = le::get_vec(buf, MAX_VEC_LEN, "masked gradient")?;
             Ok(GradientPayload::Masked { words })
         }
         other => Err(ProtoError::InvalidField {
@@ -419,7 +420,7 @@ fn get_checkin(buf: &mut &[u8]) -> Result<CheckinRequest> {
     let num_samples = get_u32(buf, "num_samples")?;
     let error_count = get_i64(buf, "error_count")?;
     let gradient = get_gradient(buf)?;
-    let label_counts = get_i64_vec(buf, "label_counts")?;
+    let label_counts = le::get_vec(buf, MAX_VEC_LEN, "label_counts")?;
     Ok(CheckinRequest {
         device_id,
         token,
@@ -433,144 +434,32 @@ fn get_checkin(buf: &mut &[u8]) -> Result<CheckinRequest> {
     })
 }
 
-fn get_list_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
-    let len = get_u32(buf, context)? as usize;
-    if len > MAX_LIST_LEN {
-        return Err(ProtoError::InvalidField {
-            field: context,
-            reason: format!("declared list length {len} exceeds maximum {MAX_LIST_LEN}"),
-        });
-    }
-    Ok(len)
-}
-
-fn put_bool<B: BufMut>(buf: &mut B, value: bool) {
-    buf.put_u8(u8::from(value));
-}
-
-fn put_f64_vec<B: BufMut>(buf: &mut B, values: &[f64]) {
-    buf.put_u32_le(values.len() as u32);
-    buf.put_f64_slice_le(values);
-}
-
-fn put_i64_vec<B: BufMut>(buf: &mut B, values: &[i64]) {
-    buf.put_u32_le(values.len() as u32);
-    buf.put_i64_slice_le(values);
-}
-
-fn put_string<B: BufMut>(buf: &mut B, value: &str) {
-    buf.put_u32_le(value.len() as u32);
-    buf.put_slice(value.as_bytes());
-}
-
-fn ensure(buf: &[u8], needed: usize, context: &'static str) -> Result<()> {
-    if buf.remaining() < needed {
-        Err(ProtoError::Truncated { context })
-    } else {
-        Ok(())
-    }
-}
-
-fn get_u8(buf: &mut &[u8], context: &'static str) -> Result<u8> {
-    ensure(buf, 1, context)?;
-    Ok(buf.get_u8())
-}
-
-fn get_u16(buf: &mut &[u8], context: &'static str) -> Result<u16> {
-    ensure(buf, 2, context)?;
-    Ok(buf.get_u16_le())
-}
-
-fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32> {
-    ensure(buf, 4, context)?;
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8], context: &'static str) -> Result<u64> {
-    ensure(buf, 8, context)?;
-    Ok(buf.get_u64_le())
-}
-
-fn get_i64(buf: &mut &[u8], context: &'static str) -> Result<i64> {
-    ensure(buf, 8, context)?;
-    Ok(buf.get_i64_le())
-}
-
-fn get_bool(buf: &mut &[u8], context: &'static str) -> Result<bool> {
-    Ok(get_u8(buf, context)? != 0)
+fn put_string(buf: &mut Vec<u8>, value: &str) {
+    put_u32(buf, value.len() as u32);
+    buf.extend_from_slice(value.as_bytes());
 }
 
 fn get_token(buf: &mut &[u8]) -> Result<AuthToken> {
-    ensure(buf, TOKEN_LEN, "auth token")?;
-    let mut raw = [0u8; TOKEN_LEN];
-    buf.copy_to_slice(&mut raw);
-    Ok(AuthToken::from_bytes(raw))
-}
-
-fn get_vec_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
-    let len = get_u32(buf, context)? as usize;
-    if len > MAX_VEC_LEN {
-        return Err(ProtoError::InvalidField {
-            field: context,
-            reason: format!("declared length {len} exceeds maximum {MAX_VEC_LEN}"),
-        });
-    }
-    Ok(len)
-}
-
-/// Splits `count` little-endian values of `N` bytes each off the cursor after
-/// one bounds check. `count` comes from [`get_vec_len`] (or is bounded by a
-/// value that does), so `count * N` cannot overflow.
-fn take_le<'a, const N: usize>(
-    buf: &mut &'a [u8],
-    count: usize,
-    context: &'static str,
-) -> Result<&'a [[u8; N]]> {
-    ensure(buf, count * N, context)?;
-    let (run, rest) = buf.split_at(count * N);
-    *buf = rest;
-    Ok(run.as_chunks().0)
-}
-
-/// Converts a run of little-endian values in one pass into an exactly sized
-/// `Vec` — bit patterns preserved (`from_le_bytes` is a reinterpretation, so
-/// NaN payloads and signed zeros survive).
-fn le_vec<T, const N: usize>(run: &[[u8; N]], from_le_bytes: impl Fn([u8; N]) -> T) -> Vec<T> {
-    run.iter().map(|raw| from_le_bytes(*raw)).collect()
-}
-
-fn get_f64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<f64>> {
-    let len = get_vec_len(buf, context)?;
-    Ok(le_vec(take_le(buf, len, context)?, f64::from_le_bytes))
-}
-
-fn get_i64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<i64>> {
-    let len = get_vec_len(buf, context)?;
-    Ok(le_vec(take_le(buf, len, context)?, i64::from_le_bytes))
-}
-
-fn get_u64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<u64>> {
-    let len = get_vec_len(buf, context)?;
-    Ok(le_vec(take_le(buf, len, context)?, u64::from_le_bytes))
+    Ok(AuthToken::from_bytes(le::get_array(buf, "auth token")?))
 }
 
 fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String> {
-    let len = get_vec_len(buf, context)?;
-    ensure(buf, len, context)?;
+    let len = get_count(buf, MAX_VEC_LEN, 1, context)?;
     // Validate in place and copy once, straight from the frame slice — no
     // intermediate Vec<u8>.
-    let s = std::str::from_utf8(&buf[..len]).map_err(|e| ProtoError::InvalidField {
-        field: context,
-        reason: format!("invalid UTF-8: {e}"),
+    let s = std::str::from_utf8(get_bytes(buf, len, context)?).map_err(|e| {
+        ProtoError::InvalidField {
+            field: context,
+            reason: format!("invalid UTF-8: {e}"),
+        }
     })?;
-    let owned = s.to_owned();
-    buf.advance(len);
-    Ok(owned)
+    Ok(s.to_owned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auth::TOKEN_LEN;
     use crate::codec_reference;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -756,11 +645,11 @@ mod tests {
     #[test]
     fn oversized_vector_length_rejected() {
         // Craft a checkout response that declares a gigantic parameter vector.
-        let mut buf = BytesMut::new();
-        buf.put_u8(2);
-        buf.put_u64_le(0);
-        buf.put_u8(0);
-        buf.put_u32_le(u32::MAX);
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 2);
+        put_u64(&mut buf, 0);
+        put_u8(&mut buf, 0);
+        put_u32(&mut buf, u32::MAX);
         assert!(matches!(
             decode(&buf),
             Err(ProtoError::InvalidField {
@@ -772,10 +661,10 @@ mod tests {
 
     #[test]
     fn invalid_error_code_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(5);
-        buf.put_u8(200);
-        buf.put_u32_le(0);
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 5);
+        put_u8(&mut buf, 200);
+        put_u32(&mut buf, 0);
         assert!(decode(&buf).is_err());
     }
 
@@ -888,8 +777,8 @@ mod tests {
     #[test]
     fn oversized_quantized_dim_rejected() {
         let mut buf = checkin_header();
-        buf.put_u8(2); // quantized encoding
-        buf.put_u32_le(u32::MAX); // dim beyond MAX_VEC_LEN
+        put_u8(&mut buf, 2); // quantized encoding
+        put_u32(&mut buf, u32::MAX); // dim beyond MAX_VEC_LEN
         assert!(matches!(
             decode(&buf),
             Err(ProtoError::InvalidField {
@@ -902,9 +791,9 @@ mod tests {
     #[test]
     fn oversized_sparse_nnz_rejected() {
         let mut buf = checkin_header();
-        buf.put_u8(1); // sparse encoding
-        buf.put_u32_le(8); // dim
-        buf.put_u32_le(9); // nnz > dim
+        put_u8(&mut buf, 1); // sparse encoding
+        put_u32(&mut buf, 8); // dim
+        put_u32(&mut buf, 9); // nnz > dim
         assert!(matches!(
             decode(&buf),
             Err(ProtoError::InvalidField {
@@ -973,16 +862,16 @@ mod tests {
 
     /// The fixed part of a checkin up to (not including) the gradient
     /// encoding byte.
-    fn checkin_header() -> BytesMut {
-        let mut buf = BytesMut::new();
-        buf.put_u8(3); // checkin tag
-        buf.put_u64_le(1);
-        buf.put_slice(AuthToken::derive(1, 7).as_bytes());
-        buf.put_u64_le(0); // checkout_iteration
-        buf.put_u64_le(0); // nonce
-        buf.put_u64_le(0); // round_id
-        buf.put_u32_le(1);
-        buf.put_i64_le(0);
+    fn checkin_header() -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 3); // checkin tag
+        put_u64(&mut buf, 1);
+        buf.extend_from_slice(AuthToken::derive(1, 7).as_bytes());
+        put_u64(&mut buf, 0); // checkout_iteration
+        put_u64(&mut buf, 0); // nonce
+        put_u64(&mut buf, 0); // round_id
+        put_u32(&mut buf, 1);
+        put_i64(&mut buf, 0);
         buf
     }
 
@@ -994,60 +883,86 @@ mod tests {
     fn a_count_at_the_cap_over_a_short_frame_is_truncated_not_allocated() {
         let cap = MAX_VEC_LEN as u32;
         let tail = [0u8; 20];
-        let mut cases: Vec<(&'static str, BytesMut)> = Vec::new();
+        let mut cases: Vec<(&'static str, Vec<u8>)> = Vec::new();
 
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_CHECKOUT_RESPONSE);
-        buf.put_u64_le(0);
-        buf.put_u8(0);
-        buf.put_u32_le(cap);
+        let mut buf = Vec::new();
+        put_u8(&mut buf, TAG_CHECKOUT_RESPONSE);
+        put_u64(&mut buf, 0);
+        put_u8(&mut buf, 0);
+        put_u32(&mut buf, cap);
         cases.push(("params", buf));
 
         let mut buf = checkin_header();
-        buf.put_u8(GRADIENT_DENSE);
-        buf.put_u32_le(cap);
+        put_u8(&mut buf, GRADIENT_DENSE);
+        put_u32(&mut buf, cap);
         cases.push(("gradient", buf));
 
         let mut buf = checkin_header();
-        buf.put_u8(GRADIENT_SPARSE);
-        buf.put_u32_le(cap); // dim
-        buf.put_u32_le(cap); // nnz
+        put_u8(&mut buf, GRADIENT_SPARSE);
+        put_u32(&mut buf, cap); // dim
+        put_u32(&mut buf, cap); // nnz
         cases.push(("gradient indices", buf));
 
         // The values share the indices' count, so by the time they are
         // reached the count is already backed by bytes; the position is
         // covered with the largest count a 20-byte tail cannot back.
         let mut buf = checkin_header();
-        buf.put_u8(GRADIENT_SPARSE);
-        buf.put_u32_le(cap); // dim
-        buf.put_u32_le(2); // nnz
-        buf.put_u32_le(0);
-        buf.put_u32_le(1);
+        put_u8(&mut buf, GRADIENT_SPARSE);
+        put_u32(&mut buf, cap); // dim
+        put_u32(&mut buf, 2); // nnz
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 1);
         cases.push(("gradient values", buf));
 
         let mut buf = checkin_header();
-        buf.put_u8(GRADIENT_QUANTIZED);
-        buf.put_u32_le(cap);
-        buf.put_f64_le(1e-3);
+        put_u8(&mut buf, GRADIENT_QUANTIZED);
+        put_u32(&mut buf, cap);
+        put_f64(&mut buf, 1e-3);
         cases.push(("quantized levels", buf));
 
         let mut buf = checkin_header();
-        buf.put_u8(GRADIENT_MASKED);
-        buf.put_u32_le(cap);
+        put_u8(&mut buf, GRADIENT_MASKED);
+        put_u32(&mut buf, cap);
         cases.push(("masked gradient", buf));
 
         let mut buf = checkin_header();
-        buf.put_u8(GRADIENT_DENSE);
-        buf.put_u32_le(0);
-        buf.put_u32_le(cap);
+        put_u8(&mut buf, GRADIENT_DENSE);
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, cap);
         cases.push(("label_counts", buf));
 
         for (field, mut buf) in cases {
             if field == "gradient values" {
-                buf.put_slice(&tail[..8]);
+                buf.extend_from_slice(&tail[..8]);
             } else {
-                buf.put_slice(&tail);
+                buf.extend_from_slice(&tail);
             }
+            match decode(&buf) {
+                Err(ProtoError::Truncated { context }) => assert_eq!(context, field),
+                other => panic!("{field}: expected Truncated, got {other:?}"),
+            }
+        }
+    }
+
+    /// A metrics-report list count is checked against the bytes behind it
+    /// before it sizes a `Vec`: a 5-byte frame declaring 4096 counters is
+    /// refused at the count, not after reserving 4096 entries. The same
+    /// holds for the gauge and histogram lists.
+    #[test]
+    fn a_list_count_over_a_short_frame_is_truncated_not_allocated() {
+        let report = |lists_before: usize, field: &'static str| {
+            let mut buf = vec![10];
+            for _ in 0..lists_before {
+                put_u32(&mut buf, 0);
+            }
+            put_u32(&mut buf, MAX_LIST_LEN as u32);
+            (field, buf)
+        };
+        for (field, buf) in [
+            report(0, "metric counters"),
+            report(1, "metric gauges"),
+            report(2, "metric histograms"),
+        ] {
             match decode(&buf) {
                 Err(ProtoError::Truncated { context }) => assert_eq!(context, field),
                 other => panic!("{field}: expected Truncated, got {other:?}"),

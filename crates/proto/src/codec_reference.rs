@@ -1,10 +1,11 @@
 //! The per-element decoder `codec::decode` replaced, frozen as the oracle of
 //! the differential tests in `codec::tests`: every vector is read one
-//! `Buf::get_*_le` at a time, exactly as before the bulk decode. Test-only —
-//! nothing outside `#[cfg(test)]` may call it.
+//! element at a time, by plain slice reads that share nothing with the bulk
+//! reader in `crate::le`. Test-only — nothing outside `#[cfg(test)]` may call
+//! it.
 
 use crate::auth::{AuthToken, TOKEN_LEN};
-use crate::codec::{MAX_LIST_LEN, MAX_VEC_LEN};
+use crate::codec::{COUNTER_MIN, HISTOGRAM_MIN, MAX_LIST_LEN, MAX_VEC_LEN};
 use crate::error::ProtoError;
 use crate::message::{
     BusyReply, CheckinAck, CheckinRequest, CheckoutRequest, CheckoutResponse, ErrorCode,
@@ -12,7 +13,6 @@ use crate::message::{
     RoundParams,
 };
 use crate::Result;
-use bytes::Buf;
 
 const GRADIENT_DENSE: u8 = 0;
 const GRADIENT_SPARSE: u8 = 1;
@@ -43,7 +43,7 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
                     let round_id = get_u64(&mut buf, "round_id")?;
                     let seed = get_u64(&mut buf, "round seed")?;
                     ensure(buf, 8, "select_fraction")?;
-                    let select_fraction = buf.get_f64_le();
+                    let select_fraction = f64::from_le_bytes(next(&mut buf));
                     if !(select_fraction.is_finite()
                         && select_fraction > 0.0
                         && select_fraction <= 1.0)
@@ -119,34 +119,34 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
             })
         }
         10 => {
-            let count = get_list_len(&mut buf, "metric counters")?;
+            let count = get_list_len(&mut buf, COUNTER_MIN, "metric counters")?;
             let mut counters = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "counter name")?;
                 let value = get_u64(&mut buf, "counter value")?;
                 counters.push((name, value));
             }
-            let count = get_list_len(&mut buf, "metric gauges")?;
+            let count = get_list_len(&mut buf, COUNTER_MIN, "metric gauges")?;
             let mut gauges = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "gauge name")?;
                 let value = get_i64(&mut buf, "gauge value")?;
                 gauges.push((name, value));
             }
-            let count = get_list_len(&mut buf, "metric histograms")?;
+            let count = get_list_len(&mut buf, HISTOGRAM_MIN, "metric histograms")?;
             let mut histograms = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = get_string(&mut buf, "histogram name")?;
                 ensure(buf, 7 * 8, "histogram stats")?;
                 histograms.push(HistogramReport {
                     name,
-                    count: buf.get_u64_le(),
-                    sum: buf.get_u64_le(),
-                    max: buf.get_u64_le(),
-                    p50: buf.get_u64_le(),
-                    p90: buf.get_u64_le(),
-                    p99: buf.get_u64_le(),
-                    p999: buf.get_u64_le(),
+                    count: u64::from_le_bytes(next(&mut buf)),
+                    sum: u64::from_le_bytes(next(&mut buf)),
+                    max: u64::from_le_bytes(next(&mut buf)),
+                    p50: u64::from_le_bytes(next(&mut buf)),
+                    p90: u64::from_le_bytes(next(&mut buf)),
+                    p99: u64::from_le_bytes(next(&mut buf)),
+                    p999: u64::from_le_bytes(next(&mut buf)),
                 });
             }
             Message::MetricsReport(MetricsReport {
@@ -188,7 +188,7 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
             let mut indices = Vec::with_capacity(nnz);
             let mut prev: Option<u32> = None;
             for _ in 0..nnz {
-                let i = buf.get_u32_le();
+                let i = u32::from_le_bytes(next(buf));
                 if i as usize >= dim || prev.is_some_and(|p| i <= p) {
                     return Err(ProtoError::InvalidField {
                         field: "gradient indices",
@@ -199,7 +199,7 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
                 indices.push(i);
             }
             ensure(buf, nnz * 8, "gradient values")?;
-            let values = (0..nnz).map(|_| buf.get_f64_le()).collect();
+            let values = (0..nnz).map(|_| f64::from_le_bytes(next(buf))).collect();
             Ok(GradientPayload::Sparse {
                 dim: dim as u32,
                 indices,
@@ -209,7 +209,7 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
         GRADIENT_QUANTIZED => {
             let dim = get_vec_len(buf, "quantized gradient")?;
             ensure(buf, 8, "quantized scale")?;
-            let scale = buf.get_f64_le();
+            let scale = f64::from_le_bytes(next(buf));
             // The scale multiplies every reconstructed coordinate; a NaN,
             // infinite, or negative scale would poison the whole aggregate.
             if !scale.is_finite() || scale < 0.0 {
@@ -219,7 +219,7 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
                 });
             }
             ensure(buf, dim * 2, "quantized levels")?;
-            let levels = (0..dim).map(|_| buf.get_i16_le()).collect();
+            let levels = (0..dim).map(|_| i16::from_le_bytes(next(buf))).collect();
             Ok(GradientPayload::Quantized { scale, levels })
         }
         GRADIENT_MASKED => {
@@ -256,48 +256,61 @@ fn get_checkin(buf: &mut &[u8]) -> Result<CheckinRequest> {
     })
 }
 
-fn get_list_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
+/// A list count: at most [`MAX_LIST_LEN`] entries, each at least
+/// `min_width` bytes, so the bytes behind the count must be there before
+/// anything is sized by it.
+fn get_list_len(buf: &mut &[u8], min_width: usize, context: &'static str) -> Result<usize> {
     let len = get_u32(buf, context)? as usize;
     if len > MAX_LIST_LEN {
         return Err(ProtoError::InvalidField {
             field: context,
-            reason: format!("declared list length {len} exceeds maximum {MAX_LIST_LEN}"),
+            reason: format!("declared length {len} exceeds maximum {MAX_LIST_LEN}"),
         });
     }
+    ensure(buf, len * min_width, context)?;
     Ok(len)
 }
 
 fn ensure(buf: &[u8], needed: usize, context: &'static str) -> Result<()> {
-    if buf.remaining() < needed {
+    if buf.len() < needed {
         Err(ProtoError::Truncated { context })
     } else {
         Ok(())
     }
 }
 
+/// Splits the next `N` bytes off the cursor; the caller has `ensure`d them.
+fn next<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf
+        .split_first_chunk()
+        .expect("the caller ensured the bytes");
+    *buf = rest;
+    *head
+}
+
 fn get_u8(buf: &mut &[u8], context: &'static str) -> Result<u8> {
     ensure(buf, 1, context)?;
-    Ok(buf.get_u8())
+    Ok(u8::from_le_bytes(next(buf)))
 }
 
 fn get_u16(buf: &mut &[u8], context: &'static str) -> Result<u16> {
     ensure(buf, 2, context)?;
-    Ok(buf.get_u16_le())
+    Ok(u16::from_le_bytes(next(buf)))
 }
 
 fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32> {
     ensure(buf, 4, context)?;
-    Ok(buf.get_u32_le())
+    Ok(u32::from_le_bytes(next(buf)))
 }
 
 fn get_u64(buf: &mut &[u8], context: &'static str) -> Result<u64> {
     ensure(buf, 8, context)?;
-    Ok(buf.get_u64_le())
+    Ok(u64::from_le_bytes(next(buf)))
 }
 
 fn get_i64(buf: &mut &[u8], context: &'static str) -> Result<i64> {
     ensure(buf, 8, context)?;
-    Ok(buf.get_i64_le())
+    Ok(i64::from_le_bytes(next(buf)))
 }
 
 fn get_bool(buf: &mut &[u8], context: &'static str) -> Result<bool> {
@@ -306,9 +319,7 @@ fn get_bool(buf: &mut &[u8], context: &'static str) -> Result<bool> {
 
 fn get_token(buf: &mut &[u8]) -> Result<AuthToken> {
     ensure(buf, TOKEN_LEN, "auth token")?;
-    let mut raw = [0u8; TOKEN_LEN];
-    buf.copy_to_slice(&mut raw);
-    Ok(AuthToken::from_bytes(raw))
+    Ok(AuthToken::from_bytes(next(buf)))
 }
 
 fn get_vec_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
@@ -325,19 +336,19 @@ fn get_vec_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
 fn get_f64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<f64>> {
     let len = get_vec_len(buf, context)?;
     ensure(buf, len * 8, context)?;
-    Ok((0..len).map(|_| buf.get_f64_le()).collect())
+    Ok((0..len).map(|_| f64::from_le_bytes(next(buf))).collect())
 }
 
 fn get_i64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<i64>> {
     let len = get_vec_len(buf, context)?;
     ensure(buf, len * 8, context)?;
-    Ok((0..len).map(|_| buf.get_i64_le()).collect())
+    Ok((0..len).map(|_| i64::from_le_bytes(next(buf))).collect())
 }
 
 fn get_u64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<u64>> {
     let len = get_vec_len(buf, context)?;
     ensure(buf, len * 8, context)?;
-    Ok((0..len).map(|_| buf.get_u64_le()).collect())
+    Ok((0..len).map(|_| u64::from_le_bytes(next(buf))).collect())
 }
 
 fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String> {
@@ -350,6 +361,6 @@ fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String> {
         reason: format!("invalid UTF-8: {e}"),
     })?;
     let owned = s.to_owned();
-    buf.advance(len);
+    *buf = &buf[len..];
     Ok(owned)
 }

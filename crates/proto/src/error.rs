@@ -1,5 +1,6 @@
 //! Error type for protocol encoding, decoding, and framing.
 
+use crate::le::LeError;
 use std::fmt;
 
 /// Errors produced while encoding, decoding, or framing protocol messages.
@@ -53,6 +54,20 @@ impl std::error::Error for ProtoError {
         match self {
             ProtoError::Io(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+/// A short or over-cap read in [`crate::le`] is a short or invalid field of
+/// the message being decoded.
+impl From<LeError> for ProtoError {
+    fn from(e: LeError) -> Self {
+        match e {
+            LeError::Truncated(context) => ProtoError::Truncated { context },
+            LeError::OverCap { what, len, cap } => ProtoError::InvalidField {
+                field: what,
+                reason: format!("declared length {len} exceeds maximum {cap}"),
+            },
         }
     }
 }

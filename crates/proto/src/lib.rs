@@ -8,7 +8,9 @@
 //!
 //! * [`message::Message`] — checkout request/response, checkin request/ack, and an
 //!   error variant, mirroring Device Routines 1–3 and Server Routines 1–2;
-//! * [`codec`] — deterministic little-endian encoding/decoding built on `bytes`;
+//! * [`codec`] — deterministic little-endian encoding/decoding built on [`le`];
+//! * [`le`] — the little-endian reader and writer the wire codec and
+//!   `crowd-store`'s WAL and snapshot codec share;
 //! * [`frame`] — length-prefixed framing over any `Read`/`Write` stream, with a
 //!   maximum-frame-size guard;
 //! * [`auth`] — the device authentication tokens the server checks before
@@ -22,6 +24,7 @@ pub mod codec;
 mod codec_reference;
 pub mod error;
 pub mod frame;
+pub mod le;
 pub mod message;
 pub mod pool;
 

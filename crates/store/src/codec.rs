@@ -1,10 +1,13 @@
 //! Deterministic binary encoding of persisted state, plus CRC-32 framing
 //! support.
 //!
-//! Layout conventions mirror `crowd-proto`: all integers little-endian, `f64`
-//! as IEEE-754 bit patterns (bitwise, never printed and re-parsed), vectors
-//! prefixed by a `u32` element count. Everything here is pure byte-level code;
-//! file handling lives in [`crate::wal`] and [`crate::snapshot`].
+//! The bytes go through `crowd_proto::le`, the reader and writer the wire
+//! codec shares: all integers little-endian, `f64` as IEEE-754 bit patterns
+//! (bitwise, never printed and re-parsed), vectors prefixed by a `u32`
+//! element count. This codec keeps its own cap ([`MAX_VEC_LEN`]), its own
+//! error type ([`DecodeError`]) and the CRC-32 its framing seals records
+//! with. Everything here is pure byte-level code; file handling lives in
+//! [`crate::wal`] and [`crate::snapshot`].
 
 use crowd_core::server::{
     DeviceEpochStats, DeviceProgress, EpochAggregate, PendingSubmission, RoundStateSnapshot,
@@ -12,6 +15,10 @@ use crowd_core::server::{
 };
 use crowd_learning::LearningRate;
 use crowd_linalg::Vector;
+use crowd_proto::le::{
+    get_count, get_f64, get_i64, get_u32, get_u64, get_u8, get_vec, put_f64, put_i64, put_u32,
+    put_u64, put_u8, put_vec, LeError,
+};
 
 /// Maximum element count accepted for any decoded vector. Prevents a corrupt
 /// length prefix from triggering a huge allocation.
@@ -101,7 +108,7 @@ pub(crate) fn crc32_bytewise(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writers / readers
+// Decode errors and minimum record widths
 // ---------------------------------------------------------------------------
 
 /// Why a decode failed. Converted to [`crate::StoreError`] by the callers,
@@ -115,113 +122,19 @@ impl DecodeError {
     }
 }
 
+impl From<LeError> for DecodeError {
+    fn from(e: LeError) -> Self {
+        match e {
+            LeError::Truncated(what) => DecodeError::truncated(what),
+            LeError::OverCap { what, len, cap } => {
+                DecodeError(format!("{what} declares {len} elements, cap is {cap}"))
+            }
+        }
+    }
+}
+
 /// Decode result alias.
 pub type DecodeResult<T> = std::result::Result<T, DecodeError>;
-
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Appends a count-prefixed run of 8-byte little-endian values: one
-/// `reserve`, then whole blocks — the bytes of a `put_*` per element.
-fn put_le_slice<T: Copy>(buf: &mut Vec<u8>, values: &[T], to_le_bytes: impl Fn(T) -> [u8; 8]) {
-    put_u32(buf, values.len() as u32);
-    buf.reserve(8 * values.len());
-    let mut block = [0u8; 8 * 256];
-    for chunk in values.chunks(256) {
-        for (slot, &v) in block.as_chunks_mut::<8>().0.iter_mut().zip(chunk) {
-            *slot = to_le_bytes(v);
-        }
-        buf.extend_from_slice(&block[..8 * chunk.len()]);
-    }
-}
-
-pub(crate) fn put_f64_slice(buf: &mut Vec<u8>, values: &[f64]) {
-    put_le_slice(buf, values, f64::to_le_bytes);
-}
-
-pub(crate) fn put_i64_slice(buf: &mut Vec<u8>, values: &[i64]) {
-    put_le_slice(buf, values, i64::to_le_bytes);
-}
-
-pub(crate) fn put_u64_slice(buf: &mut Vec<u8>, values: &[u64]) {
-    put_le_slice(buf, values, u64::to_le_bytes);
-}
-
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> DecodeResult<&'a [u8]> {
-    if buf.len() < n {
-        return Err(DecodeError::truncated(what));
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-pub(crate) fn get_u8(buf: &mut &[u8], what: &str) -> DecodeResult<u8> {
-    Ok(take(buf, 1, what)?[0])
-}
-
-pub(crate) fn get_u32(buf: &mut &[u8], what: &str) -> DecodeResult<u32> {
-    let bytes = take(buf, 4, what)?;
-    match bytes.try_into() {
-        Ok(arr) => Ok(u32::from_le_bytes(arr)),
-        Err(_) => Err(DecodeError::truncated(what)),
-    }
-}
-
-pub(crate) fn get_u64(buf: &mut &[u8], what: &str) -> DecodeResult<u64> {
-    let bytes = take(buf, 8, what)?;
-    match bytes.try_into() {
-        Ok(arr) => Ok(u64::from_le_bytes(arr)),
-        Err(_) => Err(DecodeError::truncated(what)),
-    }
-}
-
-pub(crate) fn get_i64(buf: &mut &[u8], what: &str) -> DecodeResult<i64> {
-    let bytes = take(buf, 8, what)?;
-    match bytes.try_into() {
-        Ok(arr) => Ok(i64::from_le_bytes(arr)),
-        Err(_) => Err(DecodeError::truncated(what)),
-    }
-}
-
-pub(crate) fn get_f64(buf: &mut &[u8], what: &str) -> DecodeResult<f64> {
-    Ok(f64::from_bits(get_u64(buf, what)?))
-}
-
-/// Reads an element count and checks it twice before anything is allocated
-/// for it: against [`MAX_VEC_LEN`], and — every element being at least
-/// `min_width` bytes — against what is left of the buffer. A corrupt prefix
-/// is an error, never a reservation.
-fn get_len(buf: &mut &[u8], min_width: usize, what: &str) -> DecodeResult<usize> {
-    let len = get_u32(buf, what)? as usize;
-    if len > MAX_VEC_LEN {
-        return Err(DecodeError(format!(
-            "{what} declares {len} elements, cap is {MAX_VEC_LEN}"
-        )));
-    }
-    // `len <= MAX_VEC_LEN` keeps the product far from overflow.
-    if buf.len() < len * min_width {
-        return Err(DecodeError::truncated(what));
-    }
-    Ok(len)
-}
 
 /// Fewest bytes a per-device record can take (an epoch's `DeviceEpochStats`
 /// or a snapshot's `DeviceProgress`): four 8-byte scalars and an empty
@@ -232,41 +145,12 @@ const DEVICE_STATS_MIN: usize = 4 * 8 + 4;
 /// vectors' prefixes.
 const SUBMISSION_MIN: usize = 3 * 8 + 4 + 4 + 8 + 4;
 
-/// Decodes a count-prefixed run of 8-byte little-endian values in one pass
-/// over the bytes, into an exactly sized `Vec`.
-fn get_le_vec<T>(
-    buf: &mut &[u8],
-    what: &str,
-    from_le_bytes: impl Fn([u8; 8]) -> T,
-) -> DecodeResult<Vec<T>> {
-    let len = get_len(buf, 8, what)?;
-    let run = take(buf, 8 * len, what)?;
-    Ok(run
-        .as_chunks::<8>()
-        .0
-        .iter()
-        .map(|raw| from_le_bytes(*raw))
-        .collect())
-}
-
-pub(crate) fn get_f64_vec(buf: &mut &[u8], what: &str) -> DecodeResult<Vec<f64>> {
-    get_le_vec(buf, what, f64::from_le_bytes)
-}
-
-pub(crate) fn get_i64_vec(buf: &mut &[u8], what: &str) -> DecodeResult<Vec<i64>> {
-    get_le_vec(buf, what, i64::from_le_bytes)
-}
-
-pub(crate) fn get_u64_vec(buf: &mut &[u8], what: &str) -> DecodeResult<Vec<u64>> {
-    get_le_vec(buf, what, u64::from_le_bytes)
-}
-
 // ---------------------------------------------------------------------------
 // EpochAggregate
 // ---------------------------------------------------------------------------
 
 pub(crate) fn put_epoch(buf: &mut Vec<u8>, epoch: &EpochAggregate) {
-    put_f64_slice(buf, epoch.gradient_sum.as_slice());
+    put_vec(buf, epoch.gradient_sum.as_slice());
     put_u64(buf, epoch.checkin_count);
     put_u64(buf, epoch.min_checkout_iteration);
     put_u32(buf, epoch.device_stats.len() as u32);
@@ -275,15 +159,15 @@ pub(crate) fn put_epoch(buf: &mut Vec<u8>, epoch: &EpochAggregate) {
         put_u64(buf, stats.checkins);
         put_u64(buf, stats.samples);
         put_i64(buf, stats.errors);
-        put_i64_slice(buf, &stats.label_counts);
+        put_vec(buf, &stats.label_counts);
     }
 }
 
 pub(crate) fn get_epoch(buf: &mut &[u8]) -> DecodeResult<EpochAggregate> {
-    let gradient_sum = Vector::from_vec(get_f64_vec(buf, "epoch gradient")?);
+    let gradient_sum = Vector::from_vec(get_vec(buf, MAX_VEC_LEN, "epoch gradient")?);
     let checkin_count = get_u64(buf, "epoch checkin_count")?;
     let min_checkout_iteration = get_u64(buf, "epoch min_checkout_iteration")?;
-    let devices = get_len(buf, DEVICE_STATS_MIN, "epoch device count")?;
+    let devices = get_count(buf, MAX_VEC_LEN, DEVICE_STATS_MIN, "epoch device count")?;
     let mut device_stats = Vec::with_capacity(devices);
     for _ in 0..devices {
         device_stats.push(DeviceEpochStats {
@@ -291,7 +175,7 @@ pub(crate) fn get_epoch(buf: &mut &[u8]) -> DecodeResult<EpochAggregate> {
             checkins: get_u64(buf, "device checkins")?,
             samples: get_u64(buf, "device samples")?,
             errors: get_i64(buf, "device errors")?,
-            label_counts: get_i64_vec(buf, "device label counts")?,
+            label_counts: get_vec(buf, MAX_VEC_LEN, "device label counts")?,
         });
     }
     Ok(EpochAggregate {
@@ -388,10 +272,10 @@ fn put_submission(buf: &mut Vec<u8>, sub: &PendingSubmission) {
     put_u64(buf, sub.device_id);
     put_u64(buf, sub.nonce);
     put_u64(buf, sub.checkout_iteration);
-    put_u64_slice(buf, &sub.words);
+    put_vec(buf, &sub.words);
     put_u32(buf, sub.num_samples);
     put_i64(buf, sub.error_count);
-    put_i64_slice(buf, &sub.label_counts);
+    put_vec(buf, &sub.label_counts);
 }
 
 fn get_submission(buf: &mut &[u8]) -> DecodeResult<PendingSubmission> {
@@ -399,10 +283,10 @@ fn get_submission(buf: &mut &[u8]) -> DecodeResult<PendingSubmission> {
         device_id: get_u64(buf, "submission device id")?,
         nonce: get_u64(buf, "submission nonce")?,
         checkout_iteration: get_u64(buf, "submission checkout iteration")?,
-        words: get_u64_vec(buf, "submission words")?,
+        words: get_vec(buf, MAX_VEC_LEN, "submission words")?,
         num_samples: get_u32(buf, "submission num_samples")?,
         error_count: get_i64(buf, "submission error_count")?,
-        label_counts: get_i64_vec(buf, "submission label counts")?,
+        label_counts: get_vec(buf, MAX_VEC_LEN, "submission label counts")?,
     })
 }
 
@@ -444,7 +328,7 @@ pub fn decode_record(mut buf: &[u8]) -> DecodeResult<WalRecord> {
         RECORD_KIND_EPOCH => {
             let pre_iteration = get_u64(&mut buf, "record pre_iteration")?;
             let epoch = get_epoch(&mut buf)?;
-            let count = get_len(&mut buf, 16, "charge count")?;
+            let count = get_count(&mut buf, MAX_VEC_LEN, 16, "charge count")?;
             let mut charges = Vec::with_capacity(count);
             for _ in 0..count {
                 let device_id = get_u64(&mut buf, "charge device id")?;
@@ -516,7 +400,7 @@ fn put_schedule(buf: &mut Vec<u8>, schedule: &LearningRate) {
             put_u8(buf, SCHEDULE_ADAGRAD);
             put_f64(buf, *c);
             put_f64(buf, *delta);
-            put_f64_slice(buf, accumulated.as_slice());
+            put_vec(buf, accumulated.as_slice());
         }
     }
 }
@@ -536,7 +420,7 @@ fn get_schedule(buf: &mut &[u8]) -> DecodeResult<LearningRate> {
         SCHEDULE_ADAGRAD => LearningRate::AdaGrad {
             c: get_f64(buf, "schedule c")?,
             delta: get_f64(buf, "schedule delta")?,
-            accumulated: Vector::from_vec(get_f64_vec(buf, "schedule accumulator")?),
+            accumulated: Vector::from_vec(get_vec(buf, MAX_VEC_LEN, "schedule accumulator")?),
         },
         other => return Err(DecodeError(format!("unknown schedule tag {other}"))),
     })
@@ -545,7 +429,7 @@ fn get_schedule(buf: &mut &[u8]) -> DecodeResult<LearningRate> {
 /// Encodes a full [`ServerState`] (the snapshot body, without file framing).
 pub fn encode_state(state: &ServerState) -> Vec<u8> {
     let mut buf = Vec::with_capacity(32 + 8 * state.params.len());
-    put_f64_slice(&mut buf, state.params.as_slice());
+    put_vec(&mut buf, state.params.as_slice());
     put_u64(&mut buf, state.iteration);
     put_u64(&mut buf, state.total_samples);
     put_i64(&mut buf, state.total_errors);
@@ -555,7 +439,7 @@ pub fn encode_state(state: &ServerState) -> Vec<u8> {
         put_u64(&mut buf, progress.samples);
         put_i64(&mut buf, progress.errors);
         put_u64(&mut buf, progress.checkins);
-        put_i64_slice(&mut buf, &progress.label_counts);
+        put_vec(&mut buf, &progress.label_counts);
     }
     put_schedule(&mut buf, &state.schedule);
     put_u32(&mut buf, state.budget_ledger.len() as u32);
@@ -586,18 +470,23 @@ pub fn encode_state(state: &ServerState) -> Vec<u8> {
 
 /// Decodes a snapshot body produced by [`encode_state`].
 pub fn decode_state(mut buf: &[u8]) -> DecodeResult<ServerState> {
-    let params = Vector::from_vec(get_f64_vec(&mut buf, "state params")?);
+    let params = Vector::from_vec(get_vec(&mut buf, MAX_VEC_LEN, "state params")?);
     let iteration = get_u64(&mut buf, "state iteration")?;
     let total_samples = get_u64(&mut buf, "state total_samples")?;
     let total_errors = get_i64(&mut buf, "state total_errors")?;
-    let devices = get_len(&mut buf, DEVICE_STATS_MIN, "state device count")?;
+    let devices = get_count(
+        &mut buf,
+        MAX_VEC_LEN,
+        DEVICE_STATS_MIN,
+        "state device count",
+    )?;
     let mut progress = Vec::with_capacity(devices);
     for _ in 0..devices {
         let device_id = get_u64(&mut buf, "progress device id")?;
         let samples = get_u64(&mut buf, "progress samples")?;
         let errors = get_i64(&mut buf, "progress errors")?;
         let checkins = get_u64(&mut buf, "progress checkins")?;
-        let label_counts = get_i64_vec(&mut buf, "progress label counts")?;
+        let label_counts = get_vec(&mut buf, MAX_VEC_LEN, "progress label counts")?;
         progress.push((
             device_id,
             DeviceProgress {
@@ -609,7 +498,7 @@ pub fn decode_state(mut buf: &[u8]) -> DecodeResult<ServerState> {
         ));
     }
     let schedule = get_schedule(&mut buf)?;
-    let entries = get_len(&mut buf, 16, "ledger entry count")?;
+    let entries = get_count(&mut buf, MAX_VEC_LEN, 16, "ledger entry count")?;
     let mut budget_ledger = Vec::with_capacity(entries);
     for _ in 0..entries {
         let device_id = get_u64(&mut buf, "ledger device id")?;
@@ -621,7 +510,7 @@ pub fn decode_state(mut buf: &[u8]) -> DecodeResult<ServerState> {
         1 => {
             let round_id = get_u64(&mut buf, "round id")?;
             let opened_iteration = get_u64(&mut buf, "round opened iteration")?;
-            let count = get_len(&mut buf, SUBMISSION_MIN, "round pending count")?;
+            let count = get_count(&mut buf, MAX_VEC_LEN, SUBMISSION_MIN, "round pending count")?;
             let mut pending = Vec::with_capacity(count);
             for _ in 0..count {
                 pending.push(get_submission(&mut buf)?);
@@ -634,7 +523,7 @@ pub fn decode_state(mut buf: &[u8]) -> DecodeResult<ServerState> {
         }
         other => return Err(DecodeError(format!("invalid round presence byte {other}"))),
     };
-    let entries = get_len(&mut buf, 24, "last-round entry count")?;
+    let entries = get_count(&mut buf, MAX_VEC_LEN, 24, "last-round entry count")?;
     let mut last_round = Vec::with_capacity(entries);
     for _ in 0..entries {
         let device_id = get_u64(&mut buf, "last-round device id")?;
@@ -667,6 +556,32 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+
+    // The per-type spellings the block-write test below goes through: the
+    // shared count-prefixed runs, read back under this codec's cap.
+    fn put_f64_slice(buf: &mut Vec<u8>, values: &[f64]) {
+        put_vec(buf, values);
+    }
+
+    fn put_i64_slice(buf: &mut Vec<u8>, values: &[i64]) {
+        put_vec(buf, values);
+    }
+
+    fn put_u64_slice(buf: &mut Vec<u8>, values: &[u64]) {
+        put_vec(buf, values);
+    }
+
+    fn get_f64_vec(buf: &mut &[u8], what: &'static str) -> DecodeResult<Vec<f64>> {
+        Ok(get_vec(buf, MAX_VEC_LEN, what)?)
+    }
+
+    fn get_i64_vec(buf: &mut &[u8], what: &'static str) -> DecodeResult<Vec<i64>> {
+        Ok(get_vec(buf, MAX_VEC_LEN, what)?)
+    }
+
+    fn get_u64_vec(buf: &mut &[u8], what: &'static str) -> DecodeResult<Vec<u64>> {
+        Ok(get_vec(buf, MAX_VEC_LEN, what)?)
+    }
 
     fn sample_state() -> ServerState {
         ServerState {

@@ -8,9 +8,10 @@
 //! the snapshot: recovery restores the snapshot state and replays only
 //! segments with `seq >= wal_seq`.
 
-use crate::codec::{self, crc32};
+use crate::codec::{self, crc32, DecodeError};
 use crate::{Result, StoreError};
 use crowd_core::ServerState;
+use crowd_proto::le::{get_u32, get_u64};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -89,22 +90,17 @@ pub fn read(dir: &Path) -> Result<Option<Snapshot>> {
         return Err(StoreError::CorruptSnapshot("bad magic".into()));
     }
     let crc_offset = bytes.len() - 4;
-    let declared = match bytes[crc_offset..].try_into() {
-        Ok(arr) => u32::from_le_bytes(arr),
-        Err(_) => return Err(StoreError::CorruptSnapshot("unreadable CRC".into())),
-    };
+    let corrupt = |e: DecodeError| StoreError::CorruptSnapshot(e.0);
+    let declared = get_u32(&mut &bytes[crc_offset..], "CRC").map_err(|e| corrupt(e.into()))?;
     let actual = crc32(&bytes[SNAPSHOT_MAGIC.len()..crc_offset]);
     if declared != actual {
         return Err(StoreError::CorruptSnapshot(format!(
             "CRC mismatch: declared {declared:#010x}, computed {actual:#010x}"
         )));
     }
-    let wal_seq = match bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 8].try_into() {
-        Ok(arr) => u64::from_le_bytes(arr),
-        Err(_) => return Err(StoreError::CorruptSnapshot("unreadable wal_seq".into())),
-    };
-    let state = codec::decode_state(&bytes[SNAPSHOT_MAGIC.len() + 8..crc_offset])
-        .map_err(|e| StoreError::CorruptSnapshot(e.0))?;
+    let mut body = &bytes[SNAPSHOT_MAGIC.len()..crc_offset];
+    let wal_seq = get_u64(&mut body, "wal_seq").map_err(|e| corrupt(e.into()))?;
+    let state = codec::decode_state(body).map_err(corrupt)?;
     Ok(Some(Snapshot { wal_seq, state }))
 }
 

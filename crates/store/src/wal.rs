@@ -32,6 +32,7 @@
 
 use crate::codec::crc32_salted;
 use crate::{Result, StoreError};
+use crowd_proto::le::{get_bytes, get_u32};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -147,36 +148,31 @@ pub fn read_segment(path: &Path) -> Result<SegmentContents> {
         });
     }
     let mut records = Vec::new();
-    let mut offset = WAL_HEADER;
-    loop {
-        let remaining = &bytes[offset..];
-        if remaining.len() < FRAME_HEADER {
-            break;
-        }
-        // The length check above guarantees 4-byte slices here, but a decode
-        // path never panics on principle: treat any failure as a torn tail.
-        let Ok(len_bytes) = remaining[..4].try_into() else {
-            break;
-        };
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > MAX_RECORD_LEN || remaining.len() < FRAME_HEADER + len {
-            break;
-        }
-        let Ok(crc_bytes) = remaining[4..8].try_into() else {
-            break;
-        };
-        let crc = u32::from_le_bytes(crc_bytes);
-        let payload = &remaining[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32_salted(seq, payload) != crc {
-            break;
-        }
+    let mut rest = &bytes[WAL_HEADER..];
+    while let Some(payload) = next_frame(&mut rest, seq) {
         records.push(payload.to_vec());
-        offset += FRAME_HEADER + len;
     }
     Ok(SegmentContents {
         records,
-        valid_len: offset as u64,
-        torn: offset < bytes.len(),
+        valid_len: (bytes.len() - rest.len()) as u64,
+        torn: !rest.is_empty(),
+    })
+}
+
+/// Splits the next frame off `rest` and returns its payload, or `None` —
+/// leaving `rest` where it was — at a frame that is short, over-long or
+/// fails its CRC: where the valid log ends.
+fn next_frame<'a>(rest: &mut &'a [u8], seq: u64) -> Option<&'a [u8]> {
+    let mut cursor = *rest;
+    let len = get_u32(&mut cursor, "frame length").ok()? as usize;
+    let crc = get_u32(&mut cursor, "frame crc").ok()?;
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let payload = get_bytes(&mut cursor, len, "frame payload").ok()?;
+    (crc32_salted(seq, payload) == crc).then(|| {
+        *rest = cursor;
+        payload
     })
 }
 
