@@ -1,19 +1,21 @@
 //! The epoch accumulator: per-device running gradient sums, folded in a
 //! fixed device order when the epoch closes.
 //!
-//! One lock guards the open epoch. Checkins reach it only with
-//! `epoch_size > 1` (per-checkin epochs and masked round submissions bypass
-//! it), and every one of those is ingested under the core lock, so a single
-//! lock costs no parallelism the traffic could use.
+//! The accumulator is part of what `agg.core` guards (`runtime::Core`), next
+//! to the server it feeds. Checkins reach it only with `epoch_size > 1`
+//! (per-checkin epochs and masked round submissions bypass it), and every one
+//! of those already runs under the core lock, so the accumulator takes
+//! `&mut self` and needs no lock of its own.
 //!
 //! Determinism: the accumulator keeps a *per-device* running sum (a device's
-//! own checkins are sequential, so that sum is reproducible), and
-//! [`EpochAccumulator::drain`] folds the per-device sums left to right in
-//! ascending device-id order into one buffer. Thread interleaving therefore
-//! cannot change a single bit of the merged [`EpochAggregate`]. Sparse
-//! checkins scatter-add into the same accumulators (never densified), which is
-//! bitwise equivalent because skipping an exact-zero addend cannot change an
-//! accumulator that started at `+0.0`.
+//! own checkins are ingested in the order it sent them, so that sum is
+//! reproducible), and [`EpochAccumulator::drain`] folds the per-device sums
+//! left to right in ascending device-id order into one buffer. How the
+//! devices' checkins interleave therefore cannot change a single bit of the
+//! merged [`EpochAggregate`]. Sparse checkins scatter-add into the same
+//! accumulators (never densified), which is bitwise equivalent because
+//! skipping an exact-zero addend cannot change an accumulator that started at
+//! `+0.0`.
 //!
 //! The fold order is not an on-disk format: WAL records and snapshots store
 //! the merged sum, never the per-device terms. An earlier version summed
@@ -30,7 +32,6 @@ use crate::reply::Reply;
 use crowd_core::device::CheckinPayload;
 use crowd_core::server::{DeviceEpochStats, EpochAggregate};
 use crowd_linalg::Vector;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
 /// Upper bound on pooled accumulator buffers; beyond this, drained buffers are
@@ -83,7 +84,7 @@ impl OpenEpoch {
 pub(crate) struct DrainedEpoch {
     /// The merged aggregate, or `None` when nothing was pending.
     pub(crate) epoch: Option<EpochAggregate>,
-    /// The handler threads waiting on this epoch.
+    /// The checkins waiting on this epoch.
     pub(crate) waiters: Vec<Waiter>,
     /// Number of checkins merged.
     pub(crate) count: u64,
@@ -91,53 +92,50 @@ pub(crate) struct DrainedEpoch {
 
 /// The open epoch's gradient accumulator.
 pub(crate) struct EpochAccumulator {
-    // audit:lock(agg.shard, 20)
-    open: Mutex<OpenEpoch>,
+    open: OpenEpoch,
     param_dim: usize,
     num_classes: usize,
     /// Recycled parameter-dimension buffers, shared by the per-device
     /// accumulators and the merged sum.
-    // audit:lock(agg.shard-scratch, 25)
-    scratch: Mutex<Vec<Vec<f64>>>,
+    pool: Vec<Vec<f64>>,
+}
+
+/// A zeroed `dim` accumulator, reusing pooled storage when possible.
+fn take_zeroed(pool: &mut Vec<Vec<f64>>, dim: usize) -> Vector {
+    let mut buf = pool.pop().unwrap_or_default();
+    buf.clear();
+    buf.resize(dim, 0.0);
+    Vector::from_vec(buf)
+}
+
+/// Returns an accumulator's storage to the pool.
+fn put_back(pool: &mut Vec<Vec<f64>>, v: Vector) {
+    if pool.len() < MAX_POOLED_BUFFERS {
+        pool.push(v.into_vec());
+    }
 }
 
 impl EpochAccumulator {
     /// An empty accumulator for gradients of dimension `param_dim`.
     pub(crate) fn new(param_dim: usize, num_classes: usize) -> Self {
         EpochAccumulator {
-            open: Mutex::new(OpenEpoch::new()),
+            open: OpenEpoch::new(),
             param_dim,
             num_classes,
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A zeroed `param_dim` accumulator, reusing pooled storage when possible.
-    fn take_zeroed(&self) -> Vector {
-        let mut buf = self.scratch.lock().pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(self.param_dim, 0.0);
-        Vector::from_vec(buf)
-    }
-
-    /// Returns an accumulator's storage to the pool.
-    fn put_back(&self, v: Vector) {
-        let mut shelf = self.scratch.lock();
-        if shelf.len() < MAX_POOLED_BUFFERS {
-            shelf.push(v.into_vec());
+            pool: Vec::new(),
         }
     }
 
     /// Recycles an applied epoch's merged gradient buffer so the next
     /// [`EpochAccumulator::drain`] reuses it instead of allocating.
-    pub(crate) fn recycle_epoch(&self, epoch: EpochAggregate) {
-        self.put_back(epoch.gradient_sum);
+    pub(crate) fn recycle_epoch(&mut self, epoch: EpochAggregate) {
+        put_back(&mut self.pool, epoch.gradient_sum);
     }
 
     /// Number of buffers currently parked in the pool (test hook).
     #[cfg(test)]
     fn pooled_buffers(&self) -> usize {
-        self.scratch.lock().len()
+        self.pool.len()
     }
 
     /// Folds one (pre-validated) checkin into its device's accumulator and
@@ -149,7 +147,7 @@ impl EpochAccumulator {
     /// unreachable in practice, but a panic under the core lock would take
     /// the whole server down with it.
     pub(crate) fn ingest(
-        &self,
+        &mut self,
         payload: &CheckinPayload,
         waiter: Waiter,
     ) -> std::result::Result<u64, Waiter> {
@@ -158,12 +156,12 @@ impl EpochAccumulator {
         {
             return Err(waiter);
         }
-        let mut open = self.open.lock();
+        let open = &mut self.open;
         let accum = open
             .devices
             .entry(payload.device_id)
             .or_insert_with(|| DeviceAccum {
-                gradient_sum: self.take_zeroed(),
+                gradient_sum: take_zeroed(&mut self.pool, self.param_dim),
                 checkins: 0,
                 samples: 0,
                 errors: 0,
@@ -198,16 +196,16 @@ impl EpochAccumulator {
 
     /// How many checkins the open epoch holds.
     pub(crate) fn pending(&self) -> u64 {
-        self.open.lock().payloads
+        self.open.payloads
     }
 
     /// Takes everything accumulated so far and merges it into one epoch.
     ///
-    /// The open epoch is swapped out under the lock; the per-device sums are
-    /// then folded left to right, in ascending device-id order, into one
+    /// The open epoch is swapped out for an empty one; the per-device sums
+    /// are then folded left to right, in ascending device-id order, into one
     /// pooled buffer, and each drained per-device buffer returns to the pool.
-    pub(crate) fn drain(&self) -> DrainedEpoch {
-        let taken = std::mem::replace(&mut *self.open.lock(), OpenEpoch::new());
+    pub(crate) fn drain(&mut self) -> DrainedEpoch {
+        let taken = std::mem::replace(&mut self.open, OpenEpoch::new());
         if taken.payloads == 0 {
             return DrainedEpoch {
                 epoch: None,
@@ -215,7 +213,7 @@ impl EpochAccumulator {
                 count: 0,
             };
         }
-        let mut gradient_sum = self.take_zeroed();
+        let mut gradient_sum = take_zeroed(&mut self.pool, self.param_dim);
         let mut device_stats = Vec::with_capacity(taken.devices.len());
         for (device_id, accum) in taken.devices {
             // Accumulators are all created at `param_dim`, so the elementwise
@@ -225,7 +223,7 @@ impl EpochAccumulator {
                 gradient_sum.as_mut_slice(),
                 accum.gradient_sum.as_slice(),
             );
-            self.put_back(accum.gradient_sum);
+            put_back(&mut self.pool, accum.gradient_sum);
             device_stats.push(DeviceEpochStats {
                 device_id,
                 checkins: accum.checkins,
@@ -250,9 +248,9 @@ impl EpochAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
 
     fn payload(device_id: u64, grad: Vec<f64>, checkout: u64) -> CheckinPayload {
         CheckinPayload {
@@ -278,7 +276,7 @@ mod tests {
 
     #[test]
     fn drain_merges_devices_in_id_order() {
-        let set = EpochAccumulator::new(3, 2);
+        let mut set = EpochAccumulator::new(3, 2);
         for device in [9u64, 2, 5] {
             let w = waiter();
             assert!(set
@@ -300,7 +298,7 @@ mod tests {
 
     #[test]
     fn repeat_checkins_accumulate_per_device() {
-        let set = EpochAccumulator::new(2, 2);
+        let mut set = EpochAccumulator::new(2, 2);
         for step in 0..3u64 {
             let w = waiter();
             assert!(set.ingest(&payload(7, vec![1.0, 2.0], step), w).is_ok());
@@ -317,7 +315,7 @@ mod tests {
 
     #[test]
     fn mismatched_payload_is_handed_back_not_panicked() {
-        let set = EpochAccumulator::new(3, 2);
+        let mut set = EpochAccumulator::new(3, 2);
         // Wrong gradient dimension: the waiter comes back so the caller can
         // fail that checkin, and nothing lands on the accumulator.
         assert!(set.ingest(&payload(0, vec![1.0; 5], 0), waiter()).is_err());
@@ -347,8 +345,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let dense_set = EpochAccumulator::new(dim, 2);
-        let sparse_set = EpochAccumulator::new(dim, 2);
+        let mut dense_set = EpochAccumulator::new(dim, 2);
+        let mut sparse_set = EpochAccumulator::new(dim, 2);
         for (step, g) in grads.iter().enumerate() {
             let device = step as u64 % 2;
             let w = waiter();
@@ -377,7 +375,7 @@ mod tests {
     /// instead of being reallocated every epoch.
     #[test]
     fn drained_buffers_return_to_the_pool_and_get_reused() {
-        let set = EpochAccumulator::new(4, 2);
+        let mut set = EpochAccumulator::new(4, 2);
         assert_eq!(set.pooled_buffers(), 0);
         for epoch in 0..3 {
             for device in 0..4u64 {
@@ -413,7 +411,7 @@ mod tests {
                 _ => 0.0,
             })
             .collect();
-        let set = EpochAccumulator::new(1, 2);
+        let mut set = EpochAccumulator::new(1, 2);
         for device in (0..20u64).rev() {
             let p = payload(device, vec![grads[device as usize]], 0);
             assert!(set.ingest(&p, waiter()).is_ok());
@@ -435,63 +433,62 @@ mod tests {
         assert_eq!(epoch.device_stats.len(), 20);
     }
 
-    /// The determinism contract: concurrent ingest from many device threads
-    /// yields an aggregate bitwise identical to sequential ingest.
-    #[test]
-    fn concurrent_sharded_ingest_matches_sequential_single_lock_bitwise() {
-        let dim = 24;
-        let devices = 12u64;
-        let checkins_per_device = 5u64;
-        let make_grad = move |device: u64, step: u64| -> Vec<f64> {
-            let mut rng = StdRng::seed_from_u64(device * 1000 + step);
-            (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
-        };
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // Sequential reference: one thread, device-major order.
-        let reference = EpochAccumulator::new(dim, 2);
-        for device in 0..devices {
-            for step in 0..checkins_per_device {
-                let w = waiter();
-                assert!(reference
-                    .ingest(&payload(device, make_grad(device, step), step), w)
-                    .is_ok());
-            }
-        }
-        let expected = reference.drain().epoch.unwrap();
+        /// The determinism contract: however the devices' checkins
+        /// interleave, as long as each device's own arrive in the order it
+        /// sent them, the drained epoch is bitwise the device-major one. Up
+        /// to 24 devices, so epochs past 16 devices, where a blocked fold
+        /// would round differently, are covered. (Ingest runs under the core
+        /// lock, so an interleaving is all that concurrent submitters vary.)
+        #[test]
+        fn concurrent_sharded_ingest_matches_sequential_single_lock_bitwise(
+            checkins in prop::collection::vec(1..5u64, 1..25),
+            seed in any::<u64>(),
+        ) {
+            let dim = 8;
+            // A device's `step`-th checkin. Magnitudes spread over 2^±20, so
+            // folding in another order changes the bits.
+            let make = |device: usize, step: u64| {
+                let mut rng = StdRng::seed_from_u64(seed ^ ((device as u64) << 32 | step));
+                let grad = (0..dim)
+                    .map(|_| rng.gen_range(-1.0..1.0) * 2f64.powi(rng.gen_range(-20..21)))
+                    .collect();
+                let mut p = payload(3 * device as u64 + 1, grad, step);
+                p.num_samples = rng.gen_range(1..5);
+                p.error_count = rng.gen_range(0..3);
+                p.label_counts = vec![rng.gen_range(0..3), rng.gen_range(0..3)];
+                p
+            };
 
-        // Concurrent run: one thread per device.
-        let concurrent = Arc::new(EpochAccumulator::new(dim, 2));
-        let mut handles = Vec::new();
-        for device in 0..devices {
-            let set = Arc::clone(&concurrent);
-            handles.push(std::thread::spawn(move || {
-                for step in 0..checkins_per_device {
-                    assert!(set
-                        .ingest(
-                            &payload(device, make_grad(device, step), step),
-                            Waiter {
-                                checkout_iteration: step,
-                                device_id: device,
-                                nonce: 0,
-                                reply: Reply::returned(),
-                                submitted: crowd_telemetry::Clock::logical().start(),
-                            },
-                        )
-                        .is_ok());
+            let mut reference = EpochAccumulator::new(dim, 2);
+            for (device, &n) in checkins.iter().enumerate() {
+                for step in 0..n {
+                    prop_assert!(reference.ingest(&make(device, step), waiter()).is_ok());
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let merged = concurrent.drain().epoch.unwrap();
+            }
+            let expected = reference.drain().epoch.unwrap();
 
-        assert_eq!(merged.checkin_count, expected.checkin_count);
-        assert_eq!(merged.device_stats, expected.device_stats);
-        // Bit-for-bit: compare the raw f64 slices with exact equality.
-        assert_eq!(
-            merged.gradient_sum.as_slice(),
-            expected.gradient_sum.as_slice()
-        );
+            let mut interleaved = EpochAccumulator::new(dim, 2);
+            let mut order = StdRng::seed_from_u64(!seed);
+            let mut sent = vec![0u64; checkins.len()];
+            let mut open: Vec<usize> = (0..checkins.len()).collect();
+            while !open.is_empty() {
+                let slot = order.gen_range(0..open.len());
+                let device = open[slot];
+                prop_assert!(interleaved.ingest(&make(device, sent[device]), waiter()).is_ok());
+                sent[device] += 1;
+                if sent[device] == checkins[device] {
+                    open.swap_remove(slot);
+                }
+            }
+            let merged = interleaved.drain().epoch.unwrap();
+
+            prop_assert_eq!(merged.checkin_count, expected.checkin_count);
+            prop_assert_eq!(&merged.device_stats, &expected.device_stats);
+            let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&merged.gradient_sum), bits(&expected.gradient_sum));
+        }
     }
 }

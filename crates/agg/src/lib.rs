@@ -8,9 +8,10 @@
 //! *and* checkin through one mutex collapses throughput exactly where the
 //! paper's premise demands scale. This crate decomposes the server into:
 //!
-//! * **An epoch accumulator** — per-device running gradient sums, folded in
-//!   ascending device-id order at epoch boundaries so the aggregate is
-//!   bitwise reproducible no matter how threads interleave.
+//! * **An epoch accumulator** — per-device running gradient sums, kept under
+//!   the core lock and folded in ascending device-id order at epoch
+//!   boundaries, so the aggregate is bitwise reproducible no matter how
+//!   threads interleave.
 //! * **Epoch-snapshotted parameters** ([`runtime::ParamSnapshot`]) — checkouts
 //!   clone an `Arc` published at the last update; the read path never waits on
 //!   gradient application.
@@ -27,10 +28,10 @@
 #![forbid(unsafe_code)]
 
 mod dedup;
+mod epoch;
 mod queue;
 mod reply;
 pub mod runtime;
-mod shard;
 
 pub use reply::OutcomeSink;
 pub use runtime::{AggRuntime, CompletionHandle, ParamSnapshot, SubmitRejection, Submitted};

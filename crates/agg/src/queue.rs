@@ -8,8 +8,8 @@
 //! refuses pushes but still hands out what it holds — nothing that was
 //! admitted is ever dropped.
 
+use crowd_telemetry::sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -45,10 +45,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Attempts to enqueue without blocking.
     #[cfg(test)]
     fn try_push(&self, item: T) -> Result<(), PushError<T>> {
@@ -65,7 +61,7 @@ impl<T> BoundedQueue<T> {
         seed: A,
         make: impl FnOnce(A) -> T,
     ) -> Result<(), PushError<A>> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         if state.closed {
             return Err(PushError::Closed(seed));
         }
@@ -78,18 +74,18 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeues the oldest item, if any.
     pub(crate) fn pop(&self) -> Option<T> {
-        self.lock().items.pop_front()
+        self.state.lock().items.pop_front()
     }
 
     /// `true` when nothing is queued.
     pub(crate) fn is_empty(&self) -> bool {
-        self.lock().items.is_empty()
+        self.state.lock().items.is_empty()
     }
 
     /// Closes the queue: future pushes fail; what is queued can still be
     /// popped.
     pub(crate) fn close(&self) {
-        self.lock().closed = true;
+        self.state.lock().closed = true;
     }
 }
 

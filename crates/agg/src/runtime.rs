@@ -15,7 +15,7 @@
 //!                         epoch_size = 1: apply ◄────────────── epoch accumulator
 //!                                          │   (epoch full, traffic idle, shutdown)
 //!                                          ▼
-//!                        Mutex<Server> ── apply_aggregate ── swap snapshot ── reply
+//!                  Mutex<Core>: Server::apply_aggregate ── swap snapshot ── reply
 //!                                   (durable: stage; crowd-agg commits, then swaps and replies)
 //!
 //! round     ──►  validate, ε budget ──► (same two routes) ──► Server::round_submit
@@ -57,9 +57,9 @@
 //! every acknowledged one; a failed commit halts the runtime (see `halt`).
 
 use crate::dedup::{Admission, DedupTable};
+use crate::epoch::{EpochAccumulator, Waiter};
 use crate::queue::{BoundedQueue, PushError};
 use crate::reply::{OutcomeSink, Reply};
-use crate::shard::{EpochAccumulator, Waiter};
 use crate::{AggError, Result};
 use crowd_core::config::AggSettings;
 use crowd_core::device::CheckinPayload;
@@ -70,8 +70,8 @@ use crowd_core::server::{
 use crowd_learning::model::Model;
 use crowd_linalg::Vector;
 use crowd_store::{Store, WalStage};
-use crowd_telemetry::{CounterId, GaugeId, HistogramId, MetricsSnapshot, Registry, Stage, Tick};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use crowd_telemetry::sync::{Mutex, MutexGuard, RwLock};
+use crowd_telemetry::{CounterId, GaugeId, HistogramId, MetricsSnapshot, Registry, Tick};
 use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -120,10 +120,15 @@ struct RoundJob {
     reply: Reply,
 }
 
+/// What `agg.core` guards: the server and the open epoch it applies next.
+struct Core<M: Model> {
+    server: Server<M>,
+    epoch: EpochAccumulator,
+}
+
 struct Inner<M: Model> {
     // audit:lock(agg.core, 10)
-    core: Mutex<Server<M>>,
-    accumulator: EpochAccumulator,
+    core: Mutex<Core<M>>,
     // audit:lock(agg.snapshot, 50)
     snapshot: RwLock<Arc<ParamSnapshot>>,
     /// Jobs whose submitter found the core lock taken, for its holder to run.
@@ -131,8 +136,8 @@ struct Inner<M: Model> {
     settings: AggSettings,
     param_dim: usize,
     num_classes: usize,
-    /// The crowd-scope registry every counter, gauge, histogram, and span on
-    /// the checkin path lands in. Shared so servers can scrape it live and
+    /// The crowd-scope registry every counter, gauge, and histogram on the
+    /// checkin path lands in. Shared so servers can scrape it live and
     /// deterministic harnesses can inject a logical-clock registry.
     metrics: Arc<Registry>,
     /// The durability hook: when present, every epoch's WAL frame (with its ε
@@ -177,9 +182,13 @@ impl<M: Model> Inner<M> {
             .then(|| Duration::from_millis(u64::from(self.settings.flush_idle_ms)))
     }
 
+    /// Unparks `crowd-agg`, unless this is `crowd-agg`: its loop commits
+    /// before it parks again.
     fn wake_agg(&self) {
         if let Some(thread) = self.agg_thread.get() {
-            thread.unpark();
+            if thread.id() != std::thread::current().id() {
+                thread.unpark();
+            }
         }
     }
 }
@@ -187,9 +196,9 @@ impl<M: Model> Inner<M> {
 /// The one way to hold `agg.core`: acquiring it drains the queue, and so
 /// does releasing it, before and after the unlock (see the module docs).
 struct CoreGuard<'a, M: Model> {
-    // Field order is the release protocol: `drop` drains, `server` unlocks,
+    // Field order is the release protocol: `drop` drains, `core` unlocks,
     // then `recheck` runs.
-    server: MutexGuard<'a, Server<M>>,
+    core: MutexGuard<'a, Core<M>>,
     recheck: Recheck<'a, M>,
 }
 
@@ -202,32 +211,32 @@ impl<'a, M: Model> CoreGuard<'a, M> {
         Some(Self::hold(inner, inner.core.try_lock()?))
     }
 
-    fn hold(inner: &'a Inner<M>, mut server: MutexGuard<'a, Server<M>>) -> Self {
-        drain(inner, &mut server);
+    fn hold(inner: &'a Inner<M>, mut core: MutexGuard<'a, Core<M>>) -> Self {
+        drain(inner, &mut core);
         CoreGuard {
-            server,
+            core,
             recheck: Recheck(inner),
         }
     }
 }
 
 impl<M: Model> Deref for CoreGuard<'_, M> {
-    type Target = Server<M>;
+    type Target = Core<M>;
 
-    fn deref(&self) -> &Server<M> {
-        &self.server
+    fn deref(&self) -> &Core<M> {
+        &self.core
     }
 }
 
 impl<M: Model> DerefMut for CoreGuard<'_, M> {
-    fn deref_mut(&mut self) -> &mut Server<M> {
-        &mut self.server
+    fn deref_mut(&mut self) -> &mut Core<M> {
+        &mut self.core
     }
 }
 
 impl<M: Model> Drop for CoreGuard<'_, M> {
     fn drop(&mut self) {
-        drain(self.recheck.0, &mut self.server);
+        drain(self.recheck.0, &mut self.core);
     }
 }
 
@@ -239,10 +248,10 @@ impl<M: Model> Drop for Recheck<'_, M> {
     fn drop(&mut self) {
         let inner = self.0;
         while !inner.queue.is_empty() {
-            let Some(mut server) = inner.core.try_lock() else {
+            let Some(mut core) = inner.core.try_lock() else {
                 break;
             };
-            drain(inner, &mut server);
+            drain(inner, &mut core);
         }
         if inner.store.is_some() {
             inner.wake_agg();
@@ -251,7 +260,7 @@ impl<M: Model> Drop for Recheck<'_, M> {
 }
 
 /// Runs every queued job, oldest first, under the held core lock.
-fn drain<M: Model>(inner: &Inner<M>, core: &mut Server<M>) {
+fn drain<M: Model>(inner: &Inner<M>, core: &mut Core<M>) {
     while let Some(task) = inner.queue.pop() {
         inner.metrics.gauge_add(GaugeId::QueueDepth, -1);
         match task {
@@ -259,7 +268,7 @@ fn drain<M: Model>(inner: &Inner<M>, core: &mut Server<M>) {
                 run_checkin(inner, core, job);
             }
             Task::Round(job) => {
-                if let Some((answer, reply)) = run_round(inner, core, job) {
+                if let Some((answer, reply)) = run_round(inner, &mut core.server, job) {
                     reply.settle(answer);
                 }
             }
@@ -429,8 +438,8 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         Self::with_instrumentation(server, store, Arc::new(Registry::new()))
     }
 
-    /// Like [`AggRuntime::with_store`], but every counter, gauge, histogram,
-    /// and span lands in the caller's `metrics` registry. This is how a
+    /// Like [`AggRuntime::with_store`], but every counter, gauge, and
+    /// histogram lands in the caller's `metrics` registry. This is how a
     /// serving layer shares one scrapeable registry with the runtime, and how
     /// deterministic suites inject a logical-clock registry so two identical
     /// seeded runs render byte-identical metric dumps.
@@ -469,14 +478,16 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         });
         let round_info = server.round_info();
         let inner = Arc::new(Inner {
-            accumulator: EpochAccumulator::new(param_dim, num_classes),
             snapshot: RwLock::new(Arc::new(ParamSnapshot {
                 iteration: ticket.iteration,
                 params: ticket.params,
                 stopped: ticket.stopped,
             })),
             queue: BoundedQueue::new(settings.queue_bound),
-            core: Mutex::new(server),
+            core: Mutex::new(Core {
+                server,
+                epoch: EpochAccumulator::new(param_dim, num_classes),
+            }),
             settings,
             param_dim,
             num_classes,
@@ -494,8 +505,8 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         // before serving.
         {
             let mut core = CoreGuard::lock(&inner);
-            let mut stage = lock_stage(&inner, &core);
-            settle_due_rounds(&inner, &mut core, stage.as_deref_mut());
+            let mut stage = lock_stage(&inner, &core.server);
+            settle_due_rounds(&inner, &mut core.server, stage.as_deref_mut());
         }
         let needs_agg = inner.store.is_some() || inner.idle_flush().is_some();
         let agg = needs_agg.then(|| {
@@ -658,7 +669,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         make_reply: impl FnOnce() -> Reply,
     ) -> std::result::Result<(), SubmitRejection> {
         let (device_id, nonce) = (payload.device_id, payload.nonce);
-        self.enqueue(payload, device_id, |payload| {
+        self.enqueue(payload, |payload| {
             Task::Checkin(Job {
                 payload,
                 reply: make_reply(),
@@ -674,19 +685,16 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     fn enqueue<T>(
         &self,
         item: T,
-        device_id: u64,
         make_task: impl FnOnce(T) -> Task,
     ) -> std::result::Result<(), SubmitRejection<T>> {
         let inner = &*self.inner;
         match inner.queue.try_push_with(item, make_task) {
             Ok(()) => {
                 inner.metrics.gauge_add(GaugeId::QueueDepth, 1);
-                inner.metrics.span(Stage::QueueAdmit, device_id);
                 Ok(())
             }
             Err(PushError::Full(item)) => {
                 inner.metrics.incr(CounterId::BusyRejections);
-                inner.metrics.span(Stage::QueuePark, device_id);
                 Err(SubmitRejection::Busy {
                     payload: item,
                     retry_after_ms: inner.settings.retry_after_ms,
@@ -750,8 +758,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             .map_err(SubmitRejection::Refused)?;
         let inner = &*self.inner;
         let Some(mut core) = CoreGuard::try_lock(inner) else {
-            let device_id = submission.device_id;
-            self.enqueue(submission, device_id, |submission| {
+            self.enqueue(submission, |submission| {
                 Task::Round(RoundJob {
                     round_id,
                     submission,
@@ -776,7 +783,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             submission,
             reply,
         };
-        match run_round(inner, &mut core, job) {
+        match run_round(inner, &mut core.server, job) {
             Some((answer, _)) if by_value => answer
                 .map(Submitted::Applied)
                 .map_err(SubmitRejection::Refused),
@@ -849,32 +856,32 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
 
     /// Server iteration (number of applied epochs).
     pub fn iteration(&self) -> u64 {
-        self.core().iteration()
+        self.core().server.iteration()
     }
 
     /// A copy of the current parameters.
     pub fn params(&self) -> Vector {
-        self.core().params().clone()
+        self.core().server.params().clone()
     }
 
     /// Whether the stopping criterion has been met.
     pub fn stopped(&self) -> bool {
-        self.core().stopped()
+        self.core().server.stopped()
     }
 
     /// Total samples reported across devices.
     pub fn total_samples(&self) -> u64 {
-        self.core().total_samples()
+        self.core().server.total_samples()
     }
 
     /// The privately estimated error rate, if any samples were reported.
     pub fn error_estimate(&self) -> Option<f64> {
-        self.core().error_estimate()
+        self.core().server.error_estimate()
     }
 
     /// Number of devices that have checked in at least once.
     pub fn active_devices(&self) -> usize {
-        self.core().active_devices()
+        self.core().server.active_devices()
     }
 
     /// `true` when the device has spent its entire privacy budget and the
@@ -885,7 +892,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
 
     /// The per-device ε ledger, ascending by device id.
     pub fn budget_ledger(&self) -> Vec<(u64, f64)> {
-        self.core().budget_ledger()
+        self.core().server.budget_ledger()
     }
 
     /// A point-in-time snapshot of the runtime's metrics (`epoch_merges`,
@@ -915,7 +922,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     /// round still open, its submissions pending and uncharged. The in-memory
     /// ledger this makes readable is the applied one.
     pub fn settle_rounds(&self) {
-        settle_open_round(&self.inner, &mut self.core());
+        settle_open_round(&self.inner, &mut self.core().server);
     }
 
     /// Stops accepting checkins, applies everything already admitted, and —
@@ -952,8 +959,10 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
             // Crash-stopped: drop what is still staged or sitting on the
             // accumulator, waiters included, and wait out a commit already
             // under way, so nothing reaches the disk after this returns.
-            drop(inner.accumulator.drain());
-            if let (Some(durable), Some(mut stage)) = (&inner.store, lock_stage(inner, &core)) {
+            drop(core.epoch.drain());
+            if let (Some(durable), Some(mut stage)) =
+                (&inner.store, lock_stage(inner, &core.server))
+            {
                 drop_batch(inner, &mut stage.batch);
                 drop(durable.wal_commit.lock());
             }
@@ -964,9 +973,9 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         // A graceful shutdown settles the open round first: its pending
         // submissions were acknowledged, so their ε must be charged (via the
         // finalization epoch) before the checkpoint freezes the ledger.
-        settle_open_round(inner, &mut core);
-        if let (Some(durable), Some(mut stage)) = (&inner.store, lock_stage(inner, &core)) {
-            checkpoint(inner, durable, &core, &mut stage);
+        settle_open_round(inner, &mut core.server);
+        if let (Some(durable), Some(mut stage)) = (&inner.store, lock_stage(inner, &core.server)) {
+            checkpoint(inner, durable, &core.server, &mut stage);
         }
     }
 }
@@ -1070,9 +1079,14 @@ fn agg_loop<M: Model>(inner: &Inner<M>) {
             continue;
         };
         std::thread::park_timeout(idle);
-        let pending = inner.accumulator.pending();
+        // A lost try means ingest holds the lock, so it is not idle.
+        let Some(mut core) = CoreGuard::try_lock(inner) else {
+            idle_pending = 0;
+            continue;
+        };
+        let pending = core.epoch.pending();
         if pending > 0 && pending == idle_pending {
-            merge(inner, &mut CoreGuard::lock(inner));
+            merge(inner, &mut core);
         }
         idle_pending = pending;
     }
@@ -1127,7 +1141,6 @@ fn run_round<M: Model>(
         deduped: false,
     };
     inner.metrics.incr(CounterId::RoundSubmissions);
-    inner.metrics.span(Stage::ShardIngest, device_id);
     if cohort_complete {
         finalize_round(inner, core, stage.as_deref_mut());
         settle_due_rounds(inner, core, stage.as_deref_mut());
@@ -1152,13 +1165,9 @@ fn run_round<M: Model>(
 /// Runs one admitted checkin under the held core lock: with `epoch_size = 1`
 /// as its own epoch, whose outcome is returned, and otherwise through the
 /// accumulator.
-fn run_checkin<M: Model>(
-    inner: &Inner<M>,
-    core: &mut Server<M>,
-    job: Job,
-) -> Option<CheckinReceipt> {
+fn run_checkin<M: Model>(inner: &Inner<M>, core: &mut Core<M>, job: Job) -> Option<CheckinReceipt> {
     if inner.settings.epoch_size == 1 {
-        return Some(apply_singleton(inner, core, job));
+        return Some(apply_singleton(inner, &mut core.server, job));
     }
     ingest(inner, core, job);
     None
@@ -1166,16 +1175,15 @@ fn run_checkin<M: Model>(
 
 /// Folds one checkin into the epoch accumulator and closes the epoch if that
 /// filled it.
-fn ingest<M: Model>(inner: &Inner<M>, core: &mut Server<M>, job: Job) {
-    let device_id = job.payload.device_id;
+fn ingest<M: Model>(inner: &Inner<M>, core: &mut Core<M>, job: Job) {
     let waiter = Waiter {
         checkout_iteration: job.payload.checkout_iteration,
-        device_id,
+        device_id: job.payload.device_id,
         nonce: job.payload.nonce,
         reply: job.reply,
         submitted: job.submitted,
     };
-    let pending = match inner.accumulator.ingest(&job.payload, waiter) {
+    let pending = match core.epoch.ingest(&job.payload, waiter) {
         Ok(pending) => pending,
         // Unreachable for payloads that passed submit-time validation; fail
         // the one checkin, not the thread. The nonce is released rather than
@@ -1185,14 +1193,13 @@ fn ingest<M: Model>(inner: &Inner<M>, core: &mut Server<M>, job: Job) {
             inner.metrics.incr(CounterId::IngestErrors);
             return rejected.reply.send(CheckinReceipt {
                 accepted: false,
-                iteration: core.iteration(),
-                stopped: core.stopped(),
+                iteration: core.server.iteration(),
+                stopped: core.server.stopped(),
                 staleness: 0,
                 deduped: false,
             });
         }
     };
-    inner.metrics.span(Stage::ShardIngest, device_id);
     if pending >= inner.settings.epoch_size {
         merge(inner, core);
     }
@@ -1252,7 +1259,6 @@ fn apply_epoch<M: Model>(
             inner
                 .metrics
                 .observe_since(HistogramId::EpochMergeUs, merge_start);
-            inner.metrics.span(Stage::EpochMerge, outcome.iteration);
             if let Some(charges) = &charges {
                 for &(_, eps) in charges.iter() {
                     inner
@@ -1353,7 +1359,6 @@ fn send<M: Model>(inner: &Inner<M>, ack: Ack) {
         inner
             .metrics
             .observe_since(HistogramId::CheckinLatencyUs, submitted);
-        inner.metrics.span(Stage::Ack, ack.device_id);
     }
     ack.reply.send(ack.outcome);
 }
@@ -1385,10 +1390,10 @@ fn commit_staged<M: Model>(inner: &Inner<M>, durable: &Durable) {
         if due(&stage) {
             drop(stage);
             let core = CoreGuard::lock(inner);
-            if let Some(mut stage) = lock_stage(inner, &core) {
+            if let Some(mut stage) = lock_stage(inner, &core.server) {
                 // Shutdown may have checkpointed while this thread waited.
                 if !stage.batch.is_empty() && due(&stage) {
-                    checkpoint(inner, durable, &core, &mut stage);
+                    checkpoint(inner, durable, &core.server, &mut stage);
                 }
             }
             continue;
@@ -1492,13 +1497,14 @@ fn apply_singleton<M: Model>(inner: &Inner<M>, core: &mut Server<M>, job: Job) -
 /// Applies one epoch under the held core lock: drain the accumulator (fixed
 /// merge order), take one projected SGD step on the core server, hand on the
 /// new snapshot, settle the waiters.
-fn merge<M: Model>(inner: &Inner<M>, core: &mut Server<M>) {
-    let drained = inner.accumulator.drain();
+fn merge<M: Model>(inner: &Inner<M>, core: &mut Core<M>) {
+    let drained = core.epoch.drain();
     let Some(epoch) = drained.epoch else {
         return;
     };
-    let mut stage = lock_stage(inner, core);
-    let (outcome, applied) = apply_epoch(inner, core, stage.as_deref_mut(), &epoch);
+    let server = &mut core.server;
+    let mut stage = lock_stage(inner, server);
+    let (outcome, applied) = apply_epoch(inner, server, stage.as_deref_mut(), &epoch);
     if applied {
         if drained.count > 1 {
             inner.metrics.incr(CounterId::BatchedEpochs);
@@ -1506,7 +1512,7 @@ fn merge<M: Model>(inner: &Inner<M>, core: &mut Server<M>) {
         // The apply advanced the iteration clock; settle any now-due round
         // before acking, so a caller that has its ack also sees the finalized
         // round.
-        settle_due_rounds(inner, core, stage.as_deref_mut());
+        settle_due_rounds(inner, server, stage.as_deref_mut());
     }
     // Staleness is per-checkin: measured against the iteration the epoch was
     // applied at (the pre-update iteration, as in the classic checkin path).
@@ -1527,7 +1533,7 @@ fn merge<M: Model>(inner: &Inner<M>, core: &mut Server<M>) {
     settle_epoch(inner, stage, applied, drained.count, acks);
     // The epoch has been applied (or refused); either way its merged gradient
     // buffer goes back to the accumulator's pool for the next merge.
-    inner.accumulator.recycle_epoch(epoch);
+    core.epoch.recycle_epoch(epoch);
 }
 
 #[cfg(test)]

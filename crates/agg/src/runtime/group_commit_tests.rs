@@ -259,7 +259,7 @@ fn failed_commit_halts_the_runtime_and_acks_nothing() {
                 .accepted
         );
     }
-    let durable_prefix = rt.inner.core.lock().export_state();
+    let durable_prefix = rt.inner.core.lock().server.export_state();
 
     let mut gate = durable(&rt).wal_commit.lock();
     break_wal(&mut gate.store).unwrap();

@@ -191,7 +191,7 @@ fn run_event(config: ServerConfig, payloads: &[CheckinPayload]) -> Trace {
         .filter(|a| matches!(a, Some(Answer::Outcome(o)) if !o.deduped))
         .count() as u64;
     // Every fresh checkin ran inline and kept its instruments: one latency
-    // sample and one ack span each, and nothing ever touched the queue.
+    // sample each, and nothing ever touched the queue.
     let stats = rt.stats();
     assert_eq!(stats.get("checkins_inline"), fresh);
     assert_eq!(stats.get("checkins_applied"), fresh);
@@ -199,12 +199,6 @@ fn run_event(config: ServerConfig, payloads: &[CheckinPayload]) -> Trace {
         .histogram("checkin_latency_us")
         .map_or(0, |h| h.count());
     assert_eq!(latencies, fresh);
-    let spans = rt.inner.metrics.ring().snapshot();
-    assert_eq!(
-        spans.iter().filter(|e| e.stage == Stage::Ack).count() as u64,
-        fresh
-    );
-    assert!(spans.iter().all(|e| e.stage != Stage::QueueAdmit));
     trace(&rt, answers)
 }
 

@@ -27,7 +27,7 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/net/src/reactor_server.rs",
     "crates/reactor/src/",
     "crates/agg/src/runtime.rs",
-    "crates/agg/src/shard.rs",
+    "crates/agg/src/epoch.rs",
     "crates/agg/src/dedup.rs",
     "crates/agg/src/queue.rs",
     "crates/agg/src/reply.rs",

@@ -1,7 +1,7 @@
 //! `crowd-audit`: the workspace's static-analysis pass.
 //!
 //! Every correctness claim this reproduction makes — bitwise
-//! shard-count-independent merges, bitwise crash recovery, bitwise
+//! interleaving-independent merges, bitwise crash recovery, bitwise
 //! chaos-vs-reference equivalence — rests on invariants that ordinary tests
 //! only probe dynamically: no unordered iteration feeding outputs, no wall
 //! clock in deterministic code, no panics in request paths, one global lock

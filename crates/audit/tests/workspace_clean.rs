@@ -188,3 +188,37 @@ fn every_vendor_shim_is_declared_and_used() {
         "vendor shims no member depends on (delete them): {unused:?}"
     );
 }
+
+/// README's lock-rank sentence is the one place the global acquisition order
+/// is written out for readers, so it must name exactly the `name(rank)`
+/// pairs that `// audit:lock` registers under `crates/*/src`, in rank order.
+#[test]
+fn readme_rank_sentence_lists_every_registered_lock() {
+    let root = workspace_root();
+    let files = scan_workspace(&root).expect("workspace scans");
+    let mut registered: Vec<(u32, String)> = files
+        .iter()
+        .flat_map(|f| f.locks.iter().map(|l| (l.rank, l.name.clone())))
+        .collect();
+    registered.sort();
+    registered.dedup();
+    let registered: Vec<String> = registered
+        .into_iter()
+        .map(|(rank, name)| format!("{name}({rank})"))
+        .collect();
+
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md reads");
+    let sentence = readme
+        .split("The registered rank order encodes the core→store convention:")
+        .nth(1)
+        .and_then(|rest| rest.split('`').nth(1))
+        .expect("README states the registered rank order in backticks");
+    let listed: Vec<String> = sentence
+        .split('<')
+        .map(|pair| pair.split_whitespace().collect())
+        .collect();
+    assert_eq!(
+        listed, registered,
+        "README's rank sentence is out of date with the audit:lock annotations"
+    );
+}

@@ -22,9 +22,8 @@ use crowd_core::device::CheckinPayload;
 use crowd_core::server::{PendingSubmission, Server};
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::Vector;
-use parking_lot::Mutex;
 use std::hint::black_box;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // A large model (d = DIM·CLASSES = 100 000 parameters) so the per-request
 // O(d) work — the thing batching and snapshotting amortize —
@@ -87,11 +86,11 @@ fn run_single_mutex(threads: u64) -> u64 {
         let server = Arc::clone(&server);
         handles.push(std::thread::spawn(move || {
             for round in 0..CHECKINS_PER_DEVICE / ROUND {
-                let ticket = server.lock().checkout();
+                let ticket = server.lock().unwrap().checkout();
                 black_box(ticket.iteration);
                 for slot in 0..ROUND {
                     let p = payload(device, round * ROUND + slot);
-                    let mut guard = server.lock();
+                    let mut guard = server.lock().unwrap();
                     black_box(guard.checkin(&p).unwrap());
                 }
             }
@@ -100,7 +99,7 @@ fn run_single_mutex(threads: u64) -> u64 {
     for h in handles {
         h.join().unwrap();
     }
-    let iterations = server.lock().iteration();
+    let iterations = server.lock().unwrap().iteration();
     assert_eq!(iterations, threads * CHECKINS_PER_DEVICE);
     iterations
 }

@@ -44,10 +44,10 @@ pub struct CheckoutTicket {
 
 /// Per-device contribution to one aggregation epoch.
 ///
-/// Produced by the sharded accumulation runtime (`crowd-agg`): each device's
-/// checkins within the epoch are pre-summed on the device's shard, and the
+/// Produced by the aggregation runtime (`crowd-agg`): each device's checkins
+/// within the epoch are pre-summed in the device's own accumulator, and the
 /// merged epoch lists devices in ascending-id order so the floating-point fold
-/// is bitwise reproducible regardless of shard count or thread interleaving.
+/// is bitwise reproducible regardless of thread interleaving.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceEpochStats {
     /// The contributing device.

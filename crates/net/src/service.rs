@@ -46,8 +46,8 @@ use crowd_proto::message::{
 };
 use crowd_proto::{BufPool, PROTOCOL_VERSION};
 use crowd_reactor::{Completer, Ctx, Response};
+use crowd_telemetry::sync::Mutex;
 use crowd_telemetry::{CounterId, HistogramId, MetricsSnapshot, Registry, Tick};
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -513,8 +513,8 @@ pub(crate) fn note_gradient_encoding(metrics: &Registry, gradient: &GradientPayl
 }
 
 /// Converts a decoded checkin into the runtime payload without copying the
-/// gradient — a sparse upload stays sparse all the way to the shard
-/// accumulators. Re-validation of the sparse structure (the codec already
+/// gradient — a sparse upload stays sparse all the way to the epoch
+/// accumulator. Re-validation of the sparse structure (the codec already
 /// checked it) costs O(nnz) and turns a hand-crafted bad payload into a
 /// `BadRequest` reply instead of trusting the transport. The error reply is
 /// boxed to keep the happy path's `Result` small.

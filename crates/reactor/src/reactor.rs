@@ -60,7 +60,7 @@ use crate::frame::{FrameError, FrameReader, FrameWriter, ReadEvent, WriteEvent};
 use crowd_proto::frame::SharedFrame;
 use crowd_proto::pool::BufPool;
 use crowd_proto::Message;
-use crowd_telemetry::{CounterId, GaugeId, Registry, Stage};
+use crowd_telemetry::{CounterId, GaugeId, Registry};
 use polling::{Event, Events, Poller};
 use std::cell::Cell;
 use std::io;
@@ -339,9 +339,9 @@ impl Reactor {
         Self::start_with_metrics(listener, service, pool, config, Arc::new(Registry::new()))
     }
 
-    /// Like [`Reactor::start`], but connection counters, park/resume rates,
-    /// and accept/decode spans land in the caller's `metrics` registry — how
-    /// a server shares one scrapeable registry across its serving layers.
+    /// Like [`Reactor::start`], but connection counters and park/resume
+    /// rates land in the caller's `metrics` registry — how a server shares
+    /// one scrapeable registry across its serving layers.
     pub fn start_with_metrics(
         listener: TcpListener,
         service: Arc<dyn Service>,
@@ -697,7 +697,6 @@ impl Shard {
                 Ok((stream, _)) => {
                     let n = self.shared.next_conn.fetch_add(1, Ordering::AcqRel);
                     self.shared.metrics.incr(CounterId::ConnsAccepted);
-                    self.shared.metrics.span(Stage::Accept, n);
                     if self.shared.metrics.gauge(GaugeId::ConnsActive)
                         >= self.shared.config.max_connections as i64
                     {
@@ -924,7 +923,6 @@ impl Shard {
                             conn.mid_frame = false;
                             self.shared.metrics.incr(CounterId::FrameResumes);
                         }
-                        self.shared.metrics.span(Stage::FrameDecode, idx as u64);
                         let response = self.shared.service.handle(message, &ctx);
                         (response, ctx.deferred.get())
                     }

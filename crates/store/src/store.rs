@@ -57,7 +57,7 @@ use crowd_core::config::ServerConfig;
 use crowd_core::server::{EpochAggregate, PendingSubmission, RoundAdmission, Server};
 use crowd_core::ServerState;
 use crowd_learning::model::Model;
-use crowd_telemetry::{CounterId, HistogramId, Registry, Stage};
+use crowd_telemetry::{CounterId, HistogramId, Registry};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -99,9 +99,6 @@ impl RecoveryReport {
 pub struct WalStage {
     frames: Vec<u8>,
     count: u64,
-    /// Pre-apply iteration of the newest staged epoch: the key of the commit's
-    /// `WalAppend` span.
-    last_epoch: Option<u64>,
 }
 
 impl WalStage {
@@ -122,7 +119,6 @@ impl WalStage {
             codec::encode_epoch_record_into(buf, pre_iteration, epoch, charges)
         });
         self.count += 1;
-        self.last_epoch = Some(pre_iteration);
     }
 
     /// Stages one accepted round submission.
@@ -163,7 +159,6 @@ impl WalStage {
     pub fn clear(&mut self) {
         self.frames.clear();
         self.count = 0;
-        self.last_epoch = None;
     }
 }
 
@@ -428,9 +423,6 @@ fn commit_stage(
         metrics.add(CounterId::WalFrames, stage.frames());
         metrics.observe(HistogramId::WalGroupFrames, stage.frames());
         metrics.observe_since(HistogramId::WalAppendUs, start);
-        if let Some(iteration) = stage.last_epoch {
-            metrics.span(Stage::WalAppend, iteration);
-        }
     }
     stage.clear();
     Ok(written?)

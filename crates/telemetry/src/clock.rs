@@ -3,7 +3,7 @@
 //! This module is the **only** place in the crate (and, by policy, the only
 //! non-bench place in the workspace) that reads the wall clock; the audit
 //! `wallclock` rule allowlists exactly this file. Everything downstream —
-//! histograms, span events, latency tokens — sees time as opaque
+//! histograms and latency tokens — sees time as opaque
 //! microsecond counts from a [`Clock`], which comes in two flavors:
 //!
 //! * [`Clock::monotonic`] — live servers. Microseconds elapsed since the

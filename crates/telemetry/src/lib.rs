@@ -20,19 +20,18 @@
 //!    records into one shared [`Registry`]; scrapes, tests, and reports all
 //!    read the same [`MetricsSnapshot`].
 //!
-//! The request path is additionally traced by a bounded, striped
-//! [`EventRing`] of seq-numbered [`SpanEvent`]s (accept → frame decode →
-//! queue admit/park → shard ingest → epoch merge → WAL append → ack), which
-//! is diagnostic state: it is excluded from the deterministic dump.
+//! The crate also holds the workspace's one lock type, [`sync::Mutex`] and
+//! [`sync::RwLock`]: non-poisoning wrappers over `std::sync`. They live in
+//! this leaf crate because the crates that lock (crowd-agg, crowd-net)
+//! already depend on it.
 
 #![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod hist;
 pub mod metrics;
-pub mod ring;
+pub mod sync;
 
 pub use clock::{Clock, Tick};
 pub use hist::{Histogram, HistogramBins};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsSnapshot, Registry};
-pub use ring::{EventRing, SpanEvent, Stage};

@@ -8,7 +8,6 @@
 
 use crate::clock::{Clock, Tick};
 use crate::hist::{Histogram, HistogramBins};
-use crate::ring::{EventRing, Stage};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Declares an id enum plus its parallel name table, keeping both in sync.
@@ -164,7 +163,6 @@ pub struct Registry {
     counters: [AtomicU64; CounterId::COUNT],
     gauges: [AtomicI64; GaugeId::COUNT],
     hists: [Histogram; HistogramId::COUNT],
-    ring: EventRing,
     clock: Clock,
 }
 
@@ -186,7 +184,6 @@ impl Registry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicI64::new(0)),
             hists: std::array::from_fn(|_| Histogram::new()),
-            ring: EventRing::default(),
             clock,
         }
     }
@@ -244,20 +241,8 @@ impl Registry {
         elapsed
     }
 
-    /// Drops a span event into the bounded event ring, stamped by the
-    /// registry's clock.
-    pub fn span(&self, stage: Stage, key: u64) {
-        self.ring.record(stage, key, self.clock.now_micros());
-    }
-
-    /// The request-path event ring.
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
-    }
-
     /// Takes a point-in-time snapshot of every counter, gauge, and
-    /// histogram, sorted by metric name. Ring contents are deliberately
-    /// excluded (their interleaving is scheduling-dependent).
+    /// histogram, sorted by metric name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters: Vec<(&'static str, u64)> = CounterId::ALL
             .iter()
@@ -500,18 +485,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), HistogramId::COUNT);
-    }
-
-    #[test]
-    fn span_events_land_in_the_ring_but_not_the_dump() {
-        let reg = Registry::with_clock(Clock::logical());
-        reg.span(Stage::ShardIngest, 7);
-        reg.clock().advance(3);
-        reg.span(Stage::Ack, 7);
-        let events = reg.ring().snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].stage, Stage::ShardIngest);
-        assert_eq!(events[1].at_micros, 3);
-        assert!(!reg.snapshot().render_text().contains("shard_ingest"));
     }
 }

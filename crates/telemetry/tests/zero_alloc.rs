@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator wraps the system allocator; every registry
 //! operation a request touches (counter incr, gauge move, histogram observe,
-//! tick start/stop, span record) runs under the counter and must leave it
+//! tick start/stop) runs under the counter and must leave it
 //! unchanged. The count is per thread, so what the test harness or a
 //! concurrently running test allocates on other threads is not charged to
 //! the measured window. Snapshots and dumps are explicitly *allowed* to
@@ -12,7 +12,7 @@
 //! Lives in an integration test because the library itself is
 //! `#![forbid(unsafe_code)]`; the `GlobalAlloc` impl needs `unsafe`.
 
-use crowd_telemetry::{Clock, CounterId, GaugeId, HistogramId, Registry, Stage};
+use crowd_telemetry::{Clock, CounterId, GaugeId, HistogramId, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -55,25 +55,22 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn instrumented_checkin_hot_path_allocates_nothing() {
-    // Construction allocates (ring slots are reserved up front) — done here,
-    // outside the measured window, exactly as a server does at startup.
+    // Construction happens here, outside the measured window, exactly as a
+    // server does at startup.
     let reg = Registry::with_clock(Clock::logical());
 
     let (allocs, _) = allocations_during(|| {
-        for device in 0..1000u64 {
+        for _ in 0..1000 {
             // The full per-checkin instrumentation sequence, in hot-path
             // order: admit, ingest, merge, ack.
             let start = reg.start();
             reg.incr(CounterId::CheckinsApplied);
             reg.add(CounterId::WalAppendBytes, 128);
             reg.gauge_add(GaugeId::QueueDepth, 1);
-            reg.span(Stage::QueueAdmit, device);
             reg.gauge_add(GaugeId::QueueDepth, -1);
-            reg.span(Stage::ShardIngest, device);
             reg.observe(HistogramId::EpochMergeUs, 37);
             reg.clock().advance(5);
             reg.observe_since(HistogramId::CheckinLatencyUs, start);
-            reg.span(Stage::Ack, device);
         }
     });
     assert_eq!(

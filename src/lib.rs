@@ -27,7 +27,8 @@
 //! * [`store`] — durable server state: CRC-framed write-ahead log, atomic
 //!   snapshots, and bitwise crash recovery.
 //! * [`telemetry`] — crowd-scope observability: the typed metric registry,
-//!   log₂ histograms, span rings, and the clock abstraction behind them.
+//!   log₂ histograms, the clock abstraction behind them, and the
+//!   workspace's non-poisoning lock type.
 //!
 //! ## Quick start
 //!
