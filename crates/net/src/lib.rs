@@ -7,8 +7,8 @@
 //! the `crowd-proto` wire protocol; and a [`client::DeviceClient`] that runs
 //! Device Routines 1–3 against it.
 //!
-//! The server is event-driven, built on the `crowd-reactor` core: a fixed
-//! pool of reactor threads multiplexes thousands of connections, and a full
+//! The server is event-driven, built on the `crowd-reactor` core: one event
+//! loop multiplexes thousands of connections, and a full
 //! ingest queue throttles socket reads instead of replying `Busy`. The
 //! [`driver::FleetDriver`] is its client-side counterpart — one thread driving
 //! an entire simulated device fleet through nonblocking exchanges.

@@ -1,22 +1,22 @@
 //! The Crowd-ML TCP server: Server Routines 1–2 for the whole crowd, on the
 //! `crowd-reactor` core.
 //!
-//! A small fixed pool of reactor threads multiplexes every connection
-//! through nonblocking sockets and resumable frame state machines; request
-//! handling lives in `crate::service`. What that buys at 10k devices:
+//! One event-loop thread multiplexes every connection through nonblocking
+//! sockets and resumable frame state machines; request handling lives in
+//! `crate::service`. What that buys at 10k devices:
 //!
-//! * **Thread count is O(reactor threads), not O(connections).** An idle or
-//!   slow device costs a slab slot and a parked socket, not a stack.
+//! * **Thread count is O(1), not O(connections).** An idle or slow device
+//!   costs a slab slot and a parked socket, not a stack.
 //! * **Backpressure is read throttling, not Busy spam.** When the ingest
 //!   queue is full, the connection is parked with read interest disarmed; TCP
 //!   flow control pushes back to the device, and the parked gradient is
 //!   re-admitted as soon as the queue drains — the device never re-uploads.
 //! * **Nothing waits for an ack.** A checkin — free-run or a masked round
-//!   submission — is run by the reactor thread that decoded it, or, if the
+//!   submission — is run by the event loop that decoded it, or, if the
 //!   aggregation runtime's core lock is taken, by the lock's holder. The
 //!   thread that settles it — on a durable server the runtime's `crowd-agg`
-//!   thread, after its `fsync` — posts the reply straight to the
-//!   connection's reactor thread. The reactor runs no other thread.
+//!   thread, after its `fsync` — posts the reply straight to the event
+//!   loop. The reactor runs no other thread.
 
 use crate::service::{handle_event, ServerCore};
 use crate::Result;
@@ -359,7 +359,7 @@ mod tests {
             temp_dir("reply-bytes-reactor"),
             temp_dir("reply-bytes-oracle"),
         ];
-        // The reactor thread runs each checkin itself. Volatile: it answers
+        // The event loop runs each checkin itself. Volatile: it answers
         // at once. Durable: `crowd-agg` acknowledges it after the commit,
         // via the sink.
         let routes = [

@@ -4,9 +4,9 @@
 //! replies, through two entry points over the same state.
 //!
 //! [`handle_event`] is what the reactor calls. It maps requests onto
-//! [`crowd_reactor::Response`] so a reactor thread never blocks: checkouts
+//! [`crowd_reactor::Response`] so the event loop never blocks: checkouts
 //! answer immediately; a checkin — free-run or a masked round submission —
-//! is run by the reactor thread, or by the holder of the aggregation
+//! is run by the event loop, or by the holder of the aggregation
 //! runtime's core lock (`AggRuntime::submit_to`, `AggRuntime::submit_round_to`),
 //! and whichever thread settles it answers through the request's
 //! [`crowd_reactor::Completer`] — nothing waits for an ack.
@@ -380,7 +380,7 @@ fn checkin_reply(metrics: &Registry, start: Tick, reply: Message) -> Message {
 
 /// What the thread that settles a deferred checkin runs: build the reply —
 /// the ack, or the refusal a dropped checkin maps to — and hand it to the
-/// connection's reactor thread.
+/// event loop.
 fn ack_sink(metrics: &Arc<Registry>, start: Tick, completer: Completer) -> OutcomeSink {
     let metrics = Arc::clone(metrics);
     Box::new(move |outcome| {

@@ -5,14 +5,14 @@
 //! by the scheduler, stack memory, and context switches. This crate serves
 //! `crowd-net` with a classic reactor instead:
 //!
-//! * a small **fixed pool of reactor threads**, each running a readiness loop
-//!   over a [`polling::Poller`] (oneshot epoll),
+//! * **one event-loop thread** running a readiness loop over a
+//!   [`polling::Poller`] (oneshot epoll),
 //! * **per-connection frame state machines** ([`frame::FrameReader`] /
 //!   [`frame::FrameWriter`]) that resume partial reads and writes at any byte
 //!   boundary, reusing `crowd-proto`'s pooled buffers,
 //! * **replies that arrive later without a waiting thread**: a one-shot
 //!   [`Completer`] that whichever thread learns the reply fires straight at
-//!   the owning reactor thread, and
+//!   the event loop, and
 //! * **backpressure by read throttling**: when the ingest queue is full the
 //!   connection's read interest is simply not re-armed, so the kernel's TCP
 //!   flow control pushes back on the device instead of a Busy-reply storm.

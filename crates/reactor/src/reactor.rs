@@ -1,24 +1,24 @@
-//! The reactor: a fixed pool of event-loop threads multiplexing every
-//! accepted connection.
+//! The reactor: one event-loop thread multiplexing every accepted
+//! connection.
 //!
 //! ## Thread model
 //!
-//! `threads` reactor threads each own a [`polling::Poller`] and a slab of
-//! connections. Thread 0 additionally owns the listening socket; accepted
-//! connections are distributed round-robin across all threads through
-//! channels paired with [`polling::Poller::notify`] wakeups. The event loop
-//! itself never blocks on anything but the poller, and the reactor starts no
-//! other thread.
+//! The reactor runs one thread, `crowd-reactor`, and no other. That event
+//! loop owns the listening socket, a [`polling::Poller`], the slab of
+//! connections and the channel that completions arrive on, adopts every
+//! connection it accepts, and never blocks on anything but the poller. The
+//! server it fronts serializes every checkin on one lock anyway, so a
+//! second loop would only run more syscalls in parallel, at the price of
+//! its own wake-ups and a hand-off per accepted connection.
 //!
 //! A request whose reply is not known when [`Service::handle`] returns has
 //! one way to be answered later: the service takes a one-shot [`Completer`]
 //! from the request's [`Ctx`] and returns [`Response::Deferred`]. Whichever
 //! thread learns the reply fires the completer, which posts the reply
-//! straight to the owning reactor thread and wakes its poller. Nothing
-//! waits: the reply comes from work some other thread finishes anyway (a
-//! reactor thread running a queued checkin, a WAL committer after its
-//! `fsync`). A service with work that would block finds it such a thread;
-//! it never blocks the one it is called on.
+//! straight to the event loop and wakes its poller. Nothing waits: the reply
+//! comes from work some other thread finishes anyway (a WAL committer after
+//! its `fsync`, a blocking caller that ran a queued checkin). A service with
+//! work that would block finds it such a thread; it never blocks the loop.
 //!
 //! ## Connection protocol
 //!
@@ -48,13 +48,13 @@
 //! ## Lock discipline
 //!
 //! The reactor registers **no locks** in the workspace rank table
-//! (`// audit:lock` annotations, see `crates/audit`): every slab is owned
-//! exclusively by its reactor thread, and all cross-thread traffic —
-//! accepted sockets, finished replies, shutdown — flows through `mpsc`
-//! channels and atomics. Service callbacks may take locks of their own
-//! (e.g. `agg.*` ranks inside the aggregation runtime), but the reactor
-//! never holds one across a callback, so it cannot participate in a
-//! lock-order cycle.
+//! (`// audit:lock` annotations, see `crates/audit`): the slab is owned
+//! exclusively by the event loop, accepted sockets never leave it, and the
+//! only cross-thread traffic — finished replies and shutdown — flows
+//! through one `mpsc` channel and atomics. Service callbacks may take locks
+//! of their own (e.g. `agg.*` ranks inside the aggregation runtime), but
+//! the reactor never holds one across a callback, so it cannot participate
+//! in a lock-order cycle.
 
 use crate::frame::{FrameError, FrameReader, FrameWriter, ReadEvent, WriteEvent};
 use crowd_proto::frame::SharedFrame;
@@ -65,7 +65,7 @@ use polling::{Event, Events, Poller};
 use std::cell::Cell;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -94,7 +94,7 @@ pub enum Response {
     /// polls `retry` until it yields a response.
     Throttle {
         /// The service's pacing hint: the connection is re-probed on every
-        /// loop iteration, and an otherwise idle reactor thread wakes up
+        /// loop iteration, and an otherwise idle event loop wakes up
         /// after this long (at least 1 ms) to probe it.
         retry_after_ms: u32,
         /// Called to re-attempt admission.
@@ -117,7 +117,7 @@ impl std::fmt::Debug for Response {
 }
 
 /// Maps decoded requests to responses. Implementations must be cheap on the
-/// immediate path — `handle` runs on a reactor thread.
+/// immediate path — `handle` runs on the event loop.
 pub trait Service: Send + Sync + 'static {
     /// Handles one decoded request frame. `ctx` identifies the request to
     /// the reactor, for a reply that will be known only later.
@@ -134,7 +134,7 @@ where
 }
 
 /// One request as the reactor knows it: which connection it arrived on, and
-/// how to reach the thread that owns that connection.
+/// how to reach the event loop that owns that connection.
 pub struct Ctx<'a> {
     done_tx: &'a Sender<Done>,
     poller: &'a Arc<Poller>,
@@ -175,14 +175,14 @@ impl<'a> Ctx<'a> {
 /// The reply-later half of [`Response::Deferred`]: resolves its connection
 /// exactly once, from any thread.
 ///
-/// [`Completer::complete`] posts the reply to the reactor thread that owns
-/// the connection and wakes it; the reply is written and the connection
-/// reads its next request. It may run before `handle` has even returned —
-/// only the owning thread consumes completions, and it does so after it has
-/// marked the connection as waiting. A completer dropped without completing
-/// releases the connection instead: the reactor closes it, since it can
-/// invent no reply. Either way a completion for a connection that closed in
-/// the meantime is discarded by the slab's generation check.
+/// [`Completer::complete`] posts the reply to the event loop and wakes it;
+/// the reply is written and the connection reads its next request. It may
+/// run before `handle` has even returned — only the loop consumes
+/// completions, and it does so after it has marked the connection as
+/// waiting. A completer dropped without completing releases the connection
+/// instead: the reactor closes it, since it can invent no reply. Either way
+/// a completion for a connection that closed in the meantime is discarded
+/// by the slab's generation check.
 pub struct Completer {
     done_tx: Sender<Done>,
     poller: Arc<Poller>,
@@ -204,7 +204,7 @@ impl Completer {
             generation: self.generation,
             reply,
         };
-        // A send fails only when the reactor thread is gone, and its
+        // A send fails only when the event loop is gone, and its
         // connections with it.
         if self.done_tx.send(done).is_ok() {
             let _ = self.poller.notify();
@@ -223,20 +223,16 @@ impl Drop for Completer {
 /// Tuning knobs for a [`Reactor`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Number of reactor (event loop) threads — all the threads the reactor
-    /// runs.
-    pub threads: usize,
     /// Maximum accepted frame size in bytes.
     pub max_frame: usize,
-    /// Hard cap on simultaneously open connections (across all threads);
-    /// connections beyond it are dropped at accept.
+    /// Hard cap on simultaneously open connections; connections beyond it
+    /// are dropped at accept.
     pub max_connections: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            threads: 2,
             max_frame: crowd_proto::frame::DEFAULT_MAX_FRAME,
             max_connections: 16 * 1024,
         }
@@ -266,11 +262,11 @@ pub struct ReactorStats {
 }
 
 /// Upper bound on one poller wait; bounds stop-flag latency even if a notify
-/// is lost. A thread with parked connections waits no longer than their
-/// retry hints (see [`Shard::wait_timeout`]).
+/// is lost. A loop with parked connections waits no longer than their
+/// retry hints (see [`EventLoop::wait_timeout`]).
 const TICK: Duration = Duration::from_millis(500);
 
-/// Poller key of the listening socket (thread 0 only). Connection slots use
+/// Poller key of the listening socket. Connection slots use
 /// `key = slab_index + 1`; `usize::MAX` is reserved by the poller shim.
 const LISTENER_KEY: usize = 0;
 
@@ -285,11 +281,7 @@ struct Shared {
     metrics: Arc<Registry>,
     stop: AtomicBool,
     accepting: AtomicBool,
-    /// Round-robin distribution state for accepted connections (distinct from
-    /// the `conns_accepted` telemetry counter, which nothing reads back).
-    next_conn: AtomicU64,
     unflushed: AtomicUsize,
-    shards: Vec<ShardHandle>,
 }
 
 impl Shared {
@@ -298,17 +290,6 @@ impl Shared {
             && self.metrics.gauge(GaugeId::ConnsParked) == 0
             && self.unflushed.load(Ordering::Acquire) == 0
     }
-
-    fn notify_all(&self) {
-        for shard in &self.shards {
-            let _ = shard.poller.notify();
-        }
-    }
-}
-
-struct ShardHandle {
-    poller: Arc<Poller>,
-    conn_tx: Sender<TcpStream>,
 }
 
 /// A reply that became known off the event loop, posted by a [`Completer`].
@@ -320,15 +301,17 @@ struct Done {
     reply: Option<Message>,
 }
 
-/// An event-driven frame server over a fixed reactor thread pool.
+/// An event-driven frame server on one event-loop thread.
 pub struct Reactor {
     shared: Arc<Shared>,
+    /// The loop's poller, for waking it from outside.
+    poller: Arc<Poller>,
     addr: SocketAddr,
-    threads: Vec<thread::JoinHandle<()>>,
+    thread: Option<thread::JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Starts the reactor pool serving `service` on `listener`, with a fresh
+    /// Starts the event loop serving `service` on `listener`, with a fresh
     /// private metric registry.
     pub fn start(
         listener: TcpListener,
@@ -349,58 +332,38 @@ impl Reactor {
         config: ReactorConfig,
         metrics: Arc<Registry>,
     ) -> io::Result<Reactor> {
-        let threads = config.threads.max(1);
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-
-        let mut shard_handles = Vec::with_capacity(threads);
-        let mut conn_rxs = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let poller = Arc::new(Poller::new()?);
-            let (conn_tx, conn_rx) = mpsc::channel();
-            shard_handles.push(ShardHandle { poller, conn_tx });
-            conn_rxs.push(conn_rx);
-        }
-
+        let poller = Arc::new(Poller::new()?);
         let shared = Arc::new(Shared {
             service,
             pool,
-            config: ReactorConfig { threads, ..config },
+            config,
             metrics,
             stop: AtomicBool::new(false),
             accepting: AtomicBool::new(true),
-            next_conn: AtomicU64::new(0),
             unflushed: AtomicUsize::new(0),
-            shards: shard_handles,
         });
-
-        let mut reactor_threads = Vec::with_capacity(threads);
-        let mut listener = Some(listener);
-        for (idx, conn_rx) in conn_rxs.into_iter().enumerate() {
-            let (done_tx, done_rx) = mpsc::channel::<Done>();
-            let shard = Shard {
-                idx,
-                shared: Arc::clone(&shared),
-                poller: Arc::clone(&shared.shards[idx].poller),
-                listener: if idx == 0 { listener.take() } else { None },
-                listener_armed: false,
-                conn_rx,
-                done_tx,
-                done_rx,
-                slab: Slab::new(),
-                parked_list: Vec::new(),
-            };
-            let handle = thread::Builder::new()
-                .name(format!("crowd-reactor-{idx}"))
-                .spawn(move || shard.run())
-                .map_err(|e| io::Error::other(format!("spawning reactor thread: {e}")))?;
-            reactor_threads.push(handle);
-        }
-
+        let (done_tx, done_rx) = mpsc::channel::<Done>();
+        let event_loop = EventLoop {
+            shared: Arc::clone(&shared),
+            poller: Arc::clone(&poller),
+            listener,
+            listener_armed: false,
+            done_tx,
+            done_rx,
+            slab: Slab::new(),
+            parked_list: Vec::new(),
+        };
+        let thread = thread::Builder::new()
+            .name("crowd-reactor".into())
+            .spawn(move || event_loop.run())
+            .map_err(|e| io::Error::other(format!("spawning reactor thread: {e}")))?;
         Ok(Reactor {
             shared,
+            poller,
             addr,
-            threads: reactor_threads,
+            thread: Some(thread),
         })
     }
 
@@ -429,7 +392,7 @@ impl Reactor {
     /// Stops accepting new connections (existing ones keep being served).
     pub fn stop_accepting(&self) {
         self.shared.accepting.store(false, Ordering::Release);
-        self.shared.notify_all();
+        self.notify();
     }
 
     /// Waits (up to `max_wait` 1 ms polls) until no request is in flight, no
@@ -443,22 +406,26 @@ impl Reactor {
             if self.shared.quiesced() {
                 return true;
             }
-            self.shared.notify_all();
+            self.notify();
             thread::sleep(Duration::from_millis(1));
         }
         self.shared.quiesced()
     }
 
-    /// Stops the event loops and joins all threads. Connections are dropped;
+    /// Stops the event loop and joins its thread. Connections are dropped;
     /// call [`Reactor::drain`] first for a graceful stop.
     pub fn stop(mut self) {
         self.stop_inner();
     }
 
+    fn notify(&self) {
+        let _ = self.poller.notify();
+    }
+
     fn stop_inner(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.notify_all();
-        for handle in self.threads.drain(..) {
+        if let Some(handle) = self.thread.take() {
+            self.shared.stop.store(true, Ordering::Release);
+            self.notify();
             let _ = handle.join();
         }
     }
@@ -466,9 +433,7 @@ impl Reactor {
 
 impl Drop for Reactor {
     fn drop(&mut self) {
-        if !self.threads.is_empty() {
-            self.stop_inner();
-        }
+        self.stop_inner();
     }
 }
 
@@ -476,7 +441,7 @@ impl Drop for Reactor {
 // Connection slab
 // ---------------------------------------------------------------------------
 
-/// Lifecycle of one connection inside its reactor thread.
+/// Lifecycle of one connection inside the event loop.
 enum Mode {
     /// Reading requests.
     Idle,
@@ -589,18 +554,17 @@ impl Slab {
 }
 
 // ---------------------------------------------------------------------------
-// Reactor thread
+// Event loop
 // ---------------------------------------------------------------------------
 
-struct Shard {
-    idx: usize,
+struct EventLoop {
     shared: Arc<Shared>,
     poller: Arc<Poller>,
-    listener: Option<TcpListener>,
+    /// Closed when the loop is dropped, which also unregisters it.
+    listener: TcpListener,
     listener_armed: bool,
-    conn_rx: Receiver<TcpStream>,
     /// Cloned into every [`Completer`]; keeping one here also keeps
-    /// `done_rx` connected for the thread's whole life.
+    /// `done_rx` connected for the loop's whole life.
     done_tx: Sender<Done>,
     done_rx: Receiver<Done>,
     slab: Slab,
@@ -612,17 +576,12 @@ enum DriveOutcome {
     Close,
 }
 
-impl Shard {
+impl EventLoop {
     fn run(mut self) {
-        if let Some(listener) = &self.listener {
-            if self
-                .poller
-                .add(listener, Event::readable(LISTENER_KEY))
-                .is_ok()
-            {
-                self.listener_armed = true;
-            }
-        }
+        self.listener_armed = self
+            .poller
+            .add(&self.listener, Event::readable(LISTENER_KEY))
+            .is_ok();
         let mut events = Events::new();
         loop {
             if self.shared.stop.load(Ordering::Acquire) {
@@ -633,7 +592,6 @@ impl Shard {
             if self.shared.stop.load(Ordering::Acquire) {
                 break;
             }
-            self.adopt_new_connections();
             self.apply_completions();
             for event in events.iter() {
                 if event.key == LISTENER_KEY {
@@ -649,7 +607,7 @@ impl Shard {
 
     /// How long the loop may sleep: `TICK`, or — while connections are
     /// parked — the smallest of their retry hints (at least 1 ms), so a
-    /// thread with no other traffic still re-probes them when the service
+    /// loop with no other traffic still re-probes them when the service
     /// asked it to, not half a second later.
     fn wait_timeout(&self) -> Duration {
         let hint = self
@@ -669,17 +627,16 @@ impl Shard {
     /// Arms or disarms the listener to match the accepting flag. Also the
     /// re-arm point after an accept error left the listener disarmed.
     fn sync_listener(&mut self) {
-        let Some(listener) = &self.listener else {
-            return;
-        };
         let accepting = self.shared.accepting.load(Ordering::Acquire);
         if accepting && !self.listener_armed {
             self.listener_armed = self
                 .poller
-                .modify(listener, Event::readable(LISTENER_KEY))
+                .modify(&self.listener, Event::readable(LISTENER_KEY))
                 .is_ok();
         } else if !accepting && self.listener_armed {
-            let _ = self.poller.modify(listener, Event::none(LISTENER_KEY));
+            let _ = self
+                .poller
+                .modify(&self.listener, Event::none(LISTENER_KEY));
             self.listener_armed = false;
         }
     }
@@ -690,12 +647,8 @@ impl Shard {
             return;
         }
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let n = self.shared.next_conn.fetch_add(1, Ordering::AcqRel);
                     self.shared.metrics.incr(CounterId::ConnsAccepted);
                     if self.shared.metrics.gauge(GaugeId::ConnsActive)
                         >= self.shared.config.max_connections as i64
@@ -704,15 +657,7 @@ impl Shard {
                         drop(stream);
                         continue;
                     }
-                    let target = (n as usize) % self.shared.config.threads;
-                    if target == self.idx {
-                        self.adopt(stream);
-                    } else {
-                        let shard = &self.shared.shards[target];
-                        if shard.conn_tx.send(stream).is_ok() {
-                            let _ = shard.poller.notify();
-                        }
-                    }
+                    self.adopt(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => {
@@ -724,12 +669,6 @@ impl Shard {
             }
         }
         self.sync_listener();
-    }
-
-    fn adopt_new_connections(&mut self) {
-        while let Ok(stream) = self.conn_rx.try_recv() {
-            self.adopt(stream);
-        }
     }
 
     fn adopt(&mut self, stream: TcpStream) {
@@ -846,8 +785,8 @@ impl Shard {
                 conn.writer.enqueue_frame(frame);
             }
             Response::Deferred => {
-                // The completion may already sit in `done_rx`: this thread is
-                // its only consumer, and gets to it after this.
+                // The completion may already sit in `done_rx`: the loop is its
+                // only consumer, and gets to it after this.
                 conn.mode = Mode::Awaiting;
                 self.shared.metrics.gauge_add(GaugeId::Inflight, 1);
             }
@@ -958,11 +897,12 @@ impl Shard {
         }
     }
 
+    /// Drops a connection. Closing its socket, the only descriptor of it,
+    /// also takes it off the poller's interest list, so no `delete` is due.
     fn close(&mut self, idx: usize) {
         let Some(conn) = self.slab.remove(idx) else {
             return;
         };
-        let _ = self.poller.delete(&conn.stream);
         self.shared.metrics.gauge_add(GaugeId::ConnsActive, -1);
         if conn.counted_unflushed {
             self.shared.unflushed.fetch_sub(1, Ordering::AcqRel);
@@ -974,12 +914,10 @@ impl Shard {
         // generation check in `apply_completions`.
     }
 
+    /// Closes every connection; the listener goes with the loop.
     fn teardown(&mut self) {
         for idx in self.slab.used_indices() {
             self.close(idx);
-        }
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.delete(&listener);
         }
     }
 }
@@ -1005,16 +943,13 @@ mod tests {
         Arc::new(|message: Message, _: &Ctx<'_>| Response::Now(message))
     }
 
-    fn start(service: Arc<dyn Service>, threads: usize) -> Reactor {
+    fn start(service: Arc<dyn Service>) -> Reactor {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         Reactor::start(
             listener,
             service,
             Arc::new(BufPool::default()),
-            ReactorConfig {
-                threads,
-                ..ReactorConfig::default()
-            },
+            ReactorConfig::default(),
         )
         .unwrap()
     }
@@ -1027,7 +962,7 @@ mod tests {
 
     #[test]
     fn echo_round_trip_over_reactor() {
-        let reactor = start(echo_service(), 2);
+        let reactor = start(echo_service());
         let addr = reactor.local_addr();
         for i in 0..16 {
             assert_eq!(exchange(addr, &ping(i)), ping(i));
@@ -1038,13 +973,30 @@ mod tests {
 
     #[test]
     fn many_sequential_requests_on_one_connection() {
-        let reactor = start(echo_service(), 1);
+        let reactor = start(echo_service());
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         for i in 0..200 {
             write_message(&mut stream, &ping(i)).unwrap();
             assert_eq!(read_message(&mut stream).unwrap(), ping(i));
         }
         drop(stream);
+        reactor.stop();
+    }
+
+    #[test]
+    fn sequential_connections_are_each_served_and_released() {
+        // `close` leaves unregistering to the kernel, and the next accept
+        // may reuse the descriptor number it freed: every connection must
+        // still be registered, served and released.
+        let reactor = start(echo_service());
+        let addr = reactor.local_addr();
+        for i in 0..500 {
+            assert_eq!(exchange(addr, &ping(i)), ping(i));
+        }
+        eventually("every connection to be released", || {
+            let stats = reactor.stats();
+            stats.accepted == 500 && stats.active == 0
+        });
         reactor.stop();
     }
 
@@ -1058,7 +1010,7 @@ mod tests {
             });
             Response::Deferred
         });
-        let reactor = start(service, 2);
+        let reactor = start(service);
         let addr = reactor.local_addr();
         let workers: Vec<_> = (0..8)
             .map(|i| thread::spawn(move || exchange(addr, &ping(i)) == ping(i)))
@@ -1087,7 +1039,7 @@ mod tests {
                 }),
             }
         });
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let addr = reactor.local_addr();
         assert_eq!(exchange(addr, &ping(9)), ping(9));
         assert!(reactor.drain(2000));
@@ -1097,7 +1049,7 @@ mod tests {
 
     #[test]
     fn interleaved_partial_frames_across_connections() {
-        let reactor = start(echo_service(), 1);
+        let reactor = start(echo_service());
         let addr = reactor.local_addr();
 
         let mut frame_a = Vec::new();
@@ -1129,7 +1081,6 @@ mod tests {
             echo_service(),
             Arc::new(BufPool::default()),
             ReactorConfig {
-                threads: 1,
                 max_frame: 1024,
                 ..ReactorConfig::default()
             },
@@ -1149,7 +1100,7 @@ mod tests {
 
     #[test]
     fn mid_frame_disconnect_is_tolerated() {
-        let reactor = start(echo_service(), 1);
+        let reactor = start(echo_service());
         let addr = reactor.local_addr();
         let mut frame = Vec::new();
         write_message(&mut frame, &ping(3)).unwrap();
@@ -1163,7 +1114,7 @@ mod tests {
 
     #[test]
     fn stop_accepting_refuses_new_but_serves_existing() {
-        let reactor = start(echo_service(), 1);
+        let reactor = start(echo_service());
         let addr = reactor.local_addr();
         let mut existing = TcpStream::connect(addr).unwrap();
         write_message(&mut existing, &ping(1)).unwrap();
@@ -1211,7 +1162,7 @@ mod tests {
                 }),
             }
         });
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         write_message(&mut stream, &ping(3)).unwrap();
         eventually("the request to park", || reactor.stats().parked == 1);
@@ -1242,7 +1193,7 @@ mod tests {
                 .unwrap();
             Response::Deferred
         });
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         for i in 0..50 {
             write_message(&mut stream, &ping(i)).unwrap();
@@ -1260,7 +1211,7 @@ mod tests {
             thread::spawn(move || drop(completer));
             Response::Deferred
         });
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1279,7 +1230,7 @@ mod tests {
     #[test]
     fn generation_guard_discards_deferred_replies_for_closed_connections() {
         let (service, stash) = defer_ping_7();
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let addr = reactor.local_addr();
         let mut doomed = TcpStream::connect(addr).unwrap();
         write_message(&mut doomed, &ping(7)).unwrap();
@@ -1329,7 +1280,7 @@ mod tests {
         // completion re-arms read interest instead of reading: the request
         // already waiting in the socket must still fire the poller.
         let (service, stash) = defer_ping_7();
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1351,7 +1302,7 @@ mod tests {
     #[test]
     fn a_peer_that_closes_while_its_reply_is_deferred_is_closed_afterwards() {
         let (service, stash) = defer_ping_7();
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1407,7 +1358,7 @@ mod tests {
             helper.send((ctx.completer(), message)).unwrap();
             Response::Deferred
         });
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let addr = reactor.local_addr();
         let clients: Vec<_> = (0..3u64)
             .map(|client| {
@@ -1444,7 +1395,7 @@ mod tests {
                 round_id: 0,
             }))
         });
-        let reactor = start(service, 1);
+        let reactor = start(service);
         let reply = exchange(reactor.local_addr(), &ping(1));
         assert!(matches!(reply, Message::Error(_)));
         reactor.stop();

@@ -1,6 +1,6 @@
 //! Server scale suite: the capacity claim of the event-driven TCP server.
 //!
-//! A fixed pool of reactor threads holds thousands of concurrent device
+//! One event-loop thread holds thousands of concurrent device
 //! connections where a thread per connection would need thousands of OS
 //! threads. The first test below drives 2,000 devices — each holding a
 //! persistent connection for its whole checkout+checkin lifetime — from one
@@ -43,7 +43,7 @@ fn reactor_holds_2000_concurrent_devices() {
             classes: 3,
             auth_secret: 99,
             // The whole fleet is admitted at once: 2k truly concurrent
-            // connections against the fixed reactor pool.
+            // connections against the one event loop.
             max_open: devices,
             ..FleetConfig::default()
         };

@@ -1,4 +1,4 @@
-//! Thread census: a started server runs its reactor threads and, only when
+//! Thread census: a started server runs its one event loop and, only when
 //! the aggregation runtime has work of its own (a write-ahead log to commit,
 //! idle partial epochs to flush), one `crowd-agg` thread — no worker pool, no
 //! completion pump. A test binary of its own, so `/proc/self/task` holds no
@@ -52,11 +52,11 @@ fn a_started_server_runs_reactor_threads_and_crowd_agg_only_when_needed() {
         let handle = ReactorServer::start(model, config, tokens).unwrap();
         // A new thread carries its spawner's name until it renames itself:
         // wait for the named threads, then give any other the same chance.
-        wait_for(|names| count(names, "crowd-reactor-") == 2 && count(names, "crowd-agg") == agg);
+        wait_for(|names| count(names, "crowd-reactor") == 1 && count(names, "crowd-agg") == agg);
         std::thread::sleep(Duration::from_millis(50));
         let names = thread_names();
-        assert_eq!(names.len(), baseline + 2 + agg, "{what}: {names:?}");
-        assert_eq!(count(&names, "crowd-reactor-"), 2, "{what}: {names:?}");
+        assert_eq!(names.len(), baseline + 1 + agg, "{what}: {names:?}");
+        assert_eq!(count(&names, "crowd-reactor"), 1, "{what}: {names:?}");
         assert_eq!(count(&names, "crowd-agg"), agg, "{what}: {names:?}");
         assert!(!names.iter().any(|name| name.contains("pump")), "{what}");
         handle.shutdown();
