@@ -270,10 +270,8 @@ const TICK: Duration = Duration::from_millis(500);
 /// `key = slab_index + 1`; `usize::MAX` is reserved by the poller shim.
 const LISTENER_KEY: usize = 0;
 
+/// State the event loop shares with the [`Reactor`] handle.
 struct Shared {
-    service: Arc<dyn Service>,
-    pool: Arc<BufPool>,
-    config: ReactorConfig,
     /// Connection accounting lives in the crowd-scope registry
     /// (`conns_accepted`/`conns_rejected` counters, `conns_active`/
     /// `conns_parked`/`inflight` gauges) — one source for [`ReactorStats`]
@@ -336,9 +334,6 @@ impl Reactor {
         listener.set_nonblocking(true)?;
         let poller = Arc::new(Poller::new()?);
         let shared = Arc::new(Shared {
-            service,
-            pool,
-            config,
             metrics,
             stop: AtomicBool::new(false),
             accepting: AtomicBool::new(true),
@@ -346,6 +341,9 @@ impl Reactor {
         });
         let (done_tx, done_rx) = mpsc::channel::<Done>();
         let event_loop = EventLoop {
+            service,
+            pool,
+            config,
             shared: Arc::clone(&shared),
             poller: Arc::clone(&poller),
             listener,
@@ -558,6 +556,9 @@ impl Slab {
 // ---------------------------------------------------------------------------
 
 struct EventLoop {
+    service: Arc<dyn Service>,
+    pool: Arc<BufPool>,
+    config: ReactorConfig,
     shared: Arc<Shared>,
     poller: Arc<Poller>,
     /// Closed when the loop is dropped, which also unregisters it.
@@ -651,7 +652,7 @@ impl EventLoop {
                 Ok((stream, _)) => {
                     self.shared.metrics.incr(CounterId::ConnsAccepted);
                     if self.shared.metrics.gauge(GaugeId::ConnsActive)
-                        >= self.shared.config.max_connections as i64
+                        >= self.config.max_connections as i64
                     {
                         self.shared.metrics.incr(CounterId::ConnsRejected);
                         drop(stream);
@@ -678,8 +679,8 @@ impl EventLoop {
         let _ = stream.set_nodelay(true);
         let conn = Conn {
             stream,
-            reader: FrameReader::new(Arc::clone(&self.shared.pool), self.shared.config.max_frame),
-            writer: FrameWriter::new(Arc::clone(&self.shared.pool)),
+            reader: FrameReader::new(Arc::clone(&self.pool), self.config.max_frame),
+            writer: FrameWriter::new(Arc::clone(&self.pool)),
             generation: 0,
             mode: Mode::Idle,
             counted_unflushed: false,
@@ -862,7 +863,7 @@ impl EventLoop {
                             conn.mid_frame = false;
                             self.shared.metrics.incr(CounterId::FrameResumes);
                         }
-                        let response = self.shared.service.handle(message, &ctx);
+                        let response = self.service.handle(message, &ctx);
                         (response, ctx.deferred.get())
                     }
                     Ok(ReadEvent::NeedMore) => {
