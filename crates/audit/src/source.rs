@@ -281,7 +281,8 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Appends the path of every `.rs` file under `dir`, recursively, to `out`.
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();

@@ -6,7 +6,7 @@
 
 use crowd_audit::report::Baseline;
 use crowd_audit::rules::wire_hygiene;
-use crowd_audit::source::scan_workspace;
+use crowd_audit::source::{collect_rs, scan_workspace};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -127,6 +127,51 @@ fn toml_table<'a>(text: &'a str, section: &str) -> Vec<(&'a str, &'a str)> {
     entries
 }
 
+/// The directory of every workspace member, relative to the root: the
+/// `members` list of the root manifest, plus `.` for the root package.
+fn workspace_members(root_toml: &str) -> Vec<&str> {
+    let members = root_toml
+        .split("\nmembers = [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("the root manifest lists its members");
+    members.split('"').skip(1).step_by(2).chain(["."]).collect()
+}
+
+/// A dependency edge must not outlive its last use: a crate that stops
+/// using a dependency still builds it, and Cargo says nothing. So every
+/// `[dependencies]` entry of every member must be named, with dashes as
+/// underscores, somewhere in that member's `src/` or `benches/`.
+#[test]
+fn every_dependency_is_named_in_its_crate() {
+    let root = workspace_root();
+    let root_toml = std::fs::read_to_string(root.join("Cargo.toml")).expect("manifest reads");
+    let mut unused = Vec::new();
+    for member in workspace_members(&root_toml) {
+        let dir = root.join(member);
+        let toml = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest reads");
+        let mut paths = Vec::new();
+        for sub in ["src", "benches"].map(|sub| dir.join(sub)) {
+            if sub.is_dir() {
+                collect_rs(&sub, &mut paths).expect("sources list");
+            }
+        }
+        let sources: String = paths
+            .iter()
+            .map(|path| std::fs::read_to_string(path).expect("source reads"))
+            .collect();
+        for (dependency, _) in toml_table(&toml, "dependencies") {
+            if !sources.contains(&dependency.replace('-', "_")) {
+                unused.push(format!("{member}: {dependency}"));
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "dependencies their crate never names (drop them from its Cargo.toml): {unused:?}"
+    );
+}
+
 /// A vendored shim must not outlive its last user: nothing else fails when
 /// the last crate stops naming it, and it keeps being built and tested. So
 /// every directory under `vendor/` must be a path entry in
@@ -162,13 +207,8 @@ fn every_vendor_shim_is_declared_and_used() {
         "vendor directories with no [workspace.dependencies] path entry: {undeclared:?}"
     );
 
-    let members = root_toml
-        .split("\nmembers = [")
-        .nth(1)
-        .and_then(|rest| rest.split(']').next())
-        .expect("the root manifest lists its members");
     let mut named = Vec::new();
-    for member in members.split('"').skip(1).step_by(2).chain(["."]) {
+    for member in workspace_members(&root_toml) {
         let toml = manifest(member);
         for section in ["dependencies", "dev-dependencies"] {
             named.extend(

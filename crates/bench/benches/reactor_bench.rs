@@ -1,15 +1,14 @@
 //! Server scaling: checkins/sec as the device count grows from 100 to 10k.
 //!
 //! Each measured iteration starts a fresh server, runs a whole simulated
-//! fleet through one checkout+checkin round per device with the
-//! single-threaded `FleetDriver` (every admitted device holds a persistent
-//! connection, so N admitted devices are N concurrent server connections),
-//! and shuts the server down. `ns_per_iter / devices` is therefore the
-//! end-to-end cost per device round — checkins/sec is its reciprocal.
+//! fleet through one checkout+checkin round per device with the lockstep
+//! `FleetDriver` (every admitted device holds a persistent connection, so N
+//! admitted devices are N concurrent server connections), and shuts the
+//! server down. `ns_per_iter / devices` is therefore the end-to-end cost per
+//! device round — checkins/sec is its reciprocal.
 //!
-//! Fleets run up to 10k devices through a 4k-connection admission window
-//! (the container's 20k file-descriptor budget, two ends per localhost
-//! connection).
+//! Fleets run up to 10k devices in 4k-device windows (a 20k
+//! file-descriptor budget, two ends per localhost connection).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_core::config::ServerConfig;
@@ -32,7 +31,6 @@ fn fleet(devices: usize) -> FleetConfig {
         classes: 3,
         auth_secret: SECRET,
         max_open: devices.min(MAX_OPEN),
-        ..FleetConfig::default()
     }
 }
 

@@ -11,7 +11,7 @@
 //! loop multiplexes thousands of connections, and a full
 //! ingest queue throttles socket reads instead of replying `Busy`. The
 //! [`driver::FleetDriver`] is its client-side counterpart — one thread driving
-//! an entire simulated device fleet through nonblocking exchanges.
+//! an entire simulated device fleet in lockstep over blocking sockets.
 //!
 //! [`chaos::ChaosCluster`] is the networked learning run: one thread steps a
 //! fleet of real devices over their local data against a live server, in a

@@ -26,7 +26,7 @@ use crowd_core::server::Server;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::Vector;
 use crowd_proto::auth::TokenRegistry;
-use crowd_reactor::{Ctx, Reactor, ReactorConfig, ReactorStats};
+use crowd_reactor::{Ctx, Reactor, ReactorStats};
 use crowd_store::{RecoveryReport, Store};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -54,8 +54,8 @@ pub(crate) fn build_runtime(
 
 impl ReactorServer {
     /// Starts a server on `127.0.0.1` (ephemeral port) for the given model,
-    /// configuration, and device-token registry, with the default reactor
-    /// tuning. The aggregation runtime is configured by `config.agg`.
+    /// configuration, and device-token registry. The aggregation runtime is
+    /// configured by `config.agg`.
     ///
     /// When `config.persist` names a data directory, the server binds through
     /// the recovery path: the latest snapshot is loaded, the WAL tail replayed
@@ -67,27 +67,15 @@ impl ReactorServer {
         config: ServerConfig,
         tokens: TokenRegistry,
     ) -> Result<ReactorServerHandle> {
-        Self::start_with(model, config, tokens, ReactorConfig::default())
-    }
-
-    /// Starts a reactor server with explicit reactor tuning (thread count,
-    /// connection cap, frame limit).
-    pub fn start_with(
-        model: MulticlassLogistic,
-        config: ServerConfig,
-        tokens: TokenRegistry,
-        reactor_config: ReactorConfig,
-    ) -> Result<ReactorServerHandle> {
         let (runtime, recovery) = build_runtime(model, config)?;
         let core = Arc::new(ServerCore::new(runtime, tokens));
         let service_core = Arc::clone(&core);
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let reactor = Reactor::start_with_metrics(
+        let reactor = Reactor::start(
             listener,
             Arc::new(move |message, ctx: &Ctx<'_>| handle_event(&service_core, message, ctx)),
             Arc::clone(&core.pool),
-            reactor_config,
             Arc::clone(&core.metrics),
         )?;
         Ok(ReactorServerHandle {

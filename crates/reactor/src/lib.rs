@@ -27,6 +27,4 @@ pub mod frame;
 pub mod reactor;
 
 pub use frame::{FrameError, FrameReader, FrameWriter, ReadEvent, WriteEvent};
-pub use reactor::{
-    Completer, Ctx, Reactor, ReactorConfig, ReactorStats, Response, RetryFn, Service,
-};
+pub use reactor::{Completer, Ctx, Reactor, ReactorStats, Response, RetryFn, Service};

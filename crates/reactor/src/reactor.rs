@@ -57,7 +57,7 @@
 //! in a lock-order cycle.
 
 use crate::frame::{FrameError, FrameReader, FrameWriter, ReadEvent, WriteEvent};
-use crowd_proto::frame::SharedFrame;
+use crowd_proto::frame::{SharedFrame, DEFAULT_MAX_FRAME};
 use crowd_proto::pool::BufPool;
 use crowd_proto::Message;
 use crowd_telemetry::{CounterId, GaugeId, Registry};
@@ -220,25 +220,6 @@ impl Drop for Completer {
     }
 }
 
-/// Tuning knobs for a [`Reactor`].
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Maximum accepted frame size in bytes.
-    pub max_frame: usize,
-    /// Hard cap on simultaneously open connections; connections beyond it
-    /// are dropped at accept.
-    pub max_connections: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            max_frame: crowd_proto::frame::DEFAULT_MAX_FRAME,
-            max_connections: 16 * 1024,
-        }
-    }
-}
-
 /// Point-in-time counters, for tests and operational visibility.
 ///
 /// Since the crowd-scope migration this is a *view* over the reactor's
@@ -257,9 +238,13 @@ pub struct ReactorStats {
     /// Requests whose reply is still to come: deferred replies whose
     /// [`Completer`] has not fired yet.
     pub inflight: usize,
-    /// Connections dropped at accept because `max_connections` was reached.
+    /// Connections dropped at accept because the connection cap was reached.
     pub rejected: u64,
 }
+
+/// Hard cap on simultaneously open connections; connections beyond it are
+/// dropped at accept.
+const MAX_CONNECTIONS: i64 = 16 * 1024;
 
 /// Upper bound on one poller wait; bounds stop-flag latency even if a notify
 /// is lost. A loop with parked connections waits no longer than their
@@ -309,25 +294,13 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Starts the event loop serving `service` on `listener`, with a fresh
-    /// private metric registry.
+    /// Starts the event loop serving `service` on `listener`. Connection
+    /// counters and park/resume rates land in `metrics` — how a server
+    /// shares one scrapeable registry across its serving layers.
     pub fn start(
         listener: TcpListener,
         service: Arc<dyn Service>,
         pool: Arc<BufPool>,
-        config: ReactorConfig,
-    ) -> io::Result<Reactor> {
-        Self::start_with_metrics(listener, service, pool, config, Arc::new(Registry::new()))
-    }
-
-    /// Like [`Reactor::start`], but connection counters and park/resume
-    /// rates land in the caller's `metrics` registry — how a server shares
-    /// one scrapeable registry across its serving layers.
-    pub fn start_with_metrics(
-        listener: TcpListener,
-        service: Arc<dyn Service>,
-        pool: Arc<BufPool>,
-        config: ReactorConfig,
         metrics: Arc<Registry>,
     ) -> io::Result<Reactor> {
         let addr = listener.local_addr()?;
@@ -343,7 +316,6 @@ impl Reactor {
         let event_loop = EventLoop {
             service,
             pool,
-            config,
             shared: Arc::clone(&shared),
             poller: Arc::clone(&poller),
             listener,
@@ -558,7 +530,6 @@ impl Slab {
 struct EventLoop {
     service: Arc<dyn Service>,
     pool: Arc<BufPool>,
-    config: ReactorConfig,
     shared: Arc<Shared>,
     poller: Arc<Poller>,
     /// Closed when the loop is dropped, which also unregisters it.
@@ -651,9 +622,7 @@ impl EventLoop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     self.shared.metrics.incr(CounterId::ConnsAccepted);
-                    if self.shared.metrics.gauge(GaugeId::ConnsActive)
-                        >= self.config.max_connections as i64
-                    {
+                    if self.shared.metrics.gauge(GaugeId::ConnsActive) >= MAX_CONNECTIONS {
                         self.shared.metrics.incr(CounterId::ConnsRejected);
                         drop(stream);
                         continue;
@@ -679,7 +648,7 @@ impl EventLoop {
         let _ = stream.set_nodelay(true);
         let conn = Conn {
             stream,
-            reader: FrameReader::new(Arc::clone(&self.pool), self.config.max_frame),
+            reader: FrameReader::new(Arc::clone(&self.pool), DEFAULT_MAX_FRAME),
             writer: FrameWriter::new(Arc::clone(&self.pool)),
             generation: 0,
             mode: Mode::Idle,
@@ -950,7 +919,7 @@ mod tests {
             listener,
             service,
             Arc::new(BufPool::default()),
-            ReactorConfig::default(),
+            Arc::new(Registry::new()),
         )
         .unwrap()
     }
@@ -1076,20 +1045,11 @@ mod tests {
 
     #[test]
     fn oversized_frame_drops_the_connection_but_not_the_reactor() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let reactor = Reactor::start(
-            listener,
-            echo_service(),
-            Arc::new(BufPool::default()),
-            ReactorConfig {
-                max_frame: 1024,
-                ..ReactorConfig::default()
-            },
-        )
-        .unwrap();
+        let reactor = start(echo_service());
         let addr = reactor.local_addr();
         let mut bad = TcpStream::connect(addr).unwrap();
-        bad.write_all(&(1024u32 * 1024).to_le_bytes()).unwrap();
+        let oversized = DEFAULT_MAX_FRAME as u32 + 1;
+        bad.write_all(&oversized.to_le_bytes()).unwrap();
         // The oversized connection is closed...
         let mut probe = [0u8; 1];
         bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();

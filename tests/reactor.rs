@@ -4,15 +4,18 @@
 //! connections where a thread per connection would need thousands of OS
 //! threads. The first test below drives 2,000 devices — each holding a
 //! persistent connection for its whole checkout+checkin lifetime — from one
-//! `FleetDriver` thread, requires every exchange to complete, and then reads
-//! the loaded server's telemetry over the wire. The second drives a fleet
-//! into a 2-deep ingest queue and requires backpressure to lose no checkin.
+//! lockstep `FleetDriver` thread, requires every exchange to complete, and
+//! then reads the loaded server's telemetry over the wire. The second drives
+//! a fleet into a 2-deep ingest queue on a durable server, whose `crowd-agg`
+//! thread snapshots under the core lock after every epoch, so checkins queue
+//! behind it and connections park; backpressure must lose no checkin.
 //! Correctness under faults is `tests/chaos.rs`; bitwise recovery over TCP is
 //! `tests/durability.rs`.
 
 use crowd_ml::learning::MulticlassLogistic;
 use crowd_ml::net::{DeviceClient, FleetConfig, FleetDriver, ReactorServer};
 use crowd_ml::proto::auth::{AuthToken, TokenRegistry};
+use crowd_ml::store::testutil::temp_dir;
 use std::time::Duration;
 
 /// Watchdog wrapper: these tests drive real sockets, so a regression that
@@ -45,7 +48,6 @@ fn reactor_holds_2000_concurrent_devices() {
             // The whole fleet is admitted at once: 2k truly concurrent
             // connections against the one event loop.
             max_open: devices,
-            ..FleetConfig::default()
         };
         let report = FleetDriver::run(handle.addr(), config).unwrap();
         assert_eq!(report.failed_devices, 0, "{report:?}");
@@ -108,11 +110,17 @@ fn fleet_survives_backpressure_without_losing_checkins() {
     under_watchdog(Duration::from_secs(120), || {
         // 64 concurrent devices against a 2-deep ingest queue: the server
         // throttles reads instead of dropping work, so every checkin still
-        // gets an answer and every accepted one is applied exactly once.
+        // gets an answer and every accepted one is applied exactly once. A
+        // snapshot after every epoch holds the core lock long enough for the
+        // queue to fill and connections to park.
         let devices = 64usize;
         let model = MulticlassLogistic::new(4, 3).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(devices as u64, 99);
-        let config = crowd_ml::core::config::ServerConfig::new().with_queue_bound(2);
+        let dir = temp_dir("backpressure");
+        let config = crowd_ml::core::config::ServerConfig::new()
+            .with_queue_bound(2)
+            .with_data_dir(&dir)
+            .with_snapshot_every(1);
         let handle = ReactorServer::start(model, config, tokens).unwrap();
         let config = FleetConfig {
             devices,
@@ -121,12 +129,16 @@ fn fleet_survives_backpressure_without_losing_checkins() {
             classes: 3,
             auth_secret: 99,
             max_open: devices,
-            ..FleetConfig::default()
         };
         let report = FleetDriver::run(handle.addr(), config).unwrap();
         assert!(report.clean(), "{report:?}");
         assert_eq!(report.acked + report.rejected, 4 * devices as u64);
         assert_eq!(handle.runtime_stats().get("checkins_applied"), report.acked);
+        assert!(
+            handle.runtime_stats().get("parks") > 0,
+            "no connection parked"
+        );
         handle.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     });
 }
