@@ -42,8 +42,10 @@
 //! When the service reports [`Response::Throttle`] (ingest queue full), the
 //! connection is *parked*: its read interest is left disarmed — the poller's
 //! oneshot semantics make that the default — and the retry closure is invoked
-//! on subsequent loop iterations until it produces a reply. The device is
-//! slowed by the kernel's receive window instead of a Busy-reply storm.
+//! on subsequent loop iterations until it produces a reply. Parked requests
+//! wait on one admission queue, so a pass over them stops at the first one
+//! still refused. The device is slowed by the kernel's receive window
+//! instead of a Busy-reply storm.
 //!
 //! ## Lock discipline
 //!
@@ -93,9 +95,10 @@ pub enum Response {
     /// full). The reactor parks the connection — reads stay disarmed — and
     /// polls `retry` until it yields a response.
     Throttle {
-        /// The service's pacing hint: the connection is re-probed on every
-        /// loop iteration, and an otherwise idle event loop wakes up
-        /// after this long (at least 1 ms) to probe it.
+        /// The service's pacing hint: parked connections are re-probed in
+        /// park order on every loop iteration, until the first refusal, and
+        /// an otherwise idle event loop wakes up after this long (at least
+        /// 1 ms) to probe them.
         retry_after_ms: u32,
         /// Called to re-attempt admission.
         retry: RetryFn,
@@ -697,14 +700,18 @@ impl EventLoop {
         }
     }
 
-    /// Re-attempts every parked connection. Called once per loop iteration:
-    /// each attempt is one cheap admission probe against the service.
+    /// Re-attempts parked connections in the order they parked. Called once
+    /// per loop iteration: each attempt is one cheap admission probe against
+    /// the service. Parked requests wait on the same admission queue, so the
+    /// pass ends at the first refusal: that connection goes to the back of
+    /// the list and the ones behind it, not yet probed, keep their places
+    /// ahead of it — the next pass starts with them, so none is starved.
     fn retry_parked(&mut self) {
         if self.parked_list.is_empty() {
             return;
         }
-        let parked = std::mem::take(&mut self.parked_list);
-        for idx in parked {
+        let mut parked = std::mem::take(&mut self.parked_list).into_iter();
+        while let Some(idx) = parked.next() {
             let (response, deferred) = {
                 let ctx = Ctx::new(&self.done_tx, &self.poller, &self.slab, idx);
                 let Some(conn) = self.slab.get_mut(idx) else {
@@ -715,8 +722,12 @@ impl EventLoop {
                 };
                 match retry(&ctx) {
                     None => {
+                        // Ahead of anything parked during this pass.
+                        let parked_since = std::mem::take(&mut self.parked_list);
+                        self.parked_list.extend(parked);
                         self.parked_list.push(idx);
-                        continue;
+                        self.parked_list.extend(parked_since);
+                        return;
                     }
                     Some(response) => (response, ctx.deferred.get()),
                 }
