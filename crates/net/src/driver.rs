@@ -110,7 +110,7 @@ impl FleetDriver {
     /// Runs `config.devices` simulated devices against the server at `addr`
     /// and reports what the fleet accomplished. Blocks the calling thread
     /// until every device finished, or until a reply took longer than
-    /// [`READ_TIMEOUT`].
+    /// `READ_TIMEOUT` (60 s).
     pub fn run(addr: SocketAddr, config: FleetConfig) -> io::Result<FleetReport> {
         let ids: Vec<u64> = (0..config.devices as u64).collect();
         let mut driver = FleetDriver {

@@ -8,7 +8,7 @@
 //! * **Thread count is O(1), not O(connections).** An idle or slow device
 //!   costs a slab slot and a parked socket, not a stack.
 //! * **Backpressure is read throttling, not Busy spam.** When the ingest
-//!   queue is full, the connection is parked with read interest disarmed; TCP
+//!   queue is full, the connection is parked and not read; TCP
 //!   flow control pushes back to the device, and the parked gradient is
 //!   re-admitted as soon as the queue drains — the device never re-uploads.
 //! * **Nothing waits for an ack.** A checkin — free-run or a masked round

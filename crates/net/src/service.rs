@@ -329,7 +329,7 @@ pub(crate) fn metrics_report(snap: &MetricsSnapshot) -> MetricsReport {
 ///   `AggRuntime::submit_round_to`.
 /// * A full queue becomes [`Response::Throttle`]: the payload is parked (the
 ///   decoded request is handed back by the runtime) and re-admission is
-///   probed by the reactor while the connection's reads stay disarmed. The
+///   probed by the reactor, which reads nothing more from the connection. The
 ///   device never sees a Busy reply on this path — it sees a quiet socket.
 pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message, ctx: &Ctx<'_>) -> Response {
     match message {

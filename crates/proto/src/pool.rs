@@ -3,22 +3,33 @@
 //! Every framed message used to allocate a fresh `Vec<u8>` for its payload on
 //! the read side and a fresh `BytesMut` on the write side. Under sustained
 //! checkin traffic that is two heap round-trips per message of up to
-//! megabytes each. A [`BufPool`] keeps a shelf of previously used buffers;
-//! [`BufPool::take`] hands one out (zero-filled to the requested length;
-//! [`BufPool::take_scratch_owned`] skips the fill for a socket reader that
-//! overwrites it) and the [`PooledBuf`] guard returns it on drop, so
-//! steady-state frame handling touches the allocator only while a buffer
-//! grows to a new high-water mark.
+//! megabytes each. A [`BufPool`] keeps previously used buffers on two
+//! shelves and hands them out again, and the [`PooledBuf`] /
+//! [`OwnedPooledBuf`] guards return them on drop, so steady-state frame
+//! handling touches the allocator only while a buffer grows to a new
+//! high-water mark:
 //!
-//! The pool is a plain mutex around a `Vec` — taking or returning a buffer is
-//! a few nanoseconds, far below the cost of the socket read it serves, and the
-//! shelf is bounded in both buffer count and per-buffer capacity, so an idle
-//! server does not hold peak-burst memory forever: a buffer grown past
-//! `MAX_POOLED_BYTES` (e.g. by one maximum-size frame from a hostile peer)
-//! is dropped on return instead of being parked.
+//! * the **plain** shelf serves [`BufPool::take`] (zero-filled to the
+//!   requested length) and the appenders, [`BufPool::take_empty`] and
+//!   [`BufPool::take_empty_owned`], which clear what they take;
+//! * the **scratch** shelf serves [`BufPool::take_scratch_owned`], for a
+//!   socket reader that overwrites before it reads. Its buffers keep the
+//!   length (and bytes) they were returned with, so a reader gets back a
+//!   buffer already as long as the frames it last read: no zero-fill, and
+//!   no second `read` for a frame that outgrew the first chunk. Appenders
+//!   never take from it, since clearing a buffer forfeits its length.
+//!
+//! The pool is a plain mutex around both shelves — taking or returning a
+//! buffer is a few nanoseconds, far below the cost of the socket read it
+//! serves. The pool is bounded in idle buffers (`max_buffers`, counted across
+//! both shelves; a full pool makes room for a returned buffer by dropping
+//! one of the other shelf's, so neither kind is starved) and in per-buffer
+//! capacity, so an idle server does not hold peak-burst memory forever: a
+//! buffer grown past `MAX_POOLED_BYTES` (e.g. by one maximum-size frame from
+//! a hostile peer) is dropped on return instead of being parked.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on pooled buffers (per pool, not per connection).
 const DEFAULT_MAX_BUFFERS: usize = 32;
@@ -29,11 +40,38 @@ const DEFAULT_MAX_BUFFERS: usize = 32;
 /// amount of heap for the server's lifetime.
 const MAX_POOLED_BYTES: usize = 4 * 1024 * 1024;
 
-/// A bounded shelf of reusable byte buffers.
+/// Which shelf a buffer is taken from and returned to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shelf {
+    Plain,
+    Scratch,
+}
+
+/// The idle buffers, by shelf.
+#[derive(Debug, Default)]
+struct Shelves {
+    plain: Vec<Vec<u8>>,
+    scratch: Vec<Vec<u8>>,
+}
+
+impl Shelves {
+    fn shelf(&mut self, shelf: Shelf) -> &mut Vec<Vec<u8>> {
+        match shelf {
+            Shelf::Plain => &mut self.plain,
+            Shelf::Scratch => &mut self.scratch,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.plain.len() + self.scratch.len()
+    }
+}
+
+/// A bounded pair of shelves of reusable byte buffers.
 #[derive(Debug)]
 pub struct BufPool {
     // audit:lock(proto.buf-pool, 80)
-    shelf: Mutex<Vec<Vec<u8>>>,
+    shelves: Mutex<Shelves>,
     max_buffers: usize,
 }
 
@@ -44,10 +82,11 @@ impl Default for BufPool {
 }
 
 impl BufPool {
-    /// Creates a pool retaining at most `max_buffers` idle buffers.
+    /// Creates a pool retaining at most `max_buffers` idle buffers, across
+    /// both shelves.
     pub fn new(max_buffers: usize) -> Self {
         BufPool {
-            shelf: Mutex::new(Vec::new()),
+            shelves: Mutex::new(Shelves::default()),
             max_buffers,
         }
     }
@@ -55,7 +94,7 @@ impl BufPool {
     /// Takes a buffer of exactly `len` zero-filled bytes, reusing pooled
     /// storage when available.
     pub fn take(&self, len: usize) -> PooledBuf<'_> {
-        let mut buf = self.pop();
+        let mut buf = self.pop(Shelf::Plain);
         buf.clear();
         buf.resize(len, 0);
         PooledBuf { pool: self, buf }
@@ -64,41 +103,57 @@ impl BufPool {
     /// Takes an empty buffer (length 0, capacity whatever the pooled storage
     /// had), for callers that append — e.g. encoding a message.
     pub fn take_empty(&self) -> PooledBuf<'_> {
-        let mut buf = self.pop();
+        let mut buf = self.pop(Shelf::Plain);
         buf.clear();
         PooledBuf { pool: self, buf }
     }
 
-    fn pop(&self) -> Vec<u8> {
-        // A poisoned shelf only means another thread panicked mid-push; the
-        // Vec is still structurally sound, so keep serving buffers rather
-        // than cascading the panic into every connection.
-        self.shelf
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
+    fn lock_shelves(&self) -> MutexGuard<'_, Shelves> {
+        // A poisoned lock only means another thread panicked mid-push; the
+        // shelves are still structurally sound, so keep serving buffers
+        // rather than cascading the panic into every connection.
+        self.shelves.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn put(&self, buf: Vec<u8>) {
+    /// Pops from `shelf`; a scratch taker falls back to the plain shelf.
+    fn pop(&self, shelf: Shelf) -> Vec<u8> {
+        let mut shelves = self.lock_shelves();
+        let buf = match shelf {
+            Shelf::Plain => shelves.plain.pop(),
+            Shelf::Scratch => shelves.scratch.pop().or_else(|| shelves.plain.pop()),
+        };
+        buf.unwrap_or_default()
+    }
+
+    fn put(&self, buf: Vec<u8>, shelf: Shelf) {
         if buf.capacity() > MAX_POOLED_BYTES {
             return;
         }
-        let mut shelf = self.shelf.lock().unwrap_or_else(PoisonError::into_inner);
-        if shelf.len() < self.max_buffers {
-            shelf.push(buf);
+        let mut shelves = self.lock_shelves();
+        if shelves.len() >= self.max_buffers {
+            // Full: the returned buffer displaces one of the other kind, if
+            // there is one, so a burst of one kind cannot lock the other out.
+            let other = match shelf {
+                Shelf::Plain => Shelf::Scratch,
+                Shelf::Scratch => Shelf::Plain,
+            };
+            if shelves.shelf(other).pop().is_none() {
+                return;
+            }
         }
+        shelves.shelf(shelf).push(buf);
     }
 
     /// Owned counterpart of [`BufPool::take_empty`]: the returned guard owns
     /// an [`Arc`] handle to the pool instead of borrowing it, so it can be
     /// stored in long-lived state (e.g. a reactor connection's write queue).
     pub fn take_empty_owned(self: &Arc<Self>) -> OwnedPooledBuf {
-        let mut buf = self.pop();
+        let mut buf = self.pop(Shelf::Plain);
         buf.clear();
         OwnedPooledBuf {
             pool: Arc::clone(self),
             buf,
+            shelf: Shelf::Plain,
         }
     }
 
@@ -106,24 +161,23 @@ impl BufPool {
     /// left as its last user wrote them: only growth past the pooled length
     /// is zero-filled. For a caller that overwrites before it reads — a frame
     /// reader filling it from a socket across readiness events — so reuse
-    /// costs no memset.
+    /// costs no memset. The buffer returns to the scratch shelf at whatever
+    /// length its user left it, and the next scratch taker gets it so.
     pub fn take_scratch_owned(self: &Arc<Self>, min_len: usize) -> OwnedPooledBuf {
-        let mut buf = self.pop();
+        let mut buf = self.pop(Shelf::Scratch);
         if buf.len() < min_len {
             buf.resize(min_len, 0);
         }
         OwnedPooledBuf {
             pool: Arc::clone(self),
             buf,
+            shelf: Shelf::Scratch,
         }
     }
 
-    /// Number of buffers currently idle on the shelf.
+    /// Number of buffers currently idle, on both shelves.
     pub fn idle_buffers(&self) -> usize {
-        self.shelf
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.lock_shelves().len()
     }
 }
 
@@ -149,7 +203,7 @@ impl DerefMut for PooledBuf<'_> {
 
 impl Drop for PooledBuf<'_> {
     fn drop(&mut self) {
-        self.pool.put(std::mem::take(&mut self.buf));
+        self.pool.put(std::mem::take(&mut self.buf), Shelf::Plain);
     }
 }
 
@@ -160,6 +214,7 @@ impl Drop for PooledBuf<'_> {
 pub struct OwnedPooledBuf {
     pool: Arc<BufPool>,
     buf: Vec<u8>,
+    shelf: Shelf,
 }
 
 impl Deref for OwnedPooledBuf {
@@ -177,7 +232,7 @@ impl DerefMut for OwnedPooledBuf {
 
 impl Drop for OwnedPooledBuf {
     fn drop(&mut self) {
-        self.pool.put(std::mem::take(&mut self.buf));
+        self.pool.put(std::mem::take(&mut self.buf), self.shelf);
     }
 }
 
@@ -354,5 +409,60 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn scratch_buffers_keep_their_length_across_an_appender_round_trip() {
+        let pool = std::sync::Arc::new(BufPool::new(4));
+        {
+            let mut buf = pool.take_scratch_owned(8);
+            buf[7] = 0xAB;
+        }
+        // An appender on the same pool clears what it takes; it must not
+        // take (and shorten) the scratch buffer.
+        {
+            let mut appender = pool.take_empty_owned();
+            appender.extend_from_slice(b"reply");
+        }
+        let again = pool.take_scratch_owned(4);
+        assert_eq!((again.len(), again[7]), (8, 0xAB), "refilled or shortened");
+        drop(again);
+        // The appender's buffer went back to its own shelf, capacity intact.
+        assert!(pool.take_empty().capacity() >= 5);
+    }
+
+    #[test]
+    fn idle_buffers_counts_both_shelves() {
+        let pool = std::sync::Arc::new(BufPool::new(8));
+        let scratch = pool.take_scratch_owned(16);
+        let owned = pool.take_empty_owned();
+        let plain = pool.take(4);
+        drop((scratch, owned, plain));
+        assert_eq!(pool.idle_buffers(), 3);
+    }
+
+    #[test]
+    fn the_bound_is_total_across_shelves() {
+        let pool = std::sync::Arc::new(BufPool::new(2));
+        let held: Vec<OwnedPooledBuf> = (0..3)
+            .map(|_| pool.take_scratch_owned(16))
+            .chain((0..3).map(|_| pool.take_empty_owned()))
+            .collect();
+        drop(held);
+        assert_eq!(pool.idle_buffers(), 2);
+        // A full pool of scratch buffers still keeps an appender's buffer:
+        // it displaces a scratch one instead of being dropped.
+        let pool = std::sync::Arc::new(BufPool::new(2));
+        drop((pool.take_scratch_owned(16), pool.take_scratch_owned(16)));
+        {
+            let mut appender = pool.take_empty_owned();
+            appender.extend_from_slice(&[1; 100]);
+        }
+        assert_eq!(pool.idle_buffers(), 2);
+        assert!(
+            pool.take_empty().capacity() >= 100,
+            "the appender's buffer was dropped"
+        );
+        assert_eq!(pool.take_scratch_owned(0).len(), 16);
     }
 }

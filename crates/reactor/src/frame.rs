@@ -16,15 +16,17 @@
 //! fewer bytes than it was offered means the socket was empty, so the reader
 //! does not `read` again to see `EAGAIN`: it answers [`ReadEvent::NeedMore`],
 //! and once nothing is buffered [`FrameReader::drained`] tells the caller a
-//! read would find nothing. Both are sound only when the caller then re-arms
-//! **level-triggered** read interest (the vendored `polling` poller:
-//! level-triggered oneshot epoll): bytes that arrived after that `read` fire
-//! the poller at once instead of being missed.
+//! read would find nothing. Both are sound for a caller whose poller reports
+//! bytes that arrive after that `read`: an edge-triggered registration does
+//! (the reactor's), and so does re-armed level-triggered interest.
 //!
-//! The read buffer comes from the shared [`BufPool`], taken without a
-//! zero-fill ([`BufPool::take_scratch_owned`]) when a `read` needs one and
-//! given back the moment no unconsumed bytes remain: a connection between
-//! requests holds no buffer. What a read still allocates is the decoded
+//! The read buffer comes from the shared [`BufPool`]'s scratch shelf
+//! ([`BufPool::take_scratch_owned`]) when a `read` needs one, and goes back
+//! the moment no unconsumed bytes remain: a connection between requests
+//! holds no buffer. The shelf keeps each buffer at the length it was given
+//! back with, so the next read is offered a grown buffer whole — no
+//! zero-fill, and a frame over the first chunk costs one `read` once a
+//! buffer of its size exists. What a read still allocates is the decoded
 //! message's own vectors.
 //!
 //! ## Writing
@@ -96,7 +98,7 @@ pub enum ReadEvent {
     /// One complete frame, decoded.
     Frame(Message),
     /// No complete frame yet, and the socket had no more bytes at the last
-    /// `read`; re-arm read interest and call again when readable.
+    /// `read`; call again once the poller reports it readable.
     NeedMore,
     /// Clean EOF at a frame boundary.
     Closed,
@@ -105,7 +107,9 @@ pub enum ReadEvent {
 /// The smallest buffer the reader offers a `read`. A frame up to this size
 /// (a checkout reply of up to ~500 parameters, any checkin but a wide dense
 /// one) costs one call; a larger frame's prefix and head arrive with the
-/// first, and the rest, once the buffer has grown, with the second.
+/// first, and the rest, once the buffer has grown, with the second. The
+/// grown buffer returns to the pool at its length, so later frames of that
+/// size cost one call again.
 const READ_CHUNK: usize = 4096;
 
 /// Incremental reader: turns arbitrarily fragmented socket bytes into frames.
@@ -161,9 +165,9 @@ impl FrameReader {
 
     /// Whether a [`FrameReader::poll_read`] now could only find the socket
     /// empty: the last `read` returned fewer bytes than it was offered and
-    /// nothing is buffered. A caller that re-arms level-triggered read
-    /// interest instead of calling it loses nothing — bytes that arrived
-    /// since fire the poller at once — and saves the `EAGAIN` syscall.
+    /// nothing is buffered. A caller whose poller has reported nothing for
+    /// the socket since that `read` skips the call and saves the `EAGAIN`
+    /// syscall: bytes that arrive later are a new readiness event.
     pub fn drained(&self) -> bool {
         self.short_read && !self.mid_frame()
     }
@@ -366,7 +370,9 @@ mod tests {
     use super::*;
     use crowd_proto::auth::AuthToken;
     use crowd_proto::frame::DEFAULT_MAX_FRAME;
-    use crowd_proto::message::{CheckinAck, CheckoutRequest, CheckoutResponse};
+    use crowd_proto::message::{
+        CheckinAck, CheckinRequest, CheckoutRequest, CheckoutResponse, GradientPayload,
+    };
     use proptest::prelude::*;
 
     fn pool() -> Arc<BufPool> {
@@ -556,6 +562,48 @@ mod tests {
         assert!(stream.reads <= 2, "{} reads", stream.reads);
         // The grown buffer offered more than the frame's rest.
         assert!(reader.drained());
+    }
+
+    /// A masked round checkin of 500 words: a ~4.1 KB frame, just over the
+    /// reader's first chunk.
+    fn masked_checkin() -> Message {
+        Message::CheckinRequest(CheckinRequest {
+            device_id: 3,
+            token: AuthToken::derive(3, 7),
+            checkout_iteration: 5,
+            nonce: 9,
+            round_id: 2,
+            gradient: GradientPayload::Masked {
+                words: (0..500).map(|i| i * 0x9E37_79B9).collect(),
+            },
+            num_samples: 20,
+            error_count: 1,
+            label_counts: vec![2; 10],
+        })
+    }
+
+    #[test]
+    fn a_frame_over_the_first_chunk_costs_one_read_after_the_first() {
+        let pool = pool();
+        let checkin = masked_checkin();
+        let bytes = encode_frames(std::slice::from_ref(&checkin));
+        assert!(bytes.len() > READ_CHUNK, "{} bytes", bytes.len());
+        let mut reader = FrameReader::new(Arc::clone(&pool), DEFAULT_MAX_FRAME);
+        let mut writer = FrameWriter::new(Arc::clone(&pool));
+        for request in 0..4 {
+            let mut stream = Counting::new(bytes.clone());
+            assert_eq!(expect_frame(&mut reader, &mut stream), checkin);
+            // The first frame grows the buffer once its prefix is in; the
+            // grown buffer goes back to the pool and serves the next ones.
+            let reads = if request == 0 { 2 } else { 1 };
+            assert_eq!(stream.reads, reads, "request {request}");
+            assert!(reader.drained());
+            // The reply, encoded on the same pool between two requests as a
+            // reactor does, must not take the grown buffer.
+            writer.enqueue(&sample_messages()[2]);
+            let mut sink = Vec::new();
+            assert_eq!(writer.poll_write(&mut sink).unwrap(), WriteEvent::Flushed);
+        }
     }
 
     #[test]

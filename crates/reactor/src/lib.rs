@@ -6,7 +6,8 @@
 //! `crowd-net` with a classic reactor instead:
 //!
 //! * **one event-loop thread** running a readiness loop over a
-//!   [`polling::Poller`] (oneshot epoll),
+//!   [`polling::Poller`] (edge-triggered epoll: each socket is registered
+//!   once, and no request costs an `epoll_ctl`),
 //! * **per-connection frame state machines** ([`frame::FrameReader`] /
 //!   [`frame::FrameWriter`]) that resume partial reads and writes at any byte
 //!   boundary, reusing `crowd-proto`'s pooled buffers,
@@ -14,8 +15,8 @@
 //!   [`Completer`] that whichever thread learns the reply fires straight at
 //!   the event loop, and
 //! * **backpressure by read throttling**: when the ingest queue is full the
-//!   connection's read interest is simply not re-armed, so the kernel's TCP
-//!   flow control pushes back on the device instead of a Busy-reply storm.
+//!   connection is simply not read, so the kernel's TCP flow control pushes
+//!   back on the device instead of a Busy-reply storm.
 //!
 //! The crate is transport-generic: it serves any [`Service`] that maps a
 //! decoded [`crowd_proto::Message`] to a [`Response`]. `crowd-net` wires it to

@@ -28,21 +28,29 @@
 //! client that never reads its replies is eventually stopped by TCP flow
 //! control rather than unbounded buffering.
 //!
-//! After a reply the connection reads on only if its reader holds buffered
-//! bytes or its last `read` filled the whole buffer it was offered. Otherwise
+//! Every socket is registered with the poller once, edge-triggered: the
+//! listener and each connection with read interest when adopted, and a
+//! connection gains write interest, for good, on the first reply the socket
+//! cannot take whole. Nothing is re-armed, so a request costs one `recv`, one
+//! `send` and no `epoll_ctl`. An edge reports only *new* arrivals, so each
+//! connection keeps a `readable` flag: every readable event sets it, and it
+//! is cleared before a read that starts from an empty read buffer and after
+//! a read that came back short. A connection reads on when the flag is set,
+//! when its reader holds buffered bytes, or when its last `read` filled the
+//! whole buffer it was offered. Otherwise
 //! ([`FrameReader::drained`](crate::frame::FrameReader::drained)) the socket
-//! was empty at that read, and the reactor re-arms read interest instead of
-//! paying a syscall to see `EAGAIN`: the poller is level-triggered, so a
-//! request that arrived in the meantime fires it at once. This holds for the
-//! reply written in the same drive, for one a [`Completer`] posted and for a
-//! parked request's retry; a drive woken by the poller always reads.
+//! was empty at that read and nothing has arrived since, so the reactor skips
+//! the syscall that would only see `EAGAIN`: a request that arrives later is
+//! a new edge, and its event drives the connection. This holds for the reply
+//! written in the same drive, for one a [`Completer`] posted and for a
+//! parked request's retry, whichever of them comes first.
 //!
 //! ## Backpressure by read throttling
 //!
 //! When the service reports [`Response::Throttle`] (ingest queue full), the
-//! connection is *parked*: its read interest is left disarmed — the poller's
-//! oneshot semantics make that the default — and the retry closure is invoked
-//! on subsequent loop iterations until it produces a reply. Parked requests
+//! connection is *parked*: the reactor reads nothing more from it — its
+//! events only set the `readable` flag — and the retry closure is invoked on
+//! subsequent loop iterations until it produces a reply. Parked requests
 //! wait on one admission queue, so a pass over them stops at the first one
 //! still refused. The device is slowed by the kernel's receive window
 //! instead of a Busy-reply storm.
@@ -63,7 +71,7 @@ use crowd_proto::frame::{SharedFrame, DEFAULT_MAX_FRAME};
 use crowd_proto::pool::BufPool;
 use crowd_proto::Message;
 use crowd_telemetry::{CounterId, GaugeId, Registry};
-use polling::{Event, Events, Poller};
+use polling::{Event, Events, PollMode, Poller};
 use std::cell::Cell;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -92,8 +100,8 @@ pub enum Response {
     /// The connection reads no further request until then.
     Deferred,
     /// The service cannot accept the request right now (e.g. ingest queue
-    /// full). The reactor parks the connection — reads stay disarmed — and
-    /// polls `retry` until it yields a response.
+    /// full). The reactor parks the connection — it reads no further
+    /// request — and polls `retry` until it yields a response.
     Throttle {
         /// The service's pacing hint: parked connections are re-probed in
         /// park order on every loop iteration, until the first refusal, and
@@ -418,10 +426,10 @@ impl Drop for Reactor {
 enum Mode {
     /// Reading requests.
     Idle,
-    /// A request's reply is deferred; reads stay disarmed until it arrives.
+    /// A request's reply is deferred; nothing is read until it arrives.
     Awaiting,
-    /// Backpressure: reads disarmed, retry hook polled each iteration and at
-    /// least every `retry_after_ms`.
+    /// Backpressure: nothing is read, the retry hook is polled each iteration
+    /// and at least every `retry_after_ms`.
     Parked { retry: RetryFn, retry_after_ms: u32 },
 }
 
@@ -436,6 +444,13 @@ struct Conn {
     /// A request frame is partially read: the next completed frame counts as
     /// a resume (`frame_resumes`).
     mid_frame: bool,
+    /// Bytes (or EOF) may have arrived since the last read that found the
+    /// socket empty: set by every readable event, cleared before a read that
+    /// starts from an empty read buffer and after one that ends short.
+    readable: bool,
+    /// Whether the registration carries write interest. It is added on the
+    /// first reply the socket cannot take whole, and kept.
+    write_armed: bool,
 }
 
 enum Slot {
@@ -537,6 +552,8 @@ struct EventLoop {
     poller: Arc<Poller>,
     /// Closed when the loop is dropped, which also unregisters it.
     listener: TcpListener,
+    /// Whether the listener's registration carries read interest and no
+    /// accept error has been left behind since; `sync_listener` restores it.
     listener_armed: bool,
     /// Cloned into every [`Completer`]; keeping one here also keeps
     /// `done_rx` connected for the loop's whole life.
@@ -555,7 +572,11 @@ impl EventLoop {
     fn run(mut self) {
         self.listener_armed = self
             .poller
-            .add(&self.listener, Event::readable(LISTENER_KEY))
+            .add_with_mode(
+                &self.listener,
+                Event::readable(LISTENER_KEY),
+                PollMode::Edge,
+            )
             .is_ok();
         let mut events = Events::new();
         loop {
@@ -571,9 +592,13 @@ impl EventLoop {
             for event in events.iter() {
                 if event.key == LISTENER_KEY {
                     self.accept_burst();
-                } else {
-                    self.drive(event.key - 1, true);
+                    continue;
                 }
+                let idx = event.key - 1;
+                if let Some(conn) = self.slab.get_mut(idx) {
+                    conn.readable |= event.readable;
+                }
+                self.drive(idx);
             }
             self.retry_parked();
         }
@@ -599,25 +624,34 @@ impl EventLoop {
         }
     }
 
-    /// Arms or disarms the listener to match the accepting flag. Also the
-    /// re-arm point after an accept error left the listener disarmed.
+    /// Gives the listener read interest or takes it away, to match the
+    /// accepting flag. Also the retry point after an accept error: the
+    /// `EPOLL_CTL_MOD` re-checks readiness, so connections still waiting in
+    /// the backlog are reported by the next wait although no new edge came.
     fn sync_listener(&mut self) {
         let accepting = self.shared.accepting.load(Ordering::Acquire);
         if accepting && !self.listener_armed {
             self.listener_armed = self
                 .poller
-                .modify(&self.listener, Event::readable(LISTENER_KEY))
+                .modify_with_mode(
+                    &self.listener,
+                    Event::readable(LISTENER_KEY),
+                    PollMode::Edge,
+                )
                 .is_ok();
         } else if !accepting && self.listener_armed {
-            let _ = self
-                .poller
-                .modify(&self.listener, Event::none(LISTENER_KEY));
+            let _ = self.poller.modify_with_mode(
+                &self.listener,
+                Event::none(LISTENER_KEY),
+                PollMode::Edge,
+            );
             self.listener_armed = false;
         }
     }
 
+    /// Accepts until the backlog is empty: the listener is edge-triggered,
+    /// so connections left waiting would not be reported again.
     fn accept_burst(&mut self) {
-        self.listener_armed = false;
         if !self.shared.accepting.load(Ordering::Acquire) {
             return;
         }
@@ -632,16 +666,16 @@ impl EventLoop {
                     }
                     self.adopt(stream);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => {
-                    // Out of descriptors or a transient accept failure: leave
-                    // the listener disarmed for this tick so the loop does
-                    // not spin; `sync_listener` re-arms it next iteration.
+                    // Out of descriptors or a transient accept failure: stop
+                    // for this tick so the loop does not spin, and have
+                    // `sync_listener` re-check the backlog next iteration.
+                    self.listener_armed = false;
                     return;
                 }
             }
         }
-        self.sync_listener();
     }
 
     fn adopt(&mut self, stream: TcpStream) {
@@ -657,6 +691,8 @@ impl EventLoop {
             mode: Mode::Idle,
             counted_unflushed: false,
             mid_frame: false,
+            readable: false,
+            write_armed: false,
         };
         let idx = self.slab.insert(conn);
         let generation = self.slab.generation(idx).unwrap_or(0);
@@ -670,7 +706,11 @@ impl EventLoop {
                 Some(conn) => conn,
                 None => return,
             };
-            self.poller.add(&conn.stream, Event::readable(key)).is_ok()
+            // Registered once, for good: a request that arrived before the
+            // registration is reported by the first wait.
+            self.poller
+                .add_with_mode(&conn.stream, Event::readable(key), PollMode::Edge)
+                .is_ok()
         };
         if !registered {
             self.close(idx);
@@ -696,7 +736,7 @@ impl EventLoop {
                 conn.writer.enqueue(&reply);
                 conn.mode = Mode::Idle;
             }
-            self.drive(done.conn, false);
+            self.drive(done.conn);
         }
     }
 
@@ -734,7 +774,7 @@ impl EventLoop {
             };
             self.unpark(idx);
             self.apply_response(idx, response, deferred);
-            self.drive(idx, false);
+            self.drive(idx);
         }
     }
 
@@ -787,19 +827,18 @@ impl EventLoop {
     }
 
     /// Pumps one connection: flush queued replies, then (if idle) read and
-    /// handle requests, then arm the poller for whatever it still waits on.
-    /// `woken` is whether the poller reported the connection ready; only then
-    /// is a read certain to be worth its syscall.
-    fn drive(&mut self, idx: usize, woken: bool) {
-        let outcome = self.drive_inner(idx, woken);
+    /// handle requests. Nothing is re-armed: the connection's registration
+    /// reports every arrival, and `Conn::readable` remembers one that no read
+    /// has consumed yet.
+    fn drive(&mut self, idx: usize) {
+        let outcome = self.drive_inner(idx);
         match outcome {
             DriveOutcome::Keep => self.account_unflushed(idx),
             DriveOutcome::Close => self.close(idx),
         }
     }
 
-    fn drive_inner(&mut self, idx: usize, woken: bool) -> DriveOutcome {
-        let mut must_read = woken;
+    fn drive_inner(&mut self, idx: usize) -> DriveOutcome {
         loop {
             // Phase 1: drain the write queue.
             {
@@ -810,8 +849,19 @@ impl EventLoop {
                     match conn.writer.poll_write(&mut conn.stream) {
                         Ok(WriteEvent::Flushed) => {}
                         Ok(WriteEvent::NeedMore) => {
-                            let key = idx + 1;
-                            let _ = self.poller.modify(&conn.stream, Event::writable(key));
+                            if !conn.write_armed {
+                                // The modify re-checks readiness: space freed
+                                // since the write fires the next wait.
+                                let all = Event::all(idx + 1);
+                                if self
+                                    .poller
+                                    .modify_with_mode(&conn.stream, all, PollMode::Edge)
+                                    .is_err()
+                                {
+                                    return DriveOutcome::Close;
+                                }
+                                conn.write_armed = true;
+                            }
                             return DriveOutcome::Keep;
                         }
                         Err(_) => return DriveOutcome::Close,
@@ -825,18 +875,22 @@ impl EventLoop {
                     return DriveOutcome::Keep;
                 };
                 if !matches!(conn.mode, Mode::Idle) {
-                    // Awaiting or parked: stay disarmed until completion.
+                    // Awaiting or parked: read nothing until it resolves.
                     return DriveOutcome::Keep;
                 }
-                if !must_read && conn.reader.drained() {
-                    // The last read found the socket empty and nothing is
-                    // buffered, so a read now would only return EAGAIN. The
-                    // poller is level-triggered: bytes that arrived since
-                    // fire the re-armed interest at once.
-                    let _ = self.poller.modify(&conn.stream, Event::readable(idx + 1));
+                if !conn.readable && conn.reader.drained() {
+                    // The last read found the socket empty, nothing is
+                    // buffered and no event has come since: a read now would
+                    // only return EAGAIN. Bytes that arrive later are a new
+                    // edge, and their event drives the connection.
                     return DriveOutcome::Keep;
                 }
-                must_read = false;
+                if !conn.reader.mid_frame() {
+                    // This call reads, and an arrival after the read is a new
+                    // edge. With bytes buffered it might return a frame
+                    // without reading, so the flag stays.
+                    conn.readable = false;
+                }
                 match conn.reader.poll_read(&mut conn.stream) {
                     Ok(ReadEvent::Frame(message)) => {
                         if conn.mid_frame {
@@ -847,9 +901,10 @@ impl EventLoop {
                         (response, ctx.deferred.get())
                     }
                     Ok(ReadEvent::NeedMore) => {
+                        // The call's last read came back short or
+                        // `WouldBlock`: anything later is a new edge.
                         conn.mid_frame = conn.reader.mid_frame();
-                        let key = idx + 1;
-                        let _ = self.poller.modify(&conn.stream, Event::readable(key));
+                        conn.readable = false;
                         return DriveOutcome::Keep;
                     }
                     Ok(ReadEvent::Closed) => return DriveOutcome::Close,
@@ -1248,9 +1303,9 @@ mod tests {
 
     #[test]
     fn a_request_sent_while_the_reply_is_deferred_is_read_after_completion() {
-        // The deferred request's read left the reader drained, so the
-        // completion re-arms read interest instead of reading: the request
-        // already waiting in the socket must still fire the poller.
+        // The deferred request's read left the reader drained, so only the
+        // event for the request that arrived meanwhile makes the completion
+        // read: that event must not be lost while the reply is deferred.
         let (service, stash) = defer_ping_7();
         let reactor = start(service);
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
@@ -1287,8 +1342,8 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         let (completer, message) = stash.lock().unwrap().pop().unwrap();
         completer.complete(message);
-        // The reply still goes out; the EOF behind it is seen next, through
-        // the re-armed read interest, and closes the connection.
+        // The reply still goes out; the EOF behind it, reported while the
+        // reply was deferred, is read next and closes the connection.
         assert_eq!(read_message(&mut stream).unwrap(), ping(7));
         let mut probe = [0u8; 1];
         assert_eq!(std::io::Read::read(&mut stream, &mut probe).unwrap(), 0);
@@ -1356,6 +1411,63 @@ mod tests {
         reactor.stop();
         even_helper.join().unwrap();
         odd_helper.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_larger_than_the_socket_buffers_reaches_a_late_reader() {
+        // ~12 MB: more than the send and receive buffers of a peer that is
+        // not reading can hold, so the writer stops on `NeedMore` and the
+        // rest goes out on write readiness, which the reactor registers then.
+        fn big(n: u64) -> Message {
+            Message::CheckoutResponse(crowd_proto::message::CheckoutResponse {
+                iteration: n,
+                params: vec![0.25; 1_500_000],
+                stopped: false,
+                round: None,
+            })
+        }
+        let service: Arc<dyn Service> = Arc::new(|message: Message, _: &Ctx<'_>| match message {
+            Message::CheckinAck(ack) => Response::Now(big(ack.iteration)),
+            other => Response::Now(other),
+        });
+        let reactor = start(service);
+        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        for i in 0..2 {
+            write_message(&mut stream, &ping(i)).unwrap();
+            // Not reading yet: the reply must back up unflushed.
+            eventually("the reply to fill the socket buffers", || !reactor.drain(0));
+            thread::sleep(Duration::from_millis(20));
+            assert_eq!(read_message(&mut stream).unwrap(), big(i));
+            assert!(reactor.drain(2000));
+        }
+        reactor.stop();
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_segment_are_all_answered_in_order() {
+        // One `write` carries several frames: the first read takes them all,
+        // and the ones behind the first must be served from the buffer with
+        // no further event to announce them.
+        let reactor = start(echo_service());
+        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        for round in 0..20u64 {
+            let ids: Vec<u64> = (0..5).map(|i| round * 10 + i).collect();
+            let mut segment = Vec::new();
+            for &id in &ids {
+                write_message(&mut segment, &ping(id)).unwrap();
+            }
+            stream.write_all(&segment).unwrap();
+            for &id in &ids {
+                assert_eq!(read_message(&mut stream).unwrap(), ping(id));
+            }
+        }
+        reactor.stop();
     }
 
     #[test]

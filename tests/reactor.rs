@@ -6,9 +6,9 @@
 //! persistent connection for its whole checkout+checkin lifetime — from one
 //! lockstep `FleetDriver` thread, requires every exchange to complete, and
 //! then reads the loaded server's telemetry over the wire. The second drives
-//! a fleet into a 2-deep ingest queue on a durable server, whose `crowd-agg`
-//! thread snapshots under the core lock after every epoch, so checkins queue
-//! behind it and connections park; backpressure must lose no checkin.
+//! a fleet into a 2-deep ingest queue on a durable server while monitor
+//! threads keep reading the server's state under the core lock, so checkins
+//! queue behind them and connections park; backpressure must lose no checkin.
 //! Correctness under faults is `tests/chaos.rs`; bitwise recovery over TCP is
 //! `tests/durability.rs`.
 
@@ -16,6 +16,7 @@ use crowd_ml::learning::MulticlassLogistic;
 use crowd_ml::net::{DeviceClient, FleetConfig, FleetDriver, ReactorServer};
 use crowd_ml::proto::auth::{AuthToken, TokenRegistry};
 use crowd_ml::store::testutil::temp_dir;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Watchdog wrapper: these tests drive real sockets, so a regression that
@@ -110,9 +111,13 @@ fn fleet_survives_backpressure_without_losing_checkins() {
     under_watchdog(Duration::from_secs(120), || {
         // 64 concurrent devices against a 2-deep ingest queue: the server
         // throttles reads instead of dropping work, so every checkin still
-        // gets an answer and every accepted one is applied exactly once. A
-        // snapshot after every epoch holds the core lock long enough for the
-        // queue to fill and connections to park.
+        // gets an answer and every accepted one is applied exactly once.
+        // The contention that fills the queue is the test's own, not load
+        // borrowed from a neighbouring test: two monitors poll the server's
+        // iteration throughout, and every poll takes the core lock an inline
+        // checkin needs, so checkins queue behind them and connections park.
+        // An fsync'd snapshot after every epoch, under the same lock, adds
+        // milliseconds of it on a real disk.
         let devices = 64usize;
         let model = MulticlassLogistic::new(4, 3).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(devices as u64, 99);
@@ -120,7 +125,8 @@ fn fleet_survives_backpressure_without_losing_checkins() {
         let config = crowd_ml::core::config::ServerConfig::new()
             .with_queue_bound(2)
             .with_data_dir(&dir)
-            .with_snapshot_every(1);
+            .with_snapshot_every(1)
+            .with_fsync(true);
         let handle = ReactorServer::start(model, config, tokens).unwrap();
         let config = FleetConfig {
             devices,
@@ -130,7 +136,19 @@ fn fleet_survives_backpressure_without_losing_checkins() {
             auth_secret: 99,
             max_open: devices,
         };
-        let report = FleetDriver::run(handle.addr(), config).unwrap();
+        let fleet_done = AtomicBool::new(false);
+        let report = std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while !fleet_done.load(Ordering::Relaxed) {
+                        std::hint::black_box(handle.iteration());
+                    }
+                });
+            }
+            let report = FleetDriver::run(handle.addr(), config);
+            fleet_done.store(true, Ordering::Relaxed);
+            report.unwrap()
+        });
         assert!(report.clean(), "{report:?}");
         assert_eq!(report.acked + report.rejected, 4 * devices as u64);
         assert_eq!(handle.runtime_stats().get("checkins_applied"), report.acked);
