@@ -192,10 +192,7 @@ impl Device {
         // noise the rule can never hold, so max|g| is not even folded.
         let noise_scale = sanitizer.gradient_noise_scale();
         let quantize = noise_scale > 0.0 && {
-            let max_abs = sanitized
-                .gradient
-                .iter()
-                .fold(0.0_f64, |m, &v| m.max(v.abs()));
+            let (max_abs, _) = crowd_linalg::kernels::max_abs(sanitized.gradient.as_slice());
             let quant_step = max_abs / f64::from(crowd_linalg::quant::QMAX);
             crowd_learning::dp::noise_dominates_quantization(noise_scale, quant_step)
         };

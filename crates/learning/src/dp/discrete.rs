@@ -18,13 +18,25 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiscreteLaplaceMechanism {
     epsilon: Epsilon,
+    /// `p = exp(−ε/2)`, computed once: every draw needs it.
+    p: f64,
+    /// `ln p`, the divisor of every geometric inversion.
+    ln_p: f64,
 }
 
 impl DiscreteLaplaceMechanism {
     /// Creates a mechanism at privacy level `epsilon` for counters whose
     /// per-sample sensitivity is 1 (the case in the paper).
     pub fn new(epsilon: Epsilon) -> Self {
-        DiscreteLaplaceMechanism { epsilon }
+        let p = match epsilon {
+            Epsilon::NonPrivate => 0.0,
+            Epsilon::Finite(eps) => (-eps / 2.0).exp(),
+        };
+        DiscreteLaplaceMechanism {
+            epsilon,
+            p,
+            ln_p: p.ln(),
+        }
     }
 
     /// The privacy level of the mechanism.
@@ -34,10 +46,7 @@ impl DiscreteLaplaceMechanism {
 
     /// The geometric parameter `p = exp(−ε/2)`; zero in the non-private limit.
     pub fn p(&self) -> f64 {
-        match self.epsilon {
-            Epsilon::NonPrivate => 0.0,
-            Epsilon::Finite(eps) => (-eps / 2.0).exp(),
-        }
+        self.p
     }
 
     /// Variance of the added noise: `2p / (1 − p)²`.
@@ -55,12 +64,11 @@ impl DiscreteLaplaceMechanism {
     /// The two-sided geometric distribution is the difference of two independent
     /// geometric variables with success probability `1 − p`.
     pub fn sample_noise<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
-        let p = self.p();
-        if p == 0.0 {
+        if self.p == 0.0 {
             return 0;
         }
-        let g1 = sample_geometric(rng, p);
-        let g2 = sample_geometric(rng, p);
+        let g1 = geometric_by_inversion(rng, self.ln_p);
+        let g2 = geometric_by_inversion(rng, self.ln_p);
         g1 - g2
     }
 
@@ -71,21 +79,29 @@ impl DiscreteLaplaceMechanism {
 }
 
 /// Samples from the geometric distribution on `{0, 1, 2, …}` with
-/// `P(k) = (1 − p)·p^k` using inversion.
-fn sample_geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> i64 {
-    debug_assert!((0.0..1.0).contains(&p));
-    if p == 0.0 {
-        return 0;
-    }
+/// `P(k) = (1 − p)·p^k`, `0 < p < 1`, using inversion. Takes `ln p`, which
+/// the mechanism computes once.
+fn geometric_by_inversion<R: Rng + ?Sized>(rng: &mut R, ln_p: f64) -> i64 {
+    debug_assert!(ln_p < 0.0 && ln_p.is_finite());
     // Inversion: k = floor(ln(u) / ln(p)) for u uniform in (0, 1).
     let u: f64 = 1.0 - rng.gen::<f64>(); // in (0, 1]
-    let k = (u.ln() / p.ln()).floor();
+    let k = (u.ln() / ln_p).floor();
     // Guard against pathological floating point results.
     if k.is_finite() && k >= 0.0 {
         k as i64
     } else {
         0
     }
+}
+
+/// [`geometric_by_inversion`] from `p` itself, with `p = 0` drawing nothing.
+#[cfg(test)]
+fn sample_geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> i64 {
+    debug_assert!((0.0..1.0).contains(&p));
+    if p == 0.0 {
+        return 0;
+    }
+    geometric_by_inversion(rng, p.ln())
 }
 
 /// Validates a finite ε intended for counter perturbation. Provided for callers

@@ -13,7 +13,8 @@
 //! only the reductions (`dot`, `sum_sq`, `sum_abs`) differ from a
 //! left-to-right fold — by design, and identically on every run. A WAL
 //! written by an older binary is replayed through these reductions, so the
-//! bracketing is pinned by `reduction_bits_are_frozen` below.
+//! bracketing is pinned by `reduction_bits_are_frozen` below. `max_abs`
+//! folds four lanes too, but `max` is exact, so it equals the serial fold.
 
 /// Dot product `a · b` over equal-length slices, four-lane unrolled.
 ///
@@ -72,6 +73,34 @@ pub fn sum_abs(a: &[f64]) -> f64 {
         tail += x.abs();
     }
     ((s0 + s1) + (s2 + s3)) + tail
+}
+
+/// Largest absolute value `max |aᵢ|` (0 for an empty slice), four-lane
+/// unrolled, and whether every element is finite.
+///
+/// Bitwise identical to the serial fold
+/// `a.iter().fold(0.0, |m, v| m.max(v.abs()))`: `max` rounds nothing, every
+/// `|aᵢ|` and the `+0.0` start are non-negative with a positive zero, and
+/// `f64::max` skips a NaN operand, so no lane split can change the result.
+/// A NaN never wins the max; it only clears the flag.
+#[inline]
+pub fn max_abs(a: &[f64]) -> (f64, bool) {
+    let mut chunks = a.chunks_exact(4);
+    let (mut m0, mut m1, mut m2, mut m3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut finite = true;
+    for c in &mut chunks {
+        m0 = m0.max(c[0].abs());
+        m1 = m1.max(c[1].abs());
+        m2 = m2.max(c[2].abs());
+        m3 = m3.max(c[3].abs());
+        finite &= c[0].is_finite() & c[1].is_finite() & c[2].is_finite() & c[3].is_finite();
+    }
+    let mut tail = 0.0f64;
+    for x in chunks.remainder() {
+        tail = tail.max(x.abs());
+        finite &= x.is_finite();
+    }
+    (m0.max(m1).max(m2.max(m3)).max(tail), finite)
 }
 
 /// In-place `y += alpha * x`, unrolled. Bitwise identical to the naive loop.
@@ -139,6 +168,7 @@ pub fn scatter_add(indices: &[u32], values: &[f64], out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn seq(n: usize, f: impl Fn(usize) -> f64) -> Vec<f64> {
         (0..n).map(f).collect()
@@ -222,6 +252,37 @@ mod tests {
                 *nv *= 1.7;
             }
             assert_eq!(y, naive, "scale n={n}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `max_abs` equals the serial `f64::max` fold bit for bit, and its
+        /// flag equals `all(is_finite)`, on inputs mixing ±0, subnormals,
+        /// ±inf and NaN into ordinary values.
+        #[test]
+        fn max_abs_is_bitwise_the_serial_fold(
+            picks in prop::collection::vec((0u64..24, any::<f64>()), 0..40),
+        ) {
+            let special = [
+                0.0,
+                -0.0,
+                f64::from_bits(1),
+                -f64::MIN_POSITIVE / 3.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                -f64::NAN,
+            ];
+            let a: Vec<f64> = picks
+                .iter()
+                .map(|&(k, v)| special.get(k as usize).copied().unwrap_or(v))
+                .collect();
+            let serial = a.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let (got, finite) = max_abs(&a);
+            prop_assert_eq!(got.to_bits(), serial.to_bits());
+            prop_assert_eq!(finite, a.iter().all(|v| v.is_finite()));
         }
     }
 

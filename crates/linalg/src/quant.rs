@@ -20,6 +20,7 @@
 //! coordinate, identical on every run and every platform.
 
 use crate::error::LinalgError;
+use crate::kernels;
 use crate::vector::Vector;
 use crate::Result;
 use rand::Rng;
@@ -42,15 +43,12 @@ impl QuantizedVector {
     /// Errors on non-finite input — callers quantize only sanitized, finite
     /// gradients.
     pub fn quantize_stochastic<R: Rng + ?Sized>(dense: &[f64], rng: &mut R) -> Result<Self> {
-        let mut max_abs = 0.0f64;
-        for &v in dense {
-            if !v.is_finite() {
-                return Err(LinalgError::invalid(
-                    "quantize",
-                    "non-finite coordinate cannot be quantized",
-                ));
-            }
-            max_abs = max_abs.max(v.abs());
+        let (max_abs, finite) = kernels::max_abs(dense);
+        if !finite {
+            return Err(LinalgError::invalid(
+                "quantize",
+                "non-finite coordinate cannot be quantized",
+            ));
         }
         let scale = max_abs / f64::from(QMAX);
         let mut levels = Vec::with_capacity(dense.len());
