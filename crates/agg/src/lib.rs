@@ -29,6 +29,8 @@
 
 mod dedup;
 mod epoch;
+#[cfg(test)]
+mod epoch_reference;
 mod queue;
 mod reply;
 pub mod runtime;

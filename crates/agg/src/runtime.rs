@@ -1183,7 +1183,7 @@ fn ingest<M: Model>(inner: &Inner<M>, core: &mut Core<M>, job: Job) {
         reply: job.reply,
         submitted: job.submitted,
     };
-    let pending = match core.epoch.ingest(&job.payload, waiter) {
+    let pending = match core.epoch.ingest(job.payload, waiter) {
         Ok(pending) => pending,
         // Unreachable for payloads that passed submit-time validation; fail
         // the one checkin, not the thread. The nonce is released rather than
@@ -1475,7 +1475,8 @@ fn checkpoint<M: Model>(inner: &Inner<M>, durable: &Durable, core: &Server<M>, s
 /// iteration per checkin (a singleton [`EpochAggregate`] is exactly
 /// `Server::checkin`). Returns the outcome the checkin is answered with.
 fn apply_singleton<M: Model>(inner: &Inner<M>, core: &mut Server<M>, job: Job) -> CheckinReceipt {
-    let epoch = EpochAggregate::from_payload(&job.payload);
+    let (device_id, nonce) = (job.payload.device_id, job.payload.nonce);
+    let epoch = EpochAggregate::from(job.payload);
     let mut stage = lock_stage(inner, core);
     let (outcome, applied) = apply_epoch(inner, core, stage.as_deref_mut(), &epoch);
     // The apply advanced the iteration clock; settle any now-due round before
@@ -1487,8 +1488,8 @@ fn apply_singleton<M: Model>(inner: &Inner<M>, core: &mut Server<M>, job: Job) -
         reply: job.reply,
         outcome,
         submitted: Some(job.submitted),
-        device_id: job.payload.device_id,
-        nonce: job.payload.nonce,
+        device_id,
+        nonce,
     };
     settle_epoch(inner, stage, applied, 1, std::iter::once(ack));
     outcome

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_data::Sample;
-use crowd_learning::model::{minibatch_statistics, Model};
+use crowd_learning::model::{minibatch_statistics, GradientSink, Model};
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::ops::normalize_l1;
 use crowd_linalg::random::normal_vector;
@@ -73,7 +73,7 @@ fn bench_gradients(c: &mut Criterion) {
                         black_box(&w),
                         black_box(&sample.features),
                         sample.label,
-                        Some(&mut grad_sum),
+                        Some(&mut GradientSink::add_to(grad_sum.as_mut_slice())),
                     )
                     .unwrap(),
             )

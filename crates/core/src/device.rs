@@ -189,7 +189,8 @@ impl Device {
         // provably below the noise already injected. Otherwise ship the
         // lossless encoding (sparse when the measured density makes it
         // smaller on the wire; noised gradients are always dense). Without
-        // noise the rule can never hold, so max|g| is not even folded.
+        // noise the rule can never hold, so max|g| is not even folded, and
+        // the gradient is the one `minibatch_statistics` counted.
         let noise_scale = sanitizer.gradient_noise_scale();
         let quantize = noise_scale > 0.0 && {
             let (max_abs, _) = crowd_linalg::kernels::max_abs(sanitized.gradient.as_slice());
@@ -201,6 +202,8 @@ impl Device {
                 QuantizedVector::quantize_stochastic(sanitized.gradient.as_slice(), rng)
                     .map_err(|e| CoreError::Protocol(e.to_string()))?,
             )
+        } else if noise_scale == 0.0 {
+            GradientUpdate::from_dense_counted(sanitized.gradient, stats.nonzero)
         } else {
             GradientUpdate::from_dense_auto(sanitized.gradient)
         };

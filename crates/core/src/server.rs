@@ -85,8 +85,16 @@ impl EpochAggregate {
     /// The aggregate of a single checkin; applying it is equivalent to the
     /// classic [`Server::checkin`].
     pub fn from_payload(payload: &CheckinPayload) -> Self {
+        Self::from(payload.clone())
+    }
+}
+
+impl From<CheckinPayload> for EpochAggregate {
+    /// [`EpochAggregate::from_payload`] on an owned payload, which moves the
+    /// dense gradient and the label counts instead of copying them.
+    fn from(payload: CheckinPayload) -> Self {
         EpochAggregate {
-            gradient_sum: payload.gradient.to_dense(),
+            gradient_sum: payload.gradient.into_dense(),
             checkin_count: 1,
             min_checkout_iteration: payload.checkout_iteration,
             device_stats: vec![DeviceEpochStats {
@@ -94,7 +102,7 @@ impl EpochAggregate {
                 checkins: 1,
                 samples: payload.num_samples as u64,
                 errors: payload.error_count,
-                label_counts: payload.label_counts.clone(),
+                label_counts: payload.label_counts,
             }],
         }
     }
@@ -278,9 +286,34 @@ pub struct Server<M: Model> {
     last_round: BTreeMap<u64, (u64, u64)>,
 }
 
-/// Ledger key for a device (the accountant tracks entities by string).
-fn budget_entity(device_id: u64) -> String {
-    device_id.to_string()
+/// Ledger key for a device (the accountant tracks entities by string): the
+/// id in decimal, formatted on the stack, so charging or checking a device
+/// allocates nothing.
+struct BudgetEntity {
+    digits: [u8; 20],
+    start: usize,
+}
+
+impl BudgetEntity {
+    fn new(device_id: u64) -> Self {
+        let mut key = BudgetEntity {
+            digits: [0; 20],
+            start: 20,
+        };
+        let mut rest = device_id;
+        loop {
+            key.start -= 1;
+            key.digits[key.start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                return key;
+            }
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[self.start..]).unwrap_or_default()
+    }
 }
 
 impl<M: Model> Server<M> {
@@ -361,7 +394,7 @@ impl<M: Model> Server<M> {
 
     /// Total ε spent so far by `device_id` (zero if never charged).
     pub fn budget_spent(&self, device_id: u64) -> f64 {
-        self.accountant.spent(&budget_entity(device_id))
+        self.accountant.spent(BudgetEntity::new(device_id).as_str())
     }
 
     /// `true` when the device has reached its ε ceiling and must not be
@@ -671,7 +704,7 @@ impl<M: Model> Server<M> {
             state
                 .budget_ledger
                 .into_iter()
-                .map(|(id, spent)| (budget_entity(id), spent)),
+                .map(|(id, spent)| (BudgetEntity::new(id).as_str().to_owned(), spent)),
         )?;
         Ok(server)
     }
@@ -817,7 +850,8 @@ impl<M: Model> Server<M> {
         // server the device has already spent the privacy budget, so the
         // ledger must count it even when the gradient is not applied.
         for (device_id, cost) in self.epoch_charges(epoch) {
-            self.accountant.record(&budget_entity(device_id), cost)?;
+            self.accountant
+                .record(BudgetEntity::new(device_id).as_str(), cost)?;
         }
 
         if self.stopped() {
@@ -875,6 +909,26 @@ mod tests {
     fn server() -> Server<MulticlassLogistic> {
         let model = MulticlassLogistic::new(2, 3).unwrap();
         Server::new(model, ServerConfig::new().with_rate_constant(1.0)).unwrap()
+    }
+
+    /// The ledger keys (and so their order and the snapshot bytes) are the
+    /// ids' `to_string`, as before the keys were formatted on the stack.
+    #[test]
+    fn budget_entity_is_the_decimal_id() {
+        for id in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            u64::MAX / 10,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(BudgetEntity::new(id).as_str(), id.to_string());
+        }
     }
 
     #[test]

@@ -369,9 +369,9 @@ impl<'a, M: Model> Model for ModelRef<'a, M> {
         params: &Vector,
         x: &Vector,
         y: usize,
-        grad_sum: Option<&mut Vector>,
+        grad: Option<&mut crowd_learning::model::GradientSink<'_>>,
     ) -> crowd_learning::Result<crowd_learning::model::SampleEval> {
-        self.inner.evaluate_accumulate(params, x, y, grad_sum)
+        self.inner.evaluate_accumulate(params, x, y, grad)
     }
 }
 

@@ -134,7 +134,7 @@ impl BudgetAccountant {
                 total: self.ceiling,
             });
         }
-        *self.spent.entry(entity.to_string()).or_insert(0.0) += cost;
+        self.add(entity, cost);
         Ok(())
     }
 
@@ -149,12 +149,27 @@ impl BudgetAccountant {
         if cost < 0.0 || !cost.is_finite() {
             return Err(LearningError::InvalidEpsilon(cost));
         }
-        let spent = self.spent.entry(entity.to_string()).or_insert(0.0);
-        *spent += cost;
+        let spent = self.add(entity, cost);
         // Slack scaled to the ceiling: a tiny ceiling must not read as already
         // exhausted before anything was spent.
         let slack = 1e-12 * self.ceiling.abs().min(1.0);
-        Ok(*spent >= self.ceiling - slack)
+        Ok(spent >= self.ceiling - slack)
+    }
+
+    /// Adds `cost` to `entity`'s spend (from `0.0` for a new entity) and
+    /// returns the new total. The key is copied only when the entity is new.
+    fn add(&mut self, entity: &str, cost: f64) -> f64 {
+        match self.spent.get_mut(entity) {
+            Some(spent) => {
+                *spent += cost;
+                *spent
+            }
+            None => {
+                let spent = 0.0 + cost;
+                self.spent.insert(entity.to_owned(), spent);
+                spent
+            }
+        }
     }
 
     /// Rebuilds the ledger from persisted `(entity, spent)` pairs, replacing any

@@ -11,7 +11,7 @@
 //! which is what [`crate::dp::sensitivity::averaged_logistic_gradient`] encodes.
 
 use crate::error::LearningError;
-use crate::model::{check_grad_len, Model, SampleEval};
+use crate::model::{check_grad_len, GradientSink, Model, SampleEval};
 use crate::Result;
 use crowd_linalg::ops::{log_sum_exp, sigmoid, softmax, softmax_in_place};
 use crowd_linalg::Vector;
@@ -93,9 +93,10 @@ impl Model for MulticlassLogistic {
         self.validate(x, y)?;
         let mut scores = self.scores(params, x)?;
         softmax_in_place(&mut scores);
-        check_grad_len(out, self.param_dim())?;
+        check_grad_len(out.len(), self.param_dim())?;
         out.set_zero();
-        self.scatter_gradient(&scores, x, y, out);
+        scores[y] -= 1.0;
+        GradientSink::add_to(out.as_mut_slice()).add_rows(&scores, x.as_slice());
         Ok(())
     }
 
@@ -104,7 +105,7 @@ impl Model for MulticlassLogistic {
         params: &Vector,
         x: &Vector,
         y: usize,
-        grad_sum: Option<&mut Vector>,
+        grad: Option<&mut GradientSink<'_>>,
     ) -> Result<SampleEval> {
         self.validate(x, y)?;
         let mut stack = [0.0; STACK_CLASSES];
@@ -138,12 +139,14 @@ impl Model for MulticlassLogistic {
         // max is ±inf/NaN; the softmax loop above still runs in that case,
         // exactly as `softmax_in_place` would.
         let lse = if max.is_finite() { max + sum.ln() } else { max };
-        if let Some(grad_sum) = grad_sum {
-            check_grad_len(grad_sum, self.param_dim())?;
+        if let Some(grad) = grad {
+            check_grad_len(grad.dim(), self.param_dim())?;
+            // The posteriors, then `P − e_y`: a row per class.
             for s in scores.iter_mut() {
                 *s /= sum;
             }
-            self.scatter_gradient(scores, x, y, grad_sum);
+            scores[y] -= 1.0;
+            grad.add_rows(scores, x.as_slice());
         }
         Ok(SampleEval {
             predicted,
@@ -167,22 +170,6 @@ impl MulticlassLogistic {
             *s = crowd_linalg::kernels::dot(&ps[k * d..(k + 1) * d], xs);
         }
         Ok(())
-    }
-
-    /// Adds `∇_w l = x ⊗ (P − e_y)` into `grad` given the posteriors.
-    fn scatter_gradient(&self, posteriors: &[f64], x: &Vector, y: usize, grad: &mut Vector) {
-        let d = self.input_dim;
-        let grad = grad.as_mut_slice();
-        for (k, &p) in posteriors.iter().enumerate() {
-            let coeff = p - if k == y { 1.0 } else { 0.0 };
-            if coeff == 0.0 {
-                continue;
-            }
-            let row = &mut grad[k * d..(k + 1) * d];
-            for (g, &v) in row.iter_mut().zip(x.as_slice().iter()) {
-                *g += coeff * v;
-            }
-        }
     }
 }
 
@@ -258,7 +245,7 @@ impl Model for BinaryLogistic {
 
     fn gradient_into(&self, params: &Vector, x: &Vector, y: usize, out: &mut Vector) -> Result<()> {
         self.validate(x, y)?;
-        check_grad_len(out, self.input_dim)?;
+        check_grad_len(out.len(), self.input_dim)?;
         let p = self.probability(params, x)?;
         let target = if y == 1 { 1.0 } else { 0.0 };
         let coeff = p - target;
@@ -273,18 +260,16 @@ impl Model for BinaryLogistic {
         params: &Vector,
         x: &Vector,
         y: usize,
-        grad_sum: Option<&mut Vector>,
+        grad: Option<&mut GradientSink<'_>>,
     ) -> Result<SampleEval> {
         // Off every hot path: the standalone methods, not a second copy of
         // the loss.
         let predicted = self.predict(params, x)?;
         let loss = self.loss(params, x, y)?;
-        if let Some(grad_sum) = grad_sum {
-            check_grad_len(grad_sum, self.input_dim)?;
+        if let Some(grad) = grad {
+            check_grad_len(grad.dim(), self.input_dim)?;
             let coeff = self.probability(params, x)? - if y == 1 { 1.0 } else { 0.0 };
-            for (g, &v) in grad_sum.iter_mut().zip(x.as_slice().iter()) {
-                *g += v * coeff;
-            }
+            grad.add_row(coeff, x.as_slice());
         }
         Ok(SampleEval { predicted, loss })
     }
@@ -400,7 +385,12 @@ mod tests {
             let y = trial % 5;
             let mut fused_grad = Vector::zeros(m.param_dim());
             let eval = m
-                .evaluate_accumulate(&w, &x, y, Some(&mut fused_grad))
+                .evaluate_accumulate(
+                    &w,
+                    &x,
+                    y,
+                    Some(&mut GradientSink::add_to(fused_grad.as_mut_slice())),
+                )
                 .unwrap();
             assert_eq!(eval.predicted, m.predict(&w, &x).unwrap());
             assert_eq!(

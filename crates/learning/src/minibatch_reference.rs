@@ -4,7 +4,8 @@
 //! sum, and the scale by 1/n, the `+λw` and the finiteness check are three
 //! separate passes. The per-sample step is the old `Model::evaluate_into`
 //! default — `predict`, `loss`, `gradient_into` — which every model's fused
-//! override matched bit for bit. Test-only — nothing outside `#[cfg(test)]`
+//! override matched bit for bit. The non-zero count is the separate pass the
+//! wire encoder made. Test-only — nothing outside `#[cfg(test)]`
 //! may call it.
 
 use crate::error::LearningError;
@@ -75,8 +76,11 @@ pub fn minibatch_statistics<M: Model + ?Sized>(
         });
     }
 
+    // The count `GradientUpdate::from_dense_auto` made in a pass of its own.
+    let nonzero = gradient.iter().filter(|g| g.to_bits() != 0).count();
     Ok(MinibatchStats {
         gradient,
+        nonzero,
         num_samples: samples.len(),
         num_errors,
         label_counts,

@@ -7,12 +7,19 @@
 //! store their `C × D` weight matrix row-major in that vector.
 //!
 //! A minibatch is built from one per-sample primitive,
-//! [`Model::evaluate_accumulate`], which adds `∇_w l` straight into the running
-//! gradient sum, in sample order. That is bitwise the sum a zeroed per-sample
+//! [`Model::evaluate_accumulate`], which hands `∇_w l` to a [`GradientSink`]
+//! row by row, in sample order. That is bitwise the sum a zeroed per-sample
 //! scratch plus an `axpy` gave: the scratch held `0.0 + coeff·x`, which differs
 //! from `coeff·x` only when the product is `−0.0`, and `s + (−0.0) = s + 0.0`
 //! for every `s` but `−0.0` — which a sum starting at `+0.0` never becomes. So
 //! even the exact-zero count behind the sparse/dense wire choice is unchanged.
+//!
+//! The sink makes the whole minibatch one pass over the gradient: the first
+//! averaged sample writes `0.0 + coeff·x` into empty storage (the zero-fill
+//! and the add in one write), and the last one also scales by `1/n`, adds
+//! `λw`, checks finiteness and counts the coordinates that are not `+0.0`,
+//! coordinate by coordinate: each still sees its sum from `+0.0` in sample
+//! order, then `·(1/n)`, then `+ λ·w`.
 
 use crate::error::LearningError;
 use crate::Result;
@@ -65,14 +72,15 @@ pub trait Model: Send + Sync {
 
     /// The per-sample primitive of [`minibatch_statistics`]: prediction and
     /// loss (bitwise [`Model::predict`]'s and [`Model::loss`]'s) and, when
-    /// `grad_sum` is given (length [`Model::param_dim`]), the products
-    /// [`Model::gradient_into`] computes *added* into it.
+    /// `grad` is given (of dimension [`Model::param_dim`]), the products
+    /// [`Model::gradient_into`] computes, handed to it row by row in
+    /// coordinate order.
     fn evaluate_accumulate(
         &self,
         params: &Vector,
         x: &Vector,
         y: usize,
-        grad_sum: Option<&mut Vector>,
+        grad: Option<&mut GradientSink<'_>>,
     ) -> Result<SampleEval>;
 
     /// Validates that a feature/label pair is compatible with the model.
@@ -104,14 +112,206 @@ pub struct SampleEval {
     pub loss: f64,
 }
 
-/// Checks that a gradient vector handed to a model has length `dim`.
-pub(crate) fn check_grad_len(grad: &Vector, dim: usize) -> Result<()> {
-    if grad.len() != dim {
+/// Checks that a gradient of length `len` handed to a model has length
+/// `dim`.
+pub(crate) fn check_grad_len(len: usize, dim: usize) -> Result<()> {
+    if len != dim {
         return Err(LearningError::ShapeMismatch {
-            reason: format!("gradient vector has length {}, expected {dim}", grad.len()),
+            reason: format!("gradient vector has length {len}, expected {dim}"),
         });
     }
     Ok(())
+}
+
+/// Where [`Model::evaluate_accumulate`] writes one sample's gradient.
+///
+/// A model hands its gradient over in coordinate order, as rows `coeff·x`:
+/// [`GradientSink::add_rows`] for one row per class (a class whose
+/// coefficient is exactly 0 contributes nothing), [`GradientSink::add_row`]
+/// for a single row. The sink applies the write that the sample's place in
+/// the minibatch calls for:
+///
+/// * the first averaged sample appends `0.0 + coeff·x` (and `0.0` for a
+///   skipped row) to empty storage, bitwise a zeroed sum plus `+=`;
+/// * any other sample adds `coeff·x` in place;
+/// * the last averaged sample also finishes each coordinate it writes or
+///   skips: `·(1/n)`, then `+ λ·w` when `λ > 0`, the finiteness check and
+///   the count of coordinates that are not `+0.0`.
+///
+/// [`GradientSink::add_to`] is the plain in-place form.
+pub struct GradientSink<'a> {
+    storage: Storage<'a>,
+    dim: usize,
+    /// The next coordinate to write.
+    pos: usize,
+    finish: Option<Finish<'a>>,
+}
+
+enum Storage<'a> {
+    /// The first averaged sample: rows are appended to empty storage.
+    Append(&'a mut Vec<f64>),
+    /// Rows are added to the running sum.
+    InPlace(&'a mut [f64]),
+}
+
+impl Storage<'_> {
+    fn as_mut_slice(&mut self) -> &mut [f64] {
+        match self {
+            Storage::Append(sum) => sum,
+            Storage::InPlace(sum) => sum,
+        }
+    }
+}
+
+/// The last averaged sample's per-coordinate finish, and what it found.
+#[derive(Clone, Copy)]
+struct Finish<'a> {
+    inv: f64,
+    lambda: f64,
+    params: &'a [f64],
+    finite: bool,
+    nonzero: usize,
+}
+
+impl<'a> GradientSink<'a> {
+    /// A sink that adds every row into `sum` in place.
+    pub fn add_to(sum: &'a mut [f64]) -> Self {
+        GradientSink {
+            dim: sum.len(),
+            storage: Storage::InPlace(sum),
+            pos: 0,
+            finish: None,
+        }
+    }
+
+    /// The gradient's dimension.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Contributes `coeffs[k]·x` to the `k`-th of the next `coeffs.len()`
+    /// rows of `x.len()` coordinates, and nothing to a row whose
+    /// coefficient is exactly `0.0`.
+    #[inline]
+    pub fn add_rows(&mut self, coeffs: &[f64], x: &[f64]) {
+        if let (Storage::InPlace(sum), None) = (&mut self.storage, &self.finish) {
+            // Every sample between the first and the last: one mode check
+            // per sample, not per row.
+            let end = self.pos + coeffs.len() * x.len();
+            for (row, &coeff) in sum[self.pos..end].chunks_mut(x.len().max(1)).zip(coeffs) {
+                if coeff != 0.0 {
+                    add_product(row, coeff, x);
+                }
+            }
+            self.pos = end;
+            return;
+        }
+        for &coeff in coeffs {
+            if coeff == 0.0 {
+                self.skip_row(x.len());
+            } else {
+                self.add_row(coeff, x);
+            }
+        }
+    }
+
+    /// Contributes `coeff·x` to the next `x.len()` coordinates.
+    pub fn add_row(&mut self, coeff: f64, x: &[f64]) {
+        let (start, end) = (self.pos, self.pos + x.len());
+        self.pos = end;
+        let Some(finish) = &mut self.finish else {
+            match &mut self.storage {
+                Storage::Append(sum) => sum.extend(x.iter().map(|&v| 0.0 + coeff * v)),
+                Storage::InPlace(sum) => add_product(&mut sum[start..end], coeff, x),
+            }
+            return;
+        };
+        // The last averaged sample: each coordinate is written, finished and
+        // tallied in one step. The tallies are locals that each loop borrows
+        // directly (through no second closure), so they stay in registers.
+        let Finish {
+            inv,
+            lambda,
+            params,
+            ..
+        } = *finish;
+        let (mut finite, mut nonzero) = (true, 0usize);
+        let (f, n) = (&mut finite, &mut nonzero);
+        match &mut self.storage {
+            Storage::Append(sum) if lambda == 0.0 => {
+                sum.extend(x.iter().map(|&v| tally((0.0 + coeff * v) * inv, f, n)));
+            }
+            Storage::Append(sum) => sum.extend(
+                x.iter()
+                    .zip(&params[start..end])
+                    .map(|(&v, &w)| tally((0.0 + coeff * v) * inv + lambda * w, f, n)),
+            ),
+            Storage::InPlace(sum) if lambda == 0.0 => {
+                for (g, &v) in sum[start..end].iter_mut().zip(x) {
+                    *g = tally((*g + coeff * v) * inv, f, n);
+                }
+            }
+            Storage::InPlace(sum) => {
+                for ((g, &v), &w) in sum[start..end].iter_mut().zip(x).zip(&params[start..end]) {
+                    *g = tally((*g + coeff * v) * inv + lambda * w, f, n);
+                }
+            }
+        }
+        finish.finite &= finite;
+        finish.nonzero += nonzero;
+    }
+
+    /// Contributes nothing to the next `len` coordinates.
+    fn skip_row(&mut self, len: usize) {
+        let (start, end) = (self.pos, self.pos + len);
+        self.pos = end;
+        if let Storage::Append(sum) = &mut self.storage {
+            sum.resize(end, 0.0);
+        }
+        let Some(finish) = &mut self.finish else {
+            return;
+        };
+        let Finish {
+            inv,
+            lambda,
+            params,
+            ..
+        } = *finish;
+        let row = &mut self.storage.as_mut_slice()[start..end];
+        if lambda > 0.0 {
+            for (g, &w) in row.iter_mut().zip(&params[start..end]) {
+                *g = *g * inv + lambda * w;
+            }
+        } else {
+            for g in row.iter_mut() {
+                *g *= inv;
+            }
+        }
+        let (mut finite, mut nonzero) = (true, 0usize);
+        for &g in row.iter() {
+            tally(g, &mut finite, &mut nonzero);
+        }
+        finish.finite &= finite;
+        finish.nonzero += nonzero;
+    }
+}
+
+/// Notes a finished coordinate `g` in the tally: whether all are finite,
+/// and how many are not `+0.0`.
+#[inline(always)]
+fn tally(g: f64, finite: &mut bool, nonzero: &mut usize) -> f64 {
+    *finite &= g.is_finite();
+    *nonzero += usize::from(g.to_bits() != 0);
+    g
+}
+
+/// `row += coeff·x`: the plain loop, which beats the unrolled
+/// `kernels::axpy` on rows as short as 50.
+#[inline]
+fn add_product(row: &mut [f64], coeff: f64, x: &[f64]) {
+    for (g, &v) in row.iter_mut().zip(x) {
+        *g += coeff * v;
+    }
 }
 
 /// The statistics a device computes over one minibatch in Device Routine 2:
@@ -128,6 +328,10 @@ pub struct MinibatchStats {
     pub num_errors: usize,
     /// Per-class label counts (`n_y^k`, length `C`).
     pub label_counts: Vec<u64>,
+    /// How many coordinates of `gradient` are not `+0.0` (a `−0.0` counts),
+    /// the count behind the sparse/dense wire choice of
+    /// `GradientUpdate::from_dense_auto`.
+    pub nonzero: usize,
     /// Average per-sample loss over the minibatch (not transmitted; used for
     /// diagnostics and tests).
     pub mean_loss: f64,
@@ -139,6 +343,13 @@ pub struct MinibatchStats {
 /// `holdout` optionally marks samples (by index) that are used only for error
 /// estimation — their gradients are excluded from the average, matching Remark 2
 /// of the paper.
+///
+/// The gradient takes one pass over memory for any `n` (see the module docs
+/// and [`GradientSink`]): the first averaged sample writes its products into
+/// fresh storage, and the last one also averages them, adds `λw`, checks
+/// finiteness and counts [`MinibatchStats::nonzero`]. Every coordinate sees
+/// the operations of the separate passes, in their order: the sum from
+/// `+0.0` in sample order, then `·(1/n)`, then `+ λ·w`.
 pub fn minibatch_statistics<M: Model + ?Sized>(
     model: &M,
     params: &Vector,
@@ -155,49 +366,69 @@ pub fn minibatch_statistics<M: Model + ?Sized>(
             value: lambda,
         });
     }
-    let mut gradient = Vector::zeros(model.param_dim());
+    let dim = model.param_dim();
+    let averaged = (0..samples.len()).filter(|i| !holdout.contains(i)).count();
+    // `λ·w` is fused only at the gradient's length; a mismatch is reported
+    // after the loop, so any sample's own error comes first.
+    let regularize_mismatch = lambda > 0.0 && params.len() != dim;
+    let finish = Finish {
+        // With every sample held out the sum stays `+0.0` and `n` reads 1.
+        inv: 1.0 / averaged.max(1) as f64,
+        lambda,
+        params: params.as_slice(),
+        finite: true,
+        nonzero: 0,
+    };
+    let mut gradient = Vec::with_capacity(dim);
+    let mut finished = None;
     let mut num_errors = 0usize;
     let mut label_counts = vec![0u64; model.num_classes()];
     let mut loss_sum = 0.0;
-    let mut grad_count = 0usize;
+    let mut written = 0usize;
 
     for (i, s) in samples.iter().enumerate() {
         model.validate(&s.features, s.label)?;
         label_counts[s.label] += 1;
-        let averaged = !holdout.contains(&i);
-        let eval = model.evaluate_accumulate(
-            params,
-            &s.features,
-            s.label,
-            averaged.then_some(&mut gradient),
-        )?;
+        let mut sink = (!holdout.contains(&i)).then(|| {
+            written += 1;
+            GradientSink {
+                storage: if written == 1 {
+                    Storage::Append(&mut gradient)
+                } else {
+                    Storage::InPlace(&mut gradient[..])
+                },
+                dim,
+                pos: 0,
+                finish: (written == averaged && !regularize_mismatch).then_some(finish),
+            }
+        });
+        let eval = model.evaluate_accumulate(params, &s.features, s.label, sink.as_mut())?;
+        if let Some(sink) = sink {
+            debug_assert_eq!(sink.pos, dim, "a model left gradient rows unwritten");
+            finished = finished.or(sink.finish.map(|f| (f.finite, f.nonzero)));
+        }
         num_errors += usize::from(eval.predicted != s.label);
         loss_sum += eval.loss;
-        grad_count += usize::from(averaged);
     }
 
-    // Average, `+λw` and finiteness in one pass; each coordinate still sees
-    // `g·(1/n)`, then `+ λ·w`. With every sample held out the sum stays `+0.0`.
-    let inv = 1.0 / grad_count.max(1) as f64;
-    let finite = if lambda > 0.0 {
-        if params.len() != gradient.len() {
-            return Err(LearningError::ShapeMismatch {
-                reason: "regularization failed: parameter length mismatch".into(),
-            });
-        }
-        gradient
-            .iter_mut()
-            .zip(params.iter())
-            .fold(true, |ok, (g, &w)| {
-                *g = *g * inv + lambda * w;
-                ok & g.is_finite()
-            })
-    } else {
-        gradient.iter_mut().fold(true, |ok, g| {
-            *g *= inv;
-            ok & g.is_finite()
-        })
-    };
+    if regularize_mismatch {
+        return Err(LearningError::ShapeMismatch {
+            reason: "regularization failed: parameter length mismatch".into(),
+        });
+    }
+    // With every sample held out no sample finished the mean: it is the
+    // zero vector, finished the same way.
+    let finished = finished.unwrap_or_else(|| {
+        let mut sink = GradientSink {
+            storage: Storage::Append(&mut gradient),
+            dim,
+            pos: 0,
+            finish: Some(finish),
+        };
+        sink.skip_row(dim);
+        sink.finish.map_or((true, 0), |f| (f.finite, f.nonzero))
+    });
+    let (finite, nonzero) = finished;
     if !finite {
         return Err(LearningError::NumericalFailure {
             context: "minibatch gradient".into(),
@@ -205,10 +436,11 @@ pub fn minibatch_statistics<M: Model + ?Sized>(
     }
 
     Ok(MinibatchStats {
-        gradient,
+        gradient: Vector::from_vec(gradient),
         num_samples: samples.len(),
         num_errors,
         label_counts,
+        nonzero,
         mean_loss: loss_sum / samples.len() as f64,
     })
 }
@@ -427,6 +659,52 @@ mod tests {
                 assert_matches_frozen(&*model, &params, &mixed, lambda, &[]).unwrap();
                 assert_matches_frozen(&*model, &params, &mixed, lambda, &[1]).unwrap();
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The count the last averaged sample makes is the separate pass's:
+        /// every coordinate that is not `+0.0`, a `−0.0` included. Saturated
+        /// scores and `±0.0` features make whole rows and single coordinates
+        /// exactly zero, of either sign.
+        #[test]
+        fn nonzero_is_the_count_of_coordinates_that_are_not_positive_zero(
+            seed in any::<u64>(),
+            b in 1usize..=8,
+            kind in 0usize..3,
+            regularize in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = rng.gen_range(1..=6);
+            let model = models(dim, rng.gen_range(2..=4)).swap_remove(kind);
+            let lambda = if regularize { 0.5 } else { 0.0 };
+            let scale = [1.0, 1000.0][rng.gen_range(0..2usize)];
+            let params = Vector::from_vec(
+                (0..model.param_dim())
+                    .map(|_| match rng.gen_range(0..3usize) {
+                        0 => -0.0,
+                        _ => scale * rng.gen_range(-1.0..1.0),
+                    })
+                    .collect(),
+            );
+            let samples: Vec<Sample> = (0..b)
+                .map(|_| {
+                    let x = (0..dim)
+                        .map(|_| [0.0, -0.0, rng.gen_range(-1.0..1.0)][rng.gen_range(0..3usize)])
+                        .collect();
+                    Sample::new(Vector::from_vec(x), rng.gen_range(0..model.num_classes()))
+                })
+                .collect();
+            let holdout: Vec<usize> = (0..rng.gen_range(0..=b)).map(|_| rng.gen_range(0..b)).collect();
+            let stats = minibatch_statistics(&*model, &params, &samples, lambda, &holdout).unwrap();
+            let counted = stats.gradient.iter().filter(|g| g.to_bits() != 0).count();
+            prop_assert_eq!(stats.nonzero, counted);
+            let frozen =
+                minibatch_reference::minibatch_statistics(&*model, &params, &samples, lambda, &holdout)
+                    .unwrap();
+            prop_assert_eq!(stats.nonzero, frozen.nonzero);
         }
     }
 

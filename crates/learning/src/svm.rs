@@ -7,7 +7,7 @@
 //! features are L1-normalized so the same clipping/sensitivity machinery applies.
 
 use crate::error::LearningError;
-use crate::model::{check_grad_len, Model, SampleEval};
+use crate::model::{check_grad_len, GradientSink, Model, SampleEval};
 use crate::Result;
 use crowd_linalg::Vector;
 
@@ -85,10 +85,11 @@ impl Model for MulticlassHinge {
 
     fn gradient_into(&self, params: &Vector, x: &Vector, y: usize, out: &mut Vector) -> Result<()> {
         self.validate(x, y)?;
-        let scores = self.scores(params, x)?;
-        check_grad_len(out, self.param_dim())?;
+        let mut scores = self.scores(params, x)?;
+        check_grad_len(out.len(), self.param_dim())?;
         out.set_zero();
-        self.scatter_subgradient(&scores, x, y, out);
+        subgradient_coefficients(&mut scores, y);
+        GradientSink::add_to(out.as_mut_slice()).add_rows(&scores, x.as_slice());
         Ok(())
     }
 
@@ -97,24 +98,23 @@ impl Model for MulticlassHinge {
         params: &Vector,
         x: &Vector,
         y: usize,
-        grad_sum: Option<&mut Vector>,
+        grad: Option<&mut GradientSink<'_>>,
     ) -> Result<SampleEval> {
         self.validate(x, y)?;
         // One scores pass feeds prediction, loss, and subgradient; the values
         // match the standalone methods exactly.
-        let scores = self.scores(params, x)?;
+        let mut scores = self.scores(params, x)?;
         let predicted =
             crowd_linalg::ops::argmax(&scores).ok_or_else(|| LearningError::ShapeMismatch {
                 reason: "model produced no scores".into(),
             })?;
-        if let Some(grad_sum) = grad_sum {
-            check_grad_len(grad_sum, self.param_dim())?;
-            self.scatter_subgradient(&scores, x, y, grad_sum);
+        let loss = hinge_loss(&scores, y);
+        if let Some(grad) = grad {
+            check_grad_len(grad.dim(), self.param_dim())?;
+            subgradient_coefficients(&mut scores, y);
+            grad.add_rows(&scores, x.as_slice());
         }
-        Ok(SampleEval {
-            predicted,
-            loss: hinge_loss(&scores, y),
-        })
+        Ok(SampleEval { predicted, loss })
     }
 }
 
@@ -129,20 +129,13 @@ fn hinge_loss(scores: &[f64], y: usize) -> f64 {
     loss
 }
 
-impl MulticlassHinge {
-    /// Adds the one-vs-rest hinge subgradient into `grad` given the scores.
-    fn scatter_subgradient(&self, scores: &[f64], x: &Vector, y: usize, grad: &mut Vector) {
-        let d = self.input_dim;
-        let grad = grad.as_mut_slice();
-        for (k, &s) in scores.iter().enumerate() {
-            let t = if k == y { 1.0 } else { -1.0 };
-            if 1.0 - t * s > 0.0 {
-                let row = &mut grad[k * d..(k + 1) * d];
-                for (g, &v) in row.iter_mut().zip(x.as_slice().iter()) {
-                    *g += -t * v;
-                }
-            }
-        }
+/// Turns the scores into the one-vs-rest hinge subgradient's row
+/// coefficients: `−t` for an active hinge, and `0.0` (no contribution) for
+/// an inactive one.
+fn subgradient_coefficients(scores: &mut [f64], y: usize) {
+    for (k, s) in scores.iter_mut().enumerate() {
+        let t = if k == y { 1.0 } else { -1.0 };
+        *s = if 1.0 - t * *s > 0.0 { -t } else { 0.0 };
     }
 }
 

@@ -166,6 +166,18 @@ impl GradientUpdate {
     /// measured density makes that strictly smaller on the wire.
     pub fn from_dense_auto(dense: Vector) -> Self {
         let nnz = dense.as_slice().iter().filter(|v| v.to_bits() != 0).count();
+        Self::from_dense_counted(dense, nnz)
+    }
+
+    /// [`GradientUpdate::from_dense_auto`] for a gradient whose coordinates
+    /// that are not `+0.0` were already counted (`nnz`, a `−0.0` counting),
+    /// so the choice takes no pass of its own.
+    pub fn from_dense_counted(dense: Vector, nnz: usize) -> Self {
+        debug_assert_eq!(
+            nnz,
+            dense.as_slice().iter().filter(|v| v.to_bits() != 0).count(),
+            "stale non-zero count"
+        );
         if Self::sparse_is_smaller(dense.len(), nnz) {
             GradientUpdate::Sparse(SparseVector::from_dense(dense.as_slice()))
         } else {
@@ -223,6 +235,15 @@ impl GradientUpdate {
             GradientUpdate::Dense(v) => v.clone(),
             GradientUpdate::Sparse(s) => s.to_dense(),
             GradientUpdate::Quantized(q) => q.to_dense(),
+        }
+    }
+
+    /// The dense form, moving the dense variant's storage instead of
+    /// cloning it.
+    pub fn into_dense(self) -> Vector {
+        match self {
+            GradientUpdate::Dense(v) => v,
+            other => other.to_dense(),
         }
     }
 }

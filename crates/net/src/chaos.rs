@@ -479,7 +479,9 @@ impl Driver<'_> {
         payload: &crowd_core::device::CheckinPayload,
     ) -> Result<()> {
         loop {
-            match client.checkin(payload) {
+            // `checkin` takes its payload by value; this loop may need it
+            // again, so each attempt sends a copy.
+            match client.checkin(payload.clone()) {
                 Ok(CheckinOutcome::BudgetExhausted) => {
                     // Unreachable under the driver's infinite ceiling; keep
                     // an invariant violation loud instead of counting an ack.

@@ -61,20 +61,24 @@ impl Default for RetryPolicy {
 }
 
 /// Maps a device's gradient representation onto the wire encoding without
-/// densifying: a sparse update ships only its stored coordinates, and a
-/// quantized update ships its `i16` levels plus the shared scale.
-fn wire_gradient(gradient: &GradientUpdate) -> GradientPayload {
+/// densifying or copying: a sparse update ships only its stored coordinates,
+/// and a quantized update ships its `i16` levels plus the shared scale. The
+/// vectors move into the message.
+fn wire_gradient(gradient: GradientUpdate) -> GradientPayload {
     match gradient {
-        GradientUpdate::Dense(v) => GradientPayload::Dense(v.as_slice().to_vec()),
-        GradientUpdate::Sparse(s) => GradientPayload::Sparse {
-            dim: s.dim() as u32,
-            indices: s.indices().to_vec(),
-            values: s.values().to_vec(),
-        },
-        GradientUpdate::Quantized(q) => GradientPayload::Quantized {
-            scale: q.scale(),
-            levels: q.levels().to_vec(),
-        },
+        GradientUpdate::Dense(v) => GradientPayload::Dense(v.into_vec()),
+        GradientUpdate::Sparse(s) => {
+            let (dim, indices, values) = s.into_parts();
+            GradientPayload::Sparse {
+                dim: dim as u32,
+                indices,
+                values,
+            }
+        }
+        GradientUpdate::Quantized(q) => {
+            let (scale, levels) = q.into_parts();
+            GradientPayload::Quantized { scale, levels }
+        }
     }
 }
 
@@ -468,17 +472,20 @@ impl DeviceClient {
     /// Nonce-less payloads keep the conservative behaviour — a transport
     /// failure is reported to the caller, because a blind retry could
     /// double-apply.
-    pub fn checkin(&self, payload: &CheckinPayload) -> Result<CheckinOutcome> {
+    ///
+    /// The payload's vectors move into the request, which every retry
+    /// re-sends as it is.
+    pub fn checkin(&self, payload: CheckinPayload) -> Result<CheckinOutcome> {
         let request = Message::CheckinRequest(CheckinRequest {
             device_id: self.device_id,
             token: self.token,
             checkout_iteration: payload.checkout_iteration,
             nonce: payload.nonce,
             round_id: 0,
-            gradient: wire_gradient(&payload.gradient),
+            gradient: wire_gradient(payload.gradient),
             num_samples: payload.num_samples as u32,
             error_count: payload.error_count,
-            label_counts: payload.label_counts.clone(),
+            label_counts: payload.label_counts,
         });
         let reply = if payload.nonce != 0 {
             self.exchange_idempotent(&request)?
@@ -636,7 +643,7 @@ mod tests {
             error_count: 1,
             label_counts: vec![1, 1],
         };
-        let outcome = client.checkin(&payload).unwrap();
+        let outcome = client.checkin(payload).unwrap();
         assert_eq!(outcome, CheckinOutcome::Applied { iteration: 1 });
         assert!(outcome.applied());
         assert!(!outcome.task_stopped());
@@ -683,7 +690,7 @@ mod tests {
             checkout_iteration: 0,
             nonce: payload.nonce,
             round_id: 0,
-            gradient: wire_gradient(&payload.gradient),
+            gradient: wire_gradient(payload.gradient.clone()),
             num_samples: 2,
             error_count: 1,
             label_counts: vec![1, 1],
@@ -705,7 +712,7 @@ mod tests {
         }
         // The retry (same nonce) resolves as a dedup replay — recognized,
         // counted as applied, and NOT applied a second time.
-        let outcome = client.checkin(&payload).unwrap();
+        let outcome = client.checkin(payload).unwrap();
         assert_eq!(outcome, CheckinOutcome::Deduped);
         assert!(outcome.applied());
         assert_eq!(handle.iteration(), 1, "duplicate applied twice");

@@ -57,7 +57,7 @@ fn drive(addr: std::net::SocketAddr, slice: &[CheckinPayload]) {
         let client =
             DeviceClient::builder(addr, p.device_id, AuthToken::derive(p.device_id, SECRET))
                 .build();
-        let outcome = client.checkin(p).expect("checkin over TCP");
+        let outcome = client.checkin(p.clone()).expect("checkin over TCP");
         assert!(outcome.applied(), "checkin must be accepted");
     }
 }

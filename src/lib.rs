@@ -78,7 +78,7 @@
 //!         },
 //!         // Unselected: free-run an ordinary checkin until the next round.
 //!         Role::Unselected => {
-//!             client.checkin(&payload)?;
+//!             client.checkin(payload)?;
 //!             break;
 //!         }
 //!     }

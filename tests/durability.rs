@@ -293,7 +293,7 @@ fn tcp_server_killed_midway_resumes_identical_trajectory_body() {
             let client =
                 DeviceClient::builder(addr, p.device_id, AuthToken::derive(p.device_id, secret))
                     .build();
-            assert!(client.checkin(p).unwrap().applied());
+            assert!(client.checkin(p.clone()).unwrap().applied());
         }
     };
 
