@@ -26,6 +26,11 @@
 //! between acknowledged checkins; making retries crash-proof would require
 //! persisting completed nonces alongside the epochs they acked.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crowd_core::server::CheckinReceipt;
 use std::collections::{BTreeMap, VecDeque};
 

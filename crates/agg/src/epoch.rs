@@ -34,6 +34,11 @@
 //! many buffers as the last epoch took from it, so adopted gradients are
 //! freed at the drain rather than parked.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::reply::Reply;
 use crowd_core::device::CheckinPayload;
 use crowd_core::server::{DeviceEpochStats, EpochAggregate};

@@ -8,6 +8,11 @@
 //! refuses pushes but still hands out what it holds — nothing that was
 //! admitted is ever dropped.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crowd_telemetry::sync::Mutex;
 use std::collections::VecDeque;
 

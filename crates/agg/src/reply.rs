@@ -7,6 +7,11 @@
 //! (or holding a [`crate::CompletionHandle`]) is one whose sink sends down a
 //! channel.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::{AggError, Result};
 use crowd_core::server::CheckinReceipt;
 

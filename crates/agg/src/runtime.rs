@@ -56,6 +56,11 @@
 //! What survives a crash is a prefix of the applied epochs that contains
 //! every acknowledged one; a failed commit halts the runtime (see `halt`).
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::dedup::{Admission, DedupTable};
 use crate::epoch::{EpochAccumulator, Waiter};
 use crate::queue::{BoundedQueue, PushError};
@@ -72,7 +77,7 @@ use crowd_linalg::Vector;
 use crowd_store::{Store, WalStage};
 use crowd_telemetry::sync::{Mutex, MutexGuard, RwLock};
 use crowd_telemetry::{CounterId, GaugeId, HistogramId, MetricsSnapshot, Registry, Tick};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -150,7 +155,7 @@ struct Inner<M: Model> {
     /// on the submit path; updated under the core lock whenever an applied
     /// epoch pushes a device over its ceiling.
     // audit:lock(agg.exhausted, 40)
-    exhausted: RwLock<HashSet<u64>>,
+    exhausted: RwLock<BTreeSet<u64>>,
     /// The open round's published parameters, mirrored out of the core server
     /// so checkouts read them without touching the core lock. Written only
     /// under the core lock (at construction and whenever a round advances).
@@ -456,7 +461,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         // Seed the refusal set from the (possibly recovered) ledger, so a
         // device that exhausted its budget before a crash stays refused after
         // the restart.
-        let exhausted: HashSet<u64> = server
+        let exhausted: BTreeSet<u64> = server
             .budget_ledger()
             .iter()
             .map(|&(id, _)| id)
@@ -511,10 +516,13 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         let needs_agg = inner.store.is_some() || inner.idle_flush().is_some();
         let agg = needs_agg.then(|| {
             let agg_inner = Arc::clone(&inner);
+            #[allow(
+                clippy::expect_used,
+                reason = "startup only, as std::thread::spawn itself does"
+            )]
             let handle = std::thread::Builder::new()
                 .name("crowd-agg".into())
                 .spawn(move || agg_loop(&agg_inner))
-                // audit:allow(panic-freedom, startup only, as std::thread::spawn itself does)
                 .expect("failed to spawn the crowd-agg thread");
             let _ = inner.agg_thread.set(handle.thread().clone());
             handle

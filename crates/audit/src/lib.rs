@@ -1,18 +1,18 @@
-//! `crowd-audit`: the workspace's static-analysis pass.
+//! `crowd-audit`: the workspace's static-analysis pass for the two invariants
+//! clippy cannot check.
 //!
 //! Every correctness claim this reproduction makes — bitwise
 //! interleaving-independent merges, bitwise crash recovery, bitwise
 //! chaos-vs-reference equivalence — rests on invariants that ordinary tests
-//! only probe dynamically: no unordered iteration feeding outputs, no wall
-//! clock in deterministic code, no panics in request paths, one global lock
-//! order, a wire surface that never changes without a version bump, and
-//! policy tables whose every entry still names a module that exists. This
-//! crate checks them *statically*, on every CI run, with a hand-rolled lexer
-//! and token-tree walker (the workspace vendors no `syn`).
+//! only probe dynamically. Clippy enforces three of them (no hash containers
+//! or wall-clock reads, no panics in request-path modules; see the README's
+//! "Static analysis" section). This crate checks the other two *statically*,
+//! on every CI run, with a hand-rolled lexer and token-tree walker (the
+//! workspace vendors no `syn`): one global lock order (`lock-order`), and a
+//! wire surface that never changes without a version bump (`wire-hygiene`).
 //!
-//! The rule catalogue lives in [`rules`]; the policy tables (which crates and
-//! files each rule covers) in [`config`]; findings, the baseline, and the
-//! JSON report in [`report`]. The `crowd-audit` binary wires them to a CLI:
+//! The two rules live in [`rules`]; findings, the baseline, and the JSON
+//! report in [`report`]. The `crowd-audit` binary wires them to a CLI:
 //!
 //! ```text
 //! cargo run -p crowd-audit -- --deny          # CI mode: nonzero on findings
@@ -28,7 +28,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
 pub mod lexer;
 pub mod report;
 pub mod rules;

@@ -18,7 +18,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule slug, e.g. `unordered-iter`.
+    /// Rule slug, e.g. `lock-order`.
     pub rule: String,
     /// Human-readable description of what fired and why it matters.
     pub message: String,
@@ -191,18 +191,18 @@ mod tests {
 
     #[test]
     fn baseline_round_trip_and_staleness() {
-        let text = "# grandfathered\nwallclock crates/sim/src/lib.rs 10\npanic-freedom crates/store/src/wal.rs 59\n";
+        let text = "# grandfathered\nlock-order crates/agg/src/epoch.rs 10\nwire-hygiene crates/proto/src/message.rs 59\n";
         let baseline = Baseline::parse(text).unwrap();
         assert_eq!(baseline.entries.len(), 2);
         let findings = vec![
-            f("wallclock", "crates/sim/src/lib.rs", 10),
-            f("unordered-iter", "crates/agg/src/dedup.rs", 4),
+            f("lock-order", "crates/agg/src/epoch.rs", 10),
+            f("lock-order", "crates/agg/src/dedup.rs", 4),
         ];
         let (fresh, grandfathered, stale) = baseline.apply(&findings);
         assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].rule, "unordered-iter");
+        assert_eq!(fresh[0].file, "crates/agg/src/dedup.rs");
         assert_eq!(grandfathered.len(), 1);
-        assert_eq!(stale, vec!["panic-freedom crates/store/src/wal.rs 59"]);
+        assert_eq!(stale, vec!["wire-hygiene crates/proto/src/message.rs 59"]);
     }
 
     #[test]

@@ -3,10 +3,6 @@
 //! share.
 
 pub mod lock_order;
-pub mod panic_freedom;
-pub mod stale_path;
-pub mod unordered_iter;
-pub mod wallclock;
 pub mod wire_hygiene;
 
 use crate::lexer::{Token, TokenKind};
@@ -15,16 +11,10 @@ use crate::source::SourceFile;
 use std::path::Path;
 
 /// Runs every rule over the scanned workspace. `root` is needed by the
-/// wire-hygiene rule to locate `wire.lock` and by the stale-path rule to see
-/// what the policy tables name.
+/// wire-hygiene rule to locate `wire.lock`.
 pub fn run_all(files: &[SourceFile], root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    findings.extend(unordered_iter::check(files));
-    findings.extend(wallclock::check(files));
-    findings.extend(panic_freedom::check(files));
-    findings.extend(lock_order::check(files));
+    let mut findings = lock_order::check(files);
     findings.extend(wire_hygiene::check(files, root));
-    findings.extend(stale_path::check(files, root));
     findings.sort();
     findings
 }

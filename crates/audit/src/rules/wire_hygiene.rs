@@ -10,7 +10,6 @@
 //! finding; after a legitimate change + bump, refresh the manifest with
 //! `cargo run -p crowd-audit -- --update-wire-lock`.
 
-use crate::config::{WIRE_MESSAGE_FILE, WIRE_VERSION_FILE};
 use crate::lexer::TokenKind;
 use crate::report::Finding;
 use crate::source::SourceFile;
@@ -20,6 +19,12 @@ pub const RULE: &str = "wire-hygiene";
 
 /// File name of the manifest at the workspace root.
 pub const WIRE_LOCK_FILE: &str = "wire.lock";
+
+/// The file carrying the message tag table (`Message::tag`).
+pub const WIRE_MESSAGE_FILE: &str = "crates/proto/src/message.rs";
+
+/// The file carrying `PROTOCOL_VERSION`.
+pub const WIRE_VERSION_FILE: &str = "crates/proto/src/lib.rs";
 
 /// The live wire surface: protocol version plus the (tag, variant) table.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -30,12 +30,9 @@ pub struct LockAnnotation {
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel_path: String,
-    /// The `<name>` from `crates/<name>/src/…`.
-    pub crate_name: String,
     pub tokens: Vec<Token>,
     /// `partner[i]` is the index of the delimiter matching token `i`.
     pub partner: Vec<usize>,
-    pub comments: Vec<Comment>,
     pub allows: Vec<AllowAnnotation>,
     pub locks: Vec<LockAnnotation>,
     /// Half-open token ranges covered by `#[cfg(test)]` items.
@@ -47,15 +44,12 @@ impl SourceFile {
     pub fn parse(rel_path: &str, source: &str) -> SourceFile {
         let lexed = lexer::lex(source);
         let partner = lexer::match_delims(&lexed.tokens);
-        let crate_name = crate_of(rel_path);
         let (allows, locks) = parse_annotations(&lexed.comments);
         let test_ranges = find_test_ranges(&lexed.tokens, &partner);
         SourceFile {
             rel_path: rel_path.to_string(),
-            crate_name,
             tokens: lexed.tokens,
             partner,
-            comments: lexed.comments,
             allows,
             locks,
             test_ranges,
@@ -121,14 +115,6 @@ impl SourceFile {
             }
         }
         map
-    }
-}
-
-fn crate_of(rel_path: &str) -> String {
-    let mut parts = rel_path.split('/');
-    match (parts.next(), parts.next()) {
-        (Some("crates"), Some(name)) => name.to_string(),
-        _ => String::from("(root)"),
     }
 }
 
@@ -302,19 +288,18 @@ mod tests {
     #[test]
     fn annotations_parse() {
         let src = "\
-// audit:allow(unordered-iter, snapshot export sorts below)
-let x = map.iter();
+// audit:allow(lock-order, startup only, single-threaded here)
+let g = self.core.lock();
 struct S {
     // audit:lock(agg.core, 10)
     core: Mutex<u8>,
 }
 ";
         let f = SourceFile::parse("crates/agg/src/lib.rs", src);
-        assert_eq!(f.crate_name, "agg");
-        assert!(f.allowed("unordered-iter", 1));
-        assert!(f.allowed("unordered-iter", 2));
-        assert!(!f.allowed("unordered-iter", 3));
-        assert!(!f.allowed("panic-freedom", 2));
+        assert!(f.allowed("lock-order", 1));
+        assert!(f.allowed("lock-order", 2));
+        assert!(!f.allowed("lock-order", 3));
+        assert!(!f.allowed("wire-hygiene", 2));
         let fields = f.lock_fields();
         let ann = fields.get("core").expect("core field registered");
         assert_eq!(ann.name, "agg.core");

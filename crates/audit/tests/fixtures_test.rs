@@ -1,12 +1,17 @@
-//! Each fixture tree contains exactly one deliberate violation of one rule,
-//! plus that rule's escape hatches (allow annotation, structural escapes,
-//! test code). These tests pin down both halves: the rule fires exactly at
+//! Each fixture contains exactly one deliberate violation of one rule, plus
+//! that rule's escape hatches (an allow with a reason, structural escapes,
+//! test code). These tests pin down both halves: the check fires exactly at
 //! the bad site, and nowhere else.
+//!
+//! `lock_order` and `wire` are workspace trees that `crowd-audit` checks.
+//! `wallclock`, `unordered_iter` and `panic_freedom` are standalone crates,
+//! each with a `[workspace]` of its own, that `cargo clippy` must reject.
 
 use crowd_audit::report::Finding;
 use crowd_audit::rules;
 use crowd_audit::source::scan_workspace;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn fixture_root(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -20,36 +25,86 @@ fn audit_fixture(name: &str) -> Vec<Finding> {
     rules::run_all(&files, &root)
 }
 
+/// One lint diagnostic: its lint, level, and the `file:line` of its primary
+/// span, relative to the fixture crate.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Diagnostic {
+    lint: String,
+    level: String,
+    file: String,
+    line: u32,
+}
+
+/// Runs `cargo clippy` on the fixture crate `name`, test code included, and
+/// returns each distinct lint diagnostic. The lib is checked twice (as a lib
+/// and as a test harness), so one site can be reported twice.
+fn clippy_fixture(name: &str) -> Vec<Diagnostic> {
+    let output = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "--quiet", "--all-targets"])
+        .arg("--message-format=json")
+        .arg("--manifest-path")
+        .arg(fixture_root(name).join("Cargo.toml"))
+        .arg("--target-dir")
+        .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy-fixtures"))
+        .output()
+        .expect("cargo clippy starts");
+    let stdout = String::from_utf8(output.stdout).expect("cargo prints UTF-8");
+    let mut diagnostics: Vec<Diagnostic> = stdout.lines().filter_map(diagnostic).collect();
+    diagnostics.sort();
+    diagnostics.dedup();
+    diagnostics
+}
+
+/// The lint diagnostic in one line of cargo's JSON output, if the line holds
+/// one. Only a top-level diagnostic carries a lint `code` object and a
+/// `rendered` string (its children hold `null` in both), and the rendered
+/// text starts `<level>: ` and names its primary span as ` --> file:line:col`.
+fn diagnostic(json: &str) -> Option<Diagnostic> {
+    let after = |key: &str| json.split(key).nth(1);
+    let lint = after(r#""code":{"code":""#)?.split('"').next()?;
+    let rendered = after(r#""rendered":""#)?;
+    let (level, _) = rendered.split_once(':')?;
+    let span = rendered.split(" --> ").nth(1)?.split("\\n").next()?;
+    let mut parts = span.rsplitn(3, ':').skip(1);
+    let line = parts.next()?.parse().ok()?;
+    Some(Diagnostic {
+        lint: lint.to_string(),
+        level: level.to_string(),
+        file: parts.next()?.to_string(),
+        line,
+    })
+}
+
+/// Asserts that clippy reports exactly one diagnostic on fixture `name`: an
+/// error of `lint` at `file:line`.
+fn assert_one_clippy_error(name: &str, lint: &str, file: &str, line: u32) {
+    let diagnostics = clippy_fixture(name);
+    assert_eq!(diagnostics.len(), 1, "diagnostics: {diagnostics:?}");
+    let d = &diagnostics[0];
+    assert_eq!(d.lint, lint);
+    assert_eq!(d.level, "error");
+    assert_eq!(d.file, file);
+    assert_eq!(d.line, line);
+}
+
 #[test]
 fn unordered_iter_fires_exactly_once() {
-    let findings = audit_fixture("unordered_iter");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    let f = &findings[0];
-    assert_eq!(f.rule, "unordered-iter");
-    assert_eq!(f.file, "crates/agg/src/bad.rs");
-    assert_eq!(f.line, 13);
-    assert!(f.message.contains("`entries`"));
+    assert_one_clippy_error(
+        "unordered_iter",
+        "clippy::disallowed_types",
+        "src/lib.rs",
+        9,
+    );
 }
 
 #[test]
 fn wallclock_fires_exactly_once() {
-    let findings = audit_fixture("wallclock");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    let f = &findings[0];
-    assert_eq!(f.rule, "wallclock");
-    assert_eq!(f.file, "crates/sim/src/bad.rs");
-    assert_eq!(f.line, 8);
+    assert_one_clippy_error("wallclock", "clippy::disallowed_methods", "src/lib.rs", 8);
 }
 
 #[test]
 fn panic_freedom_fires_exactly_once() {
-    let findings = audit_fixture("panic_freedom");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    let f = &findings[0];
-    assert_eq!(f.rule, "panic-freedom");
-    assert_eq!(f.file, "crates/store/src/bad.rs");
-    assert_eq!(f.line, 6);
-    assert!(f.message.contains("`unwrap`"));
+    assert_one_clippy_error("panic_freedom", "clippy::unwrap_used", "src/bad.rs", 10);
 }
 
 #[test]
@@ -73,42 +128,10 @@ fn wire_change_without_bump_fires() {
     assert!(f.message.contains("without a PROTOCOL_VERSION bump"));
 }
 
-#[test]
-fn stale_path_fires_exactly_once() {
-    let findings = audit_fixture("stale_path");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    let f = &findings[0];
-    assert_eq!(f.rule, "stale-path");
-    assert_eq!(f.file, "crates/audit/src/config.rs");
-    assert_eq!(f.line, 9);
-    assert!(f.message.contains("`crates/net/src/server.rs`"));
-    assert!(f.message.contains("PANIC_FREE_PATHS"));
-}
-
-#[test]
-fn stale_crate_fires_exactly_once() {
-    let findings = audit_fixture("stale_crate");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    let f = &findings[0];
-    assert_eq!(f.rule, "stale-path");
-    assert_eq!(f.file, "crates/audit/src/config.rs");
-    assert_eq!(f.line, 5);
-    assert!(f.message.contains("`crates/dp`"));
-    assert!(f.message.contains("DETERMINISM_CRATES"));
-}
-
-/// Every fixture must fail a `--deny` run (the CI loop relies on this).
+/// Every audit fixture must fail a `--deny` run (the CI loop relies on this).
 #[test]
 fn every_fixture_fails_deny() {
-    for name in [
-        "unordered_iter",
-        "wallclock",
-        "panic_freedom",
-        "lock_order",
-        "wire",
-        "stale_path",
-        "stale_crate",
-    ] {
+    for name in ["lock_order", "wire"] {
         let root = fixture_root(name);
         let outcome =
             crowd_audit::run(&root, &root.join("audit-baseline.txt")).expect("fixture audit runs");
@@ -123,12 +146,12 @@ fn every_fixture_fails_deny() {
 /// same entry becomes stale (still failing `--deny`) once pointed at nothing.
 #[test]
 fn baseline_grandfathers_and_goes_stale() {
-    let root = fixture_root("panic_freedom");
+    let root = fixture_root("lock_order");
     let dir = std::env::temp_dir().join(format!("audit-baseline-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
     let matching = dir.join("matching.txt");
-    std::fs::write(&matching, "panic-freedom crates/store/src/bad.rs 6\n").unwrap();
+    std::fs::write(&matching, "lock-order crates/agg/src/bad.rs 25\n").unwrap();
     let outcome = crowd_audit::run(&root, &matching).unwrap();
     assert!(outcome.clean());
     assert_eq!(outcome.grandfathered.len(), 1);
@@ -136,7 +159,7 @@ fn baseline_grandfathers_and_goes_stale() {
     let stale = dir.join("stale.txt");
     std::fs::write(
         &stale,
-        "panic-freedom crates/store/src/bad.rs 6\npanic-freedom crates/store/src/gone.rs 1\n",
+        "lock-order crates/agg/src/bad.rs 25\nlock-order crates/agg/src/gone.rs 1\n",
     )
     .unwrap();
     let outcome = crowd_audit::run(&root, &stale).unwrap();

@@ -172,6 +172,30 @@ fn every_dependency_is_named_in_its_crate() {
     );
 }
 
+/// Clippy enforces the wall-clock, hash-container and panic bans through the
+/// root `[workspace.lints.clippy]` table, which reaches only the members that
+/// opt in. So every member outside `vendor/` must set `[lints] workspace =
+/// true`, and no vendor shim may: they stand in for registry crates, and
+/// `criterion` and `polling` read the clock.
+#[test]
+fn every_first_party_member_inherits_the_workspace_lints() {
+    let root = workspace_root();
+    let root_toml = std::fs::read_to_string(root.join("Cargo.toml")).expect("manifest reads");
+    let wrong: Vec<&str> = workspace_members(&root_toml)
+        .into_iter()
+        .filter(|member| {
+            let toml = std::fs::read_to_string(root.join(member).join("Cargo.toml"))
+                .expect("manifest reads");
+            let inherits = toml_table(&toml, "lints").contains(&("workspace", "true"));
+            inherits == member.starts_with("vendor/")
+        })
+        .collect();
+    assert!(
+        wrong.is_empty(),
+        "members whose `[lints] workspace = true` is missing (or, under vendor/, present): {wrong:?}"
+    );
+}
+
 /// A vendored shim must not outlive its last user: nothing else fails when
 /// the last crate stops naming it, and it keeps being built and tested. So
 /// every directory under `vendor/` must be a path entry in
@@ -194,12 +218,9 @@ fn every_vendor_shim_is_declared_and_used() {
 
     let undeclared: Vec<String> = std::fs::read_dir(root.join("vendor"))
         .expect("vendor/ lists")
-        .map(|e| {
-            format!(
-                "vendor/{}",
-                e.expect("entry reads").file_name().to_string_lossy()
-            )
-        })
+        .map(|e| e.expect("entry reads").path())
+        .filter(|path| path.is_dir())
+        .map(|path| format!("vendor/{}", path.file_name().unwrap().to_string_lossy()))
         .filter(|dir| !shims.iter().any(|(_, path)| path == dir))
         .collect();
     assert!(

@@ -567,24 +567,32 @@ impl RoundSession {
         &self.cohort
     }
 
-    /// Submits this round's masked contribution (`Selected` role only): the
-    /// payload gradient is densified and each coordinate's IEEE-754 bits get
-    /// the device's seed-derived pairwise net mask added (wrapping), so the
-    /// raw gradient never crosses the wire and the masks cancel exactly in
-    /// the finalized cohort sum. Retried through transport faults when the
-    /// payload carries a dedup nonce, like [`DeviceClient::checkin`].
+    /// Submits this round's masked contribution (`Selected` role only): each
+    /// coordinate of the payload gradient (densified first if sparse or
+    /// quantized) gets the device's seed-derived pairwise net mask added to
+    /// its IEEE-754 bits (wrapping), so the raw gradient never crosses the
+    /// wire and the masks cancel exactly in the finalized cohort sum. Retried
+    /// through transport faults when the payload carries a dedup nonce, like
+    /// [`DeviceClient::checkin`].
     pub fn submit(&self, payload: &CheckinPayload) -> Result<CheckinOutcome> {
         if self.role != Role::Selected {
             return Err(NetError::Round("only a selected device submits to a round"));
         }
-        let dense = payload.gradient.to_dense();
+        let densified;
+        let dense = match &payload.gradient {
+            GradientUpdate::Dense(v) => v.as_slice(),
+            sparse_or_quantized => {
+                densified = sparse_or_quantized.to_dense();
+                densified.as_slice()
+            }
+        };
         let mask_words = crowd_rounds::net_mask(
             self.round.seed,
             self.client.device_id,
             &self.cohort,
             dense.len(),
         );
-        let words = crowd_rounds::mask(dense.as_slice(), &mask_words);
+        let words = crowd_rounds::mask(dense, &mask_words);
         let request = Message::CheckinRequest(CheckinRequest {
             device_id: self.client.device_id,
             token: self.client.token,
@@ -613,6 +621,10 @@ impl RoundSession {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test deadlines bound waits on a live server; no checked value depends on them"
+)]
 mod tests {
     use super::*;
     use crate::reactor_server::ReactorServer;

@@ -18,6 +18,11 @@
 //!   thread, after its `fsync` — posts the reply straight to the event
 //!   loop. The reactor runs no other thread.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::service::{handle_event, ServerCore};
 use crate::Result;
 use crowd_agg::{AggError, AggRuntime};

@@ -31,6 +31,11 @@
 //! `Message`-returning path runs too). `checkout_frames_built` against
 //! `checkouts_served` tells a scrape how much sharing actually happens.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crowd_agg::{
     AggError, AggRuntime, CompletionHandle, OutcomeSink, ParamSnapshot, SubmitRejection, Submitted,
 };

@@ -8,7 +8,6 @@
 
 use crate::error::ProtoError;
 use crate::Result;
-use std::collections::HashMap;
 
 /// Length of an authentication token in bytes.
 pub const TOKEN_LEN: usize = 16;
@@ -75,8 +74,12 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Server-side registry of issued tokens.
 #[derive(Debug, Clone, Default)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "looked up by device id, never iterated, so its order reaches no output"
+)]
 pub struct TokenRegistry {
-    tokens: HashMap<u64, AuthToken>,
+    tokens: std::collections::HashMap<u64, AuthToken>,
 }
 
 impl TokenRegistry {

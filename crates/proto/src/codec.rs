@@ -11,6 +11,11 @@
 //! frame — plus one exactly sized `Vec` to decode. The per-element decoder
 //! the bulk reader replaced survives as the test oracle in `codec_reference`.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::auth::AuthToken;
 use crate::error::ProtoError;
 use crate::le::{

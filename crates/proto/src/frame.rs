@@ -8,6 +8,11 @@
 //! for one published parameter snapshot — is framed once as a [`SharedFrame`]
 //! and written to every socket from that one allocation.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::codec::{decode, encode_checkout_response_into, encode_into};
 use crate::error::ProtoError;
 use crate::message::{Message, RoundParams};

@@ -13,6 +13,11 @@
 //! own error type. The non-generic functions are `#[inline]`: `crowd-store`
 //! calls them from another crate, on the durable write path.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 /// Why a read failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeError {

@@ -28,6 +28,11 @@
 //! buffer grown past `MAX_POOLED_BYTES` (e.g. by one maximum-size frame from
 //! a hostile peer) is dropped on return instead of being parked.
 
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 

@@ -959,6 +959,10 @@ impl EventLoop {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests time how soon the event loop wakes; no checked value is replayed"
+)]
 mod tests {
     use super::*;
     use crowd_proto::frame::{read_message, write_message};

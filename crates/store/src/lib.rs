@@ -35,6 +35,10 @@
 //! across power loss; process-crash durability needs no fsync).
 
 #![forbid(unsafe_code)]
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod codec;
 pub mod snapshot;
@@ -127,12 +131,15 @@ pub mod testutil {
 
     /// A unique, disposable directory under the system temp dir. Callers own
     /// cleanup (`std::fs::remove_dir_all`) once they are done with it.
+    #[allow(
+        clippy::expect_used,
+        reason = "test scaffolding, never on the request path"
+    )]
     pub fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("crowd-store-{tag}-{}-{n}", std::process::id()));
-        // audit:allow(panic-freedom, test scaffolding, never on the request path)
         std::fs::create_dir_all(&dir).expect("create temp dir");
         dir
     }

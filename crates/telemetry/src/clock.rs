@@ -1,10 +1,10 @@
 //! The clock abstraction every telemetry timestamp flows through.
 //!
-//! This module is the **only** place in the crate (and, by policy, the only
-//! non-bench place in the workspace) that reads the wall clock; the audit
-//! `wallclock` rule allowlists exactly this file. Everything downstream —
-//! histograms and latency tokens — sees time as opaque
-//! microsecond counts from a [`Clock`], which comes in two flavors:
+//! This module is the **only** place outside test code that reads the wall
+//! clock: [`Clock::monotonic`] carries the one such waiver of the clippy ban
+//! on `Instant::now` (`clippy.toml`). Everything downstream — histograms and
+//! latency tokens — sees time as opaque microsecond counts from a [`Clock`],
+//! which comes in two flavors:
 //!
 //! * [`Clock::monotonic`] — live servers. Microseconds elapsed since the
 //!   clock was created, read from [`Instant`].
@@ -43,6 +43,10 @@ pub struct Clock {
 
 impl Clock {
     /// A monotonic clock anchored at its creation instant.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one place a monotonic `Instant` is anchored; everything else observes time through a `Clock`"
+    )]
     pub fn monotonic() -> Self {
         Clock {
             inner: Inner::Monotonic(Instant::now()),

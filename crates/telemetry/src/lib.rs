@@ -12,8 +12,8 @@
 //!    takes a lock, or allocates — asserted by a counting-allocator test.
 //! 2. **Deterministic under test.** All time flows through the [`Clock`]
 //!    abstraction: live servers use a monotonic clock (the *only* wall-clock
-//!    read in the crate lives in `clock.rs`, the audit `wallclock`
-//!    allowlist's sole telemetry entry), while sim and determinism suites use
+//!    read outside test code lives in `clock.rs`, the one such waiver of the
+//!    clippy ban on `Instant::now`), while sim and determinism suites use
 //!    logical ticks, so two identical seeded runs render byte-identical
 //!    metric dumps.
 //! 3. **One snapshot shape.** Every layer (agg, net, reactor, store, dp)
@@ -26,6 +26,10 @@
 //! already depend on it.
 
 #![forbid(unsafe_code)]
+// Request path: a panic here would tear down a server worker mid-epoch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod clock;
 pub mod hist;
