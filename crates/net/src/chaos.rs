@@ -3,8 +3,10 @@
 //!
 //! The driver steps a fleet of devices round-robin from ONE thread against a
 //! live [`ReactorServer`]: each device observes its next sample and, when its
-//! minibatch fills, checks out, computes, and checks in — retrying through
-//! whatever the fault shim injects until the checkin is acknowledged. Under
+//! minibatch fills, checks out, computes, and checks in. Every request the
+//! driver makes is idempotent (a read, or a checkin carrying its dedup
+//! nonce), so it calls each client method once and the client's own retries
+//! absorb whatever the fault shim injects until the server answers. Under
 //! [`FaultPlan::fault_free`] it is the plain networked learning run:
 //! [`ChaosCluster::run_on`] drives caller-supplied device partitions, and
 //! [`ChaosCluster::run`] a seeded synthetic fleet. The
@@ -23,7 +25,7 @@
 //! acknowledged checkin — never more (no over-charging through duplicates,
 //! retries, or crash recovery).
 
-use crate::client::{CheckinOutcome, DeviceClient, RetryPolicy, RoundSession};
+use crate::client::{CheckedOutParams, CheckinOutcome, DeviceClient, RetryPolicy};
 use crate::fault::FaultPlan;
 use crate::reactor_server::{ReactorServer, ReactorServerHandle};
 use crate::{NetError, Result};
@@ -73,9 +75,9 @@ pub struct ChaosCluster {
     /// are layered on top by the driver.
     pub server: ServerConfig,
     /// Cohort-round settings; `Some` runs the server in rounds mode (wire
-    /// v6): selected devices submit masked shares through [`RoundSession`],
-    /// unselected devices free-run, and the churn schedule's scripted
-    /// mid-round dropouts simply never submit.
+    /// v6): selected devices submit masked shares through
+    /// [`crate::RoundSession`], unselected devices free-run, and the churn
+    /// schedule's scripted mid-round dropouts simply never submit.
     pub rounds: Option<RoundSettings>,
     /// Data directory for a durable server. Required when the plan scripts
     /// crashes; `None` runs volatile.
@@ -258,11 +260,12 @@ impl Driver<'_> {
         let mut handle = self.start_server()?;
         let model = MulticlassLogistic::new(self.dim, self.classes)?;
         let faults = Arc::new(opts.plan.transport);
-        // Generous retry policy: under a ≤30% per-exchange fault rate, 40
-        // attempts make an unabsorbed fault astronomically unlikely, while
-        // the driver's outer loop still tolerates the residual.
+        // Every request here is idempotent, so the client retries transport
+        // faults and busy replies until the server answers; termination rests
+        // on the plan's per-exchange fault rate being below 1 and the suite's
+        // watchdog.
         let retry = RetryPolicy {
-            max_attempts: 40,
+            max_attempts: u32::MAX,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(4),
         };
@@ -359,12 +362,12 @@ impl Driver<'_> {
                 )?;
                 let nonce = payload.nonce;
                 if opts.rounds.is_some() {
-                    if !self.round_step(&clients[d], &payload, &mut last_submitted[d])? {
+                    if !self.round_step(&clients[d], payload, &mut last_submitted[d])? {
                         round_dropouts += 1;
                         continue;
                     }
                 } else {
-                    self.checkin_until_acked(&clients[d], &payload)?;
+                    unless_exhausted(clients[d].checkin(payload)?)?;
                 }
                 acked[d] += 1;
                 self.log(format!(
@@ -433,102 +436,25 @@ impl Driver<'_> {
         Ok(report)
     }
 
-    /// Checks out until the server serves the request, absorbing transport
-    /// faults and retryable refusals. `Ok(None)` when the server refuses the
-    /// device for good (budget) — not reachable with an infinite ceiling, but
+    /// Checks the device out. `Ok(None)` when the server refuses the device
+    /// for good (budget) — not reachable with an infinite ceiling, but
     /// handled for completeness; any other refusal is returned.
     fn checkout_until_served(
-        &mut self,
+        &self,
         client: &DeviceClient,
         device: &mut Device,
-    ) -> Result<Option<crate::client::CheckedOutParams>> {
-        loop {
-            if device.begin_checkout().is_err() {
-                device.abort_checkout();
-                continue;
-            }
-            let e = match client.checkout() {
-                Ok(c) => return Ok(Some(c)),
-                Err(e) => e,
-            };
+    ) -> Result<Option<CheckedOutParams>> {
+        device.begin_checkout()?;
+        let checked_out = client.checkout();
+        if checked_out.is_err() {
             device.abort_checkout();
-            match e {
-                NetError::ServerError {
-                    code: ErrorCode::BudgetExhausted,
-                    ..
-                } => return Ok(None),
-                NetError::ServerError { code, .. } if !code.is_retryable() => return Err(e),
-                NetError::Io(_) | NetError::Proto(_) | NetError::ServerError { .. } => {
-                    // Transport fault or transient refusal: keep the buffer
-                    // and try again (Remark 1 — failed checkouts are
-                    // non-critical). Termination rests on the fault rate
-                    // being < 1 and the suite's watchdog.
-                    self.log(format!("device {} checkout retry: {e}", client.device_id()));
-                }
-                e => return Err(e),
-            }
         }
-    }
-
-    /// Retries one logical checkin (fixed nonce) until the server acknowledges
-    /// it. The dedup nonce makes every retry idempotent, so "until acked"
-    /// still means "applied exactly once".
-    fn checkin_until_acked(
-        &mut self,
-        client: &DeviceClient,
-        payload: &crowd_core::device::CheckinPayload,
-    ) -> Result<()> {
-        loop {
-            // `checkin` takes its payload by value; this loop may need it
-            // again, so each attempt sends a copy.
-            match client.checkin(payload.clone()) {
-                Ok(CheckinOutcome::BudgetExhausted) => {
-                    // Unreachable under the driver's infinite ceiling; keep
-                    // an invariant violation loud instead of counting an ack.
-                    return Err(NetError::Round("budget exhausted mid-chaos-run"));
-                }
-                Ok(_) => return Ok(()),
-                Err(e @ NetError::ServerError { code, .. }) => {
-                    if code.is_retryable() {
-                        std::thread::sleep(Duration::from_millis(1));
-                        continue;
-                    }
-                    return Err(e);
-                }
-                Err(NetError::Io(_)) | Err(NetError::Proto(_)) => {
-                    // Residual transport failure after the client's own
-                    // retries: same nonce, try again.
-                    self.log(format!(
-                        "device {} checkin nonce {} transport retry",
-                        client.device_id(),
-                        payload.nonce
-                    ));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Joins the current round, absorbing transport faults the same way
-    /// [`Self::checkout_until_served`] does for plain checkouts.
-    fn join_round_until_served(&mut self, client: &DeviceClient) -> Result<RoundSession> {
-        loop {
-            match client.join_round() {
-                Ok(session) => return Ok(session),
-                // The server runs free: a harness misconfiguration, not a
-                // transport fault — fail loudly.
-                Err(e @ NetError::Round(_)) => return Err(e),
-                Err(e @ NetError::ServerError { code, .. }) if !code.is_retryable() => {
-                    return Err(e)
-                }
-                Err(e) => {
-                    self.log(format!(
-                        "device {} join_round retry: {e}",
-                        client.device_id()
-                    ));
-                }
-            }
+        match checked_out {
+            Err(NetError::ServerError {
+                code: ErrorCode::BudgetExhausted,
+                ..
+            }) => Ok(None),
+            served => served.map(Some),
         }
     }
 
@@ -536,21 +462,23 @@ impl Driver<'_> {
     /// Unselected devices (and Selected ones whose share is already in)
     /// free-run, Selected devices submit the payload as a masked cohort share
     /// — unless the churn schedule scripts a mid-round dropout, in which case
-    /// the minibatch is discarded unsent. Returns `Ok(true)` when an ack was
-    /// obtained, `Ok(false)` when the dropout fired.
+    /// the minibatch is discarded unsent. A submission the server answers
+    /// `RoundOutdated` rejoins the successor round and goes again there.
+    /// Returns `Ok(true)` when an ack was obtained, `Ok(false)` when the
+    /// dropout fired.
     fn round_step(
         &mut self,
         client: &DeviceClient,
-        payload: &CheckinPayload,
+        payload: CheckinPayload,
         last_submitted: &mut u64,
     ) -> Result<bool> {
         loop {
-            let session = self.join_round_until_served(client)?;
+            let session = client.join_round()?;
             let round_id = session.round_id();
             if session.role() == Role::Unselected || *last_submitted == round_id {
                 // Free-run checkins are what advance the round's deadline
                 // clock, so unselected devices still make progress.
-                self.checkin_until_acked(client, payload)?;
+                unless_exhausted(client.checkin(payload)?)?;
                 return Ok(true);
             }
             if let Some(churn) = &self.opts.plan.churn {
@@ -563,7 +491,8 @@ impl Driver<'_> {
                     return Ok(false);
                 }
             }
-            if self.submit_until_resolved(&session, payload)? {
+            let outcome = unless_exhausted(session.submit(&payload)?)?;
+            if !matches!(outcome, CheckinOutcome::RoundOutdated { .. }) {
                 *last_submitted = round_id;
                 return Ok(true);
             }
@@ -575,42 +504,16 @@ impl Driver<'_> {
             ));
         }
     }
+}
 
-    /// Drives one masked submission to an ack, retrying residual transport
-    /// failures with the same nonce (server-side round dedup makes the retry
-    /// idempotent even across the round's finalization). `Ok(true)` when
-    /// acknowledged, `Ok(false)` on a `RoundOutdated` refusal.
-    fn submit_until_resolved(
-        &mut self,
-        session: &RoundSession,
-        payload: &CheckinPayload,
-    ) -> Result<bool> {
-        loop {
-            match session.submit(payload) {
-                Ok(CheckinOutcome::RoundOutdated { .. }) => return Ok(false),
-                Ok(CheckinOutcome::BudgetExhausted) => {
-                    return Err(NetError::Round("budget exhausted mid-chaos-run"));
-                }
-                Ok(_) => return Ok(true),
-                Err(e @ NetError::ServerError { code, .. }) => {
-                    if code.is_retryable() {
-                        std::thread::sleep(Duration::from_millis(1));
-                        continue;
-                    }
-                    return Err(e);
-                }
-                Err(NetError::Io(_)) | Err(NetError::Proto(_)) => {
-                    self.log(format!(
-                        "round {} submit nonce {} transport retry",
-                        session.round_id(),
-                        payload.nonce
-                    ));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+/// Passes a checkin's outcome through, except a budget refusal: the driver's
+/// infinite ceiling never refuses a device, so one is an invariant violation
+/// to report, not an ack to count.
+fn unless_exhausted(outcome: CheckinOutcome) -> Result<CheckinOutcome> {
+    if outcome == CheckinOutcome::BudgetExhausted {
+        return Err(NetError::Round("budget exhausted mid-chaos-run"));
     }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -790,7 +693,7 @@ mod tests {
             let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
             let bad = DeviceClient::builder(handle.addr(), 0, AuthToken::derive(0, 999)).build();
             let cluster = ChaosCluster::new(FaultPlan::fault_free(0));
-            let mut driver = Driver {
+            let driver = Driver {
                 opts: &cluster,
                 partitions: &[],
                 dim: 3,

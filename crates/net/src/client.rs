@@ -2,20 +2,19 @@
 
 use crate::error::NetError;
 use crate::fault::{FaultAction, TransportFaults};
+use crate::session::{on_checkin, on_checkout, on_metrics, DeviceSession, RoundView};
 use crate::Result;
 use crowd_core::device::CheckinPayload;
-use crowd_linalg::{GradientUpdate, Vector};
 use crowd_proto::frame::{read_message_pooled, write_message_pooled, DEFAULT_MAX_FRAME};
-use crowd_proto::message::{
-    CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode, GradientPayload, Message,
-    MetricsReport, MetricsRequest, RoundParams,
-};
-use crowd_proto::{AuthToken, BufPool, PROTOCOL_VERSION};
+use crowd_proto::message::{Message, MetricsReport, RoundParams};
+use crowd_proto::{AuthToken, BufPool};
 use crowd_rounds::Role;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+pub use crate::session::{CheckedOutParams, CheckinOutcome};
 
 /// Bounded retry-with-backoff policy for "server busy" backpressure replies.
 ///
@@ -60,141 +59,11 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Maps a device's gradient representation onto the wire encoding without
-/// densifying or copying: a sparse update ships only its stored coordinates,
-/// and a quantized update ships its `i16` levels plus the shared scale. The
-/// vectors move into the message.
-fn wire_gradient(gradient: GradientUpdate) -> GradientPayload {
-    match gradient {
-        GradientUpdate::Dense(v) => GradientPayload::Dense(v.into_vec()),
-        GradientUpdate::Sparse(s) => {
-            let (dim, indices, values) = s.into_parts();
-            GradientPayload::Sparse {
-                dim: dim as u32,
-                indices,
-                values,
-            }
-        }
-        GradientUpdate::Quantized(q) => {
-            let (scale, levels) = q.into_parts();
-            GradientPayload::Quantized { scale, levels }
-        }
-    }
-}
-
-/// A device's view of a checkout: the parameters and the server iteration they
-/// were read at.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckedOutParams {
-    /// Server iteration at checkout time.
-    pub iteration: u64,
-    /// The parameter vector.
-    pub params: Vector,
-    /// Whether the server reports the task as stopped.
-    pub stopped: bool,
-    /// The server's current round parameters, when it runs the round-based
-    /// cohort protocol (wire v6); `None` on a free-running server.
-    pub round: Option<RoundParams>,
-}
-
-/// Typed result of one checkin, replacing the old `(accepted, stopped)` pair.
-///
-/// Budget exhaustion and round staleness arrive on the wire as error replies
-/// but are *protocol states*, not failures: they surface as variants here so
-/// a caller matches once instead of inspecting error codes. Transport
-/// failures and genuine server errors still arrive as `Err`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckinOutcome {
-    /// The gradient was applied; the server has advanced to `iteration`.
-    Applied {
-        /// Server iteration after applying this checkin.
-        iteration: u64,
-    },
-    /// A dedup replay: an earlier attempt of this nonce was already applied
-    /// (and ε-charged), so nothing happened twice.
-    Deduped,
-    /// The task's stopping criterion is met and the device should stop
-    /// collecting; `applied` reports whether this checkin still made it in.
-    Stopped {
-        /// Whether the gradient was applied before the stop was observed.
-        applied: bool,
-    },
-    /// The device's privacy budget is spent; it should end participation.
-    BudgetExhausted,
-    /// The round this checkin named closed while the device was computing.
-    /// Non-fatal: refetch the round parameters (the server's current round is
-    /// included here), re-derive the role, and resubmit against the new round.
-    RoundOutdated {
-        /// The server's current round id.
-        current_round: u64,
-    },
-}
-
-impl CheckinOutcome {
-    /// Whether this checkin's gradient was (or had already been) applied.
-    pub fn applied(&self) -> bool {
-        matches!(
-            self,
-            CheckinOutcome::Applied { .. }
-                | CheckinOutcome::Deduped
-                | CheckinOutcome::Stopped { applied: true }
-        )
-    }
-
-    /// Whether the server reported the task's stopping criterion as met.
-    pub fn task_stopped(&self) -> bool {
-        matches!(self, CheckinOutcome::Stopped { .. })
-    }
-}
-
-impl From<CheckinAck> for CheckinOutcome {
-    fn from(ack: CheckinAck) -> Self {
-        if ack.deduped {
-            CheckinOutcome::Deduped
-        } else if ack.stopped {
-            CheckinOutcome::Stopped {
-                applied: ack.accepted,
-            }
-        } else if ack.accepted {
-            CheckinOutcome::Applied {
-                iteration: ack.iteration,
-            }
-        } else {
-            // The server only withholds `accepted` once the task stopped;
-            // map the combination defensively rather than invent a variant.
-            CheckinOutcome::Stopped { applied: false }
-        }
-    }
-}
-
-/// Folds a checkin reply into the typed outcome: budget exhaustion and round
-/// staleness become `Ok` protocol states, everything else an error.
-fn checkin_outcome(reply: Message) -> Result<CheckinOutcome> {
-    match reply {
-        Message::CheckinAck(ack) => Ok(ack.into()),
-        Message::Error(e) => match e.code {
-            ErrorCode::BudgetExhausted => Ok(CheckinOutcome::BudgetExhausted),
-            ErrorCode::RoundOutdated => Ok(CheckinOutcome::RoundOutdated {
-                current_round: e.round_id,
-            }),
-            _ => Err(NetError::ServerError {
-                code: e.code,
-                detail: e.detail,
-            }),
-        },
-        other => Err(NetError::UnexpectedMessage {
-            expected: "checkin_ack",
-            received: other.name(),
-        }),
-    }
-}
-
 /// A TCP client for one device.
 #[derive(Debug, Clone)]
 pub struct DeviceClient {
     addr: SocketAddr,
-    device_id: u64,
-    token: AuthToken,
+    session: DeviceSession,
     retry: RetryPolicy,
     /// Reused frame buffers (shared across clones, e.g. a gateway's workers).
     pool: Arc<BufPool>,
@@ -236,8 +105,7 @@ fn is_transient_transport(e: &NetError) -> bool {
 #[derive(Debug, Clone)]
 pub struct DeviceClientBuilder {
     addr: SocketAddr,
-    device_id: u64,
-    token: AuthToken,
+    session: DeviceSession,
     retry: RetryPolicy,
     faults: Option<Arc<TransportFaults>>,
 }
@@ -261,8 +129,7 @@ impl DeviceClientBuilder {
     pub fn build(self) -> DeviceClient {
         DeviceClient {
             addr: self.addr,
-            device_id: self.device_id,
-            token: self.token,
+            session: self.session,
             retry: self.retry,
             pool: Arc::new(BufPool::default()),
             faults: self.faults,
@@ -277,8 +144,7 @@ impl DeviceClient {
     pub fn builder(addr: SocketAddr, device_id: u64, token: AuthToken) -> DeviceClientBuilder {
         DeviceClientBuilder {
             addr,
-            device_id,
-            token,
+            session: DeviceSession { device_id, token },
             retry: RetryPolicy::new(),
             faults: None,
         }
@@ -293,12 +159,15 @@ impl DeviceClient {
 
     /// The device id this client authenticates as.
     pub fn device_id(&self) -> u64 {
-        self.device_id
+        self.session.device_id
     }
 
     fn exchange_once(&self, request: &Message) -> Result<Message> {
         let action = match &self.faults {
-            Some(faults) => faults.decide(self.device_id, self.ops.fetch_add(1, Ordering::Relaxed)),
+            Some(faults) => faults.decide(
+                self.session.device_id,
+                self.ops.fetch_add(1, Ordering::Relaxed),
+            ),
             None => FaultAction::None,
         };
         self.exchange_once_with(request, action)
@@ -363,26 +232,18 @@ impl DeviceClient {
     /// One request/reply exchange, transparently retrying "server busy"
     /// backpressure replies (either a dedicated `Busy` message or an
     /// `ErrorReply` with the retryable [`ErrorCode::Busy`]) with backoff.
+    /// An `idempotent` request additionally retries transient transport
+    /// failures: checkouts and scrapes (reads) and checkins carrying a dedup
+    /// nonce (the server replays the original ack if the first attempt was
+    /// actually applied).
     ///
     /// [`ErrorCode::Busy`]: crowd_proto::message::ErrorCode::Busy
-    fn exchange(&self, request: &Message) -> Result<Message> {
-        self.exchange_policy(request, false)
-    }
-
-    /// Like [`DeviceClient::exchange`], but additionally retries transient
-    /// transport failures. Only safe for idempotent requests: checkouts
-    /// (reads) and checkins carrying a dedup nonce (the server replays the
-    /// original ack if the first attempt was actually applied).
-    fn exchange_idempotent(&self, request: &Message) -> Result<Message> {
-        self.exchange_policy(request, true)
-    }
-
-    fn exchange_policy(&self, request: &Message, retry_transport: bool) -> Result<Message> {
+    fn exchange(&self, request: &Message, idempotent: bool) -> Result<Message> {
         let mut failures = 0u32;
         loop {
             let reply = match self.exchange_once(request) {
                 Ok(reply) => reply,
-                Err(e) if retry_transport && is_transient_transport(&e) => {
+                Err(e) if idempotent && is_transient_transport(&e) => {
                     // The request may or may not have been applied server-side;
                     // idempotence (checkout = read, checkin = dedup nonce)
                     // makes the blind retry safe.
@@ -415,27 +276,7 @@ impl DeviceClient {
     /// A checkout is a read, hence idempotent: transient transport failures
     /// are retried under the client's policy.
     pub fn checkout(&self) -> Result<CheckedOutParams> {
-        let reply = self.exchange_idempotent(&Message::CheckoutRequest(CheckoutRequest {
-            version: PROTOCOL_VERSION,
-            device_id: self.device_id,
-            token: self.token,
-        }))?;
-        match reply {
-            Message::CheckoutResponse(r) => Ok(CheckedOutParams {
-                iteration: r.iteration,
-                params: Vector::from_vec(r.params),
-                stopped: r.stopped,
-                round: r.round,
-            }),
-            Message::Error(e) => Err(NetError::ServerError {
-                code: e.code,
-                detail: e.detail,
-            }),
-            other => Err(NetError::UnexpectedMessage {
-                expected: "checkout_response",
-                received: other.name(),
-            }),
-        }
+        on_checkout(self.exchange(&self.session.checkout_request(), true)?)
     }
 
     /// Scrapes the server's metric registry over the wire (the `crowd-scope`
@@ -443,22 +284,7 @@ impl DeviceClient {
     /// exactly like a checkout, hence idempotent: transient transport
     /// failures are retried under the client's policy.
     pub fn scrape_metrics(&self) -> Result<MetricsReport> {
-        let reply = self.exchange_idempotent(&Message::MetricsRequest(MetricsRequest {
-            version: PROTOCOL_VERSION,
-            device_id: self.device_id,
-            token: self.token,
-        }))?;
-        match reply {
-            Message::MetricsReport(report) => Ok(report),
-            Message::Error(e) => Err(NetError::ServerError {
-                code: e.code,
-                detail: e.detail,
-            }),
-            other => Err(NetError::UnexpectedMessage {
-                expected: "metrics_report",
-                received: other.name(),
-            }),
-        }
+        on_metrics(self.exchange(&self.session.metrics_request(), true)?)
     }
 
     /// Checks in a sanitized payload (Fig. 2, steps 4–5) as an ordinary
@@ -476,23 +302,8 @@ impl DeviceClient {
     /// The payload's vectors move into the request, which every retry
     /// re-sends as it is.
     pub fn checkin(&self, payload: CheckinPayload) -> Result<CheckinOutcome> {
-        let request = Message::CheckinRequest(CheckinRequest {
-            device_id: self.device_id,
-            token: self.token,
-            checkout_iteration: payload.checkout_iteration,
-            nonce: payload.nonce,
-            round_id: 0,
-            gradient: wire_gradient(payload.gradient),
-            num_samples: payload.num_samples as u32,
-            error_count: payload.error_count,
-            label_counts: payload.label_counts,
-        });
-        let reply = if payload.nonce != 0 {
-            self.exchange_idempotent(&request)?
-        } else {
-            self.exchange(&request)?
-        };
-        checkin_outcome(reply)
+        let idempotent = payload.nonce != 0;
+        on_checkin(self.exchange(&self.session.checkin_request(payload), idempotent)?)
     }
 
     /// Joins the server's current round (wire v6): one checkout both reads
@@ -501,21 +312,10 @@ impl DeviceClient {
     /// messages. Errors with [`NetError::Round`] when the server runs free.
     pub fn join_round(&self) -> Result<RoundSession> {
         let checked_out = self.checkout()?;
-        let round = checked_out
-            .round
-            .ok_or(NetError::Round("the server is not running rounds"))?;
-        let cohort = crowd_rounds::cohort(round.seed, round.population, round.select_fraction);
-        let role = if cohort.binary_search(&self.device_id).is_ok() {
-            Role::Selected
-        } else {
-            Role::Unselected
-        };
         Ok(RoundSession {
             client: self.clone(),
-            round,
+            view: self.session.join(&checked_out)?,
             checked_out,
-            role,
-            cohort,
         })
     }
 }
@@ -533,28 +333,24 @@ impl DeviceClient {
 #[derive(Debug, Clone)]
 pub struct RoundSession {
     client: DeviceClient,
-    round: RoundParams,
+    view: RoundView,
     checked_out: CheckedOutParams,
-    role: Role,
-    /// Ascending cohort ids, derived from the round seed like every party
-    /// derives them.
-    cohort: Vec<u64>,
 }
 
 impl RoundSession {
     /// This device's role in the joined round.
     pub fn role(&self) -> Role {
-        self.role
+        self.view.role
     }
 
     /// The joined round's id.
     pub fn round_id(&self) -> u64 {
-        self.round.round_id
+        self.view.round.round_id
     }
 
     /// The round parameters as published by the server.
     pub fn round(&self) -> RoundParams {
-        self.round
+        self.view.round
     }
 
     /// The checkout this session was created from (model parameters).
@@ -564,7 +360,7 @@ impl RoundSession {
 
     /// The round's cohort (ascending device ids).
     pub fn cohort(&self) -> &[u64] {
-        &self.cohort
+        &self.view.cohort
     }
 
     /// Submits this round's masked contribution (`Selected` role only): each
@@ -575,41 +371,8 @@ impl RoundSession {
     /// through transport faults when the payload carries a dedup nonce, like
     /// [`DeviceClient::checkin`].
     pub fn submit(&self, payload: &CheckinPayload) -> Result<CheckinOutcome> {
-        if self.role != Role::Selected {
-            return Err(NetError::Round("only a selected device submits to a round"));
-        }
-        let densified;
-        let dense = match &payload.gradient {
-            GradientUpdate::Dense(v) => v.as_slice(),
-            sparse_or_quantized => {
-                densified = sparse_or_quantized.to_dense();
-                densified.as_slice()
-            }
-        };
-        let mask_words = crowd_rounds::net_mask(
-            self.round.seed,
-            self.client.device_id,
-            &self.cohort,
-            dense.len(),
-        );
-        let words = crowd_rounds::mask(dense, &mask_words);
-        let request = Message::CheckinRequest(CheckinRequest {
-            device_id: self.client.device_id,
-            token: self.client.token,
-            checkout_iteration: payload.checkout_iteration,
-            nonce: payload.nonce,
-            round_id: self.round.round_id,
-            gradient: GradientPayload::Masked { words },
-            num_samples: payload.num_samples as u32,
-            error_count: payload.error_count,
-            label_counts: payload.label_counts.clone(),
-        });
-        let reply = if payload.nonce != 0 {
-            self.client.exchange_idempotent(&request)?
-        } else {
-            self.client.exchange(&request)?
-        };
-        checkin_outcome(reply)
+        let request = self.client.session.submit_request(&self.view, payload)?;
+        on_checkin(self.client.exchange(&request, payload.nonce != 0)?)
     }
 
     /// Rejoins the server's *current* round after a
@@ -630,6 +393,7 @@ mod tests {
     use crate::reactor_server::ReactorServer;
     use crowd_core::config::ServerConfig;
     use crowd_learning::MulticlassLogistic;
+    use crowd_linalg::Vector;
     use crowd_proto::auth::TokenRegistry;
 
     #[test]
@@ -696,17 +460,11 @@ mod tests {
             error_count: 1,
             label_counts: vec![1, 1],
         };
-        let request = Message::CheckinRequest(CheckinRequest {
+        let session = DeviceSession {
             device_id: 1,
             token: AuthToken::derive(1, 5),
-            checkout_iteration: 0,
-            nonce: payload.nonce,
-            round_id: 0,
-            gradient: wire_gradient(payload.gradient.clone()),
-            num_samples: 2,
-            error_count: 1,
-            label_counts: vec![1, 1],
-        });
+        };
+        let request = session.checkin_request(payload.clone());
         // The connection dies right after the full frame was sent: the server
         // processes the checkin, the client sees only an I/O error.
         let err = client
@@ -744,6 +502,19 @@ mod tests {
         let tokens = TokenRegistry::with_derived_tokens(2, 5);
         let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
         let client = DeviceClient::builder(handle.addr(), 1, AuthToken::derive(1, 5)).build();
+        let session = DeviceSession {
+            device_id: 1,
+            token: AuthToken::derive(1, 5),
+        };
+        let payload = |nonce| CheckinPayload {
+            device_id: 1,
+            checkout_iteration: 0,
+            nonce,
+            gradient: Vector::from_vec(vec![0.1; 6]).into(),
+            num_samples: 1,
+            error_count: 0,
+            label_counts: vec![1, 0],
+        };
         let actions = [
             FaultAction::DropBeforeSend,
             FaultAction::TruncateFrame,
@@ -751,35 +522,15 @@ mod tests {
         ];
         for (i, &action) in actions.iter().enumerate() {
             let nonce = 100 + i as u64;
-            let request = Message::CheckinRequest(CheckinRequest {
-                device_id: 1,
-                token: AuthToken::derive(1, 5),
-                checkout_iteration: 0,
-                nonce,
-                round_id: 0,
-                gradient: GradientPayload::Dense(vec![0.1; 6]),
-                num_samples: 1,
-                error_count: 0,
-                label_counts: vec![1, 0],
-            });
+            let request = session.checkin_request(payload(nonce));
             assert!(client.exchange_once_with(&request, action).is_err());
             // Retry until the ack arrives (an in-flight original replies Busy
             // for a moment; the exchange layer absorbs that).
-            let reply = client.exchange_idempotent(&request).unwrap();
+            let reply = client.exchange(&request, true).unwrap();
             assert!(matches!(reply, Message::CheckinAck(ack) if ack.accepted));
         }
         // A duplicated frame resolves to one application as well.
-        let request = Message::CheckinRequest(CheckinRequest {
-            device_id: 1,
-            token: AuthToken::derive(1, 5),
-            checkout_iteration: 0,
-            nonce: 200,
-            round_id: 0,
-            gradient: GradientPayload::Dense(vec![0.1; 6]),
-            num_samples: 1,
-            error_count: 0,
-            label_counts: vec![1, 0],
-        });
+        let request = session.checkin_request(payload(200));
         let reply = client
             .exchange_once_with(&request, FaultAction::DuplicateFrame)
             .unwrap();

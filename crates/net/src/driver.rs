@@ -13,10 +13,14 @@
 //! Nothing is retried: a connect, write or read error, or a reply the
 //! exchange does not expect, fails the device.
 
+use crate::session::{on_checkin, on_checkout, CheckinOutcome, DeviceSession};
+use crate::NetError;
+use crowd_core::device::CheckinPayload;
+use crowd_linalg::Vector;
 use crowd_proto::auth::AuthToken;
 use crowd_proto::frame::{read_message, write_message};
-use crowd_proto::message::{CheckinRequest, CheckoutRequest, ErrorCode, GradientPayload, Message};
-use crowd_proto::{ProtoError, PROTOCOL_VERSION};
+use crowd_proto::message::{ErrorCode, Message};
+use crowd_proto::ProtoError;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -70,9 +74,9 @@ impl Default for FleetConfig {
 /// What the fleet accomplished.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetReport {
-    /// Checkins acknowledged as accepted.
+    /// Checkins acknowledged as applied (a dedup replay counts here).
     pub acked: u64,
-    /// Checkins acknowledged but rejected (stale iteration, dedup replay, …).
+    /// Checkins acknowledged but not applied (the task had stopped).
     pub rejected: u64,
     /// Successful checkouts.
     pub checkouts: u64,
@@ -92,7 +96,7 @@ impl FleetReport {
 
 /// One open device: its connection and the iteration of its last checkout.
 struct Device {
-    id: u64,
+    session: DeviceSession,
     stream: TcpStream,
     iteration: u64,
 }
@@ -153,7 +157,10 @@ impl FleetDriver {
         };
         stream.set_nodelay(true).ok();
         Some(Device {
-            id,
+            session: DeviceSession {
+                device_id: id,
+                token: AuthToken::derive(id, self.config.auth_secret),
+            },
             stream,
             iteration: 0,
         })
@@ -164,13 +171,9 @@ impl FleetDriver {
     fn exchange(&mut self, devices: &mut Vec<Device>, round: u64, checkin: bool) {
         devices.retain_mut(|device| {
             let request = if checkin {
-                Message::CheckinRequest(self.checkin_request(device, round))
+                device.session.checkin_request(self.payload(device, round))
             } else {
-                Message::CheckoutRequest(CheckoutRequest {
-                    version: PROTOCOL_VERSION,
-                    device_id: device.id,
-                    token: AuthToken::derive(device.id, self.config.auth_secret),
-                })
+                device.session.checkout_request()
             };
             write_message(&mut device.stream, &request).is_ok() || self.fail()
         });
@@ -187,9 +190,10 @@ impl FleetDriver {
     }
 
     /// The deterministic checkin for `(device, round)`: gradient, labels, and
-    /// nonce are pure functions of the pair.
-    fn checkin_request(&self, device: &Device, round: u64) -> CheckinRequest {
-        let id = device.id;
+    /// nonce are pure functions of the pair. Nonces count from 1, like a
+    /// [`crowd_core::device::Device`]'s, so every checkin asks for dedup.
+    fn payload(&self, device: &Device, round: u64) -> CheckinPayload {
+        let id = device.session.device_id;
         let gradient: Vec<f64> = (0..self.config.dim)
             .map(|i| {
                 let mix = id
@@ -202,13 +206,11 @@ impl FleetDriver {
         let classes = self.config.classes.max(1);
         let mut label_counts = vec![0i64; classes];
         label_counts[(id.wrapping_add(round) % classes as u64) as usize] = 2;
-        CheckinRequest {
+        CheckinPayload {
             device_id: id,
-            token: AuthToken::derive(id, self.config.auth_secret),
             checkout_iteration: device.iteration,
-            nonce: round,
-            round_id: 0,
-            gradient: GradientPayload::Dense(gradient),
+            nonce: round + 1,
+            gradient: Vector::from_vec(gradient).into(),
             num_samples: 2,
             error_count: 1,
             label_counts,
@@ -217,26 +219,29 @@ impl FleetDriver {
 
     /// Counts a device's reply. Returns whether the device goes on.
     fn on_reply(&mut self, device: &mut Device, reply: Option<Message>, checkin: bool) -> bool {
-        match (checkin, reply) {
-            (false, Some(Message::CheckoutResponse(r))) => {
-                self.report.checkouts += 1;
-                device.iteration = r.iteration;
-                true
-            }
-            (true, Some(Message::CheckinAck(ack))) => {
-                if ack.accepted {
-                    self.report.acked += 1;
-                } else {
-                    self.report.rejected += 1;
+        let report = &mut self.report;
+        let (tally, goes_on) = match (checkin, reply) {
+            (_, None) => (&mut report.failed_devices, false),
+            (false, Some(reply)) => match on_checkout(reply) {
+                Ok(checked_out) => {
+                    device.iteration = checked_out.iteration;
+                    (&mut report.checkouts, true)
                 }
-                true
-            }
-            (_, Some(Message::Error(e))) if e.code == ErrorCode::BudgetExhausted => {
-                self.report.exhausted_devices += 1;
-                false
-            }
-            _ => self.fail(),
-        }
+                Err(NetError::ServerError {
+                    code: ErrorCode::BudgetExhausted,
+                    ..
+                }) => (&mut report.exhausted_devices, false),
+                Err(_) => (&mut report.failed_devices, false),
+            },
+            (true, Some(reply)) => match on_checkin(reply) {
+                Ok(CheckinOutcome::BudgetExhausted) => (&mut report.exhausted_devices, false),
+                Ok(outcome) if outcome.applied() => (&mut report.acked, true),
+                Ok(_) => (&mut report.rejected, true),
+                Err(_) => (&mut report.failed_devices, false),
+            },
+        };
+        *tally += 1;
+        goes_on
     }
 
     /// Counts a failed device. Returns `false`, so the device leaves.

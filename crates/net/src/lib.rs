@@ -7,6 +7,10 @@
 //! the `crowd-proto` wire protocol; and a [`client::DeviceClient`] that runs
 //! Device Routines 1–3 against it.
 //!
+//! [`session::DeviceSession`] builds every request a device sends and the
+//! [`session`] readers decode every reply, without I/O; each device loop in
+//! this crate only moves those messages over its sockets.
+//!
 //! The server is event-driven, built on the `crowd-reactor` core: one event
 //! loop multiplexes thousands of connections, and a full
 //! ingest queue throttles socket reads instead of replying `Busy`. The
@@ -34,6 +38,7 @@ pub mod error;
 pub mod fault;
 pub mod reactor_server;
 mod service;
+pub mod session;
 
 pub use chaos::{ChaosCluster, ChaosReport};
 pub use client::{CheckinOutcome, DeviceClient, DeviceClientBuilder, RetryPolicy, RoundSession};
