@@ -335,7 +335,7 @@ fn fold_in_blocks(out: &mut [f64], sums: &[&[f64]]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch_reference;
+    use crate::spec;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -521,23 +521,23 @@ mod tests {
         assert_eq!(epoch.device_stats.len(), 20);
     }
 
-    /// An adopted accumulator keeps a checkin's `−0.0`, which the old
-    /// zeroed-buffer add turned into `+0.0`; the drain's `+0.0` start makes
-    /// the merged sum `+0.0` again. A fold that started from the first
+    /// An adopted accumulator keeps a checkin's `−0.0`, which the spec's
+    /// `+0.0`-started device sum turns into `+0.0`; the drain's `+0.0` start
+    /// makes the merged sum `+0.0` again. A fold that started from the first
     /// device's sum instead would return `−0.0` here.
     #[test]
     fn adopted_negative_zeros_drain_to_positive_zeros() {
         let grads = [vec![-0.0, 1.5, -0.0], vec![-0.0, -0.0, 2.0]];
         for devices in 1..=grads.len() {
             let mut set = EpochAccumulator::new(3, 2);
-            let mut oracle = epoch_reference::EpochAccumulator::new(3, 2);
+            let mut checkins = Vec::new();
             for (device, g) in grads[..devices].iter().enumerate() {
                 let p = payload(device as u64, g.clone(), 0);
-                assert!(oracle.ingest(&p, waiter()).is_ok());
+                checkins.push(p.clone());
                 assert!(set.ingest(p, waiter()).is_ok());
             }
             let merged = set.drain().epoch.unwrap().gradient_sum;
-            let expected = oracle.drain().epoch.unwrap().gradient_sum;
+            let expected = spec::epoch(&checkins, 3, 2).unwrap().gradient_sum;
             assert_eq!(merged[0].to_bits(), 0.0f64.to_bits());
             let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&merged), bits(&expected));
@@ -658,11 +658,11 @@ mod tests {
             prop_assert_eq!(bits(&merged.gradient_sum), bits(&expected.gradient_sum));
         }
 
-        /// The accumulator against the frozen one it replaced, bit for bit,
-        /// over several epochs on one accumulator (so pooled buffers are
-        /// reused): dims 0, 1 and around the fold block, 1–40 devices with
-        /// repeat checkins, dense, sparse and quantized payloads, and
-        /// coordinates from `±0.0`, subnormals, `±∞`, NaN and `2^±20`.
+        /// The accumulator against `spec::epoch`, bit for bit, over several
+        /// epochs on one accumulator (so pooled buffers are reused): dims 0,
+        /// 1 and around the fold block, 1–40 devices with repeat checkins,
+        /// dense, sparse and quantized payloads, and coordinates from
+        /// `±0.0`, subnormals, `±∞`, NaN and `2^±20`.
         ///
         /// A NaN matches any NaN: IEEE 754 leaves open which operand's
         /// payload and sign a sum of two NaNs carries, and LLVM may commute
@@ -681,20 +681,20 @@ mod tests {
             let specials = [0.0, 0.01, 0.2][specials];
             let mut rng = StdRng::seed_from_u64(seed);
             let mut set = EpochAccumulator::new(dim, 2);
-            let mut oracle = epoch_reference::EpochAccumulator::new(dim, 2);
             for _epoch in 0..3 {
+                let mut checkins = Vec::new();
                 for _ in 0..rng.gen_range(1..=2 * devices) {
                     let device = rng.gen_range(0..devices) * 7;
                     let p = oracle_payload(&mut rng, device, dim, zeros, specials);
-                    prop_assert!(oracle.ingest(&p, waiter()).is_ok());
-                    prop_assert_eq!(set.ingest(p, waiter()).ok(), Some(oracle.pending()));
+                    checkins.push(p.clone());
+                    prop_assert_eq!(set.ingest(p, waiter()).ok(), Some(checkins.len() as u64));
                 }
-                prop_assert_eq!(set.pending(), oracle.pending());
-                let (merged, expected) = (set.drain(), oracle.drain());
-                prop_assert_eq!(merged.count, expected.count);
-                let ids = |d: &DrainedEpoch| d.waiters.iter().map(|w| w.device_id).collect::<Vec<_>>();
-                prop_assert_eq!(ids(&merged), ids(&expected));
-                let (merged, expected) = (merged.epoch.unwrap(), expected.epoch.unwrap());
+                prop_assert_eq!(set.pending(), checkins.len() as u64);
+                let merged = set.drain();
+                prop_assert_eq!(merged.count, checkins.len() as u64);
+                prop_assert_eq!(merged.waiters.len(), checkins.len());
+                let merged = merged.epoch.unwrap();
+                let expected = spec::epoch(&checkins, dim, 2).unwrap();
                 prop_assert_eq!(merged.checkin_count, expected.checkin_count);
                 prop_assert_eq!(merged.min_checkout_iteration, expected.min_checkout_iteration);
                 prop_assert_eq!(&merged.device_stats, &expected.device_stats);
@@ -705,7 +705,6 @@ mod tests {
                 };
                 prop_assert_eq!(bits(&merged.gradient_sum), bits(&expected.gradient_sum));
                 set.recycle_epoch(merged);
-                oracle.recycle_epoch(expected);
             }
         }
     }

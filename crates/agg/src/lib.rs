@@ -11,7 +11,8 @@
 //! * **An epoch accumulator** — per-device running gradient sums, kept under
 //!   the core lock and folded in ascending device-id order at epoch
 //!   boundaries, so the aggregate is bitwise reproducible no matter how
-//!   threads interleave.
+//!   threads interleave. [`spec::epoch`] states the same merge as a pure
+//!   function of the epoch's checkins, the reference it is tested against.
 //! * **Epoch-snapshotted parameters** ([`runtime::ParamSnapshot`]) — checkouts
 //!   clone an `Arc` published at the last update; the read path never waits on
 //!   gradient application.
@@ -29,11 +30,10 @@
 
 mod dedup;
 mod epoch;
-#[cfg(test)]
-mod epoch_reference;
 mod queue;
 mod reply;
 pub mod runtime;
+pub mod spec;
 
 pub use reply::OutcomeSink;
 pub use runtime::{AggRuntime, CompletionHandle, ParamSnapshot, SubmitRejection, Submitted};

@@ -248,9 +248,6 @@ impl Device {
 }
 
 #[cfg(test)]
-mod checkin_reference;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{DeviceConfig, PrivacyConfig};
@@ -465,35 +462,44 @@ mod tests {
         )
     }
 
-    /// Runs the same checkin through `compute_checkin` and the frozen
-    /// pre-in-place tail from identically seeded RNGs. Debug output is the
+    /// Runs the same checkin through `compute_checkin` and `spec::checkin`
+    /// from identically seeded RNGs, on a device that holds out
+    /// `holdout_fraction` of its minibatch (Remark 2). Debug output is the
     /// comparison: it prints every finite `f64` in a round-trippable form
     /// (`-0.0` included), so equal strings mean equal bits — and a payload
     /// never carries a NaN.
-    fn assert_matches_frozen(
+    fn assert_matches_spec(
         model: &dyn Model,
         privacy: PrivacyConfig,
         params: &Vector,
         samples: Vec<Sample>,
+        holdout_fraction: f64,
         lambda: f64,
         seed: u64,
     ) -> Result<CheckinPayload> {
-        let mut device = Device::new(3, DeviceConfig::new(samples.len()), privacy).unwrap();
-        for s in samples {
-            device.observe(s);
+        let config = DeviceConfig::new(samples.len()).with_holdout_fraction(holdout_fraction);
+        let mut device = Device::new(3, config, privacy).unwrap();
+        for s in &samples {
+            device.observe(s.clone());
         }
         device.begin_checkout().unwrap();
-        let mut frozen = device.clone();
         let new =
             device.compute_checkin(model, params, 9, lambda, &mut StdRng::seed_from_u64(seed));
-        let old = checkin_reference::compute_checkin(
-            &mut frozen,
+        let old = crate::spec::checkin(
             model,
             params,
-            9,
+            &samples,
+            &privacy,
+            holdout_fraction,
             lambda,
             &mut StdRng::seed_from_u64(seed),
-        );
+        )
+        .map(|payload| CheckinPayload {
+            device_id: 3,
+            checkout_iteration: 9,
+            nonce: 1,
+            ..payload
+        });
         assert_eq!(format!("{new:?}"), format!("{old:?}"));
         new
     }
@@ -533,7 +539,7 @@ mod tests {
                     Sample::new(x, rng.gen_range(0..model.num_classes()))
                 })
                 .collect();
-            prop_assert!(assert_matches_frozen(&*model, privacy, &params, samples, lambda, seed).is_ok());
+            prop_assert!(assert_matches_spec(&*model, privacy, &params, samples, 0.0, lambda, seed).is_ok());
         }
     }
 
@@ -541,7 +547,7 @@ mod tests {
     fn signed_zero_features_pick_the_frozen_wire_encoding() {
         // Half of every feature vector is exact ±0.0, so the non-private
         // gradient is sparse on the wire; the in-place path must count the
-        // same exact zeros as the scratch path did.
+        // same exact zeros as the spec's separate pass.
         let model = MulticlassLogistic::new(8, 3).unwrap();
         let params = Vector::from_vec((0..24).map(|i| 0.1 * i as f64 - 1.0).collect());
         let samples = (0..6)
@@ -554,11 +560,12 @@ mod tests {
             })
             .collect::<Vec<_>>();
         for lambda in [0.0, 0.25] {
-            let payload = assert_matches_frozen(
+            let payload = assert_matches_spec(
                 &model,
                 PrivacyConfig::non_private(),
                 &params,
                 samples.clone(),
+                0.0,
                 lambda,
                 5,
             )
@@ -568,6 +575,28 @@ mod tests {
                 matches!(payload.gradient, GradientUpdate::Sparse(_)),
                 lambda == 0.0
             );
+        }
+    }
+
+    #[test]
+    fn held_out_checkins_are_bitwise_the_spec() {
+        // The hold-out shuffle draws from the same generator as the noise,
+        // and the noise is calibrated to the samples the gradient averages.
+        let model = MulticlassLogistic::new(3, 3).unwrap();
+        let params = Vector::from_vec((0..9).map(|i| 0.2 * i as f64 - 0.8).collect());
+        let mut rng = StdRng::seed_from_u64(41);
+        for (b, fraction) in [(1, 0.5), (4, 0.25), (10, 0.5), (20, 0.9)] {
+            let samples: Vec<Sample> = (0..b)
+                .map(|i| Sample::new(signed_zero_features(&mut rng, 3), i % 3))
+                .collect();
+            for privacy in [
+                PrivacyConfig::non_private(),
+                PrivacyConfig::with_total_epsilon(0.5),
+            ] {
+                let (samples, seed) = (samples.clone(), rng.gen());
+                assert_matches_spec(&model, privacy, &params, samples, fraction, 0.1, seed)
+                    .unwrap();
+            }
         }
     }
 }

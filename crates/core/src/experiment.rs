@@ -53,13 +53,6 @@ pub enum Workload {
         /// Samples generated for the common test set.
         test_samples: usize,
     },
-    /// A user-provided dataset pair.
-    Custom {
-        /// Training data (will be partitioned across devices).
-        train: Dataset,
-        /// Test data.
-        test: Dataset,
-    },
 }
 
 /// Experiment-level configuration shared by Crowd-ML and the baselines.
@@ -323,14 +316,6 @@ impl CrowdMlExperiment {
         }
     }
 
-    /// Experiment on user-provided data.
-    pub fn custom(train: Dataset, test: Dataset, config: ExperimentConfig) -> Self {
-        CrowdMlExperiment {
-            workload: Workload::Custom { train, test },
-            config,
-        }
-    }
-
     /// The experiment configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
@@ -394,11 +379,6 @@ impl CrowdMlExperiment {
                     pooled = pooled.concat(p.clone())?;
                 }
                 (parts, pooled, test)
-            }
-            Workload::Custom { train, test } => {
-                let parts =
-                    partition(train, self.config.devices, PartitionStrategy::Iid, &mut rng)?;
-                (parts, train.clone(), test.clone())
             }
         };
         let dim = pooled_train.dim();

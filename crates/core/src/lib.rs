@@ -22,6 +22,8 @@
 //!   error-vs-iteration curves of Figs. 3–9.
 //! * [`report`] — plain-text/CSV rendering used by the figure binaries and
 //!   EXPERIMENTS.md.
+//! * [`spec`] — Device Routine 3 and Server Routine 2's update written as
+//!   plainly as they can be, the reference the fast paths are tested against.
 
 #![forbid(unsafe_code)]
 
@@ -34,6 +36,7 @@ pub mod privacy;
 pub mod report;
 pub mod server;
 pub mod simulation;
+pub mod spec;
 
 pub use config::{
     AggSettings, BudgetSettings, CrowdMlConfig, DeviceConfig, PersistSettings, PrivacyConfig,

@@ -9,6 +9,8 @@
 //! [`metrics`] computes the error curves the evaluation section plots, and
 //! [`dp`] holds the local differential-privacy mechanisms a device applies to
 //! what it releases, calibrated to the models' sensitivity bounds.
+//! [`spec`] states Device Routine 2 as plainly as it can be written, the
+//! reference the fast path is tested against.
 //!
 //! Implemented models:
 //!
@@ -25,11 +27,10 @@ pub mod dp;
 pub mod error;
 pub mod logistic;
 pub mod metrics;
-#[cfg(test)]
-mod minibatch_reference;
 pub mod model;
 pub mod schedule;
 pub mod sgd;
+pub mod spec;
 pub mod svm;
 
 pub use error::LearningError;

@@ -348,8 +348,9 @@ pub struct MinibatchStats {
 /// and [`GradientSink`]): the first averaged sample writes its products into
 /// fresh storage, and the last one also averages them, adds `λw`, checks
 /// finiteness and counts [`MinibatchStats::nonzero`]. Every coordinate sees
-/// the operations of the separate passes, in their order: the sum from
-/// `+0.0` in sample order, then `·(1/n)`, then `+ λ·w`.
+/// the operations of the separate passes of [`crate::spec::minibatch_statistics`],
+/// in their order: the sum from `+0.0` in sample order, then `·(1/n)`, then
+/// `+ λ·w`.
 pub fn minibatch_statistics<M: Model + ?Sized>(
     model: &M,
     params: &Vector,
@@ -473,7 +474,7 @@ mod tests {
     use super::*;
     use crate::logistic::BinaryLogistic;
     use crate::logistic::MulticlassLogistic;
-    use crate::minibatch_reference;
+    use crate::spec;
     use crate::svm::MulticlassHinge;
     use crowd_linalg::Vector;
     use proptest::prelude::*;
@@ -549,9 +550,9 @@ mod tests {
         assert!(model.validate(&Vector::zeros(3), 2).is_err());
     }
 
-    /// Requires the accumulate path and the frozen scratch path to agree:
+    /// Requires the accumulate path and the spec to agree:
     /// gradient and mean loss bit for bit, counts exactly, errors in full.
-    fn assert_matches_frozen(
+    fn assert_matches_spec(
         model: &dyn Model,
         params: &Vector,
         samples: &[Sample],
@@ -559,8 +560,7 @@ mod tests {
         holdout: &[usize],
     ) -> Result<MinibatchStats> {
         let new = minibatch_statistics(model, params, samples, lambda, holdout);
-        let old =
-            minibatch_reference::minibatch_statistics(model, params, samples, lambda, holdout);
+        let old = spec::minibatch_statistics(model, params, samples, lambda, holdout);
         match (&new, &old) {
             (Ok(n), Ok(o)) => {
                 let bits = |v: &Vector| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
@@ -621,7 +621,7 @@ mod tests {
             // Any subset, possibly every sample, possibly with repeats.
             let holdout: Vec<usize> =
                 (0..rng.gen_range(0..=b)).map(|_| rng.gen_range(0..b)).collect();
-            let stats = assert_matches_frozen(&*model, &params, &samples, lambda, &holdout);
+            let stats = assert_matches_spec(&*model, &params, &samples, lambda, &holdout);
             prop_assert!(stats.is_ok());
         }
     }
@@ -651,13 +651,12 @@ mod tests {
                 Sample::new(Vector::from_vec(vec![0.0, -0.0, 0.0, -0.0]), 1),
             ];
             for lambda in [0.0, 0.5] {
-                let zero =
-                    assert_matches_frozen(&*model, &params, &saturated, lambda, &[]).unwrap();
+                let zero = assert_matches_spec(&*model, &params, &saturated, lambda, &[]).unwrap();
                 if lambda == 0.0 {
                     assert!(zero.gradient.iter().all(|g| g.to_bits() == 0));
                 }
-                assert_matches_frozen(&*model, &params, &mixed, lambda, &[]).unwrap();
-                assert_matches_frozen(&*model, &params, &mixed, lambda, &[1]).unwrap();
+                assert_matches_spec(&*model, &params, &mixed, lambda, &[]).unwrap();
+                assert_matches_spec(&*model, &params, &mixed, lambda, &[1]).unwrap();
             }
         }
     }
@@ -701,10 +700,10 @@ mod tests {
             let stats = minibatch_statistics(&*model, &params, &samples, lambda, &holdout).unwrap();
             let counted = stats.gradient.iter().filter(|g| g.to_bits() != 0).count();
             prop_assert_eq!(stats.nonzero, counted);
-            let frozen =
-                minibatch_reference::minibatch_statistics(&*model, &params, &samples, lambda, &holdout)
+            let plain =
+                spec::minibatch_statistics(&*model, &params, &samples, lambda, &holdout)
                     .unwrap();
-            prop_assert_eq!(stats.nonzero, frozen.nonzero);
+            prop_assert_eq!(stats.nonzero, plain.nonzero);
         }
     }
 
@@ -716,7 +715,7 @@ mod tests {
             let params = Vector::from_vec(vec![0.3; model.param_dim()]);
             let batch = [fine.clone(), nan.clone()];
             let check = |params: &Vector, samples: &[Sample], lambda: f64, holdout: &[usize]| {
-                assert_matches_frozen(&*model, params, samples, lambda, holdout)
+                assert_matches_spec(&*model, params, samples, lambda, holdout)
             };
             // A NaN margin activates no hinge, so only the logistic models'
             // gradients turn non-finite.

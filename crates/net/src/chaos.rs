@@ -46,6 +46,13 @@ use std::time::Duration;
 /// Cap on recorded trace lines, so a pathological run cannot balloon memory.
 const MAX_TRACE_LINES: usize = 10_000;
 
+/// How many 1 ms naps the final scrape waits, at most, for the reactor to
+/// see the last exchange's connection close. A fault-free run needs at most
+/// one. A faulted one can end with connections the reactor never sees close
+/// (a request and its sender's hang-up read in one go), so the wait is kept
+/// short.
+const CLOSE_WAIT_POLLS: usize = 20;
+
 /// Configuration of one chaos run: the workload plus the fault plan.
 #[derive(Debug, Clone)]
 pub struct ChaosCluster {
@@ -416,6 +423,14 @@ impl Driver<'_> {
         // submissions were acknowledged, so the invariant `ledger == ε·acked`
         // requires their finalization charge to land first.
         handle.settle_rounds();
+        // Every exchange closed its connection, but the reactor may not have
+        // seen the last close yet; `conns_active` reads it once it has.
+        for _ in 0..CLOSE_WAIT_POLLS {
+            if handle.reactor_stats().is_none_or(|stats| stats.active == 0) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let final_metrics = handle.runtime_stats();
         dedup_replays += final_metrics.get("dedup_replays");
         let report = ChaosReport {
@@ -535,6 +550,9 @@ mod tests {
         assert!(a.iterations > 0);
         assert_eq!(a.restarts, 0);
         assert_eq!(a.dedup_replays, 0);
+        // The final scrape waits for the last connection to close.
+        assert_eq!(a.metrics.gauge("conns_active"), 0);
+        assert_eq!(b.metrics.gauge("conns_active"), 0);
     }
 
     #[test]

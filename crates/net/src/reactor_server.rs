@@ -211,6 +211,7 @@ impl Drop for ReactorServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::message_path;
     use crowd_proto::auth::AuthToken;
     use crowd_proto::frame::{read_message, write_message};
     use crowd_proto::message::{
@@ -372,7 +373,11 @@ mod tests {
             for (what, request) in &script {
                 let request = Message::CheckinRequest(request.clone());
                 let mut expected = Vec::new();
-                write_message(&mut expected, &oracle.handle_message(request.clone())).unwrap();
+                write_message(
+                    &mut expected,
+                    &message_path::reply(&oracle, request.clone()),
+                )
+                .unwrap();
                 assert_eq!(
                     raw_exchange(&mut stream, &request),
                     expected,
@@ -413,7 +418,7 @@ mod tests {
         // The wire reply to `request` must be the message path's, byte for
         // byte; returns that reply decoded.
         let exchange = |what: &str, request: Message| {
-            let reply = oracle.handle_message(request.clone());
+            let reply = message_path::reply(&oracle, request.clone());
             let mut expected = Vec::new();
             write_message(&mut expected, &reply).unwrap();
             let mut stream = TcpStream::connect(handle.addr()).unwrap();

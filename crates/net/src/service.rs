@@ -10,10 +10,10 @@
 //! runtime's core lock (`AggRuntime::submit_to`, `AggRuntime::submit_round_to`),
 //! and whichever thread settles it answers through the request's
 //! [`crowd_reactor::Completer`] — nothing waits for an ack.
-//! [`ServerCore::handle_message`] is the blocking `Message`-in, `Message`-out
-//! form: the reactor answers metrics scrapes and malformed traffic with it,
-//! and its checkout and checkin arms are the reference the event path is
-//! tested against.
+//! [`ServerCore::handle_message`] answers everything else — metrics scrapes
+//! and malformed traffic — inline. The blocking `Message`-in, `Message`-out
+//! checkout and checkin the event path is tested against live in the
+//! test-only `message_path` module.
 //!
 //! Backpressure on the wire: the reactor path never answers a checkin with a
 //! [`Message::Busy`]. A full combining queue *parks* the connection (read
@@ -28,7 +28,7 @@
 //! connection the same [`SharedFrame`] until a request sees another snapshot
 //! or round. Who may have the reply is decided per request, before the
 //! shared frame is looked at ([`ServerCore::checkout_refusal`], which the
-//! `Message`-returning path runs too). `checkout_frames_built` against
+//! test-only `Message` path runs too). `checkout_frames_built` against
 //! `checkouts_served` tells a scrape how much sharing actually happens.
 
 // Request path: a panic here would tear down a server worker mid-epoch.
@@ -36,9 +36,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-use crowd_agg::{
-    AggError, AggRuntime, CompletionHandle, OutcomeSink, ParamSnapshot, SubmitRejection, Submitted,
-};
+use crowd_agg::{AggError, AggRuntime, OutcomeSink, ParamSnapshot, SubmitRejection, Submitted};
 use crowd_core::device::CheckinPayload;
 use crowd_core::server::{CheckinReceipt, PendingSubmission};
 use crowd_learning::MulticlassLogistic;
@@ -46,20 +44,17 @@ use crowd_linalg::{GradientUpdate, QuantizedVector, SparseVector, Vector};
 use crowd_proto::auth::TokenRegistry;
 use crowd_proto::frame::SharedFrame;
 use crowd_proto::message::{
-    BusyReply, CheckinAck, CheckinRequest, CheckoutRequest, CheckoutResponse, ErrorCode,
-    ErrorReply, GradientPayload, HistogramReport, Message, MetricsReport, RoundParams,
+    BusyReply, CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode, ErrorReply, GradientPayload,
+    HistogramReport, Message, MetricsReport, RoundParams,
 };
 use crowd_proto::{BufPool, PROTOCOL_VERSION};
 use crowd_reactor::{Completer, Ctx, Response};
 use crowd_telemetry::sync::Mutex;
 use crowd_telemetry::{CounterId, HistogramId, MetricsSnapshot, Registry, Tick};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// How long a blocking handler waits for a queued checkin's epoch to be
-/// applied before reporting an internal error. Epochs close on `epoch_size`
-/// or the idle flush, so in practice this bound is never approached.
-pub(crate) const CHECKIN_WAIT: Duration = Duration::from_secs(30);
+#[cfg(test)]
+pub(crate) mod message_path;
 
 /// Server state shared by every connection, independent of transport.
 pub(crate) struct ServerCore {
@@ -100,75 +95,21 @@ impl ServerCore {
         }
     }
 
-    /// Handles one request, blocking until the reply is known. The reactor
-    /// serves metrics requests and unexpected messages through it; its
-    /// checkout and checkin arms — a masked checkin through the blocking
-    /// `AggRuntime::submit_round` — are the `Message`-path reference that
-    /// `checkin_replies_are_byte_equal_to_the_message_path_on_both_routes`
-    /// and this module's tests hold the event path's bytes to. Request
-    /// latency is recorded per message type.
+    /// Answers what [`handle_event`] does not answer itself: a metrics
+    /// scrape, timed as `req_metrics_us`, and a `BadRequest` refusal for
+    /// anything else.
     pub(crate) fn handle_message(&self, message: Message) -> Message {
-        let hist = match &message {
-            Message::CheckoutRequest(_) => Some(HistogramId::ReqCheckoutUs),
-            Message::CheckinRequest(_) => Some(HistogramId::ReqCheckinUs),
-            Message::MetricsRequest(_) => Some(HistogramId::ReqMetricsUs),
-            _ => None,
-        };
         let start = self.metrics.start();
+        let scrape = matches!(message, Message::MetricsRequest(_));
         let reply = self.dispatch(message);
-        if let Some(id) = hist {
-            self.metrics.observe_since(id, start);
+        if scrape {
+            self.metrics.observe_since(HistogramId::ReqMetricsUs, start);
         }
         reply
     }
 
     fn dispatch(&self, message: Message) -> Message {
         match message {
-            Message::CheckoutRequest(req) => {
-                if let Some(refusal) = self.checkout_refusal(&req) {
-                    return refusal;
-                }
-                // Lock-free read path: clone the epoch snapshot, never touching
-                // the write path's locks.
-                let snapshot = self.runtime.snapshot();
-                self.metrics.incr(CounterId::CheckoutsServed);
-                Message::CheckoutResponse(CheckoutResponse {
-                    iteration: snapshot.iteration,
-                    params: snapshot.params.as_slice().to_vec(),
-                    stopped: snapshot.stopped,
-                    round: self.round_params(),
-                })
-            }
-            Message::CheckinRequest(req) => {
-                if !self.tokens.verify(req.device_id, &req.token) {
-                    return error_reply(ErrorCode::Unauthorized, "unknown device or bad token");
-                }
-                note_gradient_encoding(&self.metrics, &req.gradient);
-                if matches!(req.gradient, GradientPayload::Masked { .. }) {
-                    let round = match round_submission_of(req) {
-                        Ok(round) => round,
-                        Err(reply) => return *reply,
-                    };
-                    return match self.runtime.submit_round(round.round_id, round.submission) {
-                        Ok(outcome) => Message::CheckinAck(ack_of(outcome)),
-                        Err(e) => agg_error_reply(e),
-                    };
-                }
-                if let Some(reply) = self.stale_round_reply(req.round_id) {
-                    return reply;
-                }
-                let payload = match payload_of(req) {
-                    Ok(p) => p,
-                    Err(reply) => return *reply,
-                };
-                match self.runtime.submit(payload) {
-                    Ok(handle) => match wait_ack(handle) {
-                        Ok(ack) => Message::CheckinAck(ack),
-                        Err(reply) => *reply,
-                    },
-                    Err(e) => agg_error_reply(e),
-                }
-            }
             Message::MetricsRequest(req) => {
                 if req.version != PROTOCOL_VERSION {
                     return error_reply(
@@ -222,7 +163,7 @@ impl ServerCore {
 
     /// Answers a checkout for the reactor: the refusal the request earns, or
     /// the pre-framed reply for the current snapshot and round —
-    /// byte-identical to framing [`ServerCore::handle_message`]'s reply.
+    /// byte-identical to framing a `CheckoutResponse` built from them.
     fn checkout_event(&self, req: &CheckoutRequest) -> Response {
         if let Some(refusal) = self.checkout_refusal(req) {
             return Response::Now(refusal);
@@ -589,13 +530,6 @@ fn round_submission_of(req: CheckinRequest) -> std::result::Result<RoundSubmissi
     })
 }
 
-pub(crate) fn wait_ack(handle: CompletionHandle) -> std::result::Result<CheckinAck, Box<Message>> {
-    match handle.wait_timeout(CHECKIN_WAIT) {
-        Ok(outcome) => Ok(ack_of(outcome)),
-        Err(e) => Err(Box::new(agg_error_reply(e))),
-    }
-}
-
 /// The wire acknowledgement of a settled checkin.
 fn ack_of(outcome: CheckinReceipt) -> CheckinAck {
     CheckinAck {
@@ -651,6 +585,7 @@ mod tests {
     use crowd_proto::auth::AuthToken;
     use crowd_proto::codec::decode;
     use crowd_proto::frame::write_message;
+    use crowd_proto::message::CheckoutResponse;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
@@ -678,21 +613,24 @@ mod tests {
     /// so the ack means a new snapshot is published.
     fn checkin(core: &ServerCore, step: u64) -> Message {
         let device_id = step % DEVICES;
-        core.handle_message(Message::CheckinRequest(CheckinRequest {
-            device_id,
-            token: AuthToken::derive(device_id, SECRET),
-            checkout_iteration: step,
-            nonce: step + 1,
-            round_id: 0,
-            gradient: GradientPayload::Dense(
-                (0..DIM)
-                    .map(|i| 0.01 * (step + 1) as f64 * (i as f64 - 5.5))
-                    .collect(),
-            ),
-            num_samples: 2,
-            error_count: 1,
-            label_counts: vec![1, 1, 0],
-        }))
+        message_path::reply(
+            core,
+            Message::CheckinRequest(CheckinRequest {
+                device_id,
+                token: AuthToken::derive(device_id, SECRET),
+                checkout_iteration: step,
+                nonce: step + 1,
+                round_id: 0,
+                gradient: GradientPayload::Dense(
+                    (0..DIM)
+                        .map(|i| 0.01 * (step + 1) as f64 * (i as f64 - 5.5))
+                        .collect(),
+                ),
+                num_samples: 2,
+                error_count: 1,
+                label_counts: vec![1, 1, 0],
+            }),
+        )
     }
 
     fn built(core: &ServerCore) -> u64 {
@@ -716,7 +654,7 @@ mod tests {
 
     /// Both paths answer `req` with the same bytes; returns the decoded reply.
     fn assert_paths_agree(core: &ServerCore, req: &CheckoutRequest, stage: &str) -> Message {
-        let via_message = core.handle_message(Message::CheckoutRequest(req.clone()));
+        let via_message = message_path::reply(core, Message::CheckoutRequest(req.clone()));
         assert_eq!(
             event_bytes(core, req),
             framed(&via_message),

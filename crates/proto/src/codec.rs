@@ -8,8 +8,9 @@
 //! The bytes go through [`crate::le`], the reader and writer `crowd-store`'s
 //! codec shares: a numeric vector costs one `reserve` to encode, and one
 //! count check — against [`MAX_VEC_LEN`] and against what is left of the
-//! frame — plus one exactly sized `Vec` to decode. The per-element decoder
-//! the bulk reader replaced survives as the test oracle in `codec_reference`.
+//! frame — plus one exactly sized `Vec` to decode. [`crate::spec::decode`]
+//! reads the same bytes one element at a time, the reference the bulk
+//! reader is tested against.
 
 // Request path: a panic here would tear down a server worker mid-epoch.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -465,7 +466,7 @@ fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String> {
 mod tests {
     use super::*;
     use crate::auth::TOKEN_LEN;
-    use crate::codec_reference;
+    use crate::spec;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1133,13 +1134,13 @@ mod tests {
         }
     }
 
-    /// The bulk decoder and the per-element reference agree on `bytes`: the
+    /// The bulk decoder and the per-element spec agree on `bytes`: the
     /// same value to the bit (re-encoding compares NaN payloads and zero
     /// signs, which `==` on `f64` cannot), or the same error — variant,
     /// field and reason.
     fn assert_decoders_agree(bytes: &[u8]) -> bool {
         let bulk = decode(bytes);
-        let reference = codec_reference::decode(bytes);
+        let reference = spec::decode(bytes);
         match (&bulk, &reference) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(format!("{a:?}"), format!("{b:?}"));

@@ -14,19 +14,20 @@
 //! * [`frame`] — length-prefixed framing over any `Read`/`Write` stream, with a
 //!   maximum-frame-size guard;
 //! * [`auth`] — the device authentication tokens the server checks before
-//!   accepting a checkout or checkin.
+//!   accepting a checkout or checkin;
+//! * [`spec`] — the decoder read one element at a time, the reference the
+//!   bulk decoder is tested against.
 
 #![forbid(unsafe_code)]
 
 pub mod auth;
 pub mod codec;
-#[cfg(test)]
-mod codec_reference;
 pub mod error;
 pub mod frame;
 pub mod le;
 pub mod message;
 pub mod pool;
+pub mod spec;
 
 pub use auth::AuthToken;
 pub use error::ProtoError;

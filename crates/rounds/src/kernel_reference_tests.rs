@@ -1,58 +1,10 @@
-//! `cohort`, `role_of` and `finalize_sum` against the straightforward
-//! implementations they replaced, frozen verbatim: one `is_selected` call per
-//! id with a growing `Vec`, and one whole net mask per survivor. Membership
-//! and every finalized bit must match.
+//! `cohort`, `role_of`, `is_selected` and `finalize_sum` against
+//! [`crate::spec`]: one selection coin per id with a growing `Vec`, and one
+//! whole net mask per survivor. Membership and every finalized bit must
+//! match.
 
 use super::*;
 use proptest::prelude::*;
-
-/// The selection coin every build before the single-pass cohort used.
-fn reference_is_selected(seed: u64, device_id: u64, select_fraction: f64) -> bool {
-    if select_fraction >= 1.0 {
-        return true;
-    }
-    if select_fraction <= 0.0 {
-        return false;
-    }
-    // Threshold comparison in the u64 domain; the cast saturates safely for
-    // any fraction in (0, 1).
-    let threshold = (select_fraction * (u64::MAX as f64)) as u64;
-    mix(seed, mix(device_id, 0x0D5E_7EC7)) < threshold
-}
-
-fn reference_cohort(seed: u64, population: u64, select_fraction: f64) -> Vec<u64> {
-    let selected: Vec<u64> = (0..population)
-        .filter(|&d| reference_is_selected(seed, d, select_fraction))
-        .collect();
-    if selected.is_empty() {
-        (0..population).collect()
-    } else {
-        selected
-    }
-}
-
-fn reference_finalize_sum(
-    seed: u64,
-    cohort: &[u64],
-    survivors: &[(u64, Vec<u64>)],
-    dim: usize,
-) -> Option<Vec<f64>> {
-    let ring = MaskRing::new(seed, cohort);
-    let mut sum = vec![0.0f64; dim];
-    let mut net = vec![0u64; dim];
-    let mut ordered: Vec<&(u64, Vec<u64>)> = survivors.iter().collect();
-    ordered.sort_by_key(|(d, _)| *d);
-    for (device_id, words) in ordered {
-        if words.len() != dim {
-            return None;
-        }
-        ring.net_mask_into(ring.position(*device_id).ok()?, &mut net);
-        for ((acc, &w), &m) in sum.iter_mut().zip(words).zip(&net) {
-            *acc += unmask_word(w, m);
-        }
-    }
-    Some(sum)
-}
 
 /// The largest double below 1.
 const JUST_BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
@@ -145,7 +97,7 @@ fn assert_finalize_matches_the_reference(
     let subs = submissions(rng, &alive, dim);
     let got = bits(finalize_sum(seed, members, &subs, dim));
     assert!(got.is_some(), "members with the right dim are accepted");
-    assert_eq!(got, bits(reference_finalize_sum(seed, members, &subs, dim)));
+    assert_eq!(got, bits(spec::finalize_sum(seed, members, &subs, dim)));
 }
 
 proptest! {
@@ -159,7 +111,7 @@ proptest! {
         random in 1e-9f64..1.0,
     ) {
         let f = fraction(pick, random);
-        let expected = reference_cohort(seed, population, f);
+        let expected = spec::cohort(seed, population, f);
         prop_assert_eq!(&cohort(seed, population, f), &expected);
         // Every id of a small population, and a sample of a large one.
         let step = (population / 64).max(1);
@@ -170,7 +122,7 @@ proptest! {
                 Role::Unselected
             };
             prop_assert_eq!(role_of(seed, d, population, f), role);
-            prop_assert_eq!(is_selected(seed, d, f), reference_is_selected(seed, d, f));
+            prop_assert_eq!(is_selected(seed, d, f), spec::is_selected(seed, d, f));
         }
     }
 }
@@ -223,11 +175,11 @@ proptest! {
         let mut short = subs.clone();
         short[victim].1.pop();
         prop_assert!(finalize_sum(seed, &members, &short, dim).is_none());
-        prop_assert!(reference_finalize_sum(seed, &members, &short, dim).is_none());
+        prop_assert!(spec::finalize_sum(seed, &members, &short, dim).is_none());
         // A survivor outside the cohort (ids are ascending, so past the last).
         subs[victim].0 = members[n - 1] + 1;
         prop_assert!(finalize_sum(seed, &members, &subs, dim).is_none());
-        prop_assert!(reference_finalize_sum(seed, &members, &subs, dim).is_none());
+        prop_assert!(spec::finalize_sum(seed, &members, &subs, dim).is_none());
     }
 }
 
@@ -239,7 +191,7 @@ fn the_selection_fallbacks_match_the_reference() {
             // Nobody is selected, so everyone is.
             let everyone: Vec<u64> = (0..population).collect();
             assert_eq!(cohort(seed, population, f), everyone);
-            assert_eq!(reference_cohort(seed, population, f), everyone);
+            assert_eq!(spec::cohort(seed, population, f), everyone);
             for d in 0..population + 2 {
                 let role = if d < population {
                     Role::Selected
@@ -252,7 +204,7 @@ fn the_selection_fallbacks_match_the_reference() {
     }
     assert_eq!(
         cohort(seed, 300, JUST_BELOW_ONE),
-        reference_cohort(seed, 300, JUST_BELOW_ONE)
+        spec::cohort(seed, 300, JUST_BELOW_ONE)
     );
 }
 
@@ -299,7 +251,7 @@ fn a_survivor_listed_twice_folds_twice_like_the_reference() {
         subs.extend(submissions(&mut rng, &members[2..3], dim));
         assert_eq!(
             bits(finalize_sum(seed, &members, &subs, dim)),
-            bits(reference_finalize_sum(seed, &members, &subs, dim))
+            bits(spec::finalize_sum(seed, &members, &subs, dim))
         );
     }
 }

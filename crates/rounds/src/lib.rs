@@ -71,6 +71,10 @@
 //!   blocks of `FINALIZE_BLOCK` words, each edge's generator keeping its
 //!   state between blocks, so only `survivors × block` mask words are live
 //!   (~0.1 MiB of transient memory at that shape).
+//!
+//! [`spec`] states selection, the cohort, net masks and finalization as
+//! plainly as they can be written, the reference these kernels are tested
+//! against.
 
 #![forbid(unsafe_code)]
 
@@ -435,6 +439,8 @@ fn two_rows(buf: &mut [u64], a: usize, b: usize, len: usize) -> (&mut [u64], &mu
 /// few percent of each other at dim 500; the smaller the block, the less the
 /// call adds to the server's peak memory (~0.1 MiB here, ~0.2 MiB at 128).
 const FINALIZE_BLOCK: usize = 32;
+
+pub mod spec;
 
 #[cfg(test)]
 mod kernel_reference_tests;

@@ -1,33 +1,11 @@
 //! Tests of the mask graph itself (which the public API only shows through
 //! `dim`-word masks): its shape over random cohorts, `net_mask` against a
-//! per-pair oracle and against the frozen all-pairs derivation, and the
-//! directed dropout and non-member cases.
+//! per-pair oracle and against [`crate::spec::net_mask`], and the directed
+//! dropout and non-member cases.
 
 use super::*;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The all-pairs net mask every build before the mask graph computed, frozen
-/// verbatim as the reference for the complete regime (`n ≤ 9`).
-fn all_pairs_net_mask(seed: u64, device_id: u64, cohort: &[u64], dim: usize) -> Vec<u64> {
-    let mut out = vec![0u64; dim];
-    for &peer in cohort {
-        if peer == device_id {
-            continue;
-        }
-        let pair = pair_mask(seed, device_id, peer, dim);
-        if device_id < peer {
-            for (o, m) in out.iter_mut().zip(&pair) {
-                *o = o.wrapping_add(*m);
-            }
-        } else {
-            for (o, m) in out.iter_mut().zip(&pair) {
-                *o = o.wrapping_sub(*m);
-            }
-        }
-    }
-    out
-}
 
 /// `⌈log₂ n⌉`, counted rather than computed the way the crate does.
 fn ceil_log2(n: usize) -> usize {
@@ -131,8 +109,8 @@ proptest! {
         prop_assert_eq!(reached.len(), n);
     }
 
-    /// `net_mask` is Σ ±`pair_mask` over the device's neighbours — and, in
-    /// the complete regime, the frozen all-pairs mask bit for bit.
+    /// `net_mask` is Σ ±`pair_mask` over the device's neighbours — and
+    /// `spec::net_mask` bit for bit, which builds its own ring.
     #[test]
     fn net_mask_is_the_signed_sum_of_its_neighbours_pair_masks(
         seed in any::<u64>(),
@@ -151,9 +129,7 @@ proptest! {
         }
         let got = net_mask(seed, device, &members, dim);
         prop_assert_eq!(&got, &expected);
-        if n <= 9 {
-            prop_assert_eq!(&got, &all_pairs_net_mask(seed, device, &members, dim));
-        }
+        prop_assert_eq!(&got, &spec::net_mask(seed, device, &members, dim));
     }
 }
 
@@ -169,7 +145,7 @@ fn the_graph_is_complete_up_to_nine_members_and_sparse_from_ten() {
             assert_eq!(got, others, "n = {n}");
             assert_eq!(
                 net_mask(seed, d, &members, 5),
-                all_pairs_net_mask(seed, d, &members, 5)
+                spec::net_mask(seed, d, &members, 5)
             );
         }
     }
@@ -180,15 +156,11 @@ fn the_graph_is_complete_up_to_nine_members_and_sparse_from_ten() {
     assert_eq!(net_mask(seed, 3, &[3, 14], 4), pair);
     let negated: Vec<u64> = pair.iter().map(|m| m.wrapping_neg()).collect();
     assert_eq!(net_mask(seed, 14, &[3, 14], 4), negated);
-    // n = 10 is the first sparse cohort: degree 8 of 9, and the mask differs
-    // from the all-pairs one.
+    // n = 10 is the first sparse cohort: degree 8 of 9, so each mask leaves
+    // one peer's pair stream out of the all-pairs sum.
     let members = sparse_ids(10, 11);
     for &d in &members {
         assert_eq!(neighbours_of(seed, &members, d).len(), 8);
-        assert_ne!(
-            net_mask(seed, d, &members, 5),
-            all_pairs_net_mask(seed, d, &members, 5)
-        );
     }
 }
 
